@@ -28,7 +28,6 @@
 #include <string>
 
 #include "common/strings.h"
-#include "kfs/formatter.h"
 #include "mlds/mlds.h"
 #include "university/university.h"
 
@@ -86,11 +85,13 @@ int main() {
     return 1;
   }
 
-  auto codasyl = system.OpenCodasylSession("university");
-  auto daplex = system.OpenDaplexSession("university");
-  auto sql = system.OpenSqlSession("payroll");
-  auto dli = system.OpenDliSession("clinic");
+  auto codasyl = system.Open(Language::kCodasyl, "university");
+  auto daplex = system.Open(Language::kDaplex, "university");
+  auto sql = system.Open(Language::kSql, "payroll");
+  auto dli = system.Open(Language::kDli, "clinic");
   if (!codasyl.ok() || !daplex.ok() || !sql.ok() || !dli.ok()) return 1;
+  // .trace and .stats read the CODASYL machine's own session state.
+  const kms::DmlMachine& dml = *(*codasyl)->machine<kms::DmlMachine>();
 
   std::printf("MLDS shell — four languages, one kernel. Type .help for "
               "commands.\n");
@@ -108,7 +109,7 @@ int main() {
       if (trimmed == ".help") {
         PrintHelp();
       } else if (trimmed == ".trace") {
-        for (const auto& entry : (*codasyl)->trace()) {
+        for (const auto& entry : dml.trace()) {
           std::printf("  %s\n", entry.dml.c_str());
           for (const auto& abdl : entry.abdl) {
             std::printf("    => %s\n", abdl.c_str());
@@ -117,7 +118,7 @@ int main() {
       } else if (trimmed == ".schema") {
         std::printf("%s", system.NetworkViewOf("university")->ToDdl().c_str());
       } else if (trimmed == ".stats") {
-        std::printf("%s", (*codasyl)->statistics().ToString().c_str());
+        std::printf("%s", dml.statistics().ToString().c_str());
       } else {
         std::printf("unknown command: %s\n", std::string(trimmed).c_str());
       }
@@ -131,78 +132,38 @@ int main() {
       routed = Trim(routed.substr(7));
     }
 
-    // --- DL/I ---
-    if (StartsWithWord(routed, "GU") || StartsWithWord(routed, "GN") ||
-        StartsWithWord(routed, "GNP") || StartsWithWord(routed, "ISRT") ||
-        StartsWithWord(routed, "REPL") || StartsWithWord(routed, "DLET")) {
-      auto outcome = (*dli)->ExecuteText(trimmed);
-      if (!outcome.ok()) {
-        std::printf("error: %s\n", outcome.status().ToString().c_str());
-      } else if (!outcome->segments.empty()) {
-        std::printf("%s", kfs::FormatTable(outcome->segments).c_str());
-      } else if (!outcome->info.empty()) {
-        std::printf("%s\n", outcome->info.c_str());
-      }
-      continue;
-    }
-
-    // --- SQL ---
     const bool sql_update =
         StartsWithWord(routed, "UPDATE") &&
         system.FindRelationalSchema("payroll")->FindTable(
             std::string(Trim(routed.substr(6))).substr(
                 0, std::string(Trim(routed.substr(6))).find(' '))) != nullptr;
-    if (StartsWithWord(routed, "SELECT") ||
-        StartsWithWord(routed, "INSERT") ||
-        StartsWithWord(routed, "DELETE") || sql_update) {
-      auto outcome = (*sql)->ExecuteText(trimmed);
-      if (!outcome.ok()) {
-        std::printf("error: %s\n", outcome.status().ToString().c_str());
-        continue;
-      }
-      if (!outcome->rows.empty()) {
-        std::printf("%s", kfs::FormatTable(outcome->rows).c_str());
-      } else {
-        std::printf("%s\n", outcome->info.c_str());
-      }
-      if (outcome->plan != nullptr) {
-        std::printf("%s", kfs::FormatPlan(*outcome->plan).c_str());
-      }
-      continue;
+    LanguageInterface* target = codasyl->get();  // CODASYL-DML by default
+    if (StartsWithWord(routed, "GU") || StartsWithWord(routed, "GN") ||
+        StartsWithWord(routed, "GNP") || StartsWithWord(routed, "ISRT") ||
+        StartsWithWord(routed, "REPL") || StartsWithWord(routed, "DLET")) {
+      target = dli->get();
+    } else if (StartsWithWord(routed, "SELECT") ||
+               StartsWithWord(routed, "INSERT") ||
+               StartsWithWord(routed, "DELETE") || sql_update) {
+      target = sql->get();
+    } else if (StartsWithWord(routed, "FOR") ||
+               StartsWithWord(routed, "CREATE") ||
+               StartsWithWord(routed, "DESTROY") ||
+               StartsWithWord(routed, "UPDATE")) {
+      target = daplex->get();
     }
 
-    // --- Daplex ---
-    if (StartsWithWord(routed, "FOR") || StartsWithWord(routed, "CREATE") ||
-        StartsWithWord(routed, "DESTROY") ||
-        StartsWithWord(routed, "UPDATE")) {
-      auto outcome = (*daplex)->ExecuteStatement(trimmed);
-      if (!outcome.ok()) {
-        std::printf("error: %s\n", outcome.status().ToString().c_str());
-      } else if (!outcome->records.empty()) {
-        std::printf("%s", kfs::FormatTable(outcome->records).c_str());
-      } else {
-        std::printf("%s\n", outcome->info.c_str());
-      }
-      continue;
-    }
-
-    // --- CODASYL-DML (default) ---
-    auto result = (*codasyl)->ExecuteText(trimmed);
+    auto result = target->Execute(trimmed, /*explain=*/false);
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
       continue;
     }
-    if (!result->records.empty()) {
-      std::printf("%s", kfs::FormatTable(result->records).c_str());
-    }
-    if (!result->info.empty()) {
-      std::printf("%s\n", result->info.c_str());
-    }
-    if (result->plan != nullptr) {
-      kfs::PlanFormatOptions plan_options;
-      plan_options.header = "ABDL REQUEST PLAN";
-      std::printf("%s", kfs::FormatPlan(*result->plan, plan_options).c_str());
-    }
+    const std::string body = result->TakeBody();
+    // The shell acknowledges an empty SQL or Daplex result with a blank
+    // line.
+    const bool blank =
+        body.empty() && (target == sql->get() || target == daplex->get());
+    std::printf("%s", blank ? "\n" : body.c_str());
   }
   std::printf("\nbye.\n");
   return 0;

@@ -27,8 +27,8 @@ struct BackendHealthStatus {
 };
 
 /// Degraded-mode status of the kernel database system, surfaced through
-/// every language interface (each KMS machine exposes Health(), and the
-/// facade renders it via kfs::FormatHealth).
+/// every language interface (as partial-result warnings on each result,
+/// and rendered by the facade via kfs::FormatHealth).
 struct KernelHealth {
   /// True when any backend is not healthy: results may be partial, and
   /// responses carry kds::PartialResultWarning entries naming the

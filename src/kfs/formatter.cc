@@ -349,35 +349,29 @@ std::string FormatDmlResult(const kms::DmlResult& result) {
   return out;
 }
 
+namespace {
+
+// A machine outcome's table when it has rows, else its info line.
+std::string TableOrInfo(const std::vector<abdm::Record>& rows,
+                        const std::string& info) {
+  if (!rows.empty()) return FormatTable(rows);
+  return info.empty() ? "" : info + "\n";
+}
+
+}  // namespace
+
 std::string FormatSqlOutcome(const kms::SqlMachine::Outcome& outcome) {
-  std::string out;
-  if (!outcome.rows.empty()) {
-    out += FormatTable(outcome.rows);
-  } else if (!outcome.info.empty()) {
-    out += outcome.info + "\n";
-  }
+  std::string out = TableOrInfo(outcome.rows, outcome.info);
   if (outcome.plan != nullptr) out += FormatPlan(*outcome.plan);
   return out;
 }
 
 std::string FormatDaplexOutcome(const kms::DaplexMachine::Outcome& outcome) {
-  std::string out;
-  if (!outcome.records.empty()) {
-    out += FormatTable(outcome.records);
-  } else if (!outcome.info.empty()) {
-    out += outcome.info + "\n";
-  }
-  return out;
+  return TableOrInfo(outcome.records, outcome.info);
 }
 
 std::string FormatDliOutcome(const kms::DliMachine::Outcome& outcome) {
-  std::string out;
-  if (!outcome.segments.empty()) {
-    out += FormatTable(outcome.segments);
-  } else if (!outcome.info.empty()) {
-    out += outcome.info + "\n";
-  }
-  return out;
+  return TableOrInfo(outcome.segments, outcome.info);
 }
 
 }  // namespace mlds::kfs

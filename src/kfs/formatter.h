@@ -168,9 +168,10 @@ std::string SerializeHealth(const kc::KernelHealth& health);
 Result<kc::KernelHealth> ParseHealth(std::string_view text);
 
 /// Canonical renderings of the four language machines' outcomes — the
-/// exact bytes a language user sees. Both the interactive shells and the
-/// wire server reply with these, which is what makes a remote result
-/// byte-identical to in-process execution.
+/// exact bytes a language user sees. Every mlds::LanguageInterface
+/// renders with these, so the in-process shell (examples/local_shell) and
+/// the wire server (and through it tools/mlds_shell) show the same bytes:
+/// a remote result is byte-identical to in-process execution.
 std::string FormatDmlResult(const kms::DmlResult& result);
 std::string FormatSqlOutcome(const kms::SqlMachine::Outcome& outcome);
 std::string FormatDaplexOutcome(const kms::DaplexMachine::Outcome& outcome);

@@ -467,15 +467,11 @@ Result<std::vector<Record>> DaplexMachine::Execute(const ForEachQuery& query) {
 }
 
 Result<std::vector<Record>> DaplexMachine::ExecuteText(std::string_view text) {
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        std::shared_ptr<const ForEachQuery> query,
-        cache_->GetOrCompile<ForEachQuery>(
-            "daplex", text, [&] { return daplex::ParseForEach(text); }));
-    return Execute(*query);
-  }
-  MLDS_ASSIGN_OR_RETURN(ForEachQuery query, daplex::ParseForEach(text));
-  return Execute(query);
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const ForEachQuery> query,
+      GetOrCompile<ForEachQuery>(cache_, "daplex", text,
+                                 [&] { return daplex::ParseForEach(text); }));
+  return Execute(*query);
 }
 
 Result<std::string> DaplexMachine::AllocateDbKey(std::string_view type) {
@@ -714,17 +710,8 @@ Result<DaplexMachine::Outcome> DaplexMachine::ExecuteBatch(
   if (rows.empty()) {
     return Status::InvalidArgument("CREATE batch carries no rows");
   }
-  std::shared_ptr<const daplex::DaplexStatement> stmt;
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        stmt, cache_->GetOrCompile<daplex::DaplexStatement>(
-                  "daplex-stmt", text,
-                  [&] { return daplex::ParseDaplexStatement(text); }));
-  } else {
-    MLDS_ASSIGN_OR_RETURN(daplex::DaplexStatement parsed,
-                          daplex::ParseDaplexStatement(text));
-    stmt = std::make_shared<const daplex::DaplexStatement>(std::move(parsed));
-  }
+  MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const daplex::DaplexStatement> stmt,
+                        ParseStatement(text));
   const auto* create = std::get_if<daplex::CreateStatement>(stmt.get());
   if (create == nullptr || !create->parameterized()) {
     return Status::InvalidArgument(
@@ -953,10 +940,18 @@ Result<DaplexMachine::Outcome> DaplexMachine::Destroy(
   return outcome;
 }
 
+Result<std::shared_ptr<const daplex::DaplexStatement>>
+DaplexMachine::ParseStatement(std::string_view text) {
+  return GetOrCompile<daplex::DaplexStatement>(
+      cache_, "daplex-stmt", text,
+      [&] { return daplex::ParseDaplexStatement(text); });
+}
+
 Result<DaplexMachine::Outcome> DaplexMachine::ExecuteStatement(
     std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(daplex::DaplexStatement statement,
-                        daplex::ParseDaplexStatement(text));
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const daplex::DaplexStatement> statement,
+      ParseStatement(text));
   struct Visitor {
     DaplexMachine* self;
     Result<Outcome> operator()(const ForEachQuery& q) {
@@ -975,7 +970,7 @@ Result<DaplexMachine::Outcome> DaplexMachine::ExecuteStatement(
       return self->Destroy(s);
     }
   };
-  return std::visit(Visitor{this}, statement);
+  return std::visit(Visitor{this}, *statement);
 }
 
 }  // namespace mlds::kms

@@ -2,6 +2,7 @@
 #define MLDS_KMS_DAPLEX_MACHINE_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -45,9 +46,6 @@ class DaplexMachine {
   DaplexMachine(const DaplexMachine&) = delete;
   DaplexMachine& operator=(const DaplexMachine&) = delete;
 
-  /// Degraded-mode status of the kernel this session executes against.
-  kc::KernelHealth Health() const { return executor_->Health(); }
-
   /// Outcome of a Daplex DML statement (CREATE / DESTROY / FOR EACH).
   struct Outcome {
     std::vector<abdm::Record> records;  ///< FOR EACH results.
@@ -78,7 +76,8 @@ class DaplexMachine {
   /// Parses and executes query text (FOR EACH only).
   Result<std::vector<abdm::Record>> ExecuteText(std::string_view text);
 
-  /// Parses and executes any Daplex statement.
+  /// Parses and executes any Daplex statement. The parse caches under
+  /// the "daplex-stmt" domain, shared with ExecuteBatch's templates.
   Result<Outcome> ExecuteStatement(std::string_view text);
 
   /// Executes a parameterized CREATE template — `CREATE type (fn = ?,
@@ -99,6 +98,10 @@ class DaplexMachine {
   const std::vector<std::string>& trace() const { return trace_; }
 
  private:
+  /// Parses any Daplex statement through the translation cache.
+  Result<std::shared_ptr<const daplex::DaplexStatement>> ParseStatement(
+      std::string_view text);
+
   /// The merged view of one entity across its duplicated kernel records
   /// and its supertype records: function name -> the set of values seen.
   /// Database keys appear under the owning type's name, so the type name

@@ -258,14 +258,11 @@ Result<DliMachine::Outcome> DliMachine::Execute(const DliCall& call) {
 }
 
 Result<DliMachine::Outcome> DliMachine::ExecuteText(std::string_view text) {
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const DliCall> call,
-                          cache_->GetOrCompile<DliCall>(
-                              "dli", text, [&] { return ParseDliCall(text); }));
-    return Execute(*call);
-  }
-  MLDS_ASSIGN_OR_RETURN(DliCall call, ParseDliCall(text));
-  return Execute(call);
+  MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const DliCall> call,
+                        GetOrCompile<DliCall>(
+                            cache_, "dli", text,
+                            [&] { return ParseDliCall(text); }));
+  return Execute(*call);
 }
 
 Result<std::vector<DliMachine::Outcome>> DliMachine::RunProgram(
@@ -578,15 +575,10 @@ Result<DliMachine::Outcome> DliMachine::ExecuteBatch(
   if (rows.empty()) {
     return Status::InvalidArgument("ISRT batch carries no rows");
   }
-  std::shared_ptr<const DliCall> call;
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(call, cache_->GetOrCompile<DliCall>(
-                                    "dli", text,
-                                    [&] { return ParseDliCall(text); }));
-  } else {
-    MLDS_ASSIGN_OR_RETURN(DliCall parsed, ParseDliCall(text));
-    call = std::make_shared<const DliCall>(std::move(parsed));
-  }
+  MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const DliCall> call,
+                        GetOrCompile<DliCall>(
+                            cache_, "dli", text,
+                            [&] { return ParseDliCall(text); }));
   if (call->function != DliCall::Function::kIsrt || !call->parameterized()) {
     return Status::InvalidArgument(
         "batch execution requires a parameterized ISRT template "

@@ -80,9 +80,6 @@ class DliMachine {
   DliMachine(const DliMachine&) = delete;
   DliMachine& operator=(const DliMachine&) = delete;
 
-  /// Degraded-mode status of the kernel this session executes against.
-  kc::KernelHealth Health() const { return executor_->Health(); }
-
   struct Outcome {
     std::vector<abdm::Record> segments;  ///< the retrieved segment (GU/GN).
     size_t affected = 0;

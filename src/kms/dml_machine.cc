@@ -170,31 +170,20 @@ Result<DmlResult> DmlMachine::Execute(
 }
 
 Result<DmlResult> DmlMachine::ExecuteText(std::string_view text) {
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        std::shared_ptr<const codasyl::ParsedStatement> stmt,
-        cache_->GetOrCompile<codasyl::ParsedStatement>(
-            "dml", text, [&] { return codasyl::ParseDmlStatement(text); }));
-    return Execute(*stmt);
-  }
-  MLDS_ASSIGN_OR_RETURN(codasyl::ParsedStatement stmt,
-                        codasyl::ParseDmlStatement(text));
-  return Execute(stmt);
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const codasyl::ParsedStatement> stmt,
+      GetOrCompile<codasyl::ParsedStatement>(
+          cache_, "dml", text,
+          [&] { return codasyl::ParseDmlStatement(text); }));
+  return Execute(*stmt);
 }
 
 Result<std::vector<DmlResult>> DmlMachine::RunProgram(std::string_view text) {
-  std::shared_ptr<const std::vector<codasyl::ParsedStatement>> program;
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        program, cache_->GetOrCompile<std::vector<codasyl::ParsedStatement>>(
-                     "dml-program", text,
-                     [&] { return codasyl::ParseDmlProgram(text); }));
-  } else {
-    MLDS_ASSIGN_OR_RETURN(std::vector<codasyl::ParsedStatement> parsed,
-                          codasyl::ParseDmlProgram(text));
-    program = std::make_shared<const std::vector<codasyl::ParsedStatement>>(
-        std::move(parsed));
-  }
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const std::vector<codasyl::ParsedStatement>> program,
+      GetOrCompile<std::vector<codasyl::ParsedStatement>>(
+          cache_, "dml-program", text,
+          [&] { return codasyl::ParseDmlProgram(text); }));
   std::vector<DmlResult> results;
   results.reserve(program->size());
   for (const auto& stmt : *program) {
@@ -210,17 +199,11 @@ Result<DmlResult> DmlMachine::ExecuteBatch(
   if (rows.empty()) {
     return Status::InvalidArgument("STORE batch carries no rows");
   }
-  std::shared_ptr<const codasyl::ParsedStatement> stmt;
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        stmt, cache_->GetOrCompile<codasyl::ParsedStatement>(
-                  "dml", text,
-                  [&] { return codasyl::ParseDmlStatement(text); }));
-  } else {
-    MLDS_ASSIGN_OR_RETURN(codasyl::ParsedStatement parsed,
-                          codasyl::ParseDmlStatement(text));
-    stmt = std::make_shared<const codasyl::ParsedStatement>(std::move(parsed));
-  }
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const codasyl::ParsedStatement> stmt,
+      GetOrCompile<codasyl::ParsedStatement>(
+          cache_, "dml", text,
+          [&] { return codasyl::ParseDmlStatement(text); }));
   const auto* store = std::get_if<codasyl::StoreStatement>(&stmt->statement);
   if (store == nullptr || !store->parameterized()) {
     return Status::InvalidArgument(

@@ -83,11 +83,6 @@ class DmlMachine {
   DmlMachine(const DmlMachine&) = delete;
   DmlMachine& operator=(const DmlMachine&) = delete;
 
-  /// Degraded-mode status of the kernel this session executes against:
-  /// every language interface can tell its user when results may be
-  /// partial because a backend is quarantined.
-  kc::KernelHealth Health() const { return executor_->Health(); }
-
   /// Executes one statement, updating currency and buffers.
   Result<DmlResult> Execute(const codasyl::Statement& statement);
 

@@ -80,14 +80,10 @@ Result<SqlMachine::Outcome> SqlMachine::Execute(
 }
 
 Result<SqlMachine::Outcome> SqlMachine::ExecuteText(std::string_view text) {
-  if (cache_ == nullptr) {
-    MLDS_ASSIGN_OR_RETURN(sql::SqlStatement statement, sql::ParseSql(text));
-    return Execute(statement);
-  }
   MLDS_ASSIGN_OR_RETURN(
       std::shared_ptr<const Translation> translation,
-      cache_->GetOrCompile<Translation>(
-          "sql", text, [&]() -> Result<Translation> {
+      GetOrCompile<Translation>(
+          cache_, "sql", text, [&]() -> Result<Translation> {
             MLDS_ASSIGN_OR_RETURN(sql::SqlStatement statement,
                                   sql::ParseSql(text));
             Translation t;
@@ -136,18 +132,14 @@ Result<SqlMachine::Outcome> SqlMachine::ExecuteBatch(
     MLDS_ASSIGN_OR_RETURN(t.prepared, CompilePreparedInsert(*insert));
     return t;
   };
-  if (cache_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        std::shared_ptr<const Translation> translation,
-        cache_->GetOrCompile<Translation>("sql", statement, compile));
-    if (!translation->prepared.has_value()) {
-      return Status::InvalidArgument(
-          "batch execution requires a parameterized INSERT template");
-    }
-    return RunPreparedBatch(*translation->prepared, rows, limits);
+  MLDS_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Translation> translation,
+      GetOrCompile<Translation>(cache_, "sql", statement, compile));
+  if (!translation->prepared.has_value()) {
+    return Status::InvalidArgument(
+        "batch execution requires a parameterized INSERT template");
   }
-  MLDS_ASSIGN_OR_RETURN(Translation translation, compile());
-  return RunPreparedBatch(*translation.prepared, rows, limits);
+  return RunPreparedBatch(*translation->prepared, rows, limits);
 }
 
 Result<SqlMachine::CompiledSql> SqlMachine::Compile(

@@ -47,9 +47,6 @@ class SqlMachine {
   SqlMachine(const SqlMachine&) = delete;
   SqlMachine& operator=(const SqlMachine&) = delete;
 
-  /// Degraded-mode status of the kernel this session executes against.
-  kc::KernelHealth Health() const { return executor_->Health(); }
-
   /// Outcome of one SQL statement.
   struct Outcome {
     std::vector<abdm::Record> rows;  ///< SELECT results.

@@ -119,6 +119,23 @@ class TranslationCache {
   uint64_t evictions_ = 0;
 };
 
+/// TranslationCache::GetOrCompile through `cache` when a machine has one
+/// attached; with none, compiles afresh and hands back the same shared
+/// form, so callers have one code path either way.
+template <typename T, typename CompileFn>
+Result<std::shared_ptr<const T>> GetOrCompile(TranslationCache* cache,
+                                              std::string_view domain,
+                                              std::string_view source,
+                                              CompileFn&& compile) {
+  if (cache != nullptr) {
+    return cache->GetOrCompile<T>(domain, source,
+                                  std::forward<CompileFn>(compile));
+  }
+  Result<T> compiled = compile();
+  MLDS_RETURN_IF_ERROR(compiled.status());
+  return std::make_shared<const T>(std::move(*compiled));
+}
+
 }  // namespace mlds::kms
 
 #endif  // MLDS_KMS_TRANSLATION_CACHE_H_

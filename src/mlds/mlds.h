@@ -11,12 +11,9 @@
 #include "kc/executor.h"
 #include "kds/engine.h"
 #include "hierarchical/schema.h"
-#include "kms/daplex_machine.h"
-#include "kms/dli_machine.h"
-#include "kms/dml_machine.h"
-#include "kms/sql_machine.h"
 #include "kms/translation_cache.h"
 #include "mbds/controller.h"
+#include "mlds/language_interface.h"
 #include "network/schema.h"
 #include "relational/schema.h"
 #include "transform/fun_to_net.h"
@@ -28,21 +25,20 @@ namespace mlds {
 /// that is either a single KDS engine or the multi-backend MBDS.
 ///
 /// Four user data models load through their DDLs (network, functional,
-/// relational, hierarchical) and four language interfaces open sessions
-/// over them (CODASYL-DML, Daplex, SQL, DL/I); `executor()` reaches the
-/// kernel's ABDL directly. Usage mirrors the thesis's workflow (Ch. V):
+/// relational, hierarchical), and `Open` binds a LanguageInterface over
+/// one of them in any of five languages (CODASYL-DML, Daplex, SQL, DL/I,
+/// or the kernel's own ABDL). Usage mirrors the thesis's workflow (Ch. V):
 ///
 ///   MldsSystem mlds;
-///   mlds.LoadFunctionalDatabase(daplex_ddl);              // define
-///   auto session = mlds.OpenCodasylSession("university"); // transform
-///   session->ExecuteText("MOVE 'CS' TO major IN student");
-///   session->ExecuteText("FIND ANY student USING major IN student");
+///   mlds.LoadFunctionalDatabase(daplex_ddl);                    // define
+///   auto session = mlds.Open(Language::kCodasyl, "university"); // transform
+///   (*session)->Execute("MOVE 'CS' TO major IN student", false);
+///   (*session)->Execute("FIND ANY student USING major IN student", false);
 ///
-/// OpenCodasylSession searches the existing network schemas first; when
-/// the name belongs to a functional schema instead, the schema transformer
-/// runs (functional -> network, Ch. V) and the session operates on the
-/// transformed database with the functional-aware KMS translation — the
-/// thesis's cross-model access.
+/// CODASYL-DML searches the existing network schemas first; when the name
+/// belongs to a functional schema instead, the schema transformer's output
+/// (functional -> network, Ch. V) is what the session operates on, with
+/// the functional-aware KMS translation — the thesis's cross-model access.
 class MldsSystem {
  public:
   struct Options {
@@ -79,31 +75,30 @@ class MldsSystem {
   /// and the AB(functional) kernel files are created.
   Status LoadFunctionalDatabase(std::string_view ddl);
 
-  /// Opens a CODASYL-DML session against the named database. Searches the
-  /// network schema list first, then the functional schema list. The
-  /// returned machine is owned by the system and remains valid until the
-  /// system is destroyed.
+  /// Opens a session in `language` over the named database: the one
+  /// factory behind the wire server's USE and the typed Open*Session
+  /// calls. CODASYL-DML searches the network schema list first, then the
+  /// functional one, running over the transformed schema (Ch. V); Daplex
+  /// needs a functional database, SQL a relational one, DL/I a
+  /// hierarchical one; ABDL binds the kernel itself and ignores the name.
+  /// The caller owns the result, which must not outlive the system. Reads
+  /// the database lists only, so sessions may open concurrently.
+  Result<std::unique_ptr<LanguageInterface>> Open(Language language,
+                                                  std::string_view db_name);
+
+  /// Typed sessions for in-process callers that need the machines' own
+  /// outcomes and state. Each opens through Open; the returned machine is
+  /// owned by the system and remains valid until the system is destroyed.
   Result<kms::DmlMachine*> OpenCodasylSession(std::string_view db_name);
-
-  /// Opens a Daplex query session against a *functional* database — the
-  /// functional language interface over the same kernel files, which is
-  /// what makes the system multi-lingual.
   Result<kms::DaplexMachine*> OpenDaplexSession(std::string_view db_name);
-
-  /// Opens a SQL session against a *relational* database — the third
-  /// language interface of MLDS.
   Result<kms::SqlMachine*> OpenSqlSession(std::string_view db_name);
-
-  /// Opens a DL/I session against a *hierarchical* database — the fourth
-  /// language interface of MLDS.
   Result<kms::DliMachine*> OpenDliSession(std::string_view db_name);
 
-  /// Names of loaded databases, network then functional.
+  /// Names of every loaded database, in load order per model: network,
+  /// functional, relational, then hierarchical. Names are unique across
+  /// all four models.
   std::vector<std::string> DatabaseNames() const;
 
-  const network::Schema* FindNetworkSchema(std::string_view name) const;
-  const daplex::FunctionalSchema* FindFunctionalSchema(
-      std::string_view name) const;
   const relational::Schema* FindRelationalSchema(std::string_view name) const;
   const hierarchical::Schema* FindHierarchicalSchema(
       std::string_view name) const;
@@ -123,12 +118,13 @@ class MldsSystem {
   /// kernel controller, and returns its annotated physical plan rendered
   /// by KFS under an "ABDL PLAN" header. INSERT is rejected — it chooses
   /// no access path, so there is no plan to show.
-  Result<std::string> ExplainAbdl(std::string_view request_text);
+  Result<std::string> ExplainAbdl(std::string_view request_text) {
+    return AbdlInterface::Explain(*executor_, request_text);
+  }
 
   /// Degraded-mode status of the kernel, rendered by KFS under a
   /// "KERNEL HEALTH" header: per-backend state, WAL depth, quarantine
-  /// history, and whether results may currently be partial. The same
-  /// status is reachable programmatically through any session's Health().
+  /// history, and whether results may currently be partial.
   std::string HealthReport() const;
 
   /// The structured form of HealthReport: what the wire server serializes
@@ -144,33 +140,33 @@ class MldsSystem {
   mbds::Controller* controller() { return controller_.get(); }
 
  private:
-  struct NetworkDb {
-    network::Schema schema;
-  };
   struct FunctionalDb {
+    const std::string& name() const { return schema.name(); }
     daplex::FunctionalSchema schema;
     transform::FunNetMapping mapping;
   };
-  struct RelationalDb {
-    relational::Schema schema;
-  };
-  struct HierarchicalDb {
-    hierarchical::Schema schema;
-  };
+
+  /// kInvalidArgument(`unnamed_error`) for a DDL without a schema name;
+  /// kAlreadyExists when any loaded database, of any model, has `name`.
+  Status CheckNewName(const std::string& name,
+                      const char* unnamed_error) const;
+  /// Defines the kernel files of a new database and invalidates every
+  /// cached translation (they may name stale files or columns).
+  Status DefineKernelFiles(const abdm::DatabaseDescriptor& descriptor);
+  template <typename Machine>
+  Result<Machine*> OpenTyped(Language language, std::string_view db_name);
 
   Options options_;
   kms::TranslationCache translation_cache_;
   std::unique_ptr<kds::Engine> engine_;
   std::unique_ptr<mbds::Controller> controller_;
   std::unique_ptr<kc::KernelExecutor> executor_;
-  std::vector<std::unique_ptr<NetworkDb>> network_dbs_;
+  std::vector<std::unique_ptr<network::Schema>> network_dbs_;
   std::vector<std::unique_ptr<FunctionalDb>> functional_dbs_;
-  std::vector<std::unique_ptr<RelationalDb>> relational_dbs_;
-  std::vector<std::unique_ptr<HierarchicalDb>> hierarchical_dbs_;
-  std::vector<std::unique_ptr<kms::DmlMachine>> sessions_;
-  std::vector<std::unique_ptr<kms::DaplexMachine>> daplex_sessions_;
-  std::vector<std::unique_ptr<kms::SqlMachine>> sql_sessions_;
-  std::vector<std::unique_ptr<kms::DliMachine>> dli_sessions_;
+  std::vector<std::unique_ptr<relational::Schema>> relational_dbs_;
+  std::vector<std::unique_ptr<hierarchical::Schema>> hierarchical_dbs_;
+  /// Sessions opened through the typed Open*Session calls.
+  std::vector<std::unique_ptr<LanguageInterface>> sessions_;
 };
 
 }  // namespace mlds

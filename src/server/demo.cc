@@ -1,13 +1,30 @@
 #include "server/demo.h"
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "kms/dli_machine.h"
-#include "kms/sql_machine.h"
 #include "university/university.h"
 
 namespace mlds::server {
+
+namespace {
+
+// Seeds a demo database through its own language interface.
+Status Seed(MldsSystem* system, Language language, std::string_view database,
+            const std::vector<std::string>& statements) {
+  MLDS_ASSIGN_OR_RETURN(std::unique_ptr<LanguageInterface> session,
+                        system->Open(language, database));
+  for (const std::string& statement : statements) {
+    MLDS_ASSIGN_OR_RETURN(Rendered rendered,
+                          session->Execute(statement, /*explain=*/false));
+    (void)rendered;
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status LoadDemoDatabases(MldsSystem* system) {
   // Schema loads always run — on a persistent kernel the DDL reattaches
@@ -29,18 +46,11 @@ Status LoadDemoDatabases(MldsSystem* system) {
       "CREATE TABLE staff (name CHAR(12) NOT NULL, wage FLOAT, "
       "UNIQUE (name));"));
   if (system->executor()->FileSize("staff") == 0) {
-    const relational::Schema* schema = system->FindRelationalSchema("payroll");
-    kms::SqlMachine sql(schema, system->executor());
-    const std::vector<std::string> rows = {
-        "INSERT INTO staff (name, wage) VALUES ('ada', 91.5)",
-        "INSERT INTO staff (name, wage) VALUES ('grace', 87.0)",
-        "INSERT INTO staff (name, wage) VALUES ('edsger', 72.25)",
-    };
-    for (const std::string& row : rows) {
-      MLDS_ASSIGN_OR_RETURN(kms::SqlMachine::Outcome outcome,
-                            sql.ExecuteText(row));
-      (void)outcome;
-    }
+    MLDS_RETURN_IF_ERROR(Seed(
+        system, Language::kSql, "payroll",
+        {"INSERT INTO staff (name, wage) VALUES ('ada', 91.5)",
+         "INSERT INTO staff (name, wage) VALUES ('grace', 87.0)",
+         "INSERT INTO staff (name, wage) VALUES ('edsger', 72.25)"}));
   }
 
   MLDS_RETURN_IF_ERROR(system->LoadHierarchicalDatabase(
@@ -49,23 +59,14 @@ Status LoadDemoDatabases(MldsSystem* system) {
       "SEGMENT visit PARENT patient; FIELD vdate CHAR(8); FIELD "
       "cost FLOAT;"));
   if (system->executor()->FileSize("patient") == 0) {
-    const hierarchical::Schema* schema =
-        system->FindHierarchicalSchema("clinic");
-    kms::DliMachine dli(schema, system->executor());
-    const std::vector<std::string> calls = {
-        "ISRT patient (pname = 'smith')",
-        "GU patient (pname = 'smith')",
-        "ISRT visit (vdate = '870601', cost = 12.5)",
-        "ISRT visit (vdate = '870714', cost = 40.0)",
-        "ISRT patient (pname = 'jones')",
-        "GU patient (pname = 'jones')",
-        "ISRT visit (vdate = '870802', cost = 99.0)",
-    };
-    for (const std::string& call : calls) {
-      MLDS_ASSIGN_OR_RETURN(kms::DliMachine::Outcome outcome,
-                            dli.ExecuteText(call));
-      (void)outcome;
-    }
+    MLDS_RETURN_IF_ERROR(Seed(system, Language::kDli, "clinic",
+                              {"ISRT patient (pname = 'smith')",
+                               "GU patient (pname = 'smith')",
+                               "ISRT visit (vdate = '870601', cost = 12.5)",
+                               "ISRT visit (vdate = '870714', cost = 40.0)",
+                               "ISRT patient (pname = 'jones')",
+                               "GU patient (pname = 'jones')",
+                               "ISRT visit (vdate = '870802', cost = 99.0)"}));
   }
   return Status::OK();
 }

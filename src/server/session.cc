@@ -4,10 +4,7 @@
 #include <limits>
 #include <utility>
 
-#include "abdl/parser.h"
-#include "abdl/prepared.h"
 #include "common/strings.h"
-#include "kfs/formatter.h"
 
 namespace mlds::server {
 
@@ -20,147 +17,58 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-bool HasExplainPrefix(std::string_view text) {
-  if (!StartsWithIgnoreCase(text, "EXPLAIN")) return false;
-  return text.size() == 7 || text[7] == ' ' || text[7] == '\t';
+/// Stamps one interface result with its timing and decides, once for
+/// every language, whether the body travels inline or streams: a body
+/// over `stream_threshold` bytes streams (from its incremental renderer
+/// when it has one), anything smaller is drained inline.
+ExecuteOutcome Finish(Rendered rendered, Clock::time_point start,
+                      size_t stream_threshold) {
+  ExecuteOutcome outcome;
+  const size_t bytes = rendered.stream != nullptr
+                           ? rendered.stream->total_bytes()
+                           : rendered.body.size();
+  if (bytes > stream_threshold) {
+    outcome.stream =
+        rendered.stream != nullptr
+            ? std::move(rendered.stream)
+            : std::make_unique<kfs::StringChunkSource>(
+                  std::move(rendered.body));
+  } else {
+    outcome.meta.body = rendered.TakeBody();
+  }
+  outcome.meta.warnings = std::move(rendered.warnings);
+  outcome.meta.elapsed_ms = MsSince(start);
+  return outcome;
+}
+
+Status NotBound() {
+  return Status::InvalidArgument(
+      "no language bound — send USE <language> <database> first");
 }
 
 }  // namespace
-
-Result<Language> ParseLanguage(std::string_view name) {
-  if (EqualsIgnoreCase(name, "codasyl") || EqualsIgnoreCase(name, "dml")) {
-    return Language::kCodasyl;
-  }
-  if (EqualsIgnoreCase(name, "daplex")) return Language::kDaplex;
-  if (EqualsIgnoreCase(name, "sql")) return Language::kSql;
-  if (EqualsIgnoreCase(name, "dli")) return Language::kDli;
-  if (EqualsIgnoreCase(name, "abdl")) return Language::kAbdl;
-  return Status::InvalidArgument(
-      "unknown language '" + std::string(name) +
-      "' (expected codasyl, daplex, sql, dli, or abdl)");
-}
-
-std::string_view LanguageName(Language language) {
-  switch (language) {
-    case Language::kNone: return "none";
-    case Language::kCodasyl: return "codasyl";
-    case Language::kDaplex: return "daplex";
-    case Language::kSql: return "sql";
-    case Language::kDli: return "dli";
-    case Language::kAbdl: return "abdl";
-  }
-  return "none";
-}
 
 Session::Session(uint32_t id, MldsSystem* system)
     : id_(id), system_(system) {}
 
 Status Session::Use(const wire::UseRequest& request) {
   MLDS_ASSIGN_OR_RETURN(Language language, ParseLanguage(request.language));
-
-  // Build the new machine before tearing down the old binding, so a
+  // Open the new interface before tearing down the old binding, so a
   // failed USE leaves the session as it was.
-  std::unique_ptr<kms::DmlMachine> dml;
-  std::unique_ptr<kms::DaplexMachine> daplex;
-  std::unique_ptr<kms::SqlMachine> sql;
-  std::unique_ptr<kms::DliMachine> dli;
-
-  switch (language) {
-    case Language::kCodasyl: {
-      // LIL order: native network schemas first, then functional ones
-      // through the schema transformation (Ch. V).
-      const network::Schema* view = system_->NetworkViewOf(request.database);
-      if (view == nullptr) {
-        return Status::NotFound("database '" + request.database +
-                                "' is not loaded (searched network and "
-                                "functional schema lists)");
-      }
-      dml = std::make_unique<kms::DmlMachine>(
-          view, system_->MappingOf(request.database), system_->executor());
-      dml->set_translation_cache(&system_->translation_cache());
-      break;
-    }
-    case Language::kDaplex: {
-      const daplex::FunctionalSchema* functional =
-          system_->FindFunctionalSchema(request.database);
-      const transform::FunNetMapping* mapping =
-          system_->MappingOf(request.database);
-      if (functional == nullptr || mapping == nullptr) {
-        return Status::NotFound("functional database '" + request.database +
-                                "' is not loaded");
-      }
-      daplex = std::make_unique<kms::DaplexMachine>(
-          functional, &mapping->schema, mapping, system_->executor());
-      daplex->set_translation_cache(&system_->translation_cache());
-      break;
-    }
-    case Language::kSql: {
-      const relational::Schema* schema =
-          system_->FindRelationalSchema(request.database);
-      if (schema == nullptr) {
-        return Status::NotFound("relational database '" + request.database +
-                                "' is not loaded");
-      }
-      sql = std::make_unique<kms::SqlMachine>(schema, system_->executor());
-      sql->set_translation_cache(&system_->translation_cache());
-      break;
-    }
-    case Language::kDli: {
-      const hierarchical::Schema* schema =
-          system_->FindHierarchicalSchema(request.database);
-      if (schema == nullptr) {
-        return Status::NotFound("hierarchical database '" + request.database +
-                                "' is not loaded");
-      }
-      dli = std::make_unique<kms::DliMachine>(schema, system_->executor());
-      dli->set_translation_cache(&system_->translation_cache());
-      break;
-    }
-    case Language::kAbdl:
-      // The kernel's own language needs no schema binding; `database` is
-      // accepted for symmetry but unused.
-      break;
-    case Language::kNone:
-      return Status::InvalidArgument("cannot bind the 'none' language");
-  }
-
+  MLDS_ASSIGN_OR_RETURN(std::unique_ptr<LanguageInterface> opened,
+                        system_->Open(language, request.database));
   language_ = language;
-  database_ = request.database;
-  dml_ = std::move(dml);
-  daplex_ = std::move(daplex);
-  sql_ = std::move(sql);
-  dli_ = std::move(dli);
-  in_transaction_ = false;
-  pending_txn_.clear();
+  interface_ = std::move(opened);
   return Status::OK();
-}
-
-std::vector<kds::PartialResultWarning> Session::DegradedWarnings() const {
-  std::vector<kds::PartialResultWarning> warnings;
-  const kc::KernelHealth health = system_->Health();
-  if (!health.degraded) return warnings;
-  for (const kc::BackendHealthStatus& backend : health.backends) {
-    if (backend.state == "healthy") continue;
-    warnings.push_back(kds::PartialResultWarning{
-        backend.id, backend.state, backend.last_fault});
-  }
-  return warnings;
 }
 
 Result<wire::ExecuteResult> Session::Execute(std::string_view statement,
                                              bool explain) {
-  // An unstreamable threshold keeps every body inline; the drain below is
-  // belt-and-braces and also documents how a stream collapses to a body.
+  // An unstreamable threshold keeps every body inline.
   MLDS_ASSIGN_OR_RETURN(
       ExecuteOutcome outcome,
       ExecuteStreamed(statement, explain,
                       std::numeric_limits<size_t>::max()));
-  if (outcome.stream) {
-    outcome.meta.body.reserve(outcome.stream->total_bytes());
-    while (!outcome.stream->done()) {
-      outcome.meta.body += outcome.stream->Next(size_t{1} << 20);
-    }
-  }
   return std::move(outcome.meta);
 }
 
@@ -171,64 +79,11 @@ Result<ExecuteOutcome> Session::ExecuteStreamed(std::string_view statement,
   if (trimmed.empty()) {
     return Status::InvalidArgument("empty statement");
   }
+  if (interface_ == nullptr) return NotBound();
   const Clock::time_point start = Clock::now();
-  ExecuteOutcome outcome;
-  wire::ExecuteResult& result = outcome.meta;
-
-  switch (language_) {
-    case Language::kNone:
-      return Status::InvalidArgument(
-          "no language bound — send USE <language> <database> first");
-    case Language::kCodasyl: {
-      std::string text(trimmed);
-      if (explain && !HasExplainPrefix(text)) text = "EXPLAIN " + text;
-      MLDS_ASSIGN_OR_RETURN(kms::DmlResult outcome, dml_->ExecuteText(text));
-      result.body = kfs::FormatDmlResult(outcome);
-      break;
-    }
-    case Language::kDaplex: {
-      if (explain) {
-        return Status::Unimplemented(
-            "EXPLAIN is not supported for Daplex statements");
-      }
-      MLDS_ASSIGN_OR_RETURN(kms::DaplexMachine::Outcome outcome,
-                            daplex_->ExecuteStatement(trimmed));
-      result.body = kfs::FormatDaplexOutcome(outcome);
-      break;
-    }
-    case Language::kSql: {
-      std::string text(trimmed);
-      if (explain && !HasExplainPrefix(text)) text = "EXPLAIN " + text;
-      MLDS_ASSIGN_OR_RETURN(kms::SqlMachine::Outcome outcome,
-                            sql_->ExecuteText(text));
-      result.body = kfs::FormatSqlOutcome(outcome);
-      break;
-    }
-    case Language::kDli: {
-      if (explain) {
-        return Status::Unimplemented(
-            "EXPLAIN is not supported for DL/I calls");
-      }
-      MLDS_ASSIGN_OR_RETURN(kms::DliMachine::Outcome outcome,
-                            dli_->ExecuteText(trimmed));
-      result.body = kfs::FormatDliOutcome(outcome);
-      break;
-    }
-    case Language::kAbdl:
-      return ExecuteAbdl(trimmed, explain, stream_threshold);
-  }
-
-  result.elapsed_ms = MsSince(start);
-  result.warnings = DegradedWarnings();
-  // The language machines render whole bodies; oversized ones stream
-  // from the rendered buffer so frames (and the peer's decoder) stay
-  // bounded even though formatting was not incremental.
-  if (result.body.size() > stream_threshold) {
-    outcome.stream =
-        std::make_unique<kfs::StringChunkSource>(std::move(result.body));
-    result.body.clear();
-  }
-  return outcome;
+  MLDS_ASSIGN_OR_RETURN(Rendered rendered,
+                        interface_->Execute(trimmed, explain));
+  return Finish(std::move(rendered), start, stream_threshold);
 }
 
 Result<wire::ExecuteResult> Session::ExecuteBatch(
@@ -237,173 +92,13 @@ Result<wire::ExecuteResult> Session::ExecuteBatch(
   if (trimmed.empty()) {
     return Status::InvalidArgument("empty batch statement");
   }
+  if (interface_ == nullptr) return NotBound();
   const Clock::time_point start = Clock::now();
-  wire::ExecuteResult result;
-
-  switch (language_) {
-    case Language::kNone:
-      return Status::InvalidArgument(
-          "no language bound — send USE <language> <database> first");
-    case Language::kCodasyl: {
-      MLDS_ASSIGN_OR_RETURN(kms::DmlResult outcome,
-                            dml_->ExecuteBatch(trimmed, request.rows));
-      result.body = kfs::FormatDmlResult(outcome);
-      break;
-    }
-    case Language::kDaplex: {
-      MLDS_ASSIGN_OR_RETURN(kms::DaplexMachine::Outcome outcome,
-                            daplex_->ExecuteBatch(trimmed, request.rows));
-      result.body = kfs::FormatDaplexOutcome(outcome);
-      break;
-    }
-    case Language::kSql: {
-      MLDS_ASSIGN_OR_RETURN(kms::SqlMachine::Outcome outcome,
-                            sql_->ExecuteBatch(trimmed, request.rows));
-      result.body = kfs::FormatSqlOutcome(outcome);
-      break;
-    }
-    case Language::kDli: {
-      MLDS_ASSIGN_OR_RETURN(kms::DliMachine::Outcome outcome,
-                            dli_->ExecuteBatch(trimmed, request.rows));
-      result.body = kfs::FormatDliOutcome(outcome);
-      break;
-    }
-    case Language::kAbdl: {
-      if (request.rows.empty()) {
-        return Status::InvalidArgument("prepared INSERT batch carries no rows");
-      }
-      MLDS_ASSIGN_OR_RETURN(abdl::PreparedRequest prepared,
-                            abdl::ParsePreparedInsert(trimmed));
-      const abdl::BatchLimits limits;
-      const size_t chunk =
-          abdl::EffectiveBatchSize(limits, prepared.params_per_row());
-      size_t affected = 0;
-      for (size_t begin = 0; begin < request.rows.size(); begin += chunk) {
-        const size_t end = std::min(begin + chunk, request.rows.size());
-        MLDS_ASSIGN_OR_RETURN(abdl::BatchInsertRequest batch,
-                              prepared.BindBatch(request.rows, begin, end));
-        if (in_transaction_) {
-          affected += batch.records.size();
-          pending_txn_.push_back(std::move(batch));
-          continue;
-        }
-        MLDS_ASSIGN_OR_RETURN(
-            kds::Response response,
-            system_->executor()->Execute(abdl::Request(std::move(batch))));
-        affected += response.affected;
-      }
-      result.body = in_transaction_
-                        ? "buffered " + std::to_string(affected) +
-                              " records (" +
-                              std::to_string(pending_txn_.size()) +
-                              " in transaction)\n"
-                        : std::to_string(affected) + " records affected\n";
-      break;
-    }
-  }
-
-  result.elapsed_ms = MsSince(start);
-  result.warnings = DegradedWarnings();
-  return result;
-}
-
-Result<ExecuteOutcome> Session::ExecuteAbdl(std::string_view statement,
-                                            bool explain,
-                                            size_t stream_threshold) {
-  const Clock::time_point start = Clock::now();
-  ExecuteOutcome outcome;
-  wire::ExecuteResult& result = outcome.meta;
-
-  // Transaction control: BEGIN buffers, COMMIT executes atomically,
-  // ABORT discards — the session's in-flight transaction state.
-  if (EqualsIgnoreCase(statement, "BEGIN")) {
-    if (in_transaction_) {
-      return Status::InvalidArgument("transaction already in flight");
-    }
-    in_transaction_ = true;
-    pending_txn_.clear();
-    result.body = "transaction started\n";
-    result.elapsed_ms = MsSince(start);
-    return outcome;
-  }
-  if (EqualsIgnoreCase(statement, "ABORT")) {
-    if (!in_transaction_) {
-      return Status::InvalidArgument("no transaction in flight");
-    }
-    const size_t dropped = pending_txn_.size();
-    in_transaction_ = false;
-    pending_txn_.clear();
-    result.body =
-        "transaction aborted (" + std::to_string(dropped) + " buffered)\n";
-    result.elapsed_ms = MsSince(start);
-    return outcome;
-  }
-  if (EqualsIgnoreCase(statement, "COMMIT")) {
-    if (!in_transaction_) {
-      return Status::InvalidArgument("no transaction in flight");
-    }
-    abdl::Transaction txn = std::move(pending_txn_);
-    in_transaction_ = false;
-    pending_txn_.clear();
-    size_t affected = 0;
-    if (mbds::Controller* controller = system_->controller()) {
-      MLDS_ASSIGN_OR_RETURN(mbds::ExecutionReport report,
-                            controller->ExecuteTransaction(txn));
-      affected = report.response.affected;
-      result.warnings = report.response.warnings;
-    } else {
-      // Single-engine kernel: each request is individually atomic; the
-      // buffered order is preserved.
-      for (const abdl::Request& request : txn) {
-        MLDS_ASSIGN_OR_RETURN(kds::Response response,
-                              system_->executor()->Execute(request));
-        affected += response.affected;
-      }
-    }
-    result.body = "transaction committed: " + std::to_string(txn.size()) +
-                  " requests, " + std::to_string(affected) +
-                  " records affected\n";
-    result.elapsed_ms = MsSince(start);
-    return outcome;
-  }
-
-  if (explain) {
-    MLDS_ASSIGN_OR_RETURN(std::string plan, system_->ExplainAbdl(statement));
-    result.body = std::move(plan);
-    result.elapsed_ms = MsSince(start);
-    result.warnings = DegradedWarnings();
-    return outcome;
-  }
-
-  MLDS_ASSIGN_OR_RETURN(abdl::Request request, abdl::ParseRequest(statement));
-  if (in_transaction_) {
-    pending_txn_.push_back(std::move(request));
-    result.body = "buffered (" + std::to_string(pending_txn_.size()) +
-                  " in transaction)\n";
-    result.elapsed_ms = MsSince(start);
-    return outcome;
-  }
-  MLDS_ASSIGN_OR_RETURN(kds::Response response,
-                        system_->executor()->Execute(request));
-  result.warnings = response.warnings.empty() ? DegradedWarnings()
-                                              : response.warnings;
-  if (response.records.empty()) {
-    result.body = std::to_string(response.affected) + " records affected\n";
-  } else {
-    // The kernel's own RETRIEVE renders incrementally: the record set
-    // moves into a TableChunkSource, which computes the exact rendered
-    // size up front. Small tables drain inline; large ones stream.
-    auto table =
-        std::make_unique<kfs::TableChunkSource>(std::move(response.records));
-    if (table->total_bytes() > stream_threshold) {
-      outcome.stream = std::move(table);
-    } else {
-      result.body.reserve(table->total_bytes());
-      while (!table->done()) result.body += table->Next(size_t{1} << 20);
-    }
-  }
-  result.elapsed_ms = MsSince(start);
-  return outcome;
+  MLDS_ASSIGN_OR_RETURN(Rendered rendered,
+                        interface_->ExecuteBatch(trimmed, request.rows));
+  return Finish(std::move(rendered), start,
+                std::numeric_limits<size_t>::max())
+      .meta;
 }
 
 }  // namespace mlds::server

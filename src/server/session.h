@@ -7,25 +7,13 @@
 #include <string_view>
 #include <vector>
 
-#include "abdl/request.h"
 #include "common/result.h"
 #include "kfs/formatter.h"
-#include "kms/daplex_machine.h"
-#include "kms/dli_machine.h"
-#include "kms/dml_machine.h"
-#include "kms/sql_machine.h"
+#include "mlds/language_interface.h"
 #include "mlds/mlds.h"
 #include "server/wire.h"
 
 namespace mlds::server {
-
-/// The language domain a session is bound to.
-enum class Language { kNone, kCodasyl, kDaplex, kSql, kDli, kAbdl };
-
-/// Parses a wire language name: codasyl (alias dml) | daplex | sql |
-/// dli | abdl, case-insensitively.
-Result<Language> ParseLanguage(std::string_view name);
-std::string_view LanguageName(Language language);
 
 /// One EXECUTE outcome in streamable form. `meta` always carries the
 /// timing and warnings; small results travel inline in `meta.body`
@@ -38,17 +26,12 @@ struct ExecuteOutcome {
   std::unique_ptr<kfs::ChunkSource> stream;
 };
 
-/// One remote session's state: the chosen language, the bound database,
-/// and the language machine executing its statements — which itself holds
-/// the session-scoped state the thesis assigns to a run unit (CODASYL
-/// currency indicators and UWA, DL/I position, SQL tuple-key cursor) —
-/// plus, for ABDL sessions, the in-flight transaction buffer.
-///
-/// Sessions own their machines (constructed over schemas and the executor
-/// owned by the shared MldsSystem), so concurrent sessions never mutate
-/// shared facade state and die cleanly with their connection. Statements
-/// execute on the connection's worker thread; the kernel underneath
-/// serializes or parallelizes as PRs 1-4 arranged.
+/// One remote session: the LanguageInterface bound by its last USE, which
+/// holds the session-scoped state the thesis assigns to a run unit
+/// (CODASYL currency indicators and UWA, DL/I position, SQL tuple-key
+/// cursor, an ABDL transaction buffer). Sessions own their interfaces, so
+/// concurrent sessions never mutate shared facade state and die cleanly
+/// with their connection.
 ///
 /// Not itself thread-safe: the server drives each session from exactly
 /// one worker thread.
@@ -62,18 +45,17 @@ class Session {
 
   uint32_t id() const { return id_; }
   Language language() const { return language_; }
-  const std::string& database() const { return database_; }
 
   /// Binds the session to `language` over `database`, replacing any
-  /// previous binding (currency/position state of the old machine is
-  /// discarded, as when a run unit finishes).
+  /// previous binding (currency/position state of the old interface is
+  /// discarded, as when a run unit finishes). A failed USE leaves the
+  /// session as it was.
   Status Use(const wire::UseRequest& request);
 
-  /// Executes one statement in the bound language and renders the result
-  /// with the kfs formatters — byte-identical to in-process execution.
-  /// `explain` requests the annotated plan: SQL and CODASYL-DML accept an
-  /// EXPLAIN prefix (added when missing), ABDL uses the kernel's
-  /// execute-and-explain, the other languages reject it.
+  /// Executes one statement in the bound language; the result is
+  /// rendered by the kfs formatters — byte-identical to in-process
+  /// execution. `explain` requests the annotated plan
+  /// (LanguageInterface::Execute).
   Result<wire::ExecuteResult> Execute(std::string_view statement,
                                       bool explain);
 
@@ -100,30 +82,10 @@ class Session {
   kc::KernelHealth Health() const { return system_->Health(); }
 
  private:
-  Result<ExecuteOutcome> ExecuteAbdl(std::string_view statement, bool explain,
-                                     size_t stream_threshold);
-
-  /// Partial-result warnings for a degraded kernel: one entry per
-  /// backend that is not currently healthy. Language-machine responses
-  /// do not carry per-request warnings (the controller's merge already
-  /// folded them), so the session derives the session-visible set from
-  /// Health() — the same information an in-process caller consults.
-  std::vector<kds::PartialResultWarning> DegradedWarnings() const;
-
   const uint32_t id_;
   MldsSystem* system_;
   Language language_ = Language::kNone;
-  std::string database_;
-
-  std::unique_ptr<kms::DmlMachine> dml_;
-  std::unique_ptr<kms::DaplexMachine> daplex_;
-  std::unique_ptr<kms::SqlMachine> sql_;
-  std::unique_ptr<kms::DliMachine> dli_;
-
-  /// In-flight ABDL transaction (between BEGIN and COMMIT): parsed
-  /// requests buffered in arrival order, executed atomically at COMMIT.
-  bool in_transaction_ = false;
-  abdl::Transaction pending_txn_;
+  std::unique_ptr<LanguageInterface> interface_;
 };
 
 }  // namespace mlds::server

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "kfs/formatter.h"
 #include "university/university.h"
 
@@ -37,6 +43,75 @@ TEST(MldsSystemTest, DuplicateDatabaseNameRejected) {
   EXPECT_EQ(mlds.LoadNetworkDatabase(kShopDdl).code(),
             StatusCode::kAlreadyExists);
 }
+
+// Database names are unique across all four data models: loading a
+// second database under a taken name fails whichever models the two are.
+enum class Model { kNetwork, kFunctional, kRelational, kHierarchical };
+
+std::string ModelName(Model model) {
+  switch (model) {
+    case Model::kNetwork: return "Network";
+    case Model::kFunctional: return "Functional";
+    case Model::kRelational: return "Relational";
+    case Model::kHierarchical: return "Hierarchical";
+  }
+  return "";
+}
+
+void PrintTo(Model model, std::ostream* os) { *os << ModelName(model); }
+
+// Each model's DDL declares its own kernel file, so only the name clashes.
+Status LoadAs(MldsSystem& mlds, Model model, const std::string& name) {
+  switch (model) {
+    case Model::kNetwork:
+      return mlds.LoadNetworkDatabase("SCHEMA NAME IS " + name +
+                                      "; RECORD NAME IS n_rec;"
+                                      "  ITEM x TYPE IS CHARACTER 8;");
+    case Model::kFunctional:
+      return mlds.LoadFunctionalDatabase(
+          "SCHEMA " + name + "; TYPE f_ent IS ENTITY x : INTEGER; END ENTITY;");
+    case Model::kRelational:
+      return mlds.LoadRelationalDatabase("SCHEMA " + name +
+                                         "; CREATE TABLE r_tab (x CHAR(8));");
+    case Model::kHierarchical:
+      return mlds.LoadHierarchicalDatabase(
+          "SCHEMA " + name + "; SEGMENT h_seg; FIELD x CHAR(8);");
+  }
+  return Status::Internal("unknown model");
+}
+
+class CrossModelNameTest
+    : public ::testing::TestWithParam<std::pair<Model, Model>> {};
+
+TEST_P(CrossModelNameTest, SecondLoadUnderTakenNameRejected) {
+  const auto [first, second] = GetParam();
+  MldsSystem fresh;  // the second DDL loads on its own
+  ASSERT_TRUE(LoadAs(fresh, second, "shop").ok());
+  MldsSystem mlds;
+  ASSERT_TRUE(LoadAs(mlds, first, "shop").ok());
+  EXPECT_EQ(LoadAs(mlds, second, "shop").code(), StatusCode::kAlreadyExists);
+  const std::vector<std::string> names = mlds.DatabaseNames();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "shop"), 1);
+}
+
+std::vector<std::pair<Model, Model>> CrossModelPairs() {
+  const Model models[] = {Model::kNetwork, Model::kFunctional,
+                          Model::kRelational, Model::kHierarchical};
+  std::vector<std::pair<Model, Model>> pairs;
+  for (Model first : models) {
+    for (Model second : models) {
+      if (first != second) pairs.emplace_back(first, second);
+    }
+  }
+  return pairs;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPairs, CrossModelNameTest, ::testing::ValuesIn(CrossModelPairs()),
+    [](const ::testing::TestParamInfo<std::pair<Model, Model>>& info) {
+      return ModelName(info.param.first) + "Then" +
+             ModelName(info.param.second);
+    });
 
 TEST(MldsSystemTest, OpenSessionSearchesNetworkThenFunctional) {
   MldsSystem mlds;
@@ -135,6 +210,60 @@ TEST(MldsSystemTest, RejectsUnnamedSchemas) {
       mlds.LoadFunctionalDatabase("TYPE a IS ENTITY x : INTEGER; END ENTITY;")
           .code(),
       StatusCode::kInvalidArgument);
+}
+
+TEST(MldsSystemTest, OpenBindsAllFiveLanguagesThroughOneInterface) {
+  MldsSystem mlds;
+  ASSERT_TRUE(
+      mlds.LoadFunctionalDatabase(university::kUniversityDaplexDdl).ok());
+  ASSERT_TRUE(LoadAs(mlds, Model::kRelational, "payroll").ok());
+  ASSERT_TRUE(LoadAs(mlds, Model::kHierarchical, "clinic").ok());
+  struct Case {
+    Language language;
+    const char* database;
+    const char* statement;
+  };
+  const Case cases[] = {
+      {Language::kCodasyl, "university", "MOVE 'x' TO title IN course"},
+      {Language::kDaplex, "university", "FOR EACH course PRINT title"},
+      {Language::kSql, "payroll", "INSERT INTO r_tab (x) VALUES ('a')"},
+      {Language::kDli, "clinic", "ISRT h_seg (x = 'a')"},
+      {Language::kAbdl, "", "RETRIEVE ((FILE = r_tab)) (x)"},
+  };
+  for (const Case& c : cases) {
+    auto session = mlds.Open(c.language, c.database);
+    ASSERT_TRUE(session.ok()) << LanguageName(c.language);
+    auto rendered = (*session)->Execute(c.statement, /*explain=*/false);
+    ASSERT_TRUE(rendered.ok())
+        << LanguageName(c.language) << ": " << rendered.status();
+  }
+
+  // EXPLAIN: SQL adds the prefix itself; Daplex has no explain form.
+  auto sql = mlds.Open(Language::kSql, "payroll");
+  ASSERT_TRUE(sql.ok());
+  auto plan = (*sql)->Execute("SELECT x FROM r_tab", /*explain=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(plan->body.find("QUERY PLAN"), std::string::npos);
+  auto daplex = mlds.Open(Language::kDaplex, "university");
+  ASSERT_TRUE(daplex.ok());
+  EXPECT_EQ((*daplex)->Execute("FOR EACH course PRINT title", true)
+                .status()
+                .code(),
+            StatusCode::kUnimplemented);
+
+  // Each language needs a database of its own model.
+  EXPECT_EQ(mlds.Open(Language::kSql, "university").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(mlds.Open(Language::kDaplex, "payroll").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(mlds.Open(Language::kCodasyl, "clinic").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(mlds.Open(Language::kNone, "university").status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Typed access reaches the machine behind the interface.
+  EXPECT_NE((*sql)->machine<kms::SqlMachine>(), nullptr);
+  EXPECT_EQ((*sql)->machine<kms::DmlMachine>(), nullptr);
 }
 
 TEST(KfsFormatterTest, FormatsAlignedTable) {

@@ -135,12 +135,17 @@ TEST_F(ServerRoundTripTest, ErrorsPreserveStatusCode) {
   // Unknown language / database are rejected on USE.
   EXPECT_FALSE(client.Use("cobol", "payroll").ok());
   EXPECT_FALSE(client.Use("sql", "no-such-db").ok());
-  // The connection survives all of the above.
+  // The connection survives all of the above, and the rejected USEs left
+  // the session on its previous binding (sql over payroll).
   Result<wire::ExecuteResult> alive =
       client.Execute("SELECT name FROM staff");
+  ASSERT_TRUE(alive.ok()) << alive.status();
   ASSERT_TRUE(client.Use("sql", "payroll").ok());
-  alive = client.Execute("SELECT name FROM staff");
-  EXPECT_TRUE(alive.ok());
+  Result<wire::ExecuteResult> rebound =
+      client.Execute("SELECT name FROM staff");
+  ASSERT_TRUE(rebound.ok()) << rebound.status();
+  EXPECT_EQ(alive->body, rebound->body);
+  EXPECT_NE(alive->body.find("ada"), std::string::npos);
 }
 
 TEST_F(ServerRoundTripTest, AbdlTransactionBufferedUntilCommit) {

@@ -8,6 +8,8 @@
 #include <string>
 
 #include "mlds/mlds.h"
+#include "server/demo.h"
+#include "server/session.h"
 
 namespace mlds {
 namespace {
@@ -198,6 +200,22 @@ TEST(TranslationCacheIntegrationTest, InsertRepeatsReexecuteImpurely) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->rows.size(), 2u);
   EXPECT_GE(system.translation_cache().stats().hits, 1u);
+}
+
+TEST(TranslationCacheIntegrationTest, DaplexStatementsOverSessionHitCache) {
+  MldsSystem system;
+  ASSERT_TRUE(server::LoadDemoDatabases(&system).ok());
+  server::Session session(1, &system);
+  ASSERT_TRUE(session.Use(wire::UseRequest{"daplex", "university"}).ok());
+  const std::string query =
+      "FOR EACH course SUCH THAT title = 'Networks' PRINT title";
+  auto first = session.Execute(query, /*explain=*/false);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const uint64_t hits_before = system.translation_cache().stats().hits;
+  auto second = session.Execute(query, /*explain=*/false);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->body, first->body);
+  EXPECT_EQ(system.translation_cache().stats().hits, hits_before + 1);
 }
 
 }  // namespace

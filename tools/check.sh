@@ -23,6 +23,25 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
+# In-process shell smoke: one statement per language interface plus an
+# EXPLAIN, piped through the example shell. Any "error:" line fails.
+echo "== local shell smoke =="
+LOCAL_SHELL_OUT="$(printf '%s\n' \
+  "MOVE 'Networks' TO title IN course" \
+  "FIND ANY course USING title IN course" \
+  "FOR EACH course SUCH THAT title = 'Networks' PRINT title" \
+  "INSERT INTO staff (name, wage) VALUES ('alice', 900)" \
+  "EXPLAIN SELECT name, wage FROM staff" \
+  "ISRT patient (pname = 'smith')" \
+  ".quit" \
+  | build/examples/local_shell)"
+echo "${LOCAL_SHELL_OUT}"
+if grep -q "error:" <<< "${LOCAL_SHELL_OUT}"; then
+  echo "local shell smoke: a statement failed"
+  exit 1
+fi
+echo "local shell smoke passed"
+
 if [[ "${MLDS_SKIP_BENCH:-0}" == "1" ]]; then
   echo "== bench smoke skipped (MLDS_SKIP_BENCH=1) =="
 else
