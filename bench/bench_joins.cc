@@ -292,7 +292,7 @@ void WriteJoinsJson(const char* path) {
                     : static_cast<double>(per_record_ns) /
                           static_cast<double>(fused_ns);
 
-  const kds::StatisticsCounters stats = db.engine.statistics_stats();
+  const kds::StatisticsCounters stats = db.engine.counters().statistics;
 
   bench::BenchReport report("joins");
   report.root()

@@ -120,7 +120,7 @@ void BM_Paged_PointLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(resp.records.size());
     key += 37;
   }
-  const kds::PoolCounters counters = engine->pool_stats();
+  const kds::PoolCounters counters = engine->counters().pool;
   state.counters["pool_hits"] = static_cast<double>(counters.hits);
   state.counters["pool_misses"] = static_cast<double>(counters.misses);
 }
@@ -148,9 +148,9 @@ void WritePagedJson(const char* path) {
        {kBasePoolPages, kBasePoolPages * 2, kBasePoolPages * 4}) {
     auto engine = LoadedEngine(pool, "sweep" + std::to_string(pool));
     (void)RunLookups(*engine);  // warm-up pass fills the pool.
-    const kds::PoolCounters before = engine->pool_stats();
+    const kds::PoolCounters before = engine->counters().pool;
     const uint64_t blocks = RunLookups(*engine);
-    const kds::PoolCounters counters = engine->pool_stats();
+    const kds::PoolCounters counters = engine->counters().pool;
     sweep_blocks.push_back(blocks);
     report.AddRow("pool_sweep")
         .Set("pool_pages", static_cast<uint64_t>(pool))

@@ -153,7 +153,7 @@ StreamRun MeasureStreamedRetrieve(int rows) {
         in_process.ok() && in_process->body == streamed->body;
   }
 
-  const server::ServerStats stats = server.stats();
+  const wire::StatsReply stats = server.stats();
   out.chunks = stats.chunks_streamed;
   out.write_buffer_highwater = stats.write_buffer_highwater;
   out.backpressure_stalls = stats.backpressure_stalls;

@@ -81,24 +81,16 @@ class KernelExecutor {
     return Status::Unimplemented("CreateIndex not supported");
   }
 
-  /// Buffer-pool traffic counters of the kernel's storage layer (summed
-  /// over backends for MBDS). All-zero for executors without a pool.
-  virtual kds::PoolCounters PoolStats() const { return {}; }
-
   /// On-demand scrub: walks every on-disk page of the kernel's storage
   /// through the checksum verify (see kds::Engine::VerifyIntegrity).
   /// An executor without storage reports an empty, clean kernel.
   virtual kds::IntegrityReport VerifyIntegrity() const { return {}; }
 
-  /// Storage-integrity counters (summed over backends for MBDS).
-  /// All-zero for executors without storage.
-  virtual kds::IntegrityCounters IntegrityStats() const { return {}; }
-
-  /// Statistics & join subsystem counters — histogram builds, adaptive
-  /// re-plans, join strategy counts (summed over backends for MBDS,
-  /// plus the controller's own distributed joins). All-zero for
-  /// executors without storage.
-  virtual kds::StatisticsCounters StatisticsStats() const { return {}; }
+  /// The kernel's counters — buffer pool, storage integrity, statistics
+  /// & joins — in one snapshot (summed over backends for MBDS, plus the
+  /// controller's own distributed joins). All-zero for executors without
+  /// storage.
+  virtual kds::KernelCounters Counters() const { return {}; }
 };
 
 /// KernelExecutor over a single kds::Engine (does not own it).
@@ -121,17 +113,11 @@ class EngineExecutor : public KernelExecutor {
   Status CreateIndex(std::string_view file, std::string_view attr) override {
     return engine_->CreateIndex(file, attr);
   }
-  kds::PoolCounters PoolStats() const override {
-    return engine_->pool_stats();
-  }
   kds::IntegrityReport VerifyIntegrity() const override {
     return engine_->VerifyIntegrity();
   }
-  kds::IntegrityCounters IntegrityStats() const override {
-    return engine_->integrity_stats();
-  }
-  kds::StatisticsCounters StatisticsStats() const override {
-    return engine_->statistics_stats();
+  kds::KernelCounters Counters() const override {
+    return engine_->counters();
   }
 
  private:
@@ -161,17 +147,11 @@ class MbdsExecutor : public KernelExecutor {
   Status CreateIndex(std::string_view file, std::string_view attr) override {
     return controller_->CreateIndex(file, attr);
   }
-  kds::PoolCounters PoolStats() const override {
-    return controller_->PoolStats();
-  }
   kds::IntegrityReport VerifyIntegrity() const override {
     return controller_->VerifyIntegrity();
   }
-  kds::IntegrityCounters IntegrityStats() const override {
-    return controller_->IntegrityStats();
-  }
-  kds::StatisticsCounters StatisticsStats() const override {
-    return controller_->StatisticsStats();
+  kds::KernelCounters Counters() const override {
+    return controller_->Counters();
   }
 
   KernelHealth Health() const override {

@@ -22,6 +22,8 @@ struct PoolCounters {
   uint64_t evictions = 0;
   uint64_t dirty_writebacks = 0;
 
+  friend bool operator==(const PoolCounters&, const PoolCounters&) = default;
+
   PoolCounters& operator+=(const PoolCounters& o) {
     hits += o.hits;
     misses += o.misses;

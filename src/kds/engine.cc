@@ -649,17 +649,6 @@ void Engine::SetVerifyReads(bool verify) {
   }
 }
 
-IntegrityCounters Engine::integrity_stats() const {
-  IntegrityCounters c = integrity_.Snapshot();
-  // The page layer counts every I/O failure it observes; the seam knows
-  // how many of those it manufactured.
-  c.io_errors_injected = io_->injected_faults();
-  c.io_errors_real = c.io_errors_real > c.io_errors_injected
-                         ? c.io_errors_real - c.io_errors_injected
-                         : 0;
-  return c;
-}
-
 uint64_t Engine::EstimateQuery(const abdm::Query& query, std::string_view attr,
                                std::optional<size_t>* distinct) const {
   uint64_t est = 0;
@@ -679,14 +668,23 @@ uint64_t Engine::EstimateQuery(const abdm::Query& query, std::string_view attr,
   return est;
 }
 
-StatisticsCounters Engine::statistics_stats() const {
-  StatisticsCounters s = stats_counters_.Snapshot();
+KernelCounters Engine::counters() const {
+  KernelCounters c;
+  c.pool = pool_.counters();
+  c.integrity = integrity_.Snapshot();
+  // The page layer counts every I/O failure it observes; the seam knows
+  // how many of those it manufactured.
+  const uint64_t observed = c.integrity.io_errors_real;
+  const uint64_t injected = io_->injected_faults();
+  c.integrity.io_errors_injected = injected;
+  c.integrity.io_errors_real = observed > injected ? observed - injected : 0;
+  c.statistics = stats_counters_.Snapshot();
   std::shared_lock<std::shared_mutex> map_lock(map_mutex_);
   for (const auto& [name, store] : files_) {
     std::shared_lock<std::shared_mutex> file_lock(store->mutex());
-    s.histogram_builds += store->statistics().builds();
+    c.statistics.histogram_builds += store->statistics().builds();
   }
-  return s;
+  return c;
 }
 
 const abdm::FileDescriptor* Engine::FindDescriptor(

@@ -56,6 +56,27 @@ struct Response {
   std::vector<PartialResultWarning> warnings;
 };
 
+/// Every counter the kernel keeps, in one snapshot: buffer-pool traffic,
+/// storage integrity, and the statistics & join subsystem. An engine
+/// reports its own; the MBDS controller sums its backends' and adds its
+/// distributed joins. A new group is one more member here and one more
+/// line in operator+=.
+struct KernelCounters {
+  PoolCounters pool;
+  IntegrityCounters integrity;
+  StatisticsCounters statistics;
+
+  friend bool operator==(const KernelCounters&,
+                         const KernelCounters&) = default;
+
+  KernelCounters& operator+=(const KernelCounters& o) {
+    pool += o.pool;
+    integrity += o.integrity;
+    statistics += o.statistics;
+    return *this;
+  }
+};
+
 /// Applies the projection / BY-ordering / aggregation phase of a RETRIEVE
 /// to a set of fully matched records. The engine uses this after its local
 /// selection; the MBDS controller uses it to finalize records merged from
@@ -191,22 +212,17 @@ class Engine {
   /// (OK when the data dir was empty, absent, or restored fully).
   const Status& restore_status() const { return restore_status_; }
 
-  /// Buffer-pool traffic across every file of this engine.
-  PoolCounters pool_stats() const { return pool_.counters(); }
-
-  /// Statistics & join subsystem counters: this engine's join strategy
-  /// and re-plan counts plus histogram builds summed over its files.
-  StatisticsCounters statistics_stats() const;
+  /// This engine's counters: buffer-pool traffic across every file,
+  /// integrity counters with I/O errors split into injected (served by a
+  /// FaultyFileIo seam) and real, and its join strategy and re-plan
+  /// counts plus histogram builds summed over its files.
+  KernelCounters counters() const;
 
   /// Walks every on-disk page of every file through the checksum verify
   /// (read-only; file locks held shared, so retrievals overlap the
   /// scrub). Memory-mode files report their page count with zero bad
   /// pages — there are no disk bytes to distrust.
   IntegrityReport VerifyIntegrity() const;
-
-  /// Storage-integrity counters for this engine, with I/O errors split
-  /// into injected (served by a FaultyFileIo seam) and real.
-  IntegrityCounters integrity_stats() const;
 
   /// Toggles checksum verification on page reads for every file (see
   /// PageFile::set_verify_reads). Only the integrity bench turns this

@@ -15,7 +15,8 @@
 namespace mlds::kds {
 
 /// Integrity bookkeeping for the storage layer. Counters accumulate per
-/// engine and flow through PoolStats -> STATS wire frame -> `.stats`.
+/// engine and flow through Engine::counters() (KernelCounters) ->
+/// KernelExecutor::Counters() -> STATS wire frame -> `.stats`.
 struct IntegrityCounters {
   uint64_t checksum_failures = 0;   ///< Page verifies that failed.
   uint64_t io_errors_injected = 0;  ///< Faults served by FaultyFileIo.
@@ -23,6 +24,9 @@ struct IntegrityCounters {
   uint64_t pages_scrubbed = 0;      ///< Pages walked by VerifyIntegrity.
   uint64_t files_rebuilt = 0;       ///< Quarantine + rebuild events.
   uint64_t fsyncs = 0;              ///< Durability barriers issued.
+
+  friend bool operator==(const IntegrityCounters&,
+                         const IntegrityCounters&) = default;
 
   IntegrityCounters& operator+=(const IntegrityCounters& other) {
     checksum_failures += other.checksum_failures;

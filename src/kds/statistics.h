@@ -31,6 +31,9 @@ struct StatisticsCounters {
   /// Joins executed with the merge strategy.
   uint64_t merge_joins = 0;
 
+  friend bool operator==(const StatisticsCounters&,
+                         const StatisticsCounters&) = default;
+
   StatisticsCounters& operator+=(const StatisticsCounters& o) {
     histogram_builds += o.histogram_builds;
     replans += o.replans;

@@ -1075,14 +1075,6 @@ ControllerHealth Controller::Health() const {
   return health;
 }
 
-kds::PoolCounters Controller::PoolStats() const {
-  kds::PoolCounters total;
-  for (const auto& backend : backends_) {
-    total += backend->SnapshotEngine()->pool_stats();
-  }
-  return total;
-}
-
 kds::IntegrityReport Controller::VerifyIntegrity() const {
   kds::IntegrityReport merged;
   for (const auto& backend : backends_) {
@@ -1099,19 +1091,10 @@ kds::IntegrityReport Controller::VerifyIntegrity() const {
   return merged;
 }
 
-kds::IntegrityCounters Controller::IntegrityStats() const {
-  kds::IntegrityCounters total;
-  for (const auto& backend : backends_) {
-    total += backend->SnapshotEngine()->integrity_stats();
-  }
-  return total;
-}
-
-kds::StatisticsCounters Controller::StatisticsStats() const {
-  kds::StatisticsCounters total = stats_counters_.Snapshot();
-  for (const auto& backend : backends_) {
-    total += backend->SnapshotEngine()->statistics_stats();
-  }
+kds::KernelCounters Controller::Counters() const {
+  kds::KernelCounters total;
+  total.statistics = stats_counters_.Snapshot();
+  for (const auto& backend : backends_) total += backend->counters();
   return total;
 }
 

@@ -51,9 +51,21 @@ class Backend {
     std::lock_guard<std::mutex> lock(engine_mutex_);
     return engine_;
   }
+  /// Swaps in a rebuilt engine. The retired engine's counters fold into
+  /// this backend's running total, so counters() never steps backwards.
   void ReplaceEngine(std::shared_ptr<kds::Engine> fresh) {
     std::lock_guard<std::mutex> lock(engine_mutex_);
+    retired_ += engine_->counters();
     engine_ = std::move(fresh);
+  }
+
+  /// Counters of every engine this backend has run: the retired ones
+  /// plus the live one.
+  kds::KernelCounters counters() const {
+    std::lock_guard<std::mutex> lock(engine_mutex_);
+    kds::KernelCounters total = retired_;
+    total += engine_->counters();
+    return total;
   }
 
   kds::WalWriter& wal() { return wal_; }
@@ -99,6 +111,7 @@ class Backend {
   kds::EngineOptions options_;
   mutable std::mutex engine_mutex_;
   std::shared_ptr<kds::Engine> engine_;
+  kds::KernelCounters retired_;  ///< engines swapped out by ReplaceEngine.
   std::string checkpoint_;
   kds::WalWriter wal_;
   FaultInjector injector_;
@@ -301,20 +314,15 @@ class Controller {
   /// Current health of every backend.
   ControllerHealth Health() const;
 
-  /// Buffer-pool traffic summed over every backend's engine.
-  kds::PoolCounters PoolStats() const;
-
   /// Scrubs every backend's on-disk pages through the checksum verify;
   /// per-file verdicts carry a "backend<i>/" prefix so one report covers
   /// the whole kernel.
   kds::IntegrityReport VerifyIntegrity() const;
 
-  /// Storage-integrity counters summed over every backend's engine.
-  kds::IntegrityCounters IntegrityStats() const;
-
-  /// Statistics & join counters: every backend engine's counts plus the
-  /// controller's own distributed-join strategy / re-plan counts.
-  kds::StatisticsCounters StatisticsStats() const;
+  /// Every backend's counters (Backend::counters, retired engines
+  /// included) plus the controller's own distributed-join strategy and
+  /// re-plan counts.
+  kds::KernelCounters Counters() const;
 
  private:
   /// One backend's share of a fault-tolerant fan-out.

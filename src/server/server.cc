@@ -510,7 +510,7 @@ MldsServer::PendingReply MldsServer::ExecuteOnWorker(
     }
     case wire::FrameType::kStats: {
       reply.type = static_cast<uint8_t>(wire::FrameType::kStatsReport);
-      reply.payload = wire::EncodeStatsReply(BuildStats());
+      reply.payload = wire::EncodeStatsReply(stats());
       break;
     }
     case wire::FrameType::kVerify: {
@@ -719,7 +719,7 @@ void MldsServer::UpdateInterest(Connection* conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
-wire::StatsReply MldsServer::BuildStats() const {
+wire::StatsReply MldsServer::stats() const {
   const kms::TranslationCache::Stats cache =
       system_->translation_cache().stats();
   wire::StatsReply stats;
@@ -739,25 +739,21 @@ wire::StatsReply MldsServer::BuildStats() const {
   stats.results_streamed = results_streamed_.load();
   stats.chunks_streamed = chunks_streamed_.load();
   stats.backpressure_stalls = backpressure_stalls_.load();
-  const kds::PoolCounters pool = system_->executor()->PoolStats();
-  stats.pool_hits = pool.hits;
-  stats.pool_misses = pool.misses;
-  stats.pool_evictions = pool.evictions;
-  stats.pool_dirty_writebacks = pool.dirty_writebacks;
-  const kds::IntegrityCounters integrity =
-      system_->executor()->IntegrityStats();
-  stats.integrity_checksum_failures = integrity.checksum_failures;
-  stats.integrity_io_errors_injected = integrity.io_errors_injected;
-  stats.integrity_io_errors_real = integrity.io_errors_real;
-  stats.integrity_pages_scrubbed = integrity.pages_scrubbed;
-  stats.integrity_files_rebuilt = integrity.files_rebuilt;
-  stats.integrity_fsyncs = integrity.fsyncs;
-  const kds::StatisticsCounters statistics =
-      system_->executor()->StatisticsStats();
-  stats.stats_histogram_builds = statistics.histogram_builds;
-  stats.stats_replans = statistics.replans;
-  stats.stats_hash_joins = statistics.hash_joins;
-  stats.stats_merge_joins = statistics.merge_joins;
+  const kds::KernelCounters kernel = system_->executor()->Counters();
+  stats.pool_hits = kernel.pool.hits;
+  stats.pool_misses = kernel.pool.misses;
+  stats.pool_evictions = kernel.pool.evictions;
+  stats.pool_dirty_writebacks = kernel.pool.dirty_writebacks;
+  stats.integrity_checksum_failures = kernel.integrity.checksum_failures;
+  stats.integrity_io_errors_injected = kernel.integrity.io_errors_injected;
+  stats.integrity_io_errors_real = kernel.integrity.io_errors_real;
+  stats.integrity_pages_scrubbed = kernel.integrity.pages_scrubbed;
+  stats.integrity_files_rebuilt = kernel.integrity.files_rebuilt;
+  stats.integrity_fsyncs = kernel.integrity.fsyncs;
+  stats.stats_histogram_builds = kernel.statistics.histogram_builds;
+  stats.stats_replans = kernel.statistics.replans;
+  stats.stats_hash_joins = kernel.statistics.hash_joins;
+  stats.stats_merge_joins = kernel.statistics.merge_joins;
   stats.health = kfs::SerializeHealth(system_->Health());
   return stats;
 }
@@ -790,22 +786,6 @@ void MldsServer::WaitForShutdownRequest() {
   while (!shutdown_requested_.load()) {
     shutdown_cv_.wait_for(lock, std::chrono::milliseconds(100));
   }
-}
-
-ServerStats MldsServer::stats() const {
-  ServerStats stats;
-  stats.sessions_accepted = sessions_accepted_.load();
-  stats.sessions_rejected = sessions_rejected_.load();
-  stats.requests_served = requests_served_.load();
-  stats.requests_rejected = requests_rejected_.load();
-  stats.bad_frames = bad_frames_.load();
-  stats.sessions_active = sessions_active_.load();
-  stats.inflight_highwater = inflight_highwater_.load();
-  stats.write_buffer_highwater = write_buffer_highwater_.load();
-  stats.results_streamed = results_streamed_.load();
-  stats.chunks_streamed = chunks_streamed_.load();
-  stats.backpressure_stalls = backpressure_stalls_.load();
-  return stats;
 }
 
 }  // namespace mlds::server

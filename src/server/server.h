@@ -55,21 +55,6 @@ struct ServerOptions {
   size_t write_high_water = 256 * 1024;
 };
 
-/// Monotonic counters of the server's life, served remotely by STATS.
-struct ServerStats {
-  uint64_t sessions_accepted = 0;
-  uint64_t sessions_rejected = 0;
-  uint64_t requests_served = 0;
-  uint64_t requests_rejected = 0;
-  uint64_t bad_frames = 0;
-  uint32_t sessions_active = 0;
-  uint64_t inflight_highwater = 0;
-  uint64_t write_buffer_highwater = 0;
-  uint64_t results_streamed = 0;
-  uint64_t chunks_streamed = 0;
-  uint64_t backpressure_stalls = 0;
-};
-
 /// The MLDS session server: the network front-end that turns the
 /// library into a system.
 ///
@@ -144,7 +129,9 @@ class MldsServer {
   /// WaitForShutdownRequest() within its poll interval.
   void NoteShutdownRequested() { shutdown_requested_.store(true); }
 
-  ServerStats stats() const;
+  /// The STATS reply: translation-cache, server and kernel counters
+  /// plus the serialized health. Any thread.
+  wire::StatsReply stats() const;
 
  private:
   /// One session's serialized execution lane: the Session itself plus
@@ -248,8 +235,7 @@ class MldsServer {
   void Post(std::function<void()> fn);
   void DrainPosts();
 
-  wire::StatsReply BuildStats() const;  ///< any thread.
-  void NoteShutdownFromWire();          ///< any thread.
+  void NoteShutdownFromWire();  ///< any thread.
 
   MldsSystem* system_;
   ServerOptions options_;

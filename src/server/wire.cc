@@ -227,123 +227,93 @@ Result<BusyReply> DecodeBusyReply(std::string_view payload) {
   return busy;
 }
 
+namespace {
+
+/// One STATS field: its `.stats` line name and its StatsReply member,
+/// exactly one of the three member pointers set. The rows are the wire
+/// layout in order; `health` travels last and has no `.stats` line.
+struct StatsField {
+  std::string_view name;
+  uint64_t StatsReply::*u64 = nullptr;
+  uint32_t StatsReply::*u32 = nullptr;
+  std::string StatsReply::*text = nullptr;
+};
+
+constexpr StatsField kStatsFields[] = {
+    {"cache.hits", &StatsReply::cache_hits},
+    {"cache.misses", &StatsReply::cache_misses},
+    {"cache.evictions", &StatsReply::cache_evictions},
+    {"cache.epoch", &StatsReply::cache_epoch},
+    {"cache.size", &StatsReply::cache_size},
+    {"server.sessions_accepted", &StatsReply::sessions_accepted},
+    {"server.sessions_rejected", &StatsReply::sessions_rejected},
+    {"server.requests_served", &StatsReply::requests_served},
+    {"server.requests_rejected", &StatsReply::requests_rejected},
+    {"server.bad_frames", &StatsReply::bad_frames},
+    {"server.sessions_active", nullptr, &StatsReply::sessions_active},
+    {"server.inflight_highwater", &StatsReply::inflight_highwater},
+    {"server.write_buffer_highwater_bytes",
+     &StatsReply::write_buffer_highwater},
+    {"server.results_streamed", &StatsReply::results_streamed},
+    {"server.chunks_streamed", &StatsReply::chunks_streamed},
+    {"server.backpressure_stalls", &StatsReply::backpressure_stalls},
+    {"pool.hits", &StatsReply::pool_hits},
+    {"pool.misses", &StatsReply::pool_misses},
+    {"pool.evictions", &StatsReply::pool_evictions},
+    {"pool.dirty_writebacks", &StatsReply::pool_dirty_writebacks},
+    {"integrity.checksum_failures", &StatsReply::integrity_checksum_failures},
+    {"integrity.io_errors_injected",
+     &StatsReply::integrity_io_errors_injected},
+    {"integrity.io_errors_real", &StatsReply::integrity_io_errors_real},
+    {"integrity.pages_scrubbed", &StatsReply::integrity_pages_scrubbed},
+    {"integrity.files_rebuilt", &StatsReply::integrity_files_rebuilt},
+    {"integrity.fsyncs", &StatsReply::integrity_fsyncs},
+    {"stats.histogram_builds", &StatsReply::stats_histogram_builds},
+    {"stats.replans", &StatsReply::stats_replans},
+    {"stats.hash_joins", &StatsReply::stats_hash_joins},
+    {"stats.merge_joins", &StatsReply::stats_merge_joins},
+    {"", nullptr, nullptr, &StatsReply::health},
+};
+
+}  // namespace
+
 std::string EncodeStatsReply(const StatsReply& stats) {
   common::PayloadWriter writer;
-  writer.PutU64(stats.cache_hits);
-  writer.PutU64(stats.cache_misses);
-  writer.PutU64(stats.cache_evictions);
-  writer.PutU64(stats.cache_epoch);
-  writer.PutU64(stats.cache_size);
-  writer.PutU64(stats.sessions_accepted);
-  writer.PutU64(stats.sessions_rejected);
-  writer.PutU64(stats.requests_served);
-  writer.PutU64(stats.requests_rejected);
-  writer.PutU64(stats.bad_frames);
-  writer.PutU32(stats.sessions_active);
-  writer.PutU64(stats.inflight_highwater);
-  writer.PutU64(stats.write_buffer_highwater);
-  writer.PutU64(stats.results_streamed);
-  writer.PutU64(stats.chunks_streamed);
-  writer.PutU64(stats.backpressure_stalls);
-  writer.PutU64(stats.pool_hits);
-  writer.PutU64(stats.pool_misses);
-  writer.PutU64(stats.pool_evictions);
-  writer.PutU64(stats.pool_dirty_writebacks);
-  writer.PutU64(stats.integrity_checksum_failures);
-  writer.PutU64(stats.integrity_io_errors_injected);
-  writer.PutU64(stats.integrity_io_errors_real);
-  writer.PutU64(stats.integrity_pages_scrubbed);
-  writer.PutU64(stats.integrity_files_rebuilt);
-  writer.PutU64(stats.integrity_fsyncs);
-  writer.PutU64(stats.stats_histogram_builds);
-  writer.PutU64(stats.stats_replans);
-  writer.PutU64(stats.stats_hash_joins);
-  writer.PutU64(stats.stats_merge_joins);
-  writer.PutString(stats.health);
+  for (const StatsField& field : kStatsFields) {
+    if (field.u64 != nullptr) {
+      writer.PutU64(stats.*field.u64);
+    } else if (field.u32 != nullptr) {
+      writer.PutU32(stats.*field.u32);
+    } else {
+      writer.PutString(stats.*field.text);
+    }
+  }
   return writer.Take();
 }
 
 Result<StatsReply> DecodeStatsReply(std::string_view payload) {
   common::PayloadReader reader(payload);
   StatsReply stats;
-  if (!reader.GetU64(&stats.cache_hits) ||
-      !reader.GetU64(&stats.cache_misses) ||
-      !reader.GetU64(&stats.cache_evictions) ||
-      !reader.GetU64(&stats.cache_epoch) ||
-      !reader.GetU64(&stats.cache_size) ||
-      !reader.GetU64(&stats.sessions_accepted) ||
-      !reader.GetU64(&stats.sessions_rejected) ||
-      !reader.GetU64(&stats.requests_served) ||
-      !reader.GetU64(&stats.requests_rejected) ||
-      !reader.GetU64(&stats.bad_frames) ||
-      !reader.GetU32(&stats.sessions_active) ||
-      !reader.GetU64(&stats.inflight_highwater) ||
-      !reader.GetU64(&stats.write_buffer_highwater) ||
-      !reader.GetU64(&stats.results_streamed) ||
-      !reader.GetU64(&stats.chunks_streamed) ||
-      !reader.GetU64(&stats.backpressure_stalls) ||
-      !reader.GetU64(&stats.pool_hits) ||
-      !reader.GetU64(&stats.pool_misses) ||
-      !reader.GetU64(&stats.pool_evictions) ||
-      !reader.GetU64(&stats.pool_dirty_writebacks) ||
-      !reader.GetU64(&stats.integrity_checksum_failures) ||
-      !reader.GetU64(&stats.integrity_io_errors_injected) ||
-      !reader.GetU64(&stats.integrity_io_errors_real) ||
-      !reader.GetU64(&stats.integrity_pages_scrubbed) ||
-      !reader.GetU64(&stats.integrity_files_rebuilt) ||
-      !reader.GetU64(&stats.integrity_fsyncs) ||
-      !reader.GetU64(&stats.stats_histogram_builds) ||
-      !reader.GetU64(&stats.stats_replans) ||
-      !reader.GetU64(&stats.stats_hash_joins) ||
-      !reader.GetU64(&stats.stats_merge_joins) ||
-      !reader.GetString(&stats.health) || !reader.exhausted()) {
-    return Malformed("STATS");
+  for (const StatsField& field : kStatsFields) {
+    const bool ok =
+        field.u64 != nullptr   ? reader.GetU64(&(stats.*field.u64))
+        : field.u32 != nullptr ? reader.GetU32(&(stats.*field.u32))
+                               : reader.GetString(&(stats.*field.text));
+    if (!ok) return Malformed("STATS");
   }
+  if (!reader.exhausted()) return Malformed("STATS");
   return stats;
 }
 
 std::string StatsReply::ToText() const {
   std::string out;
-  out += "cache.hits " + std::to_string(cache_hits) + "\n";
-  out += "cache.misses " + std::to_string(cache_misses) + "\n";
-  out += "cache.evictions " + std::to_string(cache_evictions) + "\n";
-  out += "cache.epoch " + std::to_string(cache_epoch) + "\n";
-  out += "cache.size " + std::to_string(cache_size) + "\n";
-  out += "server.sessions_accepted " + std::to_string(sessions_accepted) + "\n";
-  out += "server.sessions_rejected " + std::to_string(sessions_rejected) + "\n";
-  out += "server.requests_served " + std::to_string(requests_served) + "\n";
-  out += "server.requests_rejected " + std::to_string(requests_rejected) + "\n";
-  out += "server.bad_frames " + std::to_string(bad_frames) + "\n";
-  out += "server.sessions_active " + std::to_string(sessions_active) + "\n";
-  out += "server.inflight_highwater " + std::to_string(inflight_highwater) +
-         "\n";
-  out += "server.write_buffer_highwater_bytes " +
-         std::to_string(write_buffer_highwater) + "\n";
-  out += "server.results_streamed " + std::to_string(results_streamed) + "\n";
-  out += "server.chunks_streamed " + std::to_string(chunks_streamed) + "\n";
-  out += "server.backpressure_stalls " + std::to_string(backpressure_stalls) +
-         "\n";
-  out += "pool.hits " + std::to_string(pool_hits) + "\n";
-  out += "pool.misses " + std::to_string(pool_misses) + "\n";
-  out += "pool.evictions " + std::to_string(pool_evictions) + "\n";
-  out += "pool.dirty_writebacks " + std::to_string(pool_dirty_writebacks) +
-         "\n";
-  out += "integrity.checksum_failures " +
-         std::to_string(integrity_checksum_failures) + "\n";
-  out += "integrity.io_errors_injected " +
-         std::to_string(integrity_io_errors_injected) + "\n";
-  out += "integrity.io_errors_real " +
-         std::to_string(integrity_io_errors_real) + "\n";
-  out += "integrity.pages_scrubbed " +
-         std::to_string(integrity_pages_scrubbed) + "\n";
-  out += "integrity.files_rebuilt " +
-         std::to_string(integrity_files_rebuilt) + "\n";
-  out += "integrity.fsyncs " + std::to_string(integrity_fsyncs) + "\n";
-  out += "stats.histogram_builds " +
-         std::to_string(stats_histogram_builds) + "\n";
-  out += "stats.replans " + std::to_string(stats_replans) + "\n";
-  out += "stats.hash_joins " + std::to_string(stats_hash_joins) + "\n";
-  out += "stats.merge_joins " + std::to_string(stats_merge_joins) + "\n";
+  for (const StatsField& field : kStatsFields) {
+    if (field.name.empty()) continue;
+    const uint64_t value =
+        field.u64 != nullptr ? this->*field.u64 : this->*field.u32;
+    out.append(field.name).append(" ").append(std::to_string(value));
+    out += '\n';
+  }
   return out;
 }
 

@@ -108,8 +108,11 @@ struct ResultChunk {
 };
 
 /// The admin STATS reply: translation-cache counters, server counters,
-/// and the serialized kernel health, so a remote operator needs no
-/// in-process access.
+/// the kernel's counters, and the serialized kernel health, so a remote
+/// operator needs no in-process access. One table in wire.cc maps each
+/// member to its `.stats` name in wire order; the codec and ToText loop
+/// over it. The members stay named so callers can hold
+/// `uint64_t StatsReply::*` pointers to them.
 struct StatsReply {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;

@@ -5,6 +5,7 @@
 
 #include "abdl/parser.h"
 #include "common/backoff.h"
+#include "kc/executor.h"
 #include "mbds/controller.h"
 
 namespace mlds::mbds {
@@ -36,10 +37,11 @@ abdl::Request MustParse(std::string_view text) {
 /// reintegration happen within a handful of requests. Backoff delays are
 /// simulated (backoff_sleep off), so nothing here sleeps except a
 /// deadline wait when a test stalls a backend on purpose.
-Controller MakeFaultTolerant(int backends = 4) {
+Controller MakeFaultTolerant(int backends = 4, size_t pool_pages = 0) {
   MbdsOptions options;
   options.num_backends = backends;
   options.engine.block_capacity = 4;
+  options.engine.pool_pages = pool_pages;
   options.fault_tolerance.request_deadline_ms = 250.0;
   options.fault_tolerance.max_retries = 2;
   options.fault_tolerance.backoff = {.base_ms = 4.0,
@@ -69,6 +71,29 @@ bool HasWarningFor(const std::vector<kds::PartialResultWarning>& warnings,
     if (w.backend_id == backend_id) return true;
   }
   return false;
+}
+
+/// Every kernel counter in `after` is at least its value in `before`:
+/// a client taking a STATS delta must never see one step backwards.
+void ExpectNoCounterBelow(const kds::KernelCounters& before,
+                          const kds::KernelCounters& after) {
+  EXPECT_GE(after.pool.hits, before.pool.hits);
+  EXPECT_GE(after.pool.misses, before.pool.misses);
+  EXPECT_GE(after.pool.evictions, before.pool.evictions);
+  EXPECT_GE(after.pool.dirty_writebacks, before.pool.dirty_writebacks);
+  EXPECT_GE(after.integrity.checksum_failures,
+            before.integrity.checksum_failures);
+  EXPECT_GE(after.integrity.io_errors_injected,
+            before.integrity.io_errors_injected);
+  EXPECT_GE(after.integrity.io_errors_real, before.integrity.io_errors_real);
+  EXPECT_GE(after.integrity.pages_scrubbed, before.integrity.pages_scrubbed);
+  EXPECT_GE(after.integrity.files_rebuilt, before.integrity.files_rebuilt);
+  EXPECT_GE(after.integrity.fsyncs, before.integrity.fsyncs);
+  EXPECT_GE(after.statistics.histogram_builds,
+            before.statistics.histogram_builds);
+  EXPECT_GE(after.statistics.replans, before.statistics.replans);
+  EXPECT_GE(after.statistics.hash_joins, before.statistics.hash_joins);
+  EXPECT_GE(after.statistics.merge_joins, before.statistics.merge_joins);
 }
 
 // ---------------------------------------------------------------------
@@ -198,9 +223,17 @@ TEST(BackendFailoverTest, StalledBackendTripsDeadlineInsteadOfHanging) {
 // Quarantine catch-up and reintegration.
 
 TEST(BackendFailoverTest, QuarantinedBackendReintegratesViaWalReplay) {
-  Controller c = MakeFaultTolerant();
+  Controller c = MakeFaultTolerant(4, /*pool_pages=*/8);
   Load(&c, 40);
   ASSERT_EQ(c.backend(1).engine().FileSize("item"), 10u);
+  // Reads before the crash give backend 1's engine more pool hits than
+  // the other backends serve while it is out, so dropping the retired
+  // engine's counters at the swap would show as a step backwards.
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(c.Execute(MustParse("RETRIEVE ((FILE = item)) (key)")).ok());
+  }
+  kc::MbdsExecutor executor(&c);
+  const kds::KernelCounters before_crash = executor.Counters();
 
   // Strike 1: a crash on a broadcast mutation — fatal, quarantined.
   c.InjectFault(1, {.kind = FaultKind::kCrash, .at_attempt = 0, .count = 1});
@@ -236,6 +269,8 @@ TEST(BackendFailoverTest, QuarantinedBackendReintegratesViaWalReplay) {
   EXPECT_EQ(c.FileSize("item"), 40u);
   EXPECT_EQ(c.backend(1).engine().FileSize("item"), 10u);
   EXPECT_EQ(c.backend(1).health().quarantine_count(), 1u);
+  // The rebuilt engine replaced the dead one; its counters live on.
+  ExpectNoCounterBelow(before_crash, executor.Counters());
 
   // The rebuilt partition holds every mutation it missed: both updates
   // applied to its records exactly once.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "abdl/parser.h"
+#include "kc/executor.h"
 
 namespace mlds::mbds {
 namespace {
@@ -232,6 +235,62 @@ TEST(MbdsControllerTest, DistributedJoinFindsCrossPartitionPairs) {
     return records;
   };
   EXPECT_EQ(normalize(report->response.records), normalize(single->records));
+}
+
+/// The kernel counters an MBDS executor reports are exactly the sum of
+/// its backends' engine counters plus the joins the controller ran
+/// itself — nothing dropped, nothing counted twice.
+TEST(MbdsControllerTest, CountersSumBackendsPlusControllerJoins) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "mlds_counters_sum";
+  fs::remove_all(dir);
+  MbdsOptions options;
+  options.num_backends = 4;
+  options.engine.block_capacity = 4;
+  options.engine.data_dir = dir.string();
+  options.engine.pool_pages = 1;
+  Controller c(options);
+  abdm::FileDescriptor left;
+  left.name = "supplier";
+  left.attributes = {{"FILE", abdm::ValueKind::kString, 0, true},
+                     {"city", abdm::ValueKind::kString, 0, true}};
+  abdm::FileDescriptor right;
+  right.name = "plant";
+  right.attributes = {{"FILE", abdm::ValueKind::kString, 0, true},
+                      {"city", abdm::ValueKind::kString, 0, true}};
+  ASSERT_TRUE(c.DefineFile(left).ok());
+  ASSERT_TRUE(c.DefineFile(right).ok());
+  for (int i = 0; i < 24; ++i) {
+    const std::string city = "'c" + std::to_string(i % 6) + "'";
+    ASSERT_TRUE(
+        c.Execute(MustParse("INSERT (<FILE, supplier>, <city, " + city + ">)"))
+            .ok());
+    ASSERT_TRUE(
+        c.Execute(MustParse("INSERT (<FILE, plant>, <city, " + city + ">)"))
+            .ok());
+  }
+  constexpr int kJoins = 3;
+  for (int i = 0; i < kJoins; ++i) {
+    auto joined = c.Execute(MustParse(
+        "RETRIEVE-COMMON ((FILE = supplier)) (city) AND ((FILE = plant)) "
+        "(city) (city)"));
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    ASSERT_FALSE(joined->response.records.empty());
+  }
+
+  kds::KernelCounters expected;
+  for (int i = 0; i < c.num_backends(); ++i) {
+    expected += c.backend(i).engine().counters();
+  }
+  // Small sides join by hash at the controller; the backends only ran
+  // the per-side retrieves.
+  expected.statistics.hash_joins += kJoins;
+  EXPECT_GT(expected.pool.hits, 0u);
+  EXPECT_GT(expected.pool.misses, 0u);
+  EXPECT_GT(expected.integrity.fsyncs, 0u);
+
+  kc::MbdsExecutor executor(&c);
+  EXPECT_EQ(executor.Counters(), expected);
 }
 
 TEST(MbdsControllerTest, TransactionPipelinesIndependentReads) {

@@ -166,7 +166,7 @@ TEST(PagedStorageTest, PoolCountersTrackHitsMissesEvictionsWritebacks) {
   ASSERT_TRUE(engine.DefineDatabase(BankSchema()).ok());
   for (int i = 0; i < 64; ++i) MustExecute(engine, InsertAccount(i));
 
-  const PoolCounters after_load = engine.pool_stats();
+  const PoolCounters after_load = engine.counters().pool;
   // Filling many blocks through a 2-frame pool forces dirty evictions.
   EXPECT_GT(after_load.evictions, 0u);
   EXPECT_GT(after_load.dirty_writebacks, 0u);
@@ -176,7 +176,7 @@ TEST(PagedStorageTest, PoolCountersTrackHitsMissesEvictionsWritebacks) {
   // a hit.
   MustExecute(engine, "RETRIEVE (FILE = account) (all attributes)");
   MustExecute(engine, "RETRIEVE (FILE = account) (all attributes)");
-  const PoolCounters after_scan = engine.pool_stats();
+  const PoolCounters after_scan = engine.counters().pool;
   EXPECT_GT(after_scan.misses, after_load.misses);
   EXPECT_GT(after_scan.hits, after_load.hits);
   EXPECT_GT(after_scan.evictions, after_load.evictions);
@@ -191,9 +191,9 @@ TEST(PagedStorageTest, PoolCountersTrackHitsMissesEvictionsWritebacks) {
   for (int i = 0; i < 64; ++i) MustExecute(cached, InsertAccount(i));
   MustExecute(cached, "RETRIEVE (FILE = account) (all attributes)");
   cached.ResetStats();
-  const PoolCounters warm = cached.pool_stats();
+  const PoolCounters warm = cached.counters().pool;
   MustExecute(cached, "RETRIEVE (FILE = account) (all attributes)");
-  EXPECT_EQ(cached.pool_stats().misses, warm.misses);
+  EXPECT_EQ(cached.counters().pool.misses, warm.misses);
   EXPECT_EQ(cached.cumulative_io().blocks_read, 0u);
 }
 

@@ -223,7 +223,7 @@ TEST(PipelineStressTest, SlowConsumerBackpressureBoundsServerMemory) {
   // is even produced (much longer under sanitizers), so wait for the
   // stall itself, not a fixed delay: we are not reading, so once the
   // stream starts it must fill the kernel buffers and park.
-  server::ServerStats stalled = server.stats();
+  wire::StatsReply stalled = server.stats();
   for (int i = 0;
        i < 6000 && (stalled.backpressure_stalls < 1 ||
                     stalled.inflight_highwater < 2);

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -308,6 +309,118 @@ TEST_F(ServerRoundTripTest, StatsReportCacheAndServerCounters) {
   const std::string text = stats->ToText();
   EXPECT_NE(text.find("cache.hits"), std::string::npos);
   EXPECT_NE(text.find("server.sessions_active"), std::string::npos);
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+/// The STATS payload and its `.stats` text, byte for byte. Every counter
+/// carries a distinct value, so a reordered, dropped or renamed field in
+/// the codec shows up here even though it would still round-trip.
+TEST(StatsWireTest, PayloadAndTextArePinned) {
+  wire::StatsReply stats;
+  stats.cache_hits = 0x0102030405060708;
+  stats.cache_misses = 2;
+  stats.cache_evictions = 3;
+  stats.cache_epoch = 4;
+  stats.cache_size = 5;
+  stats.sessions_accepted = 6;
+  stats.sessions_rejected = 7;
+  stats.requests_served = 8;
+  stats.requests_rejected = 9;
+  stats.bad_frames = 10;
+  stats.sessions_active = 11;
+  stats.inflight_highwater = 12;
+  stats.write_buffer_highwater = 13;
+  stats.results_streamed = 14;
+  stats.chunks_streamed = 15;
+  stats.backpressure_stalls = 16;
+  stats.pool_hits = 17;
+  stats.pool_misses = 18;
+  stats.pool_evictions = 19;
+  stats.pool_dirty_writebacks = 20;
+  stats.integrity_checksum_failures = 21;
+  stats.integrity_io_errors_injected = 22;
+  stats.integrity_io_errors_real = 23;
+  stats.integrity_pages_scrubbed = 1234;
+  stats.integrity_files_rebuilt = 25;
+  stats.integrity_fsyncs = 26;
+  stats.stats_histogram_builds = 27;
+  stats.stats_replans = 28;
+  stats.stats_hash_joins = 29;
+  stats.stats_merge_joins = 30;
+  stats.health = "healthy";
+
+  const std::string payload = wire::EncodeStatsReply(stats);
+  // Little-endian u64 per counter, except sessions_active (u32); then
+  // health as a u32 length and its bytes.
+  EXPECT_EQ(Hex(payload),
+            // cache.*
+            "0807060504030201020000000000000003000000000000000400000000000000"
+            "0500000000000000"
+            // server.*
+            "0600000000000000070000000000000008000000000000000900000000000000"
+            "0a000000000000000b0000000c000000000000000d00000000000000"
+            "0e000000000000000f000000000000001000000000000000"
+            // pool.*
+            "1100000000000000120000000000000013000000000000001400000000000000"
+            // integrity.*
+            "150000000000000016000000000000001700000000000000d204000000000000"
+            "19000000000000001a00000000000000"
+            // stats.*
+            "1b000000000000001c000000000000001d000000000000001e00000000000000"
+            // health
+            "070000006865616c746879");
+  const std::string text =
+      "cache.hits 72623859790382856\n"
+      "cache.misses 2\n"
+      "cache.evictions 3\n"
+      "cache.epoch 4\n"
+      "cache.size 5\n"
+      "server.sessions_accepted 6\n"
+      "server.sessions_rejected 7\n"
+      "server.requests_served 8\n"
+      "server.requests_rejected 9\n"
+      "server.bad_frames 10\n"
+      "server.sessions_active 11\n"
+      "server.inflight_highwater 12\n"
+      "server.write_buffer_highwater_bytes 13\n"
+      "server.results_streamed 14\n"
+      "server.chunks_streamed 15\n"
+      "server.backpressure_stalls 16\n"
+      "pool.hits 17\n"
+      "pool.misses 18\n"
+      "pool.evictions 19\n"
+      "pool.dirty_writebacks 20\n"
+      "integrity.checksum_failures 21\n"
+      "integrity.io_errors_injected 22\n"
+      "integrity.io_errors_real 23\n"
+      "integrity.pages_scrubbed 1234\n"
+      "integrity.files_rebuilt 25\n"
+      "integrity.fsyncs 26\n"
+      "stats.histogram_builds 27\n"
+      "stats.replans 28\n"
+      "stats.hash_joins 29\n"
+      "stats.merge_joins 30\n";
+  EXPECT_EQ(stats.ToText(), text);
+
+  // Decoding gives back every field: all 30 counters (through the text)
+  // and the health string.
+  Result<wire::StatsReply> decoded = wire::DecodeStatsReply(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->ToText(), text);
+  EXPECT_EQ(decoded->health, "healthy");
+  EXPECT_EQ(wire::EncodeStatsReply(*decoded), payload);
+  // A short or overlong payload is malformed, not silently accepted.
+  EXPECT_FALSE(wire::DecodeStatsReply(payload.substr(0, 100)).ok());
+  EXPECT_FALSE(wire::DecodeStatsReply(payload + "x").ok());
 }
 
 /// Admission control: connections beyond the cap receive a structured

@@ -135,7 +135,7 @@ TEST_F(SessionStressTest, ConcurrentSessionsStayIsolated) {
   }
   EXPECT_EQ(failures.load(), 0);
 
-  const server::ServerStats stats = server_->stats();
+  const wire::StatsReply stats = server_->stats();
   EXPECT_GE(stats.sessions_accepted, static_cast<uint64_t>(kThreads));
   EXPECT_EQ(stats.bad_frames, 0u);
   EXPECT_EQ(stats.sessions_active, 0u);

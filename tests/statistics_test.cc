@@ -5,7 +5,8 @@
 // persistence across an engine restart), the join strategy /
 // cardinality / re-plan helpers, engine-level RETRIEVE-COMMON strategy
 // markers and adaptive re-planning, and the stats.* counters' trip
-// across the STATS wire frame.
+// across the STATS wire frame. Their exact payload bytes are pinned by
+// StatsWireTest.PayloadAndTextArePinned in server_roundtrip_test.cc.
 
 #include "kds/statistics.h"
 
@@ -398,14 +399,14 @@ TEST(StatisticsPersistenceTest, HistogramsSurviveCleanRestart) {
       MustExecute(engine, "INSERT (<FILE, metric>, <v, " + std::to_string(i) +
                               ">)");
     }
-    builds_before = engine.statistics_stats().histogram_builds;
+    builds_before = engine.counters().statistics.histogram_builds;
     EXPECT_GT(builds_before, 0u);
   }
   Engine reopened(options);
   ASSERT_TRUE(reopened.restore_status().ok()) << reopened.restore_status();
   ASSERT_EQ(reopened.FileSize("metric"), 300u);
   // No rebuild happened on restore — the histograms came from metadata.
-  EXPECT_EQ(reopened.statistics_stats().histogram_builds, 0u);
+  EXPECT_EQ(reopened.counters().statistics.histogram_builds, 0u);
   // A range plan is served from the restored histogram immediately.
   abdl::Request request =
       MustParse("RETRIEVE ((FILE = metric) and (v < 100)) (v)");
@@ -443,7 +444,7 @@ TEST(StatisticsPersistenceTest, TinyPagesDropHistogramLinesNotFlushes) {
   EXPECT_EQ(reopened.FileSize("metric"), 100u);
   // The data survived; the histogram rebuilds on the next mutation.
   MustExecute(reopened, "INSERT (<FILE, metric>, <v, 101>)");
-  EXPECT_GT(reopened.statistics_stats().histogram_builds, 0u);
+  EXPECT_GT(reopened.counters().statistics.histogram_builds, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -489,7 +490,7 @@ TEST_F(EngineJoinTest, SkewedSidesHashJoin) {
   EXPECT_FALSE(response.plan->replanned);
   EXPECT_NE(response.plan->ToString().find("JOIN [hash]"), std::string::npos)
       << response.plan->ToString();
-  const StatisticsCounters stats = engine_.statistics_stats();
+  const StatisticsCounters stats = engine_.counters().statistics;
   EXPECT_EQ(stats.hash_joins, 1u);
   EXPECT_EQ(stats.merge_joins, 0u);
   EXPECT_EQ(stats.replans, 0u);
@@ -505,7 +506,7 @@ TEST_F(EngineJoinTest, LargeBalancedSidesMergeJoin) {
   EXPECT_EQ(response.plan->join_strategy, JoinStrategy::kMerge);
   EXPECT_NE(response.plan->ToString().find("JOIN [merge]"), std::string::npos)
       << response.plan->ToString();
-  const StatisticsCounters stats = engine_.statistics_stats();
+  const StatisticsCounters stats = engine_.counters().statistics;
   EXPECT_EQ(stats.merge_joins, 1u);
   EXPECT_EQ(stats.hash_joins, 0u);
 }
@@ -552,7 +553,7 @@ TEST_F(EngineJoinTest, HistogramMissTriggersAdaptiveReplan) {
   // The miss came from a histogram-sourced range estimate.
   EXPECT_NE(response.plan->ToString().find("[histogram]"), std::string::npos)
       << response.plan->ToString();
-  EXPECT_EQ(engine_.statistics_stats().replans, 1u);
+  EXPECT_EQ(engine_.counters().statistics.replans, 1u);
 }
 
 TEST_F(EngineJoinTest, AccurateEstimatesDoNotReplan) {
@@ -561,7 +562,7 @@ TEST_F(EngineJoinTest, AccurateEstimatesDoNotReplan) {
   Response response = Explained(
       "RETRIEVE-COMMON ((FILE = left)) (v) AND ((FILE = right)) (v) (v)");
   EXPECT_FALSE(response.plan->replanned);
-  EXPECT_EQ(engine_.statistics_stats().replans, 0u);
+  EXPECT_EQ(engine_.counters().statistics.replans, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -621,14 +622,14 @@ TEST(StatisticsStressTest, ConcurrentMaintenanceAndEstimates) {
         auto response = engine.Execute(
             MustParse("RETRIEVE ((FILE = metric) and (v < 250)) (v)"));
         ASSERT_TRUE(response.ok()) << response.status();
-        (void)engine.statistics_stats();
+        (void)engine.counters().statistics;
       }
     });
   }
   for (auto& thread : threads) thread.join();
 
   EXPECT_EQ(engine.FileSize("metric"), size_t(kWriters * kRowsPerWriter));
-  const StatisticsCounters stats = engine.statistics_stats();
+  const StatisticsCounters stats = engine.counters().statistics;
   EXPECT_GT(stats.histogram_builds, 0u);
   auto final_count = engine.Execute(
       MustParse("RETRIEVE ((FILE = metric) and (v < 250)) (v)"));

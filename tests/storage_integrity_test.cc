@@ -6,7 +6,8 @@
 // error and is counted), ENOSPC during checkpoint (the previous
 // checkpoint survives), eviction write-back failures (never silently
 // dropped), the on-demand scrubber, and the integrity counters' trip
-// across the STATS wire frame.
+// across the STATS wire frame. Their exact payload bytes are pinned by
+// StatsWireTest.PayloadAndTextArePinned in server_roundtrip_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -212,7 +213,7 @@ TEST(StorageIntegrityTest, EveryByteFlipRebuildsByteIdentically) {
         << "flip at " << off << ": " << revived.restore_status();
     ASSERT_EQ(SnapshotOf(revived), before)
         << "flip at offset " << off << " changed the served state";
-    const IntegrityCounters counters = revived.integrity_stats();
+    const IntegrityCounters counters = revived.counters().integrity;
     EXPECT_EQ(counters.files_rebuilt, 1u) << "flip at " << off;
     EXPECT_TRUE(fs::exists(mpf + ".quarantined"))
         << "flip at " << off << ": damaged bytes were not kept aside";
@@ -243,8 +244,8 @@ TEST(StorageIntegrityTest, InjectedWriteFaultsSurfaceAsStructuredErrors) {
     faulty.Disarm();
     EXPECT_FALSE(response.ok())
         << "fault kind " << static_cast<int>(kind) << " was swallowed";
-    EXPECT_GE(engine.integrity_stats().io_errors_injected, 1u);
-    EXPECT_EQ(engine.integrity_stats().io_errors_real, 0u);
+    EXPECT_GE(engine.counters().integrity.io_errors_injected, 1u);
+    EXPECT_EQ(engine.counters().integrity.io_errors_real, 0u);
   }
 }
 
@@ -274,7 +275,7 @@ TEST(StorageIntegrityTest, InjectedReadFaultFailsTheRetrieve) {
       engine.Execute(MustParse("RETRIEVE (FILE = account) (all attributes)"));
   faulty.Disarm();
   EXPECT_FALSE(failed.ok()) << "read fault was swallowed";
-  EXPECT_GE(engine.integrity_stats().io_errors_injected, 1u);
+  EXPECT_GE(engine.counters().integrity.io_errors_injected, 1u);
 
   // With the fault gone the same retrieve succeeds: nothing corrupted.
   auto ok =
@@ -391,7 +392,7 @@ TEST(StorageIntegrityTest, EvictionWritebackFailureIsNotSilent) {
   faulty.Disarm();
   if (!engine.Flush().ok()) surfaced = true;
   EXPECT_TRUE(surfaced) << "an injected write-back failure vanished";
-  EXPECT_GE(engine.integrity_stats().io_errors_injected, 1u);
+  EXPECT_GE(engine.counters().integrity.io_errors_injected, 1u);
 
   // The retry drains cleanly and every record survived the incident.
   EXPECT_TRUE(engine.Flush().ok());
@@ -421,7 +422,7 @@ TEST(StorageIntegrityTest, VerifyIntegrityScrubsAndReportsCorruption) {
   EXPECT_GT(clean.files[0].pages, 0u);
   EXPECT_EQ(clean.files[0].bad_pages, 0u);
   EXPECT_EQ(clean.ToText().rfind("integrity OK", 0), 0u) << clean.ToText();
-  EXPECT_GT(engine.integrity_stats().pages_scrubbed, 0u);
+  EXPECT_GT(engine.counters().integrity.pages_scrubbed, 0u);
 
   // Flip one payload byte of the first data frame behind the engine's
   // back, as a decaying disk would.
@@ -439,7 +440,7 @@ TEST(StorageIntegrityTest, VerifyIntegrityScrubsAndReportsCorruption) {
       << dirty.files[0].status.ToString();
   EXPECT_EQ(dirty.ToText().rfind("integrity FAILED", 0), 0u)
       << dirty.ToText();
-  EXPECT_GE(engine.integrity_stats().checksum_failures, 1u);
+  EXPECT_GE(engine.counters().integrity.checksum_failures, 1u);
 }
 
 // ---------------------------------------------------------------------

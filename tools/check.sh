@@ -98,6 +98,20 @@ else
   grep -q '"fused_speedup_ge_5x": true' build/bench-smoke/BENCH_joins.json \
     || { echo "fused join floor regression: fused_speedup_ge_5x is not true"; exit 1; }
   echo "fused join floor holds"
+
+  # Repository benchmark smoke: build perfbench (its own CMake package,
+  # so its wire driver compiles against the current client and STATS
+  # API), run one second of the lookup workload, and require a correct
+  # run with no failed operations.
+  echo "== perfbench smoke =="
+  PERFBENCH_LINE="$(CARGO_TARGET_DIR=build/perfbench-smoke python3 perfbench/run.py \
+    --workload lookup --seed 1 --seconds 1 | tail -n 1)"
+  echo "${PERFBENCH_LINE}"
+  grep -q '"correct": true' <<< "${PERFBENCH_LINE}" \
+    || { echo "perfbench smoke: run was not correct"; exit 1; }
+  grep -q '"failed": 0[,}]' <<< "${PERFBENCH_LINE}" \
+    || { echo "perfbench smoke: operations failed"; exit 1; }
+  echo "perfbench smoke passed"
 fi
 
 # Streaming smoke against a given build tree: a server with a tiny
