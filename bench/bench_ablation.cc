@@ -102,7 +102,7 @@ BENCHMARK(BM_Ablation_BlockCapacity)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 double SimScanMs(int backends, double seek_ms, double bus_ms) {
   mbds::MbdsOptions options;
   options.num_backends = backends;
-  options.disk.seek_ms = seek_ms;
+  options.engine.disk.seek_ms = seek_ms;
   options.bus.broadcast_ms = bus_ms;
   options.bus.reply_ms = bus_ms;
   mbds::Controller controller(options);

@@ -39,10 +39,19 @@ using namespace mlds;
 constexpr int kRecords = 2048;
 constexpr int kClients = 4;
 constexpr int kRequestsPerClient = 6;
-/// Injected disk latency: a full scan of the 2048-record file (128
-/// blocks at 16 records/block) really sleeps ~6.4 ms while holding its
-/// file lock shared.
-constexpr double kLatencyMsPerBlock = 0.05;
+/// Emulated disk: a pure per-block transfer cost, really waited at
+/// latency scale 1. A full scan of the 2048-record file (128 blocks at
+/// 16 records/block) sleeps ~6.4 ms while holding its file lock shared.
+constexpr kds::DiskModel kDisk{.seek_ms = 0,
+                               .transfer_ms_per_block = 0.05,
+                               .index_probe_ms = 0,
+                               .cpu_ms_per_record = 0};
+
+kds::EngineOptions EmulatedDiskOptions() {
+  kds::EngineOptions options;
+  options.disk = kDisk;
+  return options;
+}
 
 abdm::FileDescriptor ItemFile() {
   abdm::FileDescriptor f;
@@ -168,9 +177,9 @@ CacheStats MeasureCacheHitRate() {
 }
 
 void WriteIntraBackendJson(const char* path) {
-  kds::Engine engine{kds::EngineOptions{}};
+  kds::Engine engine{EmulatedDiskOptions()};
   LoadEngine(&engine, kRecords);
-  engine.set_latency_ms_per_block(kLatencyMsPerBlock);
+  engine.set_latency_scale(1.0);
 
   double serial_ms = 1e300, concurrent_ms = 1e300;
   double writers_serial_ms = 1e300, writers_concurrent_ms = 1e300;
@@ -182,7 +191,7 @@ void WriteIntraBackendJson(const char* path) {
     writers_concurrent_ms =
         std::min(writers_concurrent_ms, RunWriters(&engine, kClients, true));
   }
-  engine.set_latency_ms_per_block(0.0);
+  engine.set_latency_scale(0.0);
   const double speedup = serial_ms / concurrent_ms;
   const CacheStats cache = MeasureCacheHitRate();
 
@@ -191,7 +200,7 @@ void WriteIntraBackendJson(const char* path) {
       .Set("records", kRecords)
       .Set("clients", kClients)
       .Set("requests_per_client", kRequestsPerClient)
-      .Set("latency_ms_per_block", kLatencyMsPerBlock)
+      .Set("transfer_ms_per_block", kDisk.transfer_ms_per_block)
       .Set("read_serial_wall_ms", serial_ms)
       .Set("read_concurrent_wall_ms", concurrent_ms)
       .Set("read_speedup", speedup)

@@ -13,9 +13,9 @@
 // The asymmetry the bench measures is block traffic: the per-record
 // path pays one scattered block fetch per member record it visits,
 // while a fused join fetches every data page once, page-grouped. Both
-// paths run under the engine's disk-latency emulation
-// (EngineOptions::latency_ms_per_block — data is loaded with the
-// emulation off, timed with it on) so the block-count advantage is
+// paths run under the engine's disk-latency emulation (a per-block
+// kds::DiskModel waited at latency scale 1 — data is loaded with the
+// scale at 0, timed with it at 1) so the block-count advantage is
 // observable as wall-clock speedup; the raw block counts are reported
 // alongside the timings.
 //
@@ -60,9 +60,18 @@ constexpr int kStores = kRegions * kStoresPerRegion;
 constexpr int kClerks = kStores * kClerksPerStore;
 constexpr int kSales = kClerks * kSalesPerClerk;
 
-// Emulated disk time per block read or written (see the header comment);
-// loading runs with the emulation off.
-constexpr double kDiskMsPerBlock = 0.1;
+// Emulated disk: a pure per-block transfer cost for every block read or
+// written (see the header comment); loading runs with the scale at 0.
+constexpr kds::DiskModel kDisk{.seek_ms = 0,
+                               .transfer_ms_per_block = 0.1,
+                               .index_probe_ms = 0,
+                               .cpu_ms_per_record = 0};
+
+kds::EngineOptions EmulatedDiskOptions() {
+  kds::EngineOptions options;
+  options.disk = kDisk;
+  return options;
+}
 
 constexpr char kChainDdl[] = R"(
 SCHEMA shopchain;
@@ -88,7 +97,7 @@ END ENTITY;
 )";
 
 struct ChainDatabase {
-  kds::Engine engine;
+  kds::Engine engine{EmulatedDiskOptions()};
   std::unique_ptr<kc::EngineExecutor> executor;
   transform::FunNetMapping mapping;
   std::unique_ptr<kms::DmlMachine> machine;
@@ -157,7 +166,7 @@ ChainDatabase* LoadChain() {
 
   db->machine = std::make_unique<kms::DmlMachine>(
       &db->mapping.schema, &db->mapping, db->executor.get());
-  db->engine.set_latency_ms_per_block(kDiskMsPerBlock);
+  db->engine.set_latency_scale(1.0);
   return db;
 }
 
@@ -306,7 +315,7 @@ void WriteJoinsJson(const char* path) {
       .Set("per_record_visited", static_cast<uint64_t>(per_record_visited))
       .Set("fused_visited", static_cast<uint64_t>(fused_visited))
       .Set("visited_counts_equal", per_record_visited == fused_visited)
-      .Set("latency_ms_per_block", kDiskMsPerBlock)
+      .Set("transfer_ms_per_block", kDisk.transfer_ms_per_block)
       .Set("per_record_blocks", per_record_blocks)
       .Set("fused_blocks", fused_blocks)
       .Set("per_record_ns", per_record_ns)

@@ -1,19 +1,25 @@
 // E1 — MBDS response time vs. number of backends at fixed database size
-// (thesis Ch. I.B.2: "nearly reciprocal decrease in the response times").
+// (thesis Ch. I.B.2: "nearly reciprocal decrease in the response times"),
+// and E2 — capacity growth: backends grow with the database, response
+// times stay invariant.
 //
-// Two timing domains are reported:
+// Two timing domains are reported for E1:
 //  - sim_ms: the simulated response time (bus + slowest backend under the
-//    disk cost model), the quantity the paper's claim is about;
+//    engines' kds::DiskModel), the quantity the paper's claim is about;
 //  - wall_ms: measured wall-clock of the controller's parallel fan-out
-//    with disk-latency injection on, so the reciprocal behaviour is
-//    observable on real hardware, not only in the model.
+//    with every backend engine really waiting its DiskModel cost (times
+//    the latency scale), so the reciprocal behaviour is observable on
+//    real hardware, not only in the model.
+// E2 is simulated time only: kCapacityRecordsPerBackend records per
+// backend, one full scan per backend count.
 //
-// main() first writes BENCH_mbds_scaling.json with both curves, then runs
-// the registered google-benchmarks as usual.
+// main() first writes BENCH_mbds_scaling.json with all three row sets,
+// then runs the registered google-benchmarks as usual.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -32,6 +38,8 @@ constexpr int kRecords = 8192;
 /// really waits CostMs * kLatencyScale, concurrently (~57 ms for a
 /// single-backend full scan of the 8192-record database).
 constexpr double kLatencyScale = 0.05;
+/// E2: the database grows with the backends, this many records each.
+constexpr int kCapacityRecordsPerBackend = 1024;
 
 abdm::FileDescriptor ItemFile() {
   abdm::FileDescriptor f;
@@ -126,7 +134,8 @@ struct ScalingRun {
 };
 
 /// Measures the broadcast full scan at each backend count with latency
-/// injection on, and writes the machine-readable scaling curve.
+/// injection on (E1), then the simulated full scan under proportional
+/// growth (E2), and writes the machine-readable curves.
 void WriteScalingJson(const char* path) {
   std::vector<ScalingRun> runs;
   for (int backends : {1, 2, 4, 8}) {
@@ -150,11 +159,24 @@ void WriteScalingJson(const char* path) {
     runs.push_back(run);
   }
 
+  std::vector<ScalingRun> capacity;
+  for (int backends : {1, 2, 4, 8}) {
+    auto controller = MakeLoadedController(
+        backends, kCapacityRecordsPerBackend * backends);
+    capacity.push_back({backends, SimTimeOfScan(controller.get()), 0.0});
+  }
+  bool capacity_sim_invariant = true;
+  for (const ScalingRun& r : capacity) {
+    capacity_sim_invariant &= std::fabs(r.sim_ms - capacity[0].sim_ms) < 1e-6;
+  }
+
   bench::BenchReport report("mbds_scaling");
   report.root()
       .Set("workload", "broadcast full-scan retrieve")
       .Set("records", kRecords)
-      .Set("latency_scale", kLatencyScale);
+      .Set("latency_scale", kLatencyScale)
+      .Set("capacity_sim_invariant", capacity_sim_invariant)
+      .Set("sim_speedup_4_ge_3x", runs[0].sim_ms / runs[2].sim_ms >= 3.0);
   for (const ScalingRun& r : runs) {
     report.AddRow("runs")
         .Set("backends", r.backends)
@@ -162,6 +184,12 @@ void WriteScalingJson(const char* path) {
         .Set("wall_ms", r.wall_ms)
         .Set("sim_speedup_vs_1", runs[0].sim_ms / r.sim_ms)
         .Set("wall_speedup_vs_1", runs[0].wall_ms / r.wall_ms);
+  }
+  for (const ScalingRun& r : capacity) {
+    report.AddRow("capacity")
+        .Set("backends", r.backends)
+        .Set("records", kCapacityRecordsPerBackend * r.backends)
+        .Set("sim_ms", r.sim_ms);
   }
   if (report.Write(path)) {
     std::printf("wrote %s (wall speedup 4 backends vs 1: %.2fx)\n", path,

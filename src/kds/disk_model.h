@@ -1,16 +1,19 @@
-#ifndef MLDS_MBDS_DISK_MODEL_H_
-#define MLDS_MBDS_DISK_MODEL_H_
+#ifndef MLDS_KDS_DISK_MODEL_H_
+#define MLDS_KDS_DISK_MODEL_H_
 
 #include "kds/io_stats.h"
 
-namespace mlds::mbds {
+namespace mlds::kds {
 
-/// Deterministic cost model for one backend's dedicated disk system.
+/// Deterministic cost model for one backend's dedicated disk system — the
+/// single answer to "how long does this request's I/O keep the disk busy".
 ///
 /// The thesis ran on 1987 lab minicomputers with one disk per backend; we
-/// do not have that hardware, so MBDS is reproduced as a simulator: each
-/// backend executes real ABDL requests over its record partition and this
-/// model converts the counted physical work into milliseconds. The default
+/// do not have that hardware, so the disk is reproduced as a model: each
+/// engine executes real ABDL requests and this model converts the counted
+/// physical work into milliseconds. The MBDS controller charges those
+/// milliseconds to simulated time; the engine, when its latency scale is
+/// set, really waits them (Engine::set_latency_scale). The default
 /// constants approximate a late-1980s Winchester disk (~28 ms average
 /// positioning, ~2 ms per block transfer), though only the *shape* of the
 /// scaling results depends on them, not the particular values.
@@ -26,9 +29,9 @@ struct DiskModel {
   /// CPU cost of examining one record against a query.
   double cpu_ms_per_record = 0.01;
 
-  /// Milliseconds this backend spends executing a request whose physical
+  /// Milliseconds the disk spends executing a request whose physical
   /// work is `io`.
-  double CostMs(const kds::IoStats& io) const {
+  double CostMs(const IoStats& io) const {
     double ms = 0.0;
     if (io.total_blocks() > 0) ms += seek_ms;
     ms += transfer_ms_per_block * static_cast<double>(io.total_blocks());
@@ -38,16 +41,6 @@ struct DiskModel {
   }
 };
 
-/// Cost of the controller <-> backend message exchange. The backends are
-/// connected to the controller by a broadcast bus (Figure 1.3), so a
-/// request costs one broadcast plus one reply regardless of backend count.
-struct BusModel {
-  double broadcast_ms = 1.0;
-  double reply_ms = 1.0;
+}  // namespace mlds::kds
 
-  double RoundTripMs() const { return broadcast_ms + reply_ms; }
-};
-
-}  // namespace mlds::mbds
-
-#endif  // MLDS_MBDS_DISK_MODEL_H_
+#endif  // MLDS_KDS_DISK_MODEL_H_

@@ -792,10 +792,9 @@ Result<Response> Engine::ExecuteLocked(const abdl::Request& request) {
 }
 
 void Engine::InjectLatency(const IoStats& io) const {
-  const double per_block =
-      latency_ms_per_block_.load(std::memory_order_relaxed);
-  if (per_block <= 0.0) return;
-  const double ms = per_block * static_cast<double>(io.total_blocks());
+  const double scale = latency_scale_.load(std::memory_order_relaxed);
+  if (scale <= 0.0) return;
+  const double ms = options_.disk.CostMs(io) * scale;
   if (ms <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }

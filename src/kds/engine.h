@@ -12,6 +12,7 @@
 #include "abdl/request.h"
 #include "abdm/schema.h"
 #include "common/result.h"
+#include "kds/disk_model.h"
 #include "kds/file_io.h"
 #include "kds/file_store.h"
 #include "kds/io_stats.h"
@@ -109,15 +110,11 @@ struct EngineOptions {
   size_t pool_pages = 0;
   /// Page size for new page files (existing files keep theirs).
   size_t page_bytes = kDefaultPageBytes;
-  /// When > 0, every executed request *really sleeps* this many
-  /// milliseconds per block it read or wrote, while still holding its
-  /// file locks — emulating the time the backend's disk is busy serving
-  /// it. Concurrent retrievals hold the file lock shared, so their disk
-  /// waits overlap; mutations hold it exclusively and serialize. This is
-  /// the intra-backend counterpart of MbdsOptions::latency_scale, and it
-  /// makes the reader-concurrency claim observable as wall-clock speedup
-  /// on any core count. 0 disables injection.
-  double latency_ms_per_block = 0.0;
+  /// The backend's dedicated disk: the MBDS controller charges
+  /// `disk.CostMs(io)` of every request to simulated time, and the engine
+  /// really waits `disk.CostMs(io) * scale` once a latency scale is set
+  /// (Engine::set_latency_scale).
+  DiskModel disk;
   /// File-I/O seam for every page file, the checkpoint snapshot, and the
   /// clean-shutdown marker (not owned; nullptr uses the real POSIX
   /// implementation). Fault tests install a FaultyFileIo here.
@@ -258,11 +255,18 @@ class Engine {
   IoStats cumulative_io() const { return cumulative_io_.Snapshot(); }
   void ResetStats() { cumulative_io_.Reset(); }
 
-  /// Adjusts disk-latency injection at runtime (see
-  /// EngineOptions::latency_ms_per_block). Benchmarks load data with
-  /// injection off and enable it only for the measured phase.
-  void set_latency_ms_per_block(double ms) {
-    latency_ms_per_block_.store(ms, std::memory_order_relaxed);
+  /// Disk-latency emulation: when `scale` > 0, every executed request
+  /// *really sleeps* `options().disk.CostMs(io) * scale` milliseconds
+  /// while still holding its file locks — the time the backend's disk is
+  /// busy serving it. Concurrent retrievals hold the file lock shared, so
+  /// their waits overlap; mutations hold it exclusively and serialize.
+  /// 0 (the default) disables it. Benchmarks load data with the scale at
+  /// 0 and set it only for the measured phase.
+  void set_latency_scale(double scale) {
+    latency_scale_.store(scale, std::memory_order_relaxed);
+  }
+  double latency_scale() const {
+    return latency_scale_.load(std::memory_order_relaxed);
   }
 
   /// Planner-statistics estimate of how many records `query` selects
@@ -359,9 +363,10 @@ class Engine {
   /// acquisition order). Caller holds the map lock.
   std::vector<FileStore*> TouchedStores(const abdl::Request& request);
 
-  /// Sleeps the injected per-block latency for `io`, if enabled. Called
-  /// while the request's file locks are still held, so readers overlap
-  /// their waits and writers serialize — see EngineOptions.
+  /// Sleeps the disk model's cost of `io` times the latency scale, if
+  /// set — the one place disk time is really waited. Called while the
+  /// request's file locks are still held, so readers overlap their waits
+  /// and writers serialize — see set_latency_scale.
   void InjectLatency(const IoStats& io) const;
 
   FileStore* FindFile(std::string_view file);
@@ -389,7 +394,7 @@ class Engine {
   Status restore_status_;
   /// Mutable: const traversals (VisitRecords) still charge their reads.
   mutable AtomicIoStats cumulative_io_;
-  std::atomic<double> latency_ms_per_block_{0.0};
+  std::atomic<double> latency_scale_{0.0};
   std::atomic<WalWriter*> wal_{nullptr};
   /// Ids for the WAL's BEGIN/TREQUEST/COMMIT framing: transactions on
   /// disjoint files log concurrently, so their entries interleave and

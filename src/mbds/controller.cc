@@ -8,7 +8,6 @@
 #include <map>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "abdl/parser.h"
@@ -124,7 +123,6 @@ Controller::Controller(MbdsOptions options) : options_(options) {
   }
   pool_ = std::make_unique<common::ThreadPool>(n);
   txn_pool_ = std::make_unique<common::ThreadPool>(n - 1);
-  latency_scale_.store(options_.latency_scale, std::memory_order_relaxed);
 }
 
 Status Controller::RunParallel(size_t tasks,
@@ -308,17 +306,8 @@ Result<std::pair<kds::Response, double>> Controller::RunOnBackend(
   // in a rebuilt engine must not free the one this request runs against.
   std::shared_ptr<kds::Engine> engine = backend.SnapshotEngine();
   MLDS_ASSIGN_OR_RETURN(kds::Response resp, engine->Execute(request));
-  const double ms = options_.disk.CostMs(resp.io);
+  const double ms = engine->options().disk.CostMs(resp.io);
   backend.AddBusyMs(ms);
-  const double scale = latency_scale_.load(std::memory_order_relaxed);
-  if (scale > 0.0 && ms > 0.0) {
-    // Emulate the dedicated disk: the backend is not done until its disk
-    // would be. Backends sleep concurrently on the pool, so a broadcast's
-    // wall-clock cost is the slowest backend's latency, not the sum —
-    // the physical behaviour behind the paper's response-time curves.
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(ms * scale));
-  }
   return std::make_pair(std::move(resp), ms);
 }
 
@@ -346,7 +335,7 @@ Controller::FanoutSlot Controller::AttemptOnBackend(
       case FaultKind::kStall:
         // A hung backend: park on the cancellation token until the
         // dispatcher's deadline abandons us. The request never executes.
-        cancel->WaitMs(0);
+        cancel->Wait();
         slot.fault = FaultKind::kStall;
         slot.timed_out = true;
         slot.status = Status::Unavailable(who + " stalled past the deadline");
@@ -359,14 +348,8 @@ Controller::FanoutSlot Controller::AttemptOnBackend(
         if (attempt < ft.max_retries) {
           const double delay = backoff.NextDelayMs();
           slot.backoff_ms += delay;
-          // Delays are charged to simulated time; sleeping them is opt-in
-          // so fault-tolerance tests stay deterministic and sleep-free.
-          if (ft.backoff_sleep && cancel->WaitMs(delay)) {
-            slot.timed_out = true;
-            slot.status =
-                Status::Unavailable("deadline exceeded while retrying " + who);
-            return slot;
-          }
+          // Delays are charged to simulated time only, so fault-tolerance
+          // tests stay deterministic and sleep-free.
           continue;
         }
         slot.fault = FaultKind::kError;

@@ -15,11 +15,21 @@
 #include "common/thread_pool.h"
 #include "kds/engine.h"
 #include "kds/wal.h"
-#include "mbds/disk_model.h"
 #include "mbds/fault_injector.h"
 #include "mbds/health.h"
 
 namespace mlds::mbds {
+
+/// Cost of the controller <-> backend message exchange. The backends are
+/// connected to the controller by a broadcast bus (Figure 1.3), so a
+/// request costs one broadcast plus one reply regardless of backend count.
+/// Each backend's disk is priced by its engine's kds::DiskModel.
+struct BusModel {
+  double broadcast_ms = 1.0;
+  double reply_ms = 1.0;
+
+  double RoundTripMs() const { return broadcast_ms + reply_ms; }
+};
 
 /// One backend (slave) of MBDS: identical software (a KDS engine) over its
 /// own dedicated disk, holding a partition of every file's records. The
@@ -53,10 +63,19 @@ class Backend {
   }
   /// Swaps in a rebuilt engine. The retired engine's counters fold into
   /// this backend's running total, so counters() never steps backwards.
+  /// The rebuilt engine inherits the retired one's latency scale.
   void ReplaceEngine(std::shared_ptr<kds::Engine> fresh) {
     std::lock_guard<std::mutex> lock(engine_mutex_);
     retired_ += engine_->counters();
+    fresh->set_latency_scale(engine_->latency_scale());
     engine_ = std::move(fresh);
+  }
+
+  /// Sets the live engine's disk-latency scale. Under the engine mutex,
+  /// so a concurrent ReplaceEngine cannot hand the old scale on.
+  void set_latency_scale(double scale) {
+    std::lock_guard<std::mutex> lock(engine_mutex_);
+    engine_->set_latency_scale(scale);
   }
 
   /// Counters of every engine this backend has run: the retired ones
@@ -149,8 +168,9 @@ enum class PlacementPolicy {
 };
 
 /// Availability knobs of the controller. All thresholds are counted in
-/// requests and all backoff delays are *simulated* unless `backoff_sleep`
-/// is set, so fault-tolerance tests run deterministically with no sleeps.
+/// requests and all backoff delays are *simulated* (charged to the
+/// slot's simulated time, never slept), so fault-tolerance tests run
+/// deterministically with no sleeps.
 struct FaultToleranceOptions {
   /// Per-request deadline on the backend fan-out, in wall-clock
   /// milliseconds. A backend that has not answered by the deadline is
@@ -162,10 +182,6 @@ struct FaultToleranceOptions {
   int max_retries = 2;
   /// Exponential-backoff schedule between retries.
   common::BackoffPolicy backoff;
-  /// When true, retry delays are actually slept (cancellably). Off by
-  /// default: delays are charged to simulated time only, keeping tests
-  /// sleep-free.
-  bool backoff_sleep = false;
   /// Quarantine / reintegration thresholds.
   HealthPolicy health;
 };
@@ -173,17 +189,11 @@ struct FaultToleranceOptions {
 /// Options for constructing the multi-backend system.
 struct MbdsOptions {
   int num_backends = 1;
+  /// Every backend's engine options; `engine.disk` prices each backend's
+  /// dedicated disk.
   kds::EngineOptions engine;
-  DiskModel disk;
   BusModel bus;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
-  /// When > 0, each backend *actually waits* `CostMs(io) * latency_scale`
-  /// wall-clock milliseconds after executing a request, emulating its
-  /// dedicated disk's latency. Backends wait concurrently, so this turns
-  /// the simulated-time model into observable wall-clock behaviour (the
-  /// paper's response times were dominated by exactly this disk latency).
-  /// 0 disables injection; see also Controller::set_latency_scale.
-  double latency_scale = 0.0;
   FaultToleranceOptions fault_tolerance;
 };
 
@@ -292,11 +302,13 @@ class Controller {
   }
   void ResetTiming();
 
-  /// Adjusts disk-latency injection at runtime (see
-  /// MbdsOptions::latency_scale). Benchmarks load data with injection off
-  /// and enable it only for the measured phase.
+  /// Sets every backend engine's disk-latency scale (see
+  /// kds::Engine::set_latency_scale). Backends wait concurrently on the
+  /// fan-out pool, so a broadcast's wall clock follows its slowest
+  /// backend's disk, not the sum. A backend rebuilt by reintegration keeps
+  /// the scale.
   void set_latency_scale(double scale) {
-    latency_scale_.store(scale, std::memory_order_relaxed);
+    for (auto& backend : backends_) backend->set_latency_scale(scale);
   }
 
   const Backend& backend(int i) const { return *backends_[i]; }
@@ -403,9 +415,9 @@ class Controller {
   Result<ExecutionReport> ExecuteDistributedJoin(
       const abdl::RetrieveCommonRequest& request);
 
-  /// Executes `request` on backend `i`'s engine, charging its busy time
-  /// and sleeping the injected latency. Returns the engine response and
-  /// the simulated milliseconds spent.
+  /// Executes `request` on backend `i`'s engine and charges the engine's
+  /// DiskModel cost to the backend's busy time. Returns the engine
+  /// response and the simulated milliseconds spent.
   Result<std::pair<kds::Response, double>> RunOnBackend(
       size_t i, const abdl::Request& request);
 
@@ -426,7 +438,6 @@ class Controller {
   std::atomic<uint64_t> insert_cursor_{0};
   std::atomic<uint64_t> request_seq_{0};
   std::atomic<double> total_response_ms_{0.0};
-  std::atomic<double> latency_scale_{0.0};
   /// Controller-side distributed-join strategy / re-plan counters.
   kds::AtomicStatisticsCounters stats_counters_;
 };

@@ -78,15 +78,9 @@ bool Cancellation::cancelled() const {
   return cancelled_;
 }
 
-bool Cancellation::WaitMs(double ms) {
+void Cancellation::Wait() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (ms > 0) {
-    cv_.wait_for(lock, std::chrono::duration<double, std::milli>(ms),
-                 [&] { return cancelled_; });
-  } else {
-    cv_.wait(lock, [&] { return cancelled_; });
-  }
-  return cancelled_;
+  cv_.wait(lock, [&] { return cancelled_; });
 }
 
 }  // namespace mlds::mbds

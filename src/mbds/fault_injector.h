@@ -1,7 +1,6 @@
 #ifndef MLDS_MBDS_FAULT_INJECTOR_H_
 #define MLDS_MBDS_FAULT_INJECTOR_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -63,15 +62,14 @@ class FaultInjector {
 
 /// One-shot cancellation token shared between a fan-out task and the
 /// controller that may abandon it on deadline. A stalled task parks in
-/// WaitMs; Cancel releases it without executing the request.
+/// Wait; Cancel releases it without executing the request.
 class Cancellation {
  public:
   void Cancel();
   bool cancelled() const;
 
-  /// Blocks until cancelled, or until `ms` milliseconds elapsed when
-  /// `ms` > 0. Returns true when the wait ended by cancellation.
-  bool WaitMs(double ms);
+  /// Blocks until cancelled.
+  void Wait();
 
  private:
   mutable std::mutex mutex_;

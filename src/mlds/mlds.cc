@@ -25,12 +25,10 @@ const Db* FindDb(const std::vector<std::unique_ptr<Db>>& dbs,
 MldsSystem::MldsSystem() : MldsSystem(Options{}) {}
 
 MldsSystem::MldsSystem(Options options) : options_(options) {
-  if (options_.use_mbds) {
+  if (options_.backends > 0) {
     mbds::MbdsOptions mbds_options;
     mbds_options.num_backends = options_.backends;
     mbds_options.engine = options_.engine;
-    mbds_options.disk = options_.disk;
-    mbds_options.bus = options_.bus;
     controller_ = std::make_unique<mbds::Controller>(mbds_options);
     executor_ = std::make_unique<kc::MbdsExecutor>(controller_.get());
   } else {

@@ -42,12 +42,12 @@ namespace mlds {
 class MldsSystem {
  public:
   struct Options {
-    /// Use the multi-backend kernel (MBDS) instead of a single engine.
-    bool use_mbds = false;
-    int backends = 4;
+    /// Backends of the multi-backend kernel (MBDS); 0 runs a single KDS
+    /// engine instead.
+    int backends = 0;
+    /// The engine (every backend's, under MBDS); `engine.disk` prices its
+    /// dedicated disk.
     kds::EngineOptions engine;
-    mbds::DiskModel disk;
-    mbds::BusModel bus;
   };
 
   MldsSystem();
@@ -136,7 +136,7 @@ class MldsSystem {
   /// every cached translation.
   kms::TranslationCache& translation_cache() { return translation_cache_; }
 
-  /// The MBDS controller when `use_mbds`, else nullptr.
+  /// The MBDS controller when `backends` > 0, else nullptr.
   mbds::Controller* controller() { return controller_.get(); }
 
  private:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -35,8 +36,8 @@ abdl::Request MustParse(std::string_view text) {
 /// deadline (stalls need one to resolve), two retries with a pinned
 /// backoff schedule, and small health thresholds so quarantine and
 /// reintegration happen within a handful of requests. Backoff delays are
-/// simulated (backoff_sleep off), so nothing here sleeps except a
-/// deadline wait when a test stalls a backend on purpose.
+/// always simulated, so nothing here sleeps except a deadline wait when
+/// a test stalls a backend on purpose.
 Controller MakeFaultTolerant(int backends = 4, size_t pool_pages = 0) {
   MbdsOptions options;
   options.num_backends = backends;
@@ -282,6 +283,40 @@ TEST(BackendFailoverTest, QuarantinedBackendReintegratesViaWalReplay) {
       "RETRIEVE ((FILE = item) and (payload = 'y')) (key)"));
   ASSERT_TRUE(y.ok());
   EXPECT_EQ(y->response.records.size(), 36u);
+}
+
+TEST(BackendFailoverTest, RebuiltBackendKeepsTheLatencyScale) {
+  Controller c = MakeFaultTolerant();
+  Load(&c, 40);
+  // Small enough that every backend's wait stays far below the deadline.
+  constexpr double kScale = 0.2;
+  c.set_latency_scale(kScale);
+  const kds::Engine* crashed = &c.backend(1).engine();
+
+  // Crash backend 1 on a mutation, sit out reintegrate_after = 3
+  // requests, and let the next one rebuild it from its log.
+  c.InjectFault(1, {.kind = FaultKind::kCrash, .at_attempt = 0, .count = 1});
+  ASSERT_TRUE(c.Execute(MustParse("UPDATE ((FILE = item)) (payload = 'y')"))
+                  .ok());
+  ASSERT_EQ(c.backend(1).health().state(), BackendHealth::kQuarantined);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(c.Execute(MustParse("RETRIEVE ((FILE = item)) (key)")).ok());
+  }
+  ASSERT_EQ(c.backend(1).health().state(), BackendHealth::kHealthy);
+  kds::Engine& rebuilt = c.mutable_backend(1).engine();
+  ASSERT_NE(&rebuilt, crashed);
+
+  // The rebuilt engine still waits its disk cost times the scale.
+  const auto start = std::chrono::steady_clock::now();
+  auto scan = rebuilt.Execute(MustParse("RETRIEVE ((FILE = item)) (key)"));
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  const double wait_ms = rebuilt.options().disk.CostMs(scan->io) * kScale;
+  EXPECT_GT(wait_ms, 0.0);
+  EXPECT_GE(wall_ms, wait_ms - 0.01);
+  c.set_latency_scale(0.0);
 }
 
 TEST(BackendFailoverTest, InsertFailsOverToNextAvailableBackend) {

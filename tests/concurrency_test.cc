@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -186,6 +187,81 @@ TEST(ConcurrencyTest, ConcurrentDmlSessionsOnSharedDatabase) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+/// Runs `request` from `clients` threads at once against `engine` and
+/// returns the wall-clock milliseconds until the last one finished, plus
+/// (in `waits_ms`) each request's disk cost times `scale` — what the
+/// engine must have slept for it.
+double RunConcurrently(kds::Engine* engine, const abdl::Request& request,
+                       int clients, double scale,
+                       std::vector<double>* waits_ms) {
+  waits_ms->assign(clients, 0.0);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < clients; ++t) {
+    threads.emplace_back([&, t] {
+      auto response = engine->Execute(request);
+      EXPECT_TRUE(response.ok()) << response.status();
+      if (response.ok()) {
+        (*waits_ms)[t] = engine->options().disk.CostMs(response->io) * scale;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(ConcurrencyTest, DiskLatencySerializesWritersAndOverlapsReaders) {
+  // The engine really waits DiskModel::CostMs(io) * scale while holding
+  // the request's file locks: writers to one file hold it exclusively, so
+  // their waits add up; readers share it, so theirs overlap. The file is
+  // small and the scale large so the waits dwarf the scan's CPU time even
+  // under a sanitizer on a loaded host.
+  kds::EngineOptions options;
+  options.disk = {.seek_ms = 0,
+                  .transfer_ms_per_block = 2.0,
+                  .index_probe_ms = 0,
+                  .cpu_ms_per_record = 0};
+  kds::Engine engine(options);
+  ASSERT_TRUE(engine.DefineFile(ItemFile()).ok());
+  for (int i = 0; i < 64; ++i) {
+    auto insert = abdl::ParseRequest("INSERT (<FILE, item>, <key, " +
+                                     std::to_string(i) + ">, <owner, 0>)");
+    ASSERT_TRUE(insert.ok() && engine.Execute(*insert).ok());
+  }
+  auto update =
+      abdl::ParseRequest("UPDATE ((FILE = item) and (key < 4)) (owner = 1)");
+  auto scan = abdl::ParseRequest("RETRIEVE ((FILE = item)) (key)");
+  ASSERT_TRUE(update.ok() && scan.ok());
+
+  constexpr int kClients = 4;
+  constexpr double kScale = 8.0;
+  engine.set_latency_scale(kScale);
+  std::vector<double> waits;
+  const double writers_ms =
+      RunConcurrently(&engine, *update, kClients, kScale, &waits);
+  double writers_sum = 0.0;
+  for (double ms : waits) {
+    EXPECT_GT(ms, 0.0);
+    writers_sum += ms;
+  }
+  const double readers_ms =
+      RunConcurrently(&engine, *scan, kClients, kScale, &waits);
+  double readers_sum = 0.0;
+  for (double ms : waits) {
+    EXPECT_GT(ms, 0.0);
+    readers_sum += ms;
+  }
+  engine.set_latency_scale(0.0);
+
+  // Exclusive writers cannot overlap: a lower bound, robust under load.
+  EXPECT_GE(writers_ms, writers_sum - 0.01);
+  // Shared readers overlap: well under the serial sum (generous margin
+  // for slow CI).
+  EXPECT_LT(readers_ms, readers_sum * 0.75);
 }
 
 }  // namespace

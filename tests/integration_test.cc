@@ -15,10 +15,9 @@ namespace mlds {
 namespace {
 
 /// Builds a fully loaded university MLDS over the chosen kernel.
-std::unique_ptr<MldsSystem> MakeSystem(bool use_mbds) {
+std::unique_ptr<MldsSystem> MakeSystem(int backends) {
   MldsSystem::Options options;
-  options.use_mbds = use_mbds;
-  options.backends = 4;
+  options.backends = backends;
   auto system = std::make_unique<MldsSystem>(options);
   EXPECT_TRUE(
       system->LoadFunctionalDatabase(university::kUniversityDaplexDdl).ok());
@@ -32,7 +31,7 @@ std::unique_ptr<MldsSystem> MakeSystem(bool use_mbds) {
 class KernelParityTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(KernelParityTest, ChapterSixSessionProducesSameRecords) {
-  auto system = MakeSystem(GetParam());
+  auto system = MakeSystem(GetParam() ? 4 : 0);
   auto session = system->OpenCodasylSession("university");
   ASSERT_TRUE(session.ok());
   kms::DmlMachine* dml = *session;
@@ -83,8 +82,8 @@ INSTANTIATE_TEST_SUITE_P(Kernels, KernelParityTest,
                          });
 
 TEST(KernelParityTest, IdenticalAnswersAcrossKernels) {
-  auto single = MakeSystem(false);
-  auto multi = MakeSystem(true);
+  auto single = MakeSystem(0);
+  auto multi = MakeSystem(4);
   auto s1 = single->OpenCodasylSession("university");
   auto s2 = multi->OpenCodasylSession("university");
   ASSERT_TRUE(s1.ok());
@@ -123,10 +122,9 @@ TEST(KernelParityTest, IdenticalAnswersAcrossKernels) {
 }
 
 TEST(KernelParityTest, SqlAndDliParityAcrossKernels) {
-  for (bool use_mbds : {false, true}) {
+  for (int backends : {0, 3}) {
     MldsSystem::Options options;
-    options.use_mbds = use_mbds;
-    options.backends = 3;
+    options.backends = backends;
     MldsSystem system(options);
     ASSERT_TRUE(system
                     .LoadRelationalDatabase(
@@ -159,7 +157,7 @@ TEST(KernelParityTest, SqlAndDliParityAcrossKernels) {
     auto joined = (*sql)->ExecuteText(
         "SELECT price, color FROM item, tag WHERE item.label = tag.label");
     ASSERT_TRUE(joined.ok()) << joined.status();
-    EXPECT_EQ(joined->rows.size(), 6u) << (use_mbds ? "mbds" : "engine");
+    EXPECT_EQ(joined->rows.size(), 6u) << (backends > 0 ? "mbds" : "engine");
 
     auto dli = system.OpenDliSession("docs");
     ASSERT_TRUE(dli.ok());
@@ -176,7 +174,7 @@ TEST(KernelParityTest, SqlAndDliParityAcrossKernels) {
 }
 
 TEST(KernelParityTest, FormatterRendersSessionOutput) {
-  auto system = MakeSystem(false);
+  auto system = MakeSystem(0);
   auto session = system->OpenCodasylSession("university");
   ASSERT_TRUE(session.ok());
   auto results = (*session)->RunProgram(

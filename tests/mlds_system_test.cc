@@ -163,7 +163,6 @@ TEST(MldsSystemTest, EndToEndDmlOnFunctionalDatabase) {
 
 TEST(MldsSystemTest, MbdsBackedSystemBehavesIdentically) {
   MldsSystem::Options options;
-  options.use_mbds = true;
   options.backends = 4;
   MldsSystem mlds(options);
   ASSERT_NE(mlds.controller(), nullptr);

@@ -248,7 +248,6 @@ TEST_F(JoinPlanGoldenTest, LargeBalancedSidesRenderMergeJoin) {
 
 TEST(MbdsPlanTest, ExplainMergesPerBackendPlans) {
   MldsSystem::Options options;
-  options.use_mbds = true;
   options.backends = 2;
   MldsSystem system(options);
   ASSERT_TRUE(system.LoadRelationalDatabase(kRegistrarDdl).ok());
@@ -295,7 +294,6 @@ TEST(MbdsPlanTest, ExplainMergesPerBackendPlans) {
 
 TEST(MbdsPlanTest, FacadeExplainsRawAbdl) {
   MldsSystem::Options options;
-  options.use_mbds = true;
   options.backends = 2;
   MldsSystem system(options);
   ASSERT_TRUE(system.LoadRelationalDatabase(kRegistrarDdl).ok());
@@ -334,7 +332,6 @@ CREATE TABLE tag (
 );
 )";
   MldsSystem::Options options;
-  options.use_mbds = true;
   options.backends = 2;
   MldsSystem system(options);
   ASSERT_TRUE(system.LoadRelationalDatabase(kShopDdl).ok());

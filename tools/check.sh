@@ -59,7 +59,7 @@ else
   # report is the full 1M-row run.
   for bench in bench_range_queries bench_intra_backend bench_fault_recovery \
                bench_server bench_streaming bench_bulk_load \
-               bench_paged_storage bench_joins; do
+               bench_paged_storage bench_joins bench_mbds_scaling; do
     (cd build/bench-smoke && MLDS_STREAM_BENCH_ROWS=8000 MLDS_BULK_RECORDS=20000 \
       "../bench/${bench}" --benchmark_filter='^$')
   done
@@ -98,6 +98,18 @@ else
   grep -q '"fused_speedup_ge_5x": true' build/bench-smoke/BENCH_joins.json \
     || { echo "fused join floor regression: fused_speedup_ge_5x is not true"; exit 1; }
   echo "fused join floor holds"
+
+  # Regression floors for MBDS scaling (E1/E2), both deterministic
+  # simulated-time facts: 4 backends cut the full-scan response time by
+  # at least 3x at fixed database size, and the response time stays
+  # invariant as backends grow with the database. The smoke also runs the
+  # wall-clock curve, so every backend engine's disk-latency sleep path
+  # executes on every PR.
+  for key in capacity_sim_invariant sim_speedup_4_ge_3x; do
+    grep -q "\"${key}\": true" build/bench-smoke/BENCH_mbds_scaling.json \
+      || { echo "mbds scaling floor regression: ${key} is not true"; exit 1; }
+  done
+  echo "mbds scaling floor holds"
 
   # Repository benchmark smoke: build perfbench (its own CMake package,
   # so its wire driver compiles against the current client and STATS

@@ -114,10 +114,7 @@ int main(int argc, char** argv) {
   }
 
   mlds::MldsSystem::Options system_options;
-  if (backends > 0) {
-    system_options.use_mbds = true;
-    system_options.backends = backends;
-  }
+  system_options.backends = backends;
   system_options.engine.data_dir = data_dir;
   system_options.engine.pool_pages = pool_pages;
   mlds::MldsSystem system(system_options);
