@@ -61,6 +61,62 @@ std::string Predicate::ToString() const {
   return out;
 }
 
+std::optional<KeyInterval> KeyInterval::Of(const Predicate& pred) {
+  if (pred.value.is_null()) return std::nullopt;
+  switch (pred.op) {
+    case RelOp::kNe:
+      return std::nullopt;
+    case RelOp::kEq:
+      return KeyInterval{&pred, &pred};
+    case RelOp::kGt:
+    case RelOp::kGe:
+      return KeyInterval{&pred, nullptr};
+    case RelOp::kLt:
+    case RelOp::kLe:
+      return KeyInterval{nullptr, &pred};
+  }
+  return std::nullopt;
+}
+
+KeyInterval KeyInterval::Fold(const std::vector<Predicate>& bounds) {
+  KeyInterval interval;
+  for (const Predicate& bound : bounds) {
+    if (auto one = Of(bound); one.has_value()) interval.Intersect(*one);
+  }
+  return interval;
+}
+
+void KeyInterval::Intersect(const KeyInterval& other) {
+  // `sign` orients the comparison: a lower end tightens upwards, an upper
+  // end downwards; at equal values the exclusive end is tighter.
+  auto narrow = [](const Predicate*& mine, const Predicate* theirs,
+                   int sign) {
+    if (theirs == nullptr) return;
+    if (mine == nullptr) {
+      mine = theirs;
+      return;
+    }
+    const int cmp = theirs->value.Compare(mine->value) * sign;
+    if (cmp > 0 || (cmp == 0 && Includes(*mine) && !Includes(*theirs))) {
+      mine = theirs;
+    }
+  };
+  narrow(lower, other.lower, 1);
+  narrow(upper, other.upper, -1);
+}
+
+bool KeyInterval::IsPoint() const {
+  if (lower == nullptr || upper == nullptr) return false;
+  return lower == upper || (Includes(*lower) && Includes(*upper) &&
+                            lower->value == upper->value);
+}
+
+bool KeyInterval::IsEmpty() const {
+  if (lower == nullptr || upper == nullptr || lower == upper) return false;
+  const int cmp = lower->value.Compare(upper->value);
+  return cmp > 0 || (cmp == 0 && !(Includes(*lower) && Includes(*upper)));
+}
+
 bool Conjunction::Matches(const Record& record) const {
   for (const auto& pred : predicates) {
     if (!pred.Matches(record)) return false;

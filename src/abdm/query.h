@@ -1,6 +1,7 @@
 #ifndef MLDS_ABDM_QUERY_H_
 #define MLDS_ABDM_QUERY_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,50 @@ struct Predicate {
   friend bool operator==(const Predicate& a, const Predicate& b) {
     return a.attribute == b.attribute && a.op == b.op && a.value == b.value;
   }
+};
+
+/// The keyword values of one attribute that a directory probe reads, as a
+/// view over the predicates that bound it: an equality is the point
+/// [v, v] (both ends are the one predicate), a range predicate a
+/// one-bound interval, and the planner folds every range predicate a
+/// conjunction places on one attribute into a single interval, so the
+/// ordered directory answers it with one lower-bound...upper-bound walk.
+/// Null keywords sort first and satisfy no ordering predicate; the
+/// interval never covers them. The predicates must outlive the view.
+struct KeyInterval {
+  /// The bounding predicates; nullptr leaves that end open.
+  const Predicate* lower = nullptr;
+  const Predicate* upper = nullptr;
+
+  /// The interval `pred` admits, or nullopt for shapes the directory
+  /// cannot answer: a != comparison or a null operand.
+  static std::optional<KeyInterval> Of(const Predicate& pred);
+
+  /// The interval every predicate of `bounds` admits together; each must
+  /// be one Of accepts, all on one attribute.
+  static KeyInterval Fold(const std::vector<Predicate>& bounds);
+
+  /// Narrows this interval to its intersection with `other` (same
+  /// attribute): on each side the tighter bound wins, and at equal values
+  /// the exclusive one.
+  void Intersect(const KeyInterval& other);
+
+  const std::string& attribute() const {
+    return (lower != nullptr ? lower : upper)->attribute;
+  }
+
+  /// True when a bounding predicate includes its own value: every bound
+  /// but a strict < or >.
+  static bool Includes(const Predicate& bound) {
+    return bound.op != RelOp::kLt && bound.op != RelOp::kGt;
+  }
+
+  /// True when both ends are inclusive and equal.
+  bool IsPoint() const;
+
+  /// True when no value lies between the ends (lower above upper, or
+  /// equal ends not both inclusive).
+  bool IsEmpty() const;
 };
 
 /// A conjunction of keyword predicates; a record satisfies it when every

@@ -40,12 +40,11 @@ class DirectoryStats {
  public:
   virtual ~DirectoryStats() = default;
 
-  /// Number of candidate ids the directory would yield for `pred`, or
-  /// nullopt when the predicate is not index-assisted (a != comparison, a
-  /// null operand, or a non-directory attribute). A value of 0 means the
+  /// Number of candidate ids the directory would yield for `interval`,
+  /// or nullopt when its attribute is not indexed. A value of 0 means the
   /// directory alone proves no record matches.
   virtual std::optional<size_t> EstimateMatches(
-      const Predicate& pred) const = 0;
+      const KeyInterval& interval) const = 0;
 
   /// Number of live records in the file.
   virtual size_t live_records() const = 0;
@@ -73,16 +72,14 @@ class DirectoryStats {
   /// reproduces the pool-unaware cost model exactly.
   virtual double cached_fraction() const { return 0.0; }
 
-  /// EstimateMatches plus provenance. The default wraps EstimateMatches
-  /// (an exact directory bucket count) and falls back to a heuristic
-  /// live-record estimate, so existing implementations and synthetic
-  /// test statistics get sensible sources for free. Implementations with
-  /// histograms override this to answer from them when the directory
-  /// cannot (e.g. stale buckets skipped, or range predicates estimated
-  /// without walking value buckets).
+  /// EstimateMatches plus provenance. The default labels EstimateMatches
+  /// (an exact directory bucket count) `[directory]`, so synthetic test
+  /// statistics get a source for free. Implementations with histograms
+  /// override this to answer wide ranges from them without walking every
+  /// value bucket.
   virtual std::optional<CardinalityEstimate> EstimateWithSource(
-      const Predicate& pred) const {
-    if (auto n = EstimateMatches(pred); n.has_value()) {
+      const KeyInterval& interval) const {
+    if (auto n = EstimateMatches(interval); n.has_value()) {
       return CardinalityEstimate{*n, EstimateSource::kDirectory};
     }
     return std::nullopt;

@@ -1029,8 +1029,9 @@ Result<Response> Engine::ExecuteRetrieve(const abdl::RetrieveRequest& req) {
 Result<Response> Engine::ExecuteRetrieveCommon(
     const abdl::RetrieveCommonRequest& req) {
   Response resp;
-  // Pre-execution side estimates (planner statistics, no
-  // materialization) drive the join strategy choice; the join
+  // Each side is planned once per file. The plans' pre-execution
+  // estimates (planner statistics, no materialization) drive the join
+  // strategy choice, and then the same plans execute. The join
   // attributes' distinct counts feed the output-cardinality estimate.
   JoinInputs inputs;
   inputs.left_attribute = req.left_attribute;
@@ -1039,40 +1040,40 @@ Result<Response> Engine::ExecuteRetrieveCommon(
   for (const auto& target : req.targets) {
     inputs.targets.push_back(target.attribute);
   }
-  auto estimate_side = [&](const abdm::Query& query, const std::string& attr,
-                           uint64_t* est, std::optional<size_t>* distinct) {
-    for (FileStore* store : Route(query)) {
-      *est += store->Plan(query).est_rows;
+  struct Side {
+    std::vector<FileStore*> stores;
+    std::vector<PlanNode> plans;
+    std::vector<Record> rows;
+  };
+  auto plan_side = [&](const abdm::Query& query, const std::string& attr,
+                       uint64_t* est, std::optional<size_t>* distinct) {
+    Side side;
+    side.stores = Route(query);
+    for (FileStore* store : side.stores) {
+      side.plans.push_back(store->Plan(query));
+      *est += side.plans.back().est_rows;
       if (auto d = store->DistinctValues(attr); d.has_value()) {
         *distinct = distinct->value_or(0) + *d;
       }
     }
+    return side;
   };
-  estimate_side(req.left_query, req.left_attribute, &inputs.est_left,
-                &inputs.left_distinct);
-  estimate_side(req.right_query, req.right_attribute, &inputs.est_right,
-                &inputs.right_distinct);
-
-  std::vector<Record> left, right;
-  std::vector<PlanNode> left_plans, right_plans;
-  for (FileStore* store : Route(req.left_query)) {
-    PlanNode plan;
-    MLDS_ASSIGN_OR_RETURN(
-        auto rows, store->SelectRecords(req.left_query, &resp.io,
-                                        req.explain ? &plan : nullptr));
-    for (auto& [id, record] : rows) left.push_back(std::move(record));
-    if (req.explain) left_plans.push_back(std::move(plan));
-  }
-  for (FileStore* store : Route(req.right_query)) {
-    PlanNode plan;
-    MLDS_ASSIGN_OR_RETURN(
-        auto rows, store->SelectRecords(req.right_query, &resp.io,
-                                        req.explain ? &plan : nullptr));
-    for (auto& [id, record] : rows) right.push_back(std::move(record));
-    if (req.explain) right_plans.push_back(std::move(plan));
-  }
-  inputs.left = &left;
-  inputs.right = &right;
+  auto execute_side = [&](const abdm::Query& query, Side* side) -> Status {
+    for (size_t i = 0; i < side->stores.size(); ++i) {
+      MLDS_ASSIGN_OR_RETURN(auto rows, side->stores[i]->Execute(
+                                           query, &side->plans[i], &resp.io));
+      for (auto& [id, record] : rows) side->rows.push_back(std::move(record));
+    }
+    return Status::OK();
+  };
+  Side left = plan_side(req.left_query, req.left_attribute, &inputs.est_left,
+                        &inputs.left_distinct);
+  Side right = plan_side(req.right_query, req.right_attribute,
+                         &inputs.est_right, &inputs.right_distinct);
+  MLDS_RETURN_IF_ERROR(execute_side(req.left_query, &left));
+  MLDS_RETURN_IF_ERROR(execute_side(req.right_query, &right));
+  inputs.left = &left.rows;
+  inputs.right = &right.rows;
   JoinOutcome joined = ExecuteJoin(inputs);
   if (joined.replanned) {
     stats_counters_.replans.fetch_add(1, std::memory_order_relaxed);
@@ -1089,8 +1090,8 @@ Result<Response> Engine::ExecuteRetrieveCommon(
     join.executed = true;
     join.join_strategy = joined.strategy;
     join.replanned = joined.replanned;
-    join.children.push_back(MergeFilePlans(std::move(left_plans)));
-    join.children.push_back(MergeFilePlans(std::move(right_plans)));
+    join.children.push_back(MergeFilePlans(std::move(left.plans)));
+    join.children.push_back(MergeFilePlans(std::move(right.plans)));
     join.est_rows = EstimateJoinRows(inputs.est_left, inputs.est_right,
                                      inputs.left_distinct,
                                      inputs.right_distinct);

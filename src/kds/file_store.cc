@@ -303,111 +303,83 @@ Result<abdm::Record> FileStore::DecodeEntry(uint32_t page,
   return std::move(*rec);
 }
 
-std::optional<std::vector<RecordId>> FileStore::IndexLookup(
-    const abdm::Predicate& pred, IoStats* io) const {
-  if (pred.op == abdm::RelOp::kNe) {
-    // Not index-assisted: nearly the whole file qualifies.
-    return std::nullopt;
+std::pair<FileStore::ValueBuckets::const_iterator,
+          FileStore::ValueBuckets::const_iterator>
+FileStore::BucketRun(const ValueBuckets& buckets,
+                     const abdm::KeyInterval& interval) {
+  if (interval.IsPoint()) {
+    auto it = buckets.find(interval.lower->value);
+    return {it, it == buckets.end() ? it : std::next(it)};
   }
-  if (!IsIndexedAttribute(pred.attribute)) return std::nullopt;
-  auto attr_it = index_.find(pred.attribute);
-  if (attr_it == index_.end()) {
-    // Attribute never seen: the directory alone proves nothing matches.
-    if (io != nullptr) io->index_probes += 1;
-    return std::vector<RecordId>{};
-  }
-  const auto& by_value = attr_it->second;
-  if (io != nullptr) io->index_probes += 1;
-  std::vector<RecordId> out;
-  if (pred.op == abdm::RelOp::kEq) {
-    auto it = by_value.find(pred.value);
-    if (it != by_value.end()) out.assign(it->second.begin(), it->second.end());
+  if (interval.IsEmpty()) return {buckets.end(), buckets.end()};
+  // The directory is an ordered map, so an interval is one lower-bound
+  // seek plus iteration up to the upper bound — buckets outside it are
+  // never visited. Null keywords sort first and match no ordering
+  // predicate, so an interval open below starts past them.
+  const abdm::Predicate* lower = interval.lower;
+  const abdm::Predicate* upper = interval.upper;
+  ValueBuckets::const_iterator first, last = buckets.end();
+  if (lower == nullptr) {
+    first = buckets.upper_bound(abdm::Value::Null());
+  } else if (abdm::KeyInterval::Includes(*lower)) {
+    first = buckets.lower_bound(lower->value);
   } else {
-    // The directory is an ordered map, so a range predicate is one
-    // lower/upper-bound seek plus iteration over the qualifying buckets —
-    // buckets outside the bound are never visited.
-    auto first = by_value.begin();
-    auto last = by_value.end();
-    switch (pred.op) {
-      case abdm::RelOp::kLt:
-        last = by_value.lower_bound(pred.value);
-        break;
-      case abdm::RelOp::kLe:
-        last = by_value.upper_bound(pred.value);
-        break;
-      case abdm::RelOp::kGt:
-        first = by_value.upper_bound(pred.value);
-        break;
-      case abdm::RelOp::kGe:
-        first = by_value.lower_bound(pred.value);
-        break;
-      default:
-        break;
-    }
-    for (auto it = first; it != last; ++it) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
+    first = buckets.upper_bound(lower->value);
   }
-  std::sort(out.begin(), out.end());
+  if (upper != nullptr) {
+    last = abdm::KeyInterval::Includes(*upper)
+               ? buckets.upper_bound(upper->value)
+               : buckets.lower_bound(upper->value);
+  }
+  return {first, last};
+}
+
+std::vector<RecordId> FileStore::IndexLookup(const abdm::KeyInterval& interval,
+                                             IoStats* io) const {
+  if (io != nullptr) io->index_probes += 1;
+  auto attr_it = index_.find(interval.attribute());
+  // Attribute never seen: the directory alone proves nothing matches.
+  if (attr_it == index_.end()) return {};
+  const auto [first, last] = BucketRun(attr_it->second, interval);
+  std::vector<RecordId> out;
+  for (auto it = first; it != last; ++it) {
+    out.insert(out.end(), it->second.begin(), it->second.end());
+  }
+  // One bucket is already in id order; a run of several interleaves.
+  if (first != last && std::next(first) != last) {
+    std::sort(out.begin(), out.end());
+  }
   return out;
 }
 
 std::optional<size_t> FileStore::EstimateMatches(
-    const abdm::Predicate& pred) const {
-  if (pred.value.is_null()) return std::nullopt;  // null predicates scan.
-  if (pred.op == abdm::RelOp::kNe) return std::nullopt;
-  if (!IsIndexedAttribute(pred.attribute)) return std::nullopt;
-  auto attr_it = index_.find(pred.attribute);
+    const abdm::KeyInterval& interval) const {
+  if (!IsIndexedAttribute(interval.attribute())) return std::nullopt;
+  auto attr_it = index_.find(interval.attribute());
   if (attr_it == index_.end()) return 0;
-  const auto& by_value = attr_it->second;
-  if (pred.op == abdm::RelOp::kEq) {
-    auto it = by_value.find(pred.value);
-    return it == by_value.end() ? 0 : it->second.size();
-  }
-  auto first = by_value.begin();
-  auto last = by_value.end();
-  switch (pred.op) {
-    case abdm::RelOp::kLt:
-      last = by_value.lower_bound(pred.value);
-      break;
-    case abdm::RelOp::kLe:
-      last = by_value.upper_bound(pred.value);
-      break;
-    case abdm::RelOp::kGt:
-      first = by_value.upper_bound(pred.value);
-      break;
-    case abdm::RelOp::kGe:
-      first = by_value.lower_bound(pred.value);
-      break;
-    default:
-      break;
-  }
+  const auto [first, last] = BucketRun(attr_it->second, interval);
   size_t total = 0;
   for (auto it = first; it != last; ++it) total += it->second.size();
   return total;
 }
 
 std::optional<abdm::CardinalityEstimate> FileStore::EstimateWithSource(
-    const abdm::Predicate& pred) const {
-  if (pred.value.is_null()) return std::nullopt;
-  if (pred.op == abdm::RelOp::kNe) return std::nullopt;
-  if (!IsIndexedAttribute(pred.attribute)) return std::nullopt;
-  if (pred.op != abdm::RelOp::kEq) {
-    // Range predicate: a fresh histogram answers in O(log buckets)
-    // instead of walking every matching value bucket. Stale histograms
-    // are skipped — the next mutation rebuilds them.
-    const AttributeHistogram* h = stats_.Find(pred.attribute);
-    if (h != nullptr && !h->Stale()) {
-      if (auto est = h->Estimate(pred); est.has_value()) {
-        return abdm::CardinalityEstimate{size_t(*est),
-                                         abdm::EstimateSource::kHistogram};
-      }
+    const abdm::KeyInterval& interval) const {
+  if (!IsIndexedAttribute(interval.attribute())) return std::nullopt;
+  // A fresh histogram answers a range in O(log buckets) instead of
+  // walking every matching value bucket. Points, contradictory intervals
+  // and intervals inside one histogram bucket count the directory
+  // exactly; the last walk covers at most one bucket's values. Stale
+  // histograms are skipped — the next mutation rebuilds them.
+  if (!interval.IsPoint() && !interval.IsEmpty()) {
+    const AttributeHistogram* h = stats_.Find(interval.attribute());
+    if (h != nullptr && !h->Stale() && !h->WithinOneBucket(interval)) {
+      return abdm::CardinalityEstimate{size_t(h->Estimate(interval)),
+                                       abdm::EstimateSource::kHistogram};
     }
   }
-  if (auto n = EstimateMatches(pred); n.has_value()) {
-    return abdm::CardinalityEstimate{*n, abdm::EstimateSource::kDirectory};
-  }
-  return std::nullopt;
+  return abdm::CardinalityEstimate{*EstimateMatches(interval),
+                                   abdm::EstimateSource::kDirectory};
 }
 
 std::optional<size_t> FileStore::DistinctValues(std::string_view attr) const {
@@ -435,7 +407,7 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
       break;
     case PlanNodeKind::kIntersect: {
       PlanNode& driver = node->children.front();
-      best = IndexLookup(*driver.predicate, io);
+      best = IndexLookup(abdm::KeyInterval::Fold(driver.predicates), io);
       driver.executed = true;
       driver.actual_rows = best->size();
       const double f = cached_fraction();
@@ -446,14 +418,14 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
         // rule dynamically. The first skipped child ends the intersection
         // (children are cost-ordered — later ones are no cheaper).
         if (!WorthIntersecting(child.est_rows, best->size(), f)) break;
-        std::optional<std::vector<RecordId>> next =
-            IndexLookup(*child.predicate, io);
+        const std::vector<RecordId> next =
+            IndexLookup(abdm::KeyInterval::Fold(child.predicates), io);
         child.executed = true;
-        child.actual_rows = next->size();
+        child.actual_rows = next.size();
         std::vector<RecordId> intersection;
-        intersection.reserve(std::min(best->size(), next->size()));
-        std::set_intersection(best->begin(), best->end(), next->begin(),
-                              next->end(), std::back_inserter(intersection));
+        intersection.reserve(std::min(best->size(), next.size()));
+        std::set_intersection(best->begin(), best->end(), next.begin(),
+                              next.end(), std::back_inserter(intersection));
         *best = std::move(intersection);
       }
       break;
@@ -462,7 +434,7 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
       // A lone index node — including one whose zero estimate proved the
       // conjunction empty: probing it costs the same single directory
       // lookup the planner's estimate did.
-      best = IndexLookup(*node->predicate, io);
+      best = IndexLookup(abdm::KeyInterval::Fold(node->predicates), io);
       break;
   }
 
@@ -533,9 +505,8 @@ PlanNode FileStore::Plan(const abdm::Query& query) const {
   return PlanQuery(query, *this, name());
 }
 
-Result<std::vector<std::pair<RecordId, abdm::Record>>>
-FileStore::ExecuteRecords(const abdm::Query& query, PlanNode* plan,
-                          IoStats* io) const {
+Result<std::vector<std::pair<RecordId, abdm::Record>>> FileStore::Execute(
+    const abdm::Query& query, PlanNode* plan, IoStats* io) const {
   std::map<RecordId, abdm::Record> matched;
   const auto& disjuncts = query.disjuncts();
   const size_t n = std::min(disjuncts.size(), plan->children.size());
@@ -552,23 +523,14 @@ FileStore::ExecuteRecords(const abdm::Query& query, PlanNode* plan,
   return out;
 }
 
-Result<std::vector<RecordId>> FileStore::Execute(const abdm::Query& query,
-                                                 PlanNode* plan,
-                                                 IoStats* io) const {
-  MLDS_ASSIGN_OR_RETURN(auto records, ExecuteRecords(query, plan, io));
+Result<std::vector<RecordId>> FileStore::Select(const abdm::Query& query,
+                                                IoStats* io,
+                                                PlanNode* plan_out) const {
+  MLDS_ASSIGN_OR_RETURN(auto records, SelectRecords(query, io, plan_out));
   std::vector<RecordId> ids;
   ids.reserve(records.size());
   for (auto& [id, rec] : records) ids.push_back(id);
   return ids;
-}
-
-Result<std::vector<RecordId>> FileStore::Select(const abdm::Query& query,
-                                                IoStats* io,
-                                                PlanNode* plan_out) const {
-  PlanNode local;
-  PlanNode* plan = plan_out != nullptr ? plan_out : &local;
-  *plan = Plan(query);
-  return Execute(query, plan, io);
 }
 
 Result<std::vector<std::pair<RecordId, abdm::Record>>> FileStore::SelectRecords(
@@ -576,7 +538,7 @@ Result<std::vector<std::pair<RecordId, abdm::Record>>> FileStore::SelectRecords(
   PlanNode local;
   PlanNode* plan = plan_out != nullptr ? plan_out : &local;
   *plan = Plan(query);
-  return ExecuteRecords(query, plan, io);
+  return Execute(query, plan, io);
 }
 
 Result<size_t> FileStore::Delete(const abdm::Query& query, IoStats* io,
@@ -584,7 +546,7 @@ Result<size_t> FileStore::Delete(const abdm::Query& query, IoStats* io,
   PlanNode local;
   PlanNode* plan = plan_out != nullptr ? plan_out : &local;
   *plan = Plan(query);
-  MLDS_ASSIGN_OR_RETURN(auto victims, ExecuteRecords(query, plan, io));
+  MLDS_ASSIGN_OR_RETURN(auto victims, Execute(query, plan, io));
   std::map<uint32_t, std::vector<uint16_t>> by_page;
   for (auto& [id, rec] : victims) {
     IndexErase(id, rec);

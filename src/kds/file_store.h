@@ -87,18 +87,18 @@ class FileStore : public abdm::DirectoryStats {
 
   /// abdm::DirectoryStats — the planner's view of this store's directory.
   std::optional<size_t> EstimateMatches(
-      const abdm::Predicate& pred) const override;
+      const abdm::KeyInterval& interval) const override;
   size_t live_records() const override { return live_count_; }
   uint64_t allocated_blocks() const override { return block_count(); }
   int records_per_block() const override { return block_capacity_; }
   bool IsSecondaryIndex(std::string_view attr) const override;
   double cached_fraction() const override;
-  /// Estimate with provenance: fresh equi-depth histograms answer range
-  /// predicates in O(log buckets) (`[histogram]`); equality predicates
-  /// and histogram misses fall back to the exact directory bucket walk
-  /// (`[directory]`).
+  /// Estimate with provenance: fresh equi-depth histograms answer ranges
+  /// in O(log buckets) (`[histogram]`); points, contradictory intervals,
+  /// intervals inside one histogram bucket and histogram misses take the
+  /// exact directory bucket walk (`[directory]`).
   std::optional<abdm::CardinalityEstimate> EstimateWithSource(
-      const abdm::Predicate& pred) const override;
+      const abdm::KeyInterval& interval) const override;
   /// Exact distinct-value count off the directory for indexed
   /// attributes; histogram estimate otherwise unavailable (nullopt).
   std::optional<size_t> DistinctValues(std::string_view attr) const override;
@@ -114,21 +114,22 @@ class FileStore : public abdm::DirectoryStats {
   PlanNode Plan(const abdm::Query& query) const;
 
   /// Executes `plan` — which must have been built by `Plan(query)` under
-  /// the same lock — returning ids of live records satisfying `query` in
-  /// id order, charging `io`, and filling the plan's actual counters.
-  /// A page fetch failure (I/O error or checksum mismatch) fails the
-  /// whole evaluation — corrupt data is never silently skipped.
-  Result<std::vector<RecordId>> Execute(const abdm::Query& query,
-                                        PlanNode* plan, IoStats* io) const;
+  /// the same lock — returning the live records satisfying `query` with
+  /// their ids, in id order, charging `io`, and filling the plan's actual
+  /// counters. The records were deserialized during evaluation anyway,
+  /// and the paged store has no stable in-memory record addresses to
+  /// hand out. A page fetch failure (I/O error or checksum mismatch)
+  /// fails the whole evaluation — corrupt data is never silently skipped.
+  Result<std::vector<std::pair<RecordId, abdm::Record>>> Execute(
+      const abdm::Query& query, PlanNode* plan, IoStats* io) const;
 
   /// Returns ids of live records satisfying `query`, in id order. When
   /// `plan_out` is non-null the annotated plan is stored there.
   Result<std::vector<RecordId>> Select(const abdm::Query& query, IoStats* io,
                                        PlanNode* plan_out = nullptr) const;
 
-  /// Like Select, but also returns each matching record — the records
-  /// were deserialized during evaluation anyway, and the paged store
-  /// has no stable in-memory record addresses to hand out.
+  /// Plan plus Execute: like Select, but also returns each matching
+  /// record.
   Result<std::vector<std::pair<RecordId, abdm::Record>>> SelectRecords(
       const abdm::Query& query, IoStats* io,
       PlanNode* plan_out = nullptr) const;
@@ -233,18 +234,25 @@ class FileStore : public abdm::DirectoryStats {
                             std::map<RecordId, abdm::Record>* out,
                             IoStats* io) const;
 
-  Result<std::vector<std::pair<RecordId, abdm::Record>>> ExecuteRecords(
-      const abdm::Query& query, PlanNode* plan, IoStats* io) const;
-
   /// Materializes every live record in id order (uncharged page scan;
   /// callers charge logical full-scan costs themselves).
   Status CollectAll(std::map<RecordId, abdm::Record>* out) const;
 
-  /// Candidate ids from the directory for an index-assisted predicate
-  /// (equality, or a range served by ordered lower/upper-bound iteration);
-  /// nullopt if the predicate is not index-assisted.
-  std::optional<std::vector<RecordId>> IndexLookup(
-      const abdm::Predicate& pred, IoStats* io) const;
+  /// Directory for one attribute: value -> ids holding that keyword.
+  using ValueBuckets = std::map<abdm::Value, std::set<RecordId>>;
+
+  /// The value buckets `interval` admits: [first, last) of one ordered
+  /// lower-bound...upper-bound walk; empty for a contradictory interval.
+  /// The one bound computation behind IndexLookup and EstimateMatches.
+  static std::pair<ValueBuckets::const_iterator,
+                   ValueBuckets::const_iterator>
+  BucketRun(const ValueBuckets& buckets, const abdm::KeyInterval& interval);
+
+  /// Candidate ids, in id order, of the directory buckets `interval`
+  /// admits. The planner only builds index nodes over indexed
+  /// attributes; an attribute with no keyword yet yields no candidates.
+  std::vector<RecordId> IndexLookup(const abdm::KeyInterval& interval,
+                                    IoStats* io) const;
 
   bool IsDirectoryAttribute(std::string_view attr) const;
   bool IsIndexedAttribute(std::string_view attr) const;
@@ -330,9 +338,7 @@ class FileStore : public abdm::DirectoryStats {
   /// are ordered sets so insert/erase stay logarithmic even for huge
   /// buckets (the FILE keyword's bucket lists every record). Memory
   /// resident; rebuilt from pages on open.
-  std::map<std::string, std::map<abdm::Value, std::set<RecordId>>,
-           std::less<>>
-      index_;
+  std::map<std::string, ValueBuckets, std::less<>> index_;
 };
 
 }  // namespace mlds::kds

@@ -51,9 +51,20 @@ std::string PlanNode::Describe() const {
   }
   if (replanned) out += " [replanned]";
   if (secondary) out += " [secondary]";
-  if (predicate.has_value()) {
-    out += ' ';
-    out += predicate->ToString();
+  if (!predicates.empty()) {
+    // One predicate renders as Predicate::ToString; two as one
+    // parenthesized interval, "(wage >= 50 AND wage < 52)".
+    out += " (";
+    for (size_t i = 0; i < predicates.size(); ++i) {
+      if (i > 0) out += " AND ";
+      const abdm::Predicate& pred = predicates[i];
+      out += pred.attribute;
+      out += ' ';
+      out += abdm::RelOpToString(pred.op);
+      out += ' ';
+      pred.value.AppendTo(out);
+    }
+    out += ')';
   } else if (!label.empty()) {
     out += ' ';
     if (label.front() == '(') {

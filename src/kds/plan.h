@@ -33,7 +33,9 @@ std::string_view JoinStrategyName(JoinStrategy strategy);
 enum class PlanNodeKind {
   /// Directory bucket lookup for an equality predicate.
   kIndexEquality,
-  /// Ordered-directory lower/upper-bound seek for a range predicate.
+  /// One ordered-directory lower_bound...upper_bound walk for every range
+  /// predicate of the conjunction on one attribute, folded into a single
+  /// interval.
   kIndexRange,
   /// Scan of every allocated block of the file.
   kFullScan,
@@ -82,8 +84,10 @@ struct PlanNode {
   /// a merge child, the target list on a project node, …
   std::string label;
 
-  /// The predicate an index node resolves against the directory.
-  std::optional<abdm::Predicate> predicate;
+  /// The predicates an index node resolves against the directory: one
+  /// equality, or the bounds of one folded key interval — the tightest
+  /// lower and/or upper range predicate on the attribute, lower first.
+  std::vector<abdm::Predicate> predicates;
 
   /// True when an index node is served by a secondary index (a declared
   /// non-directory attribute) rather than the primary keyword
@@ -119,7 +123,7 @@ struct PlanNode {
   std::vector<PlanNode> children;
 
   /// One-line description without counters, e.g.
-  /// "INDEX RANGE (key >= 8128)".
+  /// "INDEX RANGE (key >= 8128) [histogram]".
   std::string Describe() const;
 
   /// Indented tree rendering with estimated-vs-actual counters; the byte

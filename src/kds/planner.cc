@@ -8,27 +8,34 @@ namespace mlds::kds {
 
 namespace {
 
-PlanNodeKind IndexKindFor(const abdm::Predicate& pred) {
-  return pred.op == abdm::RelOp::kEq ? PlanNodeKind::kIndexEquality
-                                     : PlanNodeKind::kIndexRange;
-}
-
 /// Worst-case block budget for fetching `candidates` records: each
 /// candidate on its own block, capped at the whole file.
 uint64_t BlockBudget(size_t candidates, const abdm::DirectoryStats& stats) {
   return std::min<uint64_t>(candidates, stats.allocated_blocks());
 }
 
-PlanNode IndexNode(const abdm::Predicate& pred,
-                   const abdm::CardinalityEstimate& estimate,
-                   const abdm::DirectoryStats& stats) {
+/// One directory probe of a conjunction: an equality predicate, or every
+/// range predicate on one attribute folded into one interval.
+struct Probe {
+  PlanNodeKind kind;
+  abdm::KeyInterval interval;
+  abdm::CardinalityEstimate estimate;
+};
+
+PlanNode IndexNode(const Probe& probe, const abdm::DirectoryStats& stats) {
   PlanNode node;
-  node.kind = IndexKindFor(pred);
-  node.predicate = pred;
-  node.secondary = stats.IsSecondaryIndex(pred.attribute);
-  node.est_rows = estimate.rows;
-  node.est_blocks = BlockBudget(estimate.rows, stats);
-  node.est_source = estimate.source;
+  node.kind = probe.kind;
+  if (probe.interval.lower != nullptr) {
+    node.predicates.push_back(*probe.interval.lower);
+  }
+  if (probe.interval.upper != nullptr &&
+      probe.interval.upper != probe.interval.lower) {
+    node.predicates.push_back(*probe.interval.upper);
+  }
+  node.secondary = stats.IsSecondaryIndex(probe.interval.attribute());
+  node.est_rows = probe.estimate.rows;
+  node.est_blocks = BlockBudget(probe.estimate.rows, stats);
+  node.est_source = probe.estimate.source;
   return node;
 }
 
@@ -51,24 +58,50 @@ bool WorthIntersecting(size_t next_estimate, size_t current_size,
 
 PlanNode PlanConjunction(const abdm::Conjunction& conj,
                          const abdm::DirectoryStats& stats) {
-  // Estimate every index-assisted predicate from the directory's bucket
-  // sizes without materializing any candidate list (the FILE keyword's
-  // bucket holds every record of the file, and copying it per query
-  // would make point lookups O(n)).
-  std::vector<std::pair<const abdm::Predicate*, abdm::CardinalityEstimate>>
-      indexed;
+  // One directory probe per equality predicate, and one per attribute for
+  // its range predicates: every lower and upper bound on the attribute
+  // folds into a single interval, so the executor walks the qualifying
+  // value buckets once instead of intersecting half-open candidate sets.
+  std::vector<Probe> probes;
+  probes.reserve(conj.predicates.size());
   for (const abdm::Predicate& pred : conj.predicates) {
+    std::optional<abdm::KeyInterval> interval = abdm::KeyInterval::Of(pred);
+    if (!interval.has_value()) continue;
+    const PlanNodeKind kind = pred.op == abdm::RelOp::kEq
+                                  ? PlanNodeKind::kIndexEquality
+                                  : PlanNodeKind::kIndexRange;
+    auto folded = std::find_if(
+        probes.begin(), probes.end(), [&](const Probe& probe) {
+          return kind == PlanNodeKind::kIndexRange && probe.kind == kind &&
+                 probe.interval.attribute() == pred.attribute;
+        });
+    if (folded != probes.end()) {
+      folded->interval.Intersect(*interval);
+    } else {
+      probes.push_back({kind, *interval, {}});
+    }
+  }
+
+  // Estimate every probe from the directory's bucket sizes without
+  // materializing any candidate list (the FILE keyword's bucket holds
+  // every record of the file, and copying it per query would make point
+  // lookups O(n)). Attributes without an index drop out here.
+  std::vector<Probe> indexed;
+  indexed.reserve(probes.size());
+  for (Probe& probe : probes) {
     std::optional<abdm::CardinalityEstimate> estimate =
-        stats.EstimateWithSource(pred);
+        stats.EstimateWithSource(probe.interval);
     if (!estimate.has_value()) continue;
+    probe.estimate = *estimate;
     if (estimate->rows == 0 &&
         estimate->source == abdm::EstimateSource::kDirectory) {
-      // The directory alone proves no record matches; the plan is a lone
-      // probe of the proving predicate. (A histogram zero is only an
-      // estimate — it does not prove emptiness.)
-      return IndexNode(pred, *estimate, stats);
+      // The directory alone proves no record matches — an absent value
+      // or a contradictory interval; the plan is a lone proving probe.
+      // (A histogram zero is only an estimate — it does not prove
+      // emptiness.)
+      return IndexNode(probe, stats);
     }
-    indexed.emplace_back(&pred, *estimate);
+    indexed.push_back(probe);
   }
 
   if (indexed.empty()) {
@@ -81,8 +114,8 @@ PlanNode PlanConjunction(const abdm::Conjunction& conj,
   }
 
   std::stable_sort(indexed.begin(), indexed.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second.rows < b.second.rows;
+                   [](const Probe& a, const Probe& b) {
+                     return a.estimate.rows < b.estimate.rows;
                    });
 
   // The cheapest estimate drives the fetch; later sets are intersected
@@ -90,28 +123,27 @@ PlanNode PlanConjunction(const abdm::Conjunction& conj,
   // estimate, so a child failing the rule against the driver estimate
   // can never pass it at run time — prune it and (because the executor
   // stops at the first skip) everything after it.
-  const size_t driver_estimate = indexed.front().second.rows;
+  const Probe& driver = indexed.front();
   const double cached = stats.cached_fraction();
   size_t kept = 1;
   while (kept < indexed.size() &&
-         WorthIntersecting(indexed[kept].second.rows, driver_estimate,
+         WorthIntersecting(indexed[kept].estimate.rows, driver.estimate.rows,
                            cached)) {
     ++kept;
   }
 
   if (kept == 1) {
-    return IndexNode(*indexed.front().first, indexed.front().second, stats);
+    return IndexNode(driver, stats);
   }
 
   PlanNode intersect;
   intersect.kind = PlanNodeKind::kIntersect;
-  intersect.est_rows = driver_estimate;
-  intersect.est_blocks = BlockBudget(driver_estimate, stats);
-  intersect.est_source = indexed.front().second.source;
+  intersect.est_rows = driver.estimate.rows;
+  intersect.est_blocks = BlockBudget(driver.estimate.rows, stats);
+  intersect.est_source = driver.estimate.source;
   intersect.children.reserve(kept);
   for (size_t k = 0; k < kept; ++k) {
-    intersect.children.push_back(
-        IndexNode(*indexed[k].first, indexed[k].second, stats));
+    intersect.children.push_back(IndexNode(indexed[k], stats));
   }
   return intersect;
 }

@@ -29,11 +29,14 @@ bool WorthIntersecting(size_t next_estimate, size_t current_size,
                        double cached_fraction);
 
 /// Builds the physical plan for one conjunction against the directory
-/// statistics: the cheapest index-assisted predicate drives the fetch,
-/// further candidate sets are intersected cheapest-first, a conjunction
-/// with no index-assisted predicate falls back to a full scan, and a
-/// predicate the directory proves empty becomes a lone index node with a
-/// zero estimate.
+/// statistics. Every range predicate on one attribute folds into one
+/// interval probe (the tightest bound on each side wins; != and null
+/// operands never fold); each equality is a probe of its own. The
+/// cheapest probe drives the fetch, further candidate sets are
+/// intersected cheapest-first, a conjunction with no index-assisted probe
+/// falls back to a full scan, and a probe the directory proves empty (an
+/// absent value, or a contradictory interval) becomes a lone index node
+/// with a zero estimate.
 PlanNode PlanConjunction(const abdm::Conjunction& conj,
                          const abdm::DirectoryStats& stats);
 

@@ -117,45 +117,46 @@ void AttributeHistogram::Remove(const abdm::Value& v) {
   if (idx != kNpos && buckets_[idx].rows > 0) --buckets_[idx].rows;
 }
 
-std::optional<uint64_t> AttributeHistogram::Estimate(
-    const abdm::Predicate& pred) const {
-  if (pred.value.is_null()) return std::nullopt;
-  if (pred.op == abdm::RelOp::kNe) return std::nullopt;
+uint64_t AttributeHistogram::Below(const abdm::Value& v) const {
+  // Whole buckets under the boundary plus half of the bucket containing
+  // it (intra-bucket distribution unknown).
+  if (v < lower_) return 0;
+  const size_t idx = BucketFor(v);
+  if (idx == kNpos) return total_;
+  uint64_t below = 0;
+  for (size_t k = 0; k < idx; ++k) below += buckets_[k].rows;
+  const uint64_t boundary = buckets_[idx].rows;
+  return below + std::max<uint64_t>(boundary / 2, boundary > 0 ? 1 : 0);
+}
+
+uint64_t AttributeHistogram::Estimate(
+    const abdm::KeyInterval& interval) const {
   if (buckets_.empty() || total_ == 0) return 0;
-  const abdm::Value& v = pred.value;
-  if (pred.op == abdm::RelOp::kEq) {
-    size_t idx = BucketFor(v);
+  if (interval.IsPoint()) {
+    const size_t idx = BucketFor(interval.lower->value);
     if (idx == kNpos) return 0;
     const Bucket& b = buckets_[idx];
     if (b.rows == 0) return 0;
     return std::max<uint64_t>(1, b.rows / std::max<uint64_t>(1, b.distinct));
   }
-  // Rows at or below v: whole buckets under the boundary plus half of
-  // the bucket containing it (intra-bucket distribution unknown).
-  uint64_t below;
-  if (v < lower_) {
-    below = 0;
-  } else {
-    size_t idx = BucketFor(v);
-    if (idx == kNpos) {
-      below = total_;
-    } else {
-      below = 0;
-      for (size_t k = 0; k < idx; ++k) below += buckets_[k].rows;
-      const uint64_t boundary = buckets_[idx].rows;
-      below += std::max<uint64_t>(boundary / 2, boundary > 0 ? 1 : 0);
-    }
-  }
-  switch (pred.op) {
-    case abdm::RelOp::kLt:
-    case abdm::RelOp::kLe:
-      return below;
-    case abdm::RelOp::kGt:
-    case abdm::RelOp::kGe:
-      return total_ > below ? total_ - below : 0;
-    default:
-      return std::nullopt;
-  }
+  const uint64_t hi =
+      interval.upper != nullptr ? Below(interval.upper->value) : total_;
+  const uint64_t lo =
+      interval.lower != nullptr ? Below(interval.lower->value) : 0;
+  return hi > lo ? hi - lo : 0;
+}
+
+bool AttributeHistogram::WithinOneBucket(
+    const abdm::KeyInterval& interval) const {
+  if (interval.lower == nullptr || interval.upper == nullptr) return false;
+  // 0: below the lowest value; k + 1: inside bucket k; size + 1: beyond
+  // the last boundary.
+  auto position = [this](const abdm::Value& v) -> size_t {
+    if (v < lower_) return 0;
+    const size_t idx = BucketFor(v);
+    return idx == kNpos ? buckets_.size() + 1 : idx + 1;
+  };
+  return position(interval.lower->value) == position(interval.upper->value);
 }
 
 std::string AttributeHistogram::Encode() const {

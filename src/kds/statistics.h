@@ -66,7 +66,7 @@ struct AtomicStatisticsCounters {
 ///
 /// Built from the keyword directory's sorted value buckets, so each
 /// histogram bucket covers a contiguous value range holding roughly
-/// total/kDefaultBuckets rows. Range predicates are then estimated in
+/// total/kDefaultBuckets rows. Key intervals are then estimated in
 /// O(log buckets) instead of walking every matching value bucket, and the
 /// per-bucket distinct counts give the join cardinality model its
 /// denominators.
@@ -118,12 +118,19 @@ class AttributeHistogram {
   void Add(const abdm::Value& v);
   void Remove(const abdm::Value& v);
 
-  /// Estimated matches for an equality or range predicate over this
-  /// attribute, or nullopt for shapes a histogram cannot answer (a !=
-  /// comparison or a null operand). Equality answers rows/distinct of
-  /// the containing bucket; ranges sum whole buckets inside the bound
-  /// plus half of the boundary bucket.
-  std::optional<uint64_t> Estimate(const abdm::Predicate& pred) const;
+  /// Estimated matches for a key interval over this attribute. A point
+  /// answers rows/distinct of the containing bucket; any other interval
+  /// answers below(upper) - below(lower), where below(v) sums the whole
+  /// buckets under v plus half of the bucket containing it (a missing
+  /// bound stands for 0 or the total).
+  uint64_t Estimate(const abdm::KeyInterval& interval) const;
+
+  /// True when both bounds of `interval` fall in the same bucket (or on
+  /// the same side outside every bucket). The two below() halves then
+  /// cancel, so the histogram cannot tell how much of the bucket the
+  /// interval covers, and the owner counts its directory instead — a
+  /// walk over at most one bucket's values.
+  bool WithinOneBucket(const abdm::KeyInterval& interval) const;
 
   /// Single-line serialized form (page-file metadata); value boundaries
   /// are hex-wrapped ABDL literals so arbitrary string bytes survive the
@@ -135,6 +142,9 @@ class AttributeHistogram {
   /// Index of the bucket whose range contains `v`, or npos when the
   /// histogram is empty or `v` precedes the lowest value.
   size_t BucketFor(const abdm::Value& v) const;
+
+  /// Rows estimated at or below `v`.
+  uint64_t Below(const abdm::Value& v) const;
 
   std::vector<Bucket> buckets_;
   abdm::Value lower_;        ///< Minimum value at build (inclusive).

@@ -155,7 +155,8 @@ Result<std::vector<Record>> DaplexMachine::FetchByKeys(
 }
 
 Status DaplexMachine::AbsorbAncestors(
-    std::string_view type, std::map<std::string, EntityView>* views) {
+    std::string_view type, const Query& base,
+    std::map<std::string, EntityView>* views) {
   // Walk up one ISA level at a time: collect the supertype keys present
   // in the views' ISA keywords, fetch those supertype records, merge.
   std::string current(type);
@@ -184,12 +185,14 @@ Status DaplexMachine::AbsorbAncestors(
       }
       if (super_keys.empty()) continue;
       // Above the fusion threshold, one RETRIEVE-COMMON joins the whole
-      // supertype file with the current-level file on the ISA keyword —
-      // a single fused JOIN plan instead of a per-key disjunct probe.
-      // The merged records carry both levels' keywords; the merge below
-      // keys on (super key, current-level key) so each view absorbs only
-      // its own entity's pair, and Absorb dedups the riding-along
-      // current-level keywords the view already holds.
+      // supertype file with the current-level records on the ISA keyword
+      // — a single fused JOIN plan instead of a per-key disjunct probe.
+      // At the first level the current-level side is the base query, so
+      // only the qualifying subtype records join; higher levels join the
+      // whole file. The merged records carry both levels' keywords; the
+      // merge below keys on (super key, current-level key) so each view
+      // absorbs only its own entity's pair, and Absorb dedups the
+      // riding-along current-level keywords the view already holds.
       const bool fused = super_keys.size() >= kIsaFusionThreshold;
       std::vector<Record> records;
       if (fused) {
@@ -198,7 +201,10 @@ Status DaplexMachine::AbsorbAncestors(
             Query::And({EqStr(std::string(abdm::kFileAttribute), super)});
         req.left_attribute = KeyAttribute(super);
         req.right_query =
-            Query::And({EqStr(std::string(abdm::kFileAttribute), current)});
+            current == type
+                ? base
+                : Query::And(
+                      {EqStr(std::string(abdm::kFileAttribute), current)});
         req.right_attribute = isa_attr;
         MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(std::move(req)));
         records = std::move(resp.records);
@@ -324,8 +330,8 @@ Result<std::vector<Record>> DaplexMachine::Execute(const ForEachQuery& query) {
     }
   }
 
-  MLDS_ASSIGN_OR_RETURN(kds::Response base,
-                        Issue(RetrieveAll(Query::And(std::move(pushed)))));
+  const Query base_query = Query::And(std::move(pushed));
+  MLDS_ASSIGN_OR_RETURN(kds::Response base, Issue(RetrieveAll(base_query)));
 
   // Collapse duplicated kernel records into one view per entity.
   std::map<std::string, EntityView> views;
@@ -346,7 +352,7 @@ Result<std::vector<Record>> DaplexMachine::Execute(const ForEachQuery& query) {
       }) ||
       query.print_all;
   if (needs_ancestors) {
-    MLDS_RETURN_IF_ERROR(AbsorbAncestors(query.type, &views));
+    MLDS_RETURN_IF_ERROR(AbsorbAncestors(query.type, base_query, &views));
   }
 
   // Many-to-many functions referenced anywhere need the link file before

@@ -137,7 +137,9 @@ class DaplexMachine {
       std::string_view file, const std::set<std::string>& keys);
 
   /// Merges supertype records into the views, walking the ISA chain.
-  Status AbsorbAncestors(std::string_view type,
+  /// `base` is the kernel query the views were retrieved by; a fused
+  /// join at the first ISA level restricts its subtype side to it.
+  Status AbsorbAncestors(std::string_view type, const abdm::Query& base,
                          std::map<std::string, EntityView>* views);
 
   /// Fetches the values of a many-to-many function for every view, via

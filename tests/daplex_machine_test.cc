@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "daplex/query.h"
+#include "kc/executor.h"
 #include "mlds/mlds.h"
 #include "university/university.h"
 
@@ -218,6 +223,116 @@ TEST_F(DaplexMachineTest, PrintAllIncludesInheritedValues) {
   EXPECT_TRUE(rows[0].Has("ename"));
   EXPECT_TRUE(rows[0].Has("dept"));
 }
+
+
+// --- Restricted ISA joins ---
+
+/// Forwards every request to a real kernel and totals the records the
+/// responses report as examined.
+class ExaminingExecutor : public kc::KernelExecutor {
+ public:
+  explicit ExaminingExecutor(kc::KernelExecutor* inner) : inner_(inner) {}
+
+  Status DefineDatabase(const abdm::DatabaseDescriptor& db) override {
+    return inner_->DefineDatabase(db);
+  }
+  bool HasFile(std::string_view file) const override {
+    return inner_->HasFile(file);
+  }
+  Result<kds::Response> Execute(const abdl::Request& request) override {
+    auto response = inner_->Execute(request);
+    if (response.ok()) examined += response->io.records_examined;
+    return response;
+  }
+  size_t FileSize(std::string_view file) const override {
+    return inner_->FileSize(file);
+  }
+
+  uint64_t examined = 0;
+
+ private:
+  kc::KernelExecutor* inner_;
+};
+
+/// FOR EACH student SUCH THAT major = 'Physics' PRINT pname, age, advisor
+/// over the 120-person University instance, captured before the fused
+/// ISA join was restricted to the qualifying students.
+constexpr const char* kPhysicsStudents[] = {
+    "(<student, 'student_10'>, <pname, 'person_name_10'>, <age, 47>, "
+    "<advisor, 'faculty_6'>)",
+    "(<student, 'student_13'>, <pname, 'person_name_13'>, <age, 23>, "
+    "<advisor, 'faculty_5'>)",
+    "(<student, 'student_19'>, <pname, 'person_name_19'>, <age, 21>, "
+    "<advisor, 'faculty_1'>)",
+    "(<student, 'student_20'>, <pname, 'person_name_20'>, <age, 22>, "
+    "<advisor, 'faculty_6'>)",
+    "(<student, 'student_24'>, <pname, 'person_name_24'>, <age, 60>, "
+    "<advisor, 'faculty_6'>)",
+    "(<student, 'student_29'>, <pname, 'person_name_29'>, <age, 33>, "
+    "<advisor, 'faculty_8'>)",
+    "(<student, 'student_34'>, <pname, 'person_name_34'>, <age, 30>, "
+    "<advisor, 'faculty_8'>)",
+    "(<student, 'student_35'>, <pname, 'person_name_35'>, <age, 48>, "
+    "<advisor, 'faculty_7'>)",
+    "(<student, 'student_37'>, <pname, 'person_name_37'>, <age, 70>, "
+    "<advisor, 'faculty_1'>)",
+    "(<student, 'student_4'>, <pname, 'person_name_4'>, <age, 40>, "
+    "<advisor, 'faculty_7'>)",
+    "(<student, 'student_47'>, <pname, 'person_name_47'>, <age, 64>, "
+    "<advisor, 'faculty_8'>)",
+    "(<student, 'student_48'>, <pname, 'person_name_48'>, <age, 22>, "
+    "<advisor, 'faculty_1'>)",
+    "(<student, 'student_56'>, <pname, 'person_name_56'>, <age, 24>, "
+    "<advisor, 'faculty_7'>)",
+    "(<student, 'student_61'>, <pname, 'person_name_61'>, <age, 70>, "
+    "<advisor, 'faculty_7'>)",
+    "(<student, 'student_67'>, <pname, 'person_name_67'>, <age, 50>, "
+    "<advisor, 'faculty_4'>)",
+    "(<student, 'student_69'>, <pname, 'person_name_69'>, <age, 20>, "
+    "<advisor, 'faculty_1'>)",
+    "(<student, 'student_8'>, <pname, 'person_name_8'>, <age, 18>, "
+    "<advisor, 'faculty_5'>)",
+};
+
+class DaplexIsaJoinTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DaplexIsaJoinTest, SubtypeSideOfTheFusedJoinIsTheBaseQuery) {
+  // 90 students over six majors: 'Physics' selects more students than
+  // kIsaFusionThreshold, so the inherited pname/age arrive through one
+  // fused RETRIEVE-COMMON of person with student.
+  MldsSystem::Options options;
+  options.backends = GetParam();
+  MldsSystem system(options);
+  ExaminingExecutor kernel(system.executor());
+  university::UniversityConfig config;
+  config.persons = 120;
+  config.students = 90;
+  auto db = university::BuildUniversityDatabase(config, &kernel);
+  ASSERT_TRUE(db.ok()) << db.status();
+  DaplexMachine machine(&db->functional, &db->mapping.schema, &db->mapping,
+                        &kernel);
+
+  kernel.examined = 0;
+  auto rows = machine.ExecuteText(
+      "FOR EACH student SUCH THAT major = 'Physics' PRINT pname, age, "
+      "advisor");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  std::vector<std::string> rendered;
+  for (const abdm::Record& r : *rows) rendered.push_back(r.ToString());
+  EXPECT_EQ(rendered, std::vector<std::string>(std::begin(kPhysicsStudents),
+                                               std::end(kPhysicsStudents)));
+  // The fused join ran, its subtype side the base query, and the kernel
+  // examined fewer records than the two files hold together.
+  ASSERT_FALSE(machine.trace().empty());
+  const std::string& join = machine.trace().back();
+  EXPECT_TRUE(join.starts_with("RETRIEVE-COMMON")) << join;
+  EXPECT_NE(join.find("(major = 'Physics')"), std::string::npos) << join;
+  EXPECT_LT(kernel.examined,
+            kernel.FileSize("person") + kernel.FileSize("student"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DaplexIsaJoinTest,
+                         ::testing::Values(0, 1, 4));
 
 }  // namespace
 }  // namespace mlds::kms

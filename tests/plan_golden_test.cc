@@ -74,6 +74,32 @@ TEST_F(SqlPlanGoldenTest, ExplainSelectRendersAnnotatedTree) {
       "  est: 3 rows, 1 blocks  actual: 3 rows, 0 blocks\n");
 }
 
+TEST_F(SqlPlanGoldenTest, TwoSidedRangeRendersOneIntervalNode) {
+  // credits 0..127 once each: a uniform column under a secondary index.
+  for (int i = 0; i < 128; ++i) {
+    Must("INSERT INTO course (title, dept, credits) VALUES ('c" +
+         std::to_string(i) + "', 'X', " + std::to_string(i) + ")");
+  }
+  auto outcome = Must(
+      "EXPLAIN SELECT title FROM course WHERE credits >= 40 AND credits < 60");
+  ASSERT_EQ(outcome.rows.size(), 20u);
+  ASSERT_NE(outcome.plan, nullptr);
+  EXPECT_EQ(
+      kfs::FormatPlan(*outcome.plan),
+      "QUERY PLAN\n"
+      "----------\n"
+      "PROJECT (title)  est: 20 rows, 9 blocks  actual: 20 rows, 2 blocks\n"
+      "  UNION (course)  est: 20 rows, 9 blocks  actual: 20 rows, 2 blocks\n"
+      "    INDEX RANGE [secondary] (credits >= 40 AND credits < 60)"
+      " [histogram]  est: 20 rows, 9 blocks  actual: 20 rows, 2 blocks\n");
+  // The interval node is the lone access path and yields the result.
+  const kds::PlanNode& node = outcome.plan->children.at(0).children.at(0);
+  EXPECT_EQ(node.kind, kds::PlanNodeKind::kIndexRange);
+  EXPECT_EQ(node.actual_rows, outcome.rows.size());
+  EXPECT_LE(node.est_rows, 2 * node.actual_rows);
+  EXPECT_GE(2 * node.est_rows, node.actual_rows);
+}
+
 TEST_F(SqlPlanGoldenTest, PlainSelectCarriesNoPlan) {
   auto outcome = Must("SELECT title FROM course WHERE dept = 'CS'");
   EXPECT_EQ(outcome.plan, nullptr);

@@ -42,9 +42,9 @@ class FakeStats : public abdm::DirectoryStats {
   }
 
   std::optional<size_t> EstimateMatches(
-      const Predicate& pred) const override {
-    if (pred.op == RelOp::kNe || pred.value.is_null()) return std::nullopt;
-    auto it = buckets_.find(pred.attribute);
+      const abdm::KeyInterval& interval) const override {
+    if (interval.IsEmpty()) return 0;
+    auto it = buckets_.find(interval.attribute());
     if (it == buckets_.end()) return std::nullopt;
     return it->second;
   }
@@ -80,8 +80,8 @@ TEST(PlannerTest, CheapestIndexAloneCollapsesToLoneIndexNode) {
   PlanNode plan = PlanConjunction(conj, stats);
   EXPECT_EQ(plan.kind, PlanNodeKind::kIndexEquality);
   EXPECT_TRUE(plan.children.empty());
-  ASSERT_TRUE(plan.predicate.has_value());
-  EXPECT_EQ(plan.predicate->attribute, "key");
+  ASSERT_FALSE(plan.predicates.empty());
+  EXPECT_EQ(plan.predicates.front().attribute, "key");
   EXPECT_EQ(plan.est_rows, 1u);
   EXPECT_EQ(plan.est_blocks, 1u);
 }
@@ -94,8 +94,8 @@ TEST(PlannerTest, CloseEstimatesKeepTheIntersection) {
   ASSERT_EQ(plan.kind, PlanNodeKind::kIntersect);
   ASSERT_EQ(plan.children.size(), 2u);
   // Children come cheapest-estimate first: b drives.
-  EXPECT_EQ(plan.children[0].predicate->attribute, "b");
-  EXPECT_EQ(plan.children[1].predicate->attribute, "a");
+  EXPECT_EQ(plan.children[0].predicates.front().attribute, "b");
+  EXPECT_EQ(plan.children[1].predicates.front().attribute, "a");
   EXPECT_EQ(plan.est_rows, 10u);  // the driver's estimate
   EXPECT_EQ(plan.est_blocks, 10u);
 }
@@ -109,8 +109,8 @@ TEST(PlannerTest, AdaptiveCutoffPrunesExpensiveTail) {
   PlanNode plan = PlanConjunction(conj, stats);
   ASSERT_EQ(plan.kind, PlanNodeKind::kIntersect);
   ASSERT_EQ(plan.children.size(), 2u);
-  EXPECT_EQ(plan.children[0].predicate->attribute, "b");
-  EXPECT_EQ(plan.children[1].predicate->attribute, "c");
+  EXPECT_EQ(plan.children[0].predicates.front().attribute, "b");
+  EXPECT_EQ(plan.children[1].predicates.front().attribute, "c");
 }
 
 TEST(PlannerTest, NoIndexedPredicateFallsBackToFullScan) {
@@ -129,7 +129,7 @@ TEST(PlannerTest, ProvenEmptyConjunctionIsALoneZeroProbe) {
   Conjunction conj{{Eq("a", 1), Eq("key", 999)}};
   PlanNode plan = PlanConjunction(conj, stats);
   EXPECT_EQ(plan.kind, PlanNodeKind::kIndexEquality);
-  EXPECT_EQ(plan.predicate->attribute, "key");
+  EXPECT_EQ(plan.predicates.front().attribute, "key");
   EXPECT_EQ(plan.est_rows, 0u);
   EXPECT_EQ(plan.est_blocks, 0u);
 }
@@ -142,6 +142,95 @@ TEST(PlannerTest, RangePredicatePlansAsIndexRange) {
   PlanNode plan = PlanConjunction(conj, stats);
   EXPECT_EQ(plan.kind, PlanNodeKind::kIndexRange);
   EXPECT_EQ(plan.est_rows, 12u);
+}
+
+Predicate Bound(std::string attribute, RelOp op, int64_t value) {
+  return Predicate{std::move(attribute), op, Value::Integer(value)};
+}
+
+TEST(PlannerTest, LowerAndUpperBoundsFoldIntoOneRangeNode) {
+  FakeStats stats(8192, 1024, 8);
+  stats.Bucket("FILE", 8192).Bucket("wage", 40);
+  struct Case {
+    RelOp lower, upper;
+    const char* rendered;
+  };
+  for (const Case& c :
+       {Case{RelOp::kGe, RelOp::kLt,
+             "INDEX RANGE (wage >= 50 AND wage < 52) [directory]"},
+        Case{RelOp::kGt, RelOp::kLe,
+             "INDEX RANGE (wage > 50 AND wage <= 52) [directory]"}}) {
+    // Upper bound first: folding does not depend on predicate order.
+    Conjunction conj{{Eq("FILE", 0), Bound("wage", c.upper, 52),
+                      Bound("wage", c.lower, 50)}};
+    PlanNode plan = PlanConjunction(conj, stats);
+    EXPECT_EQ(plan.kind, PlanNodeKind::kIndexRange);
+    EXPECT_TRUE(plan.children.empty());
+    // The node carries both bounds, lower first.
+    ASSERT_EQ(plan.predicates.size(), 2u);
+    EXPECT_EQ(plan.predicates[0], Bound("wage", c.lower, 50));
+    EXPECT_EQ(plan.predicates[1], Bound("wage", c.upper, 52));
+    EXPECT_EQ(plan.Describe(), c.rendered);
+    EXPECT_EQ(plan.est_rows, 40u);
+  }
+}
+
+TEST(PlannerTest, TighterBoundWinsOnEachSide) {
+  FakeStats stats(320, 40, 8);
+  stats.Bucket("key", 12);
+  // At an equal value the exclusive bound is the tighter one.
+  Conjunction conj{
+      {Bound("key", RelOp::kGe, 10), Bound("key", RelOp::kGe, 20),
+       Bound("key", RelOp::kLt, 90), Bound("key", RelOp::kLe, 50),
+       Bound("key", RelOp::kGt, 20), Bound("key", RelOp::kLe, 60)}};
+  PlanNode plan = PlanConjunction(conj, stats);
+  EXPECT_EQ(plan.kind, PlanNodeKind::kIndexRange);
+  EXPECT_EQ(plan.Describe(),
+            "INDEX RANGE (key > 20 AND key <= 50) [directory]");
+}
+
+TEST(PlannerTest, BoundsOnDifferentAttributesDoNotFold) {
+  FakeStats stats(1000, 125, 8);
+  stats.Bucket("a", 30).Bucket("b", 10);
+  Conjunction conj{{Bound("a", RelOp::kGe, 1), Bound("b", RelOp::kLt, 5)}};
+  PlanNode plan = PlanConjunction(conj, stats);
+  ASSERT_EQ(plan.kind, PlanNodeKind::kIntersect);
+  ASSERT_EQ(plan.children.size(), 2u);
+  EXPECT_EQ(plan.children[0].Describe(), "INDEX RANGE (b < 5) [directory]");
+  EXPECT_EQ(plan.children[1].Describe(), "INDEX RANGE (a >= 1) [directory]");
+}
+
+TEST(PlannerTest, NotEqualAndNullBoundsDoNotFold) {
+  FakeStats stats(320, 40, 8);
+  stats.Bucket("key", 12);
+  Conjunction conj{{Bound("key", RelOp::kGe, 10), Bound("key", RelOp::kNe, 20),
+                    Predicate{"key", RelOp::kLt, Value::Null()},
+                    Bound("key", RelOp::kLt, 30)}};
+  PlanNode plan = PlanConjunction(conj, stats);
+  EXPECT_EQ(plan.kind, PlanNodeKind::kIndexRange);
+  EXPECT_EQ(plan.Describe(),
+            "INDEX RANGE (key >= 10 AND key < 30) [directory]");
+  // Neither alone is a probe: a != or null-bounded conjunction scans.
+  for (const Predicate& pred :
+       {Bound("key", RelOp::kNe, 20),
+        Predicate{"key", RelOp::kGt, Value::Null()}}) {
+    EXPECT_EQ(PlanConjunction(Conjunction{{pred}}, stats).kind,
+              PlanNodeKind::kFullScan)
+        << pred.ToString();
+  }
+}
+
+TEST(PlannerTest, ContradictoryIntervalIsALoneZeroProbe) {
+  FakeStats stats(320, 40, 8);
+  stats.Bucket("FILE", 320).Bucket("key", 12);
+  Conjunction conj{{Eq("FILE", 0), Bound("key", RelOp::kGt, 50),
+                    Bound("key", RelOp::kLt, 40)}};
+  PlanNode plan = PlanConjunction(conj, stats);
+  EXPECT_EQ(plan.kind, PlanNodeKind::kIndexRange);
+  EXPECT_EQ(plan.Describe(),
+            "INDEX RANGE (key > 50 AND key < 40) [directory]");
+  EXPECT_EQ(plan.est_rows, 0u);
+  EXPECT_EQ(plan.est_blocks, 0u);
 }
 
 TEST(PlannerTest, BlockBudgetIsCappedByAllocatedBlocks) {
@@ -210,9 +299,9 @@ void CheckBounds(const FileStore& store, const PlanNode& node,
       case PlanNodeKind::kIndexEquality:
       case PlanNodeKind::kIndexRange:
         if (node.est_source == abdm::EstimateSource::kHistogram) {
-          ASSERT_TRUE(node.predicate.has_value()) << node.Describe();
+          ASSERT_FALSE(node.predicates.empty()) << node.Describe();
           const AttributeHistogram* h =
-              store.statistics().Find(node.predicate->attribute);
+              store.statistics().Find(node.predicates.front().attribute);
           ASSERT_NE(h, nullptr) << node.Describe();
           const uint64_t bound = h->depth() + h->drift();
           const uint64_t err = node.actual_rows > node.est_rows
@@ -233,9 +322,9 @@ void CheckBounds(const FileStore& store, const PlanNode& node,
         uint64_t row_budget = node.est_rows;
         if (node.est_source == abdm::EstimateSource::kHistogram &&
             !node.children.empty() &&
-            node.children.front().predicate.has_value()) {
+            !node.children.front().predicates.empty()) {
           if (const AttributeHistogram* h = store.statistics().Find(
-                  node.children.front().predicate->attribute)) {
+                  node.children.front().predicates.front().attribute)) {
             row_budget += h->depth() + h->drift();
           }
         }
@@ -299,7 +388,7 @@ TEST(PlannerBoundsTest, SkippedIntersectChildStaysUnexecuted) {
   ASSERT_EQ(plan.kind, PlanNodeKind::kUnionOfConjunctions);
   ASSERT_EQ(plan.children.size(), 1u);
   EXPECT_EQ(plan.children[0].kind, PlanNodeKind::kIndexEquality);
-  EXPECT_EQ(plan.children[0].predicate->attribute, "key");
+  EXPECT_EQ(plan.children[0].predicates.front().attribute, "key");
 }
 
 }  // namespace

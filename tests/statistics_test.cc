@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -62,6 +63,15 @@ Predicate Pred(std::string attr, RelOp op, int v) {
   return Predicate{std::move(attr), op, Value::Integer(v)};
 }
 
+/// The histogram's estimate for the interval `pred` admits; nullopt for
+/// the shapes no directory probe answers (!= and null operands).
+std::optional<uint64_t> Est(const AttributeHistogram& h,
+                            const Predicate& pred) {
+  auto interval = abdm::KeyInterval::Of(pred);
+  if (!interval.has_value()) return std::nullopt;
+  return h.Estimate(*interval);
+}
+
 // ---------------------------------------------------------------------
 // AttributeHistogram: build shape and estimates.
 
@@ -85,7 +95,7 @@ TEST(AttributeHistogramTest, HeavyValueIsNeverSplitAcrossBuckets) {
   AttributeHistogram h = AttributeHistogram::Build(sorted);
   EXPECT_EQ(h.total_rows(), 200u);
   EXPECT_GE(h.depth(), 100u);
-  auto est = h.Estimate(Pred("v", RelOp::kEq, 101));
+  auto est = Est(h, Pred("v", RelOp::kEq, 101));
   ASSERT_TRUE(est.has_value());
   // The heavy value sits in a bucket dominated by its own rows with only
   // a handful of distinct values, so its density estimate stays within a
@@ -95,25 +105,25 @@ TEST(AttributeHistogramTest, HeavyValueIsNeverSplitAcrossBuckets) {
 
 TEST(AttributeHistogramTest, EqualityEstimateUsesBucketDensity) {
   AttributeHistogram h = AttributeHistogram::Build(IntegerRun(1, 64, 4));
-  auto est = h.Estimate(Pred("v", RelOp::kEq, 17));
+  auto est = Est(h, Pred("v", RelOp::kEq, 17));
   ASSERT_TRUE(est.has_value());
   // Uniform density: every value holds exactly rows/distinct = 4 rows.
   EXPECT_EQ(*est, 4u);
   // A value outside the histogram's range estimates to zero.
-  EXPECT_EQ(h.Estimate(Pred("v", RelOp::kEq, 1000)).value_or(99), 0u);
+  EXPECT_EQ(Est(h, Pred("v", RelOp::kEq, 1000)).value_or(99), 0u);
 }
 
 TEST(AttributeHistogramTest, RangeEstimatesWithinDepthBound) {
   AttributeHistogram h = AttributeHistogram::Build(IntegerRun(1, 500));
   for (int cutoff : {1, 17, 100, 250, 499, 500}) {
-    auto est = h.Estimate(Pred("v", RelOp::kLe, cutoff));
+    auto est = Est(h, Pred("v", RelOp::kLe, cutoff));
     ASSERT_TRUE(est.has_value()) << cutoff;
     const uint64_t actual = uint64_t(cutoff);
     const uint64_t bound = h.depth() + h.drift();
     const uint64_t error = *est > actual ? *est - actual : actual - *est;
     EXPECT_LE(error, bound) << "v <= " << cutoff << ": est " << *est;
     // The complementary bound holds for > with the same boundary bucket.
-    auto gt = h.Estimate(Pred("v", RelOp::kGt, cutoff));
+    auto gt = Est(h, Pred("v", RelOp::kGt, cutoff));
     ASSERT_TRUE(gt.has_value());
     const uint64_t gt_actual = 500 - actual;
     const uint64_t gt_error =
@@ -124,9 +134,9 @@ TEST(AttributeHistogramTest, RangeEstimatesWithinDepthBound) {
 
 TEST(AttributeHistogramTest, UnanswerableShapesReturnNullopt) {
   AttributeHistogram h = AttributeHistogram::Build(IntegerRun(1, 10));
-  EXPECT_FALSE(h.Estimate(Pred("v", RelOp::kNe, 5)).has_value());
+  EXPECT_FALSE(Est(h, Pred("v", RelOp::kNe, 5)).has_value());
   EXPECT_FALSE(
-      h.Estimate(Predicate{"v", RelOp::kEq, Value::Null()}).has_value());
+      Est(h, Predicate{"v", RelOp::kEq, Value::Null()}).has_value());
 }
 
 TEST(AttributeHistogramTest, AddRemoveMaintainTotalAndDrift) {
@@ -138,7 +148,7 @@ TEST(AttributeHistogramTest, AddRemoveMaintainTotalAndDrift) {
   EXPECT_EQ(h.total_rows(), 102u);
   EXPECT_EQ(h.drift(), 4u);
   // The stretched last bucket now covers the out-of-range value.
-  auto est = h.Estimate(Pred("v", RelOp::kLe, 500));
+  auto est = Est(h, Pred("v", RelOp::kLe, 500));
   ASSERT_TRUE(est.has_value());
   EXPECT_GT(*est, 90u);
 }
@@ -169,7 +179,7 @@ TEST(AttributeHistogramTest, EncodeDecodeRoundTrips) {
   EXPECT_EQ(decoded->bucket_count(), h.bucket_count());
   // Estimates answer identically after the round trip.
   const Predicate range{"v", RelOp::kLe, Value::String("gamma")};
-  EXPECT_EQ(decoded->Estimate(range), h.Estimate(range));
+  EXPECT_EQ(Est(*decoded, range), Est(h, range));
 }
 
 TEST(AttributeHistogramTest, DecodeRejectsTruncatedText) {
@@ -281,7 +291,8 @@ TEST(FileStoreStatisticsTest, RangeEstimatesComeFromHistogram) {
   for (int i = 1; i <= 400; ++i) {
     ASSERT_TRUE(store.Insert(MetricRecord("metric", i), &io).ok());
   }
-  auto range = store.EstimateWithSource(Pred("v", RelOp::kLt, 100));
+  auto range = store.EstimateWithSource(
+      *abdm::KeyInterval::Of(Pred("v", RelOp::kLt, 100)));
   ASSERT_TRUE(range.has_value());
   EXPECT_EQ(range->source, EstimateSource::kHistogram);
   const AttributeHistogram* h = store.statistics().Find("v");
@@ -292,7 +303,8 @@ TEST(FileStoreStatisticsTest, RangeEstimatesComeFromHistogram) {
       range->rows > actual ? range->rows - actual : actual - range->rows;
   EXPECT_LE(error, bound);
   // Equality stays on the exact directory bucket count.
-  auto eq = store.EstimateWithSource(Pred("v", RelOp::kEq, 7));
+  auto eq = store.EstimateWithSource(
+      *abdm::KeyInterval::Of(Pred("v", RelOp::kEq, 7)));
   ASSERT_TRUE(eq.has_value());
   EXPECT_EQ(eq->source, EstimateSource::kDirectory);
   EXPECT_EQ(eq->rows, 1u);

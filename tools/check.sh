@@ -77,6 +77,14 @@ else
   done
   echo "bulk ingest floor holds"
 
+  # Regression floor for the directory's interval probes: a two-sided
+  # range folds into one directory walk whose candidates are exactly the
+  # result rows (no half-open candidate list is materialized).
+  grep -q '"bounded_range_single_probe": true' \
+      build/bench-smoke/BENCH_range_queries.json \
+    || { echo "range floor regression: bounded_range_single_probe is not true"; exit 1; }
+  echo "range floor holds"
+
   # Regression floors for the paged storage engine: point-lookup physical
   # reads stay flat (within 1.5x) across the 1x→4x buffer-pool sweep, and
   # every secondary-index probe both beats the full scan and renders a
@@ -113,16 +121,19 @@ else
 
   # Repository benchmark smoke: build perfbench (its own CMake package,
   # so its wire driver compiles against the current client and STATS
-  # API), run one second of the lookup workload, and require a correct
-  # run with no failed operations.
+  # API), run one second of the lookup and the walk workloads, and
+  # require correct runs with no failed operations. The walk covers the
+  # two-sided range scans and the fused Daplex ISA joins over the wire.
   echo "== perfbench smoke =="
-  PERFBENCH_LINE="$(CARGO_TARGET_DIR=build/perfbench-smoke python3 perfbench/run.py \
-    --workload lookup --seed 1 --seconds 1 | tail -n 1)"
-  echo "${PERFBENCH_LINE}"
-  grep -q '"correct": true' <<< "${PERFBENCH_LINE}" \
-    || { echo "perfbench smoke: run was not correct"; exit 1; }
-  grep -q '"failed": 0[,}]' <<< "${PERFBENCH_LINE}" \
-    || { echo "perfbench smoke: operations failed"; exit 1; }
+  for workload in lookup walk; do
+    PERFBENCH_LINE="$(CARGO_TARGET_DIR=build/perfbench-smoke python3 perfbench/run.py \
+      --workload "${workload}" --seed 1 --seconds 1 | tail -n 1)"
+    echo "${workload}: ${PERFBENCH_LINE}"
+    grep -q '"correct": true' <<< "${PERFBENCH_LINE}" \
+      || { echo "perfbench smoke: ${workload} run was not correct"; exit 1; }
+    grep -q '"failed": 0[,}]' <<< "${PERFBENCH_LINE}" \
+      || { echo "perfbench smoke: ${workload} operations failed"; exit 1; }
+  done
   echo "perfbench smoke passed"
 fi
 
