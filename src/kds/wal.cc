@@ -365,6 +365,38 @@ WalScan ScanWal(std::string_view log) {
   return scan;
 }
 
+Status ApplyWalPayload(std::string_view payload, Engine* engine,
+                       Status* outcome) {
+  if (payload.starts_with("REQUEST ")) {
+    const std::string_view text = payload.substr(8);
+    auto request = abdl::ParseRequest(text);
+    if (!request.ok()) {
+      // The checksum matched, so the entry is as written: an unparseable
+      // request means the log was not produced by the ABDL printer.
+      return Status::ParseError("wal: unreplayable entry '" +
+                                std::string(text) +
+                                "': " + request.status().message());
+    }
+    *outcome = engine->Execute(*request).status();
+  } else if (payload.starts_with("DEFINE ")) {
+    MLDS_ASSIGN_OR_RETURN(abdm::FileDescriptor descriptor,
+                          DecodeDefineFile(payload.substr(7)));
+    *outcome = engine->DefineFile(descriptor);
+  } else if (payload.starts_with("INDEX ")) {
+    std::string_view body = Trim(payload.substr(6));
+    const size_t space = body.find(' ');
+    if (space == std::string_view::npos) {
+      return Status::ParseError("wal: malformed INDEX entry");
+    }
+    *outcome = engine->CreateIndex(body.substr(0, space),
+                                   Trim(body.substr(space + 1)));
+  } else {
+    return Status::ParseError("wal: unrecognized entry '" +
+                              std::string(payload) + "'");
+  }
+  return Status::OK();
+}
+
 Result<RecoveryReport> RecoverEngine(std::istream& snapshot,
                                      std::string_view log, Engine* engine) {
   RecoveryReport report;
@@ -385,48 +417,21 @@ Result<RecoveryReport> RecoverEngine(std::istream& snapshot,
   report.torn_tail = scan.torn;
   report.torn_bytes = scan.torn_bytes;
 
-  auto apply = [&](std::string_view request_text) -> Status {
-    auto request = abdl::ParseRequest(request_text);
-    if (!request.ok()) {
-      // The checksum matched, so the entry is as written: an unparseable
-      // request means the log was not produced by the ABDL printer.
-      return Status::ParseError("wal: unreplayable entry '" +
-                                std::string(request_text) +
-                                "': " + request.status().message());
-    }
+  auto replay = [&](std::string_view payload) -> Status {
+    Status outcome;
+    MLDS_RETURN_IF_ERROR(ApplyWalPayload(payload, engine, &outcome));
     ++report.replayed;
-    if (!engine->Execute(*request).ok()) {
-      // Deterministic engines fail replays exactly where the original
-      // execution failed; the state change (none) matches the original.
-      ++report.failed_replays;
-    }
+    // Deterministic engines fail replays exactly where the original
+    // execution failed; the state change (none) matches the original.
+    if (!outcome.ok()) ++report.failed_replays;
     return Status::OK();
   };
 
+  // Each open transaction's requests, as REQUEST payloads.
   std::map<uint64_t, std::vector<std::string>> open_txns;
   for (const WalEntry& entry : scan.entries) {
     std::string_view payload = entry.payload;
-    if (payload.starts_with("DEFINE ")) {
-      MLDS_ASSIGN_OR_RETURN(abdm::FileDescriptor descriptor,
-                            DecodeDefineFile(payload.substr(7)));
-      ++report.replayed;
-      if (!engine->DefineFile(descriptor).ok()) ++report.failed_replays;
-    } else if (payload.starts_with("INDEX ")) {
-      std::string_view body = Trim(payload.substr(6));
-      const size_t space = body.find(' ');
-      if (space == std::string_view::npos) {
-        return Status::ParseError("wal: malformed INDEX entry");
-      }
-      ++report.replayed;
-      if (!engine
-               ->CreateIndex(body.substr(0, space),
-                             Trim(body.substr(space + 1)))
-               .ok()) {
-        ++report.failed_replays;
-      }
-    } else if (payload.starts_with("REQUEST ")) {
-      MLDS_RETURN_IF_ERROR(apply(payload.substr(8)));
-    } else if (payload.starts_with("BEGIN ")) {
+    if (payload.starts_with("BEGIN ")) {
       const size_t id = ParseSize(Trim(payload.substr(6)));
       if (id == std::string_view::npos) {
         return Status::ParseError("wal: malformed BEGIN entry");
@@ -445,7 +450,7 @@ Result<RecoveryReport> RecoverEngine(std::istream& snapshot,
       if (it == open_txns.end()) {
         return Status::ParseError("wal: TREQUEST outside its transaction");
       }
-      it->second.emplace_back(body.substr(space + 1));
+      it->second.push_back("REQUEST " + std::string(body.substr(space + 1)));
     } else if (payload.starts_with("COMMIT ")) {
       const size_t id = ParseSize(Trim(payload.substr(7)));
       auto it = id == std::string_view::npos ? open_txns.end()
@@ -453,13 +458,12 @@ Result<RecoveryReport> RecoverEngine(std::istream& snapshot,
       if (it == open_txns.end()) {
         return Status::ParseError("wal: COMMIT without matching BEGIN");
       }
-      for (const std::string& request_text : it->second) {
-        MLDS_RETURN_IF_ERROR(apply(request_text));
+      for (const std::string& request : it->second) {
+        MLDS_RETURN_IF_ERROR(replay(request));
       }
       open_txns.erase(it);
     } else {
-      return Status::ParseError("wal: unrecognized entry '" +
-                                std::string(payload) + "'");
+      MLDS_RETURN_IF_ERROR(replay(payload));
     }
   }
 

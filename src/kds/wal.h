@@ -220,6 +220,14 @@ struct RecoveryReport {
   size_t torn_bytes = 0;
 };
 
+/// Applies one logged DEFINE, INDEX or REQUEST payload to `engine`: the
+/// replay step crash recovery and MBDS backend catch-up share. A
+/// malformed payload, or one of another kind, is a ParseError; otherwise
+/// the call returns OK and `*outcome` holds the engine's own result,
+/// which a deterministic replay reproduces.
+Status ApplyWalPayload(std::string_view payload, Engine* engine,
+                       Status* outcome);
+
 /// Rebuilds a crashed engine: loads the checkpoint snapshot from
 /// `snapshot` (an empty stream means "no checkpoint yet"), then replays
 /// the committed entries of `log` in commit order. `engine` must be

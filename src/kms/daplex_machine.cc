@@ -87,7 +87,9 @@ DaplexMachine::DaplexMachine(const daplex::FunctionalSchema* functional,
     : functional_(functional),
       schema_(schema),
       mapping_(mapping),
-      executor_(executor) {}
+      executor_(executor),
+      inserts_(executor,
+               [this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<kds::Response> DaplexMachine::Issue(abdl::Request request) {
   trace_.push_back(abdl::ToString(request));
@@ -480,16 +482,6 @@ Result<std::vector<Record>> DaplexMachine::ExecuteText(std::string_view text) {
   return Execute(*query);
 }
 
-Result<std::string> DaplexMachine::AllocateDbKey(std::string_view type) {
-  uint64_t next = executor_->FileSize(type) + 1;
-  while (true) {
-    std::string candidate = transform::MakeDbKey(type, next);
-    MLDS_ASSIGN_OR_RETURN(bool exists, EntityExists(type, candidate));
-    ++next;
-    if (!exists) return candidate;
-  }
-}
-
 Result<bool> DaplexMachine::EntityExists(std::string_view file,
                                          std::string_view dbkey) {
   abdl::RetrieveRequest probe;
@@ -500,23 +492,9 @@ Result<bool> DaplexMachine::EntityExists(std::string_view file,
   return !resp.records.empty();
 }
 
-Result<std::vector<std::string>> DaplexMachine::AllocateDbKeys(
-    std::string_view type, size_t count) {
-  std::vector<std::string> keys;
-  keys.reserve(count);
-  uint64_t next = executor_->FileSize(type) + 1;
-  while (keys.size() < count) {
-    std::string candidate = transform::MakeDbKey(type, next);
-    MLDS_ASSIGN_OR_RETURN(bool exists, EntityExists(type, candidate));
-    ++next;
-    if (!exists) keys.push_back(std::move(candidate));
-  }
-  return keys;
-}
-
 Result<Record> DaplexMachine::BuildCreateRecord(
     const daplex::CreateStatement& statement,
-    const std::vector<abdm::Value>* row, const std::string& dbkey) {
+    const std::vector<abdm::Value>& row, const std::string& dbkey) {
   const std::string& type = statement.type;
   if (!functional_->IsEntityOrSubtype(type)) {
     return Status::NotFound("'" + type + "' is not an entity type or subtype");
@@ -534,11 +512,8 @@ Result<Record> DaplexMachine::BuildCreateRecord(
     const std::string& fn_name = statement.assignments[i].first;
     const bool is_param =
         i < statement.param_mask.size() && statement.param_mask[i] != 0;
-    if (is_param && row == nullptr) {
-      return Status::Internal("CREATE parameter marker without a value row");
-    }
     const Value& value =
-        is_param ? (*row)[next_param++] : statement.assignments[i].second;
+        is_param ? row[next_param++] : statement.assignments[i].second;
     // Supertype key pseudo-function: CREATE student (person = 'person_4').
     const bool is_super =
         subtype != nullptr &&
@@ -611,38 +586,11 @@ Result<Record> DaplexMachine::BuildCreateRecord(
       }
       // Overlap table: the supertype entity may not already belong to a
       // sibling subtype unless an OVERLAP constraint permits it.
-      const std::string owner_key =
-          record.GetOrNull(SetAttribute(transform::IsaSetName(super, type)))
-              .AsString();
-      for (const auto* sibling : functional_->SubtypesOf(super)) {
-        if (sibling->name == type) continue;
-        abdl::RetrieveRequest probe;
-        probe.query = Query::And(
-            {EqStr(std::string(abdm::kFileAttribute), sibling->name),
-             EqStr(SetAttribute(transform::IsaSetName(super, sibling->name)),
-                   owner_key)});
-        probe.targets = {abdl::TargetItem{KeyAttribute(sibling->name)}};
-        MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-        if (resp.records.empty()) continue;
-        bool allowed = false;
-        auto contains = [](const std::vector<std::string>& list,
-                           std::string_view name) {
-          return std::find(list.begin(), list.end(), name) != list.end();
-        };
-        for (const auto& oc : functional_->overlaps()) {
-          if ((contains(oc.left, type) && contains(oc.right, sibling->name)) ||
-              (contains(oc.left, sibling->name) && contains(oc.right, type))) {
-            allowed = true;
-            break;
-          }
-        }
-        if (!allowed) {
-          return Status::ConstraintViolation(
-              "CREATE " + type + ": entity '" + owner_key +
-              "' already belongs to subtype '" + sibling->name +
-              "' and no OVERLAP constraint permits sharing");
-        }
-      }
+      if (mapping_ == nullptr) continue;
+      const std::string isa_set = transform::IsaSetName(super, type);
+      MLDS_RETURN_IF_ERROR(inserts_.CheckOverlap(
+          "CREATE", type, isa_set,
+          record.GetOrNull(SetAttribute(isa_set)).AsString(), *mapping_));
     }
   }
 
@@ -664,25 +612,12 @@ Result<Record> DaplexMachine::BuildCreateRecord(
   // Uniqueness constraints carried into the transformed schema.
   const network::RecordType* rt = schema_->FindRecord(type);
   if (rt != nullptr) {
-    std::vector<Predicate> preds = {
-        EqStr(std::string(abdm::kFileAttribute), type)};
-    bool any = false;
-    for (const auto& attr : rt->attributes) {
-      if (attr.duplicates_allowed) continue;
-      Value v = record.GetOrNull(attr.name);
-      if (v.is_null()) continue;
-      preds.push_back(Predicate{attr.name, RelOp::kEq, v});
-      any = true;
-    }
-    if (any) {
-      abdl::RetrieveRequest probe;
-      probe.query = Query::And(std::move(preds));
-      probe.targets = {abdl::TargetItem{KeyAttribute(type)}};
-      MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-      if (!resp.records.empty()) {
-        return Status::ConstraintViolation(
-            "CREATE " + type + " violates a UNIQUE constraint");
-      }
+    MLDS_ASSIGN_OR_RETURN(
+        bool duplicate,
+        inserts_.UniqueTaken(type, NetworkUniqueCombo(*rt, record)));
+    if (duplicate) {
+      return Status::ConstraintViolation("CREATE " + type +
+                                         " violates a UNIQUE constraint");
     }
   }
   return record;
@@ -696,26 +631,13 @@ Result<DaplexMachine::Outcome> DaplexMachine::Create(
         "CREATE " + statement.type + ": parameter markers ('?') require the "
         "batch interface, which binds one value per marker per row");
   }
-  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateDbKey(statement.type));
-  MLDS_ASSIGN_OR_RETURN(Record record,
-                        BuildCreateRecord(statement, nullptr, dbkey));
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        Issue(abdl::InsertRequest{record}));
-  (void)resp;
-  Outcome outcome;
-  outcome.affected = 1;
-  outcome.info = "created " + dbkey;
-  outcome.records = {std::move(record)};
-  return outcome;
+  return CreateRows(statement, {{}}, std::nullopt);
 }
 
 Result<DaplexMachine::Outcome> DaplexMachine::ExecuteBatch(
     std::string_view text, const std::vector<std::vector<abdm::Value>>& rows,
     const abdl::BatchLimits& limits) {
   trace_.clear();
-  if (rows.empty()) {
-    return Status::InvalidArgument("CREATE batch carries no rows");
-  }
   MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const daplex::DaplexStatement> stmt,
                         ParseStatement(text));
   const auto* create = std::get_if<daplex::CreateStatement>(stmt.get());
@@ -724,35 +646,34 @@ Result<DaplexMachine::Outcome> DaplexMachine::ExecuteBatch(
         "batch execution requires a parameterized CREATE template "
         "(CREATE type (fn = ?, ...))");
   }
-  size_t params_per_row = 0;
-  for (uint8_t m : create->param_mask) {
-    if (m != 0) ++params_per_row;
-  }
-  const size_t chunk = abdl::EffectiveBatchSize(limits, params_per_row);
+  return CreateRows(*create, rows, limits);
+}
+
+Result<DaplexMachine::Outcome> DaplexMachine::CreateRows(
+    const daplex::CreateStatement& statement,
+    const std::vector<std::vector<Value>>& rows,
+    const std::optional<abdl::BatchLimits>& limits) {
   Outcome outcome;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, rows.size());
-    MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                          AllocateDbKeys(create->type, end - begin));
-    std::vector<Record> records;
-    records.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      if (rows[i].size() != params_per_row) {
-        return Status::InvalidArgument(
-            "CREATE batch row " + std::to_string(i) + " carries " +
-            std::to_string(rows[i].size()) + " value(s); the template has " +
-            std::to_string(params_per_row) + " parameter(s)");
-      }
-      MLDS_ASSIGN_OR_RETURN(
-          Record record, BuildCreateRecord(*create, &rows[i], keys[i - begin]));
-      records.push_back(std::move(record));
-    }
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                          Issue(abdl::BatchInsertRequest{std::move(records)}));
-    (void)resp;
-    outcome.affected += end - begin;
-  }
-  outcome.info = "created " + std::to_string(outcome.affected) + " entities";
+  MLDS_ASSIGN_OR_RETURN(
+      outcome.affected,
+      inserts_.Insert(
+          "CREATE", statement.type,
+          std::count_if(statement.param_mask.begin(),
+                        statement.param_mask.end(),
+                        [](uint8_t m) { return m != 0; }),
+          rows, limits,
+          [&](const std::vector<Value>& row, const std::string& dbkey) {
+            return BuildCreateRecord(statement, row, dbkey);
+          },
+          [&](const Record& last) {
+            if (!limits.has_value()) outcome.records = {last};
+          }));
+  outcome.info =
+      limits.has_value()
+          ? "created " + std::to_string(outcome.affected) + " entities"
+          : "created " + outcome.records[0]
+                             .GetOrNull(KeyAttribute(statement.type))
+                             .AsString();
   return outcome;
 }
 

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -14,6 +15,7 @@
 #include "daplex/query.h"
 #include "daplex/schema.h"
 #include "kc/executor.h"
+#include "kms/insert_path.h"
 #include "kms/translation_cache.h"
 #include "network/schema.h"
 #include "transform/fun_to_net.h"
@@ -147,23 +149,20 @@ class DaplexMachine {
   Status AbsorbManyToMany(const daplex::Function& fn,
                           std::map<std::string, EntityView>* views);
 
-  /// Allocates a fresh database key for `type` by probing the kernel.
-  Result<std::string> AllocateDbKey(std::string_view type);
-
-  /// Allocates `count` fresh database keys, probing each candidate so the
-  /// keys are free even before any of the batch's records insert.
-  Result<std::vector<std::string>> AllocateDbKeys(std::string_view type,
-                                                  size_t count);
+  /// CREATE of one literal statement (no `limits`, one empty row) or of
+  /// a parameter batch, through the insert path.
+  Result<Outcome> CreateRows(const daplex::CreateStatement& statement,
+                             const std::vector<std::vector<abdm::Value>>& rows,
+                             const std::optional<abdl::BatchLimits>& limits);
 
   /// The record-construction half of CREATE: validates every assignment
   /// (supertype keys, referential integrity, function class), enforces
   /// the overlap table and uniqueness constraints, and fills the
   /// member-side set keywords. `row` supplies the values bound to the
-  /// statement's `?` markers, in assignment order (null for a literal
-  /// statement). Shared by Create and ExecuteBatch.
+  /// statement's `?` markers, in assignment order.
   Result<abdm::Record> BuildCreateRecord(
       const daplex::CreateStatement& statement,
-      const std::vector<abdm::Value>* row, const std::string& dbkey);
+      const std::vector<abdm::Value>& row, const std::string& dbkey);
 
   /// True when a record of `file` with key `dbkey` exists.
   Result<bool> EntityExists(std::string_view file, std::string_view dbkey);
@@ -184,6 +183,7 @@ class DaplexMachine {
   kc::KernelExecutor* executor_;
   TranslationCache* cache_ = nullptr;
   std::vector<std::string> trace_;
+  InsertPath inserts_;
 };
 
 }  // namespace mlds::kms

@@ -226,16 +226,14 @@ Result<DliCall> ParseDliCall(std::string_view text) {
 
 DliMachine::DliMachine(const hierarchical::Schema* schema,
                        kc::KernelExecutor* executor)
-    : schema_(schema), executor_(executor) {}
+    : schema_(schema),
+      executor_(executor),
+      inserts_(executor,
+               [this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<kds::Response> DliMachine::Issue(abdl::Request request) {
   trace_.push_back(abdl::ToString(request));
   return executor_->Execute(request);
-}
-
-std::string DliMachine::PositionDescription() const {
-  if (!position_.has_value()) return "";
-  return position_->segment + " " + position_->key;
 }
 
 Result<DliMachine::Outcome> DliMachine::Execute(const DliCall& call) {
@@ -248,7 +246,7 @@ Result<DliMachine::Outcome> DliMachine::Execute(const DliCall& call) {
     case DliCall::Function::kGnp:
       return Gnp(call);
     case DliCall::Function::kIsrt:
-      return Isrt(call);
+      return Isrt(call, {{}}, std::nullopt);
     case DliCall::Function::kRepl:
       return Repl(call);
     case DliCall::Function::kDlet:
@@ -466,43 +464,9 @@ Result<DliMachine::Outcome> DliMachine::Gnp(const DliCall& call) {
   return TakeFirst(child->name, std::move(children));
 }
 
-Result<std::string> DliMachine::AllocateKey(std::string_view segment) {
-  uint64_t next = executor_->FileSize(segment) + 1;
-  while (true) {
-    std::string candidate = transform::MakeDbKey(segment, next);
-    abdl::RetrieveRequest probe;
-    probe.query = Query::And(
-        {FilePred(segment), Predicate{KeyAttribute(segment), RelOp::kEq,
-                                      Value::String(candidate)}});
-    probe.targets = {abdl::TargetItem{KeyAttribute(segment)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    ++next;
-    if (resp.records.empty()) return candidate;
-  }
-}
-
-Result<std::vector<std::string>> DliMachine::AllocateKeys(
-    std::string_view segment, size_t count) {
-  std::vector<std::string> keys;
-  keys.reserve(count);
-  uint64_t next = executor_->FileSize(segment) + 1;
-  while (keys.size() < count) {
-    std::string candidate = transform::MakeDbKey(segment, next);
-    abdl::RetrieveRequest probe;
-    probe.query = Query::And(
-        {FilePred(segment), Predicate{KeyAttribute(segment), RelOp::kEq,
-                                      Value::String(candidate)}});
-    probe.targets = {abdl::TargetItem{KeyAttribute(segment)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    ++next;
-    if (resp.records.empty()) keys.push_back(std::move(candidate));
-  }
-  return keys;
-}
-
 Result<Record> DliMachine::BuildIsrtRecord(const Segment& segment,
                                            const Ssa& ssa,
-                                           const std::vector<Value>* row,
+                                           const std::vector<Value>& row,
                                            const std::string& key) {
   Record record;
   record.Set(std::string(abdm::kFileAttribute), Value::String(segment.name));
@@ -518,10 +482,7 @@ Result<Record> DliMachine::BuildIsrtRecord(const Segment& segment,
                               segment.name + "'");
     }
     const bool is_param = i < ssa.param_mask.size() && ssa.param_mask[i] != 0;
-    if (is_param && row == nullptr) {
-      return Status::Internal("ISRT parameter marker without a value row");
-    }
-    record.Set(qual.attribute, is_param ? (*row)[next_param++] : qual.value);
+    record.Set(qual.attribute, is_param ? row[next_param++] : qual.value);
   }
   if (!segment.is_root()) {
     // The parent is the current position when it is of the parent type
@@ -542,11 +503,13 @@ Result<Record> DliMachine::BuildIsrtRecord(const Segment& segment,
   return record;
 }
 
-Result<DliMachine::Outcome> DliMachine::Isrt(const DliCall& call) {
+Result<DliMachine::Outcome> DliMachine::Isrt(
+    const DliCall& call, const std::vector<std::vector<Value>>& rows,
+    const std::optional<abdl::BatchLimits>& limits) {
   if (call.ssas.size() != 1) {
     return Status::InvalidArgument("ISRT takes exactly one segment");
   }
-  if (call.parameterized()) {
+  if (!limits.has_value() && call.parameterized()) {
     return Status::InvalidArgument(
         "ISRT: parameter markers ('?') require the batch interface, which "
         "binds one value per marker per row");
@@ -556,15 +519,28 @@ Result<DliMachine::Outcome> DliMachine::Isrt(const DliCall& call) {
   if (segment == nullptr) {
     return Status::NotFound("segment '" + ssa.segment + "' is not declared");
   }
-  MLDS_ASSIGN_OR_RETURN(std::string key, AllocateKey(segment->name));
-  MLDS_ASSIGN_OR_RETURN(Record record,
-                        BuildIsrtRecord(*segment, ssa, nullptr, key));
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        Issue(abdl::InsertRequest{record}));
-  position_ = Position{segment->name, key, record};
+  // Every row hangs off the parent established before the call; the
+  // last inserted segment becomes the current position.
   Outcome outcome;
-  outcome.affected = resp.affected;
-  outcome.info = "inserted " + key;
+  MLDS_ASSIGN_OR_RETURN(
+      outcome.affected,
+      inserts_.Insert(
+          "ISRT", segment->name,
+          std::count_if(ssa.param_mask.begin(), ssa.param_mask.end(),
+                        [](uint8_t m) { return m != 0; }),
+          rows, limits,
+          [&](const std::vector<Value>& row, const std::string& key) {
+            return BuildIsrtRecord(*segment, ssa, row, key);
+          },
+          [&](const Record& last) {
+            position_ = Position{
+                segment->name,
+                last.GetOrNull(KeyAttribute(segment->name)).AsString(), last};
+          }));
+  outcome.info = limits.has_value()
+                     ? "inserted " + std::to_string(outcome.affected) +
+                           " segment(s)"
+                     : "inserted " + position_->key;
   return outcome;
 }
 
@@ -572,9 +548,6 @@ Result<DliMachine::Outcome> DliMachine::ExecuteBatch(
     std::string_view text, const std::vector<std::vector<Value>>& rows,
     const abdl::BatchLimits& limits) {
   trace_.clear();
-  if (rows.empty()) {
-    return Status::InvalidArgument("ISRT batch carries no rows");
-  }
   MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const DliCall> call,
                         GetOrCompile<DliCall>(
                             cache_, "dli", text,
@@ -584,45 +557,7 @@ Result<DliMachine::Outcome> DliMachine::ExecuteBatch(
         "batch execution requires a parameterized ISRT template "
         "(ISRT seg (field = ?, ...))");
   }
-  if (call->ssas.size() != 1) {
-    return Status::InvalidArgument("ISRT takes exactly one segment");
-  }
-  const Ssa& ssa = call->ssas[0];
-  const Segment* segment = schema_->FindSegment(ssa.segment);
-  if (segment == nullptr) {
-    return Status::NotFound("segment '" + ssa.segment + "' is not declared");
-  }
-  size_t params_per_row = 0;
-  for (uint8_t m : ssa.param_mask) {
-    if (m != 0) ++params_per_row;
-  }
-  const size_t chunk = abdl::EffectiveBatchSize(limits, params_per_row);
-  Outcome outcome;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, rows.size());
-    MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                          AllocateKeys(segment->name, end - begin));
-    std::vector<Record> records;
-    records.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      if (rows[i].size() != params_per_row) {
-        return Status::InvalidArgument(
-            "ISRT batch row " + std::to_string(i) + " carries " +
-            std::to_string(rows[i].size()) + " value(s); the template has " +
-            std::to_string(params_per_row) + " parameter(s)");
-      }
-      MLDS_ASSIGN_OR_RETURN(
-          Record record,
-          BuildIsrtRecord(*segment, ssa, &rows[i], keys[i - begin]));
-      records.push_back(std::move(record));
-    }
-    position_ = Position{segment->name, keys.back(), records.back()};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                          Issue(abdl::BatchInsertRequest{std::move(records)}));
-    outcome.affected += resp.affected;
-  }
-  outcome.info = "inserted " + std::to_string(outcome.affected) + " segment(s)";
-  return outcome;
+  return Isrt(*call, rows, limits);
 }
 
 Result<DliMachine::Outcome> DliMachine::Repl(const DliCall& call) {

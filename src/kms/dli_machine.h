@@ -13,6 +13,7 @@
 #include "common/result.h"
 #include "hierarchical/schema.h"
 #include "kc/executor.h"
+#include "kms/insert_path.h"
 #include "kms/translation_cache.h"
 
 namespace mlds::kms {
@@ -109,9 +110,6 @@ class DliMachine {
   /// ABDL requests issued by the most recent call.
   const std::vector<std::string>& trace() const { return trace_; }
 
-  /// The current position (segment name + key), empty when unset.
-  std::string PositionDescription() const;
-
  private:
   struct Position {
     std::string segment;
@@ -122,7 +120,11 @@ class DliMachine {
   Result<Outcome> Gu(const DliCall& call);
   Result<Outcome> Gn(const DliCall& call);
   Result<Outcome> Gnp(const DliCall& call);
-  Result<Outcome> Isrt(const DliCall& call);
+  /// ISRT of one literal call (no `limits`, one empty row) or of a
+  /// parameter batch, through the insert path.
+  Result<Outcome> Isrt(const DliCall& call,
+                       const std::vector<std::vector<abdm::Value>>& rows,
+                       const std::optional<abdl::BatchLimits>& limits);
   Result<Outcome> Repl(const DliCall& call);
   Result<Outcome> Dlet();
 
@@ -145,26 +147,19 @@ class DliMachine {
   Status DeleteSubtree(const hierarchical::Segment& segment,
                        const std::string& key, size_t* deleted);
 
-  Result<std::string> AllocateKey(std::string_view segment);
-
-  /// Allocates `count` fresh segment keys, probing each candidate so the
-  /// keys are free even before any of the batch's records insert.
-  Result<std::vector<std::string>> AllocateKeys(std::string_view segment,
-                                                size_t count);
-
   /// The record-construction half of ISRT: validates the field list,
   /// resolves the parent key, and stamps `key`. `row` supplies the values
-  /// bound to `?` markers in qualification order (null for a literal
-  /// call). Shared by Isrt and ExecuteBatch.
+  /// bound to `?` markers in qualification order.
   Result<abdm::Record> BuildIsrtRecord(const hierarchical::Segment& segment,
                                        const Ssa& ssa,
-                                       const std::vector<abdm::Value>* row,
+                                       const std::vector<abdm::Value>& row,
                                        const std::string& key);
 
   const hierarchical::Schema* schema_;
   kc::KernelExecutor* executor_;
   TranslationCache* cache_ = nullptr;
   std::vector<std::string> trace_;
+  InsertPath inserts_;
 
   std::optional<Position> position_;
   std::optional<Position> anchor_;  ///< parent anchor for GNP/ISRT.

@@ -92,7 +92,11 @@ std::string SessionStats::ToString() const {
 DmlMachine::DmlMachine(const network::Schema* schema,
                        const transform::FunNetMapping* mapping,
                        kc::KernelExecutor* executor)
-    : schema_(schema), mapping_(mapping), executor_(executor) {}
+    : schema_(schema),
+      mapping_(mapping),
+      executor_(executor),
+      inserts_(executor,
+               [this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<DmlResult> DmlMachine::Execute(const codasyl::Statement& statement) {
   trace_.push_back(TraceEntry{
@@ -196,9 +200,6 @@ Result<std::vector<DmlResult>> DmlMachine::RunProgram(std::string_view text) {
 Result<DmlResult> DmlMachine::ExecuteBatch(
     std::string_view text, const std::vector<std::vector<abdm::Value>>& rows,
     const abdl::BatchLimits& limits) {
-  if (rows.empty()) {
-    return Status::InvalidArgument("STORE batch carries no rows");
-  }
   MLDS_ASSIGN_OR_RETURN(
       std::shared_ptr<const codasyl::ParsedStatement> stmt,
       GetOrCompile<codasyl::ParsedStatement>(
@@ -210,52 +211,13 @@ Result<DmlResult> DmlMachine::ExecuteBatch(
         "batch execution requires a parameterized STORE template "
         "(STORE rec (item = ?, ...))");
   }
-  MLDS_ASSIGN_OR_RETURN(const network::RecordType* rt,
-                        RequireRecord(store->record));
-  size_t params_per_row = 0;
-  for (const auto& a : store->assignments) {
-    if (a.is_param) ++params_per_row;
-  }
   trace_.push_back(TraceEntry{codasyl::ToString(stmt->statement) + " [" +
                                   std::to_string(rows.size()) + " rows]",
                               {}});
-  const size_t chunk = abdl::EffectiveBatchSize(limits, params_per_row);
-  std::vector<BuiltStore> built;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, rows.size());
-    built.clear();
-    built.reserve(end - begin);
-    std::vector<Record> records;
-    records.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      const std::vector<Value>& row = rows[i];
-      if (row.size() != params_per_row) {
-        return Status::InvalidArgument(
-            "STORE batch row " + std::to_string(i) + " carries " +
-            std::to_string(row.size()) + " value(s); the template has " +
-            std::to_string(params_per_row) + " parameter(s)");
-      }
-      size_t next_param = 0;
-      for (const auto& a : store->assignments) {
-        uwa_.Move(store->record, a.item,
-                  a.is_param ? row[next_param++] : a.value);
-      }
-      MLDS_ASSIGN_OR_RETURN(BuiltStore one, BuildStoreRecord(*rt));
-      records.push_back(one.record);
-      built.push_back(std::move(one));
-    }
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                          Issue(abdl::BatchInsertRequest{std::move(records)}));
-    (void)resp;
-    for (const BuiltStore& one : built) {
-      CommitStoreCurrencies(store->record, one);
-    }
-  }
-  DmlResult result;
+  MLDS_ASSIGN_OR_RETURN(DmlResult result, StoreRows(*store, rows, limits));
   result.abdl_requests = trace_.back().abdl.size();
   stats_.statements["STORE"] += 1;
   stats_.total_statements += 1;
-  result.info = "stored " + std::to_string(rows.size()) + " record(s)";
   return result;
 }
 
@@ -429,95 +391,6 @@ Result<std::string> DmlMachine::RequireSetOwner(std::string_view set) const {
                                  "' has no current owner");
   }
   return currency->owner_dbkey;
-}
-
-Result<std::string> DmlMachine::AllocateDbKey(std::string_view record) {
-  uint64_t next = next_key_[std::string(record)];
-  if (next == 0) next = executor_->FileSize(record) + 1;
-  while (true) {
-    std::string candidate = transform::MakeDbKey(record, next);
-    RetrieveRequest probe;
-    probe.query = Query::And({EqStr(std::string(abdm::kFileAttribute), record),
-                              EqStr(KeyAttribute(record), candidate)});
-    probe.targets = {abdl::TargetItem{KeyAttribute(record)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    ++next;
-    if (resp.records.empty()) {
-      next_key_[std::string(record)] = next;
-      return candidate;
-    }
-  }
-}
-
-Status DmlMachine::CheckDuplicates(const network::RecordType& record,
-                                   const Record& candidate) {
-  // The items under a DUPLICATES ARE NOT ALLOWED clause are unique in
-  // combination: form one RETRIEVE over the conjunction of their values.
-  std::vector<Predicate> preds = {
-      EqStr(std::string(abdm::kFileAttribute), record.name)};
-  bool any = false;
-  for (const auto& attr : record.attributes) {
-    if (attr.duplicates_allowed) continue;
-    Value v = candidate.GetOrNull(attr.name);
-    if (v.is_null()) continue;
-    preds.push_back(Eq(attr.name, std::move(v)));
-    any = true;
-  }
-  if (!any) return Status::OK();
-  RetrieveRequest probe;
-  probe.query = Query::And(std::move(preds));
-  probe.targets = {abdl::TargetItem{KeyAttribute(record.name)}};
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-  if (!resp.records.empty()) {
-    return Status::ConstraintViolation(
-        "STORE " + record.name +
-        " violates DUPLICATES ARE NOT ALLOWED: a record with the same "
-        "unique item values exists");
-  }
-  return Status::OK();
-}
-
-bool DmlMachine::OverlapDeclared(std::string_view a, std::string_view b) const {
-  if (mapping_ == nullptr) return false;
-  auto contains = [](const std::vector<std::string>& list,
-                     std::string_view name) {
-    return std::find(list.begin(), list.end(), name) != list.end();
-  };
-  for (const auto& oc : mapping_->overlap_table) {
-    const bool forward = contains(oc.left, a) && contains(oc.right, b);
-    const bool backward = contains(oc.left, b) && contains(oc.right, a);
-    if (forward || backward) return true;
-  }
-  return false;
-}
-
-Status DmlMachine::CheckOverlap(std::string_view subtype,
-                                const std::string& isa_set,
-                                const std::string& owner_key) {
-  if (mapping_ == nullptr) return Status::OK();
-  const SetType* isa = schema_->FindSet(isa_set);
-  if (isa == nullptr) return Status::OK();
-  // Sibling subtypes: members of other ISA sets owned by the same
-  // supertype.
-  for (const SetType* sibling_set : schema_->SetsWithOwner(isa->owner)) {
-    const SetInfo* info = SetInfoOf(sibling_set->name);
-    if (info == nullptr || info->origin != SetOrigin::kIsa) continue;
-    const std::string& sibling = sibling_set->members[0];
-    if (sibling == subtype) continue;
-    RetrieveRequest probe;
-    probe.query = Query::And(
-        {EqStr(std::string(abdm::kFileAttribute), sibling),
-         EqStr(SetAttribute(sibling_set->name), owner_key)});
-    probe.targets = {abdl::TargetItem{KeyAttribute(sibling)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    if (!resp.records.empty() && !OverlapDeclared(subtype, sibling)) {
-      return Status::ConstraintViolation(
-          "STORE " + std::string(subtype) + ": entity '" + owner_key +
-          "' already belongs to subtype '" + sibling +
-          "' and no OVERLAP constraint permits sharing");
-    }
-  }
-  return Status::OK();
 }
 
 // --- Statement handlers ---
@@ -794,9 +667,8 @@ Result<DmlResult> DmlMachine::Get(const codasyl::GetStatement& s) {
 }
 
 Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
-    const network::RecordType& rt) {
+    const network::RecordType& rt, const std::string& dbkey) {
   const std::string& name = rt.name;
-  MLDS_ASSIGN_OR_RETURN(std::string dbkey, AllocateDbKey(name));
 
   Record record;
   record.Set(std::string(abdm::kFileAttribute), Value::String(name));
@@ -806,8 +678,17 @@ Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
     if (value.has_value()) record.Set(attr.name, *value);
   }
 
-  // Duplicates condition (Ch. VI.G factor 3).
-  MLDS_RETURN_IF_ERROR(CheckDuplicates(rt, record));
+  // Duplicates condition (Ch. VI.G factor 3): the items under a
+  // DUPLICATES ARE NOT ALLOWED clause are unique in combination.
+  MLDS_ASSIGN_OR_RETURN(
+      bool duplicate,
+      inserts_.UniqueTaken(name, NetworkUniqueCombo(rt, record)));
+  if (duplicate) {
+    return Status::ConstraintViolation(
+        "STORE " + name +
+        " violates DUPLICATES ARE NOT ALLOWED: a record with the same "
+        "unique item values exists");
+  }
 
   // Set membership. Automatic sets connect now; manual member-side sets
   // start unattached (NULL). SYSTEM sets contribute nothing.
@@ -858,7 +739,8 @@ Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
       }
       const SetInfo* info = SetInfoOf(set->name);
       if (info != nullptr && info->origin == SetOrigin::kIsa) {
-        MLDS_RETURN_IF_ERROR(CheckOverlap(name, set->name, owner_key));
+        MLDS_RETURN_IF_ERROR(inserts_.CheckOverlap("STORE", name, set->name,
+                                                   owner_key, *mapping_));
       }
       record.Set(SetAttribute(set->name), Value::String(owner_key));
       connected.emplace_back(set->name, owner_key);
@@ -890,19 +772,44 @@ Result<DmlResult> DmlMachine::Store(const codasyl::StoreStatement& s) {
         "STORE " + s.record + ": parameter markers ('?') require the batch "
         "interface, which binds one value per marker per row");
   }
+  return StoreRows(s, {{}}, std::nullopt);
+}
+
+Result<DmlResult> DmlMachine::StoreRows(
+    const codasyl::StoreStatement& s,
+    const std::vector<std::vector<Value>>& rows,
+    const std::optional<abdl::BatchLimits>& limits) {
   MLDS_ASSIGN_OR_RETURN(const network::RecordType* rt, RequireRecord(s.record));
-  // Inline assignments are per-item MOVEs folded into the STORE.
-  for (const auto& a : s.assignments) {
-    uwa_.Move(s.record, a.item, a.value);
-  }
-  MLDS_ASSIGN_OR_RETURN(BuiltStore built, BuildStoreRecord(*rt));
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        Issue(InsertRequest{built.record}));
-  (void)resp;
-  CommitStoreCurrencies(s.record, built);
+  // The chunk's built records; their currencies commit once it inserts.
+  std::vector<BuiltStore> built;
+  auto build = [&](const std::vector<Value>& row,
+                   const std::string& dbkey) -> Result<Record> {
+    // Inline assignments are per-item MOVEs folded into the STORE.
+    size_t next_param = 0;
+    for (const auto& a : s.assignments) {
+      uwa_.Move(s.record, a.item, a.is_param ? row[next_param++] : a.value);
+    }
+    MLDS_ASSIGN_OR_RETURN(BuiltStore one, BuildStoreRecord(*rt, dbkey));
+    built.push_back(std::move(one));
+    return built.back().record;
+  };
   DmlResult result;
-  result.info = "stored " + built.dbkey;
-  result.records = {std::move(built.record)};
+  auto commit = [&](const Record& last) {
+    for (const BuiltStore& one : built) {
+      CommitStoreCurrencies(s.record, one);
+    }
+    built.clear();
+    if (!limits.has_value()) result.records = {last};
+  };
+  MLDS_ASSIGN_OR_RETURN(
+      size_t stored,
+      inserts_.Insert("STORE", s.record,
+                      std::count_if(s.assignments.begin(), s.assignments.end(),
+                                    [](const auto& a) { return a.is_param; }),
+                      rows, limits, build, commit));
+  result.info = limits.has_value()
+                    ? "stored " + std::to_string(stored) + " record(s)"
+                    : "stored " + KeyOf(s.record, result.records[0]);
   return result;
 }
 

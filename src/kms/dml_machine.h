@@ -1,9 +1,9 @@
 #ifndef MLDS_KMS_DML_MACHINE_H_
 #define MLDS_KMS_DML_MACHINE_H_
 
-#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +16,7 @@
 #include "codasyl/uwa.h"
 #include "common/result.h"
 #include "kc/executor.h"
+#include "kms/insert_path.h"
 #include "kms/translation_cache.h"
 #include "network/schema.h"
 #include "transform/fun_to_net.h"
@@ -185,10 +186,6 @@ class DmlMachine {
   /// The owner database key of the current occurrence of `set`.
   Result<std::string> RequireSetOwner(std::string_view set) const;
 
-  /// Allocates a fresh database key for `record` (probing the kernel so
-  /// generated keys never collide with loaded ones).
-  Result<std::string> AllocateDbKey(std::string_view record);
-
   /// One record built by the STORE translation, ready to insert: the AB
   /// record, its database key, and the (set, owner) pairs it connects to.
   struct BuiltStore {
@@ -197,24 +194,22 @@ class DmlMachine {
     std::vector<std::pair<std::string, std::string>> connected;
   };
 
-  /// The record-construction half of STORE (Ch. VI.G): allocates the
-  /// database key, fills items from the UWA, checks duplicates, and
-  /// resolves set membership. Shared by Store and ExecuteBatch.
-  Result<BuiltStore> BuildStoreRecord(const network::RecordType& rt);
+  /// The record-construction half of STORE (Ch. VI.G): stamps `dbkey`,
+  /// fills items from the UWA, checks duplicates, and resolves set
+  /// membership. Shared by Store and ExecuteBatch.
+  Result<BuiltStore> BuildStoreRecord(const network::RecordType& rt,
+                                      const std::string& dbkey);
+
+  /// STORE of one literal statement (no `limits`, one empty row) or of a
+  /// parameter batch, through the insert path. Currencies update per
+  /// stored record once its chunk inserts.
+  Result<DmlResult> StoreRows(const codasyl::StoreStatement& s,
+                              const std::vector<std::vector<abdm::Value>>& rows,
+                              const std::optional<abdl::BatchLimits>& limits);
 
   /// Post-insert currency maintenance for one stored record.
   void CommitStoreCurrencies(std::string_view record_type,
                              const BuiltStore& built);
-
-  /// STORE support: duplicates check (DUPLICATES ARE NOT ALLOWED) and the
-  /// Daplex overlap-table check.
-  Status CheckDuplicates(const network::RecordType& record,
-                         const abdm::Record& candidate);
-  Status CheckOverlap(std::string_view subtype, const std::string& isa_set,
-                      const std::string& owner_key);
-
-  /// True when the overlap table permits `a` and `b` to share an entity.
-  bool OverlapDeclared(std::string_view a, std::string_view b) const;
 
   const network::Schema* schema_;
   const transform::FunNetMapping* mapping_;
@@ -226,7 +221,7 @@ class DmlMachine {
   codasyl::RequestBuffer rb_;
   std::vector<TraceEntry> trace_;
   SessionStats stats_;
-  std::map<std::string, uint64_t> next_key_;
+  InsertPath inserts_;
 
   /// Explain mode for the statement currently executing: Issue() flags
   /// every outgoing request and collects the plans its responses carry.

@@ -51,7 +51,10 @@ abdl::AggregateOp MapAggregate(SqlAggregate aggregate) {
 
 SqlMachine::SqlMachine(const relational::Schema* schema,
                        kc::KernelExecutor* executor)
-    : schema_(schema), executor_(executor) {}
+    : schema_(schema),
+      executor_(executor),
+      inserts_(executor,
+               [this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<kds::Response> SqlMachine::Issue(abdl::Request request) {
   trace_.push_back(abdl::ToString(request));
@@ -79,27 +82,29 @@ Result<SqlMachine::Outcome> SqlMachine::Execute(
   return std::visit(Visitor{this}, statement);
 }
 
+Result<std::shared_ptr<const SqlMachine::Translation>> SqlMachine::Translate(
+    std::string_view text) {
+  return GetOrCompile<Translation>(
+      cache_, "sql", text, [&]() -> Result<Translation> {
+        MLDS_ASSIGN_OR_RETURN(sql::SqlStatement statement, sql::ParseSql(text));
+        Translation t;
+        if (const auto* insert =
+                std::get_if<sql::InsertStatement>(&statement)) {
+          if (insert->parameterized()) {
+            MLDS_ASSIGN_OR_RETURN(t.prepared, CompilePreparedInsert(*insert));
+          } else {
+            t.ast = std::move(statement);
+          }
+        } else {
+          MLDS_ASSIGN_OR_RETURN(t.compiled, Compile(statement));
+        }
+        return t;
+      });
+}
+
 Result<SqlMachine::Outcome> SqlMachine::ExecuteText(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(
-      std::shared_ptr<const Translation> translation,
-      GetOrCompile<Translation>(
-          cache_, "sql", text, [&]() -> Result<Translation> {
-            MLDS_ASSIGN_OR_RETURN(sql::SqlStatement statement,
-                                  sql::ParseSql(text));
-            Translation t;
-            if (const auto* insert =
-                    std::get_if<sql::InsertStatement>(&statement)) {
-              if (insert->parameterized()) {
-                MLDS_ASSIGN_OR_RETURN(t.prepared,
-                                      CompilePreparedInsert(*insert));
-              } else {
-                t.ast = std::move(statement);
-              }
-            } else {
-              MLDS_ASSIGN_OR_RETURN(t.compiled, Compile(statement));
-            }
-            return t;
-          }));
+  MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const Translation> translation,
+                        Translate(text));
   if (translation->compiled.has_value()) {
     trace_.clear();
     return RunCompiled(*translation->compiled);
@@ -117,29 +122,14 @@ Result<SqlMachine::Outcome> SqlMachine::ExecuteBatch(
     const std::vector<std::vector<Value>>& rows,
     const abdl::BatchLimits& limits) {
   trace_.clear();
-  if (rows.empty()) {
-    return Status::InvalidArgument("prepared INSERT batch carries no rows");
-  }
-  auto compile = [&]() -> Result<Translation> {
-    MLDS_ASSIGN_OR_RETURN(sql::SqlStatement parsed, sql::ParseSql(statement));
-    const auto* insert = std::get_if<sql::InsertStatement>(&parsed);
-    if (insert == nullptr || !insert->parameterized()) {
-      return Status::InvalidArgument(
-          "batch execution requires a parameterized INSERT template "
-          "(INSERT ... VALUES with '?' markers)");
-    }
-    Translation t;
-    MLDS_ASSIGN_OR_RETURN(t.prepared, CompilePreparedInsert(*insert));
-    return t;
-  };
-  MLDS_ASSIGN_OR_RETURN(
-      std::shared_ptr<const Translation> translation,
-      GetOrCompile<Translation>(cache_, "sql", statement, compile));
+  MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const Translation> translation,
+                        Translate(statement));
   if (!translation->prepared.has_value()) {
     return Status::InvalidArgument(
-        "batch execution requires a parameterized INSERT template");
+        "batch execution requires a parameterized INSERT template "
+        "(INSERT ... VALUES with '?' markers)");
   }
-  return RunPreparedBatch(*translation->prepared, rows, limits);
+  return RunInsert(*translation->prepared, rows, limits);
 }
 
 Result<SqlMachine::CompiledSql> SqlMachine::Compile(
@@ -264,41 +254,6 @@ Result<Query> SqlMachine::BuildQuery(const Table& table,
     disjuncts.push_back(std::move(out));
   }
   return Query(std::move(disjuncts));
-}
-
-Result<std::string> SqlMachine::AllocateTupleKey(std::string_view table) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                        AllocateTupleKeys(table, 1));
-  return std::move(keys.front());
-}
-
-Result<std::vector<std::string>> SqlMachine::AllocateTupleKeys(
-    std::string_view table, size_t count) {
-  uint64_t next = next_key_[std::string(table)];
-  if (next == 0) next = executor_->FileSize(table) + 1;
-  // Probe forward to the first free key, then claim `count` consecutive
-  // keys from there: one probe per batch instead of one per record. The
-  // cursor never re-issues a claimed key, so repeated batches through
-  // this machine stay collision-free (see the header for the
-  // single-writer caveat).
-  while (true) {
-    std::string candidate = transform::MakeDbKey(table, next);
-    abdl::RetrieveRequest probe;
-    probe.query = Query::And(
-        {FilePred(table), Predicate{KeyAttribute(table), RelOp::kEq,
-                                    Value::String(candidate)}});
-    probe.targets = {abdl::TargetItem{KeyAttribute(table)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    if (resp.records.empty()) break;
-    ++next;
-  }
-  std::vector<std::string> keys;
-  keys.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    keys.push_back(transform::MakeDbKey(table, next + i));
-  }
-  next_key_[std::string(table)] = next + count;
-  return keys;
 }
 
 Result<SqlMachine::Outcome> SqlMachine::Select(const SelectStatement& s) {
@@ -428,8 +383,8 @@ Result<SqlMachine::CompiledSql> SqlMachine::CompileSelect(
   return compiled;
 }
 
-Status SqlMachine::CheckInsertRecord(const Table& table, const Record& record,
-                                     std::set<std::string>* seen_unique) {
+Status SqlMachine::CheckInsertRecord(const Table& table,
+                                     const Record& record) {
   // NOT NULL enforcement.
   for (const auto& column : table.columns) {
     if (column.not_null && record.GetOrNull(column.name).is_null()) {
@@ -437,35 +392,20 @@ Status SqlMachine::CheckInsertRecord(const Table& table, const Record& record,
                                          "' is NOT NULL");
     }
   }
-  // UNIQUE enforcement (combination semantics, one probe) — against the
-  // live data, and against earlier rows of the same batch (which the
-  // kernel probe cannot see yet).
-  if (table.unique_columns.empty()) return Status::OK();
-  std::vector<Predicate> preds = {FilePred(table.name)};
-  std::string combo;
-  bool all_present = true;
+  // UNIQUE enforcement: combination semantics, one probe.
+  std::vector<Predicate> combo;
   for (const auto& unique : table.unique_columns) {
     Value v = record.GetOrNull(unique);
-    if (v.is_null()) {
-      all_present = false;
-      break;
-    }
-    combo += v.ToString();
-    combo += '\x1f';
-    preds.push_back(Predicate{unique, RelOp::kEq, std::move(v)});
+    if (v.is_null()) return Status::OK();
+    combo.push_back(Predicate{unique, RelOp::kEq, std::move(v)});
   }
-  if (!all_present) return Status::OK();
-  const Status violation = Status::ConstraintViolation(
-      "INSERT violates UNIQUE(" + Join(table.unique_columns, ", ") +
-      ") on '" + table.name + "'");
-  if (seen_unique != nullptr && !seen_unique->insert(combo).second) {
-    return violation;
+  MLDS_ASSIGN_OR_RETURN(bool taken,
+                        inserts_.UniqueTaken(table.name, std::move(combo)));
+  if (taken) {
+    return Status::ConstraintViolation(
+        "INSERT violates UNIQUE(" + Join(table.unique_columns, ", ") +
+        ") on '" + table.name + "'");
   }
-  abdl::RetrieveRequest probe;
-  probe.query = Query::And(std::move(preds));
-  probe.targets = {abdl::TargetItem{KeyAttribute(table.name)}};
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-  if (!resp.records.empty()) return violation;
   return Status::OK();
 }
 
@@ -475,52 +415,41 @@ Result<SqlMachine::Outcome> SqlMachine::Insert(const sql::InsertStatement& s) {
         "parameterized INSERT template requires a parameter batch; "
         "execute it through the batch interface");
   }
-  const Table* table = schema_->FindTable(s.table);
+  MLDS_ASSIGN_OR_RETURN(PreparedInsert prepared, CompilePreparedInsert(s));
+  std::vector<std::vector<Value>> rows = {s.values};
+  rows.insert(rows.end(), s.more_rows.begin(), s.more_rows.end());
+  return RunInsert(prepared, rows, std::nullopt);
+}
+
+Result<SqlMachine::Outcome> SqlMachine::RunInsert(
+    const PreparedInsert& prepared,
+    const std::vector<std::vector<Value>>& rows,
+    const std::optional<abdl::BatchLimits>& limits) {
+  const Table* table = schema_->FindTable(prepared.table);
   if (table == nullptr) {
-    return Status::NotFound("table '" + s.table + "' does not exist");
+    return Status::NotFound("table '" + prepared.table + "' does not exist");
   }
-  for (const auto& column : s.columns) {
-    if (table->FindColumn(column) == nullptr) {
-      return Status::NotFound("column '" + column + "' does not exist in '" +
-                              s.table + "'");
-    }
-  }
-  std::vector<Record> records;
-  records.reserve(1 + s.more_rows.size());
-  std::set<std::string> seen_unique;
-  auto build = [&](const std::vector<Value>& row) -> Status {
-    Record record;
-    record.Set(std::string(abdm::kFileAttribute), Value::String(s.table));
-    for (size_t i = 0; i < s.columns.size(); ++i) {
-      record.Set(s.columns[i], row[i]);
-    }
-    MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, record, &seen_unique));
-    records.push_back(std::move(record));
-    return Status::OK();
+  auto build = [&](const std::vector<Value>& row,
+                   const std::string& key) -> Result<Record> {
+    MLDS_ASSIGN_OR_RETURN(abdl::InsertRequest one, prepared.request.Bind(row));
+    MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, one.record));
+    one.record.Set(KeyAttribute(prepared.table), Value::String(key));
+    return std::move(one.record);
   };
-  MLDS_RETURN_IF_ERROR(build(s.values));
-  for (const auto& row : s.more_rows) {
-    MLDS_RETURN_IF_ERROR(build(row));
-  }
-  MLDS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                        AllocateTupleKeys(s.table, records.size()));
-  for (size_t i = 0; i < records.size(); ++i) {
-    records[i].Set(KeyAttribute(s.table), Value::String(keys[i]));
-  }
+  std::string last_key;
   Outcome outcome;
-  if (records.size() == 1) {
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                          Issue(abdl::InsertRequest{std::move(records[0])}));
-    outcome.affected = resp.affected;
-    outcome.info = "inserted " + keys[0];
-    return outcome;
-  }
-  // Multi-row VALUES: one kernel batch INSERT, one WAL entry.
   MLDS_ASSIGN_OR_RETURN(
-      kds::Response resp,
-      Issue(abdl::BatchInsertRequest{std::move(records)}));
-  outcome.affected = resp.affected;
-  outcome.info = "inserted " + std::to_string(resp.affected) + " row(s)";
+      outcome.affected,
+      inserts_.Insert("prepared INSERT", prepared.table,
+                      prepared.request.params_per_row(), rows, limits, build,
+                      [&](const Record& last) {
+                        last_key = last.GetOrNull(KeyAttribute(prepared.table))
+                                       .AsString();
+                      }));
+  outcome.info = outcome.affected == 1 && !limits.has_value()
+                     ? "inserted " + last_key
+                     : "inserted " + std::to_string(outcome.affected) +
+                           " row(s)";
   return outcome;
 }
 
@@ -530,6 +459,9 @@ Result<SqlMachine::PreparedInsert> SqlMachine::CompilePreparedInsert(
   if (table == nullptr) {
     return Status::NotFound("table '" + s.table + "' does not exist");
   }
+  // A literal INSERT compiles to a template that binds every column, one
+  // parameter row per VALUES tuple.
+  const bool bind_all = !s.parameterized();
   PreparedInsert prepared;
   prepared.table = s.table;
   prepared.request.constants.Set(std::string(abdm::kFileAttribute),
@@ -539,46 +471,13 @@ Result<SqlMachine::PreparedInsert> SqlMachine::CompilePreparedInsert(
       return Status::NotFound("column '" + s.columns[i] +
                               "' does not exist in '" + s.table + "'");
     }
-    if (i < s.param_mask.size() && s.param_mask[i] != 0) {
+    if (bind_all || (i < s.param_mask.size() && s.param_mask[i] != 0)) {
       prepared.request.parameters.push_back(s.columns[i]);
     } else {
       prepared.request.constants.Set(s.columns[i], s.values[i]);
     }
   }
   return prepared;
-}
-
-Result<SqlMachine::Outcome> SqlMachine::RunPreparedBatch(
-    const PreparedInsert& prepared,
-    const std::vector<std::vector<Value>>& rows,
-    const abdl::BatchLimits& limits) {
-  const Table* table = schema_->FindTable(prepared.table);
-  if (table == nullptr) {
-    return Status::NotFound("table '" + prepared.table + "' does not exist");
-  }
-  const size_t chunk =
-      abdl::EffectiveBatchSize(limits, prepared.request.params_per_row());
-  Outcome outcome;
-  std::set<std::string> seen_unique;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(rows.size(), begin + chunk);
-    MLDS_ASSIGN_OR_RETURN(abdl::BatchInsertRequest batch,
-                          prepared.request.BindBatch(rows, begin, end));
-    for (const Record& record : batch.records) {
-      MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, record, &seen_unique));
-    }
-    MLDS_ASSIGN_OR_RETURN(
-        std::vector<std::string> keys,
-        AllocateTupleKeys(prepared.table, batch.records.size()));
-    for (size_t i = 0; i < batch.records.size(); ++i) {
-      batch.records[i].Set(KeyAttribute(prepared.table),
-                           Value::String(keys[i]));
-    }
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(std::move(batch)));
-    outcome.affected += resp.affected;
-  }
-  outcome.info = "inserted " + std::to_string(outcome.affected) + " row(s)";
-  return outcome;
 }
 
 Result<SqlMachine::Outcome> SqlMachine::Update(const sql::UpdateStatement& s) {

@@ -1,11 +1,8 @@
 #ifndef MLDS_KMS_SQL_MACHINE_H_
 #define MLDS_KMS_SQL_MACHINE_H_
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +12,7 @@
 #include "common/result.h"
 #include "kc/executor.h"
 #include "kds/plan.h"
+#include "kms/insert_path.h"
 #include "kms/translation_cache.h"
 #include "relational/schema.h"
 #include "sql/ast.h"
@@ -94,10 +92,10 @@ class SqlMachine {
     bool strip_file = false;
   };
 
-  /// A parameterized INSERT compiled to a bindable kernel template: the
-  /// table resolved, every column checked, constants (FILE + literal
-  /// columns) baked into the record, parameter slots ordered. A warm hit
-  /// skips straight to binding values.
+  /// An INSERT compiled to a bindable kernel template: the table
+  /// resolved, every column checked, constants (FILE + literal columns)
+  /// baked into the record, parameter slots ordered. A literal INSERT
+  /// binds every column, one row per VALUES tuple.
   struct PreparedInsert {
     std::string table;
     abdl::PreparedRequest request;
@@ -122,20 +120,24 @@ class SqlMachine {
   Result<CompiledSql> CompileSelect(const sql::SelectStatement& statement);
   Result<CompiledSql> CompileUpdate(const sql::UpdateStatement& statement);
   Result<CompiledSql> CompileDelete(const sql::DeleteStatement& statement);
+
+  /// Parses and compiles `text` through the translation cache.
+  Result<std::shared_ptr<const Translation>> Translate(std::string_view text);
   Result<PreparedInsert> CompilePreparedInsert(
       const sql::InsertStatement& statement);
   Result<Outcome> RunCompiled(const CompiledSql& compiled);
-  Result<Outcome> RunPreparedBatch(
-      const PreparedInsert& prepared,
-      const std::vector<std::vector<abdm::Value>>& rows,
-      const abdl::BatchLimits& limits);
+
+  /// Inserts `rows` through `prepared`: a literal INSERT (no `limits`)
+  /// or a parameter batch, through the insert path.
+  Result<Outcome> RunInsert(const PreparedInsert& prepared,
+                            const std::vector<std::vector<abdm::Value>>& rows,
+                            const std::optional<abdl::BatchLimits>& limits);
 
   /// NOT NULL + UNIQUE enforcement for one record about to insert into
-  /// `table`. `seen_unique` dedupes unique-column combinations *within*
-  /// a batch (the kernel probe only sees already-inserted data).
+  /// `table`; inside a batch the UNIQUE probe also sees the batch's
+  /// earlier rows. A null in any UNIQUE column exempts the row.
   Status CheckInsertRecord(const relational::Table& table,
-                           const abdm::Record& record,
-                           std::set<std::string>* seen_unique);
+                           const abdm::Record& record);
 
   Result<kds::Response> Issue(abdl::Request request);
 
@@ -149,22 +151,11 @@ class SqlMachine {
   Result<abdm::Query> BuildQuery(const relational::Table& table,
                                  const sql::WhereClause& where) const;
 
-  /// Allocates a fresh tuple key for `table`.
-  Result<std::string> AllocateTupleKey(std::string_view table);
-
-  /// Allocates `count` consecutive tuple keys: probes the cursor forward
-  /// to the first free key, then claims the contiguous range. The range
-  /// claim assumes bulk loads are single-writer on the table (this
-  /// machine's cursor never re-issues a claimed key); concurrent inserts
-  /// through *another* session could collide with the tail of the range.
-  Result<std::vector<std::string>> AllocateTupleKeys(std::string_view table,
-                                                     size_t count);
-
   const relational::Schema* schema_;
   kc::KernelExecutor* executor_;
   TranslationCache* cache_ = nullptr;
   std::vector<std::string> trace_;
-  std::map<std::string, uint64_t> next_key_;
+  InsertPath inserts_;
 };
 
 }  // namespace mlds::kms

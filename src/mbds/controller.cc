@@ -10,8 +10,6 @@
 #include <sstream>
 #include <utility>
 
-#include "abdl/parser.h"
-#include "common/strings.h"
 #include "kds/join.h"
 #include "kds/planner.h"
 #include "kds/snapshot.h"
@@ -68,29 +66,6 @@ kds::PlanNode MergeBackendPlans(
   root.actual_rows = root.SumChildren(&kds::PlanNode::actual_rows);
   root.actual_blocks = root.SumChildren(&kds::PlanNode::actual_blocks);
   return root;
-}
-
-/// Replays one controller-written WAL payload (REQUEST or DEFINE) into
-/// `engine`. Failures are ignored: the engine is deterministic, so a
-/// request that failed when first executed fails identically on replay.
-void ReplayCatchupPayload(std::string_view payload, kds::Engine* engine) {
-  constexpr std::string_view kRequest = "REQUEST ";
-  constexpr std::string_view kDefine = "DEFINE ";
-  constexpr std::string_view kIndex = "INDEX ";
-  if (payload.starts_with(kRequest)) {
-    auto request = abdl::ParseRequest(payload.substr(kRequest.size()));
-    if (request.ok()) (void)engine->Execute(*request);
-  } else if (payload.starts_with(kDefine)) {
-    auto descriptor = kds::DecodeDefineFile(payload.substr(kDefine.size()));
-    if (descriptor.ok()) (void)engine->DefineFile(*descriptor);
-  } else if (payload.starts_with(kIndex)) {
-    std::string_view body = payload.substr(kIndex.size());
-    const size_t space = body.find(' ');
-    if (space != std::string_view::npos) {
-      (void)engine->CreateIndex(body.substr(0, space),
-                                Trim(body.substr(space + 1)));
-    }
-  }
 }
 
 }  // namespace
@@ -204,8 +179,11 @@ bool Controller::ReintegrateBackend(Backend& backend) {
       }
       delta = wal.contents().substr(replayed);
     }
+    // Failures are ignored: the engine is deterministic, so a request
+    // that failed when first executed fails identically on replay.
     for (const kds::WalEntry& entry : kds::ScanWal(delta).entries) {
-      ReplayCatchupPayload(entry.payload, fresh.get());
+      Status outcome;
+      (void)kds::ApplyWalPayload(entry.payload, fresh.get(), &outcome);
     }
     replayed += delta.size();
   }

@@ -287,5 +287,24 @@ TEST_F(DaplexMutationTest, BatchCreateEnforcesReferentialChecksPerRow) {
   EXPECT_FALSE(status.ok());
 }
 
+TEST_F(DaplexMutationTest, BatchCreateRepeatingAUniquePairIsRejectedWhole) {
+  // Two rows of one batch repeat (title, semester) under UNIQUE title,
+  // semester WITHIN course: the batch fails as two single CREATEs would,
+  // and neither row lands.
+  const size_t courses = system_.executor()->FileSize("course");
+  const std::vector<std::vector<abdm::Value>> twins = {
+      {abdm::Value::String("Twin Course"), abdm::Value::String("Spr89"),
+       abdm::Value::Integer(3)},
+      {abdm::Value::String("Twin Course"), abdm::Value::String("Spr89"),
+       abdm::Value::Integer(4)}};
+  Status status =
+      machine_
+          ->ExecuteBatch(
+              "CREATE course (title = ?, semester = ?, credits = ?)", twins)
+          .status();
+  EXPECT_EQ(status.code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(system_.executor()->FileSize("course"), courses);
+}
+
 }  // namespace
 }  // namespace mlds::kms

@@ -625,6 +625,47 @@ TEST_F(DmlUniversityTest, BatchStoreDuplicateAgainstKernelRejected) {
   EXPECT_EQ(status.code(), StatusCode::kConstraintViolation);
 }
 
+TEST_F(DmlUniversityTest, BatchStoreRepeatingAUniquePairIsRejectedWhole) {
+  // Two rows of one batch repeat (title, semester): the second violates
+  // DUPLICATES ARE NOT ALLOWED exactly as a second one-by-one STORE
+  // would, though neither row is in the kernel when the chunk builds.
+  const size_t courses = executor_->FileSize("course");
+  const std::vector<std::vector<abdm::Value>> twins = {
+      {abdm::Value::String("Twin Course"), abdm::Value::String("Spr89")},
+      {abdm::Value::String("Twin Course"), abdm::Value::String("Spr89")}};
+  Status status =
+      machine_
+          ->ExecuteBatch("STORE course (title = ?, semester = ?)", twins)
+          .status();
+  EXPECT_EQ(status.code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(executor_->FileSize("course"), courses);
+  EXPECT_TRUE(
+      Kernel("RETRIEVE ((FILE = course) and (title = 'Twin Course')) (course)")
+          .records.empty());
+}
+
+TEST_F(DmlUniversityTest, BatchStoreJudgesNullUniqueItemsLikeSingleStores) {
+  // A null unique item drops out of a row's duplicates probe, so a row
+  // carrying only a title clashes with an earlier row of that title,
+  // while a full pair does not clash with an earlier half-null row.
+  const std::vector<std::vector<abdm::Value>> half_last = {
+      {abdm::Value::String("Solo Course"), abdm::Value::String("Fall89")},
+      {abdm::Value::String("Solo Course"), abdm::Value::Null()}};
+  EXPECT_EQ(machine_
+                ->ExecuteBatch("STORE course (title = ?, semester = ?)",
+                               half_last)
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  const std::vector<std::vector<abdm::Value>> half_first = {
+      {abdm::Value::String("Duo Course"), abdm::Value::Null()},
+      {abdm::Value::String("Duo Course"), abdm::Value::String("Fall89")}};
+  auto stored = machine_->ExecuteBatch(
+      "STORE course (title = ?, semester = ?)", half_first);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(stored->info, "stored 2 record(s)");
+}
+
 // --- WALK: CODASYL set traversal lowered to fused JOIN plans ---
 
 TEST_F(DmlUniversityTest, WalkFusesSetChainIntoJoins) {

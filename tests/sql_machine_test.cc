@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "abdl/parser.h"
 #include "mlds/mlds.h"
 #include "relational/schema.h"
 
@@ -101,6 +105,76 @@ class SqlMachineTest : public ::testing::Test {
     auto outcome = machine_->ExecuteText(text);
     EXPECT_FALSE(outcome.ok()) << text << " unexpectedly succeeded";
     return outcome.ok() ? Status::OK() : outcome.status();
+  }
+
+  /// Every live key of `table`, straight from the kernel.
+  std::vector<std::string> Keys(const std::string& table) {
+    auto request = abdl::ParseRequest("RETRIEVE ((FILE = " + table + ")) (" +
+                                      table + ")");
+    EXPECT_TRUE(request.ok()) << request.status();
+    auto response = system_.executor()->Execute(*request);
+    EXPECT_TRUE(response.ok()) << response.status();
+    std::vector<std::string> keys;
+    for (const auto& record : response->records) {
+      keys.push_back(record.GetOrNull(table).AsString());
+    }
+    return keys;
+  }
+
+  void DeleteKeys(const std::string& table, const std::vector<int>& ordinals) {
+    for (int n : ordinals) {
+      auto request = abdl::ParseRequest(
+          "DELETE ((FILE = " + table + ") and (" + table + " = '" + table +
+          "_" + std::to_string(n) + "'))");
+      ASSERT_TRUE(request.ok()) << request.status();
+      auto response = system_.executor()->Execute(*request);
+      ASSERT_TRUE(response.ok()) << response.status();
+      ASSERT_EQ(response->affected, 1u) << table << "_" << n;
+    }
+  }
+
+  /// Grows enrollment to keys enrollment_1 .. enrollment_<n> through the
+  /// fixture session (which stored the first three).
+  void GrowEnrollment(int n) {
+    std::vector<std::vector<abdm::Value>> rows;
+    for (int i = 4; i <= n; ++i) {
+      rows.push_back({abdm::Value::String("r" + std::to_string(i))});
+    }
+    ASSERT_TRUE(machine_
+                    ->ExecuteBatch("INSERT INTO enrollment (sname, ctitle, "
+                                   "grade) VALUES (?, 'Networks', 1.0)",
+                                   rows)
+                    .ok());
+  }
+
+  /// Brute-force oracle: the first `count` keys of `table` counting up
+  /// from FileSize + 1 that no live record holds.
+  std::vector<std::string> FreeKeys(const std::string& table, size_t count) {
+    const std::vector<std::string> live_keys = Keys(table);
+    const std::set<std::string> live(live_keys.begin(), live_keys.end());
+    std::vector<std::string> free;
+    for (size_t n = system_.executor()->FileSize(table) + 1;
+         free.size() < count; ++n) {
+      std::string key = table + "_" + std::to_string(n);
+      if (live.count(key) == 0) free.push_back(std::move(key));
+    }
+    return free;
+  }
+
+  static bool AllDistinct(std::vector<std::string> keys) {
+    std::sort(keys.begin(), keys.end());
+    return std::adjacent_find(keys.begin(), keys.end()) == keys.end();
+  }
+
+  /// Keys present in `after` but not in `before`, sorted.
+  static std::vector<std::string> NewKeys(std::vector<std::string> before,
+                                          std::vector<std::string> after) {
+    std::sort(before.begin(), before.end());
+    std::sort(after.begin(), after.end());
+    std::vector<std::string> added;
+    std::set_difference(after.begin(), after.end(), before.begin(),
+                        before.end(), std::back_inserter(added));
+    return added;
   }
 
   MldsSystem system_;
@@ -319,6 +393,77 @@ TEST_F(SqlMachineTest, BatchEnforcesUniqueWithinOneChunk) {
   EXPECT_EQ(status.code(), StatusCode::kConstraintViolation);
   // The failed batch applied nothing.
   EXPECT_EQ(system_.executor()->FileSize("course"), 3u);
+}
+
+// --- key allocation ---
+
+TEST_F(SqlMachineTest, FreshSessionNeverReusesALiveKey) {
+  // enrollment_1 .. enrollment_10, then enrollment_1 and enrollment_9
+  // go: the file holds 8 records, so a fresh cursor starts at 9, which is
+  // free, while 10 is live.
+  GrowEnrollment(10);
+  DeleteKeys("enrollment", {1, 9});
+  auto fresh = system_.OpenSqlSession("registrar");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  auto values = (*fresh)->ExecuteText(
+      "INSERT INTO enrollment (sname, ctitle, grade) VALUES "
+      "('u1', 'Thermo', 2.0), ('u2', 'Thermo', 2.5)");
+  ASSERT_TRUE(values.ok()) << values.status();
+  const std::vector<std::vector<abdm::Value>> rows = {
+      {abdm::Value::String("v1")}, {abdm::Value::String("v2")}};
+  auto batch = (*fresh)->ExecuteBatch(
+      "INSERT INTO enrollment (sname, ctitle, grade) VALUES (?, 'Thermo', 3.0)",
+      rows);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  const std::vector<std::string> keys = Keys("enrollment");
+  EXPECT_EQ(keys.size(), 12u);
+  EXPECT_TRUE(AllDistinct(keys));
+}
+
+TEST_F(SqlMachineTest, KeyRangeCrossingADigitBoundarySkipsTakenKeys) {
+  // Live: 3..8, 10, 11. The candidates 9, 10, 11 straddle the one- to
+  // two-digit boundary; only 9 is free.
+  GrowEnrollment(11);
+  DeleteKeys("enrollment", {1, 2, 9});
+  const std::vector<std::string> before = Keys("enrollment");
+  std::vector<std::string> expected = FreeKeys("enrollment", 3);
+  std::sort(expected.begin(), expected.end());
+  auto fresh = system_.OpenSqlSession("registrar");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  const std::vector<std::vector<abdm::Value>> rows = {
+      {abdm::Value::String("w1")},
+      {abdm::Value::String("w2")},
+      {abdm::Value::String("w3")}};
+  auto batch = (*fresh)->ExecuteBatch(
+      "INSERT INTO enrollment (sname, ctitle, grade) VALUES (?, 'Thermo', 3.0)",
+      rows);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  const std::vector<std::string> after = Keys("enrollment");
+  EXPECT_TRUE(AllDistinct(after));
+  EXPECT_EQ(NewKeys(before, after), expected);
+}
+
+TEST_F(SqlMachineTest, KeyRangeSkipsTakenKeysInsideIt) {
+  // Live: 4..9, 11, 13, 14. A fresh cursor starts at 10; the four
+  // candidates 10..13 hold two taken keys, and the refill meets 14.
+  GrowEnrollment(14);
+  DeleteKeys("enrollment", {1, 2, 3, 10, 12});
+  const std::vector<std::string> before = Keys("enrollment");
+  std::vector<std::string> expected = FreeKeys("enrollment", 4);
+  std::sort(expected.begin(), expected.end());
+  auto fresh = system_.OpenSqlSession("registrar");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  std::vector<std::vector<abdm::Value>> rows;
+  for (int i = 0; i < 4; ++i) {
+    rows.push_back({abdm::Value::String("x" + std::to_string(i))});
+  }
+  auto batch = (*fresh)->ExecuteBatch(
+      "INSERT INTO enrollment (sname, ctitle, grade) VALUES (?, 'Thermo', 3.0)",
+      rows);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  const std::vector<std::string> after = Keys("enrollment");
+  EXPECT_TRUE(AllDistinct(after));
+  EXPECT_EQ(NewKeys(before, after), expected);
 }
 
 }  // namespace

@@ -121,11 +121,12 @@ else
 
   # Repository benchmark smoke: build perfbench (its own CMake package,
   # so its wire driver compiles against the current client and STATS
-  # API), run one second of the lookup and the walk workloads, and
+  # API), run one second of the lookup, walk and ingest workloads, and
   # require correct runs with no failed operations. The walk covers the
-  # two-sided range scans and the fused Daplex ISA joins over the wire.
+  # two-sided range scans and the fused Daplex ISA joins over the wire;
+  # the ingest drives all four languages' batch inserts over the wire.
   echo "== perfbench smoke =="
-  for workload in lookup walk; do
+  for workload in lookup walk ingest; do
     PERFBENCH_LINE="$(CARGO_TARGET_DIR=build/perfbench-smoke python3 perfbench/run.py \
       --workload "${workload}" --seed 1 --seconds 1 | tail -n 1)"
     echo "${workload}: ${PERFBENCH_LINE}"
