@@ -20,12 +20,9 @@
 //    recover to exactly the fully-framed batches — snapshots compared
 //    byte for byte.
 //
-// main() writes BENCH_bulk_load.json, then runs the registered
-// google-benchmarks. MLDS_BULK_RECORDS overrides the load size (the
-// check.sh smoke stage uses a small one; the committed report is the
-// full 1M-record run).
-
-#include <benchmark/benchmark.h>
+// main() writes BENCH_bulk_load.json. MLDS_BULK_RECORDS overrides the
+// load size (the check.sh smoke stage uses a small one; the committed
+// report is the full 1M-record run).
 
 #include <algorithm>
 #include <chrono>
@@ -107,7 +104,7 @@ double MeasureSingleMs(const std::vector<std::vector<abdm::Value>>& rows,
     for (const auto& row : rows) {
       auto bound = prepared.Bind(row);
       if (!bound.ok()) std::abort();
-      benchmark::DoNotOptimize(engine.Execute(abdl::Request(*std::move(bound))));
+      (void)engine.Execute(abdl::Request(*std::move(bound)));
     }
     best = std::min(best, ElapsedMs(start));
   }
@@ -134,8 +131,7 @@ double MeasureBatchMs(const std::vector<std::vector<abdm::Value>>& rows,
       const size_t end = std::min(rows.size(), begin + chunk);
       auto batch = prepared.BindBatch(rows, begin, end);
       if (!batch.ok()) std::abort();
-      benchmark::DoNotOptimize(
-          engine.Execute(abdl::Request(*std::move(batch))));
+      (void)engine.Execute(abdl::Request(*std::move(batch)));
     }
     best = std::min(best, ElapsedMs(start));
   }
@@ -331,52 +327,9 @@ void WriteBulkLoadJson(const char* path) {
   }
 }
 
-void BM_SingleInsertWalAttached(benchmark::State& state) {
-  const abdl::PreparedRequest prepared = MustPrepare();
-  kds::WalWriter wal;
-  kds::Engine engine;
-  engine.AttachWal(&wal);
-  engine.DefineFile(AccountFile());
-  int key = 0;
-  for (auto _ : state) {
-    auto bound = prepared.Bind({abdm::Value::String("k" + std::to_string(key++)),
-                                abdm::Value::Integer(1)});
-    benchmark::DoNotOptimize(engine.Execute(abdl::Request(*std::move(bound))));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SingleInsertWalAttached);
-
-void BM_BatchInsertWalAttached(benchmark::State& state) {
-  const abdl::PreparedRequest prepared = MustPrepare();
-  const size_t rows_per_batch = static_cast<size_t>(state.range(0));
-  kds::WalWriter wal;
-  kds::Engine engine;
-  engine.AttachWal(&wal);
-  engine.DefineFile(AccountFile());
-  size_t key = 0;
-  for (auto _ : state) {
-    std::vector<std::vector<abdm::Value>> rows;
-    rows.reserve(rows_per_batch);
-    for (size_t i = 0; i < rows_per_batch; ++i) {
-      rows.push_back({abdm::Value::String("k" + std::to_string(key++)),
-                      abdm::Value::Integer(1)});
-    }
-    auto batch = prepared.BindBatch(rows);
-    benchmark::DoNotOptimize(engine.Execute(abdl::Request(*std::move(batch))));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(rows_per_batch));
-}
-BENCHMARK(BM_BatchInsertWalAttached)->Arg(64)->Arg(256)->Arg(1024);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   WriteBulkLoadJson("BENCH_bulk_load.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -18,10 +18,7 @@
 //    paper's response-time model says losing a quarter of the partitions
 //    should not slow the survivors down.
 //
-// main() writes BENCH_fault_recovery.json, then runs the registered
-// google-benchmarks.
-
-#include <benchmark/benchmark.h>
+// main() writes BENCH_fault_recovery.json.
 
 #include <chrono>
 #include <cstdio>
@@ -71,7 +68,7 @@ std::string BuildLog(int entries) {
   engine.AttachWal(&wal);
   engine.DefineFile(ItemFile());
   for (int i = 0; i < entries; ++i) {
-    benchmark::DoNotOptimize(engine.Execute(InsertItem(i)));
+    (void)engine.Execute(InsertItem(i));
   }
   return wal.contents();
 }
@@ -100,7 +97,7 @@ double MeasureWorkloadMs(int records, bool wal_on, int reps) {
     engine.DefineFile(ItemFile());
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < records; ++i) {
-      benchmark::DoNotOptimize(engine.Execute(InsertItem(i)));
+      (void)engine.Execute(InsertItem(i));
     }
     best = std::min(best, ElapsedMs(start));
   }
@@ -174,7 +171,7 @@ void WriteFaultRecoveryJson(const char* path) {
     engine.AttachWal(&wal);
     engine.DefineFile(ItemFile());
     for (int i = 0; i < lengths[2]; ++i) {
-      benchmark::DoNotOptimize(engine.Execute(InsertItem(i)));
+      (void)engine.Execute(InsertItem(i));
     }
     std::ostringstream checkpoint;
     double checkpoint_ms = -1.0, recover_ms = -1.0;
@@ -238,35 +235,9 @@ void WriteFaultRecoveryJson(const char* path) {
   }
 }
 
-void BM_WalAppend(benchmark::State& state) {
-  kds::WalWriter wal;
-  const std::string payload =
-      "REQUEST INSERT (<FILE, item>, <key, 12345>, <payload, 'x'>)";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(wal.Append(payload));
-  }
-}
-BENCHMARK(BM_WalAppend);
-
-void BM_RecoverEngine(benchmark::State& state) {
-  const std::string log = BuildLog(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    kds::Engine fresh;
-    std::istringstream no_checkpoint("");
-    benchmark::DoNotOptimize(
-        kds::RecoverEngine(no_checkpoint, log, &fresh));
-  }
-}
-BENCHMARK(BM_RecoverEngine)->Arg(256)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   WriteFaultRecoveryJson("BENCH_fault_recovery.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

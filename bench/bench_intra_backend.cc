@@ -16,10 +16,7 @@
 //    first (cold) translation every repeat must hit, for a warm hit
 //    rate > 90%.
 //
-// main() writes BENCH_intra_backend.json first, then runs the
-// registered google-benchmarks.
-
-#include <benchmark/benchmark.h>
+// main() writes BENCH_intra_backend.json.
 
 #include <chrono>
 #include <cstdio>
@@ -69,7 +66,7 @@ void LoadEngine(kds::Engine* engine, int records) {
   for (int i = 0; i < records; ++i) {
     auto req = abdl::ParseRequest("INSERT (<FILE, item>, <key, " +
                                   std::to_string(i) + ">, <payload, 'x'>)");
-    benchmark::DoNotOptimize(engine->Execute(*req));
+    (void)engine->Execute(*req);
   }
 }
 
@@ -91,7 +88,7 @@ double RunClients(kds::Engine* engine, int clients) {
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&] {
       for (const auto& req : workload) {
-        benchmark::DoNotOptimize(engine->Execute(req));
+        (void)engine->Execute(req);
       }
     });
   }
@@ -106,7 +103,7 @@ double RunSerial(kds::Engine* engine, int clients) {
   const auto start = std::chrono::steady_clock::now();
   for (int c = 0; c < clients; ++c) {
     for (const auto& req : workload) {
-      benchmark::DoNotOptimize(engine->Execute(req));
+      (void)engine->Execute(req);
     }
   }
   return std::chrono::duration<double, std::milli>(
@@ -123,12 +120,12 @@ double RunWriters(kds::Engine* engine, int clients, bool concurrent) {
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
       threads.emplace_back(
-          [&] { benchmark::DoNotOptimize(engine->Execute(*req)); });
+          [&] { (void)engine->Execute(*req); });
     }
     for (auto& t : threads) t.join();
   } else {
     for (int c = 0; c < clients; ++c) {
-      benchmark::DoNotOptimize(engine->Execute(*req));
+      (void)engine->Execute(*req);
     }
   }
   return std::chrono::duration<double, std::milli>(
@@ -218,33 +215,9 @@ void WriteIntraBackendJson(const char* path) {
   }
 }
 
-// Registered benchmarks: the same read workload, serial vs concurrent,
-// without latency injection (pure lock-overhead view).
-void BM_IntraBackend_SerialReads(benchmark::State& state) {
-  kds::Engine engine{kds::EngineOptions{}};
-  LoadEngine(&engine, kRecords);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunSerial(&engine, kClients));
-  }
-}
-BENCHMARK(BM_IntraBackend_SerialReads)->Unit(benchmark::kMillisecond);
-
-void BM_IntraBackend_ConcurrentReads(benchmark::State& state) {
-  kds::Engine engine{kds::EngineOptions{}};
-  LoadEngine(&engine, kRecords);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunClients(&engine, kClients));
-  }
-}
-BENCHMARK(BM_IntraBackend_ConcurrentReads)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   WriteIntraBackendJson("BENCH_intra_backend.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -20,10 +20,7 @@
 // alongside the timings.
 //
 // Both paths must visit the same final-level records; main() writes
-// BENCH_joins.json (with the `fused_speedup_ge_5x` floor that
-// tools/check.sh greps) before running the registered google-benchmarks.
-
-#include <benchmark/benchmark.h>
+// BENCH_joins.json, whose floors tools/bench_compare checks.
 
 #include <algorithm>
 #include <chrono>
@@ -234,29 +231,6 @@ size_t FusedWalk(ChainDatabase& db) {
   return result->records.size();
 }
 
-void BM_Joins_PerRecordTraversal(benchmark::State& state) {
-  ChainDatabase& db = Chain();
-  size_t visited = 0;
-  for (auto _ : state) {
-    size_t requests = 0;
-    visited = PerRecordWalk(db, &requests).size();
-    benchmark::DoNotOptimize(visited);
-  }
-  state.counters["visited"] = static_cast<double>(visited);
-}
-BENCHMARK(BM_Joins_PerRecordTraversal);
-
-void BM_Joins_FusedWalk(benchmark::State& state) {
-  ChainDatabase& db = Chain();
-  size_t visited = 0;
-  for (auto _ : state) {
-    visited = FusedWalk(db);
-    benchmark::DoNotOptimize(visited);
-  }
-  state.counters["visited"] = static_cast<double>(visited);
-}
-BENCHMARK(BM_Joins_FusedWalk);
-
 void WriteJoinsJson(const char* path) {
   ChainDatabase& db = Chain();
   if (db.machine == nullptr) return;
@@ -292,10 +266,10 @@ void WriteJoinsJson(const char* path) {
   };
   const uint64_t per_record_ns = time_ns([&] {
     size_t requests = 0;
-    benchmark::DoNotOptimize(PerRecordWalk(db, &requests).size());
+    PerRecordWalk(db, &requests);
   });
   const uint64_t fused_ns =
-      time_ns([&] { benchmark::DoNotOptimize(FusedWalk(db)); });
+      time_ns([&] { FusedWalk(db); });
   const double speedup =
       fused_ns == 0 ? 0.0
                     : static_cast<double>(per_record_ns) /
@@ -337,11 +311,7 @@ void WriteJoinsJson(const char* path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   WriteJoinsJson("BENCH_joins.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -1,11 +1,10 @@
 #ifndef MLDS_BENCH_BENCH_JSON_H_
 #define MLDS_BENCH_BENCH_JSON_H_
 
-// Shared emitter for the BENCH_*.json reports the bench binaries write
-// beside their google-benchmark output. Each report is one top-level
-// object of scalar fields plus one or more named arrays of row objects;
-// fields and arrays render in insertion order so reports diff stably
-// run to run.
+// Shared emitter for the BENCH_*.json reports the bench binaries write.
+// Each report is one top-level object of scalar fields plus one or more
+// named arrays of row objects; fields and arrays render in insertion
+// order so reports diff stably run to run.
 
 #include <cstdint>
 #include <cstdio>

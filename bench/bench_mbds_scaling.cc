@@ -13,10 +13,7 @@
 // E2 is simulated time only: kCapacityRecordsPerBackend records per
 // backend, one full scan per backend count.
 //
-// main() first writes BENCH_mbds_scaling.json with all three row sets,
-// then runs the registered google-benchmarks as usual.
-
-#include <benchmark/benchmark.h>
+// main() writes BENCH_mbds_scaling.json with both row sets.
 
 #include <chrono>
 #include <cmath>
@@ -61,7 +58,7 @@ std::unique_ptr<mbds::Controller> MakeLoadedController(int backends,
   for (int i = 0; i < records; ++i) {
     auto req = abdl::ParseRequest("INSERT (<FILE, item>, <key, " +
                                   std::to_string(i) + ">, <payload, 'x'>)");
-    benchmark::DoNotOptimize(controller->Execute(*req));
+    (void)controller->Execute(*req);
   }
   return controller;
 }
@@ -71,61 +68,6 @@ double SimTimeOfScan(mbds::Controller* controller) {
   auto report = controller->Execute(*req);
   return report.ok() ? report->response_time_ms : 0.0;
 }
-
-double BaselineSimMs() {
-  static const double baseline = [] {
-    auto controller = MakeLoadedController(1, kRecords);
-    return SimTimeOfScan(controller.get());
-  }();
-  return baseline;
-}
-
-void BM_MbdsScaling_FullScan(benchmark::State& state) {
-  const int backends = static_cast<int>(state.range(0));
-  auto controller = MakeLoadedController(backends, kRecords);
-  double sim_ms = 0.0;
-  for (auto _ : state) {
-    sim_ms = SimTimeOfScan(controller.get());
-    benchmark::DoNotOptimize(sim_ms);
-  }
-  state.counters["backends"] = backends;
-  state.counters["sim_ms"] = sim_ms;
-  state.counters["speedup_vs_1"] = BaselineSimMs() / sim_ms;
-}
-BENCHMARK(BM_MbdsScaling_FullScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
-
-// Indexed point lookups barely profit from extra backends (only one
-// backend holds the record) — the contrast the reciprocal claim rests on.
-void BM_MbdsScaling_PointLookup(benchmark::State& state) {
-  const int backends = static_cast<int>(state.range(0));
-  auto controller = MakeLoadedController(backends, kRecords);
-  auto req = abdl::ParseRequest(
-      "RETRIEVE ((FILE = item) and (key = 4242)) (all attributes)");
-  double sim_ms = 0.0;
-  for (auto _ : state) {
-    auto report = controller->Execute(*req);
-    sim_ms = report.ok() ? report->response_time_ms : 0.0;
-  }
-  state.counters["backends"] = backends;
-  state.counters["sim_ms"] = sim_ms;
-}
-BENCHMARK(BM_MbdsScaling_PointLookup)->Arg(1)->Arg(4)->Arg(16);
-
-// Broadcast update: affected records spread over all partitions.
-void BM_MbdsScaling_Update(benchmark::State& state) {
-  const int backends = static_cast<int>(state.range(0));
-  auto controller = MakeLoadedController(backends, kRecords);
-  auto req =
-      abdl::ParseRequest("UPDATE ((payload = 'x')) (payload = 'x')");
-  double sim_ms = 0.0;
-  for (auto _ : state) {
-    auto report = controller->Execute(*req);
-    sim_ms = report.ok() ? report->response_time_ms : 0.0;
-  }
-  state.counters["backends"] = backends;
-  state.counters["sim_ms"] = sim_ms;
-}
-BENCHMARK(BM_MbdsScaling_Update)->Arg(1)->Arg(4)->Arg(16);
 
 struct ScalingRun {
   int backends = 0;
@@ -199,11 +141,7 @@ void WriteScalingJson(const char* path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   WriteScalingJson("BENCH_mbds_scaling.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -11,10 +11,7 @@
 // names the [secondary] access path. (3) The per-page checksum verify
 // on every fetch prices at no more than 5% of the point-lookup
 // workload in write-through mode, where every fetch reads — and
-// verifies — the file. main() writes BENCH_paged_storage.json before
-// running the registered benchmarks.
-
-#include <benchmark/benchmark.h>
+// verifies — the file. main() writes BENCH_paged_storage.json.
 
 #include <algorithm>
 #include <chrono>
@@ -98,46 +95,14 @@ uint64_t RunLookupsN(kds::Engine& engine, int count) {
   const uint64_t before = engine.cumulative_io().blocks_read;
   for (int i = 0; i < count; ++i) {
     const int key = (i * 37) % kRecords;  // deterministic spread.
-    kds::Response resp = MustRun(
-        engine, "RETRIEVE ((FILE = item) and (key = " + std::to_string(key) +
-                    ")) (key)");
-    benchmark::DoNotOptimize(resp.records.size());
+    MustRun(engine, "RETRIEVE ((FILE = item) and (key = " +
+                        std::to_string(key) + ")) (key)");
   }
   return engine.cumulative_io().blocks_read - before;
 }
 
 /// Runs the fixed point-lookup workload and returns its physical reads.
 uint64_t RunLookups(kds::Engine& engine) { return RunLookupsN(engine, kLookups); }
-
-void BM_Paged_PointLookup(benchmark::State& state) {
-  const size_t pool = static_cast<size_t>(state.range(0));
-  auto engine = LoadedEngine(pool, "bm_pool" + std::to_string(pool));
-  int key = 0;
-  for (auto _ : state) {
-    kds::Response resp = MustRun(
-        *engine, "RETRIEVE ((FILE = item) and (key = " +
-                     std::to_string(key % kRecords) + ")) (key)");
-    benchmark::DoNotOptimize(resp.records.size());
-    key += 37;
-  }
-  const kds::PoolCounters counters = engine->counters().pool;
-  state.counters["pool_hits"] = static_cast<double>(counters.hits);
-  state.counters["pool_misses"] = static_cast<double>(counters.misses);
-}
-BENCHMARK(BM_Paged_PointLookup)
-    ->Arg(static_cast<int>(kBasePoolPages))
-    ->Arg(static_cast<int>(kBasePoolPages) * 2)
-    ->Arg(static_cast<int>(kBasePoolPages) * 4);
-
-void BM_Paged_SecondaryEquality(benchmark::State& state) {
-  auto engine = LoadedEngine(kBasePoolPages, "bm_secondary");
-  for (auto _ : state) {
-    kds::Response resp =
-        MustRun(*engine, "RETRIEVE ((FILE = item) and (tag = 't7')) (key)");
-    benchmark::DoNotOptimize(resp.records.size());
-  }
-}
-BENCHMARK(BM_Paged_SecondaryEquality);
 
 void WritePagedJson(const char* path) {
   bench::BenchReport report("paged_storage");
@@ -225,10 +190,9 @@ void WritePagedJson(const char* path) {
     const std::string text = "RETRIEVE ((FILE = item) and (key = " +
                              std::to_string((i * 37) % kRecords) + ")) (key)";
     auto start = std::chrono::steady_clock::now();
-    kds::Response resp = MustRun(*priced, text);
+    MustRun(*priced, text);
     std::chrono::duration<double, std::nano> took =
         std::chrono::steady_clock::now() - start;
-    benchmark::DoNotOptimize(resp.records.size());
     (verify ? on_ns : off_ns).push_back(took.count());
   }
   priced->SetVerifyReads(true);
@@ -260,11 +224,7 @@ void WritePagedJson(const char* path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   WritePagedJson("BENCH_paged_storage.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -19,10 +19,7 @@
 //    overflow half receives structured BUSY rejections immediately, and
 //    the admitted half completes its workload.
 //
-// main() writes BENCH_server.json, then runs the registered
-// google-benchmarks.
-
-#include <benchmark/benchmark.h>
+// main() writes BENCH_server.json.
 
 #include <algorithm>
 #include <atomic>
@@ -135,7 +132,6 @@ ThroughputPoint MeasureThroughput(int clients, int requests_per_client,
           failed = true;
           break;
         }
-        benchmark::DoNotOptimize(result->body.size());
       }
       if (submitted[c] == requests_per_client && in_flight[c].empty()) {
         ++done;
@@ -162,7 +158,6 @@ double MeasureInProcessMs(int requests) {
   for (int i = 0; i < requests; ++i) {
     auto result = session.Execute(kStatement, /*explain=*/false);
     if (!result.ok()) return -1.0;
-    benchmark::DoNotOptimize(result->body.size());
   }
   return ElapsedMs(start);
 }
@@ -302,92 +297,9 @@ void WriteServerJson(const char* path) {
   }
 }
 
-void BM_WireRoundTrip(benchmark::State& state) {
-  Harness harness;
-  client::MldsClient session;
-  if (!harness.ok ||
-      !session.Connect("127.0.0.1", harness.server->port()).ok() ||
-      !session.Use("sql", "payroll").ok()) {
-    state.SkipWithError("server setup failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto result = session.Execute(kStatement);
-    if (!result.ok()) {
-      state.SkipWithError("execute failed");
-      return;
-    }
-    benchmark::DoNotOptimize(result->body.size());
-  }
-}
-BENCHMARK(BM_WireRoundTrip)->Unit(benchmark::kMicrosecond);
-
-void BM_PipelinedWire(benchmark::State& state) {
-  const int depth = static_cast<int>(state.range(0));
-  server::ServerOptions options;
-  options.max_queue_depth = static_cast<size_t>(depth) + 2;
-  Harness harness(options);
-  client::MldsClient session;
-  if (!harness.ok ||
-      !session.Connect("127.0.0.1", harness.server->port()).ok() ||
-      !session.Use("sql", "payroll").ok()) {
-    state.SkipWithError("server setup failed");
-    return;
-  }
-  std::deque<uint32_t> in_flight;
-  for (auto _ : state) {
-    while (in_flight.size() < static_cast<size_t>(depth)) {
-      auto id = session.SubmitExecute(kStatement);
-      if (!id.ok()) {
-        state.SkipWithError("submit failed");
-        return;
-      }
-      in_flight.push_back(*id);
-    }
-    auto result = session.AwaitResult(in_flight.front());
-    in_flight.pop_front();
-    if (!result.ok()) {
-      state.SkipWithError("await failed");
-      return;
-    }
-    benchmark::DoNotOptimize(result->body.size());
-  }
-  while (!in_flight.empty()) {
-    (void)session.AwaitResult(in_flight.front());
-    in_flight.pop_front();
-  }
-}
-BENCHMARK(BM_PipelinedWire)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_InProcessSession(benchmark::State& state) {
-  MldsSystem system;
-  if (!server::LoadDemoDatabases(&system).ok()) {
-    state.SkipWithError("demo load failed");
-    return;
-  }
-  server::Session session(1, &system);
-  if (!session.Use({"sql", "payroll"}).ok()) {
-    state.SkipWithError("use failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto result = session.Execute(kStatement, false);
-    if (!result.ok()) {
-      state.SkipWithError("execute failed");
-      return;
-    }
-    benchmark::DoNotOptimize(result->body.size());
-  }
-}
-BENCHMARK(BM_InProcessSession)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   WriteServerJson("BENCH_server.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

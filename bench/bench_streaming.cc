@@ -17,10 +17,7 @@
 // Row count defaults to 120k (>= 100k rendered rows) and can be lowered
 // for smoke runs with MLDS_STREAM_BENCH_ROWS.
 //
-// main() writes BENCH_streaming.json, then runs the registered
-// google-benchmarks.
-
-#include <benchmark/benchmark.h>
+// main() writes BENCH_streaming.json.
 
 #include <chrono>
 #include <cstdio>
@@ -207,47 +204,9 @@ void WriteStreamingJson(const char* path) {
   }
 }
 
-/// Per-iteration cost of a mid-size streamed retrieve (the registered
-/// google-benchmark keeps the row count small so iterations are cheap).
-void BM_StreamedRetrieve(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  server::ServerOptions options;
-  options.stream_threshold = 16 * 1024;
-  MldsSystem system;
-  if (!LoadBulkFile(&system, rows)) {
-    state.SkipWithError("bulk load failed");
-    return;
-  }
-  server::MldsServer server(&system, options);
-  client::MldsClient client;
-  if (!server.Start().ok() ||
-      !client.Connect("127.0.0.1", server.port()).ok() ||
-      !client.Use("abdl", "streambench").ok()) {
-    state.SkipWithError("server setup failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto result = client.Execute(kRetrieve);
-    if (!result.ok()) {
-      state.SkipWithError("retrieve failed");
-      return;
-    }
-    benchmark::DoNotOptimize(result->body.size());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(rows) * 48);
-  (void)client.Close();
-  server.Shutdown();
-}
-BENCHMARK(BM_StreamedRetrieve)->Arg(2000)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   WriteStreamingJson("BENCH_streaming.json");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -56,6 +56,11 @@ class KernelExecutor {
   virtual Result<kds::Response> Execute(const abdl::Request& request) = 0;
   virtual size_t FileSize(std::string_view file) const = 0;
 
+  /// Executes `txn` as one transaction (see the engine's and the MBDS
+  /// controller's ExecuteTransaction); `affected` sums its statements'.
+  virtual Result<kds::Response> ExecuteTransaction(
+      const abdl::Transaction& txn) = 0;
+
   /// Executes `request` in explain mode regardless of how its flag was
   /// set: the result carries the annotated plan (null for INSERT, which
   /// chooses no access path).
@@ -73,24 +78,17 @@ class KernelExecutor {
   }
 
   /// Builds a secondary index on a non-directory attribute (see
-  /// kds::Engine::CreateIndex). The single engine and MBDS both realize
-  /// it; the default rejects for executors without storage.
-  virtual Status CreateIndex(std::string_view file, std::string_view attr) {
-    (void)file;
-    (void)attr;
-    return Status::Unimplemented("CreateIndex not supported");
-  }
+  /// kds::Engine::CreateIndex).
+  virtual Status CreateIndex(std::string_view file, std::string_view attr) = 0;
 
   /// On-demand scrub: walks every on-disk page of the kernel's storage
   /// through the checksum verify (see kds::Engine::VerifyIntegrity).
-  /// An executor without storage reports an empty, clean kernel.
-  virtual kds::IntegrityReport VerifyIntegrity() const { return {}; }
+  virtual kds::IntegrityReport VerifyIntegrity() const = 0;
 
   /// The kernel's counters — buffer pool, storage integrity, statistics
   /// & joins — in one snapshot (summed over backends for MBDS, plus the
-  /// controller's own distributed joins). All-zero for executors without
-  /// storage.
-  virtual kds::KernelCounters Counters() const { return {}; }
+  /// controller's own distributed joins).
+  virtual kds::KernelCounters Counters() const = 0;
 };
 
 /// KernelExecutor over a single kds::Engine (does not own it).
@@ -106,6 +104,13 @@ class EngineExecutor : public KernelExecutor {
   }
   Result<kds::Response> Execute(const abdl::Request& request) override {
     return engine_->Execute(request);
+  }
+  Result<kds::Response> ExecuteTransaction(
+      const abdl::Transaction& txn) override {
+    MLDS_ASSIGN_OR_RETURN(auto responses, engine_->ExecuteTransaction(txn));
+    kds::Response total;
+    for (const kds::Response& r : responses) total.affected += r.affected;
+    return total;
   }
   size_t FileSize(std::string_view file) const override {
     return engine_->FileSize(file);
@@ -139,6 +144,12 @@ class MbdsExecutor : public KernelExecutor {
   Result<kds::Response> Execute(const abdl::Request& request) override {
     MLDS_ASSIGN_OR_RETURN(mbds::ExecutionReport report,
                           controller_->Execute(request));
+    return std::move(report.response);
+  }
+  Result<kds::Response> ExecuteTransaction(
+      const abdl::Transaction& txn) override {
+    MLDS_ASSIGN_OR_RETURN(mbds::ExecutionReport report,
+                          controller_->ExecuteTransaction(txn));
     return std::move(report.response);
   }
   size_t FileSize(std::string_view file) const override {

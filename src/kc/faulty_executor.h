@@ -8,11 +8,12 @@
 namespace mlds::kc {
 
 /// Kernel executor that fails on command: wraps a real executor and
-/// rejects Execute while armed, or after N more successful requests (to
-/// break multi-request translations mid-flight). The failure-injection
-/// counterpart, at the kernel-controller seam, of the MBDS per-backend
-/// FaultInjector — language-interface tests use it to verify that kernel
-/// faults propagate as clean Status values and never corrupt sessions.
+/// rejects requests and transactions while armed, or after N more
+/// successful ones (to break multi-request translations mid-flight); other
+/// calls pass through. The kernel-controller counterpart of the MBDS
+/// per-backend FaultInjector — language-interface tests use it to verify
+/// that kernel faults propagate as clean Status values and never corrupt
+/// sessions.
 class FaultyExecutor : public KernelExecutor {
  public:
   explicit FaultyExecutor(KernelExecutor* inner) : inner_(inner) {}
@@ -24,15 +25,24 @@ class FaultyExecutor : public KernelExecutor {
     return inner_->HasFile(file);
   }
   Result<kds::Response> Execute(const abdl::Request& request) override {
-    if (fail_after_ == 0) {
-      return Status::Internal("injected kernel fault");
-    }
-    if (fail_after_ > 0) --fail_after_;
+    MLDS_RETURN_IF_ERROR(CountRequest());
     return inner_->Execute(request);
+  }
+  Result<kds::Response> ExecuteTransaction(
+      const abdl::Transaction& txn) override {
+    MLDS_RETURN_IF_ERROR(CountRequest());
+    return inner_->ExecuteTransaction(txn);
   }
   size_t FileSize(std::string_view file) const override {
     return inner_->FileSize(file);
   }
+  Status CreateIndex(std::string_view file, std::string_view attr) override {
+    return inner_->CreateIndex(file, attr);
+  }
+  kds::IntegrityReport VerifyIntegrity() const override {
+    return inner_->VerifyIntegrity();
+  }
+  kds::KernelCounters Counters() const override { return inner_->Counters(); }
 
   /// While failing, the kernel reports itself degraded; otherwise the
   /// inner executor's health passes through.
@@ -52,6 +62,12 @@ class FaultyExecutor : public KernelExecutor {
   void set_fail_after(int n) { fail_after_ = n; }
 
  private:
+  Status CountRequest() {
+    if (fail_after_ == 0) return Status::Internal("injected kernel fault");
+    if (fail_after_ > 0) --fail_after_;
+    return Status::OK();
+  }
+
   KernelExecutor* inner_;
   int fail_after_ = -1;
 };

@@ -7,7 +7,6 @@
 #include "abdl/parser.h"
 #include "abdl/prepared.h"
 #include "common/strings.h"
-#include "mbds/controller.h"
 
 namespace mlds {
 
@@ -161,39 +160,24 @@ Result<Rendered> AbdlInterface::TransactionControl(std::string_view command) {
       return Status::InvalidArgument("transaction already in flight");
     }
     in_transaction_ = true;
-    pending_.clear();
     return Rendered{.body = "transaction started\n"};
   }
   if (!in_transaction_) {
     return Status::InvalidArgument("no transaction in flight");
   }
-  abdl::Transaction txn = std::move(pending_);
+  abdl::Transaction txn = std::exchange(pending_, {});
   in_transaction_ = false;
-  pending_.clear();
   if (EqualsIgnoreCase(command, "ABORT")) {
     return Rendered{.body = "transaction aborted (" +
                             std::to_string(txn.size()) + " buffered)\n"};
   }
-  size_t affected = 0;
-  std::vector<kds::PartialResultWarning> warnings;
-  if (controller_ != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(mbds::ExecutionReport report,
-                          controller_->ExecuteTransaction(txn));
-    affected = report.response.affected;
-    warnings = std::move(report.response.warnings);
-  } else {
-    // Single-engine kernel: each request is individually atomic; the
-    // buffered order is preserved.
-    for (const abdl::Request& request : txn) {
-      MLDS_ASSIGN_OR_RETURN(kds::Response response,
-                            executor_->Execute(request));
-      affected += response.affected;
-    }
-  }
+  MLDS_ASSIGN_OR_RETURN(kds::Response response,
+                        executor_->ExecuteTransaction(txn));
   return Rendered{.body = "transaction committed: " +
                           std::to_string(txn.size()) + " requests, " +
-                          std::to_string(affected) + " records affected\n",
-                  .warnings = std::move(warnings)};
+                          std::to_string(response.affected) +
+                          " records affected\n",
+                  .warnings = std::move(response.warnings)};
 }
 
 Result<Rendered> AbdlInterface::ExecuteBatch(

@@ -17,10 +17,6 @@
 #include "kms/dml_machine.h"
 #include "kms/sql_machine.h"
 
-namespace mlds::mbds {
-class Controller;
-}  // namespace mlds::mbds
-
 namespace mlds {
 
 /// The language domain a session is bound to.
@@ -113,15 +109,12 @@ class MachineInterface final : public LanguageInterface {
 
 /// The kernel's own language, ABDL, passed straight to KC: RETRIEVE
 /// tables render incrementally, and BEGIN / COMMIT / ABORT bracket a
-/// transaction whose requests buffer in arrival order and apply
-/// atomically at COMMIT (through the MBDS controller when there is one;
-/// a single engine replays them in order).
+/// transaction whose requests buffer in arrival order and apply at
+/// COMMIT as one kc::KernelExecutor::ExecuteTransaction.
 class AbdlInterface final : public LanguageInterface {
  public:
-  /// `executor` must outlive the interface; `controller` is the MBDS
-  /// controller behind it, or nullptr for a single engine.
-  AbdlInterface(kc::KernelExecutor* executor, mbds::Controller* controller)
-      : executor_(executor), controller_(controller) {}
+  /// `executor` must outlive the interface.
+  explicit AbdlInterface(kc::KernelExecutor* executor) : executor_(executor) {}
 
   Result<Rendered> Execute(std::string_view text, bool explain) override;
 
@@ -142,7 +135,6 @@ class AbdlInterface final : public LanguageInterface {
   Result<Rendered> TransactionControl(std::string_view command);
 
   kc::KernelExecutor* executor_;
-  mbds::Controller* controller_;
   bool in_transaction_ = false;
   abdl::Transaction pending_;
 };

@@ -158,12 +158,9 @@ Result<std::unique_ptr<LanguageInterface>> MldsSystem::Open(
       return wrap(std::make_unique<kms::DliMachine>(schema, executor),
                   "EXPLAIN is not supported for DL/I calls");
     }
-    case Language::kAbdl: {
-      // The kernel's own language needs no schema binding.
-      std::unique_ptr<LanguageInterface> abdl =
-          std::make_unique<AbdlInterface>(executor, controller_.get());
-      return abdl;
-    }
+    case Language::kAbdl:  // The kernel's language needs no schema binding.
+      return std::unique_ptr<LanguageInterface>(
+          std::make_unique<AbdlInterface>(executor));
     case Language::kNone:
       break;
   }

@@ -196,6 +196,34 @@ TEST_F(DaplexMachineTest, TraceShowsIssuedAbdl) {
   EXPECT_NE(machine_->trace()[0].find("History"), std::string::npos);
 }
 
+// E7 (EXPERIMENTS.md): ABDL requests per FOR EACH query shape, read from
+// the machine's per-query trace — what inheritance joins, many-to-many
+// traversal and aggregation each add over a plain selection.
+TEST_F(DaplexMachineTest, AbdlRequestsPerQueryShape) {
+  struct ShapeCount {
+    const char* query;
+    size_t abdl_requests;
+  };
+  constexpr ShapeCount kShapes[] = {
+      {"FOR EACH student SUCH THAT student = 'student_7' PRINT major", 1},
+      {"FOR EACH student SUCH THAT major = 'Computer Science' PRINT major",
+       1},
+      // An inherited PRINT adds one ancestor fetch.
+      {"FOR EACH student SUCH THAT major = 'Computer Science' "
+       "PRINT pname, major",
+       2},
+      // An inherited condition cannot push down: subtype file + ancestors.
+      {"FOR EACH student SUCH THAT age >= 40 PRINT pname", 2},
+      {"FOR EACH faculty SUCH THAT faculty = 'faculty_3' PRINT teaching", 2},
+      {"FOR EACH course PRINT COUNT(course), AVG(credits)", 1},
+      {"FOR EACH faculty PRINT AVG(salary)", 2},
+  };
+  for (const ShapeCount& shape : kShapes) {
+    Must(shape.query);
+    EXPECT_EQ(machine_->trace().size(), shape.abdl_requests) << shape.query;
+  }
+}
+
 TEST_F(DaplexMachineTest, MultiLingualAccessSeesCodasylWrites) {
   // The multi-lingual property: a CODASYL-DML session stores a student;
   // a Daplex session over the same database sees the new entity.
@@ -244,6 +272,17 @@ class ExaminingExecutor : public kc::KernelExecutor {
     if (response.ok()) examined += response->io.records_examined;
     return response;
   }
+  Result<kds::Response> ExecuteTransaction(
+      const abdl::Transaction& txn) override {
+    return inner_->ExecuteTransaction(txn);
+  }
+  Status CreateIndex(std::string_view file, std::string_view attr) override {
+    return inner_->CreateIndex(file, attr);
+  }
+  kds::IntegrityReport VerifyIntegrity() const override {
+    return inner_->VerifyIntegrity();
+  }
+  kds::KernelCounters Counters() const override { return inner_->Counters(); }
   size_t FileSize(std::string_view file) const override {
     return inner_->FileSize(file);
   }

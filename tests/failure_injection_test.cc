@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "abdl/parser.h"
 #include "kc/faulty_executor.h"
 #include "kds/engine.h"
 #include "kms/daplex_machine.h"
@@ -129,6 +130,35 @@ TEST_F(FailureInjectionTest, InheritedJoinFaultMidQuery) {
   auto rows = daplex.ExecuteText("FOR EACH student PRINT pname");
   ASSERT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kInternal);
+}
+
+TEST_F(FailureInjectionTest, TransactionFailsWholeWhileArmed) {
+  const size_t before = engine_.FileSize("course");
+  auto txn = abdl::ParseTransaction(
+      "INSERT (<FILE, course>, <course, 'course_txn'>, <title, 'Txn'>); "
+      "DELETE ((FILE = course) and (course = 'course_txn'))");
+  ASSERT_TRUE(txn.ok()) << txn.status();
+  faulty_->set_fail_after(0);
+  auto failed = faulty_->ExecuteTransaction(*txn);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(engine_.FileSize("course"), before);
+  faulty_->set_fail_after(-1);
+  auto committed = faulty_->ExecuteTransaction(*txn);
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_EQ(committed->affected, 2u);
+  EXPECT_EQ(engine_.FileSize("course"), before);
+}
+
+TEST_F(FailureInjectionTest, StorageCallsPassThrough) {
+  // Only requests fail; index builds, scrubs and counters reach the
+  // inner kernel even while armed.
+  faulty_->set_fail_after(0);
+  EXPECT_TRUE(faulty_->CreateIndex("course", "credits").ok());
+  EXPECT_EQ(faulty_->VerifyIntegrity().files.size(),
+            inner_->VerifyIntegrity().files.size());
+  EXPECT_FALSE(faulty_->VerifyIntegrity().files.empty());
+  EXPECT_EQ(faulty_->Counters(), inner_->Counters());
 }
 
 }  // namespace

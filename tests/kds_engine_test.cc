@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "abdl/parser.h"
 
 namespace mlds::kds {
@@ -253,6 +256,66 @@ TEST_F(KdsEngineTest, UnqualifiedQuerySearchesAllFiles) {
   auto resp = engine_.Execute(MustParse("RETRIEVE ((credits = 7)) (credits)"));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->records.size(), 2u);
+}
+
+// A1 and A2 (EXPERIMENTS.md): blocks read by a selective retrieve over
+// 20,000 records (grp = 17 matches 400) and a point lookup, with the
+// keyword directory on or off, and across the block-capacity sweep.
+// Round-robin placement scatters each grp over the blocks, so clustering
+// pays only once blocks are large.
+std::unique_ptr<Engine> AblationEngine(bool directory, int block_capacity) {
+  EngineOptions options;
+  options.block_capacity = block_capacity;
+  auto engine = std::make_unique<Engine>(options);
+  FileDescriptor f;
+  f.name = "item";
+  f.attributes = {{"FILE", ValueKind::kString, 0, true},
+                  {"key", ValueKind::kInteger, 0, directory},
+                  {"grp", ValueKind::kInteger, 0, directory},
+                  {"payload", ValueKind::kString, 0, false}};
+  EXPECT_TRUE(engine->DefineFile(f).ok());
+  for (int i = 0; i < 20000; ++i) {
+    EXPECT_TRUE(engine
+                    ->Execute(MustParse(
+                        "INSERT (<FILE, item>, <key, " + std::to_string(i) +
+                        ">, <grp, " + std::to_string(i % 50) +
+                        ">, <payload, 'x'>)"))
+                    .ok());
+  }
+  return engine;
+}
+
+uint64_t BlocksRead(Engine& engine, std::string_view request) {
+  auto resp = engine.Execute(MustParse(request));
+  EXPECT_TRUE(resp.ok()) << request << ": " << resp.status();
+  return resp.ok() ? resp->io.blocks_read : 0;
+}
+
+constexpr std::string_view kSelective =
+    "RETRIEVE ((FILE = item) and (grp = 17)) (key)";
+constexpr std::string_view kPoint =
+    "RETRIEVE ((FILE = item) and (key = 777)) (all attributes)";
+
+TEST(KdsAblationTest, DirectoryCutsBlocksRead) {
+  auto off = AblationEngine(/*directory=*/false, 16);
+  EXPECT_EQ(BlocksRead(*off, kSelective), 1250u);
+  EXPECT_EQ(BlocksRead(*off, kPoint), 1250u);
+  auto on = AblationEngine(/*directory=*/true, 16);
+  EXPECT_EQ(BlocksRead(*on, kSelective), 400u);
+  EXPECT_EQ(BlocksRead(*on, kPoint), 1u);
+}
+
+TEST(KdsAblationTest, BlockCapacitySweep) {
+  struct Capacity {
+    int records_per_block;
+    uint64_t blocks_read;
+  };
+  constexpr Capacity kSweep[] = {{1, 400}, {4, 400}, {16, 400}, {64, 312}};
+  for (const Capacity& c : kSweep) {
+    auto engine = AblationEngine(/*directory=*/true, c.records_per_block);
+    EXPECT_EQ(BlocksRead(*engine, kSelective), c.blocks_read)
+        << c.records_per_block << " records per block";
+  }
 }
 
 }  // namespace

@@ -173,6 +173,41 @@ TEST(MbdsControllerTest, ProportionalGrowthKeepsResponseTimeInvariant) {
   }
 }
 
+// A3 (EXPERIMENTS.md): what bounds the "nearly" in "nearly reciprocal".
+// The 16-backend simulated speedup of a 4096-record broadcast scan, as
+// the non-parallel per-request seek and bus round trip grow.
+TEST(MbdsControllerTest, FixedCostsBoundSixteenBackendSpeedup) {
+  auto scan_ms = [](int backends, double seek_ms, double bus_ms) {
+    MbdsOptions options;
+    options.num_backends = backends;
+    options.engine.disk.seek_ms = seek_ms;
+    options.bus.broadcast_ms = bus_ms;
+    options.bus.reply_ms = bus_ms;
+    Controller c(options);
+    Load(&c, 4096);
+    auto r = c.Execute(MustParse("RETRIEVE ((payload = 'x')) (key)"));
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r->response_time_ms : 0.0;
+  };
+  struct Overhead {
+    double seek_ms;
+    double bus_ms;
+    double speedup_16;
+  };
+  constexpr Overhead kOverheads[] = {
+      {0, 0, 16.00},    // no fixed costs: ideal
+      {28, 1, 9.03},    // the default disk and a light bus
+      {28, 50, 4.19},   // a congested bus
+      {200, 1, 3.19},   // a seek-dominated disk
+  };
+  for (const Overhead& o : kOverheads) {
+    const double speedup =
+        scan_ms(1, o.seek_ms, o.bus_ms) / scan_ms(16, o.seek_ms, o.bus_ms);
+    EXPECT_NEAR(speedup, o.speedup_16, 0.005)
+        << "seek " << o.seek_ms << " ms, bus " << o.bus_ms << " ms";
+  }
+}
+
 TEST(MbdsControllerTest, DistributedJoinFindsCrossPartitionPairs) {
   // Left and right join partners deliberately land on different backends
   // (round-robin placement alternates files' records): a per-backend join

@@ -164,5 +164,129 @@ TEST_F(TranslationTemplateTest, FindCurrentIssuesOneRefreshAtMost) {
   EXPECT_EQ(LastAbdl().size(), 1u);
 }
 
+// E4 (EXPERIMENTS.md), the one-to-many CODASYL-DML -> ABDL correspondence
+// of Ch. III.A: ABDL requests per DML program, counted from the KMS trace.
+// Programs run in table order on one session; STORE + ERASE and the
+// CONNECT/DISCONNECT/CONNECT cycle leave the database as they found it.
+struct ProgramCount {
+  const char* name;
+  const char* program;
+  size_t statements;
+  size_t abdl_requests;
+};
+
+constexpr ProgramCount kProgramCounts[] = {
+    {"MOVE", "MOVE 'x' TO major IN student\n", 1, 0},
+    {"MOVE; FIND ANY",
+     "MOVE 'Computer Science' TO major IN student\n"
+     "FIND ANY student USING major IN student\n",
+     2, 1},
+    {"FIND FIRST within system set",
+     "FIND FIRST person WITHIN system_person\n", 1, 1},
+    {"FIND FIRST within function set",
+     "MOVE 'faculty_1' TO faculty IN faculty\n"
+     "FIND ANY faculty USING faculty IN faculty\n"
+     "FIND FIRST student WITHIN advisor\n",
+     3, 2},
+    {"FIND OWNER chain",
+     "MOVE 'student_1' TO student IN student\n"
+     "FIND ANY student USING student IN student\n"
+     "FIND OWNER WITHIN advisor\n",
+     3, 2},
+    {"GET chain",
+     "MOVE 'student_1' TO student IN student\n"
+     "FIND ANY student USING student IN student\n"
+     "GET major, advisor IN student\n",
+     3, 1},
+    // STORE: key probe, duplicates probe, INSERT; ERASE: one membership
+    // probe, DELETE.
+    {"STORE + ERASE",
+     "MOVE 'Bench Course' TO title IN course\n"
+     "MOVE 'BenchSem' TO semester IN course\n"
+     "MOVE 1 TO credits IN course\n"
+     "STORE course\n"
+     "ERASE course\n",
+     5, 5},
+    {"MODIFY item",
+     "MOVE 'course_2' TO course IN course\n"
+     "FIND ANY course USING course IN course\n"
+     "MOVE 4 TO credits IN course\n"
+     "MODIFY credits IN course\n",
+     4, 2},
+    {"CONNECT/DISCONNECT/CONNECT",
+     "MOVE 'student_4' TO student IN student\n"
+     "FIND ANY student USING student IN student\n"
+     "CONNECT student TO advisor\n"
+     "DISCONNECT student FROM advisor\n"
+     "CONNECT student TO advisor\n",
+     5, 7},
+};
+
+TEST_F(TranslationTemplateTest, AbdlRequestsPerDmlProgram) {
+  for (const ProgramCount& row : kProgramCounts) {
+    machine_->ClearTrace();
+    auto results = machine_->RunProgram(row.program);
+    ASSERT_TRUE(results.ok()) << row.name << ": " << results.status();
+    size_t abdl = 0;
+    for (const auto& entry : machine_->trace()) abdl += entry.abdl.size();
+    EXPECT_EQ(machine_->trace().size(), row.statements) << row.name;
+    EXPECT_EQ(abdl, row.abdl_requests) << row.name;
+  }
+}
+
+// E6 (EXPERIMENTS.md), cross-model overhead: the same programs through
+// the functional-aware translation (AB(functional)) and through the plain
+// network translation of the same transformed schema (as a native
+// AB(network) database). The counts coincide except on subtype STORE,
+// where the functional target pays one overlap-table sibling probe.
+TEST_F(TranslationTemplateTest, CrossModelRequestCounts) {
+  DmlMachine native(&db_->mapping.schema, nullptr, executor_.get());
+  struct CrossModelCount {
+    const char* name;
+    const char* program;
+    size_t functional;
+    size_t native;
+  };
+  constexpr CrossModelCount kPrograms[] = {
+      {"FIND ANY + GET",
+       "MOVE 'Computer Science' TO major IN student\n"
+       "FIND ANY student USING major IN student\n"
+       "GET student, major IN student\n",
+       1, 1},
+      {"many-to-many navigate",
+       "MOVE 'faculty_1' TO faculty IN faculty\n"
+       "FIND ANY faculty USING faculty IN faculty\n"
+       "FIND FIRST link_1 WITHIN teaching\n"
+       "FIND OWNER WITHIN teaching\n",
+       3, 3},
+      {"STORE + ERASE course",
+       "MOVE 'Bench Course' TO title IN course\n"
+       "MOVE 'BenchSem' TO semester IN course\n"
+       "MOVE 2 TO credits IN course\n"
+       "STORE course\n"
+       "ERASE course\n",
+       5, 5},
+      {"STORE + ERASE subtype",
+       "MOVE 'employee_16' TO employee IN employee\n"
+       "FIND ANY employee USING employee IN employee\n"
+       "MOVE 15 TO hours IN support_staff\n"
+       "STORE support_staff\n"
+       "ERASE support_staff\n",
+       5, 4},
+  };
+  auto count = [](DmlMachine& machine, const char* program) -> size_t {
+    machine.ClearTrace();
+    auto results = machine.RunProgram(program);
+    EXPECT_TRUE(results.ok()) << program << results.status();
+    size_t abdl = 0;
+    for (const auto& entry : machine.trace()) abdl += entry.abdl.size();
+    return abdl;
+  };
+  for (const CrossModelCount& row : kPrograms) {
+    EXPECT_EQ(count(*machine_, row.program), row.functional) << row.name;
+    EXPECT_EQ(count(native, row.program), row.native) << row.name;
+  }
+}
+
 }  // namespace
 }  // namespace mlds::kms

@@ -23,9 +23,15 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
-# In-process shell smoke: one statement per language interface plus an
-# EXPLAIN, piped through the example shell. Any "error:" line fails.
+# Example smoke: README's quickstart must exit 0 and print its DML ->
+# ABDL translation trace; then one statement per language interface plus
+# an EXPLAIN, piped through the in-process shell. Any "error:" line fails.
 echo "== local shell smoke =="
+QUICKSTART_OUT="$(build/examples/quickstart)" \
+  || { echo "quickstart exited non-zero"; exit 1; }
+echo "${QUICKSTART_OUT}"
+grep -q "=> RETRIEVE" <<< "${QUICKSTART_OUT}" \
+  || { echo "quickstart printed no RETRIEVE translation"; exit 1; }
 LOCAL_SHELL_OUT="$(printf '%s\n' \
   "MOVE 'Networks' TO title IN course" \
   "FIND ANY course USING title IN course" \
@@ -45,79 +51,26 @@ echo "local shell smoke passed"
 if [[ "${MLDS_SKIP_BENCH:-0}" == "1" ]]; then
   echo "== bench smoke skipped (MLDS_SKIP_BENCH=1) =="
 else
-  # Smoke the bench binaries at tiny cost: a benchmark filter that matches
-  # nothing skips the timed loops, but each main() still loads its data
-  # set and writes its BENCH_*.json report — so the measurement paths run
-  # on every PR and CI uploads the fresh JSON artifacts.
-  echo "== bench smoke (JSON reports only) =="
+  # Run every bench binary at smoke size: each main() loads its data set
+  # and writes its BENCH_*.json report, so the measurement paths run on
+  # every PR and CI uploads the fresh JSON artifacts. tools/bench_compare
+  # then checks each report against its committed bench/results/ twin.
+  echo "== bench smoke =="
+  rm -rf build/bench-smoke
   mkdir -p build/bench-smoke
   # The streaming bench bulk-loads its row count from the environment:
-  # 8k rows keeps the smoke cheap while still exercising chunked
-  # transfer end to end (the full 120k-row run happens off-CI).
-  # The bulk-load bench reads its record count from the environment the
-  # same way: 20k rows smokes the batch/WAL/recovery paths; the committed
-  # report is the full 1M-row run.
+  # 24k rows renders a ~330 KB body, past the 256 KiB stream threshold,
+  # so the smoke still exercises chunked transfer end to end (the full
+  # 120k-row run happens off-CI). The bulk-load bench reads its record
+  # count the same way: 20k rows smokes the batch/WAL/recovery paths; the
+  # committed report is the full 1M-row run.
   for bench in bench_range_queries bench_intra_backend bench_fault_recovery \
                bench_server bench_streaming bench_bulk_load \
                bench_paged_storage bench_joins bench_mbds_scaling; do
-    (cd build/bench-smoke && MLDS_STREAM_BENCH_ROWS=8000 MLDS_BULK_RECORDS=20000 \
-      "../bench/${bench}" --benchmark_filter='^$')
+    (cd build/bench-smoke && \
+      MLDS_STREAM_BENCH_ROWS=24000 MLDS_BULK_RECORDS=20000 "../bench/${bench}")
   done
-  ls build/bench-smoke/BENCH_*.json
-
-  # Regression floor for the bulk-ingest fast path: these are
-  # correctness/shape booleans (crash recovery byte-identity, warm
-  # template cache hits, coalesced group-commit flushes, batch at least
-  # matching single-record ingest), not wall-clock thresholds, so they
-  # hold at smoke size.
-  for key in recovery_byte_identical warm_cache_hit_rate_ok \
-             batch_coalesced_flushes batch_not_slower_than_single; do
-    grep -q "\"${key}\": true" build/bench-smoke/BENCH_bulk_load.json \
-      || { echo "bulk ingest floor regression: ${key} is not true"; exit 1; }
-  done
-  echo "bulk ingest floor holds"
-
-  # Regression floor for the directory's interval probes: a two-sided
-  # range folds into one directory walk whose candidates are exactly the
-  # result rows (no half-open candidate list is materialized).
-  grep -q '"bounded_range_single_probe": true' \
-      build/bench-smoke/BENCH_range_queries.json \
-    || { echo "range floor regression: bounded_range_single_probe is not true"; exit 1; }
-  echo "range floor holds"
-
-  # Regression floors for the paged storage engine: point-lookup physical
-  # reads stay flat (within 1.5x) across the 1x→4x buffer-pool sweep, and
-  # every secondary-index probe both beats the full scan and renders a
-  # [secondary] access path in its EXPLAIN.
-  grep -q '"point_lookup_flat_within_1p5x": true' \
-      build/bench-smoke/BENCH_paged_storage.json \
-    || { echo "paged storage floor regression: pool sweep not flat"; exit 1; }
-  if grep -q '"below_scan": false\|"plan_uses_secondary": false' \
-      build/bench-smoke/BENCH_paged_storage.json; then
-    echo "paged storage floor regression: a secondary probe lost its floor"
-    exit 1
-  fi
-  echo "paged storage floor holds"
-
-  # Regression floor for the statistics & join subsystem: the fused WALK
-  # (one RETRIEVE-COMMON join per set level) must beat the per-record
-  # traversal by at least 5x under the bench's disk-latency emulation,
-  # with both paths visiting the same final-level records.
-  grep -q '"fused_speedup_ge_5x": true' build/bench-smoke/BENCH_joins.json \
-    || { echo "fused join floor regression: fused_speedup_ge_5x is not true"; exit 1; }
-  echo "fused join floor holds"
-
-  # Regression floors for MBDS scaling (E1/E2), both deterministic
-  # simulated-time facts: 4 backends cut the full-scan response time by
-  # at least 3x at fixed database size, and the response time stays
-  # invariant as backends grow with the database. The smoke also runs the
-  # wall-clock curve, so every backend engine's disk-latency sleep path
-  # executes on every PR.
-  for key in capacity_sim_invariant sim_speedup_4_ge_3x; do
-    grep -q "\"${key}\": true" build/bench-smoke/BENCH_mbds_scaling.json \
-      || { echo "mbds scaling floor regression: ${key} is not true"; exit 1; }
-  done
-  echo "mbds scaling floor holds"
+  tools/bench_compare build/bench-smoke bench/results
 
   # Repository benchmark smoke: build perfbench (its own CMake package,
   # so its wire driver compiles against the current client and STATS
