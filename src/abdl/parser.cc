@@ -2,11 +2,11 @@
 
 #include "abdl/prepared.h"
 
-#include <cctype>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "abdm/lexer.h"
 #include "common/strings.h"
 
 namespace mlds::abdl {
@@ -16,160 +16,15 @@ namespace {
 using abdm::Conjunction;
 using abdm::Predicate;
 using abdm::Query;
-using abdm::RelOp;
+using abdm::TokenCursor;
+using abdm::TokenKind;
 using abdm::Value;
 
-enum class TokKind {
-  kEnd,
-  kIdent,    // bare word (identifier or keyword)
-  kNumber,   // integer or float literal
-  kString,   // quoted literal
-  kLParen,
-  kRParen,
-  kLAngle,
-  kRAngle,
-  kComma,
-  kSemicolon,
-  kPlus,
-  kQuestion,  // '?' — parameter marker in prepared templates
-  kRelOp,  // = != < <= > >=  (angle brackets resolved by context)
-};
-
-struct Token {
-  TokKind kind = TokKind::kEnd;
-  std::string text;
-  RelOp rel = RelOp::kEq;
-};
-
-/// Tokenizer for ABDL text. '<' and '>' are ambiguous between keyword
-/// delimiters (INSERT lists) and relational operators; the lexer emits
-/// kLAngle/kRAngle for bare '<'/'>' and the parser resolves them by
-/// context, while '<=' and '>=' always lex as relational operators.
-class Lexer {
- public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> out;
-    while (true) {
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        out.push_back({TokKind::kEnd, "", RelOp::kEq});
-        return out;
-      }
-      const char c = text_[pos_];
-      if (c == '(') {
-        out.push_back({TokKind::kLParen, "(", RelOp::kEq});
-        ++pos_;
-      } else if (c == ')') {
-        out.push_back({TokKind::kRParen, ")", RelOp::kEq});
-        ++pos_;
-      } else if (c == ',') {
-        out.push_back({TokKind::kComma, ",", RelOp::kEq});
-        ++pos_;
-      } else if (c == ';') {
-        out.push_back({TokKind::kSemicolon, ";", RelOp::kEq});
-        ++pos_;
-      } else if (c == '+') {
-        out.push_back({TokKind::kPlus, "+", RelOp::kEq});
-        ++pos_;
-      } else if (c == '?') {
-        out.push_back({TokKind::kQuestion, "?", RelOp::kEq});
-        ++pos_;
-      } else if (c == '=') {
-        out.push_back({TokKind::kRelOp, "=", RelOp::kEq});
-        ++pos_;
-      } else if (c == '!' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
-        out.push_back({TokKind::kRelOp, "!=", RelOp::kNe});
-        pos_ += 2;
-      } else if (c == '<') {
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
-          out.push_back({TokKind::kRelOp, "<=", RelOp::kLe});
-          pos_ += 2;
-        } else if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
-          out.push_back({TokKind::kRelOp, "<>", RelOp::kNe});
-          pos_ += 2;
-        } else {
-          out.push_back({TokKind::kLAngle, "<", RelOp::kLt});
-          ++pos_;
-        }
-      } else if (c == '>') {
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
-          out.push_back({TokKind::kRelOp, ">=", RelOp::kGe});
-          pos_ += 2;
-        } else {
-          out.push_back({TokKind::kRAngle, ">", RelOp::kGt});
-          ++pos_;
-        }
-      } else if (c == '\'' || c == '"') {
-        // A doubled delimiter inside the literal is an escaped quote (the
-        // SQL convention, mirrored by Value::ToString) — required so
-        // printed requests replayed from snapshots and WAL entries parse
-        // back to the original value.
-        const char quote = c;
-        std::string text;
-        size_t end = pos_ + 1;
-        bool terminated = false;
-        while (end < text_.size()) {
-          if (text_[end] == quote) {
-            if (end + 1 < text_.size() && text_[end + 1] == quote) {
-              text.push_back(quote);
-              end += 2;
-              continue;
-            }
-            terminated = true;
-            break;
-          }
-          text.push_back(text_[end]);
-          ++end;
-        }
-        if (!terminated) {
-          return Status::ParseError("unterminated string literal");
-        }
-        out.push_back({TokKind::kString, std::move(text), RelOp::kEq});
-        pos_ = end + 1;
-      } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-                 (c == '-' && pos_ + 1 < text_.size() &&
-                  std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])))) {
-        size_t end = pos_ + 1;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '.' || text_[end] == 'e' || text_[end] == 'E' ||
-                ((text_[end] == '+' || text_[end] == '-') &&
-                 (text_[end - 1] == 'e' || text_[end - 1] == 'E')))) {
-          ++end;
-        }
-        out.push_back({TokKind::kNumber, std::string(text_.substr(pos_, end - pos_)),
-                       RelOp::kEq});
-        pos_ = end;
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t end = pos_ + 1;
-        while (end < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '_' || text_[end] == '-' || text_[end] == '.')) {
-          ++end;
-        }
-        out.push_back({TokKind::kIdent, std::string(text_.substr(pos_, end - pos_)),
-                       RelOp::kEq});
-        pos_ = end;
-      } else {
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' in ABDL text");
-      }
-    }
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+/// ABDL words may also contain '-' and '.' (RETRIEVE-COMMON, dotted
+/// attribute names). Bare '<' and '>' are both keyword delimiters
+/// (INSERT lists) and relational operators; the parser resolves them by
+/// context.
+constexpr abdm::Dialect kAbdl{"ABDL text", "-."};
 
 /// Boolean expression tree over predicates, normalized to DNF after
 /// parsing. AND binds tighter than OR.
@@ -216,23 +71,23 @@ std::vector<Conjunction> ToDnf(const BoolExpr& e) {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(TokenCursor in) : in_(std::move(in)) {}
 
   Result<Request> ParseOneRequest() {
     MLDS_ASSIGN_OR_RETURN(Request req, ParseRequestBody());
-    if (!AtEnd()) {
-      return Status::ParseError("trailing input after ABDL request: '" +
-                                Peek().text + "'");
+    if (!in_.AtEnd()) {
+      return Status::ParseError("trailing input after ABDL request: " +
+                                in_.Peek().Describe());
     }
     return req;
   }
 
   Result<Transaction> ParseAll() {
     Transaction txn;
-    while (!AtEnd()) {
+    while (!in_.AtEnd()) {
       MLDS_ASSIGN_OR_RETURN(Request req, ParseRequestBody());
       txn.push_back(std::move(req));
-      while (Peek().kind == TokKind::kSemicolon) Advance();
+      while (in_.Consume(";")) continue;
     }
     if (txn.empty()) return Status::ParseError("empty ABDL transaction");
     return txn;
@@ -240,52 +95,38 @@ class Parser {
 
   Result<Query> ParseBareQuery() {
     MLDS_ASSIGN_OR_RETURN(Query q, ParseQueryExpr());
-    if (!AtEnd()) {
-      return Status::ParseError("trailing input after query");
+    if (!in_.AtEnd()) {
+      return Status::ParseError("trailing input after query: " +
+                                in_.Peek().Describe());
     }
     return q;
   }
 
+  Result<PreparedRequest> ParsePrepared() {
+    if (!in_.ConsumeKeyword("INSERT")) {
+      return Status::ParseError("prepared templates support INSERT only");
+    }
+    PreparedRequest prepared;
+    MLDS_ASSIGN_OR_RETURN(prepared.constants,
+                          ParseInsertGroup(&prepared.parameters));
+    if (!in_.AtEnd()) {
+      return Status::ParseError(
+          "trailing input after prepared INSERT template: " +
+          in_.Peek().Describe());
+    }
+    return prepared;
+  }
+
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const Token& Advance() { return tokens_[pos_++]; }
-  bool AtEnd() const { return Peek().kind == TokKind::kEnd; }
-
-  bool ConsumeIdent(std::string_view word) {
-    if (Peek().kind == TokKind::kIdent && EqualsIgnoreCase(Peek().text, word)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-
-  Status Expect(TokKind kind, std::string_view what) {
-    if (Peek().kind != kind) {
-      return Status::ParseError("expected " + std::string(what) + ", got '" +
-                                Peek().text + "'");
-    }
-    Advance();
-    return Status::OK();
-  }
-
   Result<Request> ParseRequestBody() {
-    if (Peek().kind != TokKind::kIdent) {
-      return Status::ParseError("expected ABDL operation keyword");
-    }
     // EXPLAIN prefixes a query-bearing request: the request executes
     // normally and additionally returns its annotated physical plan.
-    bool explain = false;
-    if (EqualsIgnoreCase(Peek().text, "EXPLAIN")) {
-      Advance();
-      explain = true;
-      if (Peek().kind != TokKind::kIdent) {
-        return Status::ParseError("expected ABDL operation after EXPLAIN");
-      }
-    }
-    const std::string op = ToUpper(Advance().text);
+    const bool explain = in_.ConsumeKeyword("EXPLAIN");
+    MLDS_ASSIGN_OR_RETURN(
+        std::string word,
+        in_.ExpectName(explain ? "ABDL operation after EXPLAIN"
+                               : "ABDL operation keyword"));
+    const std::string op = ToUpper(word);
     if (op == "EXPLAIN") {
       return Status::ParseError("EXPLAIN may appear only once");
     }
@@ -308,23 +149,16 @@ class Parser {
   }
 
   Result<Value> ParseLiteral() {
-    const Token& t = Peek();
-    if (t.kind == TokKind::kString) {
-      Advance();
-      return Value::String(t.text);
-    }
-    if (t.kind == TokKind::kNumber) {
-      Advance();
-      return Value::Parse(t.text);
-    }
-    if (t.kind == TokKind::kIdent) {
-      Advance();
+    const abdm::Token& t = in_.Peek();
+    if (t.IsLiteral()) return in_.Advance().value;
+    if (t.kind == TokenKind::kWord) {
+      in_.Advance();
       if (EqualsIgnoreCase(t.text, "NULL")) return Value::Null();
       // Unquoted identifiers are treated as string literals; the thesis
       // writes values like (FILE = course) without quotes.
-      return Value::String(t.text);
+      return Value::String(std::string(t.text));
     }
-    return Status::ParseError("expected literal, got '" + t.text + "'");
+    return in_.Unexpected("literal");
   }
 
   /// Parses one '(' <attr, value> ... ')' keyword group. When `params`
@@ -332,73 +166,46 @@ class Parser {
   /// attribute is then recorded as a parameter slot instead of a
   /// constant.
   Result<abdm::Record> ParseInsertGroup(std::vector<std::string>* params) {
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kLParen, "'(' after INSERT"));
+    MLDS_RETURN_IF_ERROR(in_.Expect("(", "after INSERT"));
     abdm::Record record;
-    while (true) {
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kLAngle, "'<' opening keyword"));
-      if (Peek().kind != TokKind::kIdent) {
-        return Status::ParseError("expected attribute name in keyword");
-      }
-      std::string attr = Advance().text;
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kComma, "',' in keyword"));
-      if (Peek().kind == TokKind::kQuestion) {
+    do {
+      MLDS_RETURN_IF_ERROR(in_.Expect("<", "opening keyword"));
+      MLDS_ASSIGN_OR_RETURN(std::string attr,
+                            in_.ExpectName("attribute name in keyword"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(",", "in keyword"));
+      if (in_.Peek().Is("?")) {
         if (params == nullptr) {
           return Status::ParseError(
               "parameter marker '?' is only valid in a prepared INSERT "
               "template");
         }
-        Advance();
+        in_.Advance();
         params->push_back(attr);
       } else {
         MLDS_ASSIGN_OR_RETURN(Value v, ParseLiteral());
         record.Set(attr, std::move(v));
       }
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kRAngle, "'>' closing keyword"));
-      if (Peek().kind == TokKind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' after keyword list"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(">", "closing keyword"));
+    } while (in_.Consume(","));
+    MLDS_RETURN_IF_ERROR(in_.Expect(")", "after keyword list"));
     return record;
   }
 
   Result<Request> ParseInsert() {
     MLDS_ASSIGN_OR_RETURN(abdm::Record first, ParseInsertGroup(nullptr));
-    if (Peek().kind != TokKind::kLParen) {
+    if (!in_.Peek().Is("(")) {
       return Request(InsertRequest{std::move(first)});
     }
     // Further keyword groups: the multi-record batch form.
     BatchInsertRequest batch;
     batch.records.push_back(std::move(first));
-    while (Peek().kind == TokKind::kLParen) {
+    while (in_.Peek().Is("(")) {
       MLDS_ASSIGN_OR_RETURN(abdm::Record next, ParseInsertGroup(nullptr));
       batch.records.push_back(std::move(next));
     }
     return Request(std::move(batch));
   }
 
- public:
-  Result<PreparedRequest> ParsePrepared() {
-    if (Peek().kind != TokKind::kIdent ||
-        !EqualsIgnoreCase(Peek().text, "INSERT")) {
-      return Status::ParseError(
-          "prepared templates support INSERT only");
-    }
-    Advance();
-    PreparedRequest prepared;
-    MLDS_ASSIGN_OR_RETURN(prepared.constants,
-                          ParseInsertGroup(&prepared.parameters));
-    if (!AtEnd()) {
-      return Status::ParseError(
-          "trailing input after prepared INSERT template: '" + Peek().text +
-          "'");
-    }
-    return prepared;
-  }
-
- private:
   Result<Request> ParseDelete() {
     MLDS_ASSIGN_OR_RETURN(Query q, ParseQueryExpr());
     return Request(DeleteRequest{std::move(q)});
@@ -406,78 +213,57 @@ class Parser {
 
   Result<Request> ParseUpdate() {
     MLDS_ASSIGN_OR_RETURN(Query q, ParseQueryExpr());
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kLParen, "'(' opening modifier"));
-    if (Peek().kind != TokKind::kIdent) {
-      return Status::ParseError("expected attribute in modifier");
-    }
-    std::string attr = Advance().text;
-    if (Peek().kind != TokKind::kRelOp || Peek().rel != RelOp::kEq) {
-      return Status::ParseError("expected '=' in modifier");
-    }
-    Advance();
+    MLDS_RETURN_IF_ERROR(in_.Expect("(", "opening modifier"));
     Modifier mod;
-    mod.attribute = attr;
+    MLDS_ASSIGN_OR_RETURN(mod.attribute,
+                          in_.ExpectName("attribute in modifier"));
+    MLDS_RETURN_IF_ERROR(in_.Expect("=", "in modifier"));
     // Either "attr = literal" or "attr = attr + literal".
-    if (Peek().kind == TokKind::kIdent && Peek().text == attr &&
-        Peek(1).kind == TokKind::kPlus) {
-      Advance();  // attr
-      Advance();  // '+'
-      MLDS_ASSIGN_OR_RETURN(Value v, ParseLiteral());
+    if (in_.Peek().kind == TokenKind::kWord &&
+        in_.Peek().text == mod.attribute && in_.Peek(1).Is("+")) {
+      in_.Advance();  // attr
+      in_.Advance();  // '+'
       mod.kind = ModifierKind::kAdd;
-      mod.operand = std::move(v);
     } else {
-      MLDS_ASSIGN_OR_RETURN(Value v, ParseLiteral());
       mod.kind = ModifierKind::kSet;
-      mod.operand = std::move(v);
     }
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' closing modifier"));
+    MLDS_ASSIGN_OR_RETURN(mod.operand, ParseLiteral());
+    MLDS_RETURN_IF_ERROR(in_.Expect(")", "closing modifier"));
     return Request(UpdateRequest{std::move(q), std::move(mod)});
   }
 
   Result<std::vector<TargetItem>> ParseTargetList(bool* all_attributes) {
     *all_attributes = false;
     std::vector<TargetItem> targets;
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kLParen, "'(' opening target list"));
-    if (ConsumeIdent("all")) {
-      if (!ConsumeIdent("attributes")) {
-        return Status::ParseError("expected 'attributes' after 'all'");
-      }
+    MLDS_RETURN_IF_ERROR(in_.Expect("(", "opening target list"));
+    if (in_.ConsumeKeyword("all")) {
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("attributes"));
       *all_attributes = true;
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' after target list"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(")", "after target list"));
       return targets;
     }
-    while (true) {
-      if (Peek().kind != TokKind::kIdent) {
-        return Status::ParseError("expected target attribute");
-      }
-      std::string name = Advance().text;
+    do {
+      MLDS_ASSIGN_OR_RETURN(std::string name,
+                            in_.ExpectName("target attribute"));
       TargetItem item;
       const std::string upper = ToUpper(name);
       if ((upper == "COUNT" || upper == "SUM" || upper == "AVG" ||
            upper == "MIN" || upper == "MAX") &&
-          Peek().kind == TokKind::kLParen) {
-        Advance();
-        if (Peek().kind != TokKind::kIdent) {
-          return Status::ParseError("expected attribute inside aggregate");
-        }
-        item.attribute = Advance().text;
+          in_.Consume("(")) {
+        MLDS_ASSIGN_OR_RETURN(item.attribute,
+                              in_.ExpectName("attribute inside aggregate"));
         item.aggregate = upper == "COUNT"  ? AggregateOp::kCount
                          : upper == "SUM" ? AggregateOp::kSum
                          : upper == "AVG" ? AggregateOp::kAvg
                          : upper == "MIN" ? AggregateOp::kMin
                                           : AggregateOp::kMax;
-        MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' after aggregate"));
+        MLDS_RETURN_IF_ERROR(in_.Expect(")", "after aggregate"));
       } else {
         item.attribute = std::move(name);
       }
       targets.push_back(std::move(item));
-      if (Peek().kind == TokKind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' after target list"));
+    } while (in_.Consume(","));
+    MLDS_RETURN_IF_ERROR(in_.Expect(")", "after target list"));
     return targets;
   }
 
@@ -486,34 +272,29 @@ class Parser {
     RetrieveRequest req;
     req.query = std::move(q);
     MLDS_ASSIGN_OR_RETURN(req.targets, ParseTargetList(&req.all_attributes));
-    if (ConsumeIdent("by")) {
-      if (Peek().kind != TokKind::kIdent) {
-        return Status::ParseError("expected attribute after BY");
-      }
-      req.by_attribute = Advance().text;
+    if (in_.ConsumeKeyword("by")) {
+      MLDS_ASSIGN_OR_RETURN(req.by_attribute,
+                            in_.ExpectName("attribute after BY"));
     }
     return Request(std::move(req));
   }
 
+  /// One RETRIEVE-COMMON half: a query, then '(' join attribute ')'.
+  Status ParseCommonHalf(Query* query, std::string* attribute) {
+    MLDS_ASSIGN_OR_RETURN(*query, ParseQueryExpr());
+    MLDS_RETURN_IF_ERROR(in_.Expect("(", "before join attribute"));
+    MLDS_ASSIGN_OR_RETURN(*attribute, in_.ExpectName("join attribute"));
+    return in_.Expect(")", "after join attribute");
+  }
+
   Result<Request> ParseRetrieveCommon() {
     RetrieveCommonRequest req;
-    MLDS_ASSIGN_OR_RETURN(req.left_query, ParseQueryExpr());
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kLParen, "'(' before join attribute"));
-    if (Peek().kind != TokKind::kIdent) {
-      return Status::ParseError("expected join attribute");
+    MLDS_RETURN_IF_ERROR(ParseCommonHalf(&req.left_query, &req.left_attribute));
+    if (!in_.ConsumeKeyword("and")) {
+      return in_.Unexpected("AND between RETRIEVE-COMMON halves");
     }
-    req.left_attribute = Advance().text;
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' after join attribute"));
-    if (!ConsumeIdent("and")) {
-      return Status::ParseError("expected AND between RETRIEVE-COMMON halves");
-    }
-    MLDS_ASSIGN_OR_RETURN(req.right_query, ParseQueryExpr());
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kLParen, "'(' before join attribute"));
-    if (Peek().kind != TokKind::kIdent) {
-      return Status::ParseError("expected join attribute");
-    }
-    req.right_attribute = Advance().text;
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' after join attribute"));
+    MLDS_RETURN_IF_ERROR(
+        ParseCommonHalf(&req.right_query, &req.right_attribute));
     bool all = false;
     MLDS_ASSIGN_OR_RETURN(req.targets, ParseTargetList(&all));
     if (all) req.targets.clear();
@@ -529,13 +310,11 @@ class Parser {
 
   Result<BoolExpr> ParseOr() {
     MLDS_ASSIGN_OR_RETURN(BoolExpr left, ParseAnd());
-    if (!(Peek().kind == TokKind::kIdent && EqualsIgnoreCase(Peek().text, "or"))) {
-      return left;
-    }
+    if (!in_.PeekKeyword("or")) return left;
     BoolExpr node;
     node.kind = BoolExpr::Kind::kOr;
     node.children.push_back(std::move(left));
-    while (ConsumeIdent("or")) {
+    while (in_.ConsumeKeyword("or")) {
       MLDS_ASSIGN_OR_RETURN(BoolExpr next, ParseAnd());
       node.children.push_back(std::move(next));
     }
@@ -544,13 +323,11 @@ class Parser {
 
   Result<BoolExpr> ParseAnd() {
     MLDS_ASSIGN_OR_RETURN(BoolExpr left, ParsePrimary());
-    if (!(Peek().kind == TokKind::kIdent && EqualsIgnoreCase(Peek().text, "and"))) {
-      return left;
-    }
+    if (!in_.PeekKeyword("and")) return left;
     BoolExpr node;
     node.kind = BoolExpr::Kind::kAnd;
     node.children.push_back(std::move(left));
-    while (ConsumeIdent("and")) {
+    while (in_.ConsumeKeyword("and")) {
       MLDS_ASSIGN_OR_RETURN(BoolExpr next, ParsePrimary());
       node.children.push_back(std::move(next));
     }
@@ -561,42 +338,27 @@ class Parser {
   /// '(' expr ')' vs '(' ident relop literal ')'. We detect the predicate
   /// by looking two tokens ahead for a relational operator.
   Result<BoolExpr> ParsePrimary() {
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kLParen, "'(' in query"));
-    const bool looks_like_pred =
-        Peek().kind == TokKind::kIdent &&
-        (Peek(1).kind == TokKind::kRelOp || Peek(1).kind == TokKind::kLAngle ||
-         Peek(1).kind == TokKind::kRAngle);
-    if (looks_like_pred) {
-      Predicate pred;
-      pred.attribute = Advance().text;
-      const Token& op = Advance();
-      if (op.kind == TokKind::kLAngle) {
-        pred.op = RelOp::kLt;
-      } else if (op.kind == TokKind::kRAngle) {
-        pred.op = RelOp::kGt;
-      } else {
-        pred.op = op.rel;
-      }
-      MLDS_ASSIGN_OR_RETURN(pred.value, ParseLiteral());
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' closing predicate"));
+    MLDS_RETURN_IF_ERROR(in_.Expect("(", "in query"));
+    if (in_.Peek().kind == TokenKind::kWord && in_.PeekRelOp(1)) {
       BoolExpr e;
       e.kind = BoolExpr::Kind::kPred;
-      e.pred = std::move(pred);
+      e.pred.attribute = std::string(in_.Advance().text);
+      e.pred.op = *in_.ConsumeRelOp();
+      MLDS_ASSIGN_OR_RETURN(e.pred.value, ParseLiteral());
+      MLDS_RETURN_IF_ERROR(in_.Expect(")", "closing predicate"));
       return e;
     }
     MLDS_ASSIGN_OR_RETURN(BoolExpr inner, ParseOr());
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')' closing subexpression"));
+    MLDS_RETURN_IF_ERROR(in_.Expect(")", "closing subexpression"));
     return inner;
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  TokenCursor in_;
 };
 
 Result<Parser> MakeParser(std::string_view text) {
-  Lexer lexer(text);
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  return Parser(std::move(tokens));
+  MLDS_ASSIGN_OR_RETURN(TokenCursor in, TokenCursor::Open(text, kAbdl));
+  return Parser(std::move(in));
 }
 
 }  // namespace

@@ -1,119 +1,39 @@
 #include "codasyl/parser.h"
 
-#include <cctype>
-
+#include "abdm/lexer.h"
 #include "common/strings.h"
 
 namespace mlds::codasyl {
 
 namespace {
 
-/// DML statements are single-line and word-oriented; the lexer produces
-/// words, quoted literals, numbers, commas, and the STORE assignment
-/// punctuation '(' ')' '=' '?'.
-struct Token {
-  enum class Kind {
-    kWord,
-    kLiteral,
-    kComma,
-    kLParen,
-    kRParen,
-    kEq,
-    kParam,
-    kEnd
-  } kind = Kind::kEnd;
-  std::string text;        // word text (case preserved)
-  abdm::Value literal;     // for kLiteral
-};
-
-Result<std::vector<Token>> Tokenize(std::string_view text) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const char c = text[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == ',') {
-      out.push_back({Token::Kind::kComma, ",", {}});
-      ++pos;
-    } else if (c == '(') {
-      out.push_back({Token::Kind::kLParen, "(", {}});
-      ++pos;
-    } else if (c == ')') {
-      out.push_back({Token::Kind::kRParen, ")", {}});
-      ++pos;
-    } else if (c == '=') {
-      out.push_back({Token::Kind::kEq, "=", {}});
-      ++pos;
-    } else if (c == '?') {
-      out.push_back({Token::Kind::kParam, "?", {}});
-      ++pos;
-    } else if (c == '\'' || c == '"') {
-      size_t end = pos + 1;
-      while (end < text.size() && text[end] != c) ++end;
-      if (end >= text.size()) {
-        return Status::ParseError("unterminated literal in DML statement");
-      }
-      out.push_back({Token::Kind::kLiteral, "",
-                     abdm::Value::String(
-                         std::string(text.substr(pos + 1, end - pos - 1)))});
-      pos = end + 1;
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '-' && pos + 1 < text.size() &&
-                std::isdigit(static_cast<unsigned char>(text[pos + 1])))) {
-      size_t end = pos + 1;
-      while (end < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[end])) ||
-              text[end] == '.')) {
-        ++end;
-      }
-      out.push_back({Token::Kind::kLiteral, "",
-                     abdm::Value::Parse(text.substr(pos, end - pos))});
-      pos = end;
-    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t end = pos + 1;
-      while (end < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[end])) ||
-              text[end] == '_')) {
-        ++end;
-      }
-      out.push_back(
-          {Token::Kind::kWord, std::string(text.substr(pos, end - pos)), {}});
-      pos = end;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in DML statement");
-    }
-  }
-  out.push_back({Token::Kind::kEnd, "", {}});
-  return out;
-}
+constexpr abdm::Dialect kDml{"DML statement"};
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(abdm::TokenCursor in) : in_(std::move(in)) {}
 
   Result<Statement> Parse() {
     MLDS_ASSIGN_OR_RETURN(Statement stmt, ParseStatementBody());
-    if (!AtEnd()) {
-      return Status::ParseError("trailing input after DML statement: '" +
-                                Peek().text + "'");
+    if (!in_.AtEnd()) {
+      return Status::ParseError("trailing input after DML statement: " +
+                                in_.Peek().Describe());
     }
     return stmt;
   }
 
   Result<ParsedStatement> ParseExplainable() {
     ParsedStatement out;
-    if (ConsumeKeyword("EXPLAIN")) {
+    if (in_.ConsumeKeyword("EXPLAIN")) {
       out.explain = true;
-      if (PeekKeyword("EXPLAIN")) {
+      if (in_.PeekKeyword("EXPLAIN")) {
         return Status::ParseError("EXPLAIN may appear only once");
       }
-      if (PeekKeyword("MOVE")) {
+      if (in_.PeekKeyword("MOVE")) {
         return Status::ParseError(
             "EXPLAIN does not apply to MOVE: it issues no kernel request");
       }
-      if (AtEnd()) {
+      if (in_.AtEnd()) {
         return Status::ParseError("expected DML statement after EXPLAIN");
       }
     }
@@ -122,216 +42,164 @@ class Parser {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const Token& Advance() { return tokens_[pos_++]; }
-  bool AtEnd() const { return Peek().kind == Token::Kind::kEnd; }
-
-  bool PeekKeyword(std::string_view word, size_t ahead = 0) const {
-    return Peek(ahead).kind == Token::Kind::kWord &&
-           EqualsIgnoreCase(Peek(ahead).text, word);
-  }
-  bool ConsumeKeyword(std::string_view word) {
-    if (PeekKeyword(word)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  Status ExpectKeyword(std::string_view word) {
-    if (!ConsumeKeyword(word)) {
-      return Status::ParseError("expected '" + std::string(word) + "', got '" +
-                                Peek().text + "'");
-    }
-    return Status::OK();
-  }
-  Result<std::string> ExpectName(std::string_view what) {
-    if (Peek().kind != Token::Kind::kWord) {
-      return Status::ParseError("expected " + std::string(what) + ", got '" +
-                                Peek().text + "'");
-    }
-    return Advance().text;
-  }
-
   Result<std::vector<std::string>> ParseNameList(std::string_view what) {
     std::vector<std::string> names;
-    while (true) {
-      MLDS_ASSIGN_OR_RETURN(std::string name, ExpectName(what));
+    do {
+      MLDS_ASSIGN_OR_RETURN(std::string name, in_.ExpectName(what));
       names.push_back(std::move(name));
-      if (Peek().kind == Token::Kind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
+    } while (in_.Consume(","));
     return names;
   }
 
   Result<Statement> ParseStatementBody() {
-    if (ConsumeKeyword("MOVE")) return ParseMove();
-    if (ConsumeKeyword("FIND")) return ParseFind();
-    if (ConsumeKeyword("GET")) return ParseGet();
-    if (ConsumeKeyword("STORE")) {
+    if (in_.ConsumeKeyword("MOVE")) return ParseMove();
+    if (in_.ConsumeKeyword("FIND")) return ParseFind();
+    if (in_.ConsumeKeyword("GET")) return ParseGet();
+    if (in_.ConsumeKeyword("STORE")) {
       StoreStatement s;
-      MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
+      MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
       // Optional inline assignment list: STORE rec (item = value | ?, ...)
-      if (Peek().kind == Token::Kind::kLParen) {
-        Advance();
-        while (true) {
+      if (in_.Consume("(")) {
+        do {
           StoreStatement::Assignment a;
-          MLDS_ASSIGN_OR_RETURN(a.item, ExpectName("item name"));
-          if (Peek().kind != Token::Kind::kEq) {
-            return Status::ParseError("expected '=' in STORE assignment");
-          }
-          Advance();
-          if (Peek().kind == Token::Kind::kLiteral) {
-            a.value = Advance().literal;
-          } else if (Peek().kind == Token::Kind::kParam) {
-            Advance();
+          MLDS_ASSIGN_OR_RETURN(a.item, in_.ExpectName("item name"));
+          MLDS_RETURN_IF_ERROR(in_.Expect("=", "in STORE assignment"));
+          if (in_.Peek().IsLiteral()) {
+            a.value = in_.Advance().value;
+          } else if (in_.Consume("?")) {
             a.is_param = true;
-          } else if (ConsumeKeyword("NULL")) {
-            // a.value stays null
-          } else {
-            return Status::ParseError(
-                "expected literal, NULL, or '?' in STORE assignment");
+          } else if (!in_.ConsumeKeyword("NULL")) {  // NULL leaves a.value null
+            return in_.Unexpected("literal, NULL, or '?' in STORE assignment");
           }
           s.assignments.push_back(std::move(a));
-          if (Peek().kind == Token::Kind::kComma) {
-            Advance();
-            continue;
-          }
-          break;
-        }
-        if (Peek().kind != Token::Kind::kRParen) {
-          return Status::ParseError("expected ')' after STORE assignments");
-        }
-        Advance();
+        } while (in_.Consume(","));
+        MLDS_RETURN_IF_ERROR(in_.Expect(")", "after STORE assignments"));
       }
       return Statement(std::move(s));
     }
-    if (ConsumeKeyword("CONNECT")) {
+    if (in_.ConsumeKeyword("CONNECT")) {
       ConnectStatement s;
-      MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("TO"));
+      MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("TO"));
       MLDS_ASSIGN_OR_RETURN(s.sets, ParseNameList("set type"));
       return Statement(std::move(s));
     }
-    if (ConsumeKeyword("DISCONNECT")) {
+    if (in_.ConsumeKeyword("DISCONNECT")) {
       DisconnectStatement s;
-      MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("FROM"));
+      MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("FROM"));
       MLDS_ASSIGN_OR_RETURN(s.sets, ParseNameList("set type"));
       return Statement(std::move(s));
     }
-    if (ConsumeKeyword("RECONNECT")) {
+    if (in_.ConsumeKeyword("RECONNECT")) {
       ReconnectStatement s;
-      MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("IN"));
+      MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("IN"));
       MLDS_ASSIGN_OR_RETURN(s.sets, ParseNameList("set type"));
       return Statement(std::move(s));
     }
-    if (ConsumeKeyword("WALK")) {
+    if (in_.ConsumeKeyword("WALK")) {
       WalkStatement s;
-      MLDS_ASSIGN_OR_RETURN(std::string first, ExpectName("set type"));
+      MLDS_ASSIGN_OR_RETURN(std::string first, in_.ExpectName("set type"));
       s.sets.push_back(std::move(first));
-      while (ConsumeKeyword("THEN")) {
-        MLDS_ASSIGN_OR_RETURN(std::string next, ExpectName("set type"));
+      while (in_.ConsumeKeyword("THEN")) {
+        MLDS_ASSIGN_OR_RETURN(std::string next, in_.ExpectName("set type"));
         s.sets.push_back(std::move(next));
       }
       return Statement(std::move(s));
     }
-    if (ConsumeKeyword("MODIFY")) return ParseModify();
-    if (ConsumeKeyword("ERASE")) {
+    if (in_.ConsumeKeyword("MODIFY")) return ParseModify();
+    if (in_.ConsumeKeyword("ERASE")) {
       EraseStatement s;
-      s.all = ConsumeKeyword("ALL");
-      MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
+      s.all = in_.ConsumeKeyword("ALL");
+      MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
       return Statement(std::move(s));
     }
-    return Status::ParseError("unknown DML statement: '" + Peek().text + "'");
+    return Status::ParseError("unknown DML statement: " +
+                              in_.Peek().Describe());
   }
 
   Result<Statement> ParseMove() {
     MoveStatement s;
-    if (Peek().kind == Token::Kind::kLiteral) {
-      s.value = Advance().literal;
-    } else if (Peek().kind == Token::Kind::kWord && !PeekKeyword("TO")) {
+    if (in_.Peek().IsLiteral()) {
+      s.value = in_.Advance().value;
+    } else if (in_.Peek().kind == abdm::TokenKind::kWord &&
+               !in_.PeekKeyword("TO")) {
       // Unquoted word literal, e.g. MOVE YES TO eof IN status.
-      s.value = abdm::Value::String(Advance().text);
+      s.value = abdm::Value::String(std::string(in_.Advance().text));
     } else {
-      return Status::ParseError("expected literal after MOVE");
+      return in_.Unexpected("literal after MOVE");
     }
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("TO"));
-    MLDS_ASSIGN_OR_RETURN(s.item, ExpectName("item name"));
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("IN"));
-    MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("TO"));
+    MLDS_ASSIGN_OR_RETURN(s.item, in_.ExpectName("item name"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("IN"));
+    MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
     return Statement(std::move(s));
   }
 
   Result<Statement> ParseFind() {
-    if (ConsumeKeyword("ANY")) {
+    if (in_.ConsumeKeyword("ANY")) {
       FindAnyStatement s;
-      MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
-      if (PeekKeyword("USING")) {
-        Advance();
+      MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
+      if (in_.ConsumeKeyword("USING")) {
         MLDS_ASSIGN_OR_RETURN(s.items, ParseNameList("item name"));
-        MLDS_RETURN_IF_ERROR(ExpectKeyword("IN"));
-        MLDS_ASSIGN_OR_RETURN(std::string record2, ExpectName("record type"));
+        MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("IN"));
+        MLDS_ASSIGN_OR_RETURN(std::string record2,
+                              in_.ExpectName("record type"));
         if (record2 != s.record) {
           return Status::ParseError(
               "FIND ANY: USING items must be IN the same record type");
         }
       }
-      if (ConsumeKeyword("RETAINING")) {
+      if (in_.ConsumeKeyword("RETAINING")) {
         MLDS_ASSIGN_OR_RETURN(s.retaining, ParseNameList("set type"));
       }
       return Statement(std::move(s));
     }
-    if (ConsumeKeyword("CURRENT")) {
+    if (in_.ConsumeKeyword("CURRENT")) {
       FindCurrentStatement s;
-      MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("WITHIN"));
-      MLDS_ASSIGN_OR_RETURN(s.set, ExpectName("set type"));
+      MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("WITHIN"));
+      MLDS_ASSIGN_OR_RETURN(s.set, in_.ExpectName("set type"));
       return Statement(std::move(s));
     }
-    if (ConsumeKeyword("DUPLICATE")) {
+    if (in_.ConsumeKeyword("DUPLICATE")) {
       FindDuplicateStatement s;
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("WITHIN"));
-      MLDS_ASSIGN_OR_RETURN(s.set, ExpectName("set type"));
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("USING"));
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("WITHIN"));
+      MLDS_ASSIGN_OR_RETURN(s.set, in_.ExpectName("set type"));
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("USING"));
       MLDS_ASSIGN_OR_RETURN(s.items, ParseNameList("item name"));
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("IN"));
-      MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("IN"));
+      MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
       return Statement(std::move(s));
     }
-    if (ConsumeKeyword("OWNER")) {
+    if (in_.ConsumeKeyword("OWNER")) {
       FindOwnerStatement s;
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("WITHIN"));
-      MLDS_ASSIGN_OR_RETURN(s.set, ExpectName("set type"));
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("WITHIN"));
+      MLDS_ASSIGN_OR_RETURN(s.set, in_.ExpectName("set type"));
       return Statement(std::move(s));
     }
     for (FindPosition pos : {FindPosition::kFirst, FindPosition::kLast,
                              FindPosition::kNext, FindPosition::kPrior}) {
-      if (ConsumeKeyword(FindPositionToString(pos))) {
+      if (in_.ConsumeKeyword(FindPositionToString(pos))) {
         FindPositionalStatement s;
         s.position = pos;
-        MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
-        MLDS_RETURN_IF_ERROR(ExpectKeyword("WITHIN"));
-        MLDS_ASSIGN_OR_RETURN(s.set, ExpectName("set type"));
+        MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
+        MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("WITHIN"));
+        MLDS_ASSIGN_OR_RETURN(s.set, in_.ExpectName("set type"));
         return Statement(std::move(s));
       }
     }
     // FIND record WITHIN set CURRENT USING items IN record.
     FindWithinCurrentStatement s;
-    MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("WITHIN"));
-    MLDS_ASSIGN_OR_RETURN(s.set, ExpectName("set type"));
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("CURRENT"));
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("USING"));
+    MLDS_ASSIGN_OR_RETURN(s.record, in_.ExpectName("record type"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("WITHIN"));
+    MLDS_ASSIGN_OR_RETURN(s.set, in_.ExpectName("set type"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("CURRENT"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("USING"));
     MLDS_ASSIGN_OR_RETURN(s.items, ParseNameList("item name"));
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("IN"));
-    MLDS_ASSIGN_OR_RETURN(std::string record2, ExpectName("record type"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("IN"));
+    MLDS_ASSIGN_OR_RETURN(std::string record2, in_.ExpectName("record type"));
     if (record2 != s.record) {
       return Status::ParseError(
           "FIND WITHIN CURRENT: USING items must be IN the same record type");
@@ -341,78 +209,69 @@ class Parser {
 
   Result<Statement> ParseGet() {
     GetStatement s;
-    if (AtEnd()) {
+    if (in_.AtEnd()) {
       s.kind = GetStatement::Kind::kAll;
       return Statement(std::move(s));
     }
     // Either GET record, or GET items IN record.
-    MLDS_ASSIGN_OR_RETURN(std::string first, ExpectName("record or item"));
-    if (AtEnd()) {
+    MLDS_ASSIGN_OR_RETURN(std::string first, in_.ExpectName("record or item"));
+    if (in_.AtEnd()) {
       s.kind = GetStatement::Kind::kRecord;
       s.record = std::move(first);
       return Statement(std::move(s));
     }
     s.kind = GetStatement::Kind::kItems;
-    s.items.push_back(std::move(first));
-    while (Peek().kind == Token::Kind::kComma) {
-      Advance();
-      MLDS_ASSIGN_OR_RETURN(std::string item, ExpectName("item name"));
-      s.items.push_back(std::move(item));
-    }
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("IN"));
-    MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
+    MLDS_RETURN_IF_ERROR(ParseItemsIn(std::move(first), &s.items, &s.record));
     return Statement(std::move(s));
   }
 
   Result<Statement> ParseModify() {
     ModifyStatement s;
-    MLDS_ASSIGN_OR_RETURN(std::string first, ExpectName("record or item"));
-    if (AtEnd()) {
+    MLDS_ASSIGN_OR_RETURN(std::string first, in_.ExpectName("record or item"));
+    if (in_.AtEnd()) {
       s.record = std::move(first);
       return Statement(std::move(s));
     }
-    s.items.push_back(std::move(first));
-    while (Peek().kind == Token::Kind::kComma) {
-      Advance();
-      MLDS_ASSIGN_OR_RETURN(std::string item, ExpectName("item name"));
-      s.items.push_back(std::move(item));
-    }
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("IN"));
-    MLDS_ASSIGN_OR_RETURN(s.record, ExpectName("record type"));
+    MLDS_RETURN_IF_ERROR(ParseItemsIn(std::move(first), &s.items, &s.record));
     return Statement(std::move(s));
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  /// The rest of "item [, item]... IN record" (GET, MODIFY) after its
+  /// first item.
+  Status ParseItemsIn(std::string first, std::vector<std::string>* items,
+                      std::string* record) {
+    items->push_back(std::move(first));
+    while (in_.Consume(",")) {
+      MLDS_ASSIGN_OR_RETURN(std::string item, in_.ExpectName("item name"));
+      items->push_back(std::move(item));
+    }
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("IN"));
+    MLDS_ASSIGN_OR_RETURN(*record, in_.ExpectName("record type"));
+    return Status::OK();
+  }
+
+  abdm::TokenCursor in_;
 };
 
 }  // namespace
 
 Result<Statement> ParseStatement(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens));
-  return parser.Parse();
+  MLDS_ASSIGN_OR_RETURN(abdm::TokenCursor in,
+                        abdm::TokenCursor::Open(text, kDml));
+  return Parser(std::move(in)).Parse();
 }
 
 Result<ParsedStatement> ParseDmlStatement(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens));
-  return parser.ParseExplainable();
+  MLDS_ASSIGN_OR_RETURN(abdm::TokenCursor in,
+                        abdm::TokenCursor::Open(text, kDml));
+  return Parser(std::move(in)).ParseExplainable();
 }
 
 Result<std::vector<ParsedStatement>> ParseDmlProgram(std::string_view text) {
   std::vector<ParsedStatement> out;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t end = text.find_first_of(";\n", start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = Trim(text.substr(start, end - start));
-    if (!line.empty() && !line.starts_with("--")) {
-      MLDS_ASSIGN_OR_RETURN(ParsedStatement stmt, ParseDmlStatement(line));
-      out.push_back(std::move(stmt));
-    }
-    if (end >= text.size()) break;
-    start = end + 1;
+  for (std::string_view line : ProgramStatements(text)) {
+    MLDS_ASSIGN_OR_RETURN(ParsedStatement stmt, ParseDmlStatement(line));
+    out.push_back(std::move(stmt));
   }
   if (out.empty()) return Status::ParseError("empty DML program");
   return out;

@@ -39,6 +39,19 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
+std::vector<std::string_view> ProgramStatements(std::string_view text) {
+  std::vector<std::string_view> out;
+  size_t start = 0;
+  while (start <= text.size()) {
+    size_t end = text.find_first_of(";\n", start);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = Trim(text.substr(start, end - start));
+    if (!line.empty() && !line.starts_with("--")) out.push_back(line);
+    start = end + 1;
+  }
+  return out;
+}
+
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {

@@ -19,6 +19,10 @@ std::string_view Trim(std::string_view s);
 /// Splits `s` on `sep`, trimming each piece; empty pieces are kept.
 std::vector<std::string> Split(std::string_view s, char sep);
 
+/// The statements of a program separated by newlines or ';': each piece
+/// trimmed, with blank pieces and "--" comment lines dropped.
+std::vector<std::string_view> ProgramStatements(std::string_view text);
+
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 

@@ -1,189 +1,95 @@
 #include "daplex/ddl_parser.h"
 
-#include <cctype>
+#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "common/strings.h"
+#include "abdm/lexer.h"
 
 namespace mlds::daplex {
 
 namespace {
 
-enum class TokKind {
-  kEnd,
-  kIdent,
-  kNumber,
-  kLParen,
-  kRParen,
-  kComma,
-  kColon,
-  kSemicolon,
-  kDotDot,
-};
+using abdm::TokenCursor;
+using abdm::TokenKind;
 
-struct Token {
-  TokKind kind = TokKind::kEnd;
-  std::string text;
-};
-
-Result<std::vector<Token>> Tokenize(std::string_view ddl) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  while (pos < ddl.size()) {
-    const char c = ddl[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == '-' && pos + 1 < ddl.size() && ddl[pos + 1] == '-') {
-      while (pos < ddl.size() && ddl[pos] != '\n') ++pos;
-    } else if (c == '(') {
-      out.push_back({TokKind::kLParen, "("});
-      ++pos;
-    } else if (c == ')') {
-      out.push_back({TokKind::kRParen, ")"});
-      ++pos;
-    } else if (c == ',') {
-      out.push_back({TokKind::kComma, ","});
-      ++pos;
-    } else if (c == ':') {
-      out.push_back({TokKind::kColon, ":"});
-      ++pos;
-    } else if (c == ';') {
-      out.push_back({TokKind::kSemicolon, ";"});
-      ++pos;
-    } else if (c == '.' && pos + 1 < ddl.size() && ddl[pos + 1] == '.') {
-      out.push_back({TokKind::kDotDot, ".."});
-      pos += 2;
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '-' && pos + 1 < ddl.size() &&
-                std::isdigit(static_cast<unsigned char>(ddl[pos + 1])))) {
-      size_t end = pos + 1;
-      while (end < ddl.size() &&
-             (std::isdigit(static_cast<unsigned char>(ddl[end])) ||
-              (ddl[end] == '.' &&
-               !(end + 1 < ddl.size() && ddl[end + 1] == '.')))) {
-        ++end;
-      }
-      out.push_back({TokKind::kNumber, std::string(ddl.substr(pos, end - pos))});
-      pos = end;
-    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t end = pos + 1;
-      while (end < ddl.size() &&
-             (std::isalnum(static_cast<unsigned char>(ddl[end])) ||
-              ddl[end] == '_')) {
-        ++end;
-      }
-      out.push_back({TokKind::kIdent, std::string(ddl.substr(pos, end - pos))});
-      pos = end;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in Daplex DDL");
-    }
-  }
-  out.push_back({TokKind::kEnd, ""});
-  return out;
-}
+constexpr abdm::Dialect kDaplexDdl{"Daplex DDL"};
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(TokenCursor in) : in_(std::move(in)) {}
 
   Result<FunctionalSchema> Parse() {
-    while (!AtEnd()) {
+    while (!in_.AtEnd()) {
       MLDS_RETURN_IF_ERROR(ParseDeclaration());
     }
     return std::move(schema_);
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  /// An integer literal (a RANGE bound).
+  Result<int64_t> ExpectInteger(std::string_view what) {
+    if (in_.Peek().kind != TokenKind::kNumber ||
+        !in_.Peek().value.is_integer()) {
+      return in_.Unexpected(what);
+    }
+    return in_.Advance().value.AsInteger();
   }
-  const Token& Advance() { return tokens_[pos_++]; }
-  bool AtEnd() const { return Peek().kind == TokKind::kEnd; }
 
-  bool PeekKeyword(std::string_view word, size_t ahead = 0) const {
-    return Peek(ahead).kind == TokKind::kIdent &&
-           EqualsIgnoreCase(Peek(ahead).text, word);
+  /// name [, name]...
+  Result<std::vector<std::string>> ParseNameList(std::string_view what) {
+    std::vector<std::string> names;
+    do {
+      MLDS_ASSIGN_OR_RETURN(std::string name, in_.ExpectName(what));
+      names.push_back(std::move(name));
+    } while (in_.Consume(","));
+    return names;
   }
-  bool ConsumeKeyword(std::string_view word) {
-    if (PeekKeyword(word)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  Status Expect(TokKind kind, std::string_view what) {
-    if (Peek().kind != kind) {
-      return Status::ParseError("expected " + std::string(what) + ", got '" +
-                                Peek().text + "'");
-    }
-    Advance();
-    return Status::OK();
-  }
-  Status ExpectKeyword(std::string_view word) {
-    if (!ConsumeKeyword(word)) {
-      return Status::ParseError("expected '" + std::string(word) +
-                                "', got '" + Peek().text + "'");
-    }
-    return Status::OK();
-  }
-  Result<std::string> ExpectIdent(std::string_view what) {
-    if (Peek().kind != TokKind::kIdent) {
-      return Status::ParseError("expected " + std::string(what) + ", got '" +
-                                Peek().text + "'");
-    }
-    return Advance().text;
+
+  /// An optional "( length )" after STRING.
+  Status ParseStringLength(int* max_length) {
+    if (!in_.Consume("(")) return Status::OK();
+    MLDS_ASSIGN_OR_RETURN(*max_length, in_.ExpectCount("string length"));
+    return in_.Expect(")");
   }
 
   Status ParseDeclaration() {
-    if (ConsumeKeyword("SCHEMA")) {
-      MLDS_ASSIGN_OR_RETURN(std::string name, ExpectIdent("schema name"));
+    if (in_.ConsumeKeyword("SCHEMA")) {
+      MLDS_ASSIGN_OR_RETURN(std::string name, in_.ExpectName("schema name"));
       schema_.set_name(name);
-      return Expect(TokKind::kSemicolon, "';'");
+      return in_.Expect(";");
     }
-    if (ConsumeKeyword("TYPE")) return ParseType();
-    if (ConsumeKeyword("UNIQUE")) return ParseUnique();
-    if (ConsumeKeyword("OVERLAP")) return ParseOverlap();
-    return Status::ParseError("expected TYPE, UNIQUE, OVERLAP, or SCHEMA; "
-                              "got '" +
-                              Peek().text + "'");
+    if (in_.ConsumeKeyword("TYPE")) return ParseType();
+    if (in_.ConsumeKeyword("UNIQUE")) return ParseUnique();
+    if (in_.ConsumeKeyword("OVERLAP")) return ParseOverlap();
+    return in_.Unexpected("TYPE, UNIQUE, OVERLAP, or SCHEMA");
   }
 
   Status ParseType() {
-    MLDS_ASSIGN_OR_RETURN(std::string name, ExpectIdent("type name"));
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("IS"));
-    if (ConsumeKeyword("ENTITY")) {
+    MLDS_ASSIGN_OR_RETURN(std::string name, in_.ExpectName("type name"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("IS"));
+    if (in_.ConsumeKeyword("ENTITY")) {
       EntityType entity;
       entity.name = std::move(name);
       MLDS_RETURN_IF_ERROR(ParseFunctionList(&entity.functions));
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("END"));
-      if (!ConsumeKeyword("ENTITY") && !ConsumeKeyword("SUBTYPE")) {
-        return Status::ParseError("expected ENTITY after END");
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("END"));
+      if (!in_.ConsumeKeyword("ENTITY") && !in_.ConsumeKeyword("SUBTYPE")) {
+        return in_.Unexpected("ENTITY after END");
       }
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kSemicolon, "';'"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(";"));
       return schema_.AddEntity(std::move(entity));
     }
-    if (ConsumeKeyword("SUBTYPE")) {
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("OF"));
+    if (in_.ConsumeKeyword("SUBTYPE")) {
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("OF"));
       Subtype sub;
       sub.name = std::move(name);
-      while (true) {
-        MLDS_ASSIGN_OR_RETURN(std::string super, ExpectIdent("supertype name"));
-        sub.supertypes.push_back(std::move(super));
-        if (Peek().kind == TokKind::kComma) {
-          Advance();
-          continue;
-        }
-        break;
-      }
+      MLDS_ASSIGN_OR_RETURN(sub.supertypes, ParseNameList("supertype name"));
       MLDS_RETURN_IF_ERROR(ParseFunctionList(&sub.functions));
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("END"));
-      if (!ConsumeKeyword("SUBTYPE") && !ConsumeKeyword("ENTITY")) {
-        return Status::ParseError("expected SUBTYPE after END");
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("END"));
+      if (!in_.ConsumeKeyword("SUBTYPE") && !in_.ConsumeKeyword("ENTITY")) {
+        return in_.Unexpected("SUBTYPE after END");
       }
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kSemicolon, "';'"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(";"));
       return schema_.AddSubtype(std::move(sub));
     }
     return ParseNonEntity(std::move(name));
@@ -192,76 +98,56 @@ class Parser {
   Status ParseNonEntity(std::string name) {
     NonEntityType t;
     t.name = std::move(name);
-    if (ConsumeKeyword("CONSTANT")) {
-      if (Peek().kind != TokKind::kNumber) {
-        return Status::ParseError("expected numeric literal after CONSTANT");
+    if (in_.ConsumeKeyword("CONSTANT")) {
+      if (in_.Peek().kind != TokenKind::kNumber ||
+          !in_.Peek().value.is_numeric()) {
+        return in_.Unexpected("numeric literal after CONSTANT");
       }
       t.is_constant = true;
-      t.constant_value = std::stod(Advance().text);
+      t.constant_value = in_.Advance().value.AsFloat();
       t.kind = ScalarKind::kFloat;
-    } else if (ConsumeKeyword("INTEGER")) {
+    } else if (in_.ConsumeKeyword("INTEGER")) {
       t.kind = ScalarKind::kInteger;
-      if (ConsumeKeyword("RANGE")) {
-        if (Peek().kind != TokKind::kNumber) {
-          return Status::ParseError("expected range lower bound");
-        }
-        t.range_min = std::stoll(Advance().text);
-        MLDS_RETURN_IF_ERROR(Expect(TokKind::kDotDot, "'..'"));
-        if (Peek().kind != TokKind::kNumber) {
-          return Status::ParseError("expected range upper bound");
-        }
-        t.range_max = std::stoll(Advance().text);
+      if (in_.ConsumeKeyword("RANGE")) {
+        MLDS_ASSIGN_OR_RETURN(t.range_min, ExpectInteger("range lower bound"));
+        MLDS_RETURN_IF_ERROR(in_.Expect(".."));
+        MLDS_ASSIGN_OR_RETURN(t.range_max, ExpectInteger("range upper bound"));
         t.has_range = true;
         if (t.range_min > t.range_max) {
           return Status::ParseError("empty RANGE in type '" + t.name + "'");
         }
       }
-    } else if (ConsumeKeyword("FLOAT")) {
+    } else if (in_.ConsumeKeyword("FLOAT")) {
       t.kind = ScalarKind::kFloat;
-    } else if (ConsumeKeyword("BOOLEAN")) {
+    } else if (in_.ConsumeKeyword("BOOLEAN")) {
       t.kind = ScalarKind::kBoolean;
       t.values = {"true", "false"};
-    } else if (ConsumeKeyword("STRING")) {
+    } else if (in_.ConsumeKeyword("STRING")) {
       t.kind = ScalarKind::kString;
-      if (Peek().kind == TokKind::kLParen) {
-        Advance();
-        if (Peek().kind != TokKind::kNumber) {
-          return Status::ParseError("expected string length");
-        }
-        t.max_length = std::stoi(Advance().text);
-        MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
-      }
-    } else if (Peek().kind == TokKind::kLParen) {
-      Advance();
+      MLDS_RETURN_IF_ERROR(ParseStringLength(&t.max_length));
+    } else if (in_.Consume("(")) {
       t.kind = ScalarKind::kEnumeration;
-      while (true) {
-        MLDS_ASSIGN_OR_RETURN(std::string lit, ExpectIdent("enumeration literal"));
-        t.max_length =
-            std::max(t.max_length, static_cast<int>(lit.size()));
-        t.values.push_back(std::move(lit));
-        if (Peek().kind == TokKind::kComma) {
-          Advance();
-          continue;
-        }
-        break;
+      MLDS_ASSIGN_OR_RETURN(t.values, ParseNameList("enumeration literal"));
+      for (const std::string& value : t.values) {
+        t.max_length = std::max(t.max_length, static_cast<int>(value.size()));
       }
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(")"));
     } else {
       return Status::ParseError("unknown non-entity type form for '" +
                                 t.name + "'");
     }
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kSemicolon, "';'"));
+    MLDS_RETURN_IF_ERROR(in_.Expect(";"));
     return schema_.AddNonEntity(std::move(t));
   }
 
   Status ParseFunctionList(std::vector<Function>* functions) {
-    while (!PeekKeyword("END")) {
-      if (AtEnd()) return Status::ParseError("unterminated entity body");
+    while (!in_.PeekKeyword("END")) {
+      if (in_.AtEnd()) return Status::ParseError("unterminated entity body");
       Function fn;
-      MLDS_ASSIGN_OR_RETURN(fn.name, ExpectIdent("function name"));
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kColon, "':'"));
+      MLDS_ASSIGN_OR_RETURN(fn.name, in_.ExpectName("function name"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(":"));
       MLDS_RETURN_IF_ERROR(ParseFunctionType(&fn));
-      MLDS_RETURN_IF_ERROR(Expect(TokKind::kSemicolon, "';'"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(";"));
       for (const auto& existing : *functions) {
         if (existing.name == fn.name) {
           return Status::ParseError("duplicate function '" + fn.name + "'");
@@ -273,36 +159,27 @@ class Parser {
   }
 
   Status ParseFunctionType(Function* fn) {
-    if (ConsumeKeyword("SET")) {
-      MLDS_RETURN_IF_ERROR(ExpectKeyword("OF"));
+    if (in_.ConsumeKeyword("SET")) {
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("OF"));
       fn->set_valued = true;
     }
-    if (ConsumeKeyword("INTEGER")) {
+    if (in_.ConsumeKeyword("INTEGER")) {
       fn->result = FunctionResult::kInteger;
       return Status::OK();
     }
-    if (ConsumeKeyword("FLOAT")) {
+    if (in_.ConsumeKeyword("FLOAT")) {
       fn->result = FunctionResult::kFloat;
       return Status::OK();
     }
-    if (ConsumeKeyword("BOOLEAN")) {
+    if (in_.ConsumeKeyword("BOOLEAN")) {
       fn->result = FunctionResult::kBoolean;
       return Status::OK();
     }
-    if (ConsumeKeyword("STRING")) {
+    if (in_.ConsumeKeyword("STRING")) {
       fn->result = FunctionResult::kString;
-      if (Peek().kind == TokKind::kLParen) {
-        Advance();
-        if (Peek().kind != TokKind::kNumber) {
-          return Status::ParseError("expected string length");
-        }
-        fn->max_length = std::stoi(Advance().text);
-        MLDS_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
-      }
-      return Status::OK();
+      return ParseStringLength(&fn->max_length);
     }
-    MLDS_ASSIGN_OR_RETURN(std::string target, ExpectIdent("function type"));
-    fn->target = std::move(target);
+    MLDS_ASSIGN_OR_RETURN(fn->target, in_.ExpectName("function type"));
     // Resolution between entity and non-entity targets is finalized after
     // the full schema is read; mark as entity when already known, else
     // leave as non-entity and let Classify() resolve by lookup.
@@ -312,49 +189,24 @@ class Parser {
 
   Status ParseUnique() {
     UniquenessConstraint uc;
-    while (true) {
-      MLDS_ASSIGN_OR_RETURN(std::string fname, ExpectIdent("function name"));
-      uc.functions.push_back(std::move(fname));
-      if (Peek().kind == TokKind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("WITHIN"));
-    MLDS_ASSIGN_OR_RETURN(uc.within, ExpectIdent("type name"));
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kSemicolon, "';'"));
+    MLDS_ASSIGN_OR_RETURN(uc.functions, ParseNameList("function name"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("WITHIN"));
+    MLDS_ASSIGN_OR_RETURN(uc.within, in_.ExpectName("type name"));
+    MLDS_RETURN_IF_ERROR(in_.Expect(";"));
     return schema_.AddUniqueness(std::move(uc));
   }
 
   Status ParseOverlap() {
     OverlapConstraint oc;
-    while (true) {
-      MLDS_ASSIGN_OR_RETURN(std::string name, ExpectIdent("subtype name"));
-      oc.left.push_back(std::move(name));
-      if (Peek().kind == TokKind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(ExpectKeyword("WITH"));
-    while (true) {
-      MLDS_ASSIGN_OR_RETURN(std::string name, ExpectIdent("subtype name"));
-      oc.right.push_back(std::move(name));
-      if (Peek().kind == TokKind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(Expect(TokKind::kSemicolon, "';'"));
+    MLDS_ASSIGN_OR_RETURN(oc.left, ParseNameList("subtype name"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("WITH"));
+    MLDS_ASSIGN_OR_RETURN(oc.right, ParseNameList("subtype name"));
+    MLDS_RETURN_IF_ERROR(in_.Expect(";"));
     return schema_.AddOverlap(std::move(oc));
   }
 
+  TokenCursor in_;
   FunctionalSchema schema_;
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 /// Resolves named function targets to entity vs non-entity results, and
@@ -432,8 +284,8 @@ Status ApplyUniqueness(FunctionalSchema* schema) {
 }  // namespace
 
 Result<FunctionalSchema> ParseFunctionalSchema(std::string_view ddl) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(ddl));
-  Parser parser(std::move(tokens));
+  MLDS_ASSIGN_OR_RETURN(TokenCursor in, TokenCursor::Open(ddl, kDaplexDdl));
+  Parser parser(std::move(in));
   MLDS_ASSIGN_OR_RETURN(FunctionalSchema schema, parser.Parse());
   MLDS_RETURN_IF_ERROR(ResolveSchema(&schema));
   MLDS_RETURN_IF_ERROR(ApplyUniqueness(&schema));

@@ -1,389 +1,175 @@
 #include "daplex/query.h"
 
-#include <cctype>
-
+#include "abdm/lexer.h"
 #include "common/strings.h"
 
 namespace mlds::daplex {
 
 namespace {
 
-struct Token {
-  enum class Kind {
-    kWord,
-    kLiteral,
-    kComma,
-    kLParen,
-    kRParen,
-    kRelOp,
-    kParam,
-    kEnd,
-  };
-  Kind kind = Kind::kEnd;
-  std::string text;
-  abdm::Value literal;
-  abdm::RelOp rel = abdm::RelOp::kEq;
-};
+using abdm::TokenCursor;
+using abdm::TokenKind;
 
-Result<std::vector<Token>> Tokenize(std::string_view text) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const char c = text[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == ',') {
-      out.push_back({Token::Kind::kComma, ",", {}, {}});
-      ++pos;
-    } else if (c == '(') {
-      out.push_back({Token::Kind::kLParen, "(", {}, {}});
-      ++pos;
-    } else if (c == ')') {
-      out.push_back({Token::Kind::kRParen, ")", {}, {}});
-      ++pos;
-    } else if (c == '=') {
-      out.push_back({Token::Kind::kRelOp, "=", {}, abdm::RelOp::kEq});
-      ++pos;
-    } else if (c == '?') {
-      out.push_back({Token::Kind::kParam, "?", {}, {}});
-      ++pos;
-    } else if (c == '!' && pos + 1 < text.size() && text[pos + 1] == '=') {
-      out.push_back({Token::Kind::kRelOp, "!=", {}, abdm::RelOp::kNe});
-      pos += 2;
-    } else if (c == '<') {
-      if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({Token::Kind::kRelOp, "<=", {}, abdm::RelOp::kLe});
-        pos += 2;
-      } else if (pos + 1 < text.size() && text[pos + 1] == '>') {
-        out.push_back({Token::Kind::kRelOp, "<>", {}, abdm::RelOp::kNe});
-        pos += 2;
-      } else {
-        out.push_back({Token::Kind::kRelOp, "<", {}, abdm::RelOp::kLt});
-        ++pos;
-      }
-    } else if (c == '>') {
-      if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({Token::Kind::kRelOp, ">=", {}, abdm::RelOp::kGe});
-        pos += 2;
-      } else {
-        out.push_back({Token::Kind::kRelOp, ">", {}, abdm::RelOp::kGt});
-        ++pos;
-      }
-    } else if (c == '\'' || c == '"') {
-      size_t end = pos + 1;
-      while (end < text.size() && text[end] != c) ++end;
-      if (end >= text.size()) {
-        return Status::ParseError("unterminated literal in Daplex query");
-      }
-      out.push_back({Token::Kind::kLiteral, "",
-                     abdm::Value::String(
-                         std::string(text.substr(pos + 1, end - pos - 1))),
-                     {}});
-      pos = end + 1;
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '-' && pos + 1 < text.size() &&
-                std::isdigit(static_cast<unsigned char>(text[pos + 1])))) {
-      size_t end = pos + 1;
-      while (end < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[end])) ||
-              text[end] == '.')) {
-        ++end;
-      }
-      out.push_back({Token::Kind::kLiteral, "",
-                     abdm::Value::Parse(text.substr(pos, end - pos)), {}});
-      pos = end;
-    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t end = pos + 1;
-      while (end < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[end])) ||
-              text[end] == '_')) {
-        ++end;
-      }
-      out.push_back(
-          {Token::Kind::kWord, std::string(text.substr(pos, end - pos)), {}, {}});
-      pos = end;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in Daplex query");
-    }
+constexpr abdm::Dialect kDaplexQuery{"Daplex query"};
+
+/// A literal where a statement assigns or compares a value: quoted or
+/// numeric, NULL, or a bare word taken as a string.
+Result<abdm::Value> ParseLiteral(TokenCursor& in) {
+  if (in.Peek().IsLiteral()) return in.Advance().value;
+  if (in.Peek().kind == TokenKind::kWord) {
+    if (in.ConsumeKeyword("NULL")) return abdm::Value::Null();
+    return abdm::Value::String(std::string(in.Advance().text));
   }
-  out.push_back({Token::Kind::kEnd, "", {}, {}});
-  return out;
+  return in.Unexpected("literal");
+}
+
+/// An optional SUCH THAT f op v [AND ...] clause. FOR EACH reads any bare
+/// word but AND and PRINT as a string, NULL included; UPDATE and DESTROY
+/// read values with ParseLiteral.
+Result<std::vector<Comparison>> ParseSuchThat(TokenCursor& in,
+                                              bool for_each) {
+  std::vector<Comparison> such_that;
+  if (!in.ConsumeKeyword("SUCH")) return such_that;
+  if (!in.ConsumeKeyword("THAT")) return in.Unexpected("THAT after SUCH");
+  do {
+    Comparison cmp;
+    MLDS_ASSIGN_OR_RETURN(cmp.function,
+                          in.ExpectName("function name in SUCH THAT"));
+    std::optional<abdm::RelOp> op = in.ConsumeRelOp();
+    if (!op) {
+      return in.Unexpected("comparison operator after '" + cmp.function +
+                           "'");
+    }
+    cmp.op = *op;
+    if (!for_each) {
+      MLDS_ASSIGN_OR_RETURN(cmp.value, ParseLiteral(in));
+    } else if (in.Peek().IsLiteral()) {
+      cmp.value = in.Advance().value;
+    } else if (in.Peek().kind == TokenKind::kWord &&
+               !in.PeekKeyword("AND") && !in.PeekKeyword("PRINT")) {
+      cmp.value = abdm::Value::String(std::string(in.Advance().text));
+    } else {
+      return in.Unexpected("literal in SUCH THAT comparison");
+    }
+    such_that.push_back(std::move(cmp));
+  } while (in.ConsumeKeyword("AND"));
+  return such_that;
+}
+
+/// "( fn = value, ... )" after CREATE or UPDATE; `param_mask` is non-null
+/// where a value may be the '?' parameter marker (CREATE templates).
+Status ParseAssignments(
+    TokenCursor& in, std::string_view list,
+    std::vector<std::pair<std::string, abdm::Value>>* assignments,
+    std::vector<uint8_t>* param_mask) {
+  MLDS_RETURN_IF_ERROR(in.Expect("(", "opening " + std::string(list)));
+  do {
+    MLDS_ASSIGN_OR_RETURN(
+        std::string fn,
+        in.ExpectName("function name in " + std::string(list)));
+    MLDS_RETURN_IF_ERROR(in.Expect("=", "after '" + fn + "'"));
+    if (param_mask != nullptr && in.Consume("?")) {
+      assignments->emplace_back(std::move(fn), abdm::Value::Null());
+      param_mask->push_back(1);
+      continue;
+    }
+    MLDS_ASSIGN_OR_RETURN(abdm::Value value, ParseLiteral(in));
+    assignments->emplace_back(std::move(fn), std::move(value));
+    if (param_mask != nullptr) param_mask->push_back(0);
+  } while (in.Consume(","));
+  return in.Expect(")", "closing " + std::string(list));
+}
+
+Result<ForEachQuery> ParseForEachFrom(TokenCursor& in) {
+  if (!in.ConsumeKeyword("FOR") || !in.ConsumeKeyword("EACH")) {
+    return Status::ParseError("Daplex query must begin with FOR EACH");
+  }
+  ForEachQuery query;
+  MLDS_ASSIGN_OR_RETURN(query.type, in.ExpectName("type name after FOR EACH"));
+  MLDS_ASSIGN_OR_RETURN(query.such_that,
+                        ParseSuchThat(in, /*for_each=*/true));
+  if (!in.ConsumeKeyword("PRINT")) return in.Unexpected("PRINT clause");
+  if (in.ConsumeKeyword("ALL")) {
+    query.print_all = true;
+  } else {
+    do {
+      MLDS_ASSIGN_OR_RETURN(std::string word,
+                            in.ExpectName("function name in PRINT list"));
+      PrintItem item;
+      const std::string upper = ToUpper(word);
+      if ((upper == "COUNT" || upper == "AVG" || upper == "MIN" ||
+           upper == "MAX" || upper == "SUM") &&
+          in.Consume("(")) {
+        MLDS_ASSIGN_OR_RETURN(item.function,
+                              in.ExpectName("function inside aggregate"));
+        item.aggregate = upper == "COUNT"  ? DaplexAggregate::kCount
+                         : upper == "AVG" ? DaplexAggregate::kAvg
+                         : upper == "MIN" ? DaplexAggregate::kMin
+                         : upper == "MAX" ? DaplexAggregate::kMax
+                                          : DaplexAggregate::kSum;
+        MLDS_RETURN_IF_ERROR(in.Expect(")", "after aggregate"));
+      } else {
+        item.function = std::move(word);
+      }
+      query.print.push_back(std::move(item));
+    } while (in.Consume(","));
+  }
+  return query;
+}
+
+Status ExpectEnd(const TokenCursor& in, std::string_view statement) {
+  if (in.AtEnd()) return Status::OK();
+  return Status::ParseError("trailing input after " + std::string(statement) +
+                            ": " + in.Peek().Describe());
 }
 
 }  // namespace
 
 Result<ForEachQuery> ParseForEach(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  size_t pos = 0;
-  auto peek = [&](size_t ahead = 0) -> const Token& {
-    const size_t i = pos + ahead;
-    return i < tokens.size() ? tokens[i] : tokens.back();
-  };
-  auto word_is = [&](std::string_view w) {
-    return peek().kind == Token::Kind::kWord && EqualsIgnoreCase(peek().text, w);
-  };
-  auto consume = [&](std::string_view w) {
-    if (word_is(w)) {
-      ++pos;
-      return true;
-    }
-    return false;
-  };
-
-  if (!consume("FOR") || !consume("EACH")) {
-    return Status::ParseError("Daplex query must begin with FOR EACH");
-  }
-  ForEachQuery query;
-  if (peek().kind != Token::Kind::kWord) {
-    return Status::ParseError("expected type name after FOR EACH");
-  }
-  query.type = tokens[pos++].text;
-
-  if (consume("SUCH")) {
-    if (!consume("THAT")) {
-      return Status::ParseError("expected THAT after SUCH");
-    }
-    while (true) {
-      Comparison cmp;
-      if (peek().kind != Token::Kind::kWord) {
-        return Status::ParseError("expected function name in SUCH THAT");
-      }
-      cmp.function = tokens[pos++].text;
-      if (peek().kind != Token::Kind::kRelOp) {
-        return Status::ParseError("expected comparison operator after '" +
-                                  cmp.function + "'");
-      }
-      cmp.op = tokens[pos++].rel;
-      if (peek().kind == Token::Kind::kLiteral) {
-        cmp.value = tokens[pos++].literal;
-      } else if (peek().kind == Token::Kind::kWord && !word_is("AND") &&
-                 !word_is("PRINT")) {
-        cmp.value = abdm::Value::String(tokens[pos++].text);
-      } else {
-        return Status::ParseError("expected literal in SUCH THAT comparison");
-      }
-      query.such_that.push_back(std::move(cmp));
-      if (consume("AND")) continue;
-      break;
-    }
-  }
-
-  if (!consume("PRINT")) {
-    return Status::ParseError("expected PRINT clause");
-  }
-  if (consume("ALL")) {
-    query.print_all = true;
-  } else {
-    while (true) {
-      if (peek().kind != Token::Kind::kWord) {
-        return Status::ParseError("expected function name in PRINT list");
-      }
-      PrintItem item;
-      const std::string word = ToUpper(peek().text);
-      if ((word == "COUNT" || word == "AVG" || word == "MIN" ||
-           word == "MAX" || word == "SUM") &&
-          peek(1).kind == Token::Kind::kLParen) {
-        pos += 2;  // aggregate word + '('
-        if (peek().kind != Token::Kind::kWord) {
-          return Status::ParseError("expected function inside aggregate");
-        }
-        item.function = tokens[pos++].text;
-        item.aggregate = word == "COUNT"  ? DaplexAggregate::kCount
-                         : word == "AVG" ? DaplexAggregate::kAvg
-                         : word == "MIN" ? DaplexAggregate::kMin
-                         : word == "MAX" ? DaplexAggregate::kMax
-                                         : DaplexAggregate::kSum;
-        if (peek().kind != Token::Kind::kRParen) {
-          return Status::ParseError("expected ')' after aggregate");
-        }
-        ++pos;
-      } else {
-        item.function = tokens[pos++].text;
-      }
-      query.print.push_back(std::move(item));
-      if (peek().kind == Token::Kind::kComma) {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-  }
-  if (peek().kind != Token::Kind::kEnd) {
-    return Status::ParseError("trailing input after Daplex query: '" +
-                              peek().text + "'");
-  }
+  MLDS_ASSIGN_OR_RETURN(TokenCursor in, TokenCursor::Open(text, kDaplexQuery));
+  MLDS_ASSIGN_OR_RETURN(ForEachQuery query, ParseForEachFrom(in));
+  MLDS_RETURN_IF_ERROR(ExpectEnd(in, "Daplex query"));
   return query;
 }
 
 Result<DaplexStatement> ParseDaplexStatement(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  size_t pos = 0;
-  auto peek = [&](size_t ahead = 0) -> const Token& {
-    const size_t i = pos + ahead;
-    return i < tokens.size() ? tokens[i] : tokens.back();
-  };
-  auto word_is = [&](std::string_view w) {
-    return peek().kind == Token::Kind::kWord && EqualsIgnoreCase(peek().text, w);
-  };
-  auto consume = [&](std::string_view w) {
-    if (word_is(w)) {
-      ++pos;
-      return true;
-    }
-    return false;
-  };
-  auto parse_literal = [&]() -> Result<abdm::Value> {
-    if (peek().kind == Token::Kind::kLiteral) {
-      return tokens[pos++].literal;
-    }
-    if (peek().kind == Token::Kind::kWord) {
-      if (EqualsIgnoreCase(peek().text, "NULL")) {
-        ++pos;
-        return abdm::Value::Null();
-      }
-      return abdm::Value::String(tokens[pos++].text);
-    }
-    return Status::ParseError("expected literal, got '" + peek().text + "'");
-  };
-
-  if (word_is("FOR")) {
-    MLDS_ASSIGN_OR_RETURN(ForEachQuery query, ParseForEach(text));
+  MLDS_ASSIGN_OR_RETURN(TokenCursor in, TokenCursor::Open(text, kDaplexQuery));
+  if (in.PeekKeyword("FOR")) {
+    MLDS_ASSIGN_OR_RETURN(ForEachQuery query, ParseForEachFrom(in));
+    MLDS_RETURN_IF_ERROR(ExpectEnd(in, "Daplex query"));
     return DaplexStatement(std::move(query));
   }
 
-  if (consume("CREATE")) {
+  if (in.ConsumeKeyword("CREATE")) {
     CreateStatement create;
-    if (peek().kind != Token::Kind::kWord) {
-      return Status::ParseError("expected type name after CREATE");
-    }
-    create.type = tokens[pos++].text;
-    if (peek().kind != Token::Kind::kLParen) {
-      return Status::ParseError("expected '(' after CREATE " + create.type);
-    }
-    ++pos;
-    while (true) {
-      if (peek().kind != Token::Kind::kWord) {
-        return Status::ParseError("expected function name in CREATE list");
-      }
-      std::string fn = tokens[pos++].text;
-      if (peek().kind != Token::Kind::kRelOp ||
-          peek().rel != abdm::RelOp::kEq) {
-        return Status::ParseError("expected '=' after '" + fn + "'");
-      }
-      ++pos;
-      if (peek().kind == Token::Kind::kParam) {
-        ++pos;
-        create.assignments.emplace_back(std::move(fn), abdm::Value::Null());
-        create.param_mask.push_back(1);
-      } else {
-        MLDS_ASSIGN_OR_RETURN(abdm::Value value, parse_literal());
-        create.assignments.emplace_back(std::move(fn), std::move(value));
-        create.param_mask.push_back(0);
-      }
-      if (peek().kind == Token::Kind::kComma) {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-    if (peek().kind != Token::Kind::kRParen) {
-      return Status::ParseError("expected ')' closing CREATE list");
-    }
-    ++pos;
-    if (peek().kind != Token::Kind::kEnd) {
-      return Status::ParseError("trailing input after CREATE");
-    }
+    MLDS_ASSIGN_OR_RETURN(create.type,
+                          in.ExpectName("type name after CREATE"));
+    MLDS_RETURN_IF_ERROR(ParseAssignments(in, "CREATE list",
+                                          &create.assignments,
+                                          &create.param_mask));
+    MLDS_RETURN_IF_ERROR(ExpectEnd(in, "CREATE"));
     return DaplexStatement(std::move(create));
   }
 
-  if (consume("UPDATE")) {
+  if (in.ConsumeKeyword("UPDATE")) {
     UpdateStatement update;
-    if (peek().kind != Token::Kind::kWord) {
-      return Status::ParseError("expected type name after UPDATE");
-    }
-    update.type = tokens[pos++].text;
-    if (consume("SUCH")) {
-      if (!consume("THAT")) {
-        return Status::ParseError("expected THAT after SUCH");
-      }
-      while (true) {
-        Comparison cmp;
-        if (peek().kind != Token::Kind::kWord) {
-          return Status::ParseError("expected function name in SUCH THAT");
-        }
-        cmp.function = tokens[pos++].text;
-        if (peek().kind != Token::Kind::kRelOp) {
-          return Status::ParseError("expected comparison operator");
-        }
-        cmp.op = tokens[pos++].rel;
-        MLDS_ASSIGN_OR_RETURN(cmp.value, parse_literal());
-        update.such_that.push_back(std::move(cmp));
-        if (consume("AND")) continue;
-        break;
-      }
-    }
-    if (peek().kind != Token::Kind::kLParen) {
-      return Status::ParseError("expected '(' opening UPDATE assignments");
-    }
-    ++pos;
-    while (true) {
-      if (peek().kind != Token::Kind::kWord) {
-        return Status::ParseError("expected function name in UPDATE list");
-      }
-      std::string fn = tokens[pos++].text;
-      if (peek().kind != Token::Kind::kRelOp ||
-          peek().rel != abdm::RelOp::kEq) {
-        return Status::ParseError("expected '=' after '" + fn + "'");
-      }
-      ++pos;
-      MLDS_ASSIGN_OR_RETURN(abdm::Value value, parse_literal());
-      update.assignments.emplace_back(std::move(fn), std::move(value));
-      if (peek().kind == Token::Kind::kComma) {
-        ++pos;
-        continue;
-      }
-      break;
-    }
-    if (peek().kind != Token::Kind::kRParen) {
-      return Status::ParseError("expected ')' closing UPDATE assignments");
-    }
-    ++pos;
-    if (peek().kind != Token::Kind::kEnd) {
-      return Status::ParseError("trailing input after UPDATE");
-    }
+    MLDS_ASSIGN_OR_RETURN(update.type,
+                          in.ExpectName("type name after UPDATE"));
+    MLDS_ASSIGN_OR_RETURN(update.such_that,
+                          ParseSuchThat(in, /*for_each=*/false));
+    MLDS_RETURN_IF_ERROR(ParseAssignments(in, "UPDATE assignments",
+                                          &update.assignments, nullptr));
+    MLDS_RETURN_IF_ERROR(ExpectEnd(in, "UPDATE"));
     return DaplexStatement(std::move(update));
   }
 
-  if (consume("DESTROY")) {
+  if (in.ConsumeKeyword("DESTROY")) {
     DestroyStatement destroy;
-    if (peek().kind != Token::Kind::kWord) {
-      return Status::ParseError("expected type name after DESTROY");
-    }
-    destroy.type = tokens[pos++].text;
-    if (consume("SUCH")) {
-      if (!consume("THAT")) {
-        return Status::ParseError("expected THAT after SUCH");
-      }
-      while (true) {
-        Comparison cmp;
-        if (peek().kind != Token::Kind::kWord) {
-          return Status::ParseError("expected function name in SUCH THAT");
-        }
-        cmp.function = tokens[pos++].text;
-        if (peek().kind != Token::Kind::kRelOp) {
-          return Status::ParseError("expected comparison operator");
-        }
-        cmp.op = tokens[pos++].rel;
-        MLDS_ASSIGN_OR_RETURN(cmp.value, parse_literal());
-        destroy.such_that.push_back(std::move(cmp));
-        if (consume("AND")) continue;
-        break;
-      }
-    }
-    if (peek().kind != Token::Kind::kEnd) {
-      return Status::ParseError("trailing input after DESTROY");
-    }
+    MLDS_ASSIGN_OR_RETURN(destroy.type,
+                          in.ExpectName("type name after DESTROY"));
+    MLDS_ASSIGN_OR_RETURN(destroy.such_that,
+                          ParseSuchThat(in, /*for_each=*/false));
+    MLDS_RETURN_IF_ERROR(ExpectEnd(in, "DESTROY"));
     return DaplexStatement(std::move(destroy));
   }
 

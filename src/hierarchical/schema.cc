@@ -1,9 +1,8 @@
 #include "hierarchical/schema.h"
 
-#include <cctype>
 #include <set>
 
-#include "common/strings.h"
+#include "abdm/lexer.h"
 
 namespace mlds::hierarchical {
 
@@ -106,82 +105,16 @@ std::string Schema::ToDdl() const {
 
 namespace {
 
-struct Token {
-  enum class Kind { kWord, kNumber, kLParen, kRParen, kSemi, kEnd };
-  Kind kind = Kind::kEnd;
-  std::string text;
-};
-
-Result<std::vector<Token>> Tokenize(std::string_view ddl) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  while (pos < ddl.size()) {
-    const char c = ddl[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == '-' && pos + 1 < ddl.size() && ddl[pos + 1] == '-') {
-      while (pos < ddl.size() && ddl[pos] != '\n') ++pos;
-    } else if (c == '(') {
-      out.push_back({Token::Kind::kLParen, "("});
-      ++pos;
-    } else if (c == ')') {
-      out.push_back({Token::Kind::kRParen, ")"});
-      ++pos;
-    } else if (c == ';') {
-      out.push_back({Token::Kind::kSemi, ";"});
-      ++pos;
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t end = pos + 1;
-      while (end < ddl.size() &&
-             std::isdigit(static_cast<unsigned char>(ddl[end]))) {
-        ++end;
-      }
-      out.push_back({Token::Kind::kNumber, std::string(ddl.substr(pos, end - pos))});
-      pos = end;
-    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t end = pos + 1;
-      while (end < ddl.size() &&
-             (std::isalnum(static_cast<unsigned char>(ddl[end])) ||
-              ddl[end] == '_')) {
-        ++end;
-      }
-      out.push_back({Token::Kind::kWord, std::string(ddl.substr(pos, end - pos))});
-      pos = end;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in hierarchical DDL");
-    }
-  }
-  out.push_back({Token::Kind::kEnd, ""});
-  return out;
-}
+constexpr abdm::Dialect kHierarchicalDdl{"hierarchical DDL"};
 
 }  // namespace
 
 Result<Schema> ParseHierarchicalSchema(std::string_view ddl) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(ddl));
+  MLDS_ASSIGN_OR_RETURN(abdm::TokenCursor in,
+                        abdm::TokenCursor::Open(ddl, kHierarchicalDdl));
   Schema schema;
   Segment current;
   bool have_segment = false;
-  size_t pos = 0;
-  auto peek = [&]() -> const Token& {
-    return pos < tokens.size() ? tokens[pos] : tokens.back();
-  };
-  auto consume = [&](std::string_view w) {
-    if (peek().kind == Token::Kind::kWord &&
-        EqualsIgnoreCase(peek().text, w)) {
-      ++pos;
-      return true;
-    }
-    return false;
-  };
-  auto expect_semi = [&]() -> Status {
-    if (peek().kind != Token::Kind::kSemi) {
-      return Status::ParseError("expected ';', got '" + peek().text + "'");
-    }
-    ++pos;
-    return Status::OK();
-  };
   auto flush = [&]() -> Status {
     if (!have_segment) return Status::OK();
     Status added = schema.AddSegment(std::move(current));
@@ -190,65 +123,45 @@ Result<Schema> ParseHierarchicalSchema(std::string_view ddl) {
     return added;
   };
 
-  while (peek().kind != Token::Kind::kEnd) {
-    if (consume("SCHEMA")) {
-      if (peek().kind != Token::Kind::kWord) {
-        return Status::ParseError("expected schema name");
-      }
-      schema.set_name(tokens[pos++].text);
-      MLDS_RETURN_IF_ERROR(expect_semi());
-    } else if (consume("SEGMENT")) {
+  while (!in.AtEnd()) {
+    if (in.ConsumeKeyword("SCHEMA")) {
+      MLDS_ASSIGN_OR_RETURN(std::string name, in.ExpectName("schema name"));
+      schema.set_name(name);
+    } else if (in.ConsumeKeyword("SEGMENT")) {
       MLDS_RETURN_IF_ERROR(flush());
-      if (peek().kind != Token::Kind::kWord) {
-        return Status::ParseError("expected segment name");
-      }
-      current.name = tokens[pos++].text;
-      if (consume("PARENT")) {
-        if (peek().kind != Token::Kind::kWord) {
-          return Status::ParseError("expected parent segment name");
-        }
-        current.parent = tokens[pos++].text;
+      MLDS_ASSIGN_OR_RETURN(current.name, in.ExpectName("segment name"));
+      if (in.ConsumeKeyword("PARENT")) {
+        MLDS_ASSIGN_OR_RETURN(current.parent,
+                              in.ExpectName("parent segment name"));
       }
       have_segment = true;
-      MLDS_RETURN_IF_ERROR(expect_semi());
-    } else if (consume("FIELD")) {
+    } else if (in.ConsumeKeyword("FIELD")) {
       if (!have_segment) {
         return Status::ParseError("FIELD outside a SEGMENT");
       }
       Field field;
-      if (peek().kind != Token::Kind::kWord) {
-        return Status::ParseError("expected field name");
-      }
-      field.name = tokens[pos++].text;
-      if (consume("INTEGER") || consume("INT")) {
+      MLDS_ASSIGN_OR_RETURN(field.name, in.ExpectName("field name"));
+      if (in.ConsumeKeyword("INTEGER") || in.ConsumeKeyword("INT")) {
         field.type = FieldType::kInteger;
-      } else if (consume("FLOAT") || consume("REAL")) {
+      } else if (in.ConsumeKeyword("FLOAT") || in.ConsumeKeyword("REAL")) {
         field.type = FieldType::kFloat;
-      } else if (consume("CHAR")) {
+      } else if (in.ConsumeKeyword("CHAR")) {
         field.type = FieldType::kChar;
-        if (peek().kind == Token::Kind::kLParen) {
-          ++pos;
-          if (peek().kind != Token::Kind::kNumber) {
-            return Status::ParseError("expected CHAR length");
-          }
-          field.length = std::stoi(tokens[pos++].text);
-          if (peek().kind != Token::Kind::kRParen) {
-            return Status::ParseError("expected ')'");
-          }
-          ++pos;
+        if (in.Consume("(")) {
+          MLDS_ASSIGN_OR_RETURN(field.length, in.ExpectCount("CHAR length"));
+          MLDS_RETURN_IF_ERROR(in.Expect(")"));
         }
       } else {
-        return Status::ParseError("unknown field type '" + peek().text + "'");
+        return in.Unexpected("field type");
       }
       if (current.FindField(field.name) != nullptr) {
         return Status::ParseError("duplicate field '" + field.name + "'");
       }
       current.fields.push_back(std::move(field));
-      MLDS_RETURN_IF_ERROR(expect_semi());
     } else {
-      return Status::ParseError("expected SCHEMA, SEGMENT, or FIELD; got '" +
-                                peek().text + "'");
+      return in.Unexpected("SCHEMA, SEGMENT, or FIELD");
     }
+    MLDS_RETURN_IF_ERROR(in.Expect(";"));
   }
   MLDS_RETURN_IF_ERROR(flush());
   MLDS_RETURN_IF_ERROR(schema.Validate());

@@ -1,9 +1,9 @@
 #include "kms/dli_machine.h"
 
 #include <algorithm>
-#include <cctype>
 #include <set>
 
+#include "abdm/lexer.h"
 #include "common/strings.h"
 #include "transform/abdm_mapping.h"
 
@@ -34,119 +34,15 @@ abdl::RetrieveRequest RetrieveAll(Query query) {
 
 // --- DL/I call parsing ---
 
-struct Token {
-  enum class Kind {
-    kWord,
-    kLiteral,
-    kLParen,
-    kRParen,
-    kComma,
-    kRelOp,
-    kParam,
-    kEnd,
-  };
-  Kind kind = Kind::kEnd;
-  std::string text;
-  Value literal;
-  RelOp rel = RelOp::kEq;
-};
-
-Result<std::vector<Token>> Tokenize(std::string_view text) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const char c = text[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == '(') {
-      out.push_back({Token::Kind::kLParen, "(", {}, {}});
-      ++pos;
-    } else if (c == ')') {
-      out.push_back({Token::Kind::kRParen, ")", {}, {}});
-      ++pos;
-    } else if (c == ',') {
-      out.push_back({Token::Kind::kComma, ",", {}, {}});
-      ++pos;
-    } else if (c == '=') {
-      out.push_back({Token::Kind::kRelOp, "=", {}, RelOp::kEq});
-      ++pos;
-    } else if (c == '?') {
-      out.push_back({Token::Kind::kParam, "?", {}, {}});
-      ++pos;
-    } else if (c == '!' && pos + 1 < text.size() && text[pos + 1] == '=') {
-      out.push_back({Token::Kind::kRelOp, "!=", {}, RelOp::kNe});
-      pos += 2;
-    } else if (c == '<') {
-      if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({Token::Kind::kRelOp, "<=", {}, RelOp::kLe});
-        pos += 2;
-      } else {
-        out.push_back({Token::Kind::kRelOp, "<", {}, RelOp::kLt});
-        ++pos;
-      }
-    } else if (c == '>') {
-      if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({Token::Kind::kRelOp, ">=", {}, RelOp::kGe});
-        pos += 2;
-      } else {
-        out.push_back({Token::Kind::kRelOp, ">", {}, RelOp::kGt});
-        ++pos;
-      }
-    } else if (c == '\'') {
-      size_t end = pos + 1;
-      while (end < text.size() && text[end] != '\'') ++end;
-      if (end >= text.size()) {
-        return Status::ParseError("unterminated literal in DL/I call");
-      }
-      out.push_back({Token::Kind::kLiteral, "",
-                     Value::String(
-                         std::string(text.substr(pos + 1, end - pos - 1))),
-                     {}});
-      pos = end + 1;
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '-' && pos + 1 < text.size() &&
-                std::isdigit(static_cast<unsigned char>(text[pos + 1])))) {
-      size_t end = pos + 1;
-      while (end < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[end])) ||
-              text[end] == '.')) {
-        ++end;
-      }
-      out.push_back({Token::Kind::kLiteral, "",
-                     Value::Parse(text.substr(pos, end - pos)), {}});
-      pos = end;
-    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t end = pos + 1;
-      while (end < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[end])) ||
-              text[end] == '_')) {
-        ++end;
-      }
-      out.push_back(
-          {Token::Kind::kWord, std::string(text.substr(pos, end - pos)), {}, {}});
-      pos = end;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in DL/I call");
-    }
-  }
-  out.push_back({Token::Kind::kEnd, "", {}, {}});
-  return out;
-}
+constexpr abdm::Dialect kDli{"DL/I call"};
 
 }  // namespace
 
 Result<DliCall> ParseDliCall(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  size_t pos = 0;
-  auto peek = [&]() -> const Token& {
-    return pos < tokens.size() ? tokens[pos] : tokens.back();
-  };
-
-  if (peek().kind != Token::Kind::kWord) {
-    return Status::ParseError("expected DL/I function code");
-  }
-  const std::string function = ToUpper(tokens[pos++].text);
+  MLDS_ASSIGN_OR_RETURN(abdm::TokenCursor in,
+                        abdm::TokenCursor::Open(text, kDli));
+  MLDS_ASSIGN_OR_RETURN(std::string code, in.ExpectName("DL/I function code"));
+  const std::string function = ToUpper(code);
   DliCall call;
   if (function == "GU") {
     call.function = DliCall::Function::kGu;
@@ -165,53 +61,37 @@ Result<DliCall> ParseDliCall(std::string_view text) {
   }
 
   // SSA list: [segment] [ '(' qual [, qual]... ')' ] ...
-  while (peek().kind != Token::Kind::kEnd) {
+  while (!in.AtEnd()) {
     Ssa ssa;
-    if (peek().kind == Token::Kind::kWord) {
-      ssa.segment = tokens[pos++].text;
-    } else if (call.function != DliCall::Function::kRepl) {
-      return Status::ParseError("expected segment name, got '" + peek().text +
-                                "'");
+    if (in.Peek().kind == abdm::TokenKind::kWord) {
+      ssa.segment = std::string(in.Advance().text);
+    } else if (call.function != DliCall::Function::kRepl ||
+               !in.Peek().Is("(")) {
+      // Only REPL's field list may stand without a segment name.
+      return in.Unexpected("segment name");
     }
-    if (peek().kind == Token::Kind::kLParen) {
-      ++pos;
-      while (true) {
-        if (peek().kind != Token::Kind::kWord) {
-          return Status::ParseError("expected field name in qualification");
-        }
+    if (in.Consume("(")) {
+      do {
         Predicate qual;
-        qual.attribute = tokens[pos++].text;
-        if (peek().kind != Token::Kind::kRelOp) {
-          return Status::ParseError("expected operator after '" +
-                                    qual.attribute + "'");
+        MLDS_ASSIGN_OR_RETURN(qual.attribute,
+                              in.ExpectName("field name in qualification"));
+        std::optional<RelOp> op = in.ConsumeRelOp();
+        if (!op) {
+          return in.Unexpected("operator after '" + qual.attribute + "'");
         }
-        qual.op = tokens[pos++].rel;
+        qual.op = *op;
         bool is_param = false;
-        if (peek().kind == Token::Kind::kLiteral) {
-          qual.value = tokens[pos++].literal;
-        } else if (peek().kind == Token::Kind::kParam) {
-          ++pos;
-          qual.value = Value::Null();
+        if (in.Peek().IsLiteral()) {
+          qual.value = in.Advance().value;
+        } else if (in.Consume("?")) {
           is_param = true;
-        } else if (peek().kind == Token::Kind::kWord &&
-                   EqualsIgnoreCase(peek().text, "NULL")) {
-          ++pos;
-          qual.value = Value::Null();
-        } else {
-          return Status::ParseError("expected literal in qualification");
+        } else if (!in.ConsumeKeyword("NULL")) {  // NULL leaves the value null
+          return in.Unexpected("literal in qualification");
         }
         ssa.qualifications.push_back(std::move(qual));
         ssa.param_mask.push_back(is_param ? 1 : 0);
-        if (peek().kind == Token::Kind::kComma) {
-          ++pos;
-          continue;
-        }
-        break;
-      }
-      if (peek().kind != Token::Kind::kRParen) {
-        return Status::ParseError("expected ')' closing qualification");
-      }
-      ++pos;
+      } while (in.Consume(","));
+      MLDS_RETURN_IF_ERROR(in.Expect(")", "closing qualification"));
     }
     call.ssas.push_back(std::move(ssa));
   }
@@ -266,17 +146,9 @@ Result<DliMachine::Outcome> DliMachine::ExecuteText(std::string_view text) {
 Result<std::vector<DliMachine::Outcome>> DliMachine::RunProgram(
     std::string_view text) {
   std::vector<Outcome> out;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t end = text.find_first_of(";\n", start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = Trim(text.substr(start, end - start));
-    if (!line.empty() && !line.starts_with("--")) {
-      MLDS_ASSIGN_OR_RETURN(Outcome outcome, ExecuteText(line));
-      out.push_back(std::move(outcome));
-    }
-    if (end >= text.size()) break;
-    start = end + 1;
+  for (std::string_view line : ProgramStatements(text)) {
+    MLDS_ASSIGN_OR_RETURN(Outcome outcome, ExecuteText(line));
+    out.push_back(std::move(outcome));
   }
   if (out.empty()) return Status::ParseError("empty DL/I program");
   return out;

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "codasyl/parser.h"
+#include "common/strings.h"
 #include "transform/abdm_mapping.h"
 
 namespace mlds::kms {
@@ -173,25 +174,30 @@ Result<DmlResult> DmlMachine::Execute(
   return result;
 }
 
+Result<std::shared_ptr<const codasyl::ParsedStatement>> DmlMachine::Compile(
+    std::string_view text) {
+  return GetOrCompile<codasyl::ParsedStatement>(
+      cache_, "dml", text, [&] { return codasyl::ParseDmlStatement(text); });
+}
+
 Result<DmlResult> DmlMachine::ExecuteText(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(
-      std::shared_ptr<const codasyl::ParsedStatement> stmt,
-      GetOrCompile<codasyl::ParsedStatement>(
-          cache_, "dml", text,
-          [&] { return codasyl::ParseDmlStatement(text); }));
+  MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const codasyl::ParsedStatement> stmt,
+                        Compile(text));
   return Execute(*stmt);
 }
 
 Result<std::vector<DmlResult>> DmlMachine::RunProgram(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(
-      std::shared_ptr<const std::vector<codasyl::ParsedStatement>> program,
-      GetOrCompile<std::vector<codasyl::ParsedStatement>>(
-          cache_, "dml-program", text,
-          [&] { return codasyl::ParseDmlProgram(text); }));
+  // Every statement compiles (under its own cache key) before any runs.
+  std::vector<std::shared_ptr<const codasyl::ParsedStatement>> program;
+  for (std::string_view line : ProgramStatements(text)) {
+    MLDS_ASSIGN_OR_RETURN(auto stmt, Compile(line));
+    program.push_back(std::move(stmt));
+  }
+  if (program.empty()) return Status::ParseError("empty DML program");
   std::vector<DmlResult> results;
-  results.reserve(program->size());
-  for (const auto& stmt : *program) {
-    MLDS_ASSIGN_OR_RETURN(DmlResult result, Execute(stmt));
+  results.reserve(program.size());
+  for (const auto& stmt : program) {
+    MLDS_ASSIGN_OR_RETURN(DmlResult result, Execute(*stmt));
     results.push_back(std::move(result));
   }
   return results;
@@ -200,11 +206,8 @@ Result<std::vector<DmlResult>> DmlMachine::RunProgram(std::string_view text) {
 Result<DmlResult> DmlMachine::ExecuteBatch(
     std::string_view text, const std::vector<std::vector<abdm::Value>>& rows,
     const abdl::BatchLimits& limits) {
-  MLDS_ASSIGN_OR_RETURN(
-      std::shared_ptr<const codasyl::ParsedStatement> stmt,
-      GetOrCompile<codasyl::ParsedStatement>(
-          cache_, "dml", text,
-          [&] { return codasyl::ParseDmlStatement(text); }));
+  MLDS_ASSIGN_OR_RETURN(std::shared_ptr<const codasyl::ParsedStatement> stmt,
+                        Compile(text));
   const auto* store = std::get_if<codasyl::StoreStatement>(&stmt->statement);
   if (store == nullptr || !store->parameterized()) {
     return Status::InvalidArgument(

@@ -128,6 +128,10 @@ class DmlMachine {
   bool IsFunctionalTarget() const { return mapping_ != nullptr; }
 
  private:
+  /// The parsed statement, through the shared translation cache.
+  Result<std::shared_ptr<const codasyl::ParsedStatement>> Compile(
+      std::string_view text);
+
   // --- Statement handlers (Ch. VI sections B through H) ---
   Result<DmlResult> Move(const codasyl::MoveStatement& s);
   Result<DmlResult> FindAny(const codasyl::FindAnyStatement& s);

@@ -1,32 +1,22 @@
 #include "kms/translation_cache.h"
 
-#include <cctype>
+#include "abdm/lexer.h"
 
 namespace mlds::kms {
 
 std::string NormalizeSource(std::string_view source) {
+  // The four cached languages lex with the default dialect; only the
+  // spelling is read, so no literal values are built on the hit path.
+  abdm::Scanner scanner(source, abdm::Dialect{"statement"});
   std::string out;
   out.reserve(source.size());
-  bool in_literal = false;
-  bool pending_space = false;
-  for (char c : source) {
-    if (in_literal) {
-      out.push_back(c);
-      if (c == '\'') in_literal = false;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      pending_space = !out.empty();
-      continue;
-    }
-    if (pending_space) {
-      out.push_back(' ');
-      pending_space = false;
-    }
-    out.push_back(c);
-    if (c == '\'') in_literal = true;
+  abdm::Token token;
+  while (scanner.Next(&token).ok()) {
+    if (token.kind == abdm::TokenKind::kEnd) return out;
+    if (!out.empty()) out.push_back(' ');
+    out.append(token.text);
   }
-  return out;
+  return std::string(source);
 }
 
 std::string TranslationCache::MakeKey(std::string_view domain,

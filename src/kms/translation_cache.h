@@ -14,11 +14,13 @@
 
 namespace mlds::kms {
 
-/// Collapses runs of whitespace to single spaces and trims the ends, but
-/// leaves single-quoted literals untouched, so the cache recognises
-/// reformatted repeats of the same statement ("SELECT  *  FROM t" and
-/// "SELECT * FROM t" share one entry) without conflating distinct string
-/// constants.
+/// The statement's token spellings (abdm/lexer.h) joined by single
+/// spaces, with whitespace and comments dropped: two texts share a key
+/// only when they lex to the same tokens, so reformatted repeats of a
+/// statement ("SELECT  *  FROM t" and "SELECT * FROM t", "a=1" and
+/// "a = 1") share one entry while literals keep their exact spelling.
+/// Text that does not lex is returned unchanged; it cannot equal the key
+/// of text that does, since every key lexes.
 std::string NormalizeSource(std::string_view source);
 
 /// A shared compiled-translation cache for the four KMS language machines

@@ -1,78 +1,64 @@
 #include "network/ddl_parser.h"
 
-#include <cctype>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "abdm/lexer.h"
 #include "common/strings.h"
 
 namespace mlds::network {
 
 namespace {
 
-/// One DDL statement, pre-split into word/punctuation tokens.
+constexpr abdm::Dialect kNetworkDdl{"network DDL"};
+
+/// One ';'-terminated DDL statement's tokens.
 struct Statement {
-  std::vector<std::string> tokens;
+  std::vector<abdm::Token> tokens;
 
   bool KeywordAt(size_t i, std::string_view word) const {
-    return i < tokens.size() && EqualsIgnoreCase(tokens[i], word);
+    return i < tokens.size() && tokens[i].kind == abdm::TokenKind::kWord &&
+           EqualsIgnoreCase(tokens[i].text, word);
   }
-  const std::string* At(size_t i) const {
-    return i < tokens.size() ? &tokens[i] : nullptr;
+  /// The name at `i`: a word, where every DDL name must be.
+  Result<std::string> NameAt(size_t i) const {
+    if (tokens[i].kind != abdm::TokenKind::kWord) {
+      return Status::ParseError("expected a name, got " +
+                                tokens[i].Describe());
+    }
+    return std::string(tokens[i].text);
+  }
+  std::string Text() const {
+    std::string out;
+    for (const abdm::Token& t : tokens) {
+      if (!out.empty()) out.push_back(' ');
+      out.append(t.text);
+    }
+    return out;
   }
 };
 
-/// Splits DDL text into ';'-terminated statements of tokens. Tokens are
-/// identifiers/numbers, or single-character punctuation (',', '=').
-Result<std::vector<Statement>> TokenizeStatements(std::string_view ddl) {
+/// Splits the DDL's token stream into its ';'-terminated statements,
+/// whose clauses the builder then matches by position.
+Result<std::vector<Statement>> SplitStatements(std::string_view ddl) {
+  MLDS_ASSIGN_OR_RETURN(abdm::TokenCursor in,
+                        abdm::TokenCursor::Open(ddl, kNetworkDdl));
   std::vector<Statement> statements;
   Statement current;
-  size_t pos = 0;
-  while (pos < ddl.size()) {
-    const char c = ddl[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == ';') {
-      if (!current.tokens.empty()) {
-        statements.push_back(std::move(current));
-        current = Statement{};
-      }
-      ++pos;
-    } else if (c == ',' || c == '=') {
-      current.tokens.emplace_back(1, c);
-      ++pos;
-    } else if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-      size_t end = pos + 1;
-      while (end < ddl.size() &&
-             (std::isalnum(static_cast<unsigned char>(ddl[end])) ||
-              ddl[end] == '_')) {
-        ++end;
-      }
-      current.tokens.emplace_back(ddl.substr(pos, end - pos));
-      pos = end;
-    } else if (c == '-' && pos + 1 < ddl.size() && ddl[pos + 1] == '-') {
-      // Line comment.
-      while (pos < ddl.size() && ddl[pos] != '\n') ++pos;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in network DDL");
+  while (!in.AtEnd()) {
+    if (!in.Consume(";")) {
+      current.tokens.push_back(in.Advance());
+    } else if (!current.tokens.empty()) {
+      statements.push_back(std::move(current));
+      current = Statement{};
     }
   }
   if (!current.tokens.empty()) {
     return Status::ParseError("unterminated DDL statement (missing ';'): '" +
-                              Join(current.tokens, " ") + "'");
+                              current.Text() + "'");
   }
   return statements;
-}
-
-Result<int> ParseInt(const std::string& token) {
-  for (char c : token) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) {
-      return Status::ParseError("expected number, got '" + token + "'");
-    }
-  }
-  return std::stoi(token);
 }
 
 class SchemaBuilder {
@@ -94,7 +80,8 @@ class SchemaBuilder {
       if (s.tokens.size() != 4) {
         return Status::ParseError("SCHEMA NAME IS expects one name");
       }
-      schema_.set_name(s.tokens[3]);
+      MLDS_ASSIGN_OR_RETURN(std::string name, s.NameAt(3));
+      schema_.set_name(name);
       return Status::OK();
     }
     if (s.KeywordAt(0, "RECORD") && s.KeywordAt(1, "NAME") &&
@@ -104,8 +91,9 @@ class SchemaBuilder {
       if (s.tokens.size() != 4) {
         return Status::ParseError("RECORD NAME IS expects one name");
       }
+      MLDS_ASSIGN_OR_RETURN(std::string name, s.NameAt(3));
       record_.emplace();
-      record_->name = s.tokens[3];
+      record_->name = std::move(name);
       return Status::OK();
     }
     if (s.KeywordAt(0, "ITEM")) return ParseItem(s);
@@ -117,8 +105,9 @@ class SchemaBuilder {
       if (s.tokens.size() != 4) {
         return Status::ParseError("SET NAME IS expects one name");
       }
+      MLDS_ASSIGN_OR_RETURN(std::string name, s.NameAt(3));
       set_.emplace();
-      set_->name = s.tokens[3];
+      set_->name = std::move(name);
       return Status::OK();
     }
     if (s.KeywordAt(0, "OWNER") && s.KeywordAt(1, "IS")) {
@@ -128,9 +117,10 @@ class SchemaBuilder {
       if (s.tokens.size() != 3) {
         return Status::ParseError("OWNER IS expects one name");
       }
-      set_->owner = EqualsIgnoreCase(s.tokens[2], kSystemOwner)
-                        ? std::string(kSystemOwner)
-                        : s.tokens[2];
+      MLDS_ASSIGN_OR_RETURN(set_->owner, s.NameAt(2));
+      if (EqualsIgnoreCase(set_->owner, kSystemOwner)) {
+        set_->owner = std::string(kSystemOwner);
+      }
       return Status::OK();
     }
     if (s.KeywordAt(0, "MEMBER") && s.KeywordAt(1, "IS")) {
@@ -140,7 +130,8 @@ class SchemaBuilder {
       if (s.tokens.size() != 3) {
         return Status::ParseError("MEMBER IS expects one name");
       }
-      set_->members.push_back(s.tokens[2]);
+      MLDS_ASSIGN_OR_RETURN(std::string member, s.NameAt(2));
+      set_->members.push_back(std::move(member));
       return Status::OK();
     }
     if (s.KeywordAt(0, "INSERTION") && s.KeywordAt(1, "IS")) {
@@ -184,14 +175,14 @@ class SchemaBuilder {
       if (s.KeywordAt(2, "SORTED") && s.KeywordAt(3, "BY") &&
           s.tokens.size() == 5) {
         set_->order = OrderMode::kSortedBy;
-        set_->order_item = s.tokens[4];
+        MLDS_ASSIGN_OR_RETURN(set_->order_item, s.NameAt(4));
         return Status::OK();
       }
       return Status::ParseError("malformed ORDER clause (expected ORDER IS "
                                 "SORTED BY <item>)");
     }
     return Status::ParseError("unrecognized DDL statement: '" +
-                              Join(s.tokens, " ") + "'");
+                              s.Text() + "'");
   }
 
   Status ParseItem(const Statement& s) {
@@ -201,26 +192,27 @@ class SchemaBuilder {
     // ITEM <name> TYPE IS <type> [len [dec]]
     if (s.tokens.size() < 5 || !s.KeywordAt(2, "TYPE") || !s.KeywordAt(3, "IS")) {
       return Status::ParseError("malformed ITEM clause: '" +
-                                Join(s.tokens, " ") + "'");
+                                s.Text() + "'");
     }
     Attribute attr;
-    attr.name = s.tokens[1];
-    const std::string& type = s.tokens[4];
-    if (EqualsIgnoreCase(type, "INTEGER")) {
+    MLDS_ASSIGN_OR_RETURN(attr.name, s.NameAt(1));
+    if (s.KeywordAt(4, "INTEGER")) {
       attr.type = AttrType::kInteger;
-    } else if (EqualsIgnoreCase(type, "FLOAT")) {
+    } else if (s.KeywordAt(4, "FLOAT")) {
       attr.type = AttrType::kFloat;
-    } else if (EqualsIgnoreCase(type, "CHARACTER") ||
-               EqualsIgnoreCase(type, "STRING")) {
+    } else if (s.KeywordAt(4, "CHARACTER") || s.KeywordAt(4, "STRING")) {
       attr.type = AttrType::kString;
     } else {
-      return Status::ParseError("unknown item type '" + type + "'");
+      return Status::ParseError("unknown item type " +
+                                s.tokens[4].Describe());
     }
     if (s.tokens.size() >= 6) {
-      MLDS_ASSIGN_OR_RETURN(attr.length, ParseInt(s.tokens[5]));
+      MLDS_ASSIGN_OR_RETURN(attr.length,
+                            abdm::CountOf(s.tokens[5], "item length"));
     }
     if (s.tokens.size() >= 7) {
-      MLDS_ASSIGN_OR_RETURN(attr.decimal, ParseInt(s.tokens[6]));
+      MLDS_ASSIGN_OR_RETURN(attr.decimal,
+                            abdm::CountOf(s.tokens[6], "item decimals"));
     }
     if (record_->FindAttribute(attr.name) != nullptr) {
       return Status::ParseError("duplicate item '" + attr.name +
@@ -244,11 +236,11 @@ class SchemaBuilder {
     i += 3;
     bool any = false;
     for (; i < s.tokens.size(); ++i) {
-      if (s.tokens[i] == ",") continue;
-      Attribute* attr = record_->FindAttribute(s.tokens[i]);
+      if (s.tokens[i].Is(",")) continue;
+      Attribute* attr = record_->FindAttribute(std::string(s.tokens[i].text));
       if (attr == nullptr) {
-        return Status::ParseError("DUPLICATES clause names unknown item '" +
-                                  s.tokens[i] + "'");
+        return Status::ParseError("DUPLICATES clause names unknown item " +
+                                  s.tokens[i].Describe());
       }
       attr->duplicates_allowed = false;
       any = true;
@@ -284,20 +276,21 @@ class SchemaBuilder {
         return Status::ParseError("malformed SET SELECTION BY VALUE clause");
       }
       set_->selection.mode = SelectionMode::kValue;
-      set_->selection.item_name = s.tokens[6];
-      set_->selection.record1_name = s.tokens[8];
+      MLDS_ASSIGN_OR_RETURN(set_->selection.item_name, s.NameAt(6));
+      MLDS_ASSIGN_OR_RETURN(set_->selection.record1_name, s.NameAt(8));
       return Status::OK();
     }
     if (s.KeywordAt(4, "STRUCTURAL")) {
       // ... item IN record1 = record2
-      if (s.tokens.size() < 10 || !s.KeywordAt(6, "IN") || s.tokens[8] != "=") {
+      if (s.tokens.size() < 10 || !s.KeywordAt(6, "IN") ||
+          !s.tokens[8].Is("=")) {
         return Status::ParseError(
             "malformed SET SELECTION BY STRUCTURAL clause");
       }
       set_->selection.mode = SelectionMode::kStructural;
-      set_->selection.item_name = s.tokens[5];
-      set_->selection.record1_name = s.tokens[7];
-      set_->selection.record2_name = s.tokens[9];
+      MLDS_ASSIGN_OR_RETURN(set_->selection.item_name, s.NameAt(5));
+      MLDS_ASSIGN_OR_RETURN(set_->selection.record1_name, s.NameAt(7));
+      MLDS_ASSIGN_OR_RETURN(set_->selection.record2_name, s.NameAt(9));
       return Status::OK();
     }
     return Status::ParseError("unknown SET SELECTION mode");
@@ -332,7 +325,7 @@ class SchemaBuilder {
 
 Result<Schema> ParseSchema(std::string_view ddl) {
   MLDS_ASSIGN_OR_RETURN(std::vector<Statement> statements,
-                        TokenizeStatements(ddl));
+                        SplitStatements(ddl));
   SchemaBuilder builder;
   return builder.Build(statements);
 }

@@ -1,8 +1,8 @@
 #include "relational/schema.h"
 
-#include <cctype>
 #include <optional>
 
+#include "abdm/lexer.h"
 #include "common/strings.h"
 
 namespace mlds::relational {
@@ -86,167 +86,65 @@ std::string Schema::ToDdl() const {
 
 namespace {
 
-/// Minimal tokenizer shared with the DDL parser below.
-struct Token {
-  enum class Kind { kWord, kNumber, kLParen, kRParen, kComma, kSemi, kEnd };
-  Kind kind = Kind::kEnd;
-  std::string text;
-};
-
-Result<std::vector<Token>> Tokenize(std::string_view ddl) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  while (pos < ddl.size()) {
-    const char c = ddl[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == '-' && pos + 1 < ddl.size() && ddl[pos + 1] == '-') {
-      while (pos < ddl.size() && ddl[pos] != '\n') ++pos;
-    } else if (c == '(') {
-      out.push_back({Token::Kind::kLParen, "("});
-      ++pos;
-    } else if (c == ')') {
-      out.push_back({Token::Kind::kRParen, ")"});
-      ++pos;
-    } else if (c == ',') {
-      out.push_back({Token::Kind::kComma, ","});
-      ++pos;
-    } else if (c == ';') {
-      out.push_back({Token::Kind::kSemi, ";"});
-      ++pos;
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t end = pos + 1;
-      while (end < ddl.size() &&
-             std::isdigit(static_cast<unsigned char>(ddl[end]))) {
-        ++end;
-      }
-      out.push_back({Token::Kind::kNumber, std::string(ddl.substr(pos, end - pos))});
-      pos = end;
-    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t end = pos + 1;
-      while (end < ddl.size() &&
-             (std::isalnum(static_cast<unsigned char>(ddl[end])) ||
-              ddl[end] == '_')) {
-        ++end;
-      }
-      out.push_back({Token::Kind::kWord, std::string(ddl.substr(pos, end - pos))});
-      pos = end;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in relational DDL");
-    }
-  }
-  out.push_back({Token::Kind::kEnd, ""});
-  return out;
-}
+constexpr abdm::Dialect kRelationalDdl{"relational DDL"};
 
 }  // namespace
 
 Result<Schema> ParseRelationalSchema(std::string_view ddl) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(ddl));
+  MLDS_ASSIGN_OR_RETURN(abdm::TokenCursor in,
+                        abdm::TokenCursor::Open(ddl, kRelationalDdl));
   Schema schema;
-  size_t pos = 0;
-  auto peek = [&]() -> const Token& {
-    return pos < tokens.size() ? tokens[pos] : tokens.back();
-  };
-  auto word_is = [&](std::string_view w) {
-    return peek().kind == Token::Kind::kWord && EqualsIgnoreCase(peek().text, w);
-  };
-  auto consume = [&](std::string_view w) {
-    if (word_is(w)) {
-      ++pos;
-      return true;
-    }
-    return false;
-  };
-  auto expect = [&](Token::Kind kind, std::string_view what) -> Status {
-    if (peek().kind != kind) {
-      return Status::ParseError("expected " + std::string(what) + ", got '" +
-                                peek().text + "'");
-    }
-    ++pos;
-    return Status::OK();
-  };
-
-  while (peek().kind != Token::Kind::kEnd) {
-    if (consume("SCHEMA")) {
-      if (peek().kind != Token::Kind::kWord) {
-        return Status::ParseError("expected schema name");
-      }
-      schema.set_name(tokens[pos++].text);
-      MLDS_RETURN_IF_ERROR(expect(Token::Kind::kSemi, "';'"));
+  while (!in.AtEnd()) {
+    if (in.ConsumeKeyword("SCHEMA")) {
+      MLDS_ASSIGN_OR_RETURN(std::string name, in.ExpectName("schema name"));
+      schema.set_name(name);
+      MLDS_RETURN_IF_ERROR(in.Expect(";"));
       continue;
     }
-    if (!consume("CREATE") || !consume("TABLE")) {
-      return Status::ParseError("expected CREATE TABLE, got '" + peek().text +
-                                "'");
+    if (!in.ConsumeKeyword("CREATE") || !in.ConsumeKeyword("TABLE")) {
+      return in.Unexpected("CREATE TABLE");
     }
     Table table;
-    if (peek().kind != Token::Kind::kWord) {
-      return Status::ParseError("expected table name");
-    }
-    table.name = tokens[pos++].text;
-    MLDS_RETURN_IF_ERROR(expect(Token::Kind::kLParen, "'('"));
-    while (true) {
-      if (consume("UNIQUE")) {
-        MLDS_RETURN_IF_ERROR(expect(Token::Kind::kLParen, "'(' after UNIQUE"));
-        while (true) {
-          if (peek().kind != Token::Kind::kWord) {
-            return Status::ParseError("expected column in UNIQUE list");
-          }
-          table.unique_columns.push_back(tokens[pos++].text);
-          if (peek().kind == Token::Kind::kComma) {
-            ++pos;
-            continue;
-          }
-          break;
-        }
-        MLDS_RETURN_IF_ERROR(expect(Token::Kind::kRParen, "')' after UNIQUE"));
-      } else {
-        Column column;
-        if (peek().kind != Token::Kind::kWord) {
-          return Status::ParseError("expected column name, got '" +
-                                    peek().text + "'");
-        }
-        column.name = tokens[pos++].text;
-        if (consume("INTEGER") || consume("INT")) {
-          column.type = ColumnType::kInteger;
-        } else if (consume("FLOAT") || consume("REAL")) {
-          column.type = ColumnType::kFloat;
-        } else if (consume("CHAR") || consume("VARCHAR")) {
-          column.type = ColumnType::kChar;
-          if (peek().kind == Token::Kind::kLParen) {
-            ++pos;
-            if (peek().kind != Token::Kind::kNumber) {
-              return Status::ParseError("expected CHAR length");
-            }
-            column.length = std::stoi(tokens[pos++].text);
-            MLDS_RETURN_IF_ERROR(expect(Token::Kind::kRParen, "')'"));
-          }
-        } else {
-          return Status::ParseError("unknown column type '" + peek().text +
-                                    "'");
-        }
-        if (consume("NOT")) {
-          if (!consume("NULL")) {
-            return Status::ParseError("expected NULL after NOT");
-          }
-          column.not_null = true;
-        }
-        if (table.FindColumn(column.name) != nullptr) {
-          return Status::ParseError("duplicate column '" + column.name +
-                                    "' in table '" + table.name + "'");
-        }
-        table.columns.push_back(std::move(column));
-      }
-      if (peek().kind == Token::Kind::kComma) {
-        ++pos;
+    MLDS_ASSIGN_OR_RETURN(table.name, in.ExpectName("table name"));
+    MLDS_RETURN_IF_ERROR(in.Expect("("));
+    do {
+      if (in.ConsumeKeyword("UNIQUE")) {
+        MLDS_RETURN_IF_ERROR(in.Expect("(", "after UNIQUE"));
+        do {
+          MLDS_ASSIGN_OR_RETURN(std::string column,
+                                in.ExpectName("column in UNIQUE list"));
+          table.unique_columns.push_back(std::move(column));
+        } while (in.Consume(","));
+        MLDS_RETURN_IF_ERROR(in.Expect(")", "after UNIQUE"));
         continue;
       }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(expect(Token::Kind::kRParen, "')' closing table"));
-    MLDS_RETURN_IF_ERROR(expect(Token::Kind::kSemi, "';'"));
+      Column column;
+      MLDS_ASSIGN_OR_RETURN(column.name, in.ExpectName("column name"));
+      if (in.ConsumeKeyword("INTEGER") || in.ConsumeKeyword("INT")) {
+        column.type = ColumnType::kInteger;
+      } else if (in.ConsumeKeyword("FLOAT") || in.ConsumeKeyword("REAL")) {
+        column.type = ColumnType::kFloat;
+      } else if (in.ConsumeKeyword("CHAR") || in.ConsumeKeyword("VARCHAR")) {
+        column.type = ColumnType::kChar;
+        if (in.Consume("(")) {
+          MLDS_ASSIGN_OR_RETURN(column.length, in.ExpectCount("CHAR length"));
+          MLDS_RETURN_IF_ERROR(in.Expect(")"));
+        }
+      } else {
+        return in.Unexpected("column type");
+      }
+      if (in.ConsumeKeyword("NOT")) {
+        MLDS_RETURN_IF_ERROR(in.ExpectKeyword("NULL"));
+        column.not_null = true;
+      }
+      if (table.FindColumn(column.name) != nullptr) {
+        return Status::ParseError("duplicate column '" + column.name +
+                                  "' in table '" + table.name + "'");
+      }
+      table.columns.push_back(std::move(column));
+    } while (in.Consume(","));
+    MLDS_RETURN_IF_ERROR(in.Expect(")", "closing table"));
+    MLDS_RETURN_IF_ERROR(in.Expect(";"));
     MLDS_RETURN_IF_ERROR(schema.AddTable(std::move(table)));
   }
   MLDS_RETURN_IF_ERROR(schema.Validate());

@@ -1,127 +1,13 @@
 #include "sql/ast.h"
 
-#include <cctype>
-
+#include "abdm/lexer.h"
 #include "common/strings.h"
 
 namespace mlds::sql {
 
 namespace {
 
-struct Token {
-  enum class Kind {
-    kWord,
-    kLiteral,
-    kStar,
-    kComma,
-    kDot,
-    kLParen,
-    kRParen,
-    kRelOp,
-    kSemi,
-    kParam,
-    kEnd
-  };
-  Kind kind = Kind::kEnd;
-  std::string text;
-  abdm::Value literal;
-  abdm::RelOp rel = abdm::RelOp::kEq;
-};
-
-Result<std::vector<Token>> Tokenize(std::string_view text) {
-  std::vector<Token> out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const char c = text[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-    } else if (c == '*') {
-      out.push_back({Token::Kind::kStar, "*", {}, {}});
-      ++pos;
-    } else if (c == ',') {
-      out.push_back({Token::Kind::kComma, ",", {}, {}});
-      ++pos;
-    } else if (c == '.') {
-      out.push_back({Token::Kind::kDot, ".", {}, {}});
-      ++pos;
-    } else if (c == ';') {
-      out.push_back({Token::Kind::kSemi, ";", {}, {}});
-      ++pos;
-    } else if (c == '?') {
-      out.push_back({Token::Kind::kParam, "?", {}, {}});
-      ++pos;
-    } else if (c == '(') {
-      out.push_back({Token::Kind::kLParen, "(", {}, {}});
-      ++pos;
-    } else if (c == ')') {
-      out.push_back({Token::Kind::kRParen, ")", {}, {}});
-      ++pos;
-    } else if (c == '=') {
-      out.push_back({Token::Kind::kRelOp, "=", {}, abdm::RelOp::kEq});
-      ++pos;
-    } else if (c == '!' && pos + 1 < text.size() && text[pos + 1] == '=') {
-      out.push_back({Token::Kind::kRelOp, "!=", {}, abdm::RelOp::kNe});
-      pos += 2;
-    } else if (c == '<') {
-      if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({Token::Kind::kRelOp, "<=", {}, abdm::RelOp::kLe});
-        pos += 2;
-      } else if (pos + 1 < text.size() && text[pos + 1] == '>') {
-        out.push_back({Token::Kind::kRelOp, "<>", {}, abdm::RelOp::kNe});
-        pos += 2;
-      } else {
-        out.push_back({Token::Kind::kRelOp, "<", {}, abdm::RelOp::kLt});
-        ++pos;
-      }
-    } else if (c == '>') {
-      if (pos + 1 < text.size() && text[pos + 1] == '=') {
-        out.push_back({Token::Kind::kRelOp, ">=", {}, abdm::RelOp::kGe});
-        pos += 2;
-      } else {
-        out.push_back({Token::Kind::kRelOp, ">", {}, abdm::RelOp::kGt});
-        ++pos;
-      }
-    } else if (c == '\'') {
-      size_t end = pos + 1;
-      while (end < text.size() && text[end] != '\'') ++end;
-      if (end >= text.size()) {
-        return Status::ParseError("unterminated string literal in SQL");
-      }
-      out.push_back({Token::Kind::kLiteral, "",
-                     abdm::Value::String(
-                         std::string(text.substr(pos + 1, end - pos - 1))),
-                     {}});
-      pos = end + 1;
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '-' && pos + 1 < text.size() &&
-                std::isdigit(static_cast<unsigned char>(text[pos + 1])))) {
-      size_t end = pos + 1;
-      while (end < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[end])) ||
-              text[end] == '.')) {
-        ++end;
-      }
-      out.push_back({Token::Kind::kLiteral, "",
-                     abdm::Value::Parse(text.substr(pos, end - pos)), {}});
-      pos = end;
-    } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t end = pos + 1;
-      while (end < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[end])) ||
-              text[end] == '_')) {
-        ++end;
-      }
-      out.push_back(
-          {Token::Kind::kWord, std::string(text.substr(pos, end - pos)), {}, {}});
-      pos = end;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in SQL");
-    }
-  }
-  out.push_back({Token::Kind::kEnd, "", {}, {}});
-  return out;
-}
+constexpr abdm::Dialect kSql{"SQL"};
 
 /// Boolean expression over comparisons, flattened to DNF after parsing.
 struct BoolExpr {
@@ -164,77 +50,43 @@ std::vector<std::vector<SqlComparison>> ToDnf(const BoolExpr& e) {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(abdm::TokenCursor in) : in_(std::move(in)) {}
 
   Result<SqlStatement> Parse() {
     MLDS_ASSIGN_OR_RETURN(SqlStatement stmt, ParseStatement());
-    if (Peek().kind == Token::Kind::kSemi) Advance();
-    if (Peek().kind != Token::Kind::kEnd) {
-      return Status::ParseError("trailing input after SQL statement: '" +
-                                Peek().text + "'");
+    in_.Consume(";");
+    if (!in_.AtEnd()) {
+      return Status::ParseError("trailing input after SQL statement: " +
+                                in_.Peek().Describe());
     }
     return stmt;
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
-  }
-  const Token& Advance() { return tokens_[pos_++]; }
-
-  bool WordIs(std::string_view w, size_t ahead = 0) const {
-    return Peek(ahead).kind == Token::Kind::kWord &&
-           EqualsIgnoreCase(Peek(ahead).text, w);
-  }
-  bool Consume(std::string_view w) {
-    if (WordIs(w)) {
-      Advance();
-      return true;
-    }
-    return false;
-  }
-  Status ExpectWord(std::string_view w) {
-    if (!Consume(w)) {
-      return Status::ParseError("expected '" + std::string(w) + "', got '" +
-                                Peek().text + "'");
-    }
-    return Status::OK();
-  }
-  Result<std::string> ExpectName(std::string_view what) {
-    if (Peek().kind != Token::Kind::kWord) {
-      return Status::ParseError("expected " + std::string(what) + ", got '" +
-                                Peek().text + "'");
-    }
-    return Advance().text;
-  }
-  Status Expect(Token::Kind kind, std::string_view what) {
-    if (Peek().kind != kind) {
-      return Status::ParseError("expected " + std::string(what) + ", got '" +
-                                Peek().text + "'");
-    }
-    Advance();
-    return Status::OK();
-  }
-
   Result<ColumnRef> ParseColumnRef() {
-    MLDS_ASSIGN_OR_RETURN(std::string first, ExpectName("column"));
-    if (Peek().kind == Token::Kind::kDot) {
-      Advance();
-      MLDS_ASSIGN_OR_RETURN(std::string column, ExpectName("column"));
+    MLDS_ASSIGN_OR_RETURN(std::string first, in_.ExpectName("column"));
+    if (in_.Consume(".")) {
+      MLDS_ASSIGN_OR_RETURN(std::string column, in_.ExpectName("column"));
       return ColumnRef{std::move(first), std::move(column)};
     }
     return ColumnRef{"", std::move(first)};
   }
 
+  /// A literal or NULL, if one is next.
+  std::optional<abdm::Value> ConsumeValue() {
+    if (in_.Peek().IsLiteral()) return in_.Advance().value;
+    if (in_.ConsumeKeyword("NULL")) return abdm::Value::Null();
+    return std::nullopt;
+  }
+
   Result<SqlStatement> ParseStatement() {
     // EXPLAIN prefixes a statement with an access path: the statement
     // executes normally and its annotated plan rides along.
-    if (Consume("EXPLAIN")) {
-      if (WordIs("EXPLAIN")) {
+    if (in_.ConsumeKeyword("EXPLAIN")) {
+      if (in_.PeekKeyword("EXPLAIN")) {
         return Status::ParseError("EXPLAIN may appear only once");
       }
-      if (Consume("INSERT")) {
+      if (in_.ConsumeKeyword("INSERT")) {
         return Status::ParseError("EXPLAIN does not apply to INSERT");
       }
       MLDS_ASSIGN_OR_RETURN(SqlStatement stmt, ParseStatement());
@@ -246,74 +98,62 @@ class Parser {
       }, stmt);
       return stmt;
     }
-    if (Consume("SELECT")) return ParseSelect();
-    if (Consume("INSERT")) return ParseInsert();
-    if (Consume("UPDATE")) return ParseUpdate();
-    if (Consume("DELETE")) return ParseDelete();
-    return Status::ParseError("expected SELECT, INSERT, UPDATE, or DELETE");
+    if (in_.ConsumeKeyword("SELECT")) return ParseSelect();
+    if (in_.ConsumeKeyword("INSERT")) return ParseInsert();
+    if (in_.ConsumeKeyword("UPDATE")) return ParseUpdate();
+    if (in_.ConsumeKeyword("DELETE")) return ParseDelete();
+    return in_.Unexpected("SELECT, INSERT, UPDATE, or DELETE");
   }
 
   Result<SqlStatement> ParseSelect() {
     SelectStatement stmt;
-    while (true) {
+    do {
       SelectItem item;
-      if (Peek().kind == Token::Kind::kStar) {
-        Advance();
+      const std::string upper = in_.Peek().kind == abdm::TokenKind::kWord
+                                    ? ToUpper(in_.Peek().text)
+                                    : std::string();
+      if (in_.Consume("*")) {
         item.star = true;
-      } else {
-        const std::string upper = ToUpper(Peek().text);
-        if ((upper == "COUNT" || upper == "SUM" || upper == "AVG" ||
-             upper == "MIN" || upper == "MAX") &&
-            Peek(1).kind == Token::Kind::kLParen) {
-          Advance();
-          Advance();
-          item.aggregate = upper == "COUNT"  ? SqlAggregate::kCount
-                           : upper == "SUM" ? SqlAggregate::kSum
-                           : upper == "AVG" ? SqlAggregate::kAvg
-                           : upper == "MIN" ? SqlAggregate::kMin
-                                            : SqlAggregate::kMax;
-          if (Peek().kind == Token::Kind::kStar) {
-            Advance();
-            item.star = true;  // COUNT(*)
-          } else {
-            MLDS_ASSIGN_OR_RETURN(item.column, ParseColumnRef());
-          }
-          MLDS_RETURN_IF_ERROR(Expect(Token::Kind::kRParen, "')'"));
+      } else if ((upper == "COUNT" || upper == "SUM" || upper == "AVG" ||
+                  upper == "MIN" || upper == "MAX") &&
+                 in_.Peek(1).Is("(")) {
+        in_.Advance();
+        in_.Advance();
+        item.aggregate = upper == "COUNT"  ? SqlAggregate::kCount
+                         : upper == "SUM" ? SqlAggregate::kSum
+                         : upper == "AVG" ? SqlAggregate::kAvg
+                         : upper == "MIN" ? SqlAggregate::kMin
+                                          : SqlAggregate::kMax;
+        if (in_.Consume("*")) {
+          item.star = true;  // COUNT(*)
         } else {
           MLDS_ASSIGN_OR_RETURN(item.column, ParseColumnRef());
         }
+        MLDS_RETURN_IF_ERROR(in_.Expect(")"));
+      } else {
+        MLDS_ASSIGN_OR_RETURN(item.column, ParseColumnRef());
       }
       stmt.items.push_back(std::move(item));
-      if (Peek().kind == Token::Kind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(ExpectWord("FROM"));
-    while (true) {
-      MLDS_ASSIGN_OR_RETURN(std::string table, ExpectName("table"));
+    } while (in_.Consume(","));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("FROM"));
+    do {
+      MLDS_ASSIGN_OR_RETURN(std::string table, in_.ExpectName("table"));
       stmt.from.push_back(std::move(table));
-      if (Peek().kind == Token::Kind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
+    } while (in_.Consume(","));
     if (stmt.from.size() > 2) {
       return Status::Unimplemented(
           "SELECT supports at most two tables (the RETRIEVE-COMMON join)");
     }
-    if (Consume("WHERE")) {
+    if (in_.ConsumeKeyword("WHERE")) {
       MLDS_ASSIGN_OR_RETURN(stmt.where, ParseWhere());
     }
-    if (Consume("GROUP")) {
-      MLDS_RETURN_IF_ERROR(ExpectWord("BY"));
+    if (in_.ConsumeKeyword("GROUP")) {
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("BY"));
       MLDS_ASSIGN_OR_RETURN(ColumnRef ref, ParseColumnRef());
       stmt.group_by = ref.column;
     }
-    if (Consume("ORDER")) {
-      MLDS_RETURN_IF_ERROR(ExpectWord("BY"));
+    if (in_.ConsumeKeyword("ORDER")) {
+      MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("BY"));
       MLDS_ASSIGN_OR_RETURN(ColumnRef ref, ParseColumnRef());
       stmt.order_by = ref.column;
     }
@@ -329,11 +169,11 @@ class Parser {
 
   Result<BoolExpr> ParseOr() {
     MLDS_ASSIGN_OR_RETURN(BoolExpr left, ParseAnd());
-    if (!WordIs("OR")) return left;
+    if (!in_.PeekKeyword("OR")) return left;
     BoolExpr node;
     node.kind = BoolExpr::Kind::kOr;
     node.children.push_back(std::move(left));
-    while (Consume("OR")) {
+    while (in_.ConsumeKeyword("OR")) {
       MLDS_ASSIGN_OR_RETURN(BoolExpr next, ParseAnd());
       node.children.push_back(std::move(next));
     }
@@ -342,11 +182,11 @@ class Parser {
 
   Result<BoolExpr> ParseAnd() {
     MLDS_ASSIGN_OR_RETURN(BoolExpr left, ParsePrimary());
-    if (!WordIs("AND")) return left;
+    if (!in_.PeekKeyword("AND")) return left;
     BoolExpr node;
     node.kind = BoolExpr::Kind::kAnd;
     node.children.push_back(std::move(left));
-    while (Consume("AND")) {
+    while (in_.ConsumeKeyword("AND")) {
       MLDS_ASSIGN_OR_RETURN(BoolExpr next, ParsePrimary());
       node.children.push_back(std::move(next));
     }
@@ -354,50 +194,42 @@ class Parser {
   }
 
   Result<BoolExpr> ParsePrimary() {
-    if (Peek().kind == Token::Kind::kLParen) {
-      Advance();
+    if (in_.Consume("(")) {
       MLDS_ASSIGN_OR_RETURN(BoolExpr inner, ParseOr());
-      MLDS_RETURN_IF_ERROR(Expect(Token::Kind::kRParen, "')'"));
+      MLDS_RETURN_IF_ERROR(in_.Expect(")"));
       return inner;
     }
     BoolExpr leaf;
     leaf.kind = BoolExpr::Kind::kLeaf;
     MLDS_ASSIGN_OR_RETURN(leaf.leaf.left, ParseColumnRef());
-    if (Peek().kind != Token::Kind::kRelOp) {
-      return Status::ParseError("expected comparison operator after '" +
-                                leaf.leaf.left.ToString() + "'");
+    std::optional<abdm::RelOp> op = in_.ConsumeRelOp();
+    if (!op) {
+      return in_.Unexpected("comparison operator after '" +
+                            leaf.leaf.left.ToString() + "'");
     }
-    leaf.leaf.op = Advance().rel;
-    if (Peek().kind == Token::Kind::kLiteral) {
-      leaf.leaf.value = Advance().literal;
-    } else if (WordIs("NULL")) {
-      Advance();
-      leaf.leaf.value = abdm::Value::Null();
-    } else if (Peek().kind == Token::Kind::kWord) {
+    leaf.leaf.op = *op;
+    if (std::optional<abdm::Value> value = ConsumeValue()) {
+      leaf.leaf.value = std::move(*value);
+    } else if (in_.Peek().kind == abdm::TokenKind::kWord) {
       MLDS_ASSIGN_OR_RETURN(ColumnRef right, ParseColumnRef());
       leaf.leaf.right_column = std::move(right);
     } else {
-      return Status::ParseError("expected literal or column after operator");
+      return in_.Unexpected("literal or column after operator");
     }
     return leaf;
   }
 
   Result<SqlStatement> ParseInsert() {
-    MLDS_RETURN_IF_ERROR(ExpectWord("INTO"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("INTO"));
     InsertStatement stmt;
-    MLDS_ASSIGN_OR_RETURN(stmt.table, ExpectName("table"));
-    MLDS_RETURN_IF_ERROR(Expect(Token::Kind::kLParen, "'('"));
-    while (true) {
-      MLDS_ASSIGN_OR_RETURN(std::string column, ExpectName("column"));
+    MLDS_ASSIGN_OR_RETURN(stmt.table, in_.ExpectName("table"));
+    MLDS_RETURN_IF_ERROR(in_.Expect("("));
+    do {
+      MLDS_ASSIGN_OR_RETURN(std::string column, in_.ExpectName("column"));
       stmt.columns.push_back(std::move(column));
-      if (Peek().kind == Token::Kind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(Expect(Token::Kind::kRParen, "')'"));
-    MLDS_RETURN_IF_ERROR(ExpectWord("VALUES"));
+    } while (in_.Consume(","));
+    MLDS_RETURN_IF_ERROR(in_.Expect(")"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("VALUES"));
     // First VALUES row: literals, NULL, or `?` parameter markers.
     MLDS_ASSIGN_OR_RETURN(auto first,
                           ParseValuesRow(/*allow_params=*/true));
@@ -407,8 +239,7 @@ class Parser {
       return Status::ParseError("INSERT column/value count mismatch");
     }
     // Additional rows: a multi-row INSERT executes as one kernel batch.
-    while (Peek().kind == Token::Kind::kComma) {
-      Advance();
+    while (in_.Consume(",")) {
       MLDS_ASSIGN_OR_RETURN(auto row, ParseValuesRow(/*allow_params=*/false));
       if (row.first.size() != stmt.columns.size()) {
         return Status::ParseError("INSERT column/value count mismatch");
@@ -426,91 +257,65 @@ class Parser {
   /// only legal when `allow_params` is set (the first row of a template).
   Result<std::pair<std::vector<abdm::Value>, std::vector<uint8_t>>>
   ParseValuesRow(bool allow_params) {
-    MLDS_RETURN_IF_ERROR(Expect(Token::Kind::kLParen, "'('"));
+    MLDS_RETURN_IF_ERROR(in_.Expect("("));
     std::vector<abdm::Value> values;
     std::vector<uint8_t> mask;
-    while (true) {
-      if (Peek().kind == Token::Kind::kLiteral) {
-        values.push_back(Advance().literal);
+    do {
+      if (std::optional<abdm::Value> value = ConsumeValue()) {
+        values.push_back(std::move(*value));
         mask.push_back(0);
-      } else if (WordIs("NULL")) {
-        Advance();
-        values.push_back(abdm::Value::Null());
-        mask.push_back(0);
-      } else if (Peek().kind == Token::Kind::kParam) {
+      } else if (in_.Peek().Is("?")) {
         if (!allow_params) {
           return Status::ParseError(
               "parameter markers require a single VALUES row");
         }
-        Advance();
+        in_.Advance();
         values.push_back(abdm::Value::Null());
         mask.push_back(1);
       } else {
-        return Status::ParseError("expected literal in VALUES list");
+        return in_.Unexpected("literal in VALUES list");
       }
-      if (Peek().kind == Token::Kind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    MLDS_RETURN_IF_ERROR(Expect(Token::Kind::kRParen, "')'"));
+    } while (in_.Consume(","));
+    MLDS_RETURN_IF_ERROR(in_.Expect(")"));
     return std::make_pair(std::move(values), std::move(mask));
   }
 
   Result<SqlStatement> ParseUpdate() {
     UpdateStatement stmt;
-    MLDS_ASSIGN_OR_RETURN(stmt.table, ExpectName("table"));
-    MLDS_RETURN_IF_ERROR(ExpectWord("SET"));
-    while (true) {
-      MLDS_ASSIGN_OR_RETURN(std::string column, ExpectName("column"));
-      if (Peek().kind != Token::Kind::kRelOp ||
-          Peek().rel != abdm::RelOp::kEq) {
-        return Status::ParseError("expected '=' in SET clause");
-      }
-      Advance();
-      abdm::Value value;
-      if (Peek().kind == Token::Kind::kLiteral) {
-        value = Advance().literal;
-      } else if (WordIs("NULL")) {
-        Advance();
-        value = abdm::Value::Null();
-      } else {
-        return Status::ParseError("expected literal in SET clause");
-      }
-      stmt.assignments.emplace_back(std::move(column), std::move(value));
-      if (Peek().kind == Token::Kind::kComma) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    if (Consume("WHERE")) {
+    MLDS_ASSIGN_OR_RETURN(stmt.table, in_.ExpectName("table"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("SET"));
+    do {
+      MLDS_ASSIGN_OR_RETURN(std::string column, in_.ExpectName("column"));
+      MLDS_RETURN_IF_ERROR(in_.Expect("=", "in SET clause"));
+      std::optional<abdm::Value> value = ConsumeValue();
+      if (!value) return in_.Unexpected("literal in SET clause");
+      stmt.assignments.emplace_back(std::move(column), std::move(*value));
+    } while (in_.Consume(","));
+    if (in_.ConsumeKeyword("WHERE")) {
       MLDS_ASSIGN_OR_RETURN(stmt.where, ParseWhere());
     }
     return SqlStatement(std::move(stmt));
   }
 
   Result<SqlStatement> ParseDelete() {
-    MLDS_RETURN_IF_ERROR(ExpectWord("FROM"));
+    MLDS_RETURN_IF_ERROR(in_.ExpectKeyword("FROM"));
     DeleteStatement stmt;
-    MLDS_ASSIGN_OR_RETURN(stmt.table, ExpectName("table"));
-    if (Consume("WHERE")) {
+    MLDS_ASSIGN_OR_RETURN(stmt.table, in_.ExpectName("table"));
+    if (in_.ConsumeKeyword("WHERE")) {
       MLDS_ASSIGN_OR_RETURN(stmt.where, ParseWhere());
     }
     return SqlStatement(std::move(stmt));
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  abdm::TokenCursor in_;
 };
 
 }  // namespace
 
 Result<SqlStatement> ParseSql(std::string_view text) {
-  MLDS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens));
-  return parser.Parse();
+  MLDS_ASSIGN_OR_RETURN(abdm::TokenCursor in,
+                        abdm::TokenCursor::Open(text, kSql));
+  return Parser(std::move(in)).Parse();
 }
 
 }  // namespace mlds::sql

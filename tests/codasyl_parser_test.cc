@@ -154,6 +154,11 @@ TEST(CodasylParserTest, RejectsUnterminatedLiteral) {
 
 TEST(CodasylParserTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(ParseStatement("STORE course extra").ok());
+  // The message quotes the offending token as it was written.
+  auto literal = ParseStatement("GET title IN course 42");
+  ASSERT_FALSE(literal.ok());
+  EXPECT_EQ(literal.status().message(),
+            "trailing input after DML statement: '42'");
 }
 
 TEST(CodasylParserTest, ProgramSplitsStatementsAndSkipsComments) {

@@ -95,6 +95,22 @@ TEST_F(DaplexMachineTest, ForEachWithScalarCondition) {
   }
 }
 
+// The translation cache keys a statement by its tokens, so two
+// double-quoted literals that differ only in inner whitespace never share
+// an entry: the first statement's empty answer must not be replayed for
+// the second.
+TEST_F(DaplexMachineTest, CacheKeepsWhitespaceInsideDoubleQuotedLiterals) {
+  EXPECT_TRUE(Must("FOR EACH student SUCH THAT major = \"Computer  Science\" "
+                   "PRINT major")
+                  .empty());
+  auto rows = Must(
+      "FOR EACH student SUCH THAT major = \"Computer Science\" PRINT major");
+  ASSERT_FALSE(rows.empty());
+  for (const auto& r : rows) {
+    EXPECT_EQ(r.GetOrNull("major").AsString(), "Computer Science");
+  }
+}
+
 TEST_F(DaplexMachineTest, ForEachAllOfType) {
   auto rows = Must("FOR EACH department PRINT dname");
   EXPECT_EQ(rows.size(), 4u);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -221,6 +223,8 @@ TEST(MldsSystemTest, OpenBindsAllFiveLanguagesThroughOneInterface) {
     Language language;
     const char* database;
     const char* statement;
+    /// Text the rendered answer must contain, if any.
+    const char* shows = nullptr;
   };
   const Case cases[] = {
       {Language::kCodasyl, "university", "MOVE 'x' TO title IN course"},
@@ -228,13 +232,46 @@ TEST(MldsSystemTest, OpenBindsAllFiveLanguagesThroughOneInterface) {
       {Language::kSql, "payroll", "INSERT INTO r_tab (x) VALUES ('a')"},
       {Language::kDli, "clinic", "ISRT h_seg (x = 'a')"},
       {Language::kAbdl, "", "RETRIEVE ((FILE = r_tab)) (x)"},
+      // A quote inside a literal is written doubled in every language,
+      // the way KFS and ABDL print it: SQL stores O'Brien, SQL and ABDL
+      // read it back, and the other three languages store and read it
+      // back in their own databases.
+      {Language::kSql, "payroll", "INSERT INTO r_tab (x) VALUES ('O''Brien')"},
+      {Language::kSql, "payroll", "SELECT x FROM r_tab WHERE x = 'O''Brien'",
+       "O'Brien"},
+      {Language::kAbdl, "",
+       "RETRIEVE ((FILE = r_tab) and (x = 'O''Brien')) (x)", "O'Brien"},
+      {Language::kDaplex, "university",
+       "CREATE course (title = 'O''Brien', semester = 'Fall88', credits = 3)"},
+      {Language::kDaplex, "university",
+       "FOR EACH course SUCH THAT title = 'O''Brien' PRINT title", "O'Brien"},
+      {Language::kCodasyl, "university", "MOVE 'O''Brien' TO title IN course"},
+      {Language::kCodasyl, "university",
+       "FIND ANY course USING title IN course"},
+      {Language::kCodasyl, "university", "GET title IN course", "O'Brien"},
+      {Language::kDli, "clinic", "ISRT h_seg (x = \"O'Brien\")"},
+      {Language::kDli, "clinic", "GU h_seg (x = 'O''Brien')", "O'Brien"},
   };
+  // One session per (language, database), so CODASYL currency carries
+  // from one row to the next.
+  std::map<std::pair<Language, std::string>, std::unique_ptr<LanguageInterface>>
+      sessions;
   for (const Case& c : cases) {
-    auto session = mlds.Open(c.language, c.database);
-    ASSERT_TRUE(session.ok()) << LanguageName(c.language);
-    auto rendered = (*session)->Execute(c.statement, /*explain=*/false);
+    std::unique_ptr<LanguageInterface>& session =
+        sessions[{c.language, c.database}];
+    if (session == nullptr) {
+      auto opened = mlds.Open(c.language, c.database);
+      ASSERT_TRUE(opened.ok()) << LanguageName(c.language);
+      session = std::move(*opened);
+    }
+    auto rendered = session->Execute(c.statement, /*explain=*/false);
     ASSERT_TRUE(rendered.ok())
         << LanguageName(c.language) << ": " << rendered.status();
+    if (c.shows != nullptr) {
+      const std::string body = rendered->TakeBody();
+      EXPECT_NE(body.find(c.shows), std::string::npos)
+          << c.statement << " rendered:\n" << body;
+    }
   }
 
   // EXPLAIN: SQL adds the prefix itself; Daplex has no explain form.

@@ -88,10 +88,21 @@ TEST_P(ParserFuzzTest, AllParsersSurviveGarbage) {
       "RECORD NAME IS r; ITEM x TYPE IS INTEGER;",
       "CREATE TABLE t (a INTEGER, b CHAR(4));",
       "SEGMENT s; FIELD f CHAR(4);",
+      // Lexical edges of the one lexer every parser shares.
+      "MOVE \"unterminated TO title IN course",
+      "FIND ANY course USING title IN 'unterminated",
+      "SELECT title FROM course WHERE title = ''",
+      "GET title IN course --",
+      "TYPE r IS INTEGER RANGE 1..2;",
+      "SELECT title FROM course WHERE credits = 1e",
+      "RETRIEVE ((credits = -",
+      "GU patient (pname <> 'Smith')",
+      "REPL , (cost = 1)",
   };
   for (int trial = 0; trial < 60; ++trial) {
     constexpr size_t kSamples = std::size(valid_samples);
     std::string candidates[] = {
+        valid_samples[trial % kSamples],
         inputs.Garbage(5 + trial % 60),
         inputs.Spliced(valid_samples[trial % kSamples]),
         inputs.Truncated(valid_samples[trial % kSamples]),

@@ -28,6 +28,16 @@ TEST(NormalizeSourceTest, CollapsesWhitespaceOutsideLiterals) {
   EXPECT_EQ(NormalizeSource("a = 'two  spaces'"), "a = 'two  spaces'");
   EXPECT_EQ(NormalizeSource("'a  b'  'c  d'"), "'a  b' 'c  d'");
   EXPECT_EQ(NormalizeSource(""), "");
+  // The key is the lexed token spellings. Both quote kinds keep their
+  // inner whitespace.
+  EXPECT_NE(NormalizeSource("a = \"A  B\""), NormalizeSource("a = \"A B\""));
+  // A comment runs to the end of its line and no further.
+  EXPECT_NE(NormalizeSource("t -- c\nWHERE x = 1"),
+            NormalizeSource("t -- c WHERE x = 1"));
+  EXPECT_EQ(NormalizeSource("t -- c\nWHERE x = 1"), "t WHERE x = 1");
+  // Tokens, not characters: spacing around punctuation does not matter.
+  EXPECT_EQ(NormalizeSource("a=1"), NormalizeSource("a = 1"));
+  EXPECT_EQ(NormalizeSource("x<>'O''Brien'"), "x <> 'O''Brien'");
 }
 
 TEST(TranslationCacheTest, SecondLookupHits) {
@@ -216,6 +226,24 @@ TEST(TranslationCacheIntegrationTest, DaplexStatementsOverSessionHitCache) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(second->body, first->body);
   EXPECT_EQ(system.translation_cache().stats().hits, hits_before + 1);
+}
+
+// A CODASYL program's newlines separate statements, so it must not share
+// a key with the same words on one line: that text is one malformed
+// statement and fails to parse.
+TEST(TranslationCacheIntegrationTest, ProgramLinesAreKeyedOneByOne) {
+  MldsSystem system;
+  ASSERT_TRUE(server::LoadDemoDatabases(&system).ok());
+  auto session = system.OpenCodasylSession("university");
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto program = (*session)->RunProgram(
+      "MOVE 'x' TO title IN course\nMOVE 'y' TO title IN course");
+  ASSERT_TRUE(program.ok()) << program.status();
+  EXPECT_EQ(program->size(), 2u);
+  EXPECT_FALSE((*session)
+                   ->RunProgram(
+                       "MOVE 'x' TO title IN course MOVE 'y' TO title IN course")
+                   .ok());
 }
 
 }  // namespace

@@ -25,7 +25,8 @@ cmake --build build -j "${JOBS}"
 
 # Example smoke: README's quickstart must exit 0 and print its DML ->
 # ABDL translation trace; then one statement per language interface plus
-# an EXPLAIN, piped through the in-process shell. Any "error:" line fails.
+# an EXPLAIN and quoted literals with doubled quotes, piped through the
+# in-process shell. Any "error:" line fails.
 echo "== local shell smoke =="
 QUICKSTART_OUT="$(build/examples/quickstart)" \
   || { echo "quickstart exited non-zero"; exit 1; }
@@ -39,6 +40,9 @@ LOCAL_SHELL_OUT="$(printf '%s\n' \
   "INSERT INTO staff (name, wage) VALUES ('alice', 900)" \
   "EXPLAIN SELECT name, wage FROM staff" \
   "ISRT patient (pname = 'smith')" \
+  "INSERT INTO staff (name, wage) VALUES ('o''neil', 901)" \
+  "SELECT name FROM staff WHERE name = 'o''neil'" \
+  "FOR EACH course SUCH THAT title = 'Bob''s' PRINT title" \
   ".quit" \
   | build/examples/local_shell)"
 echo "${LOCAL_SHELL_OUT}"
@@ -46,6 +50,9 @@ if grep -q "error:" <<< "${LOCAL_SHELL_OUT}"; then
   echo "local shell smoke: a statement failed"
   exit 1
 fi
+# A doubled quote is an escaped quote in every language's literals.
+grep -q "o'neil" <<< "${LOCAL_SHELL_OUT}" \
+  || { echo "local shell smoke: SELECT did not read back o'neil"; exit 1; }
 echo "local shell smoke passed"
 
 if [[ "${MLDS_SKIP_BENCH:-0}" == "1" ]]; then
