@@ -1,11 +1,11 @@
-// E-server — the event-loop wire server: pipelining and the cost of the
-// wire.
+// E-server — the run-to-completion wire server: pipelining and the cost
+// of the wire.
 //
-// The server multiplexes every connection onto one epoll loop and a
-// small worker pool; clients tag requests with request_ids and pipeline
-// many of them per socket, so "64 clients" is 64 logical sessions over a
-// handful of connections driven by one thread. The bench prices that
-// design:
+// The server's threads share one epoll set; the thread that reads a
+// request executes it and writes the reply. Clients tag requests with
+// request_ids and pipeline many of them per socket, so "64 clients" is
+// 64 logical sessions over a handful of connections driven by one
+// thread. The bench prices that design:
 //
 //  - throughput_vs_clients (sync): one request in flight per session,
 //    sessions spread over pooled connections — the pre-pipelining
@@ -13,6 +13,9 @@
 //  - throughput_vs_clients (pipelined): depth-8 pipelining per session;
 //    submits and responses batch on the sockets, so throughput scales
 //    past the sync plateau even on one core.
+//  - pipelined_vs_sync_one_client: one client's depth-8 req/s over its
+//    sync req/s, the medians of alternating runs — a lone pipelining
+//    client must not be slower than a synchronous one.
 //  - wire_overhead: the same statement through an in-process session vs
 //    over the loopback wire — the frame + socket tax per request.
 //  - admission_control: 2x the session cap connecting at once; the
@@ -146,6 +149,24 @@ ThroughputPoint MeasureThroughput(int clients, int requests_per_client,
   return out;
 }
 
+/// One client, depth 8 over sync: the ratio of the median req/s of
+/// `pairs` alternating runs each. A single 200-request row swings by a
+/// third run to run; the median of alternating pairs is steady enough
+/// to gate.
+double MeasureOneClientPipelining(int pairs, int requests) {
+  std::vector<double> sync, pipelined;
+  for (int i = 0; i < pairs; ++i) {
+    sync.push_back(MeasureThroughput(1, requests, 1).requests_per_sec);
+    pipelined.push_back(MeasureThroughput(1, requests, 8).requests_per_sec);
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double sync_rps = median(sync);
+  return sync_rps > 0.0 ? median(pipelined) / sync_rps : 0.0;
+}
+
 /// The same statement through an in-process session: no frames, no
 /// sockets, same formatters — the baseline the wire tax is measured
 /// against.
@@ -258,7 +279,9 @@ void WriteServerJson(const char* path) {
       .Set("pipelined_best_rps", pipelined_best_rps)
       .Set("scales_past_one_client", sync_best_rps > sync_one_client_rps)
       .Set("pipelining_beats_sync_plateau",
-           pipelined_best_rps > sync_best_rps);
+           pipelined_best_rps > sync_best_rps)
+      .Set("pipelined_vs_sync_one_client",
+           MeasureOneClientPipelining(/*pairs=*/5, /*requests=*/1000));
 
   constexpr int kOverheadRequests = 500;
   const double in_process_ms = MeasureInProcessMs(kOverheadRequests);

@@ -119,7 +119,7 @@ class MldsClient {
   /// Kernel health as the serialized wire text.
   Result<std::string> HealthText();
 
-  /// Admin: translation-cache, server, and event-loop counters.
+  /// Admin: translation-cache, server, and wire-path counters.
   Result<wire::StatsReply> Stats();
 
   /// Admin: on-demand storage scrub — walks every on-disk page through

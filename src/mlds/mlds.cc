@@ -206,6 +206,14 @@ std::vector<std::string> MldsSystem::DatabaseNames() const {
   return names;
 }
 
+void MldsSystem::set_latency_scale(double scale) {
+  if (controller_ != nullptr) {
+    controller_->set_latency_scale(scale);
+  } else {
+    engine_->set_latency_scale(scale);
+  }
+}
+
 std::string MldsSystem::HealthReport() const {
   return kfs::FormatHealth(executor_->Health());
 }

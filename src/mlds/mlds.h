@@ -139,6 +139,10 @@ class MldsSystem {
   /// The MBDS controller when `backends` > 0, else nullptr.
   mbds::Controller* controller() { return controller_.get(); }
 
+  /// Disk-latency emulation for the whole kernel: the engine's
+  /// kds::Engine::set_latency_scale, or every backend's under MBDS.
+  void set_latency_scale(double scale);
+
  private:
   struct FunctionalDb {
     const std::string& name() const { return schema.name(); }

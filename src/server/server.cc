@@ -4,6 +4,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -21,10 +22,6 @@ namespace {
 /// tag can collide with these.
 constexpr uint64_t kListenTag = ~uint64_t{0};
 constexpr uint64_t kEventTag = ~uint64_t{0} - 1;
-
-uint64_t ConnectionTag(uint32_t generation, int fd) {
-  return (uint64_t{generation} << 32) | static_cast<uint32_t>(fd);
-}
 
 void UpdateMax(std::atomic<uint64_t>& maximum, uint64_t value) {
   uint64_t current = maximum.load(std::memory_order_relaxed);
@@ -48,9 +45,7 @@ std::string ErrorPayload(const Status& status) {
 }  // namespace
 
 MldsServer::MldsServer(MldsSystem* system, ServerOptions options)
-    : system_(system),
-      options_(std::move(options)),
-      pool_(options_.worker_threads) {}
+    : system_(system), options_(std::move(options)) {}
 
 MldsServer::~MldsServer() { Shutdown(); }
 
@@ -68,7 +63,7 @@ Status MldsServer::Start() {
     return Status::Unavailable(std::string("epoll_create1: ") +
                                std::strerror(errno));
   }
-  event_fd_ = ::eventfd(0, EFD_NONBLOCK);
+  event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_SEMAPHORE);
   if (event_fd_ < 0) {
     return Status::Unavailable(std::string("eventfd: ") +
                                std::strerror(errno));
@@ -81,88 +76,56 @@ Status MldsServer::Start() {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
 
   started_.store(true);
-  loop_thread_ = std::thread([this] { LoopMain(); });
+  const int threads = std::max(1, options_.worker_threads);
+  for (int i = 0; i < threads; ++i) {
+    threads_.emplace_back([this] { ServeMain(); });
+  }
   return Status::OK();
 }
 
-void MldsServer::Post(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(posts_mutex_);
-    posts_.push_back(std::move(fn));
+void MldsServer::ServeMain() {
+  epoll_event event{};
+  while (!stopping_.load() || !DrainForShutdown()) {
+    // One event per wait: a thread about to execute a request holds no
+    // other connection's readiness, so a long statement delays no one
+    // else while another thread is parked.
+    const int n = ::epoll_wait(epoll_fd_, &event, 1, 50);
+    if (n < 0 && errno != EINTR) break;
+    if (n <= 0) continue;
+    const uint64_t tag = event.data.u64;
+    if (tag == kListenTag) {
+      HandleAccept();
+    } else if (tag == kEventTag) {
+      RunHandedOff();
+    } else if (ConnectionPtr conn = FindConnection(tag)) {
+      HandleEvent(conn, event.events);
+    }
   }
-  const uint64_t one = 1;
-  (void)!::write(event_fd_, &one, sizeof(one));
 }
 
-void MldsServer::DrainPosts() {
-  std::vector<std::function<void()>> batch;
+bool MldsServer::DrainForShutdown() {
+  std::vector<ConnectionPtr> live;
   {
-    std::lock_guard<std::mutex> lock(posts_mutex_);
-    batch.swap(posts_);
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    if (connections_.empty()) {
+      std::lock_guard<std::mutex> handoff_lock(handoff_mutex_);
+      return handoffs_.empty();
+    }
+    for (auto& entry : connections_) live.push_back(entry.second);
   }
-  for (std::function<void()>& fn : batch) fn();
+  for (const ConnectionPtr& conn : live) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (!conn->closed && !conn->draining) {
+      conn->draining = true;
+      MaybeFinishDrain(conn);
+    }
+  }
+  return false;
 }
 
-void MldsServer::LoopMain() {
-  std::vector<epoll_event> events(64);
-  while (true) {
-    if (stopping_.load()) {
-      // Begin a graceful drain of every connection once, then exit when
-      // nothing is live: no connections, no executing workers, and no
-      // completion waiting to run.
-      std::vector<ConnectionPtr> live;
-      live.reserve(connections_.size());
-      for (auto& entry : connections_) live.push_back(entry.second);
-      for (const ConnectionPtr& conn : live) {
-        if (!conn->closed && !conn->draining) {
-          conn->draining = true;
-          MaybeFinishDrain(conn);
-        }
-      }
-      bool posts_pending;
-      {
-        std::lock_guard<std::mutex> lock(posts_mutex_);
-        posts_pending = !posts_.empty();
-      }
-      if (connections_.empty() && active_workers_.load() == 0 &&
-          !posts_pending) {
-        break;
-      }
-    }
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), 50);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      const uint64_t tag = events[i].data.u64;
-      if (tag == kListenTag) {
-        HandleAccept();
-        continue;
-      }
-      if (tag == kEventTag) {
-        uint64_t value = 0;
-        (void)!::read(event_fd_, &value, sizeof(value));
-        DrainPosts();
-        continue;
-      }
-      const int fd = static_cast<int>(tag & 0xFFFFFFFFu);
-      const uint32_t generation = static_cast<uint32_t>(tag >> 32);
-      auto it = connections_.find(fd);
-      if (it == connections_.end() || it->second->generation != generation) {
-        continue;  // closed (or fd reused) earlier in this batch
-      }
-      ConnectionPtr conn = it->second;
-      const uint32_t flags = events[i].events;
-      if (flags & (EPOLLHUP | EPOLLERR)) {
-        CloseConnection(conn);
-        continue;
-      }
-      if ((flags & EPOLLIN) && !conn->closed) HandleReadable(conn);
-      if ((flags & EPOLLOUT) && !conn->closed) ServiceWrites(conn);
-    }
-  }
+void MldsServer::WakeAll() {
+  const uint64_t count = std::max(1, options_.worker_threads);
+  (void)!::write(event_fd_, &count, sizeof(count));
 }
 
 void MldsServer::HandleAccept() {
@@ -197,16 +160,46 @@ void MldsServer::HandleAccept() {
     }
     auto conn = std::make_shared<Connection>(options_.max_payload_bytes);
     conn->fd = fd;
-    conn->generation = next_generation_++;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = ConnectionTag(conn->generation, fd);
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      common::CloseSocket(fd);
-      continue;
+    conn->tag = (uint64_t{next_generation_.fetch_add(1)} << 32) |
+                static_cast<uint32_t>(fd);
+    {
+      // Registered before the fd is armed, so its first event finds it.
+      std::lock_guard<std::mutex> lock(connections_mutex_);
+      connections_.emplace(conn->tag, conn);
     }
-    connections_.emplace(fd, std::move(conn));
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.u64 = conn->tag;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      CloseConnection(conn);
+    }
   }
+}
+
+MldsServer::ConnectionPtr MldsServer::FindConnection(uint64_t tag) {
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  auto it = connections_.find(tag);
+  return it == connections_.end() ? nullptr : it->second;
+}
+
+void MldsServer::HandleEvent(const ConnectionPtr& conn, uint32_t events) {
+  std::vector<Job> jobs;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->closed) return;
+    if (events & (EPOLLHUP | EPOLLERR)) {
+      CloseConnection(conn);
+      return;
+    }
+    if (events & EPOLLIN) HandleReadable(conn);
+    ServiceWrites(conn);
+    TakeRunnable(conn, &jobs);
+    // Re-arm the one-shot registration before executing anything, so
+    // another thread serves this connection's next bytes meanwhile.
+    UpdateInterest(conn.get());
+  }
+  RunJobs(std::move(jobs));
 }
 
 void MldsServer::HandleReadable(const ConnectionPtr& conn) {
@@ -225,7 +218,6 @@ void MldsServer::HandleReadable(const ConnectionPtr& conn) {
         // Expected EOF after BYE/shutdown: stop polling for reads and
         // let the remaining responses flush.
         c->read_open = false;
-        UpdateInterest(c);
         if (c->finishing && c->outbox.empty()) CloseConnection(conn);
       } else {
         // Peer vanished (possibly mid-stream): free its sessions
@@ -244,6 +236,9 @@ void MldsServer::HandleReadable(const ConnectionPtr& conn) {
       }
       HandleIncomingFrame(conn, std::move(decoded.frame));
     }
+    // A short read drained the socket; the re-armed registration reports
+    // later bytes, so no read is spent on EAGAIN.
+    if (received->bytes < sizeof(buffer)) return;
   }
 }
 
@@ -270,7 +265,6 @@ void MldsServer::HandleDecodeError(const ConnectionPtr& conn) {
   }
   c->read_open = false;
   c->finishing = true;
-  UpdateInterest(c);
   ServiceWrites(conn);
 }
 
@@ -284,13 +278,18 @@ MldsServer::LanePtr MldsServer::ResolveLane(Connection* conn,
 }
 
 MldsServer::LanePtr MldsServer::TryOpenLane(Connection* conn) {
-  const uint32_t active = sessions_active_.load();
-  if (active >= static_cast<uint32_t>(options_.max_sessions)) return nullptr;
-  const uint32_t id = next_session_id_++;
+  // Reserve the slot first: threads serving other connections open
+  // sessions concurrently, and the cap must hold across all of them.
+  uint32_t active = sessions_active_.load();
+  do {
+    if (active >= static_cast<uint32_t>(options_.max_sessions)) {
+      return nullptr;
+    }
+  } while (!sessions_active_.compare_exchange_weak(active, active + 1));
+  const uint32_t id = next_session_id_.fetch_add(1);
   auto lane = std::make_shared<Lane>(id, system_);
   conn->lanes.emplace(id, lane);
   sessions_accepted_.fetch_add(1);
-  sessions_active_.fetch_add(1);
   return lane;
 }
 
@@ -318,9 +317,11 @@ void MldsServer::HandleIncomingFrame(const ConnectionPtr& conn,
   }
 
   switch (type) {
-    case wire::FrameType::kHello: {
+    case wire::FrameType::kHello:
+    case wire::FrameType::kOpenSession: {
       requests_served_.fetch_add(1);
-      if (c->greeted) {
+      const bool hello = type == wire::FrameType::kHello;
+      if (hello && c->greeted) {
         AppendFrame(c, wire::FrameType::kError, frame.session_id,
                     frame.request_id,
                     ErrorPayload(Status::InvalidArgument(
@@ -334,27 +335,13 @@ void MldsServer::HandleIncomingFrame(const ConnectionPtr& conn,
                     wire::EncodeBusyReply(wire::BusyReply{
                         "session", sessions_active_.load(),
                         static_cast<uint32_t>(options_.max_sessions)}));
-        c->finishing = true;
+        if (hello) c->finishing = true;  // a refused HELLO ends it
         break;
       }
-      c->greeted = true;
+      if (hello) c->greeted = true;
       AppendFrame(c, wire::FrameType::kOk, lane->session.id(),
-                  frame.request_id, OkPayload("mlds server ready"));
-      break;
-    }
-    case wire::FrameType::kOpenSession: {
-      requests_served_.fetch_add(1);
-      LanePtr lane = TryOpenLane(c);
-      if (lane == nullptr) {
-        sessions_rejected_.fetch_add(1);
-        AppendFrame(c, wire::FrameType::kBusy, 0, frame.request_id,
-                    wire::EncodeBusyReply(wire::BusyReply{
-                        "session", sessions_active_.load(),
-                        static_cast<uint32_t>(options_.max_sessions)}));
-        break;
-      }
-      AppendFrame(c, wire::FrameType::kOk, lane->session.id(),
-                  frame.request_id, OkPayload("session opened"));
+                  frame.request_id,
+                  OkPayload(hello ? "mlds server ready" : "session opened"));
       break;
     }
     case wire::FrameType::kBye: {
@@ -378,7 +365,7 @@ void MldsServer::HandleIncomingFrame(const ConnectionPtr& conn,
                     frame.request_id, OkPayload("draining"));
         break;
       }
-      EnqueueOnLane(conn, lane, std::move(frame));
+      EnqueueOnLane(lane.get(), std::move(frame));
       break;
     }
     default: {
@@ -409,148 +396,148 @@ void MldsServer::HandleIncomingFrame(const ConnectionPtr& conn,
                         static_cast<uint32_t>(options_.max_queue_depth)}));
         break;
       }
-      EnqueueOnLane(conn, lane, std::move(frame));
+      EnqueueOnLane(lane.get(), std::move(frame));
       break;
     }
   }
   ServiceWrites(conn);
 }
 
-void MldsServer::EnqueueOnLane(const ConnectionPtr& conn, const LanePtr& lane,
-                               common::Frame frame) {
+void MldsServer::EnqueueOnLane(Lane* lane, common::Frame frame) {
   lane->queue.push_back(std::move(frame));
   UpdateMax(inflight_highwater_,
             lane->queue.size() +
                 ((lane->running || lane->streaming) ? 1 : 0));
-  if (!lane->running && !lane->streaming) DispatchNext(conn, lane);
 }
 
-void MldsServer::DispatchNext(const ConnectionPtr& conn, const LanePtr& lane) {
-  common::Frame frame = std::move(lane->queue.front());
-  lane->queue.pop_front();
-  lane->running = true;
-  active_workers_.fetch_add(1);
-  pool_.Submit([this, conn, lane, frame = std::move(frame)] {
-    auto reply = std::make_shared<PendingReply>(
-        ExecuteOnWorker(lane.get(), frame));
-    Post([this, conn, lane, type = frame.type, reply] {
-      OnRequestDone(conn, lane, type, std::move(*reply));
-    });
-  });
+void MldsServer::TakeRunnable(const ConnectionPtr& conn,
+                              std::vector<Job>* jobs, const Lane* first) {
+  for (auto& entry : conn->lanes) {
+    Lane* lane = entry.second.get();
+    if (lane->running || lane->streaming || lane->queue.empty()) continue;
+    lane->running = true;
+    jobs->push_back(Job{conn, entry.second, std::move(lane->queue.front())});
+    lane->queue.pop_front();
+    if (lane == first) std::swap(jobs->front(), jobs->back());
+  }
 }
 
-MldsServer::PendingReply MldsServer::ExecuteOnWorker(
-    Lane* lane, const common::Frame& frame) {
-  PendingReply reply;
-  reply.session_id = lane->session.id();
-  reply.request_id = frame.request_id;
-
-  auto error_reply = [&](const Status& status) {
-    reply.type = static_cast<uint8_t>(wire::FrameType::kError);
-    reply.payload = ErrorPayload(status);
-  };
-  auto ok_reply = [&](std::string message) {
-    reply.type = static_cast<uint8_t>(wire::FrameType::kOk);
-    reply.payload = OkPayload(std::move(message));
-  };
-
-  requests_served_.fetch_add(1);
-  switch (static_cast<wire::FrameType>(frame.type)) {
-    case wire::FrameType::kUse: {
-      Result<wire::UseRequest> request = wire::DecodeUseRequest(frame.payload);
-      if (!request.ok()) {
-        error_reply(request.status());
-        break;
-      }
-      const Status status = lane->session.Use(*request);
-      if (!status.ok()) {
-        error_reply(status);
-        break;
-      }
-      ok_reply("using " +
-               std::string(LanguageName(lane->session.language())) +
-               " over '" + request->database + "'");
-      break;
-    }
-    case wire::FrameType::kExecute:
-    case wire::FrameType::kExplain: {
-      const bool explain =
-          frame.type == static_cast<uint8_t>(wire::FrameType::kExplain);
-      Result<ExecuteOutcome> outcome = lane->session.ExecuteStreamed(
-          frame.payload, explain, options_.stream_threshold);
-      if (!outcome.ok()) {
-        error_reply(outcome.status());
-        break;
-      }
-      reply.type = static_cast<uint8_t>(wire::FrameType::kResult);
-      reply.payload = wire::EncodeExecuteResult(outcome->meta);
-      reply.stream = std::move(outcome->stream);
-      break;
-    }
-    case wire::FrameType::kBatch: {
-      Result<wire::BatchRequest> request =
-          wire::DecodeBatchRequest(frame.payload);
-      if (!request.ok()) {
-        error_reply(request.status());
-        break;
-      }
-      Result<wire::ExecuteResult> result = lane->session.ExecuteBatch(*request);
-      if (!result.ok()) {
-        error_reply(result.status());
-        break;
-      }
-      reply.type = static_cast<uint8_t>(wire::FrameType::kResult);
-      reply.payload = wire::EncodeExecuteResult(*result);
-      break;
-    }
-    case wire::FrameType::kHealth: {
-      reply.type = static_cast<uint8_t>(wire::FrameType::kHealthReport);
-      reply.payload = kfs::SerializeHealth(lane->session.Health());
-      break;
-    }
-    case wire::FrameType::kStats: {
-      reply.type = static_cast<uint8_t>(wire::FrameType::kStatsReport);
-      reply.payload = wire::EncodeStatsReply(stats());
-      break;
-    }
-    case wire::FrameType::kVerify: {
-      // Admin scrub: walk every on-disk page through the checksum
-      // verify. Runs on this worker like any request; file locks are
-      // held shared, so concurrent retrievals proceed.
-      reply.type = static_cast<uint8_t>(wire::FrameType::kVerifyReport);
-      reply.payload = system_->executor()->VerifyIntegrity().ToText();
-      break;
-    }
-    case wire::FrameType::kCloseSession: {
-      ok_reply("session closed");
-      break;
-    }
-    case wire::FrameType::kShutdown: {
-      NoteShutdownFromWire();
-      ok_reply("draining");
-      break;
-    }
-    default: {
-      error_reply(Status::InvalidArgument("unknown request type " +
-                                          std::to_string(frame.type)));
-      break;
+void MldsServer::RunJobs(std::vector<Job> jobs) {
+  while (!jobs.empty()) {
+    // Other sessions' lanes go to parked threads to run concurrently.
+    for (size_t i = 1; i < jobs.size(); ++i) HandOff(std::move(jobs[i]));
+    const Job job = std::move(jobs.front());
+    jobs.clear();
+    Reply reply = Execute(job.lane.get(), job.frame);
+    std::lock_guard<std::mutex> lock(job.conn->mu);
+    Deliver(job, std::move(reply));
+    // This thread drains the lane and flushes once per drained batch (or
+    // at the high-water mark): a synchronous client's reply goes out now,
+    // written by the thread that read the request.
+    TakeRunnable(job.conn, &jobs, job.lane.get());
+    if (!job.lane->running ||
+        job.conn->outbox.size() >= options_.write_high_water) {
+      ServiceWrites(job.conn);
+      TakeRunnable(job.conn, &jobs);  // a finished stream frees its lane
     }
   }
-  return reply;
 }
 
-void MldsServer::OnRequestDone(const ConnectionPtr& conn, const LanePtr& lane,
-                               uint8_t request_type, PendingReply reply) {
-  active_workers_.fetch_sub(1);
-  lane->running = false;
-  Connection* c = conn.get();
-  const bool close_lane =
-      request_type == static_cast<uint8_t>(wire::FrameType::kCloseSession);
+void MldsServer::HandOff(Job job) {
+  {
+    std::lock_guard<std::mutex> lock(handoff_mutex_);
+    handoffs_.push_back(std::move(job));
+  }
+  const uint64_t one = 1;
+  (void)!::write(event_fd_, &one, sizeof(one));
+}
 
+void MldsServer::RunHandedOff() {
+  // Semaphore read: each hand-off's count wakes and feeds one thread;
+  // a lost race (EAGAIN) or a shutdown wake finds nothing to take.
+  uint64_t count = 0;
+  if (::read(event_fd_, &count, sizeof(count)) != sizeof(count)) return;
+  std::vector<Job> jobs;
+  {
+    std::lock_guard<std::mutex> lock(handoff_mutex_);
+    if (handoffs_.empty()) return;
+    jobs.push_back(std::move(handoffs_.front()));
+    handoffs_.pop_front();
+  }
+  RunJobs(std::move(jobs));
+}
+
+MldsServer::Reply MldsServer::Execute(Lane* lane, const common::Frame& frame) {
+  using wire::FrameType;
+  auto reply = [](FrameType type, std::string payload) {
+    return Reply{type, std::move(payload), nullptr};
+  };
+  auto failed = [&](const Status& status) {
+    return reply(FrameType::kError, ErrorPayload(status));
+  };
+  requests_served_.fetch_add(1);
+  switch (static_cast<FrameType>(frame.type)) {
+    case FrameType::kUse: {
+      Result<wire::UseRequest> request = wire::DecodeUseRequest(frame.payload);
+      if (!request.ok()) return failed(request.status());
+      const Status status = lane->session.Use(*request);
+      if (!status.ok()) return failed(status);
+      return reply(FrameType::kOk,
+                   OkPayload("using " + std::string(LanguageName(
+                                            lane->session.language())) +
+                             " over '" + request->database + "'"));
+    }
+    case FrameType::kExecute:
+    case FrameType::kExplain: {
+      const bool explain =
+          frame.type == static_cast<uint8_t>(FrameType::kExplain);
+      Result<ExecuteOutcome> outcome = lane->session.ExecuteStreamed(
+          frame.payload, explain, options_.stream_threshold);
+      if (!outcome.ok()) return failed(outcome.status());
+      Reply result =
+          reply(FrameType::kResult, wire::EncodeExecuteResult(outcome->meta));
+      result.stream = std::move(outcome->stream);
+      return result;
+    }
+    case FrameType::kBatch: {
+      Result<wire::BatchRequest> request =
+          wire::DecodeBatchRequest(frame.payload);
+      if (!request.ok()) return failed(request.status());
+      Result<wire::ExecuteResult> result = lane->session.ExecuteBatch(*request);
+      if (!result.ok()) return failed(result.status());
+      return reply(FrameType::kResult, wire::EncodeExecuteResult(*result));
+    }
+    case FrameType::kHealth:
+      return reply(FrameType::kHealthReport,
+                   kfs::SerializeHealth(lane->session.Health()));
+    case FrameType::kStats:
+      return reply(FrameType::kStatsReport, wire::EncodeStatsReply(stats()));
+    case FrameType::kVerify:
+      // Admin scrub: walk every on-disk page through the checksum
+      // verify. Runs like any request; file locks are held shared, so
+      // concurrent retrievals proceed.
+      return reply(FrameType::kVerifyReport,
+                   system_->executor()->VerifyIntegrity().ToText());
+    case FrameType::kCloseSession:
+      return reply(FrameType::kOk, OkPayload("session closed"));
+    case FrameType::kShutdown:
+      NoteShutdownFromWire();
+      return reply(FrameType::kOk, OkPayload("draining"));
+    default:
+      return failed(Status::InvalidArgument("unknown request type " +
+                                            std::to_string(frame.type)));
+  }
+}
+
+void MldsServer::Deliver(const Job& job, Reply reply) {
+  Connection* c = job.conn.get();
+  Lane* lane = job.lane.get();
+  lane->running = false;
+  const uint32_t session_id = lane->session.id();
   if (c->closed) {
     // The socket died while this request executed; nothing to send.
     lane->queue.clear();
-    EraseLane(c, lane->session.id());
+    EraseLane(c, session_id);
     return;
   }
 
@@ -558,32 +545,26 @@ void MldsServer::OnRequestDone(const ConnectionPtr& conn, const LanePtr& lane,
     results_streamed_.fetch_add(1);
     lane->streaming = true;
     StreamState stream;
-    stream.session_id = reply.session_id;
-    stream.request_id = reply.request_id;
+    stream.request_id = job.frame.request_id;
     stream.source = std::move(reply.stream);
     stream.final_payload = std::move(reply.payload);
-    stream.lane = lane;
+    stream.lane = job.lane;
     c->streams.push_back(std::move(stream));
   } else {
-    AppendFrame(c, static_cast<wire::FrameType>(reply.type),
-                reply.session_id, reply.request_id,
+    AppendFrame(c, reply.type, session_id, job.frame.request_id,
                 std::move(reply.payload));
   }
 
-  if (close_lane) {
+  if (job.frame.type ==
+      static_cast<uint8_t>(wire::FrameType::kCloseSession)) {
     // Anything still queued behind the close is answered, not dropped.
     for (common::Frame& orphan : lane->queue) {
-      AppendFrame(c, wire::FrameType::kError, reply.session_id,
-                  orphan.request_id,
+      AppendFrame(c, wire::FrameType::kError, session_id, orphan.request_id,
                   ErrorPayload(Status::InvalidArgument("session closed")));
     }
     lane->queue.clear();
-    EraseLane(c, lane->session.id());
-  } else if (!lane->streaming && !lane->queue.empty()) {
-    DispatchNext(conn, lane);
+    EraseLane(c, session_id);
   }
-
-  ServiceWrites(conn);
 }
 
 void MldsServer::AppendFrame(Connection* conn, wire::FrameType type,
@@ -598,8 +579,7 @@ void MldsServer::AppendFrame(Connection* conn, wire::FrameType type,
   UpdateMax(write_buffer_highwater_, conn->outbox.size());
 }
 
-void MldsServer::PumpStreams(const ConnectionPtr& conn) {
-  Connection* c = conn.get();
+void MldsServer::PumpStreams(Connection* c) {
   while (!c->streams.empty() &&
          c->outbox.size() < options_.write_high_water) {
     StreamState& stream = c->streams.front();
@@ -607,19 +587,17 @@ void MldsServer::PumpStreams(const ConnectionPtr& conn) {
       wire::ResultChunk chunk;
       chunk.seq = stream.seq++;
       chunk.body = stream.source->Next(options_.chunk_bytes);
-      AppendFrame(c, wire::FrameType::kResultChunk, stream.session_id,
+      AppendFrame(c, wire::FrameType::kResultChunk, stream.lane->session.id(),
                   stream.request_id, wire::EncodeResultChunk(chunk));
       chunks_streamed_.fetch_add(1);
     }
     if (stream.source->done()) {
       // The closing kResult frame carries timing + warnings; its empty
       // body tells the client the chunk run is complete.
-      AppendFrame(c, wire::FrameType::kResult, stream.session_id,
+      AppendFrame(c, wire::FrameType::kResult, stream.lane->session.id(),
                   stream.request_id, std::move(stream.final_payload));
-      LanePtr lane = std::move(stream.lane);
+      stream.lane->streaming = false;  // TakeRunnable resumes its queue
       c->streams.pop_front();
-      lane->streaming = false;
-      if (!lane->running && !lane->queue.empty()) DispatchNext(conn, lane);
     } else if (c->streams.size() > 1) {
       // Round-robin: concurrent runs on one connection interleave
       // instead of serializing behind the largest result.
@@ -633,7 +611,7 @@ void MldsServer::ServiceWrites(const ConnectionPtr& conn) {
   Connection* c = conn.get();
   if (c->closed) return;
   while (true) {
-    PumpStreams(conn);
+    PumpStreams(c);
     if (c->outbox.empty()) break;
     Result<common::IoChunk> sent = common::SendChunk(c->fd, c->outbox);
     if (!sent.ok()) {
@@ -679,11 +657,8 @@ void MldsServer::MaybeFinishDrain(const ConnectionPtr& conn) {
   // Every lane is idle here (checked above), so the sessions end now —
   // before the BYE acknowledgment flushes. A client that saw its BYE
   // confirmed must not still be counted in sessions_active while the
-  // loop gets around to tearing the socket down.
-  for (const auto& entry : c->lanes) {
-    (void)entry;
-    sessions_active_.fetch_sub(1);
-  }
+  // server gets around to tearing the socket down.
+  sessions_active_.fetch_sub(static_cast<uint32_t>(c->lanes.size()));
   c->lanes.clear();
   ServiceWrites(conn);
 }
@@ -695,27 +670,26 @@ void MldsServer::CloseConnection(const ConnectionPtr& conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->fd, nullptr);
   common::ShutdownBoth(c->fd);
   common::CloseSocket(c->fd);
-  connections_.erase(c->fd);
   c->streams.clear();
   c->outbox.clear();
-  // Idle lanes die with the connection; lanes mid-execution are erased
-  // by their completion (OnRequestDone sees closed).
-  for (auto it = c->lanes.begin(); it != c->lanes.end();) {
-    if (it->second->running) {
-      ++it;
-    } else {
-      sessions_active_.fetch_sub(1);
-      it = c->lanes.erase(it);
-    }
+  // Idle lanes die with the connection; a running lane is erased by its
+  // thread when the reply finds the connection closed (Deliver).
+  const size_t idle = std::erase_if(
+      c->lanes, [](const auto& entry) { return !entry.second->running; });
+  sessions_active_.fetch_sub(static_cast<uint32_t>(idle));
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    connections_.erase(c->tag);
   }
+  if (stopping_.load()) WakeAll();  // the last close lets threads exit
 }
 
 void MldsServer::UpdateInterest(Connection* conn) {
   if (conn->closed) return;
   epoll_event ev{};
-  ev.events = (conn->read_open ? EPOLLIN : 0u) |
+  ev.events = EPOLLONESHOT | (conn->read_open ? EPOLLIN : 0u) |
               (conn->want_write ? EPOLLOUT : 0u);
-  ev.data.u64 = ConnectionTag(conn->generation, conn->fd);
+  ev.data.u64 = conn->tag;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
@@ -768,8 +742,8 @@ void MldsServer::NoteShutdownFromWire() {
 
 void MldsServer::Shutdown() {
   if (!started_.load() || stopping_.exchange(true)) return;
-  Post([] {});  // wake the loop so it notices stopping_
-  if (loop_thread_.joinable()) loop_thread_.join();
+  WakeAll();
+  for (std::thread& thread : threads_) thread.join();
   common::CloseSocket(listen_fd_);
   listen_fd_ = -1;
   if (epoll_fd_ >= 0) ::close(epoll_fd_);

@@ -33,8 +33,8 @@ struct ExecuteOutcome {
 /// concurrent sessions never mutate shared facade state and die cleanly
 /// with their connection.
 ///
-/// Not itself thread-safe: the server drives each session from exactly
-/// one worker thread.
+/// Not itself thread-safe: the server drives each session from one
+/// thread at a time (the one that owns its lane).
 class Session {
  public:
   /// `system` must outlive the session.

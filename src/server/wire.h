@@ -125,7 +125,7 @@ struct StatsReply {
   uint64_t requests_rejected = 0;
   uint64_t bad_frames = 0;
   uint32_t sessions_active = 0;
-  // --- event-loop / pipelining counters (protocol v2) ---
+  // --- wire-path / pipelining counters (protocol v2) ---
   uint64_t inflight_highwater = 0;   ///< max queued+running per session.
   uint64_t write_buffer_highwater = 0;  ///< max outbox bytes, any conn.
   uint64_t results_streamed = 0;     ///< bodies sent as chunk runs.

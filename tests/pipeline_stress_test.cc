@@ -1,12 +1,14 @@
-// Stress tests for the event-loop server under pipelining and
+// Stress tests for the run-to-completion server under pipelining and
 // streaming: per-session response ordering with many requests in
 // flight, multi-session multiplexing through the client pool,
-// slow-consumer backpressure keeping server memory bounded, and
-// mid-stream disconnects freeing sessions promptly.
+// slow-consumer backpressure keeping server memory bounded, mid-stream
+// disconnects freeing sessions promptly, direct-write reply order on a
+// shared connection, and no head-of-line blocking across connections.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +16,8 @@
 
 #include "client/client.h"
 #include "client/pool.h"
+#include "common/frame.h"
+#include "common/socket.h"
 #include "mlds/mlds.h"
 #include "server/demo.h"
 #include "server/server.h"
@@ -303,6 +307,206 @@ TEST(PipelineStressTest, MidStreamDisconnectFreesSessionPromptly) {
   ASSERT_TRUE(alive.ok()) << alive.status();
   EXPECT_GT(alive->body.size(), size_t{300} * 1024);
   EXPECT_TRUE(survivor.Close().ok());
+  server.Shutdown();
+}
+
+/// Writes one request frame on a raw socket.
+void SendRequest(int fd, wire::FrameType type, uint32_t session_id,
+                 uint32_t request_id, std::string payload) {
+  common::Frame frame;
+  frame.type = static_cast<uint8_t>(type);
+  frame.session_id = session_id;
+  frame.request_id = request_id;
+  frame.payload = std::move(payload);
+  ASSERT_TRUE(common::SendAll(fd, common::EncodeFrame(frame)).ok());
+}
+
+/// Reads frames off a raw socket, in arrival order, until `finals`
+/// frames other than kResultChunk have arrived.
+std::vector<common::Frame> ReadFrames(int fd, size_t finals) {
+  std::vector<common::Frame> frames;
+  common::FrameDecoder decoder;
+  char buffer[16384];
+  size_t seen = 0;
+  while (seen < finals) {
+    common::FrameDecoder::Decoded decoded = decoder.Next();
+    if (decoded.event == common::FrameDecoder::Event::kFrame) {
+      if (decoded.frame.type !=
+          static_cast<uint8_t>(wire::FrameType::kResultChunk)) {
+        ++seen;
+      }
+      frames.push_back(std::move(decoded.frame));
+      continue;
+    }
+    if (decoded.event == common::FrameDecoder::Event::kError) break;
+    Result<size_t> n = common::RecvSome(fd, buffer, sizeof(buffer));
+    if (!n.ok() || *n == 0) break;
+    decoder.Feed(std::string_view(buffer, *n));
+  }
+  return frames;
+}
+
+/// The server writes each reply from the thread that executed it, and a
+/// thread keeps draining its lane: replies must still leave in each
+/// session's submission order. Session A pipelines eight requests with a
+/// streamed result in the middle of inline ones; session B, on the same
+/// connection, pipelines eight at the same time (its lane is handed to a
+/// second thread, so the connection's mutex is contended under TSan).
+/// Every reply carries its request id and the body in-process execution
+/// renders; the streamed body arrives byte-identical.
+TEST(PipelineStressTest, DirectWritesKeepPerSessionOrderOnSharedConnection) {
+  server::ServerOptions options;
+  options.stream_threshold = 1024;
+  options.chunk_bytes = 1024;
+  MldsSystem system;
+  ASSERT_TRUE(server::LoadDemoDatabases(&system).ok());
+  BulkLoadStaff(&system, 50);  // SELECT name, wage renders ~9 KiB
+  server::MldsServer server(&system, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<int> fd = common::ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  uint32_t next_id = 1;
+  SendRequest(*fd, wire::FrameType::kHello, 0, next_id++, "ordering");
+  SendRequest(*fd, wire::FrameType::kOpenSession, 0, next_id++, "");
+  std::vector<common::Frame> opened = ReadFrames(*fd, 2);
+  ASSERT_EQ(opened.size(), 2u);
+  const uint32_t session_a = opened[0].session_id;
+  const uint32_t session_b = opened[1].session_id;
+  ASSERT_NE(session_a, session_b);
+  for (uint32_t session : {session_a, session_b}) {
+    SendRequest(*fd, wire::FrameType::kUse, session, next_id++,
+                wire::EncodeUseRequest(wire::UseRequest{"sql", "payroll"}));
+  }
+  ASSERT_EQ(ReadFrames(*fd, 2).size(), 2u);
+
+  constexpr int kDepth = 8;
+  constexpr int kStreamedAt = 3;
+  const std::string streamed = "SELECT name, wage FROM staff";
+  std::map<uint32_t, std::string> statement_of;
+  std::vector<uint32_t> order_a, order_b;
+  std::string batch;  // both sessions' requests, interleaved, one write
+  for (int i = 0; i < kDepth; ++i) {
+    for (uint32_t session : {session_a, session_b}) {
+      const std::string statement =
+          session == session_a && i == kStreamedAt
+              ? streamed
+              : "SELECT name FROM staff WHERE wage > " +
+                    std::to_string(60 + 4 * i + (session == session_b));
+      common::Frame frame;
+      frame.type = static_cast<uint8_t>(wire::FrameType::kExecute);
+      frame.session_id = session;
+      frame.request_id = next_id;
+      frame.payload = statement;
+      batch += common::EncodeFrame(frame);
+      statement_of[next_id] = statement;
+      (session == session_a ? order_a : order_b).push_back(next_id++);
+    }
+  }
+  ASSERT_TRUE(common::SendAll(*fd, batch).ok());
+  const std::vector<common::Frame> frames = ReadFrames(*fd, 2 * kDepth);
+  common::CloseSocket(*fd);
+
+  server::Session local(99, &system);
+  ASSERT_TRUE(local.Use(wire::UseRequest{"sql", "payroll"}).ok());
+  std::map<uint32_t, std::vector<uint32_t>> arrivals;  // session -> ids
+  std::string chunked;
+  uint32_t expected_seq = 0;
+  for (const common::Frame& frame : frames) {
+    ASSERT_TRUE(frame.session_id == session_a ||
+                frame.session_id == session_b);
+    ASSERT_EQ(statement_of.count(frame.request_id), 1u);
+    const std::string& statement = statement_of[frame.request_id];
+    if (frame.type == static_cast<uint8_t>(wire::FrameType::kResultChunk)) {
+      ASSERT_EQ(statement, streamed);
+      Result<wire::ResultChunk> chunk = wire::DecodeResultChunk(frame.payload);
+      ASSERT_TRUE(chunk.ok()) << chunk.status();
+      EXPECT_EQ(chunk->seq, expected_seq++);
+      chunked += chunk->body;
+      continue;
+    }
+    ASSERT_EQ(frame.type, static_cast<uint8_t>(wire::FrameType::kResult))
+        << statement;
+    arrivals[frame.session_id].push_back(frame.request_id);
+    Result<wire::ExecuteResult> result =
+        wire::DecodeExecuteResult(frame.payload);
+    ASSERT_TRUE(result.ok()) << result.status();
+    Result<wire::ExecuteResult> in_process =
+        local.Execute(statement, /*explain=*/false);
+    ASSERT_TRUE(in_process.ok()) << in_process.status();
+    if (statement == streamed) {
+      // The closing kResult of a chunk run carries no inline body.
+      EXPECT_TRUE(result->body.empty());
+      EXPECT_GE(expected_seq, 2u);
+      EXPECT_EQ(chunked, in_process->body);
+    } else {
+      EXPECT_EQ(result->body, in_process->body) << statement;
+    }
+  }
+  EXPECT_EQ(arrivals[session_a], order_a);
+  EXPECT_EQ(arrivals[session_b], order_b);
+  EXPECT_EQ(server.stats().results_streamed, 1u);
+  server.Shutdown();
+}
+
+/// Run to completion without head-of-line blocking: while a long
+/// request on connection A holds one server thread, a point lookup on
+/// connection B is served by another, well inside the long request's
+/// service time. The long request is a full RETRIEVE of payroll.staff
+/// made slow by the emulated disk; the lookup reads the clinic files
+/// only. With `worker_threads = 0` (one server thread, the documented
+/// serial mode) the lookup waits out the long request and this bound
+/// fails.
+TEST(PipelineStressTest, LongRequestDoesNotDelayAnotherConnection) {
+  MldsSystem::Options system_options;
+  // Price blocks, not requests: the long scan reads every staff block,
+  // the lookup about one, so the lookup's own emulated wait stays small.
+  system_options.engine.disk.seek_ms = 0.0;
+  MldsSystem system(system_options);
+  ASSERT_TRUE(server::LoadDemoDatabases(&system).ok());
+  BulkLoadStaff(&system, 2000);
+  server::MldsServer server(&system, server::ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  client::MldsClient slow, quick;
+  ASSERT_TRUE(slow.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(quick.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(slow.Use("sql", "payroll").ok());
+  ASSERT_TRUE(quick.Use("dli", "clinic").ok());
+  const std::string long_request = "SELECT name FROM staff";
+  const std::string lookup = "GU patient (pname = 'smith')";
+  ASSERT_TRUE(quick.Execute(lookup).ok());  // warm the translation cache
+
+  auto timed_ms = [](auto&& run) {
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  system.set_latency_scale(1.0);
+  const double long_ms =
+      timed_ms([&] { ASSERT_TRUE(slow.Execute(long_request).ok()); });
+  const double lookup_ms =
+      timed_ms([&] { ASSERT_TRUE(quick.Execute(lookup).ok()); });
+  // The bound below needs a long request several lookups long.
+  ASSERT_GT(long_ms, 8 * lookup_ms)
+      << "long " << long_ms << " ms, lookup " << lookup_ms << " ms";
+
+  Result<uint32_t> pending = slow.SubmitExecute(long_request);
+  ASSERT_TRUE(pending.ok()) << pending.status();
+  // Let a server thread take the long request before the lookup arrives.
+  std::this_thread::sleep_for(
+      std::chrono::duration<double, std::milli>(long_ms / 10));
+  const double blocked_ms =
+      timed_ms([&] { ASSERT_TRUE(quick.Execute(lookup).ok()); });
+  EXPECT_LT(blocked_ms, long_ms / 2)
+      << "lookup alone " << lookup_ms << " ms, long request " << long_ms
+      << " ms";
+  ASSERT_TRUE(slow.AwaitResult(*pending).ok());
+  system.set_latency_scale(0.0);
+  EXPECT_TRUE(slow.Close().ok());
+  EXPECT_TRUE(quick.Close().ok());
   server.Shutdown();
 }
 

@@ -348,6 +348,11 @@ else
   # drive one statement per language interface through the wire shell,
   # then stop the server with a remote SHUTDOWN and check it drained.
   echo "== server round-trip smoke =="
+  # A numeric flag that does not fit its field is a usage error (exit 2),
+  # not a silently wrapped value.
+  rc=0; build/tools/mlds_server --port 70000 >/dev/null 2>&1 || rc=$?
+  [[ "${rc}" == "2" ]] \
+    || { echo "mlds_server --port 70000 exited ${rc}, want 2"; exit 1; }
   build/tools/mlds_server --port 0 > build/mlds_server_smoke.log &
   SERVER_PID=$!
   trap 'kill "${SERVER_PID}" 2>/dev/null || true' EXIT
@@ -415,17 +420,26 @@ else
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${JOBS}" \
       -R 'BackendFailover|WalRecovery|FailureInjection|StatisticsStress')
-  # Streaming smoke under TSan: the epoll loop thread, the worker pool,
-  # and the per-session stream state all touch the write path — race-check
-  # the chunked transfer end to end, not just in unit tests.
+  # Server suites: the server threads share each connection's decoder,
+  # lanes, outbox and streams under one mutex and hand lanes to each
+  # other; rerun them race-checked even when MLDS_TSAN_FILTER narrowed
+  # the run above.
+  echo "== TSan server suites =="
+  (cd build-tsan && \
+    TSAN_OPTIONS="halt_on_error=1" \
+    ctest --output-on-failure -j "${JOBS}" \
+      -R 'PipelineStress|SessionStress|ServerRoundTrip')
+  # Streaming smoke under TSan: the server threads and the per-session
+  # stream state all touch the write path — race-check the chunked
+  # transfer end to end, not just in unit tests.
   echo "== TSan streaming smoke =="
   run_streaming_smoke build-tsan build-tsan/mlds_streaming_smoke.log
   # Bulk smoke under TSan: the --source seeder runs on the client thread
-  # while the event loop serves it, and group commit coalesces appends
-  # across session workers — both are cross-thread write paths.
+  # while the server threads serve it, and group commit coalesces appends
+  # across sessions — both are cross-thread write paths.
   echo "== TSan bulk load smoke =="
   run_bulk_smoke build-tsan build-tsan/mlds_bulk_smoke.log
-  # Persistence smoke under TSan: session workers share the buffer pool
+  # Persistence smoke under TSan: server threads share the buffer pool
   # (pin/unpin, LRU moves, eviction write-backs) while the shutdown path
   # flushes it — exactly where a storage-layer race would hide.
   echo "== TSan restart persistence smoke =="

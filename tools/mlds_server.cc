@@ -10,7 +10,14 @@
 //               [--data-dir DIR] [--pool-pages N]
 //
 // --port 0 (the default) binds an ephemeral port; the chosen port is
-// printed as "listening on HOST:PORT" so scripts can parse it.
+// printed as "listening on HOST:PORT" so scripts can parse it. A numeric
+// value that is not a number or does not fit its field prints the usage
+// line and exits 2.
+//
+// --workers N runs max(1, N) server threads (default 2). Each thread
+// reads a request, executes it and writes its reply, so N bounds how
+// many statements run at once; --workers 0 is the serial mode, where a
+// long statement delays every other connection.
 //
 // --data-dir DIR stores kernel page files under DIR: databases written
 // during the run persist across a clean restart with no snapshot calls
@@ -29,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <charconv>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -51,11 +59,20 @@ void HandleSignal(int) {
   if (server != nullptr) server->NoteShutdownRequested();
 }
 
-bool ParseUint(std::string_view text, uint64_t* out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end;
+/// Parses a decimal flag value into `*out`; false when the text is not a
+/// number or the value does not fit `T`, so an out-of-range value is
+/// rejected rather than wrapped.
+template <typename T>
+bool ParseFlag(std::string_view text, T* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end ||
+      value > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
 }
 
 }  // namespace
@@ -66,43 +83,41 @@ int main(int argc, char** argv) {
   std::string source_path;
   std::string data_dir;
   size_t pool_pages = 0;
-  for (int i = 1; i < argc; ++i) {
+  // Every flag takes one value.
+  for (int i = 1; i < argc; i += 2) {
     const std::string_view arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    uint64_t value = 0;
-    if (arg == "--port" && has_value && ParseUint(argv[++i], &value)) {
-      options.port = static_cast<uint16_t>(value);
-    } else if (arg == "--host" && has_value) {
-      options.host = argv[++i];
-    } else if (arg == "--max-sessions" && has_value &&
-               ParseUint(argv[++i], &value)) {
-      options.max_sessions = static_cast<int>(value);
-    } else if (arg == "--queue-depth" && has_value &&
-               ParseUint(argv[++i], &value)) {
-      options.max_queue_depth = static_cast<size_t>(value);
-    } else if (arg == "--backends" && has_value &&
-               ParseUint(argv[++i], &value)) {
-      backends = static_cast<int>(value);
-    } else if (arg == "--workers" && has_value &&
-               ParseUint(argv[++i], &value)) {
-      options.worker_threads = static_cast<int>(value);
-    } else if (arg == "--stream-threshold" && has_value &&
-               ParseUint(argv[++i], &value)) {
-      options.stream_threshold = static_cast<size_t>(value);
-    } else if (arg == "--chunk-bytes" && has_value &&
-               ParseUint(argv[++i], &value)) {
-      options.chunk_bytes = static_cast<size_t>(value);
-    } else if (arg == "--write-high-water" && has_value &&
-               ParseUint(argv[++i], &value)) {
-      options.write_high_water = static_cast<size_t>(value);
-    } else if (arg == "--source" && has_value) {
-      source_path = argv[++i];
-    } else if (arg == "--data-dir" && has_value) {
-      data_dir = argv[++i];
-    } else if (arg == "--pool-pages" && has_value &&
-               ParseUint(argv[++i], &value)) {
-      pool_pages = static_cast<size_t>(value);
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    bool ok = true;
+    if (value == nullptr) {
+      ok = false;
+    } else if (arg == "--port") {
+      ok = ParseFlag(value, &options.port);
+    } else if (arg == "--host") {
+      options.host = value;
+    } else if (arg == "--max-sessions") {
+      ok = ParseFlag(value, &options.max_sessions);
+    } else if (arg == "--queue-depth") {
+      ok = ParseFlag(value, &options.max_queue_depth);
+    } else if (arg == "--backends") {
+      ok = ParseFlag(value, &backends);
+    } else if (arg == "--workers") {
+      ok = ParseFlag(value, &options.worker_threads);
+    } else if (arg == "--stream-threshold") {
+      ok = ParseFlag(value, &options.stream_threshold);
+    } else if (arg == "--chunk-bytes") {
+      ok = ParseFlag(value, &options.chunk_bytes);
+    } else if (arg == "--write-high-water") {
+      ok = ParseFlag(value, &options.write_high_water);
+    } else if (arg == "--source") {
+      source_path = value;
+    } else if (arg == "--data-dir") {
+      data_dir = value;
+    } else if (arg == "--pool-pages") {
+      ok = ParseFlag(value, &pool_pages);
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: mlds_server [--port N] [--host A.B.C.D] "
                    "[--max-sessions N] [--queue-depth N] [--backends N] "
