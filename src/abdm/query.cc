@@ -21,8 +21,8 @@ std::string_view RelOpToString(RelOp op) {
 }
 
 bool Predicate::Matches(const Record& record) const {
-  auto recorded = record.Get(attribute);
-  if (!recorded.has_value()) return false;
+  const Value* recorded = record.Find(attribute);
+  if (recorded == nullptr) return false;
 
   // Null handling: only (in)equality is meaningful against NULL.
   if (value.is_null() || recorded->is_null()) {

@@ -40,8 +40,8 @@ class UserWorkArea {
   /// Delivers a retrieved record into the template (GET).
   void Deliver(std::string_view record, const abdm::Record& data) {
     abdm::Record& tmpl = templates_[std::string(record)];
-    for (const auto& kw : data.keywords()) {
-      tmpl.Set(kw.attribute, kw.value);
+    for (size_t i = 0; i < data.size(); ++i) {
+      tmpl.Set(data.attribute(i), data.value(i));
     }
   }
 

@@ -215,9 +215,9 @@ PlanNode WrapRetrievePlan(const abdl::RetrieveRequest& req, PlanNode base,
 
 std::vector<Record> PostProcessRetrieve(const abdl::RetrieveRequest& req,
                                         std::vector<Record> matched) {
-  std::vector<const Record*> refs;
+  std::vector<Record*> refs;
   refs.reserve(matched.size());
-  for (const Record& r : matched) refs.push_back(&r);
+  for (Record& r : matched) refs.push_back(&r);
 
   const bool has_aggregate =
       std::any_of(req.targets.begin(), req.targets.end(), [](const auto& t) {
@@ -235,9 +235,9 @@ std::vector<Record> PostProcessRetrieve(const abdl::RetrieveRequest& req,
                        });
     }
     out.reserve(refs.size());
-    for (const Record* r : refs) {
+    for (Record* r : refs) {
       if (req.all_attributes || req.targets.empty()) {
-        out.push_back(*r);
+        out.push_back(std::move(*r));
       } else {
         Record projected;
         for (const auto& target : req.targets) {
@@ -255,7 +255,7 @@ std::vector<Record> PostProcessRetrieve(const abdl::RetrieveRequest& req,
       groups[r->GetOrNull(*req.by_attribute)].push_back(r);
     }
   } else {
-    groups[Value::Null()] = refs;
+    groups[Value::Null()].assign(refs.begin(), refs.end());
   }
   for (const auto& [key, group] : groups) {
     Record agg;
@@ -1015,6 +1015,7 @@ Result<Response> Engine::ExecuteRetrieve(const abdl::RetrieveRequest& req) {
     MLDS_ASSIGN_OR_RETURN(
         auto rows, store->SelectRecords(req.query, &resp.io,
                                         req.explain ? &plan : nullptr));
+    matched.reserve(matched.size() + rows.size());
     for (auto& [id, record] : rows) matched.push_back(std::move(record));
     if (req.explain) plans.push_back(std::move(plan));
   }
@@ -1062,6 +1063,7 @@ Result<Response> Engine::ExecuteRetrieveCommon(
     for (size_t i = 0; i < side->stores.size(); ++i) {
       MLDS_ASSIGN_OR_RETURN(auto rows, side->stores[i]->Execute(
                                            query, &side->plans[i], &resp.io));
+      side->rows.reserve(side->rows.size() + rows.size());
       for (auto& [id, record] : rows) side->rows.push_back(std::move(record));
     }
     return Status::OK();

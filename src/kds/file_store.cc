@@ -99,23 +99,25 @@ double FileStore::cached_fraction() const {
 }
 
 void FileStore::IndexInsert(RecordId id, const abdm::Record& record) {
-  for (const auto& kw : record.keywords()) {
-    if (!IsIndexedAttribute(kw.attribute)) continue;
-    index_[kw.attribute][kw.value].insert(id);
-    MaintainHistogram(kw.attribute, kw.value, /*insert=*/true);
+  for (size_t i = 0; i < record.size(); ++i) {
+    const std::string& attr = record.attribute(i);
+    if (!IsIndexedAttribute(attr)) continue;
+    index_[attr][record.value(i)].insert(id);
+    MaintainHistogram(attr, record.value(i), /*insert=*/true);
   }
 }
 
 void FileStore::IndexErase(RecordId id, const abdm::Record& record) {
-  for (const auto& kw : record.keywords()) {
-    auto attr_it = index_.find(kw.attribute);
+  for (size_t i = 0; i < record.size(); ++i) {
+    const std::string& attr = record.attribute(i);
+    auto attr_it = index_.find(attr);
     if (attr_it == index_.end()) continue;
-    auto val_it = attr_it->second.find(kw.value);
+    auto val_it = attr_it->second.find(record.value(i));
     if (val_it == attr_it->second.end()) continue;
     auto& ids = val_it->second;
     ids.erase(id);
     if (ids.empty()) attr_it->second.erase(val_it);
-    MaintainHistogram(kw.attribute, kw.value, /*insert=*/false);
+    MaintainHistogram(attr, record.value(i), /*insert=*/false);
   }
 }
 
@@ -256,22 +258,23 @@ Result<RecordId> FileStore::Insert(abdm::Record record, IoStats* io) {
   // untouched, and the partial pages are dead space until compaction.
   MLDS_ASSIGN_OR_RETURN(const Addr addr, AppendPayload(id, payload, io));
   IndexInsert(id, record);
+  layouts_.Intern(record);
   dir_.push_back(addr);
   ++live_count_;
   if (io != nullptr) io->index_probes += 1;
   return id;
 }
 
-Result<abdm::Record> FileStore::DecodeEntry(uint32_t page,
-                                            const PageView::Entry& entry,
+Result<abdm::Record> FileStore::DecodeEntry(const PageView::Entry& entry,
+                                            abdm::RecordDecoder& decoder,
                                             IoStats* io,
-                                            std::set<uint64_t>* touched) const {
+                                            uint64_t* chain_pages) const {
   auto corrupt = [this](const char* what) {
     return Status::Corruption(std::string("file_store: ") + what + " in '" +
                               name() + "'");
   };
   if ((entry.rid & kOverflowRidBit) == 0) {
-    auto rec = abdm::DeserializeRecord(entry.payload);
+    auto rec = decoder.Decode(entry.payload);
     if (!rec.has_value()) return corrupt("undecodable record");
     return std::move(*rec);
   }
@@ -292,13 +295,12 @@ Result<abdm::Record> FileStore::DecodeEntry(uint32_t page,
       data.append(d + 8, n);
     }
     pool_->Unpin(*frame, io);
-    if (touched != nullptr) touched->insert(cont);
+    if (chain_pages != nullptr) ++*chain_pages;
     if (n == 0) return corrupt("broken overflow chain");
     ++cont;
   }
   if (data.size() != total) return corrupt("overlong overflow chain");
-  (void)page;
-  auto rec = abdm::DeserializeRecord(data);
+  auto rec = decoder.Decode(data);
   if (!rec.has_value()) return corrupt("undecodable overflow record");
   return std::move(*rec);
 }
@@ -392,7 +394,7 @@ std::optional<size_t> FileStore::DistinctValues(std::string_view attr) const {
 
 Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
                                      PlanNode* node,
-                                     std::map<RecordId, abdm::Record>* out,
+                                     std::vector<Row>* out,
                                      IoStats* io) const {
   // Materialize the candidate set the plan prescribes; nullopt means the
   // plan is a full scan. Access-path choice happened at plan time (see
@@ -439,16 +441,19 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
   }
 
   const size_t pb = file_->page_bytes();
-  std::set<uint64_t> blocks_touched;
+  abdm::RecordDecoder decoder(&layouts_);
+  // Logical pages touched: each candidate group's page once, plus the
+  // overflow continuation pages its records chain to (a full scan counts
+  // every allocated page instead).
+  uint64_t blocks_touched = 0;
+  uint64_t* chain_pages = best.has_value() ? &blocks_touched : nullptr;
   uint64_t matched = 0;
-  auto examine = [&](RecordId id, uint32_t page,
-                     const PageView::Entry& e) -> Status {
+  auto examine = [&](RecordId id, const PageView::Entry& e) -> Status {
     if (io != nullptr) io->records_examined += 1;
-    blocks_touched.insert(page);
     MLDS_ASSIGN_OR_RETURN(abdm::Record rec,
-                          DecodeEntry(page, e, io, &blocks_touched));
+                          DecodeEntry(e, decoder, io, chain_pages));
     if (conj.Matches(rec)) {
-      out->emplace(id, std::move(rec));
+      out->emplace_back(id, std::move(rec));
       ++matched;
     }
     return Status::OK();
@@ -456,20 +461,37 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
 
   if (best.has_value()) {
     // Fetch each distinct page once: candidates are grouped by page so a
-    // write-through pool charges exactly the logical block count.
-    std::map<uint32_t, std::vector<std::pair<uint16_t, RecordId>>> by_page;
+    // write-through pool charges exactly the logical block count. The ids
+    // arrive sorted, so ordering by (page, id) keeps id order per page.
+    struct Candidate {
+      uint32_t page;
+      uint16_t slot;
+      RecordId id;
+    };
+    std::vector<Candidate> candidates;
+    candidates.reserve(best->size());
     for (RecordId id : *best) {
       if (id >= dir_.size() || !dir_[id].has_value()) continue;
-      by_page[dir_[id]->page].emplace_back(dir_[id]->slot, id);
+      candidates.push_back({dir_[id]->page, dir_[id]->slot, id});
     }
-    for (auto& [page, slots] : by_page) {
+    auto page_order = [](const Candidate& a, const Candidate& b) {
+      return a.page != b.page ? a.page < b.page : a.id < b.id;
+    };
+    if (!std::is_sorted(candidates.begin(), candidates.end(), page_order)) {
+      std::sort(candidates.begin(), candidates.end(), page_order);
+    }
+    out->reserve(out->size() + candidates.size());
+    for (size_t next = 0; next < candidates.size();) {
+      const uint32_t page = candidates[next].page;
       auto frame = pool_->Fetch(file_.get(), page, io);
       if (!frame.ok()) return frame.status();
+      ++blocks_touched;
       PageView view((*frame)->data.data(), pb);
       Status examined;
-      for (const auto& [slot, id] : slots) {
-        auto entry = view.Read(slot);
-        if (entry.has_value()) examined = examine(id, page, *entry);
+      for (; next < candidates.size() && candidates[next].page == page;
+           ++next) {
+        auto entry = view.Read(candidates[next].slot);
+        if (entry.has_value()) examined = examine(candidates[next].id, *entry);
         if (!examined.ok()) break;
       }
       pool_->Unpin(*frame, io);
@@ -485,8 +507,7 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
         for (uint16_t s = 0; s < view.slot_count(); ++s) {
           auto entry = view.Read(s);
           if (!entry.has_value()) continue;
-          examined =
-              examine(entry->rid & ~kOverflowRidBit, uint32_t(page), *entry);
+          examined = examine(entry->rid & ~kOverflowRidBit, *entry);
           if (!examined.ok()) break;
         }
       }
@@ -494,10 +515,10 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
       MLDS_RETURN_IF_ERROR(examined);
     }
     // A full scan touches every allocated block even if records are dead.
-    for (uint64_t b = 0; b < pages_; ++b) blocks_touched.insert(b);
+    blocks_touched = pages_;
   }
   node->actual_rows = matched;
-  node->actual_blocks = blocks_touched.size();
+  node->actual_blocks = blocks_touched;
   return Status::OK();
 }
 
@@ -507,20 +528,30 @@ PlanNode FileStore::Plan(const abdm::Query& query) const {
 
 Result<std::vector<std::pair<RecordId, abdm::Record>>> FileStore::Execute(
     const abdm::Query& query, PlanNode* plan, IoStats* io) const {
-  std::map<RecordId, abdm::Record> matched;
+  std::vector<Row> matched;
   const auto& disjuncts = query.disjuncts();
   const size_t n = std::min(disjuncts.size(), plan->children.size());
   for (size_t i = 0; i < n; ++i) {
     MLDS_RETURN_IF_ERROR(
         ExecuteConjunction(disjuncts[i], &plan->children[i], &matched, io));
   }
+  // Candidates arrive in page order and a record several disjuncts match
+  // arrives once per disjunct; the result is each id once, in id order.
+  auto by_id = [](const Row& a, const Row& b) { return a.first < b.first; };
+  if (!std::is_sorted(matched.begin(), matched.end(), by_id)) {
+    std::sort(matched.begin(), matched.end(), by_id);
+  }
+  if (n > 1) {
+    matched.erase(std::unique(matched.begin(), matched.end(),
+                              [](const Row& a, const Row& b) {
+                                return a.first == b.first;
+                              }),
+                  matched.end());
+  }
   plan->executed = true;
   plan->actual_rows = matched.size();
   plan->actual_blocks = plan->SumChildren(&PlanNode::actual_blocks);
-  std::vector<std::pair<RecordId, abdm::Record>> out;
-  out.reserve(matched.size());
-  for (auto& [id, rec] : matched) out.emplace_back(id, std::move(rec));
-  return out;
+  return matched;
 }
 
 Result<std::vector<RecordId>> FileStore::Select(const abdm::Query& query,
@@ -573,6 +604,7 @@ Result<size_t> FileStore::Delete(const abdm::Query& query, IoStats* io,
 
 Status FileStore::CollectAll(std::map<RecordId, abdm::Record>* out) const {
   const size_t pb = file_->page_bytes();
+  abdm::RecordDecoder decoder(&layouts_);
   for (uint64_t page = 0; page < pages_; ++page) {
     auto frame = pool_->Fetch(file_.get(), page, nullptr);
     if (!frame.ok()) return frame.status();
@@ -582,7 +614,7 @@ Status FileStore::CollectAll(std::map<RecordId, abdm::Record>* out) const {
       for (uint16_t s = 0; s < view.slot_count(); ++s) {
         auto entry = view.Read(s);
         if (!entry.has_value()) continue;
-        auto rec = DecodeEntry(uint32_t(page), *entry, nullptr, nullptr);
+        auto rec = DecodeEntry(*entry, decoder, nullptr, nullptr);
         if (!rec.ok()) {
           decoded = rec.status();
           break;
@@ -621,6 +653,7 @@ Result<uint64_t> FileStore::Compact(IoStats* io) {
   pages_ = 0;
   dir_.clear();
   index_.clear();
+  layouts_.Clear();
   // The rewrite invalidates record ids wholesale: advance the schema
   // epoch so stale persisted histograms cannot outlive it; the re-insert
   // loop below rebuilds fresh ones incrementally.
@@ -647,7 +680,8 @@ std::optional<abdm::Record> FileStore::Get(RecordId id) const {
   auto entry = view.Read(addr.slot);
   std::optional<abdm::Record> rec;
   if (entry.has_value()) {
-    auto decoded = DecodeEntry(addr.page, *entry, nullptr, nullptr);
+    abdm::RecordDecoder decoder(&layouts_);
+    auto decoded = DecodeEntry(*entry, decoder, nullptr, nullptr);
     if (decoded.ok()) rec = std::move(*decoded);
   }
   pool_->Unpin(*frame, nullptr);
@@ -669,30 +703,32 @@ Status FileStore::Replace(RecordId id, abdm::Record record, IoStats* io) {
     return Status::Corruption("file_store: directory points at dead slot in '" +
                               name() + "'");
   }
-  auto decoded = DecodeEntry(addr.page, *entry, nullptr, nullptr);
+  abdm::RecordDecoder decoder(&layouts_);
+  auto decoded = DecodeEntry(*entry, decoder, nullptr, nullptr);
   if (!decoded.ok()) {
     pool_->Unpin(*frame, nullptr);
     return decoded.status();
   }
-  std::optional<abdm::Record> old = std::move(*decoded);
+  const abdm::Record& old = *decoded;
   // Re-index only the changed keywords: erasing from an unchanged bucket
   // (e.g. the FILE keyword's, which lists every record of the file) would
   // cost O(file size) per update.
   abdm::Record changed_old, changed_new;
-  for (const auto& kw : old->keywords()) {
-    auto updated = record.Get(kw.attribute);
-    if (!updated.has_value() || *updated != kw.value) {
-      changed_old.Set(kw.attribute, kw.value);
+  for (size_t i = 0; i < old.size(); ++i) {
+    const abdm::Value* updated = record.Find(old.attribute(i));
+    if (updated == nullptr || *updated != old.value(i)) {
+      changed_old.Set(old.attribute(i), old.value(i));
     }
   }
-  for (const auto& kw : record.keywords()) {
-    auto previous = old->Get(kw.attribute);
-    if (!previous.has_value() || *previous != kw.value) {
-      changed_new.Set(kw.attribute, kw.value);
+  for (size_t i = 0; i < record.size(); ++i) {
+    const abdm::Value* previous = old.Find(record.attribute(i));
+    if (previous == nullptr || *previous != record.value(i)) {
+      changed_new.Set(record.attribute(i), record.value(i));
     }
   }
   IndexErase(id, changed_old);
   IndexInsert(id, changed_new);
+  layouts_.Intern(record);
 
   std::string payload;
   abdm::SerializeRecord(record, payload);
@@ -757,6 +793,8 @@ Status FileStore::LoadFromPages() {
   pages_ = file_->page_count();
   const size_t pb = file_->page_bytes();
   std::vector<char> buf(pb);
+  layouts_.Clear();
+  abdm::RecordDecoder decoder(&layouts_);
   for (uint64_t page = 0; page < pages_; ++page) {
     MLDS_RETURN_IF_ERROR(file_->ReadPage(page, buf.data()));
     if (IsContinuationPage(buf.data())) continue;
@@ -765,12 +803,13 @@ Status FileStore::LoadFromPages() {
       auto entry = view.Read(s);
       if (!entry.has_value()) continue;
       const RecordId id = entry->rid & ~kOverflowRidBit;
-      auto rec = DecodeEntry(uint32_t(page), *entry, nullptr, nullptr);
+      auto rec = DecodeEntry(*entry, decoder, nullptr, nullptr);
       if (!rec.ok()) return rec.status();
       if (id >= dir_.size()) dir_.resize(id + 1);
       dir_[id] = Addr{uint32_t(page), s};
       ++live_count_;
       IndexInsert(id, *rec);
+      layouts_.Intern(*rec);
     }
   }
   // The next insert opens a fresh fill page; a partially filled tail

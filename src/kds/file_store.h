@@ -226,12 +226,14 @@ class FileStore : public abdm::DirectoryStats {
     uint16_t slot = 0;
   };
 
-  /// Executes one conjunction's plan node, adding matching live records
-  /// to `out`, charging `io` for index probes / pool misses, and filling
-  /// the node's actual counters (logical pages touched). A page fetch or
-  /// decode failure aborts the evaluation with its status.
+  using Row = std::pair<RecordId, abdm::Record>;
+
+  /// Executes one conjunction's plan node, appending matching live records
+  /// to `out` in page order, charging `io` for index probes / pool misses,
+  /// and filling the node's actual counters (logical pages touched). A
+  /// page fetch or decode failure aborts the evaluation with its status.
   Status ExecuteConjunction(const abdm::Conjunction& conj, PlanNode* node,
-                            std::map<RecordId, abdm::Record>* out,
+                            std::vector<Row>* out,
                             IoStats* io) const;
 
   /// Materializes every live record in id order (uncharged page scan;
@@ -286,13 +288,13 @@ class FileStore : public abdm::DirectoryStats {
   /// and fewer than block_capacity records.
   void EnsureFillPage(size_t payload_size, IoStats* io);
 
-  /// Reads the record stored behind `entry` on `page`, following the
+  /// Reads the record stored behind `entry` with `decoder`, following the
   /// overflow chain if needed; pages fetched along the chain are charged
-  /// to `io` and recorded in `touched` when non-null. A broken chain or
+  /// to `io` and counted in `chain_pages` when non-null. A broken chain or
   /// undecodable payload returns Status::Corruption.
-  Result<abdm::Record> DecodeEntry(uint32_t page,
-                                   const PageView::Entry& entry, IoStats* io,
-                                   std::set<uint64_t>* touched) const;
+  Result<abdm::Record> DecodeEntry(const PageView::Entry& entry,
+                                   abdm::RecordDecoder& decoder, IoStats* io,
+                                   uint64_t* chain_pages) const;
 
   /// Writes an oversized payload as an overflow chain; returns the head
   /// entry's location.
@@ -339,6 +341,11 @@ class FileStore : public abdm::DirectoryStats {
   /// buckets (the FILE keyword's bucket lists every record). Memory
   /// resident; rebuilt from pages on open.
   std::map<std::string, ValueBuckets, std::less<>> index_;
+
+  /// The distinct layouts of the file's records, interned at insert,
+  /// update and open (exclusive lock) so decoded records share them;
+  /// decoding reads the table under the shared lock.
+  abdm::LayoutTable layouts_;
 };
 
 }  // namespace mlds::kds

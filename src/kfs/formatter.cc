@@ -39,10 +39,27 @@ std::vector<std::string> CollectColumns(
     add(rt->name);
     for (const auto& attr : rt->attributes) add(attr.name);
   }
+  // Records of one file share a layout; a run of them adds its names once.
+  const abdm::RecordLayout* seen = nullptr;
   for (const auto& record : records) {
-    for (const auto& kw : record.keywords()) add(kw.attribute);
+    if (record.layout() == seen) continue;
+    seen = record.layout();
+    for (size_t i = 0; i < record.size(); ++i) add(record.attribute(i));
   }
   return columns;
+}
+
+const abdm::Value* CellValue(const abdm::Record& record, size_t slot) {
+  return slot == abdm::RecordLayout::kNoSlot ? nullptr : &record.value(slot);
+}
+
+/// The display text of one cell: "-" for a missing or null keyword. Only
+/// numbers render, into `scratch`; strings are viewed in place.
+std::string_view Cell(const abdm::Value* v, std::string& scratch) {
+  if (v == nullptr || v->is_null()) return "-";
+  if (v->is_string()) return v->AsString();
+  scratch = v->ToString();
+  return scratch;
 }
 
 }  // namespace
@@ -84,14 +101,18 @@ void TableChunkSource::ComputeLayout() {
     total_bytes_ = 13;
     return;
   }
+  // A record without keywords (null layout) has none of the columns.
+  slots_.assign(columns_.size(), abdm::RecordLayout::kNoSlot);
+  slots_layout_ = nullptr;
   widths_.assign(columns_.size(), 0);
   for (size_t c = 0; c < columns_.size(); ++c) widths_[c] = columns_[c].size();
   // Width pass: cells are rendered, measured, and discarded — the layout
   // costs one extra conversion pass, never a buffered copy of the table.
+  std::string scratch;
   for (const auto& record : *records_) {
+    const std::vector<size_t>& slots = ColumnSlots(record);
     for (size_t c = 0; c < columns_.size(); ++c) {
-      abdm::Value v = record.GetOrNull(columns_[c]);
-      const std::string cell = v.is_null() ? "-" : v.ToDisplayString();
+      const std::string_view cell = Cell(CellValue(record, slots[c]), scratch);
       widths_[c] = std::max(widths_[c], cell.size());
     }
   }
@@ -108,12 +129,25 @@ bool TableChunkSource::done() const {
   return phase_ == 2 && row_ == records_->size();
 }
 
+const std::vector<size_t>& TableChunkSource::ColumnSlots(
+    const abdm::Record& record) {
+  if (record.layout() != slots_layout_) {
+    slots_layout_ = record.layout();
+    slots_.clear();
+    for (const std::string& column : columns_) {
+      slots_.push_back(record.Slot(column));
+    }
+  }
+  return slots_;
+}
+
 void TableChunkSource::AppendRowLine(const abdm::Record& record,
-                                     std::string* out) const {
+                                     std::string* out) {
+  const std::vector<size_t>& slots = ColumnSlots(record);
+  std::string scratch;
   for (size_t c = 0; c < columns_.size(); ++c) {
     if (c > 0) *out += options_.separator;
-    abdm::Value v = record.GetOrNull(columns_[c]);
-    const std::string cell = v.is_null() ? "-" : v.ToDisplayString();
+    const std::string_view cell = Cell(CellValue(record, slots[c]), scratch);
     *out += cell;
     out->append(widths_[c] - cell.size(), ' ');
   }
@@ -167,12 +201,14 @@ std::string FormatTable(const std::vector<abdm::Record>& records,
 std::string FormatRecord(const abdm::Record& record,
                          const FormatOptions& options) {
   std::string out;
-  for (const auto& kw : record.keywords()) {
-    if (options.hide_file_keyword && kw.attribute == abdm::kFileAttribute) {
+  for (size_t i = 0; i < record.size(); ++i) {
+    const std::string& attribute = record.attribute(i);
+    if (options.hide_file_keyword && attribute == abdm::kFileAttribute) {
       continue;
     }
-    out += kw.attribute + ": " +
-           (kw.value.is_null() ? "-" : kw.value.ToDisplayString()) + "\n";
+    const abdm::Value& value = record.value(i);
+    out += attribute + ": " +
+           (value.is_null() ? "-" : value.ToDisplayString()) + "\n";
   }
   return out;
 }

@@ -102,7 +102,10 @@ class TableChunkSource : public ChunkSource {
 
  private:
   void ComputeLayout();
-  void AppendRowLine(const abdm::Record& record, std::string* out) const;
+  void AppendRowLine(const abdm::Record& record, std::string* out);
+  /// Each column's slot in `record` (RecordLayout::kNoSlot if absent),
+  /// worked out once per run of records sharing a layout.
+  const std::vector<size_t>& ColumnSlots(const abdm::Record& record);
 
   std::vector<abdm::Record> owned_;
   const std::vector<abdm::Record>* records_;
@@ -114,6 +117,8 @@ class TableChunkSource : public ChunkSource {
   std::vector<size_t> widths_;
   size_t line_bytes_ = 0;   ///< every table line has this length.
   size_t total_bytes_ = 0;
+  std::vector<size_t> slots_;
+  const abdm::RecordLayout* slots_layout_ = nullptr;
   /// 0 = header pending, 1 = rule pending, 2 = emitting rows.
   int phase_ = 0;
   size_t row_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_map>
 
 #include "transform/abdm_mapping.h"
 
@@ -62,14 +63,16 @@ std::string JoinValues(const std::vector<Value>& values) {
 }  // namespace
 
 void DaplexMachine::EntityView::Absorb(const Record& record) {
-  for (const auto& kw : record.keywords()) {
-    if (kw.attribute == abdm::kFileAttribute) {
+  for (size_t i = 0; i < record.size(); ++i) {
+    const std::string& attribute = record.attribute(i);
+    const Value& value = record.value(i);
+    if (attribute == abdm::kFileAttribute) {
       continue;
     }
-    if (kw.value.is_null()) continue;
-    auto& seen = values[kw.attribute];
-    if (std::find(seen.begin(), seen.end(), kw.value) == seen.end()) {
-      seen.push_back(kw.value);
+    if (value.is_null()) continue;
+    auto& seen = values[attribute];
+    if (std::find(seen.begin(), seen.end(), value) == seen.end()) {
+      seen.push_back(value);
     }
   }
 }
@@ -213,12 +216,18 @@ Status DaplexMachine::AbsorbAncestors(
       } else {
         MLDS_ASSIGN_OR_RETURN(records, FetchByKeys(super, super_keys));
       }
-      std::map<std::string, std::vector<const Record*>> by_key;
+      std::unordered_map<std::string, std::vector<const Record*>> by_key;
+      by_key.reserve(records.size());
+      abdm::AttributeReader super_key(KeyAttribute(super));
+      abdm::AttributeReader current_key(KeyAttribute(current));
+      auto display = [](const Value* v) {
+        return v != nullptr ? v->ToDisplayString() : Value().ToDisplayString();
+      };
       for (const Record& r : records) {
-        std::string k = r.GetOrNull(KeyAttribute(super)).ToDisplayString();
+        std::string k = display(super_key.Find(r));
         if (fused) {
           k += '\x1f';
-          k += r.GetOrNull(KeyAttribute(current)).ToDisplayString();
+          k += display(current_key.Find(r));
         }
         by_key[k].push_back(&r);
       }

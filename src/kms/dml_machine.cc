@@ -51,27 +51,51 @@ std::string KeyOf(std::string_view record_type, const Record& record) {
   return record.GetOrNull(KeyAttribute(record_type)).ToDisplayString();
 }
 
+/// Stable-sorts records by the values of `attributes`, compared in turn
+/// (a missing keyword sorts as Null). Each record's sort values are read
+/// once, by slot, before sorting.
+void SortByAttributes(std::vector<std::string> attributes,
+                      std::vector<Record>* records) {
+  std::vector<abdm::AttributeReader> readers;
+  for (auto& attribute : attributes) readers.emplace_back(std::move(attribute));
+  const Value null;
+  const size_t width = readers.size();
+  std::vector<const Value*> keys;
+  keys.reserve(records->size() * width);
+  for (const Record& r : *records) {
+    for (auto& reader : readers) {
+      const Value* v = reader.Find(r);
+      keys.push_back(v != nullptr ? v : &null);
+    }
+  }
+  std::vector<size_t> order(records->size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (size_t k = 0; k < width; ++k) {
+      const int c = keys[a * width + k]->Compare(*keys[b * width + k]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
+  std::vector<Record> sorted;
+  sorted.reserve(records->size());
+  for (size_t i : order) sorted.push_back(std::move((*records)[i]));
+  *records = std::move(sorted);
+}
+
 /// Sorts AB records by database key for deterministic set ordering.
 void SortByKey(std::string_view record_type, std::vector<Record>* records) {
-  const std::string key_attr = KeyAttribute(record_type);
-  std::stable_sort(records->begin(), records->end(),
-                   [&](const Record& a, const Record& b) {
-                     return a.GetOrNull(key_attr).Compare(
-                                b.GetOrNull(key_attr)) < 0;
-                   });
+  SortByAttributes({KeyAttribute(record_type)}, records);
 }
 
 /// Orders set members per the set's ORDER clause: by the sorting item
 /// (ties broken by database key) or by database key alone.
 void SortSetMembers(const SetType& set, std::string_view record_type,
                     std::vector<Record>* records) {
-  SortByKey(record_type, records);
   if (set.order == network::OrderMode::kSortedBy) {
-    const std::string& item = set.order_item;
-    std::stable_sort(records->begin(), records->end(),
-                     [&](const Record& a, const Record& b) {
-                       return a.GetOrNull(item).Compare(b.GetOrNull(item)) < 0;
-                     });
+    SortByAttributes({set.order_item, KeyAttribute(record_type)}, records);
+  } else {
+    SortByKey(record_type, records);
   }
 }
 
@@ -1314,19 +1338,20 @@ Result<DmlResult> DmlMachine::Walk(const codasyl::WalkStatement& s) {
     if (level > 0 && reachable.size() > kWalkProbeLimit) {
       // The owner side ran unrestricted; drop members whose owner was
       // never reached so the chain's pruning semantics are unchanged.
-      const std::unordered_set<std::string> reached(reachable.begin(),
-                                                    reachable.end());
+      const std::unordered_set<std::string_view> reached(reachable.begin(),
+                                                         reachable.end());
       const std::string set_attr = SetAttribute(set.name);
       std::erase_if(current, [&](const Record& r) {
-        Value owner_key = r.GetOrNull(set_attr);
-        return !owner_key.is_string() ||
-               reached.count(owner_key.AsString()) == 0;
+        const Value* key = r.Find(set_attr);
+        return key == nullptr || !key->is_string() ||
+               reached.count(key->AsString()) == 0;
       });
     }
-    std::set<std::string> keys;
+    std::set<std::string_view> keys;
+    abdm::AttributeReader member_key(KeyAttribute(member));
     for (const Record& r : current) {
-      Value key = r.GetOrNull(KeyAttribute(member));
-      if (key.is_string()) keys.insert(key.AsString());
+      const Value* key = member_key.Find(r);
+      if (key != nullptr && key->is_string()) keys.insert(key->AsString());
     }
     reachable.assign(keys.begin(), keys.end());
   }

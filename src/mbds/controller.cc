@@ -452,10 +452,9 @@ Result<ExecutionReport> Controller::ExecuteInsert(
   size_t target =
       insert_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
   if (options_.placement == PlacementPolicy::kHashKey &&
-      request.record.keywords().size() >= 2) {
-    const abdm::Keyword& key = request.record.keywords()[1];
-    target = std::hash<std::string>{}(key.attribute + "=" +
-                                      key.value.ToString()) %
+      request.record.size() >= 2) {
+    target = std::hash<std::string>{}(request.record.attribute(1) + "=" +
+                                      request.record.value(1).ToString()) %
              n;
   }
 
@@ -530,10 +529,9 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
     size_t target =
         insert_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
     if (options_.placement == PlacementPolicy::kHashKey &&
-        record.keywords().size() >= 2) {
-      const abdm::Keyword& key = record.keywords()[1];
-      target = std::hash<std::string>{}(key.attribute + "=" +
-                                        key.value.ToString()) %
+        record.size() >= 2) {
+      target = std::hash<std::string>{}(record.attribute(1) + "=" +
+                                        record.value(1).ToString()) %
                n;
     }
     parts[target].records.push_back(record);

@@ -12,6 +12,7 @@
 
 #include "abdl/parser.h"
 #include "abdl/prepared.h"
+#include "abdm/record.h"
 #include "client/client.h"
 #include "common/frame.h"
 #include "kds/snapshot.h"
@@ -780,6 +781,63 @@ TEST(ParserFuzzTest, HostileParameterCountsClampBatchSize) {
   auto bound = constant->BindBatch({{}, {}});
   ASSERT_TRUE(bound.ok()) << bound.status();
   EXPECT_EQ(bound->records.size(), 2u);
+}
+
+/// Record decoding reads page bytes, so a mutated payload must decode or
+/// be rejected, never crash or over-allocate. Anything accepted is a valid
+/// record: it re-serializes to exactly the bytes it came from, whichever
+/// layout the decoder's table or previous record offered.
+TEST_P(ParserFuzzTest, RecordDecoderSurvivesMutatedPayloads) {
+  FuzzInputs inputs(static_cast<uint32_t>(GetParam()) + 19000);
+  std::mt19937 rng(static_cast<uint32_t>(GetParam()));
+  std::vector<abdm::Record> shapes(3);
+  shapes[0].Set("FILE", abdm::Value::String("course"));
+  shapes[0].Set("course", abdm::Value::String("c1"));
+  shapes[0].Set("credits", abdm::Value::Integer(4));
+  shapes[0].Set("gpa", abdm::Value::Float(3.5));
+  shapes[0].Set("note", abdm::Value::Null());
+  shapes[1] = abdm::Record({{"course", abdm::Value::String("c2")},
+                            {"FILE", abdm::Value::String("course")},
+                            {"credits", abdm::Value::Integer(-1)}},
+                           "text portion");
+  shapes[2].Set("x", abdm::Value::Integer(7));
+  abdm::LayoutTable table;
+  std::vector<std::string> valid;
+  for (const auto& r : shapes) {
+    table.Intern(r);
+    abdm::SerializeRecord(r, valid.emplace_back());
+  }
+  abdm::RecordDecoder with_table(&table);
+  abdm::RecordDecoder without_table;
+  auto check = [&](const std::string& bytes) {
+    for (abdm::RecordDecoder* decoder : {&with_table, &without_table}) {
+      auto rec = decoder->Decode(bytes);
+      if (!rec.has_value()) continue;
+      std::string again;
+      abdm::SerializeRecord(*rec, again);
+      EXPECT_EQ(again, bytes);
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string& base = valid[rng() % valid.size()];
+    // Decoding a valid payload first primes the decoder's last layout.
+    check(base);
+    std::string flipped = base;
+    flipped[rng() % flipped.size()] ^= char(1u << (rng() % 8));
+    check(flipped);
+    check(inputs.Truncated(base));
+    check(inputs.Spliced(base));
+    check(inputs.Garbage(trial % 37));
+  }
+  // A name byte changed in place keeps the count and lengths but must not
+  // decode under the previous record's layout.
+  std::string renamed = valid[0];
+  renamed[renamed.find("credits")] = 'k';
+  check(valid[0]);
+  auto rec = with_table.Decode(renamed);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_TRUE(rec->Has("kredits"));
+  EXPECT_FALSE(rec->Has("credits"));
 }
 
 TEST_P(ParserFuzzTest, BatchRequestDecoderSurvivesGarbage) {

@@ -429,6 +429,15 @@ else
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${JOBS}" \
       -R 'PipelineStress|SessionStress|ServerRoundTrip')
+  # Record-layout suites: readers share a file's interned layouts under
+  # the store's shared lock while writers register new ones under the
+  # exclusive lock; rerun them race-checked even when MLDS_TSAN_FILTER
+  # narrowed the run above.
+  echo "== TSan record-layout suites =="
+  (cd build-tsan && \
+    TSAN_OPTIONS="halt_on_error=1" \
+    ctest --output-on-failure -j "${JOBS}" \
+      -R 'ConcurrencyTest|CompactRaceTest|AbdlCommitRaceTest|RecordTest|FileStoreTest')
   # Streaming smoke under TSan: the server threads and the per-session
   # stream state all touch the write path — race-check the chunked
   # transfer end to end, not just in unit tests.
