@@ -354,6 +354,26 @@ std::vector<RecordId> FileStore::IndexLookup(const abdm::KeyInterval& interval,
   return out;
 }
 
+std::vector<RecordId> FileStore::LeafLookup(const PlanNode& leaf,
+                                            const KeyFold* fold,
+                                            IoStats* io) const {
+  if (leaf.kind != PlanNodeKind::kIndexKeys) {
+    return IndexLookup(abdm::KeyInterval::Fold(leaf.predicates), io);
+  }
+  std::vector<RecordId> out;
+  auto attr_it = index_.find(fold->keys.front()->attribute);
+  for (const abdm::Predicate* key : fold->keys) {
+    if (io != nullptr) io->index_probes += 1;
+    if (attr_it == index_.end()) continue;
+    const auto [first, last] = BucketRun(attr_it->second, {key, key});
+    for (auto it = first; it != last; ++it) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::optional<size_t> FileStore::EstimateMatches(
     const abdm::KeyInterval& interval) const {
   if (!IsIndexedAttribute(interval.attribute())) return std::nullopt;
@@ -393,7 +413,7 @@ std::optional<size_t> FileStore::DistinctValues(std::string_view attr) const {
 }
 
 Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
-                                     PlanNode* node,
+                                     const KeyFold* fold, PlanNode* node,
                                      std::vector<Row>* out,
                                      IoStats* io) const {
   // Materialize the candidate set the plan prescribes; nullopt means the
@@ -409,7 +429,7 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
       break;
     case PlanNodeKind::kIntersect: {
       PlanNode& driver = node->children.front();
-      best = IndexLookup(abdm::KeyInterval::Fold(driver.predicates), io);
+      best = LeafLookup(driver, fold, io);
       driver.executed = true;
       driver.actual_rows = best->size();
       const double f = cached_fraction();
@@ -420,8 +440,7 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
         // rule dynamically. The first skipped child ends the intersection
         // (children are cost-ordered — later ones are no cheaper).
         if (!WorthIntersecting(child.est_rows, best->size(), f)) break;
-        const std::vector<RecordId> next =
-            IndexLookup(abdm::KeyInterval::Fold(child.predicates), io);
+        const std::vector<RecordId> next = LeafLookup(child, fold, io);
         child.executed = true;
         child.actual_rows = next.size();
         std::vector<RecordId> intersection;
@@ -436,7 +455,7 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
       // A lone index node — including one whose zero estimate proved the
       // conjunction empty: probing it costs the same single directory
       // lookup the planner's estimate did.
-      best = IndexLookup(abdm::KeyInterval::Fold(node->predicates), io);
+      best = LeafLookup(*node, fold, io);
       break;
   }
 
@@ -452,7 +471,7 @@ Status FileStore::ExecuteConjunction(const abdm::Conjunction& conj,
     if (io != nullptr) io->records_examined += 1;
     MLDS_ASSIGN_OR_RETURN(abdm::Record rec,
                           DecodeEntry(e, decoder, io, chain_pages));
-    if (conj.Matches(rec)) {
+    if (fold != nullptr ? fold->Matches(conj, rec) : conj.Matches(rec)) {
       out->emplace_back(id, std::move(rec));
       ++matched;
     }
@@ -530,10 +549,21 @@ Result<std::vector<std::pair<RecordId, abdm::Record>>> FileStore::Execute(
     const abdm::Query& query, PlanNode* plan, IoStats* io) const {
   std::vector<Row> matched;
   const auto& disjuncts = query.disjuncts();
-  const size_t n = std::min(disjuncts.size(), plan->children.size());
+  // A lone child under several disjuncts is a folded key set (PlanQuery).
+  std::optional<KeyFold> fold;
+  if (disjuncts.size() > 1 && plan->children.size() == 1) {
+    fold = FoldKeys(query, *this);
+    if (!fold.has_value()) {
+      return Status::Internal("file_store: plan of '" + name() +
+                              "' does not match its query");
+    }
+  }
+  const size_t n =
+      fold.has_value() ? 1 : std::min(disjuncts.size(), plan->children.size());
   for (size_t i = 0; i < n; ++i) {
-    MLDS_RETURN_IF_ERROR(
-        ExecuteConjunction(disjuncts[i], &plan->children[i], &matched, io));
+    MLDS_RETURN_IF_ERROR(ExecuteConjunction(
+        disjuncts[i], fold.has_value() ? &*fold : nullptr, &plan->children[i],
+        &matched, io));
   }
   // Candidates arrive in page order and a record several disjuncts match
   // arrives once per disjunct; the result is each id once, in id order.

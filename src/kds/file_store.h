@@ -31,6 +31,8 @@ namespace mlds::kds {
 /// page file restores the original numbering.
 using RecordId = uint64_t;
 
+struct KeyFold;
+
 /// Page-structured storage for one kernel file, with a keyword directory
 /// (per-attribute index) over the file's directory attributes and
 /// optional secondary indexes over declared non-directory attributes.
@@ -230,11 +232,13 @@ class FileStore : public abdm::DirectoryStats {
 
   /// Executes one conjunction's plan node, appending matching live records
   /// to `out` in page order, charging `io` for index probes / pool misses,
-  /// and filling the node's actual counters (logical pages touched). A
-  /// page fetch or decode failure aborts the evaluation with its status.
-  Status ExecuteConjunction(const abdm::Conjunction& conj, PlanNode* node,
-                            std::vector<Row>* out,
-                            IoStats* io) const;
+  /// and filling the node's actual counters (logical pages touched). With
+  /// a `fold`, `conj` is the folded query's first disjunct and the node
+  /// stands for every disjunct (KeyFold::Matches checks each candidate).
+  /// A page fetch or decode failure aborts the evaluation with its status.
+  Status ExecuteConjunction(const abdm::Conjunction& conj,
+                            const KeyFold* fold, PlanNode* node,
+                            std::vector<Row>* out, IoStats* io) const;
 
   /// Materializes every live record in id order (uncharged page scan;
   /// callers charge logical full-scan costs themselves).
@@ -255,6 +259,12 @@ class FileStore : public abdm::DirectoryStats {
   /// attributes; an attribute with no keyword yet yields no candidates.
   std::vector<RecordId> IndexLookup(const abdm::KeyInterval& interval,
                                     IoStats* io) const;
+
+  /// Candidate ids, in id order, of an index leaf: its interval's buckets,
+  /// or for an INDEX KEYS leaf one point lookup per key of `fold` and one
+  /// sort of the union (distinct keys name disjoint buckets).
+  std::vector<RecordId> LeafLookup(const PlanNode& leaf, const KeyFold* fold,
+                                   IoStats* io) const;
 
   bool IsDirectoryAttribute(std::string_view attr) const;
   bool IsIndexedAttribute(std::string_view attr) const;

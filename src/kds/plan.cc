@@ -10,6 +10,8 @@ std::string_view PlanNodeKindName(PlanNodeKind kind) {
       return "INDEX EQUALITY";
     case PlanNodeKind::kIndexRange:
       return "INDEX RANGE";
+    case PlanNodeKind::kIndexKeys:
+      return "INDEX KEYS";
     case PlanNodeKind::kFullScan:
       return "FULL SCAN";
     case PlanNodeKind::kIntersect:

@@ -37,6 +37,10 @@ enum class PlanNodeKind {
   /// predicate of the conjunction on one attribute, folded into a single
   /// interval.
   kIndexRange,
+  /// One point lookup per key of a folded key set (see KeyFold): the
+  /// disjuncts of a DNF that differ only in one equality on one indexed
+  /// attribute, probed as one candidate set.
+  kIndexKeys,
   /// Scan of every allocated block of the file.
   kFullScan,
   /// Candidate-set intersection, children ordered cheapest-estimate
@@ -44,7 +48,8 @@ enum class PlanNodeKind {
   /// cutoff says per-record verification is cheaper (they stay
   /// `executed == false`).
   kIntersect,
-  /// One child per conjunction of the DNF query.
+  /// One child per conjunction of the DNF query, or one child for every
+  /// disjunct when they fold into a key set.
   kUnionOfConjunctions,
   /// Target-list projection (with optional BY grouping).
   kProject,

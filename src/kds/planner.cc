@@ -1,6 +1,7 @@
 #include "kds/planner.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,23 +15,42 @@ uint64_t BlockBudget(size_t candidates, const abdm::DirectoryStats& stats) {
   return std::min<uint64_t>(candidates, stats.allocated_blocks());
 }
 
-/// One directory probe of a conjunction: an equality predicate, or every
-/// range predicate on one attribute folded into one interval.
+/// One directory probe of a conjunction: an equality predicate, every
+/// range predicate on one attribute folded into one interval, or a folded
+/// key set (`interval` is then its first key's point).
 struct Probe {
   PlanNodeKind kind;
   abdm::KeyInterval interval;
   abdm::CardinalityEstimate estimate;
 };
 
-PlanNode IndexNode(const Probe& probe, const abdm::DirectoryStats& stats) {
+/// A key set's candidates: the sum of its keys' buckets, exact from the
+/// directory.
+abdm::CardinalityEstimate EstimateKeys(const KeyFold& fold,
+                                       const abdm::DirectoryStats& stats) {
+  size_t rows = 0;
+  for (const abdm::Predicate* key : fold.keys) {
+    rows += stats.EstimateMatches(abdm::KeyInterval{key, key}).value_or(0);
+  }
+  return {rows, abdm::EstimateSource::kDirectory};
+}
+
+PlanNode IndexNode(const Probe& probe, const abdm::DirectoryStats& stats,
+                   const KeyFold* fold) {
   PlanNode node;
   node.kind = probe.kind;
-  if (probe.interval.lower != nullptr) {
-    node.predicates.push_back(*probe.interval.lower);
-  }
-  if (probe.interval.upper != nullptr &&
-      probe.interval.upper != probe.interval.lower) {
-    node.predicates.push_back(*probe.interval.upper);
+  if (probe.kind == PlanNodeKind::kIndexKeys) {
+    // Shown once with its key count, not one predicate per key.
+    node.label = probe.interval.attribute() + " IN " +
+                 std::to_string(fold->keys.size()) + " keys";
+  } else {
+    if (probe.interval.lower != nullptr) {
+      node.predicates.push_back(*probe.interval.lower);
+    }
+    if (probe.interval.upper != nullptr &&
+        probe.interval.upper != probe.interval.lower) {
+      node.predicates.push_back(*probe.interval.upper);
+    }
   }
   node.secondary = stats.IsSecondaryIndex(probe.interval.attribute());
   node.est_rows = probe.estimate.rows;
@@ -56,15 +76,90 @@ bool WorthIntersecting(size_t next_estimate, size_t current_size,
   return discounted <= 4 * current_size + 16;
 }
 
+bool KeyFold::Matches(const abdm::Conjunction& first,
+                      const abdm::Record& record) const {
+  const abdm::Value* recorded = record.Find(keys.front()->attribute);
+  if (recorded == nullptr) return false;
+  auto key = std::lower_bound(keys.begin(), keys.end(), *recorded,
+                              [](const abdm::Predicate* k,
+                                 const abdm::Value& v) {
+                                return k->value.Compare(v) < 0;
+                              });
+  if (key == keys.end() || (*key)->value.Compare(*recorded) != 0) {
+    return false;
+  }
+  for (size_t i = 0; i < first.predicates.size(); ++i) {
+    if (i != position && !first.predicates[i].Matches(record)) return false;
+  }
+  return true;
+}
+
+std::optional<KeyFold> FoldKeys(const abdm::Query& query,
+                                const abdm::DirectoryStats& stats) {
+  const std::vector<abdm::Conjunction>& disjuncts = query.disjuncts();
+  if (disjuncts.size() < 2) return std::nullopt;
+  const std::vector<abdm::Predicate>& first = disjuncts.front().predicates;
+  // The key sits at the first position where any disjunct departs from
+  // the first one; every other position must agree everywhere.
+  size_t position = first.size();
+  for (const abdm::Conjunction& conj : disjuncts) {
+    if (conj.predicates.size() != first.size()) return std::nullopt;
+    for (size_t i = 0; i < position; ++i) {
+      if (!(conj.predicates[i] == first[i])) {
+        position = i;
+        break;
+      }
+    }
+  }
+  if (position == first.size()) return std::nullopt;
+  const abdm::Predicate& key = first[position];
+  if (key.op != abdm::RelOp::kEq ||
+      !stats.EstimateMatches(abdm::KeyInterval{&key, &key}).has_value()) {
+    return std::nullopt;
+  }
+  KeyFold fold;
+  fold.position = position;
+  fold.keys.reserve(disjuncts.size());
+  for (const abdm::Conjunction& conj : disjuncts) {
+    for (size_t i = 0; i < first.size(); ++i) {
+      const abdm::Predicate& pred = conj.predicates[i];
+      const bool agrees = i == position ? pred.op == abdm::RelOp::kEq &&
+                                              pred.attribute == key.attribute
+                                        : pred == first[i];
+      if (!agrees) return std::nullopt;
+    }
+    fold.keys.push_back(&conj.predicates[position]);
+  }
+  auto by_value = [](const abdm::Predicate* a, const abdm::Predicate* b) {
+    return a->value.Compare(b->value) < 0;
+  };
+  std::sort(fold.keys.begin(), fold.keys.end(), by_value);
+  fold.keys.erase(std::unique(fold.keys.begin(), fold.keys.end(),
+                              [](const abdm::Predicate* a,
+                                 const abdm::Predicate* b) {
+                                return a->value.Compare(b->value) == 0;
+                              }),
+                  fold.keys.end());
+  return fold;
+}
+
 PlanNode PlanConjunction(const abdm::Conjunction& conj,
-                         const abdm::DirectoryStats& stats) {
+                         const abdm::DirectoryStats& stats,
+                         const KeyFold* fold) {
   // One directory probe per equality predicate, and one per attribute for
   // its range predicates: every lower and upper bound on the attribute
   // folds into a single interval, so the executor walks the qualifying
   // value buckets once instead of intersecting half-open candidate sets.
+  // A fold's key equality becomes one probe of the whole key set.
   std::vector<Probe> probes;
   probes.reserve(conj.predicates.size());
-  for (const abdm::Predicate& pred : conj.predicates) {
+  for (size_t i = 0; i < conj.predicates.size(); ++i) {
+    const abdm::Predicate& pred = conj.predicates[i];
+    if (fold != nullptr && i == fold->position) {
+      const abdm::Predicate* key = fold->keys.front();
+      probes.push_back({PlanNodeKind::kIndexKeys, {key, key}, {}});
+      continue;
+    }
     std::optional<abdm::KeyInterval> interval = abdm::KeyInterval::Of(pred);
     if (!interval.has_value()) continue;
     const PlanNodeKind kind = pred.op == abdm::RelOp::kEq
@@ -90,7 +185,9 @@ PlanNode PlanConjunction(const abdm::Conjunction& conj,
   indexed.reserve(probes.size());
   for (Probe& probe : probes) {
     std::optional<abdm::CardinalityEstimate> estimate =
-        stats.EstimateWithSource(probe.interval);
+        probe.kind == PlanNodeKind::kIndexKeys
+            ? EstimateKeys(*fold, stats)
+            : stats.EstimateWithSource(probe.interval);
     if (!estimate.has_value()) continue;
     probe.estimate = *estimate;
     if (estimate->rows == 0 &&
@@ -99,7 +196,7 @@ PlanNode PlanConjunction(const abdm::Conjunction& conj,
       // or a contradictory interval; the plan is a lone proving probe.
       // (A histogram zero is only an estimate — it does not prove
       // emptiness.)
-      return IndexNode(probe, stats);
+      return IndexNode(probe, stats, fold);
     }
     indexed.push_back(probe);
   }
@@ -133,7 +230,7 @@ PlanNode PlanConjunction(const abdm::Conjunction& conj,
   }
 
   if (kept == 1) {
-    return IndexNode(driver, stats);
+    return IndexNode(driver, stats, fold);
   }
 
   PlanNode intersect;
@@ -143,7 +240,7 @@ PlanNode PlanConjunction(const abdm::Conjunction& conj,
   intersect.est_source = driver.estimate.source;
   intersect.children.reserve(kept);
   for (size_t k = 0; k < kept; ++k) {
-    intersect.children.push_back(IndexNode(indexed[k], stats));
+    intersect.children.push_back(IndexNode(indexed[k], stats, fold));
   }
   return intersect;
 }
@@ -153,9 +250,14 @@ PlanNode PlanQuery(const abdm::Query& query, const abdm::DirectoryStats& stats,
   PlanNode root;
   root.kind = PlanNodeKind::kUnionOfConjunctions;
   root.label = file;
-  root.children.reserve(query.disjuncts().size());
-  for (const abdm::Conjunction& conj : query.disjuncts()) {
-    root.children.push_back(PlanConjunction(conj, stats));
+  if (const std::optional<KeyFold> fold = FoldKeys(query, stats)) {
+    root.children.push_back(
+        PlanConjunction(query.disjuncts().front(), stats, &*fold));
+  } else {
+    root.children.reserve(query.disjuncts().size());
+    for (const abdm::Conjunction& conj : query.disjuncts()) {
+      root.children.push_back(PlanConjunction(conj, stats));
+    }
   }
   root.est_rows = root.SumChildren(&PlanNode::est_rows);
   root.est_blocks = root.SumChildren(&PlanNode::est_blocks);

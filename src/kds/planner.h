@@ -2,7 +2,9 @@
 #define MLDS_KDS_PLANNER_H_
 
 #include <cstddef>
+#include <optional>
 #include <string_view>
+#include <vector>
 
 #include "abdm/query.h"
 #include "abdm/stats.h"
@@ -28,6 +30,32 @@ bool WorthIntersecting(size_t next_estimate, size_t current_size);
 bool WorthIntersecting(size_t next_estimate, size_t current_size,
                        double cached_fraction);
 
+/// A DNF whose disjuncts are one predicate list but for one equality, at
+/// one position, on one indexed attribute: (S and a = k1) or (S and a =
+/// k2) or ... — the shape the front ends emit to fetch records by a set
+/// of keys. The planner folds it into one conjunction whose key probe is
+/// one point lookup per distinct key.
+struct KeyFold {
+  /// Position of the key equality in every disjunct.
+  size_t position = 0;
+  /// One key equality per distinct value, in value order (pointers into
+  /// the folded query, which must outlive the fold).
+  std::vector<const abdm::Predicate*> keys;
+
+  /// The folded predicate: `record` satisfies `first` (any disjunct of
+  /// the folded query) with its key equality replaced by membership of
+  /// the record's keyword in the key set. Equality is Value equality, as
+  /// in Predicate::Matches (a NULL key matches a NULL keyword only).
+  bool Matches(const abdm::Conjunction& first,
+               const abdm::Record& record) const;
+};
+
+/// The fold of `query`, or nullopt when it has fewer than two disjuncts,
+/// its disjuncts differ anywhere but one equality on one attribute (or
+/// nowhere), or that attribute is not indexed in `stats`.
+std::optional<KeyFold> FoldKeys(const abdm::Query& query,
+                                const abdm::DirectoryStats& stats);
+
 /// Builds the physical plan for one conjunction against the directory
 /// statistics. Every range predicate on one attribute folds into one
 /// interval probe (the tightest bound on each side wins; != and null
@@ -36,13 +64,20 @@ bool WorthIntersecting(size_t next_estimate, size_t current_size,
 /// intersected cheapest-first, a conjunction with no index-assisted probe
 /// falls back to a full scan, and a probe the directory proves empty (an
 /// absent value, or a contradictory interval) becomes a lone index node
-/// with a zero estimate.
+/// with a zero estimate. With a `fold` of the query `conj` belongs to, the
+/// key equality at the fold's position is replaced by one INDEX KEYS probe
+/// whose estimate is the sum of the keys' buckets; it competes with the
+/// other probes like any equality.
 PlanNode PlanConjunction(const abdm::Conjunction& conj,
-                         const abdm::DirectoryStats& stats);
+                         const abdm::DirectoryStats& stats,
+                         const KeyFold* fold = nullptr);
 
 /// Builds the plan for a DNF query over one file: a UNION root (labelled
-/// with `file`) with one child per conjunction, in disjunct order. The
-/// executor relies on that child ordering to pair nodes with disjuncts.
+/// with `file`) with one child per conjunction, in disjunct order — or,
+/// when the query folds (FoldKeys), one child planned from the first
+/// disjunct with the fold. The executor relies on that child ordering to
+/// pair nodes with disjuncts, and on a lone child under several disjuncts
+/// to recognise a fold.
 PlanNode PlanQuery(const abdm::Query& query, const abdm::DirectoryStats& stats,
                    std::string_view file);
 

@@ -24,10 +24,6 @@ using daplex::FunctionClass;
 using transform::KeyAttribute;
 using transform::SetAttribute;
 
-/// ISA-chain fetches this large lower to one fused RETRIEVE-COMMON join
-/// of the two files instead of a per-key disjunct retrieve.
-constexpr size_t kIsaFusionThreshold = 8;
-
 Predicate EqStr(std::string attribute, std::string_view value) {
   return Predicate{std::move(attribute), RelOp::kEq,
                    Value::String(std::string(value))};
@@ -160,100 +156,53 @@ Result<std::vector<Record>> DaplexMachine::FetchByKeys(
 }
 
 Status DaplexMachine::AbsorbAncestors(
-    std::string_view type, const Query& base,
-    std::map<std::string, EntityView>* views) {
-  // Walk up one ISA level at a time: collect the supertype keys present
-  // in the views' ISA keywords, fetch those supertype records, merge.
-  std::string current(type);
-  // Map from view dbkey to the key of its record at the current level.
-  std::map<std::string, std::string> level_key;
-  for (auto& [dbkey, view] : *views) level_key[dbkey] = dbkey;
-
-  while (true) {
+    std::string_view type, std::map<std::string, EntityView>* views) {
+  // Walk every ISA edge above `type`, breadth first. Each (subtype,
+  // supertype) edge fetches the supertype records by the keys the views'
+  // ISA keywords name — one RETRIEVE of per-key disjuncts, which the
+  // kernel probes as one key set — and each view absorbs the records of
+  // its own entity. A type reached along two branches is expanded once.
+  std::deque<std::string> frontier;
+  frontier.emplace_back(type);
+  std::set<std::string> expanded = {std::string(type)};
+  while (!frontier.empty()) {
+    const std::string current = std::move(frontier.front());
+    frontier.pop_front();
     const daplex::Subtype* sub = functional_->FindSubtype(current);
-    if (sub == nullptr) break;
-    // Single-supertype chains cover the University schema; for multiple
-    // supertypes every branch is merged (keys fetched per supertype).
-    std::string next_level;
+    if (sub == nullptr) continue;
     for (const auto& super : sub->supertypes) {
       const std::string isa_attr =
           SetAttribute(transform::IsaSetName(super, current));
+      // This branch's key map: each view's entity key at `super`.
+      std::vector<std::pair<EntityView*, std::string>> super_key_of;
       std::set<std::string> super_keys;
-      std::map<std::string, std::string> next_key;
       for (auto& [dbkey, view] : *views) {
         const std::vector<Value>* isa = view.Find(isa_attr);
         if (isa == nullptr || isa->empty() || !isa->front().is_string()) {
           continue;
         }
         super_keys.insert(isa->front().AsString());
-        next_key[dbkey] = isa->front().AsString();
+        super_key_of.emplace_back(&view, isa->front().AsString());
       }
       if (super_keys.empty()) continue;
-      // Above the fusion threshold, one RETRIEVE-COMMON joins the whole
-      // supertype file with the current-level records on the ISA keyword
-      // — a single fused JOIN plan instead of a per-key disjunct probe.
-      // At the first level the current-level side is the base query, so
-      // only the qualifying subtype records join; higher levels join the
-      // whole file. The merged records carry both levels' keywords; the
-      // merge below keys on (super key, current-level key) so each view
-      // absorbs only its own entity's pair, and Absorb dedups the
-      // riding-along current-level keywords the view already holds.
-      const bool fused = super_keys.size() >= kIsaFusionThreshold;
-      std::vector<Record> records;
-      if (fused) {
-        abdl::RetrieveCommonRequest req;
-        req.left_query =
-            Query::And({EqStr(std::string(abdm::kFileAttribute), super)});
-        req.left_attribute = KeyAttribute(super);
-        req.right_query =
-            current == type
-                ? base
-                : Query::And(
-                      {EqStr(std::string(abdm::kFileAttribute), current)});
-        req.right_attribute = isa_attr;
-        MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(std::move(req)));
-        records = std::move(resp.records);
-      } else {
-        MLDS_ASSIGN_OR_RETURN(records, FetchByKeys(super, super_keys));
-      }
+      MLDS_ASSIGN_OR_RETURN(std::vector<Record> records,
+                            FetchByKeys(super, super_keys));
       std::unordered_map<std::string, std::vector<const Record*>> by_key;
       by_key.reserve(records.size());
-      abdm::AttributeReader super_key(KeyAttribute(super));
-      abdm::AttributeReader current_key(KeyAttribute(current));
-      auto display = [](const Value* v) {
-        return v != nullptr ? v->ToDisplayString() : Value().ToDisplayString();
-      };
+      abdm::AttributeReader key_reader(KeyAttribute(super));
       for (const Record& r : records) {
-        std::string k = display(super_key.Find(r));
-        if (fused) {
-          k += '\x1f';
-          k += display(current_key.Find(r));
-        }
-        by_key[k].push_back(&r);
+        const Value* key = key_reader.Find(r);
+        by_key[key != nullptr ? key->ToDisplayString()
+                              : Value().ToDisplayString()]
+            .push_back(&r);
       }
-      for (auto& [dbkey, view] : *views) {
-        auto key_it = next_key.find(dbkey);
-        if (key_it == next_key.end()) continue;
-        std::string lookup = key_it->second;
-        if (fused) {
-          lookup += '\x1f';
-          lookup += level_key[dbkey];
-        }
-        auto recs_it = by_key.find(lookup);
+      for (const auto& [view, key] : super_key_of) {
+        auto recs_it = by_key.find(key);
         if (recs_it == by_key.end()) continue;
-        for (const Record* r : recs_it->second) {
-          view.Absorb(*r);
-        }
+        for (const Record* r : recs_it->second) view->Absorb(*r);
       }
-      // Continue the chain through the first supertype (sufficient for
-      // linear hierarchies; diamond chains re-resolve per level).
-      if (next_level.empty()) {
-        next_level = super;
-        level_key = std::move(next_key);
-      }
+      if (expanded.insert(super).second) frontier.push_back(super);
     }
-    if (next_level.empty()) break;
-    current = next_level;
   }
   return Status::OK();
 }
@@ -341,8 +290,8 @@ Result<std::vector<Record>> DaplexMachine::Execute(const ForEachQuery& query) {
     }
   }
 
-  const Query base_query = Query::And(std::move(pushed));
-  MLDS_ASSIGN_OR_RETURN(kds::Response base, Issue(RetrieveAll(base_query)));
+  MLDS_ASSIGN_OR_RETURN(kds::Response base,
+                        Issue(RetrieveAll(Query::And(std::move(pushed)))));
 
   // Collapse duplicated kernel records into one view per entity.
   std::map<std::string, EntityView> views;
@@ -363,7 +312,7 @@ Result<std::vector<Record>> DaplexMachine::Execute(const ForEachQuery& query) {
       }) ||
       query.print_all;
   if (needs_ancestors) {
-    MLDS_RETURN_IF_ERROR(AbsorbAncestors(query.type, base_query, &views));
+    MLDS_RETURN_IF_ERROR(AbsorbAncestors(query.type, &views));
   }
 
   // Many-to-many functions referenced anywhere need the link file before

@@ -134,14 +134,14 @@ class DaplexMachine {
   Result<FunctionSite> Resolve(std::string_view type,
                                std::string_view function) const;
 
-  /// Fetches records of `file` whose key attribute is among `keys`.
+  /// Fetches records of `file` whose key attribute is among `keys`: one
+  /// RETRIEVE of one (FILE = file) and (file = key) disjunct per key.
   Result<std::vector<abdm::Record>> FetchByKeys(
       std::string_view file, const std::set<std::string>& keys);
 
-  /// Merges supertype records into the views, walking the ISA chain.
-  /// `base` is the kernel query the views were retrieved by; a fused
-  /// join at the first ISA level restricts its subtype side to it.
-  Status AbsorbAncestors(std::string_view type, const abdm::Query& base,
+  /// Merges supertype records into the views, walking every ISA edge
+  /// above `type` and fetching each supertype by the keys the views name.
+  Status AbsorbAncestors(std::string_view type,
                          std::map<std::string, EntityView>* views);
 
   /// Fetches the values of a many-to-many function for every view, via

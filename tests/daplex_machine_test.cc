@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -285,7 +286,10 @@ class ExaminingExecutor : public kc::KernelExecutor {
   }
   Result<kds::Response> Execute(const abdl::Request& request) override {
     auto response = inner_->Execute(request);
-    if (response.ok()) examined += response->io.records_examined;
+    if (response.ok()) {
+      examined += response->io.records_examined;
+      per_request.push_back(response->io.records_examined);
+    }
     return response;
   }
   Result<kds::Response> ExecuteTransaction(
@@ -304,6 +308,8 @@ class ExaminingExecutor : public kc::KernelExecutor {
   }
 
   uint64_t examined = 0;
+  /// records_examined of each request, in issue order.
+  std::vector<uint64_t> per_request;
 
  private:
   kc::KernelExecutor* inner_;
@@ -351,10 +357,10 @@ constexpr const char* kPhysicsStudents[] = {
 
 class DaplexIsaJoinTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(DaplexIsaJoinTest, SubtypeSideOfTheFusedJoinIsTheBaseQuery) {
-  // 90 students over six majors: 'Physics' selects more students than
-  // kIsaFusionThreshold, so the inherited pname/age arrive through one
-  // fused RETRIEVE-COMMON of person with student.
+TEST_P(DaplexIsaJoinTest, SupertypeIsProbedByTheQualifyingKeys) {
+  // 90 students over six majors: 'Physics' selects 17 of them, and their
+  // inherited pname/age arrive through one RETRIEVE of person by those
+  // 17 keys, which the kernel probes as one key set.
   MldsSystem::Options options;
   options.backends = GetParam();
   MldsSystem system(options);
@@ -367,7 +373,7 @@ TEST_P(DaplexIsaJoinTest, SubtypeSideOfTheFusedJoinIsTheBaseQuery) {
   DaplexMachine machine(&db->functional, &db->mapping.schema, &db->mapping,
                         &kernel);
 
-  kernel.examined = 0;
+  kernel.per_request.clear();
   auto rows = machine.ExecuteText(
       "FOR EACH student SUCH THAT major = 'Physics' PRINT pname, age, "
       "advisor");
@@ -376,17 +382,269 @@ TEST_P(DaplexIsaJoinTest, SubtypeSideOfTheFusedJoinIsTheBaseQuery) {
   for (const abdm::Record& r : *rows) rendered.push_back(r.ToString());
   EXPECT_EQ(rendered, std::vector<std::string>(std::begin(kPhysicsStudents),
                                                std::end(kPhysicsStudents)));
-  // The fused join ran, its subtype side the base query, and the kernel
-  // examined fewer records than the two files hold together.
-  ASSERT_FALSE(machine.trace().empty());
-  const std::string& join = machine.trace().back();
-  EXPECT_TRUE(join.starts_with("RETRIEVE-COMMON")) << join;
-  EXPECT_NE(join.find("(major = 'Physics')"), std::string::npos) << join;
-  EXPECT_LT(kernel.examined,
-            kernel.FileSize("person") + kernel.FileSize("student"));
+  // The base query, then one key-probed fetch of the qualifying students'
+  // persons: one disjunct per student, and the kernel examines at most
+  // one person record per qualifying student beyond the base query.
+  ASSERT_EQ(machine.trace().size(), 2u);
+  const std::string& fetch = machine.trace().back();
+  EXPECT_TRUE(fetch.starts_with("RETRIEVE (((FILE = 'person') and (person = "))
+      << fetch;
+  size_t disjuncts = 1;
+  for (size_t at = fetch.find(" or "); at != std::string::npos;
+       at = fetch.find(" or ", at + 1)) {
+    ++disjuncts;
+  }
+  EXPECT_EQ(disjuncts, rendered.size()) << fetch;
+  ASSERT_EQ(kernel.per_request.size(), 2u);
+  EXPECT_LE(kernel.per_request[1], rendered.size());
+  EXPECT_LE(kernel.examined, kernel.per_request[0] + rendered.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, DaplexIsaJoinTest,
+                         ::testing::Values(0, 1, 4));
+
+// --- Inheritance goldens over custom ISA shapes ---
+
+/// A three-level chain: c ISA b ISA a.
+constexpr const char* kChainDdl = R"(
+SCHEMA chain;
+TYPE a IS ENTITY
+  an : STRING(10);
+  av : INTEGER;
+END ENTITY;
+TYPE b IS SUBTYPE OF a
+  bn : STRING(10);
+  bv : INTEGER;
+END SUBTYPE;
+TYPE c IS SUBTYPE OF b
+  cn : STRING(10);
+  cv : INTEGER;
+END SUBTYPE;
+)";
+
+/// Two supertypes on one level and a second level above one of them:
+/// c ISA a, b and b ISA d.
+constexpr const char* kTwoSupertypesDdl = R"(
+SCHEMA branches;
+TYPE a IS ENTITY
+  an : STRING(10);
+END ENTITY;
+TYPE d IS ENTITY
+  dn : STRING(10);
+END ENTITY;
+TYPE b IS SUBTYPE OF d
+  bn : STRING(10);
+END SUBTYPE;
+TYPE c IS SUBTYPE OF a, b
+  cn : STRING(10);
+END SUBTYPE;
+)";
+
+class DaplexInheritanceTest : public ::testing::TestWithParam<int> {
+ protected:
+  DaplexMachine* Open(const char* ddl, const char* db) {
+    MldsSystem::Options options;
+    options.backends = GetParam();
+    system_ = std::make_unique<MldsSystem>(options);
+    EXPECT_TRUE(system_->LoadFunctionalDatabase(ddl).ok());
+    auto session = system_->OpenDaplexSession(db);
+    EXPECT_TRUE(session.ok()) << session.status();
+    return session.ok() ? *session : nullptr;
+  }
+
+  /// Runs one CREATE and returns the new entity's database key.
+  std::string Create(DaplexMachine* machine, const std::string& text) {
+    auto outcome = machine->ExecuteStatement(text);
+    EXPECT_TRUE(outcome.ok()) << text << ": " << outcome.status();
+    if (!outcome.ok()) return "";
+    return outcome->info.substr(std::string("created ").size());
+  }
+
+  std::vector<std::string> Rows(DaplexMachine* machine,
+                                std::string_view query) {
+    auto rows = machine->ExecuteText(query);
+    EXPECT_TRUE(rows.ok()) << query << ": " << rows.status();
+    std::vector<std::string> rendered;
+    if (rows.ok()) {
+      for (const abdm::Record& r : *rows) rendered.push_back(r.ToString());
+    }
+    return rendered;
+  }
+
+  /// Loads the chain: 12 a, 10 b and 10 c entities, each subtype entity
+  /// linked to a supertype entity out of key order.
+  DaplexMachine* LoadChain() {
+    DaplexMachine* machine = Open(kChainDdl, "chain");
+    if (machine == nullptr) return nullptr;
+    std::vector<std::string> as, bs;
+    for (int i = 0; i < 12; ++i) {
+      as.push_back(Create(machine, "CREATE a (an = 'A" + std::to_string(i) +
+                                       "', av = " + std::to_string(i) + ")"));
+    }
+    for (int j = 0; j < 10; ++j) {
+      bs.push_back(Create(machine, "CREATE b (a = '" + as[(5 * j + 3) % 12] +
+                                       "', bn = 'B" + std::to_string(j) +
+                                       "', bv = " + std::to_string(j) + ")"));
+    }
+    for (int i = 0; i < 10; ++i) {
+      Create(machine, "CREATE c (b = '" + bs[(3 * i + 1) % 10] + "', cn = 'C" +
+                          std::to_string(i) + "', cv = " + std::to_string(i) +
+                          ")");
+    }
+    return machine;
+  }
+
+  std::unique_ptr<MldsSystem> system_;
+};
+
+/// The chain's rows, captured before ISA levels were fetched by key (key
+/// sets of eight or more then went through a whole-file join): qualifying
+/// key counts 0, 1, 7, 8, 9 and every entity, a residual on a function
+/// two levels up, PRINT ALL, and a one-level query.
+struct InheritanceGolden {
+  const char* query;
+  std::vector<const char*> rows;
+};
+
+const InheritanceGolden kChainGoldens[] = {
+    {"FOR EACH c SUCH THAT cv < 0 PRINT cn, bn, an, av",
+     {}},
+    {"FOR EACH c SUCH THAT cv < 1 PRINT cn, bn, an, av",
+     {
+         "(<c, 'c_1'>, <cn, 'C0'>, <bn, 'B1'>, <an, 'A8'>, <av, 8>)",
+     }},
+    {"FOR EACH c SUCH THAT cv < 7 PRINT cn, bn, an, av",
+     {
+         "(<c, 'c_1'>, <cn, 'C0'>, <bn, 'B1'>, <an, 'A8'>, <av, 8>)",
+         "(<c, 'c_2'>, <cn, 'C1'>, <bn, 'B4'>, <an, 'A11'>, <av, 11>)",
+         "(<c, 'c_3'>, <cn, 'C2'>, <bn, 'B7'>, <an, 'A2'>, <av, 2>)",
+         "(<c, 'c_4'>, <cn, 'C3'>, <bn, 'B0'>, <an, 'A3'>, <av, 3>)",
+         "(<c, 'c_5'>, <cn, 'C4'>, <bn, 'B3'>, <an, 'A6'>, <av, 6>)",
+         "(<c, 'c_6'>, <cn, 'C5'>, <bn, 'B6'>, <an, 'A9'>, <av, 9>)",
+         "(<c, 'c_7'>, <cn, 'C6'>, <bn, 'B9'>, <an, 'A0'>, <av, 0>)",
+     }},
+    {"FOR EACH c SUCH THAT cv < 8 PRINT cn, bn, an, av",
+     {
+         "(<c, 'c_1'>, <cn, 'C0'>, <bn, 'B1'>, <an, 'A8'>, <av, 8>)",
+         "(<c, 'c_2'>, <cn, 'C1'>, <bn, 'B4'>, <an, 'A11'>, <av, 11>)",
+         "(<c, 'c_3'>, <cn, 'C2'>, <bn, 'B7'>, <an, 'A2'>, <av, 2>)",
+         "(<c, 'c_4'>, <cn, 'C3'>, <bn, 'B0'>, <an, 'A3'>, <av, 3>)",
+         "(<c, 'c_5'>, <cn, 'C4'>, <bn, 'B3'>, <an, 'A6'>, <av, 6>)",
+         "(<c, 'c_6'>, <cn, 'C5'>, <bn, 'B6'>, <an, 'A9'>, <av, 9>)",
+         "(<c, 'c_7'>, <cn, 'C6'>, <bn, 'B9'>, <an, 'A0'>, <av, 0>)",
+         "(<c, 'c_8'>, <cn, 'C7'>, <bn, 'B2'>, <an, 'A1'>, <av, 1>)",
+     }},
+    {"FOR EACH c SUCH THAT cv < 9 PRINT cn, bn, an, av",
+     {
+         "(<c, 'c_1'>, <cn, 'C0'>, <bn, 'B1'>, <an, 'A8'>, <av, 8>)",
+         "(<c, 'c_2'>, <cn, 'C1'>, <bn, 'B4'>, <an, 'A11'>, <av, 11>)",
+         "(<c, 'c_3'>, <cn, 'C2'>, <bn, 'B7'>, <an, 'A2'>, <av, 2>)",
+         "(<c, 'c_4'>, <cn, 'C3'>, <bn, 'B0'>, <an, 'A3'>, <av, 3>)",
+         "(<c, 'c_5'>, <cn, 'C4'>, <bn, 'B3'>, <an, 'A6'>, <av, 6>)",
+         "(<c, 'c_6'>, <cn, 'C5'>, <bn, 'B6'>, <an, 'A9'>, <av, 9>)",
+         "(<c, 'c_7'>, <cn, 'C6'>, <bn, 'B9'>, <an, 'A0'>, <av, 0>)",
+         "(<c, 'c_8'>, <cn, 'C7'>, <bn, 'B2'>, <an, 'A1'>, <av, 1>)",
+         "(<c, 'c_9'>, <cn, 'C8'>, <bn, 'B5'>, <an, 'A4'>, <av, 4>)",
+     }},
+    {"FOR EACH c PRINT cn, bn, an, av",
+     {
+         "(<c, 'c_1'>, <cn, 'C0'>, <bn, 'B1'>, <an, 'A8'>, <av, 8>)",
+         "(<c, 'c_10'>, <cn, 'C9'>, <bn, 'B8'>, <an, 'A7'>, <av, 7>)",
+         "(<c, 'c_2'>, <cn, 'C1'>, <bn, 'B4'>, <an, 'A11'>, <av, 11>)",
+         "(<c, 'c_3'>, <cn, 'C2'>, <bn, 'B7'>, <an, 'A2'>, <av, 2>)",
+         "(<c, 'c_4'>, <cn, 'C3'>, <bn, 'B0'>, <an, 'A3'>, <av, 3>)",
+         "(<c, 'c_5'>, <cn, 'C4'>, <bn, 'B3'>, <an, 'A6'>, <av, 6>)",
+         "(<c, 'c_6'>, <cn, 'C5'>, <bn, 'B6'>, <an, 'A9'>, <av, 9>)",
+         "(<c, 'c_7'>, <cn, 'C6'>, <bn, 'B9'>, <an, 'A0'>, <av, 0>)",
+         "(<c, 'c_8'>, <cn, 'C7'>, <bn, 'B2'>, <an, 'A1'>, <av, 1>)",
+         "(<c, 'c_9'>, <cn, 'C8'>, <bn, 'B5'>, <an, 'A4'>, <av, 4>)",
+     }},
+    {"FOR EACH c SUCH THAT av >= 6 PRINT cn, av",
+     {
+         "(<c, 'c_1'>, <cn, 'C0'>, <av, 8>)",
+         "(<c, 'c_10'>, <cn, 'C9'>, <av, 7>)",
+         "(<c, 'c_2'>, <cn, 'C1'>, <av, 11>)",
+         "(<c, 'c_5'>, <cn, 'C4'>, <av, 6>)",
+         "(<c, 'c_6'>, <cn, 'C5'>, <av, 9>)",
+     }},
+    {"FOR EACH c SUCH THAT cv < 2 PRINT ALL",
+     {
+         "(<c, 'c_1'>, <a, 'a_9'>, <a_b, 'a_9'>, <an, 'A8'>, <av, 8>, <b, "
+         "'b_2'>, <b_c, 'b_2'>, <bn, 'B1'>, <bv, 1>, <cn, 'C0'>, <cv, 0>)",
+         "(<c, 'c_2'>, <a, 'a_12'>, <a_b, 'a_12'>, <an, 'A11'>, <av, 11>, "
+         "<b, 'b_5'>, <b_c, 'b_5'>, <bn, 'B4'>, <bv, 4>, <cn, 'C1'>, <cv, "
+         "1>)",
+     }},
+    {"FOR EACH b SUCH THAT bv < 8 PRINT bn, an",
+     {
+         "(<b, 'b_1'>, <bn, 'B0'>, <an, 'A3'>)",
+         "(<b, 'b_2'>, <bn, 'B1'>, <an, 'A8'>)",
+         "(<b, 'b_3'>, <bn, 'B2'>, <an, 'A1'>)",
+         "(<b, 'b_4'>, <bn, 'B3'>, <an, 'A6'>)",
+         "(<b, 'b_5'>, <bn, 'B4'>, <an, 'A11'>)",
+         "(<b, 'b_6'>, <bn, 'B5'>, <an, 'A4'>)",
+         "(<b, 'b_7'>, <bn, 'B6'>, <an, 'A9'>)",
+         "(<b, 'b_8'>, <bn, 'B7'>, <an, 'A2'>)",
+     }},
+};
+
+TEST_P(DaplexInheritanceTest, ChainRowsMatchGoldens) {
+  DaplexMachine* machine = LoadChain();
+  ASSERT_NE(machine, nullptr);
+  for (const InheritanceGolden& golden : kChainGoldens) {
+    EXPECT_EQ(Rows(machine, golden.query),
+              std::vector<std::string>(golden.rows.begin(), golden.rows.end()))
+        << golden.query;
+  }
+  // Every level is fetched by the keys its records carry: one RETRIEVE
+  // per ISA level, no RETRIEVE-COMMON.
+  Rows(machine, "FOR EACH c PRINT cn, bn, an, av");
+  ASSERT_EQ(machine->trace().size(), 3u);
+  for (const std::string& request : machine->trace()) {
+    EXPECT_TRUE(request.starts_with("RETRIEVE (")) << request;
+  }
+  EXPECT_NE(machine->trace()[1].find("((FILE = 'b') and (b = 'b_1'))"),
+            std::string::npos)
+      << machine->trace()[1];
+  EXPECT_NE(machine->trace()[2].find("((FILE = 'a') and (a = 'a_1'))"),
+            std::string::npos)
+      << machine->trace()[2];
+}
+
+TEST_P(DaplexInheritanceTest, EverySupertypeBranchIsWalked) {
+  // c ISA a, b and b ISA d: d is reached only through c's second
+  // supertype, so its functions need the walk to follow every branch.
+  DaplexMachine* machine = Open(kTwoSupertypesDdl, "branches");
+  ASSERT_NE(machine, nullptr);
+  const std::string a0 = Create(machine, "CREATE a (an = 'A0')");
+  const std::string a1 = Create(machine, "CREATE a (an = 'A1')");
+  Create(machine, "CREATE d (dn = 'D0')");
+  const std::string d1 = Create(machine, "CREATE d (dn = 'D1')");
+  const std::string d2 = Create(machine, "CREATE d (dn = 'D2')");
+  const std::string b0 =
+      Create(machine, "CREATE b (d = '" + d2 + "', bn = 'B0')");
+  const std::string b1 =
+      Create(machine, "CREATE b (d = '" + d1 + "', bn = 'B1')");
+  Create(machine,
+         "CREATE c (a = '" + a1 + "', b = '" + b1 + "', cn = 'C0')");
+  Create(machine,
+         "CREATE c (a = '" + a0 + "', b = '" + b0 + "', cn = 'C1')");
+
+  EXPECT_EQ(Rows(machine, "FOR EACH c PRINT cn, an, bn, dn"),
+            (std::vector<std::string>{
+                "(<c, 'c_1'>, <cn, 'C0'>, <an, 'A1'>, <bn, 'B1'>, "
+                "<dn, 'D1'>)",
+                "(<c, 'c_2'>, <cn, 'C1'>, <an, 'A0'>, <bn, 'B0'>, "
+                "<dn, 'D2'>)",
+            }));
+  EXPECT_EQ(Rows(machine, "FOR EACH c SUCH THAT dn = 'D1' PRINT cn"),
+            (std::vector<std::string>{"(<c, 'c_1'>, <cn, 'C0'>)"}));
+  EXPECT_EQ(Rows(machine, "FOR EACH b PRINT dn"),
+            (std::vector<std::string>{"(<b, 'b_1'>, <dn, 'D2'>)",
+                                      "(<b, 'b_2'>, <dn, 'D1'>)"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DaplexInheritanceTest,
                          ::testing::Values(0, 1, 4));
 
 }  // namespace

@@ -272,6 +272,29 @@ TEST_F(JoinPlanGoldenTest, LargeBalancedSidesRenderMergeJoin) {
       "  est: 100 rows, 7 blocks  actual: 100 rows, 7 blocks\n");
 }
 
+TEST_F(JoinPlanGoldenTest, KeyDisjunctsRenderOneIndexKeysNode) {
+  // A side of per-key disjuncts — a sparse CODASYL WALK level's shape —
+  // plans as one INDEX KEYS node with its distinct key count (500 is
+  // absent, 70 repeats) instead of one branch per key.
+  Fill("left", 5);
+  Fill("right", 100);
+  EXPECT_EQ(
+      Explain("RETRIEVE-COMMON ((FILE = left)) (v) AND "
+              "(((FILE = right) and (v = 3)) or ((FILE = right) and (v = 70)) "
+              "or ((FILE = right) and (v = 500)) or "
+              "((FILE = right) and (v = 70))) (v) (v)"),
+      "QUERY PLAN\n"
+      "----------\n"
+      "JOIN [hash] (v = v) [directory]  est: 1 rows, 3 blocks"
+      "  actual: 1 rows, 3 blocks\n"
+      "  UNION (left)  est: 5 rows, 1 blocks  actual: 5 rows, 1 blocks\n"
+      "    INDEX EQUALITY (FILE = 'left') [directory]"
+      "  est: 5 rows, 1 blocks  actual: 5 rows, 1 blocks\n"
+      "  UNION (right)  est: 2 rows, 2 blocks  actual: 2 rows, 2 blocks\n"
+      "    INDEX KEYS (v IN 3 keys) [directory]"
+      "  est: 2 rows, 2 blocks  actual: 2 rows, 2 blocks\n");
+}
+
 TEST(MbdsPlanTest, ExplainMergesPerBackendPlans) {
   MldsSystem::Options options;
   options.backends = 2;

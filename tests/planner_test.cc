@@ -11,6 +11,8 @@
 
 #include <map>
 #include <optional>
+#include <random>
+#include <set>
 #include <string>
 
 #include "abdm/stats.h"
@@ -259,6 +261,99 @@ TEST(PlannerTest, QueryPlanShapeGolden) {
             "  (not executed)\n");
 }
 
+/// `keys` per-key disjuncts (FILE = 0) and (key = k), k = 10, 11, ...
+Query KeyDisjuncts(int keys) {
+  std::vector<Conjunction> disjuncts;
+  for (int k = 0; k < keys; ++k) {
+    disjuncts.push_back(Conjunction{{Eq("FILE", 0), Eq("key", 10 + k)}});
+  }
+  return Query(std::move(disjuncts));
+}
+
+TEST(PlannerTest, KeyDisjunctsFoldIntoOneIndexKeysNode) {
+  // Disjuncts that differ only in one equality on an indexed attribute
+  // plan as one INDEX KEYS node, shown once with its distinct key count;
+  // the FILE bucket fails the cutoff against the key set.
+  FakeStats stats(8192, 1024, 8);
+  stats.Bucket("FILE", 8192).Bucket("key", 1);
+  Query query = KeyDisjuncts(83);
+  // A repeated key is looked up once.
+  query.mutable_disjuncts().push_back(query.disjuncts()[5]);
+  PlanNode plan = PlanQuery(query, stats, "person");
+  EXPECT_EQ(plan.ToString(),
+            "UNION (person)  est: 83 rows, 83 blocks  (not executed)\n"
+            "  INDEX KEYS (key IN 83 keys) [directory]  est: 83 rows, "
+            "83 blocks  (not executed)\n");
+  const std::optional<KeyFold> fold = FoldKeys(query, stats);
+  ASSERT_TRUE(fold.has_value());
+  EXPECT_EQ(fold->position, 1u);
+  EXPECT_EQ(fold->keys.size(), 83u);
+}
+
+TEST(PlannerTest, KeySetCompetesWithTheSharedProbes) {
+  // Four 50-row key buckets against a 3-row shared bucket: the shared
+  // probe drives, and the key set is checked per candidate.
+  FakeStats stats(4000, 500, 8);
+  stats.Bucket("owner", 50).Bucket("tag", 3);
+  std::vector<Conjunction> disjuncts;
+  for (int k = 0; k < 4; ++k) {
+    disjuncts.push_back(Conjunction{{Eq("tag", 1), Eq("owner", k)}});
+  }
+  PlanNode plan = PlanQuery(Query(std::move(disjuncts)), stats, "item");
+  ASSERT_EQ(plan.children.size(), 1u);
+  EXPECT_EQ(plan.children[0].Describe(),
+            "INDEX EQUALITY (tag = 1) [directory]");
+}
+
+TEST(PlannerTest, AbsentKeySetIsALoneZeroProbe) {
+  FakeStats stats(320, 40, 8);
+  stats.Bucket("FILE", 320).Bucket("key", 0);
+  PlanNode plan = PlanQuery(KeyDisjuncts(3), stats, "item");
+  ASSERT_EQ(plan.children.size(), 1u);
+  EXPECT_EQ(plan.children[0].Describe(),
+            "INDEX KEYS (key IN 3 keys) [directory]");
+  EXPECT_EQ(plan.est_rows, 0u);
+}
+
+TEST(PlannerTest, ShapesOtherThanOneKeyEqualityKeepTheUnion) {
+  FakeStats stats(8192, 1024, 8);
+  stats.Bucket("FILE", 8192).Bucket("key", 1).Bucket("owner", 4);
+  const Predicate file = Eq("FILE", 0);
+  struct Case {
+    const char* shape;
+    Query query;
+  };
+  const Case cases[] = {
+      {"two attributes differ",
+       Query({Conjunction{{file, Eq("key", 1), Eq("owner", 1)}},
+              Conjunction{{file, Eq("key", 2), Eq("owner", 2)}}})},
+      // InsertPath's key probe: a decade run next to a lone candidate.
+      {"a range disjunct",
+       Query({Conjunction{{file, Bound("key", RelOp::kGe, 10),
+                           Bound("key", RelOp::kLe, 19)}},
+              Conjunction{{file, Eq("key", 20)}}})},
+      {"a range in place of the key equality",
+       Query({Conjunction{{file, Bound("key", RelOp::kGe, 10)}},
+              Conjunction{{file, Eq("key", 20)}}})},
+      {"the other predicates differ",
+       Query({Conjunction{{file, Eq("key", 1), Eq("owner", 1)}},
+              Conjunction{{file, Eq("key", 2), Eq("owner", 1),
+                           Eq("owner", 3)}}})},
+      {"the attribute is unindexed",
+       Query({Conjunction{{file, Eq("payload", 1)}},
+              Conjunction{{file, Eq("payload", 2)}}})},
+      {"a single disjunct", KeyDisjuncts(1)},
+  };
+  for (const Case& c : cases) {
+    PlanNode plan = PlanQuery(c.query, stats, "item");
+    EXPECT_EQ(plan.children.size(), c.query.disjuncts().size()) << c.shape;
+    EXPECT_FALSE(FoldKeys(c.query, stats).has_value()) << c.shape;
+    for (const PlanNode& child : plan.children) {
+      EXPECT_NE(child.kind, PlanNodeKind::kIndexKeys) << c.shape;
+    }
+  }
+}
+
 // --- Estimate-vs-actual bounds against a real FileStore ---
 
 abdm::FileDescriptor Descriptor() {
@@ -313,6 +408,12 @@ void CheckBounds(const FileStore& store, const PlanNode& node,
           // estimate is exact for an executed index leaf.
           EXPECT_EQ(node.actual_rows, node.est_rows) << node.Describe();
         }
+        break;
+      case PlanNodeKind::kIndexKeys:
+        // The keys' buckets are exact candidate counts; verified matches
+        // never exceed them.
+        EXPECT_LE(node.actual_rows, node.est_rows) << node.Describe();
+        EXPECT_LE(node.actual_blocks, node.est_blocks) << node.Describe();
         break;
       case PlanNodeKind::kIntersect: {
         // Verified matches never exceed the driver's candidate estimate
@@ -374,6 +475,77 @@ TEST(PlannerBoundsTest, ActualsStayWithinDocumentedBounds) {
     // The root's actual block count is what the executor charged to io.
     EXPECT_EQ(plan.actual_blocks, io.blocks_read) << plan.ToString();
   }
+}
+
+TEST(PlannerBoundsTest, FoldedKeySetMatchesTheUnfoldedDnf) {
+  // Random key sets (duplicates, absent keys, integer, float, string and
+  // null values) with an optional shared filter: the folded plan returns
+  // exactly the union of its disjuncts run one by one, stays within the
+  // documented bounds, and examines one record per candidate of the keys'
+  // buckets. Deletes every few rounds keep the directory moving.
+  constexpr int kPerBlock = 4;
+  FileStore store(Descriptor(), kPerBlock);
+  IoStats io;
+  for (int i = 0; i < 256; ++i) store.Insert(MakeRecord(i), &io);
+  std::mt19937 rng(7);
+  auto random_key = [&]() -> Value {
+    switch (rng() % 5) {
+      case 0:
+        return Value::Float(double(rng() % 300));
+      case 1:
+        return Value::String("k" + std::to_string(rng() % 4));
+      case 2:
+        return Value::Null();
+      default:
+        return Value::Integer(int(rng() % 300));  // absent past 255
+    }
+  };
+  int probed = 0;  // rounds the key set drove
+  for (int round = 0; round < 120; ++round) {
+    const bool filtered = round % 3 == 0;
+    std::vector<Value> keys = {random_key(), random_key()};
+    for (int k = int(rng() % 12); k > 0; --k) {
+      keys.push_back(rng() % 4 == 0 ? keys[rng() % keys.size()]
+                                    : random_key());
+    }
+    std::vector<Conjunction> disjuncts;
+    for (const Value& key : keys) {
+      Conjunction conj{{Predicate{"FILE", RelOp::kEq, Value::String("item")},
+                        Predicate{"key", RelOp::kEq, key}}};
+      if (filtered) conj.predicates.push_back(Eq("owner", 3));
+      disjuncts.push_back(std::move(conj));
+    }
+    const Query query(disjuncts);
+
+    std::set<RecordId> unfolded;
+    for (const Conjunction& conj : disjuncts) {
+      const std::vector<RecordId> ids = *store.Select(Query({conj}), nullptr);
+      unfolded.insert(ids.begin(), ids.end());
+    }
+    io.Reset();
+    PlanNode plan;
+    auto ids = *store.Select(query, &io, &plan);
+    EXPECT_EQ(ids, std::vector<RecordId>(unfolded.begin(), unfolded.end()))
+        << query.ToString();
+    EXPECT_EQ(plan.actual_blocks, io.blocks_read) << plan.ToString();
+    // Identical disjuncts name no key attribute and stay a UNION.
+    if (FoldKeys(query, store).has_value()) {
+      CheckBounds(store, plan, kPerBlock);
+      ASSERT_EQ(plan.children.size(), 1u) << plan.ToString();
+      const PlanNode& node = plan.children[0];
+      if (node.kind == PlanNodeKind::kIndexKeys) {
+        EXPECT_EQ(io.records_examined, node.est_rows) << plan.ToString();
+        ++probed;
+      }
+    }
+    if (round % 10 == 9) {
+      store.Delete(Query::And({Eq("key", int(rng() % 256))}), nullptr);
+      store.Insert(MakeRecord(int(rng() % 256)), nullptr);
+    }
+  }
+  // Most rounds fold with the key set driving (filtered rounds included:
+  // owner = 3 holds 36 records, more than a few keys' buckets).
+  EXPECT_GT(probed, 100);
 }
 
 TEST(PlannerBoundsTest, SkippedIntersectChildStaysUnexecuted) {

@@ -83,8 +83,9 @@ else
   # so its wire driver compiles against the current client and STATS
   # API), run one second of the lookup, walk and ingest workloads, and
   # require correct runs with no failed operations. The walk covers the
-  # two-sided range scans and the fused Daplex ISA joins over the wire;
-  # the ingest drives all four languages' batch inserts over the wire.
+  # two-sided range scans and the key-probed Daplex ISA levels over the
+  # wire; the ingest drives all four languages' batch inserts over the
+  # wire.
   echo "== perfbench smoke =="
   for workload in lookup walk ingest; do
     PERFBENCH_LINE="$(CARGO_TARGET_DIR=build/perfbench-smoke python3 perfbench/run.py \
@@ -438,6 +439,16 @@ else
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${JOBS}" \
       -R 'ConcurrencyTest|CompactRaceTest|AbdlCommitRaceTest|RecordTest|FileStoreTest')
+  # Key-probe suites: Daplex ISA levels fetched by key across four MBDS
+  # backends (each backend's store plans and probes the key set under
+  # its shared lock while the controller fans out), and the fold oracles
+  # against the unfolded DNF; rerun them race-checked even when
+  # MLDS_TSAN_FILTER narrowed the run above.
+  echo "== TSan key-probe suites =="
+  (cd build-tsan && \
+    TSAN_OPTIONS="halt_on_error=1" \
+    ctest --output-on-failure -j "${JOBS}" \
+      -R 'DaplexIsaJoinTest|DaplexInheritanceTest|KeySetFold|FoldedKeySet')
   # Streaming smoke under TSan: the server threads and the per-session
   # stream state all touch the write path — race-check the chunked
   # transfer end to end, not just in unit tests.
