@@ -19,6 +19,14 @@
 //  - crash_recovery: a crash mid-load with a torn tail frame must
 //    recover to exactly the fully-framed batches — snapshots compared
 //    byte for byte.
+//  - bulk_erase: one DELETE of every record, one UPDATE moving every
+//    record between the buckets of a four-value attribute, and the same
+//    two as one-record statements over every fourth record (the traffic
+//    of CODASYL ERASE, Daplex DESTROY and DL/I DLET), at kEraseRecords
+//    and twice that. No directory edit may cost the size of the bucket
+//    it edits (FILE's lists every record), so doubling the file may at
+//    most double the time (bulk_erase_linear allows 3x); an edit that
+//    shifts a whole vector bucket would quadruple it.
 //
 // main() writes BENCH_bulk_load.json. MLDS_BULK_RECORDS overrides the
 // load size (the check.sh smoke stage uses a small one; the committed
@@ -205,6 +213,80 @@ GroupCommitOutcome MeasureGroupCommit(int threads, int appends_per_thread) {
   return out;
 }
 
+/// Records of the smaller bulk-erase file; the larger holds twice as
+/// many. Fixed, so every run times the same statements (each >= 50 ms).
+constexpr size_t kEraseRecords = 60000;
+
+abdm::FileDescriptor LedgerFile() {
+  abdm::FileDescriptor f;
+  f.name = "ledger";
+  f.attributes = {
+      {"FILE", abdm::ValueKind::kString, 0, true},
+      {"acct", abdm::ValueKind::kString, 0, true},
+      {"tier", abdm::ValueKind::kInteger, 0, true},
+  };
+  return f;
+}
+
+/// One bulk_erase row: `statement` runs once over the whole ledger, or,
+/// with `every` > 0, once per every'th record with "{}" naming it.
+struct EraseCase {
+  const char* op;
+  const char* statement;
+  size_t every;
+};
+
+/// Best wall time of `c`'s statements over a fresh `records`-record
+/// ledger (acct unique, tier in 0..3), loading in BindBatch chunks
+/// untimed.
+double MeasureBulkEraseMs(size_t records, const EraseCase& c, int reps) {
+  auto prepared = abdl::ParsePreparedInsert(
+      "INSERT (<FILE, ledger>, <acct, ?>, <tier, ?>)");
+  if (!prepared.ok()) std::abort();
+  std::vector<std::string> statements;
+  if (c.every == 0) statements.push_back(c.statement);
+  for (size_t i = 0; c.every > 0 && i < records; i += c.every) {
+    std::string statement = c.statement;
+    statement.replace(statement.find("{}"), 2, std::to_string(i));
+    statements.push_back(std::move(statement));
+  }
+  std::vector<abdl::Request> requests;
+  for (const std::string& statement : statements) {
+    auto request = abdl::ParseRequest(statement);
+    if (!request.ok()) std::abort();
+    requests.push_back(*std::move(request));
+  }
+  const uint64_t affected = c.every == 0 ? records : 1;
+  std::vector<std::vector<abdm::Value>> rows;
+  rows.reserve(records);
+  for (size_t i = 0; i < records; ++i) {
+    rows.push_back({abdm::Value::String("l" + std::to_string(i)),
+                    abdm::Value::Integer(static_cast<int64_t>(i % 4))});
+  }
+  const size_t chunk = abdl::EffectiveBatchSize(abdl::BatchLimits{},
+                                                prepared->params_per_row());
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    kds::Engine engine;
+    engine.DefineFile(LedgerFile());
+    for (size_t begin = 0; begin < records; begin += chunk) {
+      auto batch =
+          prepared->BindBatch(rows, begin, std::min(records, begin + chunk));
+      if (!batch.ok() ||
+          !engine.Execute(abdl::Request(*std::move(batch))).ok()) {
+        std::abort();
+      }
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (const abdl::Request& request : requests) {
+      auto response = engine.Execute(request);
+      if (!response.ok() || response->affected != affected) std::abort();
+    }
+    best = std::min(best, ElapsedMs(start));
+  }
+  return best;
+}
+
 std::string SnapshotOf(const kds::Engine& engine) {
   std::ostringstream out;
   if (!kds::SaveSnapshot(engine, out).ok()) std::abort();
@@ -313,6 +395,29 @@ void WriteBulkLoadJson(const char* path) {
   report.root()
       .Set("crash_recover_wall_ms", recover_ms)
       .Set("recovery_byte_identical", identical);
+
+  constexpr EraseCase kEraseCases[] = {
+      {"delete_all", "DELETE ((FILE = ledger))", 0},
+      {"update_all_low_cardinality",
+       "UPDATE ((FILE = ledger)) (tier = tier + 1)", 0},
+      {"delete_each", "DELETE ((FILE = ledger) and (acct = l{}))", 4},
+      {"update_each_low_cardinality",
+       "UPDATE ((FILE = ledger) and (acct = l{})) (tier = tier + 1)", 4},
+  };
+  bool erase_linear = true;
+  for (const EraseCase& c : kEraseCases) {
+    const double n_ms = MeasureBulkEraseMs(kEraseRecords, c, 3);
+    const double n2_ms = MeasureBulkEraseMs(2 * kEraseRecords, c, 3);
+    erase_linear = erase_linear && n2_ms <= 3.0 * n_ms;
+    for (const auto& [records, ms] : {std::pair{kEraseRecords, n_ms},
+                                      std::pair{2 * kEraseRecords, n2_ms}}) {
+      report.AddRow("bulk_erase")
+          .Set("op", c.op)
+          .Set("records", static_cast<uint64_t>(records))
+          .Set("wall_ms", ms);
+    }
+  }
+  report.root().Set("bulk_erase_linear", erase_linear);
 
   if (report.Write(path)) {
     std::printf(

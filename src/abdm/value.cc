@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "common/strings.h"
@@ -62,27 +63,46 @@ Value Value::Parse(std::string_view text) {
   return Value::String(std::string(s));
 }
 
-int Value::Compare(const Value& other) const {
-  const bool a_null = is_null();
-  const bool b_null = other.is_null();
-  if (a_null || b_null) {
-    if (a_null && b_null) return 0;
-    return a_null ? -1 : 1;
+namespace {
+
+int Sign(bool less, bool greater) { return less ? -1 : (greater ? 1 : 0); }
+
+/// NaN sorts after every other number and equals itself, so the order
+/// stays a strict weak ordering.
+int CompareFloats(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return int(std::isnan(a)) - int(std::isnan(b));
   }
-  if (is_numeric() && other.is_numeric()) {
-    const double a = AsFloat();
-    const double b = other.AsFloat();
-    if (a < b) return -1;
-    if (a > b) return 1;
-    return 0;
-  }
-  if (is_string() && other.is_string()) {
-    return AsString().compare(other.AsString()) < 0
-               ? -1
-               : (AsString() == other.AsString() ? 0 : 1);
-  }
+  return Sign(a < b, a > b);
+}
+
+/// Exact: an integer beyond 2^53 differs from the nearest double.
+int CompareIntegerFloat(int64_t i, double d) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isnan(d) || d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  // d is in [-2^63, 2^63): its integral part fits, and d minus that part
+  // is exact.
+  const int64_t whole = static_cast<int64_t>(d);
+  if (i != whole) return Sign(i < whole, i > whole);
+  const double fraction = d - static_cast<double>(whole);
+  return Sign(fraction > 0, fraction < 0);
+}
+
+}  // namespace
+
+int Value::CompareMixed(const Value& other) const {
+  const size_t a = rep_.index();
+  const size_t b = other.rep_.index();
+  if (a == 0 || b == 0) return int(a != 0) - int(b != 0);
   // Mixed string/numeric: numeric sorts first.
-  return is_numeric() ? -1 : 1;
+  if (a == 3 || b == 3) return a == 3 ? 1 : -1;
+  if (a == 2 && b == 2) {
+    return CompareFloats(std::get<2>(rep_), std::get<2>(other.rep_));
+  }
+  return a == 1
+             ? CompareIntegerFloat(std::get<1>(rep_), std::get<2>(other.rep_))
+             : -CompareIntegerFloat(std::get<1>(other.rep_), std::get<2>(rep_));
 }
 
 std::string Value::ToString() const {

@@ -70,9 +70,26 @@ class Value {
   const std::string& AsString() const { return std::get<std::string>(rep_); }
 
   /// Three-way comparison: negative if *this < other, 0 if equal, positive
-  /// if greater. Numeric kinds compare by numeric value; mixed
-  /// string/numeric comparisons order by kind (numeric < string).
-  int Compare(const Value& other) const;
+  /// if greater. Numeric kinds compare by exact numeric value (3 equals
+  /// 3.0, 2^53 + 1 differs from 2^53; NaN sorts after every number);
+  /// mixed string/numeric comparisons order by kind (numeric < string).
+  int Compare(const Value& other) const {
+    // Same-kind strings and integers — nearly every directory key
+    // comparison — stay inline; the rest take CompareMixed.
+    const size_t a = rep_.index();
+    if (a == other.rep_.index()) {
+      if (a == 3) {
+        const int c = std::get<3>(rep_).compare(std::get<3>(other.rep_));
+        return (c > 0) - (c < 0);
+      }
+      if (a == 1) {
+        const int64_t x = std::get<1>(rep_);
+        const int64_t y = std::get<1>(other.rep_);
+        return (x > y) - (x < y);
+      }
+    }
+    return CompareMixed(other);
+  }
 
   /// Renders the value in ABDL literal form (strings quoted).
   std::string ToString() const;
@@ -97,6 +114,9 @@ class Value {
  private:
   using Rep = std::variant<std::monostate, int64_t, double, std::string>;
   explicit Value(Rep rep) : rep_(std::move(rep)) {}
+
+  /// Compare for nulls, floats and pairs of different kinds.
+  int CompareMixed(const Value& other) const;
 
   Rep rep_;
 };

@@ -970,35 +970,34 @@ Result<Response> Engine::ExecuteUpdate(const abdl::UpdateRequest& req) {
   Response resp;
   std::vector<PlanNode> plans;
   const abdl::Modifier& mod = req.modifier;
+  auto modify = [&mod](Record& record) {
+    switch (mod.kind) {
+      case abdl::ModifierKind::kSet:
+        record.Set(mod.attribute, mod.operand);
+        break;
+      case abdl::ModifierKind::kAdd: {
+        Value cur = record.GetOrNull(mod.attribute);
+        if (cur.is_numeric() && mod.operand.is_numeric()) {
+          if (cur.is_integer() && mod.operand.is_integer()) {
+            record.Set(mod.attribute, Value::Integer(cur.AsInteger() +
+                                                     mod.operand.AsInteger()));
+          } else {
+            record.Set(mod.attribute,
+                       Value::Float(cur.AsFloat() + mod.operand.AsFloat()));
+          }
+        }
+        break;
+      }
+    }
+  };
   for (FileStore* store : Route(req.query)) {
     PlanNode plan;
     MLDS_ASSIGN_OR_RETURN(
-        auto rows, store->SelectRecords(req.query, &resp.io,
-                                        req.explain ? &plan : nullptr));
+        const size_t updated,
+        store->Update(req.query, modify, &resp.io,
+                      req.explain ? &plan : nullptr));
+    resp.affected += updated;
     if (req.explain) plans.push_back(std::move(plan));
-    for (auto& [id, old] : rows) {
-      Record updated = std::move(old);
-      switch (mod.kind) {
-        case abdl::ModifierKind::kSet:
-          updated.Set(mod.attribute, mod.operand);
-          break;
-        case abdl::ModifierKind::kAdd: {
-          Value cur = updated.GetOrNull(mod.attribute);
-          if (cur.is_numeric() && mod.operand.is_numeric()) {
-            if (cur.is_integer() && mod.operand.is_integer()) {
-              updated.Set(mod.attribute, Value::Integer(cur.AsInteger() +
-                                                        mod.operand.AsInteger()));
-            } else {
-              updated.Set(mod.attribute,
-                          Value::Float(cur.AsFloat() + mod.operand.AsFloat()));
-            }
-          }
-          break;
-        }
-      }
-      MLDS_RETURN_IF_ERROR(store->Replace(id, std::move(updated), &resp.io));
-      ++resp.affected;
-    }
   }
   if (req.explain) {
     resp.plan = std::make_shared<PlanNode>(MergeFilePlans(std::move(plans)));

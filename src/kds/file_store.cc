@@ -102,28 +102,69 @@ void FileStore::IndexInsert(RecordId id, const abdm::Record& record) {
   for (size_t i = 0; i < record.size(); ++i) {
     const std::string& attr = record.attribute(i);
     if (!IsIndexedAttribute(attr)) continue;
-    index_[attr][record.value(i)].insert(id);
+    index_[attr][record.value(i)].Add(id);
     MaintainHistogram(attr, record.value(i), /*insert=*/true);
   }
 }
 
-void FileStore::IndexErase(RecordId id, const abdm::Record& record) {
+void FileStore::StageIndexEdits(RecordId id, const abdm::Record& record,
+                                bool insert, DirectoryEdits* edits) {
   for (size_t i = 0; i < record.size(); ++i) {
     const std::string& attr = record.attribute(i);
-    auto attr_it = index_.find(attr);
-    if (attr_it == index_.end()) continue;
-    auto val_it = attr_it->second.find(record.value(i));
-    if (val_it == attr_it->second.end()) continue;
-    auto& ids = val_it->second;
-    ids.erase(id);
-    if (ids.empty()) attr_it->second.erase(val_it);
-    MaintainHistogram(attr, record.value(i), /*insert=*/false);
+    ValueBuckets* values = nullptr;
+    ValueBuckets::iterator bucket;
+    if (insert) {
+      if (!IsIndexedAttribute(attr)) continue;
+      values = &index_[attr];
+      // An empty bucket made here is filled when the edits are applied.
+      bucket = values->try_emplace(record.value(i)).first;
+    } else {
+      auto attr_it = index_.find(attr);
+      if (attr_it == index_.end()) continue;
+      values = &attr_it->second;
+      bucket = values->find(record.value(i));
+      if (bucket == values->end()) continue;
+    }
+    edits->edits.push_back({values, bucket, insert, id});
+    MaintainHistogram(attr, record.value(i), insert, &edits->rebuild);
   }
 }
 
+void FileStore::ApplyIndexEdits(DirectoryEdits* edits) {
+  std::vector<DirectoryEdits::Edit>& all = edits->edits;
+  // Removals first, so a removal that has to scan a bucket's pending ids
+  // scans only the few the last Settle left, not this statement's adds.
+  for (const DirectoryEdits::Edit& e : all) {
+    if (!e.insert) e.bucket->second.Remove(e.id);
+  }
+  for (const DirectoryEdits::Edit& e : all) {
+    if (e.insert) e.bucket->second.Add(e.id);
+  }
+  std::sort(all.begin(), all.end(),
+            [](const DirectoryEdits::Edit& a, const DirectoryEdits::Edit& b) {
+              return std::less<const Postings*>()(&a.bucket->second,
+                                                  &b.bucket->second);
+            });
+  for (size_t first = 0; first < all.size();) {
+    const ValueBuckets::iterator bucket = all[first].bucket;
+    size_t last = first;
+    while (last < all.size() && all[last].bucket == bucket) ++last;
+    if (bucket->second.empty()) {
+      all[first].values->erase(bucket);
+    } else {
+      bucket->second.Settle();
+    }
+    first = last;
+  }
+  all.clear();
+  for (const std::string& attr : edits->rebuild) RebuildHistogram(attr);
+  edits->rebuild.clear();
+}
+
 void FileStore::MaintainHistogram(const std::string& attr,
-                                  const abdm::Value& value, bool insert) {
-  if (!maintain_stats_) return;
+                                  const abdm::Value& value, bool insert,
+                                  std::vector<std::string>* deferred) {
+  if (loading_) return;
   AttributeHistogram* h = stats_.Find(attr);
   if (h != nullptr && !h->Stale()) {
     if (insert) {
@@ -133,18 +174,22 @@ void FileStore::MaintainHistogram(const std::string& attr,
     }
     return;
   }
-  RebuildHistogram(attr);
+  if (deferred == nullptr) {
+    RebuildHistogram(attr);
+  } else if (std::find(deferred->begin(), deferred->end(), attr) ==
+             deferred->end()) {
+    deferred->push_back(attr);
+  }
 }
 
 void FileStore::RebuildHistogram(std::string_view attr) {
   auto it = index_.find(attr);
   if (it == index_.end()) return;
-  std::vector<std::pair<abdm::Value, uint64_t>> sorted;
-  sorted.reserve(it->second.size());
-  for (const auto& [value, ids] : it->second) {
-    sorted.emplace_back(value, ids.size());
-  }
-  stats_.Install(std::string(attr), AttributeHistogram::Build(sorted));
+  stats_.Install(std::string(attr),
+                 AttributeHistogram::BuildRun(
+                     it->second, [](const ValueBuckets::value_type& bucket) {
+                       return uint64_t(bucket.second.size());
+                     }));
 }
 
 void FileStore::RebuildAllHistograms() {
@@ -344,9 +389,7 @@ std::vector<RecordId> FileStore::IndexLookup(const abdm::KeyInterval& interval,
   if (attr_it == index_.end()) return {};
   const auto [first, last] = BucketRun(attr_it->second, interval);
   std::vector<RecordId> out;
-  for (auto it = first; it != last; ++it) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
+  for (auto it = first; it != last; ++it) it->second.AppendTo(&out);
   // One bucket is already in id order; a run of several interleaves.
   if (first != last && std::next(first) != last) {
     std::sort(out.begin(), out.end());
@@ -366,9 +409,7 @@ std::vector<RecordId> FileStore::LeafLookup(const PlanNode& leaf,
     if (io != nullptr) io->index_probes += 1;
     if (attr_it == index_.end()) continue;
     const auto [first, last] = BucketRun(attr_it->second, {key, key});
-    for (auto it = first; it != last; ++it) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
+    for (auto it = first; it != last; ++it) it->second.AppendTo(&out);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -609,12 +650,14 @@ Result<size_t> FileStore::Delete(const abdm::Query& query, IoStats* io,
   *plan = Plan(query);
   MLDS_ASSIGN_OR_RETURN(auto victims, Execute(query, plan, io));
   std::map<uint32_t, std::vector<uint16_t>> by_page;
+  DirectoryEdits edits;
   for (auto& [id, rec] : victims) {
-    IndexErase(id, rec);
+    StageIndexEdits(id, rec, /*insert=*/false, &edits);
     by_page[dir_[id]->page].push_back(dir_[id]->slot);
     dir_[id].reset();
     --live_count_;
   }
+  ApplyIndexEdits(&edits);
   for (auto& [page, slots] : by_page) {
     // The selection above just read these pages; the re-fetch is
     // bookkeeping, so only the write-back is charged (one per block, as
@@ -718,7 +761,31 @@ std::optional<abdm::Record> FileStore::Get(RecordId id) const {
   return rec;
 }
 
-Status FileStore::Replace(RecordId id, abdm::Record record, IoStats* io) {
+Result<size_t> FileStore::Update(
+    const abdm::Query& query,
+    const std::function<void(abdm::Record&)>& modify, IoStats* io,
+    PlanNode* plan_out) {
+  PlanNode local;
+  PlanNode* plan = plan_out != nullptr ? plan_out : &local;
+  *plan = Plan(query);
+  MLDS_ASSIGN_OR_RETURN(auto rows, Execute(query, plan, io));
+  DirectoryEdits edits;
+  Status rewritten;
+  for (const auto& [id, old] : rows) {
+    abdm::Record updated = old;
+    modify(updated);
+    rewritten = Rewrite(id, old, std::move(updated), io, &edits);
+    if (!rewritten.ok()) break;
+  }
+  // The records rewritten before a failure keep their new keywords.
+  ApplyIndexEdits(&edits);
+  MLDS_RETURN_IF_ERROR(rewritten);
+  return rows.size();
+}
+
+Status FileStore::Rewrite(RecordId id, const abdm::Record& old,
+                          abdm::Record record, IoStats* io,
+                          DirectoryEdits* edits) {
   if (id >= dir_.size() || !dir_[id].has_value()) {
     return Status::NotFound("file_store: no live record " +
                             std::to_string(id) + " in '" + name() + "'");
@@ -733,16 +800,8 @@ Status FileStore::Replace(RecordId id, abdm::Record record, IoStats* io) {
     return Status::Corruption("file_store: directory points at dead slot in '" +
                               name() + "'");
   }
-  abdm::RecordDecoder decoder(&layouts_);
-  auto decoded = DecodeEntry(*entry, decoder, nullptr, nullptr);
-  if (!decoded.ok()) {
-    pool_->Unpin(*frame, nullptr);
-    return decoded.status();
-  }
-  const abdm::Record& old = *decoded;
-  // Re-index only the changed keywords: erasing from an unchanged bucket
-  // (e.g. the FILE keyword's, which lists every record of the file) would
-  // cost O(file size) per update.
+  // Re-index only the changed keywords: an unchanged one (e.g. FILE)
+  // keeps its bucket entry and its histogram count.
   abdm::Record changed_old, changed_new;
   for (size_t i = 0; i < old.size(); ++i) {
     const abdm::Value* updated = record.Find(old.attribute(i));
@@ -756,8 +815,8 @@ Status FileStore::Replace(RecordId id, abdm::Record record, IoStats* io) {
       changed_new.Set(record.attribute(i), record.value(i));
     }
   }
-  IndexErase(id, changed_old);
-  IndexInsert(id, changed_new);
+  StageIndexEdits(id, changed_old, /*insert=*/false, edits);
+  StageIndexEdits(id, changed_new, /*insert=*/true, edits);
   layouts_.Intern(record);
 
   std::string payload;
@@ -786,6 +845,15 @@ Status FileStore::Replace(RecordId id, abdm::Record record, IoStats* io) {
   return Status::OK();
 }
 
+std::vector<RecordId> FileStore::Bucket(std::string_view attr,
+                                        const abdm::Value& value) const {
+  auto attr_it = index_.find(attr);
+  if (attr_it == index_.end()) return {};
+  auto it = attr_it->second.find(value);
+  return it == attr_it->second.end() ? std::vector<RecordId>{}
+                                     : it->second.ids();
+}
+
 Status FileStore::BuildSecondaryIndex(std::string_view attr, IoStats* io) {
   if (IsIndexedAttribute(attr)) return Status::OK();  // idempotent
   std::string name(attr);
@@ -794,7 +862,8 @@ Status FileStore::BuildSecondaryIndex(std::string_view attr, IoStats* io) {
   MLDS_RETURN_IF_ERROR(ForEach(
       [&](RecordId id, const abdm::Record& rec) {
         auto v = rec.Get(name);
-        if (v.has_value()) index_[name][*v].insert(id);
+        // ForEach visits ids ascending, so each bucket is appended to.
+        if (v.has_value()) index_[name][*v].Add(id);
       },
       io));
   // A new access path changes what the statistics cover: advance the
@@ -816,7 +885,7 @@ Status FileStore::LoadFromPages() {
   stats_.Clear();
   // Suppress per-record histogram maintenance for the bulk rebuild;
   // RestoreStatistics installs the persisted histograms afterwards.
-  maintain_stats_ = false;
+  loading_ = true;
   live_count_ = 0;
   fill_frame_ = nullptr;
   fill_count_ = 0;
@@ -842,14 +911,19 @@ Status FileStore::LoadFromPages() {
       layouts_.Intern(*rec);
     }
   }
+  // A record an UPDATE moved to a later page reached its buckets after
+  // larger ids, as a pending add: settle every bucket before any read.
+  for (auto& [attr, values] : index_) {
+    for (auto& [value, ids] : values) ids.Settle();
+  }
   // The next insert opens a fresh fill page; a partially filled tail
   // page keeps its records but accepts no more appends.
-  maintain_stats_ = true;
+  loading_ = false;
   return Status::OK();
 }
 
 void FileStore::RestoreStatistics(const Meta& meta) {
-  maintain_stats_ = true;  // a failed load leaves suppression on
+  loading_ = false;  // a failed load leaves suppression on
   stats_.RestoreEpoch(meta.stats_epoch);
   for (const Meta::Histogram& h : meta.histograms) {
     if (h.epoch != meta.stats_epoch) continue;  // built under an old epoch

@@ -22,14 +22,10 @@
 #include "kds/page.h"
 #include "kds/page_file.h"
 #include "kds/plan.h"
+#include "kds/postings.h"
 #include "kds/statistics.h"
 
 namespace mlds::kds {
-
-/// Identifies a record within one file. Ids are stable across restarts:
-/// each record carries its id inside its page entry, and reopening a
-/// page file restores the original numbering.
-using RecordId = uint64_t;
 
 struct KeyFold;
 
@@ -141,14 +137,23 @@ class FileStore : public abdm::DirectoryStats {
   Result<size_t> Delete(const abdm::Query& query, IoStats* io,
                         PlanNode* plan_out = nullptr);
 
+  /// Rewrites every record satisfying `query` as `modify` leaves it,
+  /// keeping its id; returns how many. A record rewrites in place, or
+  /// moves to the fill page when it no longer fits its page. When
+  /// `plan_out` is non-null the annotated retrieval plan is stored there.
+  Result<size_t> Update(const abdm::Query& query,
+                        const std::function<void(abdm::Record&)>& modify,
+                        IoStats* io, PlanNode* plan_out = nullptr);
+
   /// Returns the live record at `id`, or nullopt. Uncharged (directory
   /// maintenance path); retrieval goes through SelectRecords.
   std::optional<abdm::Record> Get(RecordId id) const;
 
-  /// Replaces the record at `id` (must be live), updating the directory.
-  /// The id is preserved; the record moves to the fill page when the
-  /// replacement no longer fits its page.
-  Status Replace(RecordId id, abdm::Record record, IoStats* io);
+  /// The ids holding keyword <attr, value>, ascending: one directory
+  /// bucket (empty when the keyword is absent or `attr` unindexed). A
+  /// test hook: the directory oracle compares every bucket through it.
+  std::vector<RecordId> Bucket(std::string_view attr,
+                               const abdm::Value& value) const;
 
   /// Rebuilds the store without dead slots, renumbering records and
   /// rebuilding the directory. Returns how many blocks were reclaimed.
@@ -245,7 +250,23 @@ class FileStore : public abdm::DirectoryStats {
   Status CollectAll(std::map<RecordId, abdm::Record>* out) const;
 
   /// Directory for one attribute: value -> ids holding that keyword.
-  using ValueBuckets = std::map<abdm::Value, std::set<RecordId>>;
+  using ValueBuckets = std::map<abdm::Value, Postings>;
+
+  /// The directory edits of one DELETE or UPDATE, staged while its
+  /// records are visited and applied together, so each touched bucket
+  /// settles once (Postings::Settle) and a bucket left empty is dropped.
+  struct DirectoryEdits {
+    struct Edit {
+      ValueBuckets* values;
+      ValueBuckets::iterator bucket;
+      bool insert;
+      RecordId id;
+    };
+    std::vector<Edit> edits;
+    /// Attributes whose histogram was missing or stale when an edit
+    /// reached it: rebuilt from the directory once the edits are applied.
+    std::vector<std::string> rebuild;
+  };
 
   /// The value buckets `interval` admits: [first, last) of one ordered
   /// lower-bound...upper-bound walk; empty for a contradictory interval.
@@ -269,20 +290,41 @@ class FileStore : public abdm::DirectoryStats {
   bool IsDirectoryAttribute(std::string_view attr) const;
   bool IsIndexedAttribute(std::string_view attr) const;
 
+  /// Adds `id` to the buckets of the record's indexed keywords. Ids
+  /// arrive ascending (the next id is always the largest), so each add
+  /// appends, except while LoadFromPages reads records that moved to
+  /// later pages; it settles every bucket afterwards.
   void IndexInsert(RecordId id, const abdm::Record& record);
-  void IndexErase(RecordId id, const abdm::Record& record);
 
-  /// Incremental histogram maintenance for one keyword, called after the
-  /// directory change was applied. Rebuilds from the directory when the
-  /// attribute's histogram is missing or stale (amortized O(log n)
-  /// rebuilds over n inserts); otherwise applies the delta in O(log
-  /// buckets). Requires the exclusive file lock (all callers are
-  /// mutation paths).
+  /// Stages erasing (or inserting) `id` from (into) the buckets of the
+  /// record's indexed keywords, and the matching histogram deltas.
+  void StageIndexEdits(RecordId id, const abdm::Record& record, bool insert,
+                       DirectoryEdits* edits);
+
+  /// Applies staged edits — removals, then additions, then one Settle
+  /// per touched bucket, dropping buckets left empty — then rebuilds the
+  /// histograms the staging deferred.
+  void ApplyIndexEdits(DirectoryEdits* edits);
+
+  /// Rewrites live record `id` from `old` (its current content) to
+  /// `record`, in place or at the fill page, staging its changed keywords
+  /// into `edits`.
+  Status Rewrite(RecordId id, const abdm::Record& old, abdm::Record record,
+                 IoStats* io, DirectoryEdits* edits);
+
+  /// Incremental histogram maintenance for one keyword. Applies the delta
+  /// in O(log buckets) while the attribute's histogram is fresh. A missing
+  /// or stale one is rebuilt from the directory (amortized O(log n)
+  /// rebuilds over n inserts) — right away after a directory change
+  /// already applied, or, with `deferred`, by ApplyIndexEdits once the
+  /// staged edits are in. Requires the exclusive file lock (all callers
+  /// are mutation paths).
   void MaintainHistogram(const std::string& attr, const abdm::Value& value,
-                         bool insert);
+                         bool insert,
+                         std::vector<std::string>* deferred = nullptr);
 
-  /// Rebuilds one attribute's histogram from its sorted directory value
-  /// buckets; counts a build.
+  /// Rebuilds one attribute's histogram straight from its directory value
+  /// buckets (no value copied but the boundaries); counts a build.
   void RebuildHistogram(std::string_view attr);
 
   /// Rebuilds every indexed attribute's histogram (post-epoch-bump
@@ -341,15 +383,16 @@ class FileStore : public abdm::DirectoryStats {
   /// Per-attribute equi-depth histograms + schema epoch. Mutated only
   /// under the exclusive file lock (same discipline as index_).
   FileStatistics stats_;
-  /// False while LoadFromPages bulk-rebuilds the directory: persisted
+  /// True while LoadFromPages bulk-rebuilds the directory: persisted
   /// histograms are restored afterwards instead of being re-derived
-  /// record by record.
-  bool maintain_stats_ = true;
+  /// record by record, and ids may reach a bucket out of order.
+  bool loading_ = false;
 
   /// Directory: attribute -> value -> ids holding that keyword. Buckets
-  /// are ordered sets so insert/erase stay logarithmic even for huge
-  /// buckets (the FILE keyword's bucket lists every record). Memory
-  /// resident; rebuilt from pages on open.
+  /// are ascending id vectors (Postings): an insert appends, and a
+  /// removal or out-of-order add costs O(log) or O(sqrt) of the bucket,
+  /// never its size (the FILE keyword's bucket lists every record).
+  /// Memory resident; rebuilt from pages on open.
   std::map<std::string, ValueBuckets, std::less<>> index_;
 
   /// The distinct layouts of the file's records, interned at insert,

@@ -1,6 +1,7 @@
 #include "kds/join.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -88,12 +89,15 @@ class PairMerger {
 };
 
 /// Hashes join values through pointers into the side's records. Values
-/// that compare equal hash equally: numbers compare as doubles, so both
-/// numeric kinds hash their double.
+/// that compare equal hash equally: equal numbers share their double (an
+/// integer equals a float only when the float holds it exactly), -0.0
+/// equals 0.0, and every NaN is one value.
 struct ValueHash {
   size_t operator()(const Value* v) const {
-    return v->is_string() ? std::hash<std::string>{}(v->AsString())
-                          : std::hash<double>{}(v->AsFloat());
+    if (v->is_string()) return std::hash<std::string>{}(v->AsString());
+    const double d = v->AsFloat();
+    if (std::isnan(d)) return 0x7ff8;
+    return std::hash<double>{}(d == 0.0 ? 0.0 : d);
   }
 };
 

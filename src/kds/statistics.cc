@@ -44,37 +44,6 @@ Result<std::string> HexDecode(std::string_view hex) {
 
 }  // namespace
 
-AttributeHistogram AttributeHistogram::Build(
-    const std::vector<std::pair<abdm::Value, uint64_t>>& sorted,
-    size_t max_buckets) {
-  AttributeHistogram h;
-  if (max_buckets == 0) max_buckets = 1;
-  uint64_t total = 0;
-  for (const auto& [value, count] : sorted) total += count;
-  if (total == 0 || sorted.empty()) return h;
-  const uint64_t target = (total + max_buckets - 1) / max_buckets;
-  h.lower_ = sorted.front().first;
-  Bucket current;
-  for (const auto& [value, count] : sorted) {
-    current.upper = value;
-    current.rows += count;
-    current.distinct += 1;
-    if (current.rows >= target) {
-      h.depth_ = std::max(h.depth_, current.rows);
-      h.buckets_.push_back(std::move(current));
-      current = Bucket{};
-    }
-    h.distinct_ += 1;
-  }
-  if (current.rows > 0) {
-    h.depth_ = std::max(h.depth_, current.rows);
-    h.buckets_.push_back(std::move(current));
-  }
-  h.total_ = total;
-  h.built_rows_ = total;
-  return h;
-}
-
 size_t AttributeHistogram::BucketFor(const abdm::Value& v) const {
   if (buckets_.empty()) return kNpos;
   if (v < lower_) return kNpos;

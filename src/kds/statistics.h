@@ -1,6 +1,7 @@
 #ifndef MLDS_KDS_STATISTICS_H_
 #define MLDS_KDS_STATISTICS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -89,13 +90,22 @@ class AttributeHistogram {
 
   AttributeHistogram() = default;
 
-  /// Builds from (value, count) pairs ascending by value — exactly the
-  /// shape of one keyword-directory attribute map. A value bucket is
-  /// never split across histogram buckets, so depth() can exceed
+  /// Builds from (value, count) pairs ascending by value. A value bucket
+  /// is never split across histogram buckets, so depth() can exceed
   /// ceil(N / max_buckets) only by the heaviest value's count.
   static AttributeHistogram Build(
       const std::vector<std::pair<abdm::Value, uint64_t>>& sorted,
-      size_t max_buckets = kDefaultBuckets);
+      size_t max_buckets = kDefaultBuckets) {
+    return BuildRun(sorted, [](const auto& e) { return e.second; },
+                    max_buckets);
+  }
+
+  /// Build over any run of pairs ascending by `.first` (a Value), counting
+  /// `count_of(pair)` rows per value — a keyword-directory attribute map
+  /// builds in place, copying only the histogram's boundary values.
+  template <typename Run, typename CountOf>
+  static AttributeHistogram BuildRun(const Run& run, CountOf count_of,
+                                     size_t max_buckets = kDefaultBuckets);
 
   bool empty() const { return buckets_.empty(); }
   uint64_t total_rows() const { return total_; }
@@ -154,6 +164,41 @@ class AttributeHistogram {
   uint64_t depth_ = 0;       ///< Max bucket rows at build time.
   uint64_t drift_ = 0;       ///< Adds + removes since build.
 };
+
+template <typename Run, typename CountOf>
+AttributeHistogram AttributeHistogram::BuildRun(const Run& run,
+                                                CountOf count_of,
+                                                size_t max_buckets) {
+  AttributeHistogram h;
+  if (max_buckets == 0) max_buckets = 1;
+  uint64_t total = 0;
+  for (const auto& entry : run) total += count_of(entry);
+  if (total == 0) return h;
+  const uint64_t target = (total + max_buckets - 1) / max_buckets;
+  h.lower_ = run.begin()->first;
+  Bucket current;
+  const abdm::Value* upper = nullptr;
+  for (const auto& entry : run) {
+    upper = &entry.first;
+    current.rows += count_of(entry);
+    current.distinct += 1;
+    if (current.rows >= target) {
+      current.upper = *upper;
+      h.depth_ = std::max(h.depth_, current.rows);
+      h.buckets_.push_back(std::move(current));
+      current = Bucket{};
+    }
+    h.distinct_ += 1;
+  }
+  if (current.rows > 0) {
+    current.upper = *upper;
+    h.depth_ = std::max(h.depth_, current.rows);
+    h.buckets_.push_back(std::move(current));
+  }
+  h.total_ = total;
+  h.built_rows_ = total;
+  return h;
+}
 
 /// The per-file statistics set: one histogram per indexed attribute,
 /// versioned by a schema epoch like the translation cache — any change

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <random>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "kds/statistics.h"
 
 namespace mlds::kds {
 namespace {
@@ -96,8 +102,9 @@ TEST(FileStoreTest, ReplaceUpdatesIndex) {
   FileStore store(Descriptor(true), 4);
   IoStats io;
   RecordId id = *store.Insert(MakeRecord(1), &io);
-  Record updated = MakeRecord(99);
-  store.Replace(id, updated, &io);
+  const Query one = Query::And({{"key", RelOp::kEq, Value::Integer(1)}});
+  EXPECT_EQ(*store.Update(one, [](Record& r) { r = MakeRecord(99); }, &io),
+            1u);
   auto old_ids =
       *store.Select(Query::And({{"key", RelOp::kEq, Value::Integer(1)}}), &io);
   EXPECT_TRUE(old_ids.empty());
@@ -328,7 +335,8 @@ TEST(FileStoreTest, KeywordOrderSurvivesPagesAndSharedLayouts) {
   // An update that adds a keyword registers a third layout.
   Record grown = originals[5];
   grown.Set("extra", Value::Float(1.5));
-  ASSERT_TRUE(store.Replace(5, grown, &io).ok());
+  const Query fifth = Query::And({{"key", RelOp::kEq, Value::Integer(5)}});
+  ASSERT_EQ(*store.Update(fifth, [&](Record& r) { r = grown; }, &io), 1u);
   originals[5] = grown;
   auto rows = *store.SelectRecords(
       Query::And({{"FILE", RelOp::kEq, Value::String("f")}}), &io);
@@ -587,6 +595,310 @@ TEST(FileStoreTest, KeySetFoldMatchesUnindexedTwin) {
     }
   }
   EXPECT_EQ(indexed.size(), scanned.size());
+}
+
+/// Three directory attributes (a mixed-kind key, a four-value group and
+/// the FILE keyword) and a payload of three lengths that no page of 512
+/// bytes holds four times, so a grown record moves to a later page.
+FileDescriptor OracleDescriptor(bool payload_indexed) {
+  FileDescriptor f;
+  f.name = "f";
+  f.attributes = {
+      {"FILE", ValueKind::kString, 0, true},
+      {"key", ValueKind::kInteger, 0, true},
+      {"grp", ValueKind::kInteger, 0, true},
+      {"payload", ValueKind::kString, 0, false, payload_indexed},
+  };
+  return f;
+}
+
+Value OraclePayload(std::mt19937& rng) {
+  constexpr size_t kLengths[] = {4, 60, 150};
+  return Value::String(
+      std::string(kLengths[rng() % 3], char('a' + rng() % 3)));
+}
+
+Record OracleRecord(std::mt19937& rng) {
+  Record r;
+  r.Set("FILE", Value::String("f"));
+  r.Set("key", RandomValue(rng));
+  r.Set("grp", Value::Integer(int(rng() % 4)));
+  r.Set("payload", OraclePayload(rng));
+  return r;
+}
+
+/// attribute -> value -> ids: the directory as ordered sets.
+using ReferenceDirectory =
+    std::map<std::string, std::map<Value, std::set<RecordId>>>;
+
+TEST(FileStoreTest, DirectoryMatchesReferenceOracle) {
+  // Random inserts, bulk DELETEs, UPDATEs that move many ids between the
+  // low-cardinality group buckets, one-key UPDATEs that push records
+  // onto later pages, reopening through LoadFromPages, Compact, and a
+  // secondary index built midway: after every round each bucket equals
+  // the reference built from the live records, and so do point and range
+  // Select results, EstimateMatches, DistinctValues and records_examined.
+  std::mt19937 rng(25);
+  auto store = std::make_unique<FileStore>(
+      OracleDescriptor(false), 4, nullptr, std::make_unique<PageFile>(512));
+  std::map<RecordId, Record> live;
+  std::vector<std::string> indexed = {"FILE", "key", "grp"};
+  std::map<std::string, std::set<Value>> seen;
+  IoStats io;
+
+  auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Record r = OracleRecord(rng);
+      for (size_t a = 0; a < r.size(); ++a) {
+        seen[r.attribute(a)].insert(r.value(a));
+      }
+      const RecordId id = *store->Insert(r, &io);
+      ASSERT_EQ(live.count(id), 0u);
+      live.emplace(id, std::move(r));
+    }
+  };
+  auto matching = [&](const Query& q) {
+    std::vector<RecordId> ids;
+    for (const auto& [id, rec] : live) {
+      if (q.Matches(rec)) ids.push_back(id);
+    }
+    return ids;
+  };
+  constexpr RelOp kOps[] = {RelOp::kEq, RelOp::kLt, RelOp::kLe, RelOp::kGt,
+                            RelOp::kGe};
+  auto check = [&](int round) {
+    ASSERT_EQ(store->size(), live.size()) << "round " << round;
+    ReferenceDirectory ref;
+    for (const auto& [id, rec] : live) {
+      for (const std::string& attr : indexed) {
+        if (const Value* v = rec.Find(attr)) ref[attr][*v].insert(id);
+      }
+    }
+    for (const std::string& attr : indexed) {
+      const auto& buckets = ref[attr];
+      EXPECT_EQ(store->DistinctValues(attr), buckets.size())
+          << "round " << round << " " << attr;
+      for (const auto& [value, ids] : buckets) {
+        EXPECT_EQ(store->Bucket(attr, value),
+                  std::vector<RecordId>(ids.begin(), ids.end()))
+            << "round " << round << " " << attr << " = " << value.ToString();
+        // A point interval, built by hand: a null keyword has no
+        // predicate interval, yet its bucket counts like any other.
+        const Predicate eq{attr, RelOp::kEq, value};
+        EXPECT_EQ(store->EstimateMatches(abdm::KeyInterval{&eq, &eq}),
+                  ids.size());
+      }
+      // Deleted records and moved-away keywords leave no id behind.
+      for (const Value& v : seen[attr]) {
+        if (buckets.count(v) == 0) {
+          EXPECT_TRUE(store->Bucket(attr, v).empty())
+              << "round " << round << " " << attr << " = " << v.ToString();
+        }
+      }
+    }
+    for (int k = 0; k < 4; ++k) {
+      const bool on_key = rng() % 2 == 0;
+      Value v = on_key ? RandomValue(rng) : Value::Integer(int(rng() % 5));
+      if (v.is_null()) v = Value::Integer(20);
+      const Predicate pred{on_key ? "key" : "grp", kOps[rng() % 5], v};
+      const Query q = Query::And({pred});
+      const std::vector<RecordId> want = matching(q);
+      io.Reset();
+      PlanNode plan;
+      EXPECT_EQ(*store->Select(q, &io, &plan), want) << q.ToString();
+      EXPECT_EQ(store->EstimateMatches(*abdm::KeyInterval::Of(pred)),
+                want.size())
+          << q.ToString();
+      const bool scan = plan.children.front().kind == PlanNodeKind::kFullScan;
+      EXPECT_EQ(io.records_examined, scan ? live.size() : want.size())
+          << plan.ToString();
+    }
+  };
+  auto reopen = [&] {
+    auto copy = std::make_unique<PageFile>(512);
+    std::vector<char> page(512);
+    for (uint64_t p = 0; p < store->page_file()->page_count(); ++p) {
+      ASSERT_TRUE(store->page_file()->ReadPage(p, page.data()).ok());
+      ASSERT_TRUE(copy->WritePage(p, page.data()).ok());
+    }
+    const bool payload_indexed = indexed.size() == 4;
+    store = std::make_unique<FileStore>(OracleDescriptor(payload_indexed), 4,
+                                        nullptr, std::move(copy));
+    ASSERT_TRUE(store->LoadFromPages().ok());
+  };
+
+  insert(200);
+  uint64_t moved = 0;
+  for (int round = 0; round < 150; ++round) {
+    const int grp = int(rng() % 4);
+    switch (rng() % 9) {
+      case 0:
+      case 1:
+        insert(1 + int(rng() % 40));
+        break;
+      case 2: {
+        // A bulk DELETE of one group, or of a key range.
+        const Query q =
+            rng() % 2 == 0
+                ? Query::And({{"grp", RelOp::kEq, Value::Integer(grp)}})
+                : Query::And({{"key", kOps[1 + rng() % 4],
+                               Value::Integer(int(rng() % 40))}});
+        const std::vector<RecordId> victims = matching(q);
+        EXPECT_EQ(*store->Delete(q, &io), victims.size()) << q.ToString();
+        for (RecordId id : victims) live.erase(id);
+        break;
+      }
+      case 3:
+      case 4: {
+        // An UPDATE moving a group (or every record) to another group,
+        // growing some payloads on the way.
+        const Query q =
+            rng() % 3 == 0
+                ? Query::And({{"FILE", RelOp::kEq, Value::String("f")}})
+                : Query::And({{"grp", RelOp::kEq, Value::Integer(grp)}});
+        const Value to = Value::Integer(int(rng() % 4));
+        const Value payload = OraclePayload(rng);
+        seen["payload"].insert(payload);
+        const bool grow = rng() % 2 == 0;
+        auto modify = [&](Record& r) {
+          r.Set("grp", to);
+          if (grow) r.Set("payload", payload);
+        };
+        const std::vector<RecordId> ids = matching(q);
+        EXPECT_EQ(*store->Update(q, modify, &io), ids.size()) << q.ToString();
+        for (RecordId id : ids) modify(live.at(id));
+        break;
+      }
+      case 5:
+      case 6: {
+        // One-key UPDATEs: the records holding a random live record's key
+        // get a new key and a longer payload, so they move to later pages.
+        for (int k = 0; k < 5 && !live.empty(); ++k) {
+          const Record& picked =
+              std::next(live.begin(), long(rng() % live.size()))->second;
+          if (picked.Find("key")->is_null()) continue;
+          const Query q =
+              Query::And({{"key", RelOp::kEq, *picked.Find("key")}});
+          const Value key = RandomValue(rng);
+          const Value payload = Value::String(std::string(150, 'z'));
+          seen["key"].insert(key);
+          seen["payload"].insert(payload);
+          auto modify = [&](Record& r) {
+            r.Set("key", key);
+            r.Set("payload", payload);
+          };
+          const std::vector<RecordId> ids = matching(q);
+          const uint64_t pages = store->block_count();
+          EXPECT_EQ(*store->Update(q, modify, &io), ids.size())
+              << q.ToString();
+          moved += store->block_count() > pages;
+          for (RecordId id : ids) modify(live.at(id));
+        }
+        break;
+      }
+      case 7:
+        reopen();
+        break;
+      default: {
+        ASSERT_TRUE(store->Compact(&io).ok());
+        std::map<RecordId, Record> renumbered;
+        for (auto& [id, rec] : live) {
+          renumbered.emplace(renumbered.size(), std::move(rec));
+        }
+        live = std::move(renumbered);
+        break;
+      }
+    }
+    if (round == 75) {
+      ASSERT_TRUE(store->BuildSecondaryIndex("payload", &io).ok());
+      indexed.push_back("payload");
+    }
+    check(round);
+    if (live.size() < 50) insert(100);
+  }
+  // The one-key UPDATEs really did push records onto later pages.
+  EXPECT_GT(moved, 0u);
+}
+
+/// The equi-depth rule written out independently of AttributeHistogram:
+/// the Encode() text a fresh histogram over `counts` must produce.
+std::string ExpectedHistogramEncoding(const std::map<Value, uint64_t>& counts,
+                                      size_t max_buckets) {
+  auto hex = [](const Value& v) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (unsigned char c : v.ToString()) {
+      out.push_back(kDigits[c >> 4]);
+      out.push_back(kDigits[c & 0xf]);
+    }
+    return out;
+  };
+  uint64_t total = 0;
+  for (const auto& [value, count] : counts) total += count;
+  if (total == 0) return AttributeHistogram().Encode();
+  const uint64_t target = (total + max_buckets - 1) / max_buckets;
+  std::string buckets;
+  size_t bucket_count = 0;
+  uint64_t rows = 0, distinct = 0, depth = 0;
+  const Value* upper = nullptr;
+  auto close = [&] {
+    buckets += " " + hex(*upper) + " " + std::to_string(rows) + " " +
+               std::to_string(distinct);
+    depth = std::max(depth, rows);
+    ++bucket_count;
+    rows = distinct = 0;
+  };
+  for (const auto& [value, count] : counts) {
+    upper = &value;
+    rows += count;
+    ++distinct;
+    if (rows >= target) close();
+  }
+  if (rows > 0) close();
+  return std::to_string(total) + " " + std::to_string(counts.size()) + " " +
+         std::to_string(total) + " " + std::to_string(depth) + " 0 " +
+         hex(counts.begin()->first) + " " + std::to_string(bucket_count) +
+         buckets;
+}
+
+TEST(FileStoreTest, DirectoryBuiltHistogramEqualsCopiedBuild) {
+  // Random directories over integers, floats, strings and nulls, some
+  // dominated by one heavy value: the histogram a store rebuilds straight
+  // from its directory encodes byte for byte like AttributeHistogram::Build
+  // over a copied (value, count) vector, and like the equi-depth rule
+  // written out above.
+  for (int seed = 0; seed < 24; ++seed) {
+    std::mt19937 rng(seed);
+    FileStore store(OracleDescriptor(false), 16);
+    std::map<std::string, std::map<Value, uint64_t>> counts;
+    const int n = 1 + int(rng() % 600);
+    const Value heavy = RandomValue(rng);
+    const int heavy_share = seed % 3 == 0 ? 2 : 0;  // of every 3 records
+    IoStats io;
+    for (int i = 0; i < n; ++i) {
+      Record r = OracleRecord(rng);
+      if (int(rng() % 3) < heavy_share) r.Set("key", heavy);
+      for (size_t a = 0; a < r.size(); ++a) {
+        ++counts[r.attribute(a)][r.value(a)];
+      }
+      ASSERT_TRUE(store.Insert(std::move(r), &io).ok());
+    }
+    // A new access path rebuilds every histogram from the directory.
+    ASSERT_TRUE(store.BuildSecondaryIndex("payload", &io).ok());
+    for (const auto& [attr, by_value] : counts) {
+      const std::vector<std::pair<Value, uint64_t>> copied(by_value.begin(),
+                                                          by_value.end());
+      const AttributeHistogram* built = store.statistics().Find(attr);
+      ASSERT_NE(built, nullptr) << attr;
+      EXPECT_EQ(built->Encode(), AttributeHistogram::Build(copied).Encode())
+          << "seed " << seed << " " << attr;
+      for (size_t max_buckets : {1, 2, 7, 32, 1000}) {
+        EXPECT_EQ(AttributeHistogram::Build(copied, max_buckets).Encode(),
+                  ExpectedHistogramEncoding(by_value, max_buckets))
+            << "seed " << seed << " " << attr << " buckets " << max_buckets;
+      }
+    }
+  }
 }
 
 // Property sweep: for random-ish mixes of indexed and scanned selection,

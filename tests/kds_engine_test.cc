@@ -217,6 +217,42 @@ TEST_F(KdsEngineTest, RetrieveCommonJoinsOnCommonAttribute) {
   EXPECT_EQ(resp->records[0].GetOrNull("title").AsString(), "DB");
 }
 
+TEST_F(KdsEngineTest, IntegersBeyondTwoTo53StayDistinct) {
+  // 2^53 and 2^53 + 1 share one double; as keys they are two values, and
+  // an equality or a join on one of them finds only its own record.
+  FileDescriptor t;
+  t.name = "t";
+  t.attributes = {{"FILE", ValueKind::kString, 0, true},
+                  {"n", ValueKind::kInteger, 0, true}};
+  ASSERT_TRUE(engine_.DefineFile(t).ok());
+  FileDescriptor u = t;
+  u.name = "u";
+  ASSERT_TRUE(engine_.DefineFile(u).ok());
+  for (const char* n : {"9007199254740992", "9007199254740993"}) {
+    ASSERT_TRUE(
+        engine_.Execute(MustParse(std::string("INSERT (<FILE, t>, <n, ") + n +
+                                  ">)"))
+            .ok());
+  }
+  ASSERT_TRUE(
+      engine_.Execute(MustParse("INSERT (<FILE, u>, <n, 9007199254740993>)"))
+          .ok());
+  auto resp = engine_.Execute(
+      MustParse("RETRIEVE ((FILE = t) and (n = 9007199254740993)) (n)"));
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_EQ(resp->records.size(), 1u);
+  EXPECT_EQ(resp->records[0].GetOrNull("n").AsInteger(), 9007199254740993);
+  resp = engine_.Execute(
+      MustParse("RETRIEVE ((FILE = t) and (n > 9007199254740992)) (n)"));
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_EQ(resp->records.size(), 1u);
+  resp = engine_.Execute(MustParse(
+      "RETRIEVE-COMMON ((FILE = t)) (n) AND ((FILE = u)) (n) (n)"));
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_EQ(resp->records.size(), 1u);
+  EXPECT_EQ(resp->records[0].GetOrNull("n").AsInteger(), 9007199254740993);
+}
+
 TEST_F(KdsEngineTest, TransactionExecutesSequentially) {
   auto txn = abdl::ParseTransaction(
       "INSERT (<FILE, course>, <course, 'c1'>, <title, 'X'>, <dept, 'CS'>, "

@@ -430,15 +430,18 @@ else
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${JOBS}" \
       -R 'PipelineStress|SessionStress|ServerRoundTrip')
-  # Record-layout suites: readers share a file's interned layouts under
-  # the store's shared lock while writers register new ones under the
-  # exclusive lock; rerun them race-checked even when MLDS_TSAN_FILTER
+  # Record-layout and directory suites: readers share a file's interned
+  # layouts and its directory buckets under the store's shared lock while
+  # writers register layouts and rewrite buckets under the exclusive lock
+  # (FileStoreTest holds the directory oracle, PostingsTest one bucket's
+  # against std::set, ValueOrderTest the key order every bucket map
+  # relies on); rerun them race-checked even when MLDS_TSAN_FILTER
   # narrowed the run above.
-  echo "== TSan record-layout suites =="
+  echo "== TSan record-layout and directory suites =="
   (cd build-tsan && \
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${JOBS}" \
-      -R 'ConcurrencyTest|CompactRaceTest|AbdlCommitRaceTest|RecordTest|FileStoreTest')
+      -R 'ConcurrencyTest|CompactRaceTest|AbdlCommitRaceTest|RecordTest|FileStoreTest|PostingsTest|ValueOrderTest')
   # Key-probe suites: Daplex ISA levels fetched by key across four MBDS
   # backends (each backend's store plans and probes the key set under
   # its shared lock while the controller fans out), and the fold oracles
