@@ -22,7 +22,7 @@
 //  - bulk_erase: one DELETE of every record, one UPDATE moving every
 //    record between the buckets of a four-value attribute, and the same
 //    two as one-record statements over every fourth record (the traffic
-//    of CODASYL ERASE, Daplex DESTROY and DL/I DLET), at kEraseRecords
+//    of CODASYL ERASE and one-entity UPDATEs), at kEraseRecords
 //    and twice that. No directory edit may cost the size of the bucket
 //    it edits (FILE's lists every record), so doubling the file may at
 //    most double the time (bulk_erase_linear allows 3x); an edit that

@@ -111,6 +111,23 @@ struct RetrieveRequest {
                          const RetrieveRequest&) = default;
 };
 
+/// RETRIEVE (query) (all attributes): the front ends' whole-record fetch.
+inline RetrieveRequest RetrieveAll(abdm::Query query) {
+  RetrieveRequest req;
+  req.query = std::move(query);
+  req.all_attributes = true;
+  return req;
+}
+
+/// RETRIEVE (query) (attribute): the front ends' key and keyword probe.
+inline RetrieveRequest RetrieveAttribute(abdm::Query query,
+                                         std::string attribute) {
+  RetrieveRequest req;
+  req.query = std::move(query);
+  req.targets = {TargetItem{std::move(attribute)}};
+  return req;
+}
+
 /// RETRIEVE-COMMON joins the records satisfying two queries on a common
 /// attribute pair, returning the merged target attributes. The thesis's
 /// interface does not use it (Ch. II.C.2), but it is part of ABDL and is

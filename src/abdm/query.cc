@@ -135,13 +135,30 @@ std::string Conjunction::ToString() const {
   return out;
 }
 
+Predicate EqStr(std::string attribute, std::string_view value) {
+  return Predicate{std::move(attribute), RelOp::kEq,
+                   Value::String(std::string(value))};
+}
+
+Predicate FilePred(std::string_view file) {
+  return EqStr(std::string(kFileAttribute), file);
+}
+
 Query Query::ForFile(std::string_view file, std::vector<Predicate> more) {
   std::vector<Predicate> preds;
   preds.reserve(more.size() + 1);
-  preds.push_back(Predicate{std::string(kFileAttribute), RelOp::kEq,
-                            Value::String(std::string(file))});
+  preds.push_back(FilePred(file));
   for (auto& p : more) preds.push_back(std::move(p));
   return Query::And(std::move(preds));
+}
+
+Conjunction Query::KeyDisjunct(std::string_view file,
+                               std::string_view attribute,
+                               std::string_view key,
+                               const std::vector<Predicate>& shared) {
+  Conjunction conj{{FilePred(file), EqStr(std::string(attribute), key)}};
+  conj.predicates.insert(conj.predicates.end(), shared.begin(), shared.end());
+  return conj;
 }
 
 bool Query::Matches(const Record& record) const {

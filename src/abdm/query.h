@@ -1,6 +1,7 @@
 #ifndef MLDS_ABDM_QUERY_H_
 #define MLDS_ABDM_QUERY_H_
 
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,6 +44,13 @@ struct Predicate {
     return a.attribute == b.attribute && a.op == b.op && a.value == b.value;
   }
 };
+
+/// (attribute = 'value'): the string equality of every key and set-keyword
+/// lookup the front ends translate.
+Predicate EqStr(std::string attribute, std::string_view value);
+
+/// (FILE = file): the predicate every translated kernel query leads with.
+Predicate FilePred(std::string_view file);
 
 /// The keyword values of one attribute that a directory probe reads, as a
 /// view over the predicates that bound it: an equality is the point
@@ -121,6 +129,24 @@ class Query {
   static Query ForFile(std::string_view file,
                        std::vector<Predicate> more = {});
 
+  /// The key-set shape: for each of `keys`, in order, the disjunct
+  /// (FILE = file) and (attribute = key) followed by `shared`. The front
+  /// ends fetch, check, update and delete records by keys through it (a
+  /// braced `{key}` is the one-key lookup), and the kernel planner folds
+  /// several keys into one INDEX KEYS probe (kds::FoldKeys). Empty `keys`
+  /// give the empty query, which matches nothing: callers skip that step
+  /// rather than issue it.
+  template <typename Keys = std::initializer_list<std::string_view>>
+  static Query KeySet(std::string_view file, std::string_view attribute,
+                      const Keys& keys,
+                      const std::vector<Predicate>& shared = {}) {
+    Query query;
+    for (const auto& key : keys) {
+      query.disjuncts_.push_back(KeyDisjunct(file, attribute, key, shared));
+    }
+    return query;
+  }
+
   bool Matches(const Record& record) const;
 
   const std::vector<Conjunction>& disjuncts() const { return disjuncts_; }
@@ -142,6 +168,11 @@ class Query {
   }
 
  private:
+  static Conjunction KeyDisjunct(std::string_view file,
+                                 std::string_view attribute,
+                                 std::string_view key,
+                                 const std::vector<Predicate>& shared);
+
   std::vector<Conjunction> disjuncts_;
 };
 

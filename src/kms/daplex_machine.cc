@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <ranges>
 #include <unordered_map>
 
 #include "transform/abdm_mapping.h"
@@ -10,11 +11,12 @@ namespace mlds::kms {
 
 namespace {
 
-using abdm::Conjunction;
+using abdl::RetrieveAll;
+using abdl::RetrieveAttribute;
+using abdm::FilePred;
 using abdm::Predicate;
 using abdm::Query;
 using abdm::Record;
-using abdm::RelOp;
 using abdm::Value;
 using daplex::Comparison;
 using daplex::DaplexAggregate;
@@ -23,18 +25,6 @@ using daplex::Function;
 using daplex::FunctionClass;
 using transform::KeyAttribute;
 using transform::SetAttribute;
-
-Predicate EqStr(std::string attribute, std::string_view value) {
-  return Predicate{std::move(attribute), RelOp::kEq,
-                   Value::String(std::string(value))};
-}
-
-abdl::RetrieveRequest RetrieveAll(Query query) {
-  abdl::RetrieveRequest req;
-  req.query = std::move(query);
-  req.all_attributes = true;
-  return req;
-}
 
 /// True when any of `values` satisfies `cmp`.
 bool Satisfies(const std::vector<Value>& values, const Comparison& cmp) {
@@ -140,21 +130,6 @@ Result<DaplexMachine::FunctionSite> DaplexMachine::Resolve(
                           "' or its supertypes");
 }
 
-Result<std::vector<Record>> DaplexMachine::FetchByKeys(
-    std::string_view file, const std::set<std::string>& keys) {
-  if (keys.empty()) return std::vector<Record>{};
-  std::vector<Conjunction> disjuncts;
-  disjuncts.reserve(keys.size());
-  for (const auto& key : keys) {
-    disjuncts.push_back(
-        Conjunction{{EqStr(std::string(abdm::kFileAttribute), file),
-                     EqStr(KeyAttribute(file), key)}});
-  }
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        Issue(RetrieveAll(Query(std::move(disjuncts)))));
-  return std::move(resp.records);
-}
-
 Status DaplexMachine::AbsorbAncestors(
     std::string_view type, std::map<std::string, EntityView>* views) {
   // Walk every ISA edge above `type`, breadth first. Each (subtype,
@@ -185,8 +160,11 @@ Status DaplexMachine::AbsorbAncestors(
         super_key_of.emplace_back(&view, isa->front().AsString());
       }
       if (super_keys.empty()) continue;
-      MLDS_ASSIGN_OR_RETURN(std::vector<Record> records,
-                            FetchByKeys(super, super_keys));
+      MLDS_ASSIGN_OR_RETURN(
+          kds::Response resp,
+          Issue(RetrieveAll(Query::KeySet(super, KeyAttribute(super),
+                                          super_keys))));
+      const std::vector<Record>& records = resp.records;
       std::unordered_map<std::string, std::vector<const Record*>> by_key;
       by_key.reserve(records.size());
       abdm::AttributeReader key_reader(KeyAttribute(super));
@@ -228,15 +206,11 @@ Status DaplexMachine::AbsorbManyToMany(
     return Status::Internal("many-to-many set '" + fn.name +
                             "' has no inverse over link '" + link + "'");
   }
-  std::vector<Conjunction> disjuncts;
-  for (const auto& [dbkey, view] : *views) {
-    disjuncts.push_back(
-        Conjunction{{EqStr(std::string(abdm::kFileAttribute), link),
-                     EqStr(SetAttribute(fn.name), dbkey)}});
-  }
-  if (disjuncts.empty()) return Status::OK();
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        Issue(RetrieveAll(Query(std::move(disjuncts)))));
+  if (views->empty()) return Status::OK();
+  MLDS_ASSIGN_OR_RETURN(
+      kds::Response resp,
+      Issue(RetrieveAll(Query::KeySet(link, SetAttribute(fn.name),
+                                      std::views::keys(*views)))));
   for (const Record& r : resp.records) {
     const std::string owner = r.GetOrNull(SetAttribute(fn.name)).ToDisplayString();
     auto it = views->find(owner);
@@ -273,8 +247,7 @@ Result<std::vector<Record>> DaplexMachine::Execute(const ForEachQuery& query) {
   // Conditions on functions declared directly on the queried type (and
   // not set-valued) push into the kernel query; the rest filter after
   // the inheritance joins.
-  std::vector<Predicate> pushed = {
-      EqStr(std::string(abdm::kFileAttribute), query.type)};
+  std::vector<Predicate> pushed = {FilePred(query.type)};
   std::vector<std::pair<Comparison, FunctionSite>> residual;
   for (const auto& [cmp, site] : conditions) {
     const bool own = site.declared_on == query.type;
@@ -442,11 +415,11 @@ Result<std::vector<Record>> DaplexMachine::ExecuteText(std::string_view text) {
 
 Result<bool> DaplexMachine::EntityExists(std::string_view file,
                                          std::string_view dbkey) {
-  abdl::RetrieveRequest probe;
-  probe.query = Query::And({EqStr(std::string(abdm::kFileAttribute), file),
-                            EqStr(KeyAttribute(file), dbkey)});
-  probe.targets = {abdl::TargetItem{KeyAttribute(file)}};
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
+  MLDS_ASSIGN_OR_RETURN(
+      kds::Response resp,
+      Issue(RetrieveAttribute(
+          Query::KeySet(file, KeyAttribute(file), {dbkey}),
+          KeyAttribute(file))));
   return !resp.records.empty();
 }
 
@@ -635,83 +608,100 @@ Result<DaplexMachine::Outcome> DaplexMachine::CreateRows(
   return outcome;
 }
 
-Status DaplexMachine::CheckReferences(std::string_view type,
-                                      std::string_view dbkey) {
-  for (const auto* set : schema_->SetsWithOwner(type)) {
+std::vector<std::pair<std::string, std::string>>
+DaplexMachine::ReferencingSets(std::string_view type) const {
+  using transform::SetOrigin;
+  const auto origin = [&](const network::SetType* set) {
     const transform::SetInfo* info =
         mapping_ != nullptr ? mapping_->FindSetInfo(set->name) : nullptr;
-    if (info == nullptr) continue;
-    if (info->origin == transform::SetOrigin::kIsa) {
-      continue;  // subtype records cascade rather than abort.
-    }
-    if (info->origin == transform::SetOrigin::kSystem) continue;
-    // Single-valued / many-to-many sets owned by this type: any member
-    // record naming this key is a live function reference.
-    for (const auto& member : set->members) {
-      abdl::RetrieveRequest probe;
-      probe.query =
-          Query::And({EqStr(std::string(abdm::kFileAttribute), member),
-                      EqStr(SetAttribute(set->name), dbkey)});
-      probe.targets = {abdl::TargetItem{SetAttribute(set->name)}};
-      MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-      if (!resp.records.empty()) {
-        return Status::Aborted("DESTROY: entity '" + std::string(dbkey) +
-                               "' is referenced through function set '" +
-                               set->name + "'");
-      }
+    return info != nullptr ? std::optional(info->origin) : std::nullopt;
+  };
+  std::vector<std::pair<std::string, std::string>> out;
+  // Function sets owned by `type`: a member record naming the key. ISA
+  // sets cascade instead, and SYSTEM sets name no entity.
+  for (const auto* set : schema_->SetsWithOwner(type)) {
+    const std::optional<SetOrigin> o = origin(set);
+    if (!o || *o == SetOrigin::kIsa || *o == SetOrigin::kSystem) continue;
+    for (const auto& member : set->members) out.emplace_back(member, set->name);
+  }
+  // Owner-side one-to-many sets with `type` as member: an owner record
+  // naming the key.
+  for (const auto* set : schema_->SetsWithMember(type)) {
+    if (origin(set) == SetOrigin::kOneToManyFunction) {
+      out.emplace_back(set->owner, set->name);
     }
   }
-  // Owner-side one-to-many references and link records where this type is
-  // the member side.
-  for (const auto* set : schema_->SetsWithMember(type)) {
-    const transform::SetInfo* info =
-        mapping_ != nullptr ? mapping_->FindSetInfo(set->name) : nullptr;
-    if (info == nullptr || info->origin != transform::SetOrigin::kOneToManyFunction) {
-      continue;
+  return out;
+}
+
+Status DaplexMachine::CheckReferences(std::string_view type,
+                                      const std::set<std::string>& keys) {
+  for (const auto& [file, set] : ReferencingSets(type)) {
+    const std::string set_attr = SetAttribute(set);
+    MLDS_ASSIGN_OR_RETURN(
+        kds::Response resp,
+        Issue(RetrieveAttribute(Query::KeySet(file, set_attr, keys),
+                                set_attr)));
+    std::set<std::string> referenced;
+    for (const Record& r : resp.records) {
+      referenced.insert(r.GetOrNull(set_attr).ToDisplayString());
     }
-    abdl::RetrieveRequest probe;
-    probe.query =
-        Query::And({EqStr(std::string(abdm::kFileAttribute), set->owner),
-                    EqStr(SetAttribute(set->name), dbkey)});
-    probe.targets = {abdl::TargetItem{SetAttribute(set->name)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    if (!resp.records.empty()) {
-      return Status::Aborted("DESTROY: entity '" + std::string(dbkey) +
-                             "' is referenced through function set '" +
-                             set->name + "'");
+    if (!referenced.empty()) {
+      return Status::Aborted("DESTROY: entity '" + *referenced.begin() +
+                             "' is referenced through function set '" + set +
+                             "'");
     }
   }
   return Status::OK();
 }
 
-Status DaplexMachine::DestroyEntity(std::string_view type,
-                                    std::string_view dbkey, size_t* deleted) {
-  MLDS_RETURN_IF_ERROR(CheckReferences(type, dbkey));
-  // Cascade into the subtype hierarchy first (the thesis: the entire
-  // hierarchy of the entity is deleted).
-  for (const auto* sub : functional_->SubtypesOf(type)) {
-    const std::string isa_attr =
-        SetAttribute(transform::IsaSetName(type, sub->name));
-    abdl::RetrieveRequest probe;
-    probe.query =
-        Query::And({EqStr(std::string(abdm::kFileAttribute), sub->name),
-                    EqStr(isa_attr, dbkey)});
-    probe.targets = {abdl::TargetItem{KeyAttribute(sub->name)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response subtype_rows, Issue(probe));
-    std::set<std::string> sub_keys;
-    for (const Record& r : subtype_rows.records) {
-      sub_keys.insert(r.GetOrNull(KeyAttribute(sub->name)).ToDisplayString());
+Result<size_t> DaplexMachine::DestroyHierarchy(const std::string& type,
+                                               std::set<std::string> keys) {
+  // Level by level down the subtype hierarchy: a subtype's records are
+  // those whose ISA keyword names a key of the level above. A subtype's
+  // own keys are collected by one RETRIEVE only when it has subtypes or
+  // references to check (an empty result ends its branch). Every level's
+  // entities pass the reference check before anything is deleted; then
+  // one DELETE per (level, file), deepest first, in one kernel
+  // transaction.
+  MLDS_RETURN_IF_ERROR(CheckReferences(type, keys));
+  abdl::Transaction txn;
+  txn.push_back(
+      abdl::DeleteRequest{Query::KeySet(type, KeyAttribute(type), keys)});
+  std::map<std::string, std::set<std::string>> level = {
+      {type, std::move(keys)}};
+  while (!level.empty()) {
+    std::map<std::string, std::set<std::string>> next;
+    for (const auto& [super, super_keys] : level) {
+      for (const daplex::Subtype* sub : functional_->SubtypesOf(super)) {
+        Query by_isa = Query::KeySet(
+            sub->name, SetAttribute(transform::IsaSetName(super, sub->name)),
+            super_keys);
+        if (!functional_->SubtypesOf(sub->name).empty() ||
+            !ReferencingSets(sub->name).empty()) {
+          const std::string key_attr = KeyAttribute(sub->name);
+          MLDS_ASSIGN_OR_RETURN(kds::Response resp,
+                                Issue(RetrieveAttribute(by_isa, key_attr)));
+          std::set<std::string> sub_keys;
+          for (const Record& r : resp.records) {
+            sub_keys.insert(r.GetOrNull(key_attr).ToDisplayString());
+          }
+          if (sub_keys.empty()) continue;
+          MLDS_RETURN_IF_ERROR(CheckReferences(sub->name, sub_keys));
+          next[sub->name].merge(sub_keys);
+        }
+        txn.push_back(abdl::DeleteRequest{std::move(by_isa)});
+      }
     }
-    for (const auto& sub_key : sub_keys) {
-      MLDS_RETURN_IF_ERROR(DestroyEntity(sub->name, sub_key, deleted));
-    }
+    level = std::move(next);
   }
-  abdl::DeleteRequest del;
-  del.query = Query::And({EqStr(std::string(abdm::kFileAttribute), type),
-                          EqStr(KeyAttribute(type), dbkey)});
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(del));
-  *deleted += resp.affected;
-  return Status::OK();
+  std::reverse(txn.begin(), txn.end());
+  for (const abdl::Request& request : txn) {
+    trace_.push_back(abdl::ToString(request));
+  }
+  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
+                        executor_->ExecuteTransaction(txn));
+  return resp.affected;
 }
 
 Result<DaplexMachine::Outcome> DaplexMachine::Update(
@@ -779,9 +769,7 @@ Result<DaplexMachine::Outcome> DaplexMachine::Update(
         r.GetOrNull(KeyAttribute(type)).ToDisplayString();
     for (const auto& [attr, value] : writes) {
       abdl::UpdateRequest update;
-      update.query =
-          Query::And({EqStr(std::string(abdm::kFileAttribute), type),
-                      EqStr(KeyAttribute(type), dbkey)});
+      update.query = Query::KeySet(type, KeyAttribute(type), {dbkey});
       update.modifier =
           abdl::Modifier{attr, abdl::ModifierKind::kSet, value};
       MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(update));
@@ -802,22 +790,16 @@ Result<DaplexMachine::Outcome> DaplexMachine::Destroy(
   selector.such_that = statement.such_that;
   MLDS_ASSIGN_OR_RETURN(std::vector<Record> selected, Execute(selector));
 
-  // Collect keys before mutating.
-  std::vector<std::string> keys;
-  keys.reserve(selected.size());
+  std::set<std::string> keys;
   for (const Record& r : selected) {
-    keys.push_back(r.GetOrNull(KeyAttribute(statement.type)).ToDisplayString());
-  }
-  // Pre-flight every reference check so a mid-statement abort does not
-  // leave a partial destruction behind.
-  for (const auto& key : keys) {
-    MLDS_RETURN_IF_ERROR(CheckReferences(statement.type, key));
+    keys.insert(r.GetOrNull(KeyAttribute(statement.type)).ToDisplayString());
   }
   Outcome outcome;
+  outcome.affected = keys.size();
   size_t deleted = 0;
-  for (const auto& key : keys) {
-    MLDS_RETURN_IF_ERROR(DestroyEntity(statement.type, key, &deleted));
-    ++outcome.affected;
+  if (!keys.empty()) {
+    MLDS_ASSIGN_OR_RETURN(deleted,
+                          DestroyHierarchy(statement.type, std::move(keys)));
   }
   outcome.info = "destroyed " + std::to_string(outcome.affected) +
                  " entity(ies), " + std::to_string(deleted) +

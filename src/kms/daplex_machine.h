@@ -71,8 +71,8 @@ class DaplexMachine {
   Result<Outcome> Update(const daplex::UpdateStatement& statement);
 
   /// DESTROY <type> [SUCH THAT ...]: removes the selected entities and
-  /// their entire subtype hierarchies; aborts when any affected entity is
-  /// referenced by a database function (Ch. VI.H).
+  /// their entire subtype hierarchies; aborts, deleting nothing, when any
+  /// affected entity is referenced by a database function (Ch. VI.H).
   Result<Outcome> Destroy(const daplex::DestroyStatement& statement);
 
   /// Parses and executes query text (FOR EACH only).
@@ -134,11 +134,6 @@ class DaplexMachine {
   Result<FunctionSite> Resolve(std::string_view type,
                                std::string_view function) const;
 
-  /// Fetches records of `file` whose key attribute is among `keys`: one
-  /// RETRIEVE of one (FILE = file) and (file = key) disjunct per key.
-  Result<std::vector<abdm::Record>> FetchByKeys(
-      std::string_view file, const std::set<std::string>& keys);
-
   /// Merges supertype records into the views, walking every ISA edge
   /// above `type` and fetching each supertype by the keys the views name.
   Status AbsorbAncestors(std::string_view type,
@@ -167,15 +162,24 @@ class DaplexMachine {
   /// True when a record of `file` with key `dbkey` exists.
   Result<bool> EntityExists(std::string_view file, std::string_view dbkey);
 
-  /// Aborts when the entity `dbkey` of `type` is referenced by a Daplex
-  /// function (member records of its owned non-ISA sets, owner-side
-  /// duplicated records, or link records).
-  Status CheckReferences(std::string_view type, std::string_view dbkey);
+  /// The (file, set) pairs whose records can name an entity of `type`
+  /// through a Daplex function: the member files of its owned non-ISA
+  /// sets, and the owner file of each owner-side one-to-many set it is a
+  /// member of.
+  std::vector<std::pair<std::string, std::string>> ReferencingSets(
+      std::string_view type) const;
 
-  /// Destroys one entity and (recursively) its subtype records; all
-  /// affected entities pass CheckReferences first.
-  Status DestroyEntity(std::string_view type, std::string_view dbkey,
-                       size_t* deleted);
+  /// Aborts when an entity of `type` among `keys` is referenced by a
+  /// Daplex function: one key-set RETRIEVE per ReferencingSets pair.
+  Status CheckReferences(std::string_view type,
+                         const std::set<std::string>& keys);
+
+  /// Destroys the entities `keys` of `type` and their whole subtype
+  /// hierarchies set-at-a-time: every affected entity passes
+  /// CheckReferences, then one transaction of key-set DELETEs runs.
+  /// Returns the number of kernel records deleted.
+  Result<size_t> DestroyHierarchy(const std::string& type,
+                                   std::set<std::string> keys);
 
   const daplex::FunctionalSchema* functional_;
   const network::Schema* schema_;

@@ -11,7 +11,7 @@ namespace mlds::kms {
 
 namespace {
 
-using abdm::Conjunction;
+using abdl::RetrieveAll;
 using abdm::Predicate;
 using abdm::Query;
 using abdm::Record;
@@ -19,18 +19,6 @@ using abdm::RelOp;
 using abdm::Value;
 using hierarchical::Segment;
 using transform::KeyAttribute;
-
-Predicate FilePred(std::string_view segment) {
-  return Predicate{std::string(abdm::kFileAttribute), RelOp::kEq,
-                   Value::String(std::string(segment))};
-}
-
-abdl::RetrieveRequest RetrieveAll(Query query) {
-  abdl::RetrieveRequest req;
-  req.query = std::move(query);
-  req.all_attributes = true;
-  return req;
-}
 
 // --- DL/I call parsing ---
 
@@ -164,25 +152,13 @@ Result<std::vector<Record>> DliMachine::FetchLevel(
                               "'");
     }
   }
-  std::vector<Conjunction> disjuncts;
-  if (parent_keys.empty()) {
-    Conjunction conj;
-    conj.predicates.push_back(FilePred(segment.name));
-    conj.predicates.insert(conj.predicates.end(), quals.begin(), quals.end());
-    disjuncts.push_back(std::move(conj));
-  } else {
-    for (const auto& parent_key : parent_keys) {
-      Conjunction conj;
-      conj.predicates.push_back(FilePred(segment.name));
-      conj.predicates.push_back(Predicate{segment.parent, RelOp::kEq,
-                                          Value::String(parent_key)});
-      conj.predicates.insert(conj.predicates.end(), quals.begin(),
-                             quals.end());
-      disjuncts.push_back(std::move(conj));
-    }
-  }
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        Issue(RetrieveAll(Query(std::move(disjuncts)))));
+  MLDS_ASSIGN_OR_RETURN(
+      kds::Response resp,
+      Issue(RetrieveAll(
+          parent_keys.empty()
+              ? Query::ForFile(segment.name, quals)
+              : Query::KeySet(segment.name, segment.parent, parent_keys,
+                              quals))));
   std::vector<Record> records = std::move(resp.records);
   const std::string key_attr = KeyAttribute(segment.name);
   std::stable_sort(records.begin(), records.end(),
@@ -451,10 +427,8 @@ Result<DliMachine::Outcome> DliMachine::Repl(const DliCall& call) {
                               segment->name + "'");
     }
     abdl::UpdateRequest update;
-    update.query = Query::And(
-        {FilePred(segment->name),
-         Predicate{KeyAttribute(segment->name), RelOp::kEq,
-                   Value::String(position_->key)}});
+    update.query = Query::KeySet(segment->name, KeyAttribute(segment->name),
+                                 {position_->key});
     update.modifier =
         abdl::Modifier{qual.attribute, abdl::ModifierKind::kSet, qual.value};
     MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(update));
@@ -465,40 +439,56 @@ Result<DliMachine::Outcome> DliMachine::Repl(const DliCall& call) {
   return outcome;
 }
 
-Status DliMachine::DeleteSubtree(const Segment& segment,
-                                 const std::string& key, size_t* deleted) {
-  for (const Segment* child : schema_->ChildrenOf(segment.name)) {
-    abdl::RetrieveRequest probe;
-    probe.query = Query::And(
-        {FilePred(child->name),
-         Predicate{child->parent, RelOp::kEq, Value::String(key)}});
-    probe.targets = {abdl::TargetItem{KeyAttribute(child->name)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
-    std::set<std::string> child_keys;
-    for (const Record& r : resp.records) {
-      child_keys.insert(
-          r.GetOrNull(KeyAttribute(child->name)).ToDisplayString());
+Result<size_t> DliMachine::DeleteSubtree(const Segment& root,
+                                         const std::string& key) {
+  // Level by level from the root: a child segment type's records are
+  // those whose parent keyword names a key of the level above. A non-leaf
+  // child's own keys are collected by one RETRIEVE (an empty result ends
+  // its branch); a leaf needs none. Then one DELETE per segment type,
+  // deepest level first, all in one kernel transaction.
+  abdl::Transaction txn;
+  txn.push_back(abdl::DeleteRequest{
+      Query::KeySet(root.name, KeyAttribute(root.name), {key})});
+  std::vector<std::pair<const Segment*, std::set<std::string>>> level = {
+      {&root, {key}}};
+  while (!level.empty()) {
+    std::vector<std::pair<const Segment*, std::set<std::string>>> next;
+    for (const auto& [segment, keys] : level) {
+      for (const Segment* child : schema_->ChildrenOf(segment->name)) {
+        Query by_parent = Query::KeySet(child->name, child->parent, keys);
+        if (!schema_->ChildrenOf(child->name).empty()) {
+          const std::string key_attr = KeyAttribute(child->name);
+          MLDS_ASSIGN_OR_RETURN(
+              kds::Response resp,
+              Issue(abdl::RetrieveAttribute(by_parent, key_attr)));
+          std::set<std::string> child_keys;
+          for (const Record& r : resp.records) {
+            child_keys.insert(r.GetOrNull(key_attr).ToDisplayString());
+          }
+          if (child_keys.empty()) continue;
+          next.emplace_back(child, std::move(child_keys));
+        }
+        txn.push_back(abdl::DeleteRequest{std::move(by_parent)});
+      }
     }
-    for (const auto& child_key : child_keys) {
-      MLDS_RETURN_IF_ERROR(DeleteSubtree(*child, child_key, deleted));
-    }
+    level = std::move(next);
   }
-  abdl::DeleteRequest del;
-  del.query = Query::And(
-      {FilePred(segment.name), Predicate{KeyAttribute(segment.name),
-                                         RelOp::kEq, Value::String(key)}});
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(del));
-  *deleted += resp.affected;
-  return Status::OK();
+  std::reverse(txn.begin(), txn.end());
+  for (const abdl::Request& request : txn) {
+    trace_.push_back(abdl::ToString(request));
+  }
+  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
+                        executor_->ExecuteTransaction(txn));
+  return resp.affected;
 }
 
 Result<DliMachine::Outcome> DliMachine::Dlet() {
   if (!position_.has_value()) {
     return Status::CurrencyError("DLET without a current segment");
   }
-  const Segment* segment = schema_->FindSegment(position_->segment);
-  size_t deleted = 0;
-  MLDS_RETURN_IF_ERROR(DeleteSubtree(*segment, position_->key, &deleted));
+  MLDS_ASSIGN_OR_RETURN(
+      size_t deleted,
+      DeleteSubtree(*schema_->FindSegment(position_->segment), position_->key));
   Outcome outcome;
   outcome.affected = deleted;
   outcome.info = "deleted " + position_->key + " and " +

@@ -143,9 +143,11 @@ class DliMachine {
   /// Makes the record at buffer_cursor_ current.
   void SetPositionFromBuffer();
 
-  /// Deletes `key` of `segment` and its dependent subtree; counts rows.
-  Status DeleteSubtree(const hierarchical::Segment& segment,
-                       const std::string& key, size_t* deleted);
+  /// Deletes `key` of `root` and its dependent subtree set-at-a-time: one
+  /// key RETRIEVE per non-leaf level, then one transaction of key-set
+  /// DELETEs. Returns the number of segments deleted.
+  Result<size_t> DeleteSubtree(const hierarchical::Segment& root,
+                               const std::string& key);
 
   /// The record-construction half of ISRT: validates the field list,
   /// resolves the parent key, and stamps `key`. `row` supplies the values

@@ -16,9 +16,12 @@ using abdl::DeleteRequest;
 using abdl::InsertRequest;
 using abdl::Modifier;
 using abdl::ModifierKind;
+using abdl::RetrieveAll;
+using abdl::RetrieveAttribute;
 using abdl::RetrieveRequest;
 using abdl::UpdateRequest;
-using abdm::Conjunction;
+using abdm::EqStr;
+using abdm::FilePred;
 using abdm::Predicate;
 using abdm::Query;
 using abdm::Record;
@@ -33,18 +36,6 @@ using transform::SetOrigin;
 
 Predicate Eq(std::string attribute, Value value) {
   return Predicate{std::move(attribute), RelOp::kEq, std::move(value)};
-}
-
-Predicate EqStr(std::string attribute, std::string_view value) {
-  return Eq(std::move(attribute), Value::String(std::string(value)));
-}
-
-/// RETRIEVE (query) (all attributes) — the workhorse auxiliary retrieve.
-RetrieveRequest RetrieveAll(Query query) {
-  RetrieveRequest req;
-  req.query = std::move(query);
-  req.all_attributes = true;
-  return req;
 }
 
 std::string KeyOf(std::string_view record_type, const Record& record) {
@@ -305,9 +296,7 @@ Result<std::vector<Record>> DmlMachine::FetchByKey(std::string_view record,
                                                    std::string_view dbkey) {
   MLDS_ASSIGN_OR_RETURN(
       kds::Response resp,
-      Issue(RetrieveAll(Query::And(
-          {EqStr(std::string(abdm::kFileAttribute), record),
-           EqStr(KeyAttribute(record), dbkey)}))));
+      Issue(RetrieveAll(Query::KeySet(record, KeyAttribute(record), {dbkey}))));
   return std::move(resp.records);
 }
 
@@ -317,10 +306,8 @@ Result<std::vector<Record>> DmlMachine::FetchSetMembers(
 
   if (set.IsSystemOwned()) {
     // Membership in a SYSTEM set is implied by the FILE keyword.
-    MLDS_ASSIGN_OR_RETURN(
-        kds::Response resp,
-        Issue(RetrieveAll(Query::And(
-            {EqStr(std::string(abdm::kFileAttribute), record)}))));
+    MLDS_ASSIGN_OR_RETURN(kds::Response resp,
+                          Issue(RetrieveAll(Query::ForFile(record))));
     std::vector<Record> members = std::move(resp.records);
     SortSetMembers(set, record, &members);
     return members;
@@ -333,23 +320,18 @@ Result<std::vector<Record>> DmlMachine::FetchSetMembers(
     // the member keys from the owner side, then the member records.
     MLDS_ASSIGN_OR_RETURN(
         kds::Response owners,
-        Issue(RetrieveAll(Query::And(
-            {EqStr(std::string(abdm::kFileAttribute), set.owner),
-             EqStr(KeyAttribute(set.owner), owner_key)}))));
+        Issue(RetrieveAll(
+            Query::KeySet(set.owner, KeyAttribute(set.owner), {owner_key}))));
     std::set<std::string> member_keys;
     for (const Record& r : owners.records) {
       Value v = r.GetOrNull(SetAttribute(set.name));
       if (v.is_string()) member_keys.insert(v.AsString());
     }
     if (member_keys.empty()) return std::vector<Record>{};
-    std::vector<Conjunction> disjuncts;
-    for (const auto& key : member_keys) {
-      disjuncts.push_back(
-          Conjunction{{EqStr(std::string(abdm::kFileAttribute), record),
-                       EqStr(KeyAttribute(record), key)}});
-    }
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                          Issue(RetrieveAll(Query(std::move(disjuncts)))));
+    MLDS_ASSIGN_OR_RETURN(
+        kds::Response resp,
+        Issue(RetrieveAll(
+            Query::KeySet(record, KeyAttribute(record), member_keys))));
     std::vector<Record> members = std::move(resp.records);
     SortSetMembers(set, record, &members);
     return members;
@@ -359,9 +341,8 @@ Result<std::vector<Record>> DmlMachine::FetchSetMembers(
   //   RETRIEVE ((FILE = record) AND (set = owner-dbkey)) (all attributes).
   MLDS_ASSIGN_OR_RETURN(
       kds::Response resp,
-      Issue(RetrieveAll(Query::And(
-          {EqStr(std::string(abdm::kFileAttribute), record),
-           EqStr(SetAttribute(set.name), owner_key)}))));
+      Issue(RetrieveAll(
+          Query::KeySet(record, SetAttribute(set.name), {owner_key}))));
   std::vector<Record> members = std::move(resp.records);
   SortSetMembers(set, record, &members);
   return members;
@@ -433,7 +414,7 @@ Result<DmlResult> DmlMachine::Move(const codasyl::MoveStatement& s) {
 Result<DmlResult> DmlMachine::FindAny(const codasyl::FindAnyStatement& s) {
   MLDS_RETURN_IF_ERROR(RequireRecord(s.record).status());
   std::vector<Predicate> preds = {
-      EqStr(std::string(abdm::kFileAttribute), s.record)};
+      FilePred(s.record)};
   for (const auto& item : s.items) {
     auto value = uwa_.Get(s.record, item);
     if (!value.has_value()) {
@@ -734,12 +715,12 @@ Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
       auto select_value =
           uwa_.Get(set->selection.record1_name, set->selection.item_name);
       if (select_value.has_value()) {
-        RetrieveRequest probe;
-        probe.query = Query::And(
-            {EqStr(std::string(abdm::kFileAttribute), set->owner),
-             Eq(set->selection.item_name, *select_value)});
-        probe.targets = {abdl::TargetItem{KeyAttribute(set->owner)}};
-        MLDS_ASSIGN_OR_RETURN(kds::Response owners, Issue(probe));
+        MLDS_ASSIGN_OR_RETURN(
+            kds::Response owners,
+            Issue(RetrieveAttribute(
+                Query::ForFile(set->owner,
+                               {Eq(set->selection.item_name, *select_value)}),
+                KeyAttribute(set->owner))));
         if (owners.records.size() == 1) {
           owner_key = owners.records[0]
                           .GetOrNull(KeyAttribute(set->owner))
@@ -861,9 +842,8 @@ Result<DmlResult> DmlMachine::Connect(const codasyl::ConnectStatement& s) {
       // Ch. VI.D.2.a: the information resides in the owner record(s).
       MLDS_ASSIGN_OR_RETURN(
           kds::Response owners,
-          Issue(RetrieveAll(Query::And(
-              {EqStr(std::string(abdm::kFileAttribute), set->owner),
-               EqStr(KeyAttribute(set->owner), owner_key)}))));
+          Issue(RetrieveAll(Query::KeySet(set->owner, KeyAttribute(set->owner),
+                                          {owner_key}))));
       if (owners.records.empty()) {
         return Status::NotFound("CONNECT: owner '" + owner_key +
                                 "' of set '" + set_name + "' not found");
@@ -879,9 +859,8 @@ Result<DmlResult> DmlMachine::Connect(const codasyl::ConnectStatement& s) {
         // Cases (1)-(2): replace the null value in every owner record
         // (all scalar multi-valued duplicates update together).
         UpdateRequest update;
-        update.query = Query::And(
-            {EqStr(std::string(abdm::kFileAttribute), set->owner),
-             EqStr(KeyAttribute(set->owner), owner_key)});
+        update.query =
+            Query::KeySet(set->owner, KeyAttribute(set->owner), {owner_key});
         update.modifier = Modifier{SetAttribute(set_name), ModifierKind::kSet,
                                    Value::String(run_key)};
         MLDS_ASSIGN_OR_RETURN(kds::Response r, Issue(update));
@@ -904,9 +883,7 @@ Result<DmlResult> DmlMachine::Connect(const codasyl::ConnectStatement& s) {
       // Ch. VI.D.2.b: the member record's set keyword takes the owner's
       // database key.
       UpdateRequest update;
-      update.query =
-          Query::And({EqStr(std::string(abdm::kFileAttribute), s.record),
-                      EqStr(KeyAttribute(s.record), run_key)});
+      update.query = Query::KeySet(s.record, KeyAttribute(s.record), {run_key});
       update.modifier = Modifier{SetAttribute(set_name), ModifierKind::kSet,
                                  Value::String(owner_key)};
       MLDS_ASSIGN_OR_RETURN(kds::Response r, Issue(update));
@@ -949,9 +926,8 @@ Result<DmlResult> DmlMachine::Disconnect(
       // delete the duplicated owner records naming this member.
       MLDS_ASSIGN_OR_RETURN(
           kds::Response owners,
-          Issue(RetrieveAll(Query::And(
-              {EqStr(std::string(abdm::kFileAttribute), set->owner),
-               EqStr(KeyAttribute(set->owner), owner_key)}))));
+          Issue(RetrieveAll(Query::KeySet(set->owner, KeyAttribute(set->owner),
+                                          {owner_key}))));
       std::set<std::string> members;
       for (const Record& r : owners.records) {
         Value v = r.GetOrNull(SetAttribute(set_name));
@@ -964,19 +940,17 @@ Result<DmlResult> DmlMachine::Disconnect(
       }
       if (members.size() == 1) {
         UpdateRequest update;
-        update.query = Query::And(
-            {EqStr(std::string(abdm::kFileAttribute), set->owner),
-             EqStr(KeyAttribute(set->owner), owner_key)});
+        update.query =
+            Query::KeySet(set->owner, KeyAttribute(set->owner), {owner_key});
         update.modifier = Modifier{SetAttribute(set_name), ModifierKind::kSet,
                                    Value::Null()};
         MLDS_ASSIGN_OR_RETURN(kds::Response r, Issue(update));
         (void)r;
       } else {
         DeleteRequest del;
-        del.query = Query::And(
-            {EqStr(std::string(abdm::kFileAttribute), set->owner),
-             EqStr(KeyAttribute(set->owner), owner_key),
-             EqStr(SetAttribute(set_name), run_key)});
+        del.query =
+            Query::KeySet(set->owner, KeyAttribute(set->owner), {owner_key},
+                          {EqStr(SetAttribute(set_name), run_key)});
         MLDS_ASSIGN_OR_RETURN(kds::Response r, Issue(del));
         (void)r;
       }
@@ -984,9 +958,8 @@ Result<DmlResult> DmlMachine::Disconnect(
       // Member-side: null out the member's set keyword (Ch. VI.E).
       UpdateRequest update;
       update.query =
-          Query::And({EqStr(std::string(abdm::kFileAttribute), s.record),
-                      EqStr(KeyAttribute(s.record), run_key),
-                      EqStr(SetAttribute(set_name), owner_key)});
+          Query::KeySet(s.record, KeyAttribute(s.record), {run_key},
+                        {EqStr(SetAttribute(set_name), owner_key)});
       update.modifier = Modifier{SetAttribute(set_name), ModifierKind::kSet,
                                  Value::Null()};
       MLDS_ASSIGN_OR_RETURN(kds::Response r, Issue(update));
@@ -1028,18 +1001,17 @@ Result<DmlResult> DmlMachine::Reconnect(const codasyl::ReconnectStatement& s) {
       // owner's duplicated records, then connect to the current owner.
       MLDS_ASSIGN_OR_RETURN(
           kds::Response old_owners,
-          Issue(RetrieveAll(Query::And(
-              {EqStr(std::string(abdm::kFileAttribute), set->owner),
-               EqStr(SetAttribute(set_name), run_key)}))));
+          Issue(RetrieveAll(
+              Query::KeySet(set->owner, SetAttribute(set_name), {run_key}))));
       for (const Record& r : old_owners.records) {
         const std::string old_key = KeyOf(set->owner, r);
         if (old_key == owner_key) continue;
         // Count that owner's remaining members to pick null-out vs delete.
         MLDS_ASSIGN_OR_RETURN(
             kds::Response copies,
-            Issue(RetrieveAll(Query::And(
-                {EqStr(std::string(abdm::kFileAttribute), set->owner),
-                 EqStr(KeyAttribute(set->owner), old_key)}))));
+            Issue(RetrieveAll(Query::KeySet(set->owner,
+                                            KeyAttribute(set->owner),
+                                            {old_key}))));
         std::set<std::string> members;
         for (const Record& copy : copies.records) {
           Value v = copy.GetOrNull(SetAttribute(set_name));
@@ -1047,19 +1019,17 @@ Result<DmlResult> DmlMachine::Reconnect(const codasyl::ReconnectStatement& s) {
         }
         if (members.size() <= 1) {
           UpdateRequest update;
-          update.query = Query::And(
-              {EqStr(std::string(abdm::kFileAttribute), set->owner),
-               EqStr(KeyAttribute(set->owner), old_key)});
+          update.query =
+              Query::KeySet(set->owner, KeyAttribute(set->owner), {old_key});
           update.modifier = Modifier{SetAttribute(set_name),
                                      ModifierKind::kSet, Value::Null()};
           MLDS_ASSIGN_OR_RETURN(kds::Response u, Issue(update));
           (void)u;
         } else {
           DeleteRequest del;
-          del.query = Query::And(
-              {EqStr(std::string(abdm::kFileAttribute), set->owner),
-               EqStr(KeyAttribute(set->owner), old_key),
-               EqStr(SetAttribute(set_name), run_key)});
+          del.query =
+              Query::KeySet(set->owner, KeyAttribute(set->owner), {old_key},
+                            {EqStr(SetAttribute(set_name), run_key)});
           MLDS_ASSIGN_OR_RETURN(kds::Response d, Issue(del));
           (void)d;
         }
@@ -1067,9 +1037,8 @@ Result<DmlResult> DmlMachine::Reconnect(const codasyl::ReconnectStatement& s) {
       // Connect to the new owner (null keyword -> UPDATE, else duplicate).
       MLDS_ASSIGN_OR_RETURN(
           kds::Response owners,
-          Issue(RetrieveAll(Query::And(
-              {EqStr(std::string(abdm::kFileAttribute), set->owner),
-               EqStr(KeyAttribute(set->owner), owner_key)}))));
+          Issue(RetrieveAll(Query::KeySet(set->owner, KeyAttribute(set->owner),
+                                          {owner_key}))));
       bool all_null = true;
       for (const Record& r : owners.records) {
         if (!r.GetOrNull(SetAttribute(set_name)).is_null()) {
@@ -1079,9 +1048,8 @@ Result<DmlResult> DmlMachine::Reconnect(const codasyl::ReconnectStatement& s) {
       }
       if (all_null) {
         UpdateRequest update;
-        update.query = Query::And(
-            {EqStr(std::string(abdm::kFileAttribute), set->owner),
-             EqStr(KeyAttribute(set->owner), owner_key)});
+        update.query =
+            Query::KeySet(set->owner, KeyAttribute(set->owner), {owner_key});
         update.modifier = Modifier{SetAttribute(set_name), ModifierKind::kSet,
                                    Value::String(run_key)};
         MLDS_ASSIGN_OR_RETURN(kds::Response u, Issue(update));
@@ -1100,9 +1068,7 @@ Result<DmlResult> DmlMachine::Reconnect(const codasyl::ReconnectStatement& s) {
       // Member-side: overwrite the member's set keyword with the new
       // owner's key — one UPDATE regardless of the previous owner.
       UpdateRequest update;
-      update.query =
-          Query::And({EqStr(std::string(abdm::kFileAttribute), s.record),
-                      EqStr(KeyAttribute(s.record), run_key)});
+      update.query = Query::KeySet(s.record, KeyAttribute(s.record), {run_key});
       update.modifier = Modifier{SetAttribute(set_name), ModifierKind::kSet,
                                  Value::String(owner_key)};
       MLDS_ASSIGN_OR_RETURN(kds::Response r, Issue(update));
@@ -1159,9 +1125,7 @@ Result<DmlResult> DmlMachine::Modify(const codasyl::ModifyStatement& s) {
     // UPDATE ((FILE = r) AND (r = run-unit dbkey)) (item = value), one
     // request per modified field (Ch. VI.F).
     UpdateRequest update;
-    update.query =
-        Query::And({EqStr(std::string(abdm::kFileAttribute), s.record),
-                    EqStr(KeyAttribute(s.record), run_key)});
+    update.query = Query::KeySet(s.record, KeyAttribute(s.record), {run_key});
     update.modifier = Modifier{item, ModifierKind::kSet, *value};
     MLDS_ASSIGN_OR_RETURN(kds::Response r, Issue(update));
     modified += r.affected;
@@ -1206,12 +1170,11 @@ Result<DmlResult> DmlMachine::Erase(const codasyl::EraseStatement& s) {
       continue;
     }
     for (const auto& member : set->members) {
-      RetrieveRequest probe;
-      probe.query =
-          Query::And({EqStr(std::string(abdm::kFileAttribute), member),
-                      EqStr(SetAttribute(set->name), run_key)});
-      probe.targets = {abdl::TargetItem{SetAttribute(set->name)}};
-      MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
+      MLDS_ASSIGN_OR_RETURN(
+          kds::Response resp,
+          Issue(RetrieveAttribute(
+              Query::KeySet(member, SetAttribute(set->name), {run_key}),
+              SetAttribute(set->name))));
       if (!resp.records.empty()) {
         return Status::Aborted("ERASE " + s.record + ": record owns a "
                                "non-null occurrence of set '" + set->name +
@@ -1225,12 +1188,11 @@ Result<DmlResult> DmlMachine::Erase(const codasyl::EraseStatement& s) {
   // one-to-many function sets in which this record type is the member.
   for (const SetType* set : schema_->SetsWithMember(s.record)) {
     if (!IsOwnerSideOneToMany(set->name)) continue;
-    RetrieveRequest probe;
-    probe.query =
-        Query::And({EqStr(std::string(abdm::kFileAttribute), set->owner),
-                    EqStr(SetAttribute(set->name), run_key)});
-    probe.targets = {abdl::TargetItem{SetAttribute(set->name)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(probe));
+    MLDS_ASSIGN_OR_RETURN(
+        kds::Response resp,
+        Issue(RetrieveAttribute(
+            Query::KeySet(set->owner, SetAttribute(set->name), {run_key}),
+            SetAttribute(set->name))));
     if (!resp.records.empty()) {
       return Status::Aborted("ERASE " + s.record + ": entity is referenced "
                              "through Daplex function set '" + set->name +
@@ -1241,8 +1203,7 @@ Result<DmlResult> DmlMachine::Erase(const codasyl::EraseStatement& s) {
   // DELETE ((FILE = r) AND (r = run-unit dbkey)) — removes every
   // duplicated AB record of the entity.
   DeleteRequest del;
-  del.query = Query::And({EqStr(std::string(abdm::kFileAttribute), s.record),
-                          EqStr(KeyAttribute(s.record), run_key)});
+  del.query = Query::KeySet(s.record, KeyAttribute(s.record), {run_key});
   MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(del));
   cit_.ClearRunUnit();
   DmlResult result;
@@ -1301,12 +1262,10 @@ Result<DmlResult> DmlMachine::Walk(const codasyl::WalkStatement& s) {
     const SetType& set = *chain[level];
     const std::string& member = set.members[0];
     abdl::RetrieveCommonRequest req;
-    req.left_query =
-        Query::And({EqStr(std::string(abdm::kFileAttribute), member)});
+    req.left_query = Query::ForFile(member);
     req.left_attribute = SetAttribute(set.name);
     if (level == 0) {
-      req.right_query =
-          Query::And({EqStr(std::string(abdm::kFileAttribute), set.owner)});
+      req.right_query = Query::ForFile(set.owner);
     } else {
       if (reachable.empty()) {
         current.clear();
@@ -1317,19 +1276,12 @@ Result<DmlResult> DmlMachine::Walk(const codasyl::WalkStatement& s) {
         // probe, so past this fan-out a page-grouped scan of the whole
         // owner file is cheaper. Reachability still prunes, below — the
         // member side carries the owner dbkey in the set keyword.
-        req.right_query =
-            Query::And({EqStr(std::string(abdm::kFileAttribute), set.owner)});
+        req.right_query = Query::ForFile(set.owner);
       } else {
         // Sparse level: restrict the owner side to the records reached
         // so far — one disjunct per key, still a single kernel request.
-        std::vector<Conjunction> disjuncts;
-        disjuncts.reserve(reachable.size());
-        for (const std::string& key : reachable) {
-          disjuncts.push_back(Conjunction{
-              {EqStr(std::string(abdm::kFileAttribute), set.owner),
-               EqStr(KeyAttribute(set.owner), key)}});
-        }
-        req.right_query = Query(std::move(disjuncts));
+        req.right_query =
+            Query::KeySet(set.owner, KeyAttribute(set.owner), reachable);
       }
     }
     req.right_attribute = KeyAttribute(set.owner);

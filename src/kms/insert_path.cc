@@ -10,6 +10,7 @@ namespace mlds::kms {
 namespace {
 
 using abdm::Conjunction;
+using abdm::FilePred;
 using abdm::Predicate;
 using abdm::Query;
 using abdm::Record;
@@ -17,11 +18,6 @@ using abdm::RelOp;
 using abdm::Value;
 using transform::KeyAttribute;
 using transform::MakeDbKey;
-
-Predicate FilePred(std::string_view file) {
-  return Predicate{std::string(abdm::kFileAttribute), RelOp::kEq,
-                   Value::String(std::string(file))};
-}
 
 Predicate KeyPred(std::string_view file, RelOp op, uint64_t ordinal) {
   return Predicate{KeyAttribute(file), op,
@@ -51,10 +47,7 @@ abdl::RetrieveRequest KeyProbe(std::string_view file, uint64_t first,
     runs.push_back(Conjunction{std::move(preds)});
     lo = hi + 1;
   }
-  abdl::RetrieveRequest probe;
-  probe.query = Query(std::move(runs));
-  probe.targets = {abdl::TargetItem{KeyAttribute(file)}};
-  return probe;
+  return abdl::RetrieveAttribute(Query(std::move(runs)), KeyAttribute(file));
 }
 
 /// The seen-set entry for the predicates of `combo` selected by `mask`.
@@ -185,10 +178,9 @@ Result<bool> InsertPath::UniqueTaken(std::string_view file,
     }
   }
   combo.insert(combo.begin(), FilePred(file));
-  abdl::RetrieveRequest probe;
-  probe.query = Query::And(std::move(combo));
-  probe.targets = {abdl::TargetItem{KeyAttribute(file)}};
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp, issue_(std::move(probe)));
+  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
+                        issue_(abdl::RetrieveAttribute(
+                            Query::And(std::move(combo)), KeyAttribute(file))));
   return !resp.records.empty();
 }
 
@@ -212,12 +204,12 @@ Status InsertPath::CheckOverlap(std::string_view verb,
     }
     const std::string& sibling = sibling_set->members[0];
     if (sibling == subtype) continue;
-    abdl::RetrieveRequest probe;
-    probe.query = Query::And(
-        {FilePred(sibling), Predicate{transform::SetAttribute(sibling_set->name),
-                                      RelOp::kEq, Value::String(owner_key)}});
-    probe.targets = {abdl::TargetItem{KeyAttribute(sibling)}};
-    MLDS_ASSIGN_OR_RETURN(kds::Response resp, issue_(std::move(probe)));
+    MLDS_ASSIGN_OR_RETURN(
+        kds::Response resp,
+        issue_(abdl::RetrieveAttribute(
+            Query::KeySet(sibling, transform::SetAttribute(sibling_set->name),
+                          {owner_key}),
+            KeyAttribute(sibling))));
     if (resp.records.empty()) continue;
     const bool declared = std::any_of(
         mapping.overlap_table.begin(), mapping.overlap_table.end(),

@@ -12,6 +12,7 @@ namespace mlds::kms {
 namespace {
 
 using abdm::Conjunction;
+using abdm::FilePred;
 using abdm::Predicate;
 using abdm::Query;
 using abdm::Record;
@@ -23,11 +24,6 @@ using sql::SqlAggregate;
 using sql::SqlComparison;
 using sql::WhereClause;
 using transform::KeyAttribute;
-
-Predicate FilePred(std::string_view table) {
-  return Predicate{std::string(abdm::kFileAttribute), RelOp::kEq,
-                   Value::String(std::string(table))};
-}
 
 abdl::AggregateOp MapAggregate(SqlAggregate aggregate) {
   switch (aggregate) {

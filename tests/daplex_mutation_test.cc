@@ -139,6 +139,30 @@ TEST_F(DaplexMutationTest, DestroyAbortsWhenEntityIsReferenced) {
   EXPECT_EQ(status.code(), StatusCode::kAborted);
 }
 
+TEST_F(DaplexMutationTest, DestroyAbortDeletesNoSelectedEntity) {
+  // Two temporary employees; the second is a faculty member who advises a
+  // student, so the reference sits one subtype level below the selected
+  // type. Every check runs before any delete: after the abort both
+  // employees are still there.
+  Must("CREATE employee (ename = 'Temp', salary = 1.0)");
+  const std::string temp2 =
+      Must("CREATE employee (ename = 'Temp2', salary = 1.0)").info.substr(8);
+  const std::string faculty =
+      Must("CREATE faculty (employee = '" + temp2 + "', frank = 'full')")
+          .info.substr(8);
+  Must("CREATE student (person = 'person_33', major = 'Temp Studies', "
+       "advisor = '" + faculty + "')");
+  const size_t employees = system_.executor()->FileSize("employee");
+  Status status = Fails("DESTROY employee SUCH THAT salary = 1.0");
+  EXPECT_EQ(status.code(), StatusCode::kAborted);
+  EXPECT_NE(status.message().find(faculty), std::string::npos) << status;
+  EXPECT_EQ(system_.executor()->FileSize("employee"), employees);
+  auto temps = Must("FOR EACH employee SUCH THAT salary = 1.0 PRINT ename");
+  ASSERT_EQ(temps.records.size(), 2u);
+  EXPECT_EQ(temps.records[0].GetOrNull("ename").AsString(), "Temp");
+  EXPECT_EQ(temps.records[1].GetOrNull("ename").AsString(), "Temp2");
+}
+
 TEST_F(DaplexMutationTest, DestroyNonReferencedSubtypeSucceeds) {
   Must("CREATE student (person = 'person_35', major = 'Disposable')");
   auto outcome = Must("DESTROY student SUCH THAT major = 'Disposable'");

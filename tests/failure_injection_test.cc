@@ -1,17 +1,23 @@
 // Failure injection: a kernel executor that fails on command (the shared
 // kc::FaultyExecutor), verifying that the language interfaces propagate
 // kernel failures as clean Status values, never crash, and remain usable
-// after the fault clears.
+// after the fault clears; and that a DL/I DLET or Daplex DESTROY cascade
+// faulted at any kernel request leaves its subtree whole or wholly gone.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "abdl/parser.h"
+#include "daplex/ddl_parser.h"
 #include "kc/faulty_executor.h"
 #include "kds/engine.h"
 #include "kms/daplex_machine.h"
+#include "kms/dli_machine.h"
 #include "kms/dml_machine.h"
+#include "mlds/mlds.h"
 #include "university/university.h"
 
 namespace mlds {
@@ -160,6 +166,238 @@ TEST_F(FailureInjectionTest, StorageCallsPassThrough) {
   EXPECT_FALSE(faulty_->VerifyIntegrity().files.empty());
   EXPECT_EQ(faulty_->Counters(), inner_->Counters());
 }
+
+// --- Set-at-a-time cascades ---
+
+constexpr char kClinicDdl[] = R"(
+SCHEMA clinic;
+SEGMENT patient;
+  FIELD pname CHAR(20);
+SEGMENT visit PARENT patient;
+  FIELD vdate CHAR(8);
+SEGMENT treatment PARENT visit;
+  FIELD drug CHAR(12);
+)";
+
+/// A three-level subtype chain: c ISA b ISA a.
+constexpr char kChainDdl[] = R"(
+SCHEMA chain;
+TYPE a IS ENTITY
+  av : INTEGER;
+END ENTITY;
+TYPE b IS SUBTYPE OF a
+  bv : INTEGER;
+END SUBTYPE;
+TYPE c IS SUBTYPE OF b
+  cv : INTEGER;
+END SUBTYPE;
+)";
+
+/// One cascade statement. A DL/I row runs DLET after the GU `position`
+/// over the clinic; a Daplex row (no position) runs `statement` over the
+/// chain.
+struct CascadeRow {
+  const char* position;
+  const char* statement;
+  /// The fault sweep's last index: the kernel calls a per-record cascade
+  /// makes here (a key RETRIEVE per non-leaf record, a DELETE per
+  /// record), so the sweep covers every index at which one could fault.
+  int record_calls;
+  /// Kernel calls of the cascade: key RETRIEVEs plus one transaction.
+  int kernel_calls;
+  /// Kernel records deleted, and DELETE statements in the transaction.
+  size_t deleted;
+  size_t deletes;
+};
+
+const CascadeRow kCascadeRows[] = {
+    // smith: 10 visits x 10 treatments. One visit key RETRIEVE, then
+    // DELETE treatment, visit and patient in one transaction.
+    {"GU patient (pname = 'smith')", "DLET", 122, 2, 111, 3},
+    // A childless patient: its visit RETRIEVE finds no key, so neither
+    // visit nor treatment gets a DELETE.
+    {"GU patient (pname = 'lone')", "DLET", 2, 2, 1, 1},
+    // A leaf segment: one DELETE, nothing to collect.
+    {"GU patient (pname = 'jones') visit treatment", "DLET", 1, 1, 1, 1},
+    // 6 a entities with 5 b and 5 c below them: the selection, one b key
+    // RETRIEVE (c is a leaf with no references to check, so it is deleted
+    // by the b keys), then DELETE c, b and a in one transaction.
+    {nullptr, "DESTROY a SUCH THAT av < 6", 28, 3, 16, 3},
+};
+
+/// Each cascade row at every fault index from 0 to its record_calls, over
+/// 0 and 4 MBDS backends: the statement either reports the fault and
+/// deletes nothing, or succeeds and deletes the whole subtree. It succeeds
+/// from exactly kernel_calls on, which pins the row's call count.
+class CascadeFaultTest : public ::testing::TestWithParam<int> {
+ protected:
+  struct Run {
+    Result<size_t> deleted = size_t{0};
+    std::vector<std::string> trace;
+  };
+
+  /// A fresh kernel at GetParam() backends behind a fault injector, with
+  /// the row's database loaded unfaulted.
+  void Open(const CascadeRow& row) {
+    MldsSystem::Options options;
+    options.backends = GetParam();
+    system_ = std::make_unique<MldsSystem>(options);
+    faulty_ = std::make_unique<FaultyExecutor>(system_->executor());
+    if (row.position != nullptr) {
+      LoadClinic();
+    } else {
+      LoadChain();
+    }
+  }
+
+  void LoadClinic() {
+    ASSERT_TRUE(system_->LoadHierarchicalDatabase(kClinicDdl).ok());
+    auto session = system_->OpenDliSession("clinic");
+    ASSERT_TRUE(session.ok()) << session.status();
+    kms::DliMachine* dli = *session;
+    auto run = [&](const std::string& call) {
+      auto outcome = dli->ExecuteText(call);
+      ASSERT_TRUE(outcome.ok()) << call << ": " << outcome.status();
+    };
+    auto batch = [&](const std::string& call, int rows) {
+      std::vector<std::vector<abdm::Value>> values;
+      for (int i = 0; i < rows; ++i) {
+        values.push_back({abdm::Value::String("x" + std::to_string(i))});
+      }
+      auto outcome = dli->ExecuteBatch(call, values);
+      ASSERT_TRUE(outcome.ok()) << call << ": " << outcome.status();
+    };
+    run("ISRT patient (pname = 'smith')");
+    batch("ISRT visit (vdate = ?)", 10);
+    for (int v = 0; v < 10; ++v) {
+      run("GU patient (pname = 'smith') visit (vdate = 'x" +
+          std::to_string(v) + "')");
+      batch("ISRT treatment (drug = ?)", 10);
+    }
+    run("ISRT patient (pname = 'jones')");
+    run("ISRT visit (vdate = 'j')");
+    run("ISRT treatment (drug = 'j')");
+    run("ISRT patient (pname = 'lone')");
+  }
+
+  void LoadChain() {
+    ASSERT_TRUE(system_->LoadFunctionalDatabase(kChainDdl).ok());
+    auto session = system_->OpenDaplexSession("chain");
+    ASSERT_TRUE(session.ok()) << session.status();
+    auto create = [&](const std::string& text) {
+      auto outcome = (*session)->ExecuteStatement(text);
+      EXPECT_TRUE(outcome.ok()) << text << ": " << outcome.status();
+      return outcome.ok() ? outcome->info.substr(8) : "";
+    };
+    // 12 a, 10 b over distinct a's and 10 c over distinct b's, linked out
+    // of key order.
+    std::vector<std::string> as, bs;
+    for (int i = 0; i < 12; ++i) {
+      as.push_back(create("CREATE a (av = " + std::to_string(i) + ")"));
+    }
+    for (int j = 0; j < 10; ++j) {
+      bs.push_back(create("CREATE b (a = '" + as[(5 * j + 3) % 12] +
+                          "', bv = " + std::to_string(j) + ")"));
+    }
+    for (int i = 0; i < 10; ++i) {
+      create("CREATE c (b = '" + bs[(3 * i + 1) % 10] +
+             "', cv = " + std::to_string(i) + ")");
+    }
+    auto functional = daplex::ParseFunctionalSchema(kChainDdl);
+    ASSERT_TRUE(functional.ok()) << functional.status();
+    functional_ = std::make_unique<daplex::FunctionalSchema>(*functional);
+  }
+
+  /// Kernel records in the row's database.
+  size_t Records(const CascadeRow& row) const {
+    size_t total = 0;
+    for (const char* file : row.position != nullptr
+                                ? std::vector<const char*>{"patient", "visit",
+                                                           "treatment"}
+                                : std::vector<const char*>{"a", "b", "c"}) {
+      total += system_->executor()->FileSize(file);
+    }
+    return total;
+  }
+
+  /// Runs the row's statement through a machine on the fault injector,
+  /// armed to fail after `n` kernel calls of the statement.
+  Run Execute(const CascadeRow& row, int n) {
+    Run run;
+    if (row.position != nullptr) {
+      kms::DliMachine machine(system_->FindHierarchicalSchema("clinic"),
+                              faulty_.get());
+      EXPECT_TRUE(machine.ExecuteText(row.position).ok()) << row.position;
+      faulty_->set_fail_after(n);
+      auto outcome = machine.ExecuteText(row.statement);
+      faulty_->set_fail_after(-1);
+      if (outcome.ok()) {
+        run.deleted = outcome->affected;
+      } else {
+        run.deleted = outcome.status();
+      }
+      run.trace = machine.trace();
+    } else {
+      kms::DaplexMachine machine(functional_.get(),
+                                 system_->NetworkViewOf("chain"),
+                                 system_->MappingOf("chain"), faulty_.get());
+      faulty_->set_fail_after(n);
+      auto outcome = machine.ExecuteStatement(row.statement);
+      faulty_->set_fail_after(-1);
+      if (outcome.ok()) {
+        // "destroyed N entity(ies), M kernel record(s)"
+        const std::string& info = outcome->info;
+        const size_t comma = info.find(", ");
+        run.deleted = std::stoul(info.substr(comma + 2));
+      } else {
+        run.deleted = outcome.status();
+      }
+      run.trace = machine.trace();
+    }
+    return run;
+  }
+
+  std::unique_ptr<MldsSystem> system_;
+  std::unique_ptr<FaultyExecutor> faulty_;
+  std::unique_ptr<daplex::FunctionalSchema> functional_;
+};
+
+TEST_P(CascadeFaultTest, FaultAtEveryRequestLeavesSubtreeWholeOrGone) {
+  for (const CascadeRow& row : kCascadeRows) {
+    for (int n = 0; n <= row.record_calls; ++n) {
+      SCOPED_TRACE(std::string(row.statement) + " after " +
+                   (row.position != nullptr ? row.position : "") +
+                   ", fault after " + std::to_string(n) + " call(s)");
+      Open(row);
+      const size_t before = Records(row);
+      const Run run = Execute(row, n);
+      const size_t gone = before - Records(row);
+      EXPECT_TRUE(gone == 0 || gone == row.deleted)
+          << gone << " of the subtree's " << row.deleted
+          << " records deleted";
+      if (n < row.kernel_calls) {
+        ASSERT_FALSE(run.deleted.ok());
+        EXPECT_EQ(run.deleted.status().code(), StatusCode::kInternal);
+        EXPECT_EQ(gone, 0u);
+        continue;
+      }
+      if (!run.deleted.ok()) {
+        ADD_FAILURE() << run.deleted.status();
+        continue;
+      }
+      EXPECT_EQ(*run.deleted, row.deleted);
+      EXPECT_EQ(gone, row.deleted);
+      size_t deletes = 0;
+      for (const std::string& request : run.trace) {
+        if (request.starts_with("DELETE ")) ++deletes;
+        EXPECT_EQ(request.find("(FALSE)"), std::string::npos) << request;
+      }
+      EXPECT_EQ(deletes, row.deletes);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CascadeFaultTest, ::testing::Values(0, 4));
 
 }  // namespace
 }  // namespace mlds

@@ -444,14 +444,15 @@ else
       -R 'ConcurrencyTest|CompactRaceTest|AbdlCommitRaceTest|RecordTest|FileStoreTest|PostingsTest|ValueOrderTest')
   # Key-probe suites: Daplex ISA levels fetched by key across four MBDS
   # backends (each backend's store plans and probes the key set under
-  # its shared lock while the controller fans out), and the fold oracles
-  # against the unfolded DNF; rerun them race-checked even when
-  # MLDS_TSAN_FILTER narrowed the run above.
+  # its shared lock while the controller fans out), the fold oracles
+  # against the unfolded DNF, and the DLET/DESTROY cascades' key-set
+  # transactions faulted at every request over four backends; rerun
+  # them race-checked even when MLDS_TSAN_FILTER narrowed the run above.
   echo "== TSan key-probe suites =="
   (cd build-tsan && \
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${JOBS}" \
-      -R 'DaplexIsaJoinTest|DaplexInheritanceTest|KeySetFold|FoldedKeySet')
+      -R 'DaplexIsaJoinTest|DaplexInheritanceTest|KeySetFold|FoldedKeySet|CascadeFaultTest')
   # Streaming smoke under TSan: the server threads and the per-session
   # stream state all touch the write path — race-check the chunked
   # transfer end to end, not just in unit tests.
