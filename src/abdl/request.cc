@@ -161,111 +161,4 @@ void AppendToString(const Request& request, std::string& out) {
   std::visit(Visitor{out}, request);
 }
 
-namespace {
-
-/// True when the two sorted-or-small file lists share a name. Footprints
-/// hold at most a handful of entries, so the quadratic scan is cheaper
-/// than building sets.
-bool SharesFile(const std::vector<std::string>& a,
-                const std::vector<std::string>& b) {
-  for (const auto& file : a) {
-    for (const auto& other : b) {
-      if (file == other) return true;
-    }
-  }
-  return false;
-}
-
-/// Set intersection under the "all files" wildcard: ALL ∩ ALL is taken as
-/// non-empty (assuming at least one file exists — conservative), ALL ∩ S
-/// is non-empty iff S is.
-bool SetsIntersect(const std::vector<std::string>& a, bool a_all,
-                   const std::vector<std::string>& b, bool b_all) {
-  if (a_all && b_all) return true;
-  if (a_all) return !b.empty();
-  if (b_all) return !a.empty();
-  return SharesFile(a, b);
-}
-
-}  // namespace
-
-bool FileFootprint::ConflictsWith(const FileFootprint& later) const {
-  // W ∩ W', W ∩ R', R ∩ W' — any overlap orders the pair.
-  return SetsIntersect(writes, writes_all, later.writes, later.writes_all) ||
-         SetsIntersect(writes, writes_all, later.reads, later.reads_all) ||
-         SetsIntersect(reads, reads_all, later.writes, later.writes_all);
-}
-
-FileFootprint FootprintOf(const Request& request) {
-  struct Visitor {
-    FileFootprint operator()(const InsertRequest& r) {
-      FileFootprint fp;
-      abdm::Value file = r.record.GetOrNull(abdm::kFileAttribute);
-      if (file.is_string()) {
-        fp.writes.push_back(file.AsString());
-      } else {
-        // Malformed INSERT: order it against everything so its error
-        // surfaces at the deterministic program-order position.
-        fp.writes_all = true;
-      }
-      return fp;
-    }
-    FileFootprint operator()(const BatchInsertRequest& r) {
-      FileFootprint fp;
-      for (const abdm::Record& record : r.records) {
-        abdm::Value file = record.GetOrNull(abdm::kFileAttribute);
-        if (!file.is_string()) {
-          fp.writes.clear();
-          fp.writes_all = true;
-          return fp;
-        }
-        const std::string& name = file.AsString();
-        bool seen = false;
-        for (const auto& existing : fp.writes) {
-          if (existing == name) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) fp.writes.push_back(name);
-      }
-      if (fp.writes.empty()) fp.writes_all = true;  // empty batch: conservative.
-      return fp;
-    }
-    FileFootprint operator()(const DeleteRequest& r) { return Write(r.query); }
-    FileFootprint operator()(const UpdateRequest& r) { return Write(r.query); }
-    FileFootprint operator()(const RetrieveRequest& r) {
-      FileFootprint fp;
-      AddRead(r.query, &fp);
-      return fp;
-    }
-    FileFootprint operator()(const RetrieveCommonRequest& r) {
-      FileFootprint fp;
-      AddRead(r.left_query, &fp);
-      AddRead(r.right_query, &fp);
-      return fp;
-    }
-
-    static FileFootprint Write(const abdm::Query& query) {
-      FileFootprint fp;
-      const std::string file = query.SingleFile();
-      if (file.empty()) {
-        fp.writes_all = true;
-      } else {
-        fp.writes.push_back(file);
-      }
-      return fp;
-    }
-    static void AddRead(const abdm::Query& query, FileFootprint* fp) {
-      const std::string file = query.SingleFile();
-      if (file.empty()) {
-        fp->reads_all = true;
-      } else {
-        fp->reads.push_back(file);
-      }
-    }
-  };
-  return std::visit(Visitor{}, request);
-}
-
 }  // namespace mlds::abdl

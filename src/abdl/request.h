@@ -154,30 +154,6 @@ using Request =
 /// A transaction groups two or more sequentially executed requests.
 using Transaction = std::vector<Request>;
 
-/// The kernel-file footprint of one request: which files it may read and
-/// which it may write. A query not confined to a single file (no leading
-/// FILE equality in every disjunct) touches every file, expressed by the
-/// `*_all` flags rather than an enumeration. The MBDS transaction
-/// pipeline compares footprints to decide which statements of a
-/// transaction may execute concurrently; the kernel engine's lock plan
-/// is the same classification computed over live FileStores.
-struct FileFootprint {
-  std::vector<std::string> reads;
-  std::vector<std::string> writes;
-  bool reads_all = false;
-  bool writes_all = false;
-
-  /// True when `later` (a statement after *this* in program order) must
-  /// not start before *this* finishes: the pair overlaps write-write,
-  /// write-read, or read-write. Read-read overlap never conflicts.
-  bool ConflictsWith(const FileFootprint& later) const;
-};
-
-/// Computes the footprint of `request`. INSERT writes its FILE-keyword
-/// file; DELETE/UPDATE write their query's file(s); RETRIEVE and both
-/// sides of RETRIEVE-COMMON read theirs.
-FileFootprint FootprintOf(const Request& request);
-
 /// Returns the operation keyword of `request` ("INSERT", "RETRIEVE", ...).
 std::string_view RequestOperation(const Request& request);
 

@@ -690,7 +690,10 @@ Result<size_t> DaplexMachine::DestroyHierarchy(const std::string& type,
           MLDS_RETURN_IF_ERROR(CheckReferences(sub->name, sub_keys));
           next[sub->name].merge(sub_keys);
         }
-        txn.push_back(abdl::DeleteRequest{std::move(by_isa)});
+        // In place: moving a DeleteRequest temporary into the variant
+        // draws a false -Wmaybe-uninitialized from GCC 12.
+        txn.emplace_back(std::in_place_type<abdl::DeleteRequest>,
+                         std::move(by_isa));
       }
     }
     level = std::move(next);
@@ -756,29 +759,32 @@ Result<DaplexMachine::Outcome> DaplexMachine::Update(
     }
   }
 
-  // Select the entities, then issue one kernel UPDATE per (entity, item)
-  // pair — hitting every duplicated record of the entity.
+  // Select the entities, then update them through one kernel transaction
+  // of key-set UPDATEs, one per assignment over every selected key (which
+  // hits every duplicated record of each entity): a kernel fault during
+  // the selection leaves every entity unchanged.
   ForEachQuery selector;
   selector.type = type;
   selector.such_that = statement.such_that;
   MLDS_ASSIGN_OR_RETURN(std::vector<Record> selected, Execute(selector));
 
   Outcome outcome;
-  for (const Record& r : selected) {
-    const std::string dbkey =
-        r.GetOrNull(KeyAttribute(type)).ToDisplayString();
-    for (const auto& [attr, value] : writes) {
-      abdl::UpdateRequest update;
-      update.query = Query::KeySet(type, KeyAttribute(type), {dbkey});
-      update.modifier =
-          abdl::Modifier{attr, abdl::ModifierKind::kSet, value};
-      MLDS_ASSIGN_OR_RETURN(kds::Response resp, Issue(update));
-      (void)resp;
-    }
-    ++outcome.affected;
-  }
+  outcome.affected = selected.size();
   outcome.info = "updated " + std::to_string(outcome.affected) +
                  " entity(ies)";
+  if (selected.empty()) return outcome;
+  std::set<std::string> keys;
+  for (const Record& r : selected) {
+    keys.insert(r.GetOrNull(KeyAttribute(type)).ToDisplayString());
+  }
+  abdl::Transaction txn;
+  for (const auto& [attr, value] : writes) {
+    txn.push_back(abdl::UpdateRequest{
+        Query::KeySet(type, KeyAttribute(type), keys),
+        abdl::Modifier{attr, abdl::ModifierKind::kSet, value}});
+    trace_.push_back(abdl::ToString(txn.back()));
+  }
+  MLDS_RETURN_IF_ERROR(executor_->ExecuteTransaction(txn).status());
   return outcome;
 }
 

@@ -489,15 +489,21 @@ Result<DliMachine::Outcome> DliMachine::Dlet() {
   MLDS_ASSIGN_OR_RETURN(
       size_t deleted,
       DeleteSubtree(*schema_->FindSegment(position_->segment), position_->key));
-  Outcome outcome;
-  outcome.affected = deleted;
-  outcome.info = "deleted " + position_->key + " and " +
-                 std::to_string(deleted - 1) + " dependent segment(s)";
+  const std::string key = std::move(position_->key);
   position_.reset();
   anchor_.reset();
   buffer_.clear();
   buffer_cursor_ = -1;
   buffer_segment_.clear();
+  if (deleted == 0) {
+    // Another session deleted the current segment since it was read.
+    return Status::NotFound("DLET: current segment " + key +
+                            " no longer exists");
+  }
+  Outcome outcome;
+  outcome.affected = deleted;
+  outcome.info = "deleted " + key + " and " + std::to_string(deleted - 1) +
+                 " dependent segment(s)";
   return outcome;
 }
 

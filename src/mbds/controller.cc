@@ -5,8 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -70,7 +68,7 @@ kds::PlanNode MergeBackendPlans(
 
 }  // namespace
 
-/// Shared state of one fault-tolerant fan-out. Pool tasks write their own
+/// Shared state of one fault-tolerant fan-out. Shares write their own
 /// slot under `mutex`; the dispatching thread waits on `cv` up to the
 /// deadline. Held by shared_ptr so a task abandoned at the deadline can
 /// still complete (and be ignored) after the dispatcher moved on.
@@ -96,18 +94,6 @@ Controller::Controller(MbdsOptions options) : options_(options) {
     backends_.push_back(std::make_unique<Backend>(
         i, std::move(engine_options), options_.fault_tolerance.health));
   }
-  pool_ = std::make_unique<common::ThreadPool>(n);
-  txn_pool_ = std::make_unique<common::ThreadPool>(n - 1);
-}
-
-Status Controller::RunParallel(size_t tasks,
-                               const std::function<Status(size_t)>& fn) {
-  std::vector<Status> statuses(tasks);
-  pool_->ParallelFor(tasks, [&](size_t i) { statuses[i] = fn(i); });
-  for (const Status& status : statuses) {
-    MLDS_RETURN_IF_ERROR(status);
-  }
-  return Status::OK();
 }
 
 bool Controller::AdmitBackend(size_t i,
@@ -189,13 +175,10 @@ bool Controller::ReintegrateBackend(Backend& backend) {
   }
 }
 
-Status Controller::DefineDatabase(const abdm::DatabaseDescriptor& db) {
+Status Controller::BroadcastDefinition(
+    const std::vector<std::string>& payloads, const std::string& what,
+    const std::function<Status(kds::Engine&)>& define) {
   MaybeReintegrate();
-  std::vector<std::string> payloads;
-  payloads.reserve(db.files.size());
-  for (const auto& file : db.files) {
-    payloads.push_back(kds::EncodeDefineFile(file));
-  }
   std::vector<size_t> participants;
   for (size_t i = 0; i < backends_.size(); ++i) {
     if (!AdmitBackend(i, payloads, nullptr)) continue;
@@ -205,54 +188,41 @@ Status Controller::DefineDatabase(const abdm::DatabaseDescriptor& db) {
     participants.push_back(i);
   }
   if (participants.empty()) {
-    return Status::Unavailable("no available backends to define database '" +
-                               db.name + "'");
+    return Status::Unavailable("no available backends to " + what);
   }
-  // Definitions broadcast like any other request: the available backends
-  // create the files concurrently. Errors are reported in backend-id
-  // order so the result is deterministic.
-  return RunParallel(participants.size(), [&](size_t k) {
-    return backends_[participants[k]]->engine().DefineDatabase(db);
-  });
+  // Every participant runs, in backend order on this thread; the
+  // lowest-index error is the one reported.
+  Status first = Status::OK();
+  for (size_t i : participants) {
+    Status status = define(backends_[i]->engine());
+    if (first.ok()) first = std::move(status);
+  }
+  return first;
+}
+
+Status Controller::DefineDatabase(const abdm::DatabaseDescriptor& db) {
+  std::vector<std::string> payloads;
+  payloads.reserve(db.files.size());
+  for (const auto& file : db.files) {
+    payloads.push_back(kds::EncodeDefineFile(file));
+  }
+  return BroadcastDefinition(
+      payloads, "define database '" + db.name + "'",
+      [&](kds::Engine& engine) { return engine.DefineDatabase(db); });
 }
 
 Status Controller::DefineFile(const abdm::FileDescriptor& descriptor) {
-  MaybeReintegrate();
-  const std::vector<std::string> payloads = {
-      kds::EncodeDefineFile(descriptor)};
-  std::vector<size_t> participants;
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    if (!AdmitBackend(i, payloads, nullptr)) continue;
-    (void)backends_[i]->wal().Append(payloads.front());
-    participants.push_back(i);
-  }
-  if (participants.empty()) {
-    return Status::Unavailable("no available backends to define file '" +
-                               descriptor.name + "'");
-  }
-  return RunParallel(participants.size(), [&](size_t k) {
-    return backends_[participants[k]]->engine().DefineFile(descriptor);
-  });
+  return BroadcastDefinition(
+      {kds::EncodeDefineFile(descriptor)},
+      "define file '" + descriptor.name + "'",
+      [&](kds::Engine& engine) { return engine.DefineFile(descriptor); });
 }
 
 Status Controller::CreateIndex(std::string_view file, std::string_view attr) {
-  MaybeReintegrate();
-  const std::vector<std::string> payloads = {
-      "INDEX " + std::string(file) + " " + std::string(attr)};
-  std::vector<size_t> participants;
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    if (!AdmitBackend(i, payloads, nullptr)) continue;
-    (void)backends_[i]->wal().Append(payloads.front());
-    participants.push_back(i);
-  }
-  if (participants.empty()) {
-    return Status::Unavailable("no available backends to index '" +
-                               std::string(file) + "." + std::string(attr) +
-                               "'");
-  }
-  return RunParallel(participants.size(), [&](size_t k) {
-    return backends_[participants[k]]->engine().CreateIndex(file, attr);
-  });
+  return BroadcastDefinition(
+      {"INDEX " + std::string(file) + " " + std::string(attr)},
+      "index '" + std::string(file) + "." + std::string(attr) + "'",
+      [&](kds::Engine& engine) { return engine.CreateIndex(file, attr); });
 }
 
 bool Controller::HasFile(std::string_view file) const {
@@ -302,8 +272,8 @@ Controller::FanoutSlot Controller::AttemptOnBackend(
   for (int attempt = 0;; ++attempt) {
     slot.attempts = attempt + 1;
     if (cancel->cancelled()) {
-      // The deadline passed while this job sat in the pool queue; do not
-      // touch the engine (an abandoned mutation must not apply late).
+      // The deadline passed before this share started; do not touch the
+      // engine (an abandoned mutation must not apply late).
       slot.timed_out = true;
       slot.status =
           Status::Unavailable("deadline exceeded before " + who + " started");
@@ -363,15 +333,17 @@ std::vector<Controller::FanoutSlot> Controller::FanOutWithFaults(
   }
   state->jobs = std::move(jobs);
   for (size_t k = 0; k < n; ++k) {
-    pool_->Submit([this, state, k] {
+    executor_.Submit([this, state, k]() -> std::function<void()> {
       FanoutSlot slot = AttemptOnBackend(state->jobs[k].backend,
                                          *state->jobs[k].request,
                                          state->tokens[k].get());
-      std::lock_guard<std::mutex> lock(state->mutex);
-      slot.done = true;
-      state->slots[k] = std::move(slot);
-      ++state->completed;
-      state->cv.notify_all();
+      return [state, k, slot = std::move(slot)]() mutable {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        slot.done = true;
+        state->slots[k] = std::move(slot);
+        ++state->completed;
+        state->cv.notify_all();
+      };
     });
   }
 
@@ -443,20 +415,24 @@ void Controller::ApplySlotHealth(
   }
 }
 
-Result<ExecutionReport> Controller::ExecuteInsert(
-    const abdl::InsertRequest& request) {
-  const size_t n = backends_.size();
+size_t Controller::PlaceRecord(const abdm::Record& record) {
   // Record distribution: round-robin spreads every file evenly over the
   // disks; hash placement derives the backend from the record's database
   // key so placement is order-independent.
-  size_t target =
-      insert_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
-  if (options_.placement == PlacementPolicy::kHashKey &&
-      request.record.size() >= 2) {
-    target = std::hash<std::string>{}(request.record.attribute(1) + "=" +
-                                      request.record.value(1).ToString()) %
-             n;
+  const size_t n = backends_.size();
+  const size_t next = insert_cursor_.fetch_add(1, std::memory_order_relaxed);
+  if (options_.placement == PlacementPolicy::kHashKey && record.size() >= 2) {
+    return std::hash<std::string>{}(record.attribute(1) + "=" +
+                                    record.value(1).ToString()) %
+           n;
   }
+  return next % n;
+}
+
+Result<ExecutionReport> Controller::ExecuteInsert(
+    const abdl::InsertRequest& request) {
+  const size_t n = backends_.size();
+  const size_t target = PlaceRecord(request.record);
 
   const auto start = std::chrono::steady_clock::now();
   auto shared_req =
@@ -526,15 +502,7 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
   // one WAL entry for its whole sub-batch instead of one per record.
   std::vector<abdl::BatchInsertRequest> parts(n);
   for (const abdm::Record& record : request.records) {
-    size_t target =
-        insert_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
-    if (options_.placement == PlacementPolicy::kHashKey &&
-        record.size() >= 2) {
-      target = std::hash<std::string>{}(record.attribute(1) + "=" +
-                                        record.value(1).ToString()) %
-               n;
-    }
-    parts[target].records.push_back(record);
+    parts[PlaceRecord(record)].records.push_back(record);
   }
 
   struct PendingPart {
@@ -893,62 +861,16 @@ Result<ExecutionReport> Controller::ExecuteDistributedJoin(
 
 Result<ExecutionReport> Controller::ExecuteTransaction(
     const abdl::Transaction& txn) {
-  // Stage assignment: a statement lands one stage after the latest earlier
-  // statement whose file footprint conflicts with it (write-write,
-  // write-read, or read-write overlap). Statements sharing a stage are
-  // mutually independent, so executing them concurrently cannot change any
-  // statement's outcome; conflicting statements stay in program order.
-  const size_t count = txn.size();
-  std::vector<abdl::FileFootprint> footprints;
-  footprints.reserve(count);
-  for (const auto& request : txn) {
-    footprints.push_back(abdl::FootprintOf(request));
-  }
-  std::vector<size_t> stage_of(count, 0);
-  size_t num_stages = count == 0 ? 0 : 1;
-  for (size_t i = 0; i < count; ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (footprints[j].ConflictsWith(footprints[i])) {
-        stage_of[i] = std::max(stage_of[i], stage_of[j] + 1);
-      }
-    }
-    num_stages = std::max(num_stages, stage_of[i] + 1);
-  }
-  std::vector<std::vector<size_t>> stages(num_stages);
-  for (size_t i = 0; i < count; ++i) {
-    stages[stage_of[i]].push_back(i);
-  }
-
+  // Program order, as on one engine: each statement is one Execute on
+  // this thread, and the first error ends the transaction. The statements
+  // run one after another, so the simulated time is their sum.
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::optional<Result<ExecutionReport>>> reports(count);
-  double simulated_ms = 0.0;
-  for (const std::vector<size_t>& members : stages) {
-    // Statement tasks block on backend fan-outs, so they run on the
-    // dedicated statement pool (see txn_pool_).
-    txn_pool_->ParallelFor(members.size(), [&](size_t k) {
-      reports[members[k]] = Execute(txn[members[k]]);
-    });
-    // Lowest-index error wins: deterministic regardless of which pool
-    // thread hit its error first.
-    double stage_ms = 0.0;
-    for (size_t idx : members) {
-      const Result<ExecutionReport>& report = *reports[idx];
-      MLDS_RETURN_IF_ERROR(report.status());
-      stage_ms = std::max(stage_ms, report->response_time_ms);
-    }
-    // Each stage's statements run in parallel, so the stage costs its
-    // slowest member; stages are consecutive, so the transaction sums
-    // stage costs.
-    simulated_ms += stage_ms;
-  }
-
-  // Merge in statement order: records, io, and per-backend charges come
-  // out identical no matter how the pool interleaved the stages.
   ExecutionReport total;
   total.backend_times_ms.assign(backends_.size(), 0.0);
   std::vector<kds::PlanNode> statement_plans;
-  for (size_t i = 0; i < count; ++i) {
-    ExecutionReport& report = **reports[i];
+  for (const abdl::Request& request : txn) {
+    MLDS_ASSIGN_OR_RETURN(ExecutionReport report, Execute(request));
+    total.response_time_ms += report.response_time_ms;
     total.response.affected += report.response.affected;
     total.response.io += report.response.io;
     for (size_t b = 0; b < report.backend_times_ms.size(); ++b) {
@@ -979,7 +901,6 @@ Result<ExecutionReport> Controller::ExecuteTransaction(
     seq.actual_blocks = seq.SumChildren(&kds::PlanNode::actual_blocks);
     total.response.plan = std::make_shared<kds::PlanNode>(std::move(seq));
   }
-  total.response_time_ms = simulated_ms;
   total.wall_time_ms = ElapsedMs(start);
   return total;
 }

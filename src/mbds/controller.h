@@ -11,8 +11,8 @@
 #include "abdl/request.h"
 #include "abdm/schema.h"
 #include "common/backoff.h"
+#include "common/fan_out.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "kds/engine.h"
 #include "kds/wal.h"
 #include "mbds/fault_injector.h"
@@ -118,7 +118,7 @@ class Backend {
   }
 
   /// Total simulated milliseconds this backend's disk has been busy.
-  /// Atomic: broadcast fan-out executes backends on pool threads, and
+  /// Atomic: broadcast fan-out executes backends on fan-out workers, and
   /// several client threads may drive the controller at once.
   double busy_ms() const { return busy_ms_.load(std::memory_order_relaxed); }
   void AddBusyMs(double ms) {
@@ -221,13 +221,14 @@ struct ControllerHealth {
 /// Record distribution: INSERTs are routed round-robin so every file's
 /// records spread evenly over the backends' disks. All other requests are
 /// broadcast; each backend executes against its partition *concurrently*
-/// (on the controller's thread pool), and the controller merges replies in
-/// backend-id order so results are deterministic regardless of completion
-/// order. The simulated response time of a broadcast is the *maximum*
-/// backend time (they run in parallel) plus the bus round trip — which is
-/// exactly what yields the paper's two results: reciprocal response-time
-/// decrease as backends are added at fixed database size, and
-/// response-time invariance when backends grow with the database.
+/// (one share per backend on the controller's fan-out executor, where no
+/// share waits behind another request's), and the controller merges
+/// replies in backend-id order so results are deterministic regardless of
+/// completion order. The simulated response time of a broadcast is the
+/// *maximum* backend time (they run in parallel) plus the bus round trip
+/// — which is exactly what yields the paper's two results: reciprocal
+/// response-time decrease as backends are added at fixed database size,
+/// and response-time invariance when backends grow with the database.
 ///
 /// Fault tolerance. The controller write-ahead logs every mutation it
 /// routes to a backend into that backend's log *before* dispatching it, so
@@ -279,14 +280,11 @@ class Controller {
   /// Executes one ABDL request across the backends.
   Result<ExecutionReport> Execute(const abdl::Request& request);
 
-  /// Executes a transaction through the dependency-aware pipeline:
-  /// statements whose file footprints are disjoint (no write-write,
-  /// write-read, or read-write overlap) run concurrently on the thread
-  /// pool; a statement conflicting with an earlier one starts only after
-  /// that statement's stage completes, so conflicting statements always
-  /// observe program order. Reports merge in statement order and the
-  /// simulated time sums the stages (each stage costs its slowest
-  /// statement), so results and times are deterministic.
+  /// Executes a transaction in program order, as kds::Engine does: each
+  /// statement is one Execute on the calling thread, and the first error
+  /// ends the transaction and is returned (statements before it stay
+  /// applied). Reports merge in statement order, and the simulated time
+  /// is the sum of the statements' times.
   Result<ExecutionReport> ExecuteTransaction(const abdl::Transaction& txn);
 
   /// Total live records of `file` across all available backends (a
@@ -303,8 +301,8 @@ class Controller {
   void ResetTiming();
 
   /// Sets every backend engine's disk-latency scale (see
-  /// kds::Engine::set_latency_scale). Backends wait concurrently on the
-  /// fan-out pool, so a broadcast's wall clock follows its slowest
+  /// kds::Engine::set_latency_scale). Each backend's share waits on its
+  /// own fan-out worker, so a broadcast's wall clock follows its slowest
   /// backend's disk, not the sum. A backend rebuilt by reintegration keeps
   /// the scale.
   void set_latency_scale(double scale) {
@@ -336,6 +334,10 @@ class Controller {
   /// re-plan counts.
   kds::KernelCounters Counters() const;
 
+  /// Workers the fan-out executor has started: the peak number of backend
+  /// shares that were ever in flight at once.
+  size_t fanout_threads() const { return executor_.threads(); }
+
  private:
   /// One backend's share of a fault-tolerant fan-out.
   struct FanoutSlot {
@@ -359,19 +361,20 @@ class Controller {
     std::shared_ptr<const abdl::Request> request;
   };
 
-  /// Shared state of one fan-out: written by pool tasks, read by the
+  /// Shared state of one fan-out: written by the shares, read by the
   /// dispatching thread. Held by shared_ptr so a task abandoned at the
   /// deadline can still complete harmlessly after the dispatcher moved on.
   struct FanoutState;
 
-  /// Runs every job concurrently on the pool, waiting at most the
+  /// Runs every job concurrently on the executor, waiting at most the
   /// configured deadline. Jobs that miss the deadline are cancelled and
   /// returned with `timed_out` set. Slot k corresponds to jobs[k].
   std::vector<FanoutSlot> FanOutWithFaults(std::vector<FanoutJob> jobs);
 
   /// One backend's attempt chain: consult the fault injector, retry
   /// transient faults with exponential backoff, then execute on the
-  /// engine. Runs on a pool thread; `cancel` is the deadline hand-brake.
+  /// engine. Runs on a fan-out worker; `cancel` is the deadline
+  /// hand-brake.
   FanoutSlot AttemptOnBackend(size_t i, const abdl::Request& request,
                               Cancellation* cancel);
 
@@ -398,10 +401,17 @@ class Controller {
   /// in. Returns true when the backend rejoined.
   bool ReintegrateBackend(Backend& backend);
 
-  /// Runs fn(0) .. fn(tasks-1) concurrently on the pool and returns the
-  /// lowest-index error (OK when all succeed), so error reporting is
-  /// deterministic regardless of completion order.
-  Status RunParallel(size_t tasks, const std::function<Status(size_t)>& fn);
+  /// Logs `payloads` to every backend (as catch-up for the unavailable
+  /// ones), then runs `define` on each available backend's engine in
+  /// backend order. Returns the lowest-index error, or Unavailable("no
+  /// available backends to " + `what`) when no backend is available.
+  Status BroadcastDefinition(const std::vector<std::string>& payloads,
+                             const std::string& what,
+                             const std::function<Status(kds::Engine&)>& define);
+
+  /// The backend an INSERT of `record` lands on under the placement
+  /// policy. Advances the round-robin cursor either way.
+  size_t PlaceRecord(const abdm::Record& record);
 
   Result<ExecutionReport> ExecuteInsert(const abdl::InsertRequest& request);
   /// Batch INSERT: partitions the records by the placement policy into one
@@ -424,22 +434,18 @@ class Controller {
   MbdsOptions options_;
   /// Immutable after the constructor; see the class comment.
   std::vector<std::unique_ptr<Backend>> backends_;
-  /// Fan-out workers: one thread per backend. The dispatching thread does
-  /// not participate in fault-tolerant fan-outs (it must stay free to
-  /// enforce the deadline), so the pool alone must cover every backend.
-  /// Fan-out tasks never submit further work to this pool, so its wait
-  /// graph is acyclic.
-  std::unique_ptr<common::ThreadPool> pool_;
-  /// Statement-level workers for the transaction pipeline. Separate from
-  /// `pool_` because statement tasks block on fan-outs: running both
-  /// layers on one pool could park every worker in a dispatcher and
-  /// deadlock the fan-out jobs they are waiting for.
-  std::unique_ptr<common::ThreadPool> txn_pool_;
   std::atomic<uint64_t> insert_cursor_{0};
   std::atomic<uint64_t> request_seq_{0};
   std::atomic<double> total_response_ms_{0.0};
   /// Controller-side distributed-join strategy / re-plan counters.
   kds::AtomicStatisticsCounters stats_counters_;
+  /// Runs every backend share of every fan-out, each on a worker no other
+  /// request's share holds. The dispatching thread runs no share (it must
+  /// stay free to enforce the deadline), and shares never submit further
+  /// shares. Declared last so it is destroyed first: its destructor joins
+  /// every worker, including shares abandoned at a deadline, which the
+  /// cancelled tokens have released, before the state they touch goes.
+  common::FanOutExecutor executor_;
 };
 
 }  // namespace mlds::mbds

@@ -201,6 +201,25 @@ TEST_F(DliMachineTest, DletClearsPosition) {
   EXPECT_EQ(repl.status().code(), StatusCode::kCurrencyError);
 }
 
+TEST_F(DliMachineTest, DletOfSegmentDeletedElsewhereIsNotFound) {
+  Must("GU patient (pname = 'jones')");
+  // A second session deletes jones and its visit first.
+  auto other = system_.OpenDliSession("clinic");
+  ASSERT_TRUE(other.ok()) << other.status();
+  ASSERT_TRUE((*other)->ExecuteText("GU patient (pname = 'jones')").ok());
+  auto first = (*other)->ExecuteText("DLET");
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->affected, 2u);
+  // The cascade finds nothing to delete: no wrapped dependent count.
+  auto again = machine_->ExecuteText("DLET");
+  ASSERT_FALSE(again.ok()) << again->info;
+  EXPECT_TRUE(again.status().IsNotFound()) << again.status();
+  // The position is cleared.
+  auto repl = machine_->ExecuteText("REPL (city = 'x')");
+  ASSERT_FALSE(repl.ok());
+  EXPECT_EQ(repl.status().code(), StatusCode::kCurrencyError);
+}
+
 TEST_F(DliMachineTest, ParserRejectsMalformedCalls) {
   EXPECT_FALSE(machine_->ExecuteText("FROB patient").ok());
   EXPECT_FALSE(machine_->ExecuteText("GU patient (pname 'x')").ok());

@@ -2,7 +2,8 @@
 // kc::FaultyExecutor), verifying that the language interfaces propagate
 // kernel failures as clean Status values, never crash, and remain usable
 // after the fault clears; and that a DL/I DLET or Daplex DESTROY cascade
-// faulted at any kernel request leaves its subtree whole or wholly gone.
+// faulted at any kernel request leaves its subtree whole or wholly gone,
+// and a Daplex UPDATE changes all of its selection or none.
 
 #include <gtest/gtest.h>
 
@@ -394,6 +395,41 @@ TEST_P(CascadeFaultTest, FaultAtEveryRequestLeavesSubtreeWholeOrGone) {
       }
       EXPECT_EQ(deletes, row.deletes);
     }
+  }
+}
+
+/// A Daplex UPDATE faulted at every kernel request, over 0 and 4
+/// backends: it reports the fault and changes no course, or succeeds and
+/// changes every course.
+TEST_P(CascadeFaultTest, UpdateFaultedAtEveryRequestChangesAllOrNone) {
+  const abdl::Request nines = *abdl::ParseRequest(
+      "RETRIEVE ((FILE = course) and (credits = 9)) (course)");
+  for (int n = 0;; ++n) {
+    SCOPED_TRACE("fault after " + std::to_string(n) + " call(s)");
+    ASSERT_LT(n, 16) << "UPDATE never succeeded";
+    MldsSystem::Options options;
+    options.backends = GetParam();
+    MldsSystem system(options);
+    FaultyExecutor faulty(system.executor());
+    auto db = university::BuildUniversityDatabase({}, system.executor());
+    ASSERT_TRUE(db.ok()) << db.status();
+    kms::DaplexMachine machine(&db->functional, &db->mapping.schema,
+                               &db->mapping, &faulty);
+    faulty.set_fail_after(n);
+    auto outcome = machine.ExecuteStatement("UPDATE course (credits = 9)");
+    faulty.set_fail_after(-1);
+    auto changed = system.executor()->Execute(nines);
+    ASSERT_TRUE(changed.ok()) << changed.status();
+    const size_t courses = system.executor()->FileSize("course");
+    ASSERT_GT(courses, 0u);
+    if (!outcome.ok()) {
+      EXPECT_EQ(outcome.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(changed->records.size(), 0u) << "of " << courses;
+      continue;
+    }
+    EXPECT_EQ(outcome->affected, courses);
+    EXPECT_EQ(changed->records.size(), courses);
+    break;
   }
 }
 

@@ -456,9 +456,11 @@ TEST(PipelineStressTest, DirectWritesKeepPerSessionOrderOnSharedConnection) {
 /// made slow by the emulated disk; the lookup reads the clinic files
 /// only. With `worker_threads = 0` (one server thread, the documented
 /// serial mode) the lookup waits out the long request and this bound
-/// fails.
-TEST(PipelineStressTest, LongRequestDoesNotDelayAnotherConnection) {
+/// fails. Over MBDS backends, each backend's share of the lookup must
+/// not wait behind the long request's shares either.
+void ExpectLongRequestDoesNotDelayLookup(int backends) {
   MldsSystem::Options system_options;
+  system_options.backends = backends;
   // Price blocks, not requests: the long scan reads every staff block,
   // the lookup about one, so the lookup's own emulated wait stays small.
   system_options.engine.disk.seek_ms = 0.0;
@@ -508,6 +510,13 @@ TEST(PipelineStressTest, LongRequestDoesNotDelayAnotherConnection) {
   EXPECT_TRUE(slow.Close().ok());
   EXPECT_TRUE(quick.Close().ok());
   server.Shutdown();
+}
+
+TEST(PipelineStressTest, LongRequestDoesNotDelayAnotherConnection) {
+  for (int backends : {0, 4}) {
+    SCOPED_TRACE(std::to_string(backends) + " backends");
+    ExpectLongRequestDoesNotDelayLookup(backends);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// The MBDS transaction pipeline: statements with disjoint file
-// footprints execute concurrently, conflicting statements observe
-// program order, and merged reports are deterministic across runs.
+// MBDS transactions: statements run in program order, as on one engine,
+// merged reports are deterministic across runs, and a failing statement
+// leaves the same state at every backend count.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include "abdl/parser.h"
 #include "abdl/request.h"
+#include "kds/engine.h"
 #include "mbds/controller.h"
 
 namespace mlds::mbds {
@@ -45,28 +46,6 @@ void Load(Controller* c, int records_per_file) {
       EXPECT_TRUE(report.ok()) << report.status();
     }
   }
-}
-
-TEST(TransactionPipelineTest, FootprintConflictsFollowAbdlSemantics) {
-  const abdl::Request read_alpha =
-      MustParse("RETRIEVE ((FILE = alpha)) (key)");
-  const abdl::Request read_beta = MustParse("RETRIEVE ((FILE = beta)) (key)");
-  const abdl::Request write_alpha =
-      MustParse("UPDATE ((FILE = alpha)) (v = 1)");
-  const abdl::Request insert_alpha =
-      MustParse("INSERT (<FILE, alpha>, <key, 99>, <v, 0>)");
-
-  const auto fp_read_alpha = abdl::FootprintOf(read_alpha);
-  const auto fp_read_beta = abdl::FootprintOf(read_beta);
-  const auto fp_write_alpha = abdl::FootprintOf(write_alpha);
-  const auto fp_insert_alpha = abdl::FootprintOf(insert_alpha);
-
-  EXPECT_FALSE(fp_read_alpha.ConflictsWith(fp_read_beta));   // R-R disjoint
-  EXPECT_FALSE(fp_read_alpha.ConflictsWith(fp_read_alpha));  // R-R same file
-  EXPECT_TRUE(fp_write_alpha.ConflictsWith(fp_read_alpha));  // W-R
-  EXPECT_TRUE(fp_read_alpha.ConflictsWith(fp_write_alpha));  // R-W
-  EXPECT_TRUE(fp_write_alpha.ConflictsWith(fp_insert_alpha));  // W-W
-  EXPECT_FALSE(fp_write_alpha.ConflictsWith(fp_read_beta));  // disjoint files
 }
 
 TEST(TransactionPipelineTest, ConflictingStatementsObserveProgramOrder) {
@@ -132,6 +111,32 @@ TEST(TransactionPipelineTest, ErrorsReportLowestStatementIndex) {
   txn.push_back(MustParse("INSERT (<FILE, missing>, <key, 1>, <v, 0>)"));
   auto report = c.ExecuteTransaction(txn);
   EXPECT_FALSE(report.ok());
+}
+
+TEST(TransactionPipelineTest, FailureLeavesSameStateAtEveryBackendCount) {
+  // The first statement fails; the second, on another file, must not run
+  // at any backend count, as on one engine.
+  abdl::Transaction txn;
+  txn.push_back(MustParse("INSERT (<FILE, missing>, <key, 1>, <v, 0>)"));
+  txn.push_back(MustParse("INSERT (<FILE, beta>, <key, 1>, <v, 0>)"));
+
+  kds::Engine engine;
+  ASSERT_TRUE(engine.DefineFile(MakeFile("alpha")).ok());
+  ASSERT_TRUE(engine.DefineFile(MakeFile("beta")).ok());
+  auto single = engine.ExecuteTransaction(txn);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(engine.FileSize("beta"), 0u);
+
+  for (int backends : {1, 4}) {
+    SCOPED_TRACE(std::to_string(backends) + " backends");
+    Controller c(MakeOptions(backends));
+    Load(&c, 0);
+    auto report = c.ExecuteTransaction(txn);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), single.status().code());
+    EXPECT_EQ(report.status().message(), single.status().message());
+    EXPECT_EQ(c.FileSize("beta"), 0u);
+  }
 }
 
 }  // namespace

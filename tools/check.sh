@@ -453,6 +453,17 @@ else
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${JOBS}" \
       -R 'DaplexIsaJoinTest|DaplexInheritanceTest|KeySetFold|FoldedKeySet|CascadeFaultTest')
+  # Fan-out and transaction suites: every backend share runs on a worker
+  # of the controller's fan-out executor, which starts workers on demand
+  # and hands idle ones to the next share, while transactions and
+  # statement-level faults drive the controller from the calling thread;
+  # rerun them race-checked even when MLDS_TSAN_FILTER narrowed the run
+  # above.
+  echo "== TSan fan-out and transaction suites =="
+  (cd build-tsan && \
+    TSAN_OPTIONS="halt_on_error=1" \
+    ctest --output-on-failure -j "${JOBS}" \
+      -R 'FanOutExecutorTest|TransactionPipeline|CascadeFaultTest')
   # Streaming smoke under TSan: the server threads and the per-session
   # stream state all touch the write path — race-check the chunked
   # transfer end to end, not just in unit tests.
