@@ -53,10 +53,6 @@ class DirectoryStats {
   /// the cost of a full scan.
   virtual uint64_t allocated_blocks() const = 0;
 
-  /// Record slots per block; bounds how few blocks `n` candidate records
-  /// can occupy (ceil(n / records_per_block)).
-  virtual int records_per_block() const = 0;
-
   /// True when `attr` is served by a secondary index rather than the
   /// primary keyword directory. Purely descriptive: estimates and
   /// lookups behave identically; the planner uses it to label the

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "common/strings.h"
 
@@ -124,10 +123,21 @@ void Value::AppendTo(std::string& out) const {
       return;
     }
     case ValueKind::kFloat: {
+      // Six significant digits (the bytes `%g` prints) when they read
+      // back as the same double, else the shortest text that does:
+      // snapshots, WAL entries and shipped MBDS requests parse this text
+      // back, so it must not round.
+      const double value = std::get<double>(rep_);
       char buf[64];
-      const int n = std::snprintf(buf, sizeof(buf), "%g",
-                                  std::get<double>(rep_));
-      out.append(buf, buf + n);
+      char* end = std::to_chars(buf, buf + sizeof(buf), value,
+                                std::chars_format::general, 6)
+                      .ptr;
+      double parsed = 0.0;
+      std::from_chars(buf, end, parsed);
+      if (parsed != value) {
+        end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+      }
+      out.append(buf, end);
       return;
     }
     case ValueKind::kString: {

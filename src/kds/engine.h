@@ -92,9 +92,22 @@ std::vector<abdm::Record> PostProcessRetrieve(
 PlanNode WrapRetrievePlan(const abdl::RetrieveRequest& request, PlanNode base,
                           size_t output_rows);
 
+/// A `block_capacity` no page reaches: the slot count is a u16, so a
+/// page holds at most 65,535 entries, and every entry takes at least 12
+/// bytes (an 8 KiB page fits 682). An engine built with it seals a page
+/// only when the next record does not fit, so pages fill by bytes. The
+/// product server (`mlds_server`) builds every engine with it.
+inline constexpr int kPageLimitedCapacity = 65535;
+
 /// Options controlling the kernel engine's storage geometry.
 struct EngineOptions {
-  /// Records per storage block; block counts feed the MBDS cost model.
+  /// Records per storage block, the most a page file places in one page;
+  /// block counts feed the MBDS cost model. The default 16 is the
+  /// thesis's cost-model block, which the plan goldens, the simulated
+  /// MBDS speedups and the committed benches model. kPageLimitedCapacity
+  /// fills pages by bytes instead. It applies to files this engine
+  /// creates; a page file restored from `data_dir` keeps the cap it was
+  /// written with (its `CAP` metadata line).
   int block_capacity = 16;
   /// Directory holding one page file per kernel file ("<name>.mpf") plus
   /// the clean-shutdown marker. Empty (the default) keeps every file in

@@ -35,14 +35,14 @@ struct KeyFold;
 ///
 /// Records are serialized into fixed-size slotted pages (see page.h)
 /// fetched through a shared BufferPool; one page is one accounting
-/// "block", and `block_capacity` caps the records placed per page so
-/// directory statistics (records_per_block) stay exact. The newest page
-/// — the *fill page* — stays pinned in the pool while it accepts
-/// appends and is sealed once full. Pages live in a PageFile, either in
-/// memory or on disk, so a store built over a disk-backed file persists
-/// without snapshot calls. Oversized records spill into overflow page
-/// chains (a head entry whose rid carries the overflow bit, followed by
-/// raw continuation pages).
+/// "block", and `block_capacity` caps the records placed per page (a
+/// cap no page reaches, kPageLimitedCapacity, fills pages by bytes).
+/// The newest page — the *fill page* — stays pinned in the pool while
+/// it accepts appends and is sealed once full. Pages live in a PageFile,
+/// either in memory or on disk, so a store built over a disk-backed file
+/// persists without snapshot calls. Oversized records spill into
+/// overflow page chains (a head entry whose rid carries the overflow
+/// bit, followed by raw continuation pages).
 ///
 /// Query evaluation is split planner/executor: `Plan()` builds an
 /// explicit physical plan from the directory statistics (the store is
@@ -88,7 +88,6 @@ class FileStore : public abdm::DirectoryStats {
       const abdm::KeyInterval& interval) const override;
   size_t live_records() const override { return live_count_; }
   uint64_t allocated_blocks() const override { return block_count(); }
-  int records_per_block() const override { return block_capacity_; }
   bool IsSecondaryIndex(std::string_view attr) const override;
   double cached_fraction() const override;
   /// Estimate with provenance: fresh equi-depth histograms answer ranges

@@ -80,8 +80,9 @@ std::string_view PlanNodeKindName(PlanNodeKind kind);
 /// every candidate living in its own block — so after execution
 /// `actual_blocks <= est_blocks`, and when every candidate is live (the
 /// directory only lists live records) at least
-/// `ceil(actual_rows / records_per_block)` blocks are touched. A full
-/// scan's estimate is exact: `actual_blocks == est_blocks`.
+/// `ceil(actual_rows / block_capacity)` blocks are touched, where
+/// `block_capacity` is the store's record cap per page. A full scan's
+/// estimate is exact: `actual_blocks == est_blocks`.
 struct PlanNode {
   PlanNodeKind kind = PlanNodeKind::kFullScan;
 

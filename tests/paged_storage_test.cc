@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -16,6 +17,7 @@
 
 #include "abdl/parser.h"
 #include "kds/engine.h"
+#include "kds/page.h"
 #include "kds/snapshot.h"
 #include "kds/wal.h"
 #include "kfs/formatter.h"
@@ -195,6 +197,105 @@ TEST(PagedStorageTest, PoolCountersTrackHitsMissesEvictionsWritebacks) {
   MustExecute(cached, "RETRIEVE (FILE = account) (all attributes)");
   EXPECT_EQ(cached.counters().pool.misses, warm.misses);
   EXPECT_EQ(cached.cumulative_io().blocks_read, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Page geometry: the product server's engines fill pages by bytes
+// (kds::kPageLimitedCapacity); the engine default closes each page at
+// the thesis's 16-record block. A restored file keeps its own cap.
+
+FileDescriptor StaffFile() {
+  FileDescriptor f;
+  f.name = "staff";
+  f.attributes = {
+      {"FILE", ValueKind::kString, 0, true},
+      {"name", ValueKind::kString, 12, true},
+      {"wage", ValueKind::kFloat, 0, true},
+  };
+  return f;
+}
+
+std::string InsertStaff(int i) {
+  return "INSERT (<FILE, staff>, <name, 's" + std::to_string(100000 + i) +
+         "'>, <wage, " + std::to_string(i % 500) + ".25>)";
+}
+
+EngineOptions DenseOptions(const std::string& dir) {
+  EngineOptions options;
+  options.block_capacity = kds::kPageLimitedCapacity;
+  options.data_dir = dir;
+  return options;
+}
+
+TEST(PagedStorageTest, ByteFilledPagesHoldManyBlocksWorthOfRecords) {
+  const std::string dir = FreshDataDir("byte_filled");
+  std::string before;
+  uint64_t pages = 0;
+  {
+    Engine engine(DenseOptions(dir));
+    ASSERT_TRUE(engine.DefineFile(StaffFile()).ok());
+    for (int i = 0; i < 2000; ++i) MustExecute(engine, InsertStaff(i));
+    pages = engine.TotalBlocks();
+    // The default cap needs ceil(2000 / 16) = 125 pages.
+    EXPECT_LE(pages, 30u);
+    before = SnapshotOf(engine);
+  }
+  Engine revived(DenseOptions(dir));
+  ASSERT_TRUE(revived.restore_status().ok());
+  EXPECT_EQ(revived.FileSize("staff"), 2000u);
+  EXPECT_EQ(revived.TotalBlocks(), pages);
+  EXPECT_EQ(SnapshotOf(revived), before);
+}
+
+TEST(PagedStorageTest, ByteFilledPagesStillSpillOversizedRecords) {
+  const std::string dir = FreshDataDir("byte_filled_overflow");
+  const std::string note(kds::PageView::MaxPayload(kds::kDefaultPageBytes) + 1,
+                         'n');
+  std::string before;
+  {
+    Engine engine(DenseOptions(dir));
+    ASSERT_TRUE(engine.DefineDatabase(BankSchema()).ok());
+    for (int i = 0; i < 10; ++i) MustExecute(engine, InsertAccount(i));
+    const uint64_t pages = engine.TotalBlocks();
+    MustExecute(engine, "INSERT (<FILE, account>, <acct, 'big'>, "
+                        "<balance, 1>, <note, '" + note + "'>)");
+    // A head page plus at least one continuation page.
+    EXPECT_GE(engine.TotalBlocks(), pages + 2);
+    before = SnapshotOf(engine);
+  }
+  Engine revived(DenseOptions(dir));
+  ASSERT_TRUE(revived.restore_status().ok());
+  EXPECT_EQ(SnapshotOf(revived), before);
+  auto response = revived.Execute(MustParse(
+      "RETRIEVE ((FILE = account) and (acct = 'big')) (all attributes)"));
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->records.size(), 1u);
+  EXPECT_EQ(response->records[0].GetOrNull("note").AsString(), note);
+}
+
+TEST(PagedStorageTest, RestoredFileKeepsTheCapItWasWrittenWith) {
+  const std::string dir = FreshDataDir("restored_cap");
+  {
+    EngineOptions options;  // the default 16-record block
+    options.data_dir = dir;
+    Engine engine(options);
+    ASSERT_TRUE(engine.DefineFile(StaffFile()).ok());
+    for (int i = 0; i < 96; ++i) MustExecute(engine, InsertStaff(i));
+    EXPECT_EQ(engine.TotalBlocks(), 6u);
+  }
+  {
+    Engine reopened(DenseOptions(dir));
+    ASSERT_TRUE(reopened.restore_status().ok());
+    ASSERT_TRUE(reopened.DefineFile(StaffFile()).ok());  // re-attaches
+    for (int i = 96; i < 192; ++i) MustExecute(reopened, InsertStaff(i));
+    // The added rows still close a page every 16 records.
+    EXPECT_EQ(reopened.TotalBlocks(), 12u);
+    EXPECT_EQ(reopened.FileSize("staff"), 192u);
+  }
+  std::ifstream file(dir + "/staff.mpf", std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_NE(bytes.find("\nCAP 16\n"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -35,8 +35,7 @@ using abdm::ValueKind;
 /// non-directory attribute in a real FileStore.
 class FakeStats : public abdm::DirectoryStats {
  public:
-  FakeStats(size_t live, uint64_t blocks, int per_block)
-      : live_(live), blocks_(blocks), per_block_(per_block) {}
+  FakeStats(size_t live, uint64_t blocks) : live_(live), blocks_(blocks) {}
 
   FakeStats& Bucket(std::string attribute, size_t size) {
     buckets_[std::move(attribute)] = size;
@@ -52,12 +51,10 @@ class FakeStats : public abdm::DirectoryStats {
   }
   size_t live_records() const override { return live_; }
   uint64_t allocated_blocks() const override { return blocks_; }
-  int records_per_block() const override { return per_block_; }
 
  private:
   size_t live_;
   uint64_t blocks_;
-  int per_block_;
   std::map<std::string, size_t> buckets_;
 };
 
@@ -76,7 +73,7 @@ TEST(PlannerTest, WorthIntersectingRule) {
 TEST(PlannerTest, CheapestIndexAloneCollapsesToLoneIndexNode) {
   // The FILE keyword's bucket covers the whole file; against a 1-row key
   // bucket it fails the cutoff, so the plan is the bare key probe.
-  FakeStats stats(8192, 1024, 8);
+  FakeStats stats(8192, 1024);
   stats.Bucket("FILE", 8192).Bucket("key", 1);
   Conjunction conj{{Eq("FILE", 0), Eq("key", 4242)}};
   PlanNode plan = PlanConjunction(conj, stats);
@@ -89,7 +86,7 @@ TEST(PlannerTest, CheapestIndexAloneCollapsesToLoneIndexNode) {
 }
 
 TEST(PlannerTest, CloseEstimatesKeepTheIntersection) {
-  FakeStats stats(1000, 125, 8);
+  FakeStats stats(1000, 125);
   stats.Bucket("a", 30).Bucket("b", 10);
   Conjunction conj{{Eq("a", 1), Eq("b", 2)}};
   PlanNode plan = PlanConjunction(conj, stats);
@@ -105,7 +102,7 @@ TEST(PlannerTest, CloseEstimatesKeepTheIntersection) {
 TEST(PlannerTest, AdaptiveCutoffPrunesExpensiveTail) {
   // driver = 2; 4*2+16 = 24 admits the 20-row set but not the 1000-row
   // one — and everything after the first failure is pruned with it.
-  FakeStats stats(4000, 500, 8);
+  FakeStats stats(4000, 500);
   stats.Bucket("a", 1000).Bucket("b", 2).Bucket("c", 20);
   Conjunction conj{{Eq("a", 1), Eq("b", 2), Eq("c", 3)}};
   PlanNode plan = PlanConjunction(conj, stats);
@@ -116,7 +113,7 @@ TEST(PlannerTest, AdaptiveCutoffPrunesExpensiveTail) {
 }
 
 TEST(PlannerTest, NoIndexedPredicateFallsBackToFullScan) {
-  FakeStats stats(320, 40, 8);
+  FakeStats stats(320, 40);
   Conjunction conj{{Eq("payload", 7),
                     Predicate{"key", RelOp::kNe, Value::Integer(1)}}};
   PlanNode plan = PlanConjunction(conj, stats);
@@ -126,7 +123,7 @@ TEST(PlannerTest, NoIndexedPredicateFallsBackToFullScan) {
 }
 
 TEST(PlannerTest, ProvenEmptyConjunctionIsALoneZeroProbe) {
-  FakeStats stats(320, 40, 8);
+  FakeStats stats(320, 40);
   stats.Bucket("a", 50).Bucket("key", 0);
   Conjunction conj{{Eq("a", 1), Eq("key", 999)}};
   PlanNode plan = PlanConjunction(conj, stats);
@@ -137,7 +134,7 @@ TEST(PlannerTest, ProvenEmptyConjunctionIsALoneZeroProbe) {
 }
 
 TEST(PlannerTest, RangePredicatePlansAsIndexRange) {
-  FakeStats stats(320, 40, 8);
+  FakeStats stats(320, 40);
   stats.Bucket("key", 12);
   Conjunction conj{
       {Predicate{"key", RelOp::kGe, Value::Integer(100)}}};
@@ -151,7 +148,7 @@ Predicate Bound(std::string attribute, RelOp op, int64_t value) {
 }
 
 TEST(PlannerTest, LowerAndUpperBoundsFoldIntoOneRangeNode) {
-  FakeStats stats(8192, 1024, 8);
+  FakeStats stats(8192, 1024);
   stats.Bucket("FILE", 8192).Bucket("wage", 40);
   struct Case {
     RelOp lower, upper;
@@ -178,7 +175,7 @@ TEST(PlannerTest, LowerAndUpperBoundsFoldIntoOneRangeNode) {
 }
 
 TEST(PlannerTest, TighterBoundWinsOnEachSide) {
-  FakeStats stats(320, 40, 8);
+  FakeStats stats(320, 40);
   stats.Bucket("key", 12);
   // At an equal value the exclusive bound is the tighter one.
   Conjunction conj{
@@ -192,7 +189,7 @@ TEST(PlannerTest, TighterBoundWinsOnEachSide) {
 }
 
 TEST(PlannerTest, BoundsOnDifferentAttributesDoNotFold) {
-  FakeStats stats(1000, 125, 8);
+  FakeStats stats(1000, 125);
   stats.Bucket("a", 30).Bucket("b", 10);
   Conjunction conj{{Bound("a", RelOp::kGe, 1), Bound("b", RelOp::kLt, 5)}};
   PlanNode plan = PlanConjunction(conj, stats);
@@ -203,7 +200,7 @@ TEST(PlannerTest, BoundsOnDifferentAttributesDoNotFold) {
 }
 
 TEST(PlannerTest, NotEqualAndNullBoundsDoNotFold) {
-  FakeStats stats(320, 40, 8);
+  FakeStats stats(320, 40);
   stats.Bucket("key", 12);
   Conjunction conj{{Bound("key", RelOp::kGe, 10), Bound("key", RelOp::kNe, 20),
                     Predicate{"key", RelOp::kLt, Value::Null()},
@@ -223,7 +220,7 @@ TEST(PlannerTest, NotEqualAndNullBoundsDoNotFold) {
 }
 
 TEST(PlannerTest, ContradictoryIntervalIsALoneZeroProbe) {
-  FakeStats stats(320, 40, 8);
+  FakeStats stats(320, 40);
   stats.Bucket("FILE", 320).Bucket("key", 12);
   Conjunction conj{{Eq("FILE", 0), Bound("key", RelOp::kGt, 50),
                     Bound("key", RelOp::kLt, 40)}};
@@ -237,7 +234,7 @@ TEST(PlannerTest, ContradictoryIntervalIsALoneZeroProbe) {
 
 TEST(PlannerTest, BlockBudgetIsCappedByAllocatedBlocks) {
   // 500 candidates can't need more blocks than the file has.
-  FakeStats stats(4000, 32, 128);
+  FakeStats stats(4000, 32);
   stats.Bucket("a", 500);
   Conjunction conj{{Eq("a", 1)}};
   PlanNode plan = PlanConjunction(conj, stats);
@@ -248,7 +245,7 @@ TEST(PlannerTest, BlockBudgetIsCappedByAllocatedBlocks) {
 TEST(PlannerTest, QueryPlanShapeGolden) {
   // The full DNF shape, byte-pinned: a UNION root labeled with the file,
   // one child per disjunct — here a lone index probe and a full scan.
-  FakeStats stats(64, 8, 8);
+  FakeStats stats(64, 8);
   stats.Bucket("FILE", 64).Bucket("key", 1);
   Query query({Conjunction{{Eq("FILE", 0), Eq("key", 42)}},
                Conjunction{{Eq("payload", 7)}}});
@@ -274,7 +271,7 @@ TEST(PlannerTest, KeyDisjunctsFoldIntoOneIndexKeysNode) {
   // Disjuncts that differ only in one equality on an indexed attribute
   // plan as one INDEX KEYS node, shown once with its distinct key count;
   // the FILE bucket fails the cutoff against the key set.
-  FakeStats stats(8192, 1024, 8);
+  FakeStats stats(8192, 1024);
   stats.Bucket("FILE", 8192).Bucket("key", 1);
   Query query = KeyDisjuncts(83);
   // A repeated key is looked up once.
@@ -293,7 +290,7 @@ TEST(PlannerTest, KeyDisjunctsFoldIntoOneIndexKeysNode) {
 TEST(PlannerTest, KeySetCompetesWithTheSharedProbes) {
   // Four 50-row key buckets against a 3-row shared bucket: the shared
   // probe drives, and the key set is checked per candidate.
-  FakeStats stats(4000, 500, 8);
+  FakeStats stats(4000, 500);
   stats.Bucket("owner", 50).Bucket("tag", 3);
   std::vector<Conjunction> disjuncts;
   for (int k = 0; k < 4; ++k) {
@@ -306,7 +303,7 @@ TEST(PlannerTest, KeySetCompetesWithTheSharedProbes) {
 }
 
 TEST(PlannerTest, AbsentKeySetIsALoneZeroProbe) {
-  FakeStats stats(320, 40, 8);
+  FakeStats stats(320, 40);
   stats.Bucket("FILE", 320).Bucket("key", 0);
   PlanNode plan = PlanQuery(KeyDisjuncts(3), stats, "item");
   ASSERT_EQ(plan.children.size(), 1u);
@@ -316,7 +313,7 @@ TEST(PlannerTest, AbsentKeySetIsALoneZeroProbe) {
 }
 
 TEST(PlannerTest, ShapesOtherThanOneKeyEqualityKeepTheUnion) {
-  FakeStats stats(8192, 1024, 8);
+  FakeStats stats(8192, 1024);
   stats.Bucket("FILE", 8192).Bucket("key", 1).Bucket("owner", 4);
   const Predicate file = Eq("FILE", 0);
   struct Case {

@@ -92,6 +92,28 @@ TEST(SnapshotTest, PreservesValueKindsAndNulls) {
   EXPECT_EQ(desc->FindAttribute("s")->max_length, 12);
 }
 
+TEST(SnapshotTest, FloatsKeepEveryDigit) {
+  Engine engine;
+  abdm::FileDescriptor f;
+  f.name = "t";
+  f.attributes = {{"FILE", abdm::ValueKind::kString, 0, true},
+                  {"x", abdm::ValueKind::kFloat, 0, true}};
+  ASSERT_TRUE(engine.DefineFile(f).ok());
+  auto insert = abdl::ParseRequest("INSERT (<FILE, t>, <x, 1234567.25>)");
+  ASSERT_TRUE(insert.ok());
+  ASSERT_TRUE(engine.Execute(*insert).ok());
+
+  std::stringstream stream;
+  ASSERT_TRUE(SaveSnapshot(engine, stream).ok());
+  Engine restored;
+  ASSERT_TRUE(LoadSnapshot(stream, &restored).ok());
+  auto all = abdl::ParseRequest("RETRIEVE ((FILE = t)) (all attributes)");
+  auto rows = restored.Execute(*all);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->records.size(), 1u);
+  EXPECT_EQ(rows->records[0].GetOrNull("x").AsFloat(), 1234567.25);
+}
+
 TEST(SnapshotTest, RejectsBadHeader) {
   std::stringstream stream("NOT A SNAPSHOT\n");
   Engine engine;

@@ -29,6 +29,31 @@ TEST(ValueTest, FloatRoundTrip) {
   EXPECT_DOUBLE_EQ(v.AsFloat(), 2.5);
 }
 
+TEST(ValueTest, FloatTextParsesBackToTheSameDouble) {
+  // Snapshots, WAL entries and shipped MBDS requests parse printed values
+  // back, so no float may lose digits through ToString.
+  const double values[] = {1234567.25,
+                           0.1,
+                           1.0 / 3.0,
+                           9007199254740994.0,  // 2^53 + 2
+                           1e-300,
+                           std::numeric_limits<double>::denorm_min() * 3,
+                           -0.0};
+  for (double x : values) {
+    const Value v = Value::Float(x);
+    const Value parsed = Value::Parse(v.ToString());
+    ASSERT_TRUE(parsed.is_numeric()) << v.ToString();
+    EXPECT_EQ(parsed, v) << v.ToString();
+    EXPECT_EQ(parsed.AsFloat(), x) << v.ToString();
+  }
+  // Values that six significant digits print exactly keep `%g`'s bytes.
+  EXPECT_EQ(Value::Float(2.5).ToString(), "2.5");
+  EXPECT_EQ(Value::Float(0.1).ToString(), "0.1");
+  EXPECT_EQ(Value::Float(1e-300).ToString(), "1e-300");
+  EXPECT_EQ(Value::Float(-0.0).ToString(), "-0");
+  EXPECT_EQ(Value::Float(1234567.25).ToString(), "1234567.25");
+}
+
 TEST(ValueTest, StringRoundTrip) {
   Value v = Value::String("Advanced Database");
   EXPECT_TRUE(v.is_string());

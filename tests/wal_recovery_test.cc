@@ -335,6 +335,28 @@ TEST_F(WalRecoveryTest, QuotedStringsSurviveTheLogRoundTrip) {
   EXPECT_EQ(SnapshotOf(recovered), SnapshotOf(engine));
 }
 
+TEST_F(WalRecoveryTest, FloatsKeepEveryDigitThroughReplay) {
+  FileDescriptor f;
+  f.name = "reading";
+  f.attributes = {{"FILE", ValueKind::kString, 0, true},
+                  {"x", ValueKind::kFloat, 0, true}};
+  WalWriter wal;
+  Engine engine;
+  engine.AttachWal(&wal);
+  ASSERT_TRUE(engine.DefineFile(f).ok());
+  ASSERT_TRUE(
+      engine.Execute(MustParse("INSERT (<FILE, reading>, <x, 1234567.25>)"))
+          .ok());
+  Engine recovered;
+  std::istringstream no_checkpoint("");
+  ASSERT_TRUE(RecoverEngine(no_checkpoint, wal.contents(), &recovered).ok());
+  auto resp = recovered.Execute(
+      MustParse("RETRIEVE ((FILE = reading)) (all attributes)"));
+  ASSERT_TRUE(resp.ok());
+  ASSERT_EQ(resp->records.size(), 1u);
+  EXPECT_EQ(resp->records[0].GetOrNull("x").AsFloat(), 1234567.25);
+}
+
 // ---------------------------------------------------------------------
 // Group commit: concurrent appends coalesce into shared flushes, and a
 // crash at any boundary of the coalesced log still recovers a byte-

@@ -179,10 +179,13 @@ run_bulk_smoke() {
 }
 
 # Restart-persistence smoke against a given build tree: a server with a
-# --data-dir takes one write per language interface over the wire, shuts
-# down cleanly (remote SHUTDOWN → drain → engine flush + clean marker),
-# and a second server over the same dir must serve all four rows back —
-# no snapshot call anywhere, the page files alone carry the database.
+# --data-dir takes one write per language interface over the wire, plus
+# 400 more `staff` rows, shuts down cleanly (remote SHUTDOWN → drain →
+# engine flush + clean marker), and a second server over the same dir
+# must serve every row back — no snapshot call anywhere, the page files
+# alone carry the database. The server fills pages by bytes, so
+# staff.mpf must hold at most 8 data pages (the 16-record block needs
+# 26).
 run_persistence_smoke() {
   local build_dir="$1" log="$2"
   local data_dir="${build_dir}/persist-smoke-data"
@@ -204,18 +207,23 @@ run_persistence_smoke() {
   }
 
   start_persistence_server "${log}.first"
-  printf '%s\n' \
-    ".use sql payroll" \
-    "INSERT INTO staff (name, wage) VALUES ('persist_sql', 55)" \
-    ".use daplex university" \
-    "CREATE department (dname = 'Persistence')" \
-    ".use codasyl university" \
-    "MOVE 'Hopper Hall' TO dname IN department" \
-    "STORE department" \
-    ".use dli clinic" \
-    "ISRT patient (pname = 'persist_p')" \
-    ".shutdown" \
-    | "${build_dir}/tools/mlds_shell" 127.0.0.1 "${PERSIST_PORT}" --strict \
+  {
+    printf '%s\n' \
+      ".use sql payroll" \
+      "INSERT INTO staff (name, wage) VALUES ('persist_sql', 55)" \
+      ".use daplex university" \
+      "CREATE department (dname = 'Persistence')" \
+      ".use codasyl university" \
+      "MOVE 'Hopper Hall' TO dname IN department" \
+      "STORE department" \
+      ".use dli clinic" \
+      "ISRT patient (pname = 'persist_p')" \
+      ".use sql payroll"
+    for i in $(seq 1 400); do
+      echo "INSERT INTO staff (name, wage) VALUES ('pr_${i}', ${i})"
+    done
+    echo ".shutdown"
+  } | "${build_dir}/tools/mlds_shell" 127.0.0.1 "${PERSIST_PORT}" --strict \
     > "${log}.first.shell"
   wait "${PERSIST_PID}"
   trap - EXIT
@@ -226,6 +234,7 @@ run_persistence_smoke() {
   printf '%s\n' \
     ".use sql payroll" \
     "SELECT name FROM staff WHERE name = 'persist_sql'" \
+    "SELECT COUNT(name) FROM staff" \
     ".use daplex university" \
     "FOR EACH department SUCH THAT dname = 'Persistence' PRINT dname" \
     ".use codasyl university" \
@@ -244,6 +253,20 @@ run_persistence_smoke() {
     grep -q "${row}" "${log}.second.shell" \
       || { echo "row '${row}' did not survive the restart"; exit 1; }
   done
+  # 3 demo rows, persist_sql and the 400 added rows.
+  grep -A2 '^COUNT(name)' "${log}.second.shell" | grep -Eq '^404 *$' \
+    || { echo "SELECT COUNT(name) did not return all 404 staff rows"; exit 1; }
+  python3 - "${data_dir}" <<'PY' \
+    || { echo "staff.mpf holds more than 8 data pages"; exit 1; }
+import pathlib, struct, sys
+# Header page, then one frame (page + 16-byte trailer) per data page.
+mpf = next(pathlib.Path(sys.argv[1]).rglob('staff.mpf'))
+data = mpf.read_bytes()
+page_bytes = struct.unpack_from('<I', data, len(b'MLDSPAGE 2\n'))[0]
+pages = (len(data) - page_bytes) // (page_bytes + 16)
+print(f"staff.mpf holds {pages} data page(s)")
+sys.exit(0 if pages <= 8 else 1)
+PY
   echo "restart persistence smoke passed (port ${PERSIST_PORT})"
 }
 
@@ -279,6 +302,7 @@ run_integrity_smoke() {
   printf '%s\n' \
     ".use sql payroll" \
     "INSERT INTO staff (name, wage) VALUES ('integrity_sql', 77)" \
+    "INSERT INTO staff (name, wage) VALUES ('integrity_f', 1234567.25)" \
     ".use daplex university" \
     "CREATE department (dname = 'IntegrityDept')" \
     ".use codasyl university" \
@@ -316,6 +340,7 @@ PY
   printf '%s\n' \
     ".use sql payroll" \
     "SELECT name FROM staff WHERE name = 'integrity_sql'" \
+    "SELECT name, wage FROM staff WHERE name = 'integrity_f'" \
     ".use daplex university" \
     "FOR EACH department SUCH THAT dname = 'IntegrityDept' PRINT dname" \
     ".use codasyl university" \
@@ -335,6 +360,9 @@ PY
     grep -q "${row}" "${log}.second.shell" \
       || { echo "row '${row}' did not survive corruption recovery"; exit 1; }
   done
+  # A float keeps every digit through the checkpoint rebuild.
+  grep -q "1234567.25" "${log}.second.shell" \
+    || { echo "integrity_f's wage lost digits in the rebuild"; exit 1; }
   grep -q "integrity OK" "${log}.second.shell" \
     || { echo ".verify did not scrub clean after the rebuild"; exit 1; }
   grep -Eq 'integrity\.files_rebuilt [1-9]' "${log}.second.shell" \

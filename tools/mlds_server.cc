@@ -24,6 +24,15 @@
 // (demo seeding is skipped when persisted data is found). --pool-pages
 // sizes the shared buffer pool in frames (0 = write-through).
 //
+// The server's engines (the single engine and each --backends engine)
+// fill every page by bytes: their record cap per page is
+// kds::kPageLimitedCapacity, not the engine default of 16 records that
+// models the thesis's block. A 93-byte payroll `staff` record then packs
+// about 80 to an 8 KiB page instead of 16. A page file restored from
+// --data-dir keeps the cap it was written with (its `CAP` line); new
+// files, and files rebuilt by crash or corruption recovery, fill by
+// bytes.
+//
 // --source FILE replays a bulk-load script over a loopback client
 // session right after the demo databases come up, so the server starts
 // serving pre-seeded data. Script lines are statements in the language
@@ -130,6 +139,7 @@ int main(int argc, char** argv) {
 
   mlds::MldsSystem::Options system_options;
   system_options.backends = backends;
+  system_options.engine.block_capacity = mlds::kds::kPageLimitedCapacity;
   system_options.engine.data_dir = data_dir;
   system_options.engine.pool_pages = pool_pages;
   mlds::MldsSystem system(system_options);
