@@ -2,6 +2,7 @@
 
 #include "abdl/prepared.h"
 
+#include <charconv>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,7 +72,8 @@ std::vector<Conjunction> ToDnf(const BoolExpr& e) {
 
 class Parser {
  public:
-  explicit Parser(TokenCursor in) : in_(std::move(in)) {}
+  explicit Parser(TokenCursor in, const KindOf* kind_of = nullptr)
+      : in_(std::move(in)), kind_of_(kind_of) {}
 
   Result<Request> ParseOneRequest() {
     MLDS_ASSIGN_OR_RETURN(Request req, ParseRequestBody());
@@ -148,8 +150,21 @@ class Parser {
     return req;
   }
 
-  Result<Value> ParseLiteral() {
+  /// A literal; one written for `attribute` of file_ parses by the
+  /// attribute's stored kind when kind_of_ knows it.
+  Result<Value> ParseLiteral(std::string_view attribute = {}) {
     const abdm::Token& t = in_.Peek();
+    if (t.kind == TokenKind::kNumber && !t.value.is_float() &&
+        kind_of_ != nullptr && !file_.empty() && !attribute.empty() &&
+        (*kind_of_)(file_, attribute) == abdm::ValueKind::kFloat) {
+      double number = 0.0;
+      auto [ptr, ec] = std::from_chars(t.text.data(),
+                                       t.text.data() + t.text.size(), number);
+      if (ec == std::errc() && ptr == t.text.data() + t.text.size()) {
+        in_.Advance();
+        return Value::Float(number);
+      }
+    }
     if (t.IsLiteral()) return in_.Advance().value;
     if (t.kind == TokenKind::kWord) {
       in_.Advance();
@@ -168,6 +183,7 @@ class Parser {
   Result<abdm::Record> ParseInsertGroup(std::vector<std::string>* params) {
     MLDS_RETURN_IF_ERROR(in_.Expect("(", "after INSERT"));
     abdm::Record record;
+    file_.clear();
     do {
       MLDS_RETURN_IF_ERROR(in_.Expect("<", "opening keyword"));
       MLDS_ASSIGN_OR_RETURN(std::string attr,
@@ -182,7 +198,8 @@ class Parser {
         in_.Advance();
         params->push_back(attr);
       } else {
-        MLDS_ASSIGN_OR_RETURN(Value v, ParseLiteral());
+        MLDS_ASSIGN_OR_RETURN(Value v, ParseLiteral(attr));
+        if (attr == abdm::kFileAttribute && v.is_string()) file_ = v.AsString();
         record.Set(attr, std::move(v));
       }
       MLDS_RETURN_IF_ERROR(in_.Expect(">", "closing keyword"));
@@ -227,7 +244,8 @@ class Parser {
     } else {
       mod.kind = ModifierKind::kSet;
     }
-    MLDS_ASSIGN_OR_RETURN(mod.operand, ParseLiteral());
+    file_ = q.SingleFile();
+    MLDS_ASSIGN_OR_RETURN(mod.operand, ParseLiteral(mod.attribute));
     MLDS_RETURN_IF_ERROR(in_.Expect(")", "closing modifier"));
     return Request(UpdateRequest{std::move(q), std::move(mod)});
   }
@@ -354,17 +372,26 @@ class Parser {
   }
 
   TokenCursor in_;
+  const KindOf* kind_of_;
+  /// The file the literal being parsed is stored in, when known.
+  std::string file_;
 };
 
-Result<Parser> MakeParser(std::string_view text) {
+Result<Parser> MakeParser(std::string_view text,
+                          const KindOf* kind_of = nullptr) {
   MLDS_ASSIGN_OR_RETURN(TokenCursor in, TokenCursor::Open(text, kAbdl));
-  return Parser(std::move(in));
+  return Parser(std::move(in), kind_of);
 }
 
 }  // namespace
 
 Result<Request> ParseRequest(std::string_view text) {
   MLDS_ASSIGN_OR_RETURN(Parser parser, MakeParser(text));
+  return parser.ParseOneRequest();
+}
+
+Result<Request> ParseRequest(std::string_view text, const KindOf& kind_of) {
+  MLDS_ASSIGN_OR_RETURN(Parser parser, MakeParser(text, &kind_of));
   return parser.ParseOneRequest();
 }
 

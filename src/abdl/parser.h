@@ -1,6 +1,8 @@
 #ifndef MLDS_ABDL_PARSER_H_
 #define MLDS_ABDL_PARSER_H_
 
+#include <functional>
+#include <optional>
 #include <string_view>
 
 #include "abdl/request.h"
@@ -19,6 +21,18 @@ namespace mlds::abdl {
 /// Query expressions may nest AND/OR arbitrarily; the parser normalizes
 /// them to disjunctive normal form (AND binds tighter than OR).
 Result<Request> ParseRequest(std::string_view text);
+
+/// The stored kind of attribute `attr` of kernel file `file`, when the
+/// reader knows the file's descriptor; nullopt otherwise.
+using KindOf = std::function<std::optional<abdm::ValueKind>(
+    std::string_view file, std::string_view attr)>;
+
+/// ParseRequest with kind-directed numbers: a number written for a FLOAT
+/// attribute (an INSERT keyword, or the modifier of an UPDATE whose query
+/// names its file) parses as FLOAT even when it reads like an integer
+/// ("87", "-0"). The WAL and snapshot readers parse with it, so a value
+/// read back from its text keeps its kind.
+Result<Request> ParseRequest(std::string_view text, const KindOf& kind_of);
 
 /// Parses a semicolon- or newline-separated sequence of requests into a
 /// transaction.

@@ -44,6 +44,32 @@ std::string TargetItem::ToString() const {
   return out;
 }
 
+const InsertGuard* GuardOf(const Request& request) {
+  return GuardOf(const_cast<Request&>(request));
+}
+
+InsertGuard* GuardOf(Request& request) {
+  if (auto* one = std::get_if<InsertRequest>(&request)) return &one->guard;
+  if (auto* batch = std::get_if<BatchInsertRequest>(&request)) {
+    return &batch->guard;
+  }
+  return nullptr;
+}
+
+std::span<const abdm::Record> InsertedRecords(const Request& request) {
+  return InsertedRecords(const_cast<Request&>(request));
+}
+
+std::span<abdm::Record> InsertedRecords(Request& request) {
+  if (auto* one = std::get_if<InsertRequest>(&request)) {
+    return {&one->record, 1};
+  }
+  if (auto* batch = std::get_if<BatchInsertRequest>(&request)) {
+    return batch->records;
+  }
+  return {};
+}
+
 std::string_view RequestOperation(const Request& request) {
   struct Visitor {
     std::string_view operator()(const InsertRequest&) { return "INSERT"; }

@@ -2,6 +2,7 @@
 #define MLDS_ABDL_REQUEST_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -11,10 +12,41 @@
 
 namespace mlds::abdl {
 
+/// How a uniqueness guard treats a null among a record's guarded
+/// attributes.
+enum class NullRule {
+  /// SQL UNIQUE: a record with any null there is not checked.
+  kSkipRecord,
+  /// CODASYL DUPLICATES ARE NOT ALLOWED: the null attributes drop out of
+  /// the combination, and a record with none left is not checked.
+  kDropAttribute,
+};
+
+/// What an INSERT leaves to the kernel. The kernel does it under the
+/// target file's exclusive lock, before anything is logged or written, so
+/// no other request falls between the check and the write. The textual
+/// form carries no guard: the log holds records as the guard left them.
+struct InsertGuard {
+  /// Non-empty: each record whose `key_attribute` is absent or NULL gets
+  /// the next database key of its file (abdm::MakeDbKey) there, from a
+  /// per-file counter (kds::KeyCounter); the response lists the keys.
+  std::string key_attribute;
+  /// Attributes unique in combination: a record matching a live record of
+  /// its file, or an earlier record of the request, on every one of them
+  /// (after `nulls`) fails the whole request with ConstraintViolation.
+  std::vector<std::string> unique;
+  NullRule nulls = NullRule::kSkipRecord;
+
+  bool empty() const { return key_attribute.empty() && unique.empty(); }
+
+  friend bool operator==(const InsertGuard&, const InsertGuard&) = default;
+};
+
 /// INSERT places a new record into the database, qualified by a list of
 /// keywords (Ch. II.C.2). The record's FILE keyword names the target file.
 struct InsertRequest {
   abdm::Record record;
+  InsertGuard guard;
 
   friend bool operator==(const InsertRequest&, const InsertRequest&) = default;
 };
@@ -30,6 +62,7 @@ struct InsertRequest {
 /// A single record group parses as a plain InsertRequest.
 struct BatchInsertRequest {
   std::vector<abdm::Record> records;
+  InsertGuard guard;
 
   friend bool operator==(const BatchInsertRequest&,
                          const BatchInsertRequest&) = default;
@@ -153,6 +186,14 @@ using Request =
 
 /// A transaction groups two or more sequentially executed requests.
 using Transaction = std::vector<Request>;
+
+/// The guard of an INSERT or batch INSERT; nullptr for other requests.
+const InsertGuard* GuardOf(const Request& request);
+InsertGuard* GuardOf(Request& request);
+
+/// The records of an INSERT or batch INSERT; empty for other requests.
+std::span<const abdm::Record> InsertedRecords(const Request& request);
+std::span<abdm::Record> InsertedRecords(Request& request);
 
 /// Returns the operation keyword of `request` ("INSERT", "RETRIEVE", ...).
 std::string_view RequestOperation(const Request& request);

@@ -1,6 +1,7 @@
 #include "abdm/record.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 
@@ -297,6 +298,27 @@ std::optional<Record> RecordDecoder::Decode(std::string_view bytes) {
 
 std::optional<Record> DeserializeRecord(std::string_view bytes) {
   return RecordDecoder().Decode(bytes);
+}
+
+std::string MakeDbKey(std::string_view file, uint64_t ordinal) {
+  return std::string(file) + "_" + std::to_string(ordinal);
+}
+
+std::optional<uint64_t> DbKeyOrdinal(std::string_view file, const Value& key) {
+  if (!key.is_string()) return std::nullopt;
+  std::string_view text = key.AsString();
+  if (text.size() <= file.size() + 1 || !text.starts_with(file) ||
+      text[file.size()] != '_') {
+    return std::nullopt;
+  }
+  text.remove_prefix(file.size() + 1);
+  uint64_t ordinal = 0;
+  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(),
+                                   ordinal);
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return ordinal;
 }
 
 }  // namespace mlds::abdm

@@ -2,6 +2,7 @@
 #define MLDS_ABDM_RECORD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -184,6 +185,13 @@ class LayoutTable {
 /// Convenience: the distinguished attribute naming the file a record
 /// belongs to. Every kernel record's first keyword is <FILE, name>.
 inline constexpr std::string_view kFileAttribute = "FILE";
+
+/// The artificial database key the front ends' records carry under the
+/// keyword named after their file: "<file>_<ordinal>" ("course_7").
+std::string MakeDbKey(std::string_view file, uint64_t ordinal);
+
+/// The ordinal of `key` when it is a database key of `file`, else nullopt.
+std::optional<uint64_t> DbKeyOrdinal(std::string_view file, const Value& key);
 
 /// Appends a compact binary encoding of `record` to `out`. The format is
 /// self-delimiting and preserves keyword order and the textual portion,

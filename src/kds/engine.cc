@@ -5,11 +5,13 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "kds/join.h"
+#include "kds/keys.h"
 #include "kds/planner.h"
 #include "kds/snapshot.h"
 #include "kds/wal.h"
@@ -87,6 +89,28 @@ bool IsWriteRequest(const abdl::Request& request) {
          std::holds_alternative<abdl::BatchInsertRequest>(request) ||
          std::holds_alternative<abdl::DeleteRequest>(request) ||
          std::holds_alternative<abdl::UpdateRequest>(request);
+}
+
+/// Appends the log text of `request` to `entry`, with `keys[i]` (from
+/// Engine::SettleInsert) filled into record i: the log holds each record
+/// as it is written, so replay needs no guard.
+void AppendLogged(const abdl::Request& request,
+                  const std::vector<std::string>& keys, std::string& entry) {
+  if (keys.empty()) return abdl::AppendToString(request, entry);
+  abdl::Request logged = request;
+  const std::string& attribute = abdl::GuardOf(logged)->key_attribute;
+  std::span<Record> records = abdl::InsertedRecords(logged);
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (!keys[i].empty()) records[i].Set(attribute, Value::String(keys[i]));
+  }
+  abdl::AppendToString(logged, entry);
+}
+
+/// The keys SettleInsert assigned, in record order, without the records
+/// that kept their own.
+std::vector<std::string> AssignedKeys(std::vector<std::string> keys) {
+  std::erase(keys, std::string());
+  return keys;
 }
 
 /// Computes one aggregate over the values of `attribute` across `records`.
@@ -590,6 +614,14 @@ size_t Engine::FileSize(std::string_view file) const {
   return it->second->size();
 }
 
+uint64_t Engine::NextKey(std::string_view file) const {
+  std::shared_lock<std::shared_mutex> map_lock(map_mutex_);
+  auto it = files_.find(file);
+  if (it == files_.end()) return 0;
+  std::shared_lock<std::shared_mutex> file_lock(it->second->mutex());
+  return it->second->keys().next();
+}
+
 uint64_t Engine::TotalBlocks() const {
   std::shared_lock<std::shared_mutex> map_lock(map_mutex_);
   uint64_t total = 0;
@@ -766,14 +798,17 @@ std::vector<FileStore*> Engine::TouchedStores(const abdl::Request& request) {
   return std::visit(Visitor{this}, request);
 }
 
-Result<Response> Engine::ExecuteLocked(const abdl::Request& request) {
+Result<Response> Engine::ExecuteLocked(const abdl::Request& request,
+                                       const std::vector<std::string>& keys) {
   struct Visitor {
     Engine* engine;
+    const std::vector<std::string>& keys;
     Result<Response> operator()(const abdl::InsertRequest& r) {
-      return engine->ExecuteInsert(r);
+      return engine->ExecuteInsert({&r.record, 1}, r.guard.key_attribute,
+                                   keys);
     }
     Result<Response> operator()(const abdl::BatchInsertRequest& r) {
-      return engine->ExecuteBatchInsert(r);
+      return engine->ExecuteInsert(r.records, r.guard.key_attribute, keys);
     }
     Result<Response> operator()(const abdl::DeleteRequest& r) {
       return engine->ExecuteDelete(r);
@@ -788,7 +823,7 @@ Result<Response> Engine::ExecuteLocked(const abdl::Request& request) {
       return engine->ExecuteRetrieveCommon(r);
     }
   };
-  return std::visit(Visitor{this}, request);
+  return std::visit(Visitor{this, keys}, request);
 }
 
 void Engine::InjectLatency(const IoStats& io) const {
@@ -809,20 +844,28 @@ Result<Response> Engine::Execute(const abdl::Request& request) {
   for (FileStore* store : TouchedStores(request)) {
     locks.emplace_back(&store->mutex(), exclusive);
   }
+  // An INSERT's guard and keys settle under the same locks, before the
+  // log sees the request.
+  std::vector<std::string> keys;
+  IoStats guard_io;
+  MLDS_RETURN_IF_ERROR(SettleInsert(request, &keys, &guard_io));
   // Write-ahead: the mutation is durable before it is applied. Logging
   // under the file locks keeps the log's per-file order equal to the
   // apply order, which replay depends on.
   if (exclusive) {
     if (WalWriter* wal = wal_.load(std::memory_order_acquire)) {
       // Render in place: a batch entry can run to megabytes, so no
-      // temporary copy between the renderer and the log.
+      // temporary copy between the renderer and the log (but the one
+      // that carries kernel-picked keys).
       std::string entry = "REQUEST ";
-      abdl::AppendToString(request, entry);
+      AppendLogged(request, keys, entry);
       MLDS_RETURN_IF_ERROR(wal->Append(entry));
     }
   }
-  auto result = ExecuteLocked(request);
+  auto result = ExecuteLocked(request, keys);
   if (result.ok()) {
+    result->io += guard_io;
+    result->keys = AssignedKeys(std::move(keys));
     cumulative_io_.Add(result->io);
     InjectLatency(result->io);
   }
@@ -885,16 +928,25 @@ Result<std::vector<Response>> Engine::ExecuteTransaction(
   std::vector<Response> responses;
   responses.reserve(txn.size());
   for (const auto& request : txn) {
+    std::vector<std::string> keys;
+    IoStats guard_io;
+    if (Status settled = SettleInsert(request, &keys, &guard_io);
+        !settled.ok()) {
+      MLDS_RETURN_IF_ERROR(commit());
+      return settled;
+    }
     if (log_txn && IsWriteRequest(request)) {
       std::string entry = "TREQUEST " + std::to_string(txn_id) + " ";
-      abdl::AppendToString(request, entry);
+      AppendLogged(request, keys, entry);
       frames.push_back(std::move(entry));
     }
-    auto result = ExecuteLocked(request);
+    auto result = ExecuteLocked(request, keys);
     if (!result.ok()) {
       MLDS_RETURN_IF_ERROR(commit());
       return result.status();
     }
+    result->io += guard_io;
+    result->keys = AssignedKeys(std::move(keys));
     cumulative_io_.Add(result->io);
     InjectLatency(result->io);
     responses.push_back(std::move(*result));
@@ -903,32 +955,64 @@ Result<std::vector<Response>> Engine::ExecuteTransaction(
   return responses;
 }
 
-Result<Response> Engine::ExecuteInsert(const abdl::InsertRequest& req) {
-  Value file_value = req.record.GetOrNull(abdm::kFileAttribute);
-  if (!file_value.is_string()) {
-    return Status::InvalidArgument(
-        "INSERT record must carry a <FILE, name> keyword");
+Status Engine::SettleInsert(const abdl::Request& request,
+                            std::vector<std::string>* keys, IoStats* io) {
+  const abdl::InsertGuard* guard = abdl::GuardOf(request);
+  if (guard == nullptr || guard->empty()) return Status::OK();
+  const std::span<const Record> records = abdl::InsertedRecords(request);
+  // A record naming no defined file is left for the insert to reject.
+  auto store_of = [this](const Record& record) -> FileStore* {
+    const Value* file = record.Find(abdm::kFileAttribute);
+    return file != nullptr && file->is_string() ? FindFile(file->AsString())
+                                                : nullptr;
+  };
+  if (!guard->unique.empty()) {
+    RepeatCheck earlier;
+    for (const Record& record : records) {
+      FileStore* store = store_of(record);
+      if (store == nullptr) continue;
+      const Combination combination =
+          GuardCombination(*guard, store->name(), record);
+      if (!combination.checked()) continue;
+      bool taken = earlier.Repeats(combination);
+      if (!taken) {
+        MLDS_ASSIGN_OR_RETURN(taken,
+                              store->Holds(guard->unique, combination, io));
+      }
+      if (taken) return UniqueViolation(store->name(), *guard);
+    }
   }
-  FileStore* store = FindFile(file_value.AsString());
-  if (store == nullptr) {
-    return Status::NotFound("kernel file '" + file_value.AsString() +
-                            "' not defined");
+  if (!guard->key_attribute.empty()) {
+    // Each file's counter runs ahead over the request's records as the
+    // inserts will advance it.
+    std::map<FileStore*, KeyCounter> counters;
+    keys->reserve(records.size());
+    for (const Record& record : records) {
+      FileStore* store = store_of(record);
+      if (store == nullptr) {
+        keys->emplace_back();
+        continue;
+      }
+      KeyCounter& counter =
+          counters.try_emplace(store, store->keys()).first->second;
+      keys->push_back(
+          counter.Next(store->name(), guard->key_attribute, record));
+    }
   }
-  Response resp;
-  MLDS_RETURN_IF_ERROR(store->Insert(req.record, &resp.io).status());
-  resp.affected = 1;
-  return resp;
+  return Status::OK();
 }
 
-Result<Response> Engine::ExecuteBatchInsert(const abdl::BatchInsertRequest& req) {
-  if (req.records.empty()) {
+Result<Response> Engine::ExecuteInsert(std::span<const Record> records,
+                                       const std::string& key_attribute,
+                                       const std::vector<std::string>& keys) {
+  if (records.empty()) {
     return Status::InvalidArgument("batch INSERT carries no records");
   }
-  // Validate every record before placing any: the batch logged as one
-  // WAL entry replays all-or-nothing, so it must also apply that way.
+  // Validate every record before placing any: a batch logged as one WAL
+  // entry replays all-or-nothing, so it must also apply that way.
   std::vector<FileStore*> stores;
-  stores.reserve(req.records.size());
-  for (const Record& record : req.records) {
+  stores.reserve(records.size());
+  for (const Record& record : records) {
     Value file_value = record.GetOrNull(abdm::kFileAttribute);
     if (!file_value.is_string()) {
       return Status::InvalidArgument(
@@ -942,10 +1026,14 @@ Result<Response> Engine::ExecuteBatchInsert(const abdl::BatchInsertRequest& req)
     stores.push_back(store);
   }
   Response resp;
-  for (size_t i = 0; i < req.records.size(); ++i) {
-    MLDS_RETURN_IF_ERROR(stores[i]->Insert(req.records[i], &resp.io).status());
+  for (size_t i = 0; i < records.size(); ++i) {
+    Record record = records[i];
+    if (i < keys.size() && !keys[i].empty()) {
+      record.Set(key_attribute, Value::String(keys[i]));
+    }
+    MLDS_RETURN_IF_ERROR(stores[i]->Insert(std::move(record), &resp.io).status());
   }
-  resp.affected = req.records.size();
+  resp.affected = records.size();
   return resp;
 }
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,9 @@ struct Response {
   /// Degraded-mode warnings (empty for a healthy kernel): one entry per
   /// backend whose share of this result is missing or delayed.
   std::vector<PartialResultWarning> warnings;
+  /// The database keys the kernel assigned to an INSERT's records
+  /// (abdl::InsertGuard::key_attribute), in record order.
+  std::vector<std::string> keys;
 };
 
 /// Every counter the kernel keeps, in one snapshot: buffer-pool traffic,
@@ -294,6 +298,9 @@ class Engine {
   /// Live record count in `file` (0 if absent).
   size_t FileSize(std::string_view file) const;
 
+  /// The ordinal `file`'s next kernel-assigned key takes (0 if absent).
+  uint64_t NextKey(std::string_view file) const;
+
   /// Total blocks allocated across all files (the "database size" the
   /// MBDS capacity experiments sweep).
   uint64_t TotalBlocks() const;
@@ -357,16 +364,33 @@ class Engine {
   /// DefineFile body; caller holds the map lock exclusively.
   Status DefineFileLocked(const abdm::FileDescriptor& descriptor);
 
-  Result<Response> ExecuteInsert(const abdl::InsertRequest& req);
-  Result<Response> ExecuteBatchInsert(const abdl::BatchInsertRequest& req);
+  /// Settles what an INSERT leaves to the kernel (abdl::InsertGuard):
+  /// checks the unique guard against the directory and the request's
+  /// earlier records, then picks each keyless record's key from its
+  /// file's counter. Nothing is written, and on a violation no key is
+  /// taken. `keys` gets one entry per record when the guard names a key
+  /// keyword (empty where the record keeps its own key), and `io` the
+  /// directory probes. A no-op for other requests. The caller holds the
+  /// map lock and the target files' exclusive locks.
+  Status SettleInsert(const abdl::Request& request,
+                      std::vector<std::string>* keys, IoStats* io);
+
+  /// INSERT or batch INSERT of `records`, record i taking `keys[i]` under
+  /// `key_attribute` when it is non-empty. Every record is validated
+  /// before any is placed.
+  Result<Response> ExecuteInsert(std::span<const abdm::Record> records,
+                                 const std::string& key_attribute,
+                                 const std::vector<std::string>& keys);
   Result<Response> ExecuteDelete(const abdl::DeleteRequest& req);
   Result<Response> ExecuteUpdate(const abdl::UpdateRequest& req);
   Result<Response> ExecuteRetrieve(const abdl::RetrieveRequest& req);
   Result<Response> ExecuteRetrieveCommon(const abdl::RetrieveCommonRequest& req);
 
-  /// Dispatches to the ExecuteX handler. The caller must hold the map
-  /// lock shared and the touched files' locks in the request's mode.
-  Result<Response> ExecuteLocked(const abdl::Request& request);
+  /// Dispatches to the ExecuteX handler, an INSERT's records taking the
+  /// `keys` SettleInsert picked. The caller must hold the map lock shared
+  /// and the touched files' locks in the request's mode.
+  Result<Response> ExecuteLocked(const abdl::Request& request,
+                                 const std::vector<std::string>& keys);
 
   /// Files a query applies to: the single FILE-qualified store, or all.
   /// Caller holds the map lock. Returned in map (file-name) order.

@@ -304,10 +304,57 @@ Result<RecordId> FileStore::Insert(abdm::Record record, IoStats* io) {
   MLDS_ASSIGN_OR_RETURN(const Addr addr, AppendPayload(id, payload, io));
   IndexInsert(id, record);
   layouts_.Intern(record);
+  keys_.Note(name(), record);
   dir_.push_back(addr);
   ++live_count_;
   if (io != nullptr) io->index_probes += 1;
   return id;
+}
+
+Result<bool> FileStore::Holds(const std::vector<std::string>& attributes,
+                              const Combination& combination,
+                              IoStats* io) const {
+  // One directory bucket per value; the smallest drives, and each of its
+  // ids must sit in every other bucket. Bucket order is value order, so a
+  // bucket holds exactly the records its equality matches.
+  std::vector<const Postings*> buckets;
+  buckets.reserve(attributes.size());
+  for (size_t i = 0; i < attributes.size(); ++i) {
+    const abdm::Value* value = combination.values[i];
+    if (value == nullptr) continue;
+    auto attr_it = index_.find(attributes[i]);
+    if (attr_it == index_.end()) {
+      if (IsIndexedAttribute(attributes[i])) return false;  // no keyword yet
+      // An unindexed attribute: the planner's path decides.
+      std::vector<abdm::Predicate> preds = {abdm::FilePred(name())};
+      for (size_t k = 0; k < attributes.size(); ++k) {
+        if (combination.values[k] == nullptr) continue;
+        preds.push_back(abdm::Predicate{attributes[k], abdm::RelOp::kEq,
+                                        *combination.values[k]});
+      }
+      MLDS_ASSIGN_OR_RETURN(std::vector<RecordId> ids,
+                            Select(abdm::Query::And(std::move(preds)), io));
+      return !ids.empty();
+    }
+    if (io != nullptr) io->index_probes += 1;
+    auto bucket = attr_it->second.find(*value);
+    if (bucket == attr_it->second.end() || bucket->second.empty()) {
+      return false;
+    }
+    buckets.push_back(&bucket->second);
+  }
+  if (buckets.empty()) return false;
+  std::sort(buckets.begin(), buckets.end(),
+            [](const Postings* a, const Postings* b) {
+              return a->size() < b->size();
+            });
+  for (RecordId id : buckets.front()->ids()) {
+    if (std::all_of(buckets.begin() + 1, buckets.end(),
+                    [id](const Postings* p) { return p->Contains(id); })) {
+      return true;
+    }
+  }
+  return false;
 }
 
 Result<abdm::Record> FileStore::DecodeEntry(const PageView::Entry& entry,
@@ -887,6 +934,7 @@ Status FileStore::LoadFromPages() {
   // RestoreStatistics installs the persisted histograms afterwards.
   loading_ = true;
   live_count_ = 0;
+  keys_ = KeyCounter();
   fill_frame_ = nullptr;
   fill_count_ = 0;
   pages_ = file_->page_count();
@@ -909,6 +957,7 @@ Status FileStore::LoadFromPages() {
       ++live_count_;
       IndexInsert(id, *rec);
       layouts_.Intern(*rec);
+      keys_.Note(name(), *rec);
     }
   }
   // A record an UPDATE moved to a later page reached its buckets after

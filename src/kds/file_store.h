@@ -19,6 +19,7 @@
 #include "common/result.h"
 #include "kds/buffer_pool.h"
 #include "kds/io_stats.h"
+#include "kds/keys.h"
 #include "kds/page.h"
 #include "kds/page_file.h"
 #include "kds/plan.h"
@@ -105,6 +106,17 @@ class FileStore : public abdm::DirectoryStats {
   /// page write (write-through pool) fails the insert; the partially
   /// appended pages become dead space until compaction.
   Result<RecordId> Insert(abdm::Record record, IoStats* io);
+
+  /// The file's database-key counter, rebuilt from the records at open
+  /// and advanced by every insert.
+  const KeyCounter& keys() const { return keys_; }
+
+  /// True when a live record holds every value of checked `combination`
+  /// under the parallel `attributes`: an INSERT guard's check. Over
+  /// indexed attributes it reads only the directory, costing the smallest
+  /// bucket; an unindexed attribute takes the planner's path.
+  Result<bool> Holds(const std::vector<std::string>& attributes,
+                     const Combination& combination, IoStats* io) const;
 
   /// Builds the physical plan for `query` against this store's directory
   /// statistics (estimates filled, actuals zero).
@@ -367,6 +379,7 @@ class FileStore : public abdm::DirectoryStats {
   /// id -> page location of the live record; nullopt = deleted.
   std::vector<std::optional<Addr>> dir_;
   size_t live_count_ = 0;
+  KeyCounter keys_;
   /// Pages allocated, including ones not yet written to the file by a
   /// cached pool.
   uint64_t pages_ = 0;

@@ -105,4 +105,13 @@ std::vector<RecordId> Postings::ids() const {
   return out;
 }
 
+bool Postings::Contains(RecordId id) const {
+  const auto it = std::lower_bound(
+      run_.begin(), run_.end(), id,
+      [](RecordId entry, RecordId v) { return (entry & ~kRemoved) < v; });
+  if (it != run_.end() && *it == id) return true;
+  return edits_ != nullptr && std::binary_search(edits_->pending.begin(),
+                                                 edits_->pending.end(), id);
+}
+
 }  // namespace mlds::kds

@@ -58,6 +58,9 @@ class Postings {
   /// The live ids, ascending.
   std::vector<RecordId> ids() const;
 
+  /// True when `id` is live in the bucket. The bucket is settled.
+  bool Contains(RecordId id) const;
+
  private:
   /// Set on a run entry whose id was removed. Record ids never reach it.
   static constexpr RecordId kRemoved = 1ull << 63;

@@ -17,6 +17,14 @@ constexpr char kHeader[] = "MLDS-SNAPSHOT 1";
 
 }  // namespace
 
+std::optional<abdm::ValueKind> AttributeKind(
+    const abdm::FileDescriptor* descriptor, std::string_view attr) {
+  const abdm::AttributeDescriptor* found =
+      descriptor == nullptr ? nullptr : descriptor->FindAttribute(attr);
+  if (found == nullptr) return std::nullopt;
+  return found->kind;
+}
+
 Status SaveSnapshot(const Engine& engine, std::ostream& out) {
   out << kHeader << "\n";
   for (const auto& name : engine.FileNames()) {
@@ -123,7 +131,14 @@ Status LoadSnapshotFiltered(
       indexes.emplace_back(std::string(Trim(body.substr(0, space))),
                            std::string(Trim(body.substr(space + 1))));
     } else if (text.starts_with("INSERT ")) {
-      auto request = abdl::ParseRequest(text);
+      // The data section follows every FILE definition.
+      auto request = abdl::ParseRequest(
+          text, [&files](std::string_view file, std::string_view attr) {
+            auto it = std::find_if(
+                files.begin(), files.end(),
+                [&](const abdm::FileDescriptor& f) { return f.name == file; });
+            return AttributeKind(it == files.end() ? nullptr : &*it, attr);
+          });
       if (!request.ok()) {
         return parse_error("bad INSERT: " + request.status().message());
       }

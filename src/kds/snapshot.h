@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -28,6 +29,12 @@ namespace mlds::kds {
 
 /// Writes every file and record of `engine` to `out`.
 Status SaveSnapshot(const Engine& engine, std::ostream& out);
+
+/// The stored kind of `attr` in `descriptor`, nullopt when either is
+/// unknown: how the snapshot and WAL readers parse a logged number
+/// (abdl::KindOf), so a FLOAT that prints like an integer stays FLOAT.
+std::optional<abdm::ValueKind> AttributeKind(
+    const abdm::FileDescriptor* descriptor, std::string_view attr);
 
 /// Recreates files and records from a snapshot into `engine`. Files that
 /// already exist are rejected (load into a fresh engine).

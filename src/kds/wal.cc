@@ -369,7 +369,10 @@ Status ApplyWalPayload(std::string_view payload, Engine* engine,
                        Status* outcome) {
   if (payload.starts_with("REQUEST ")) {
     const std::string_view text = payload.substr(8);
-    auto request = abdl::ParseRequest(text);
+    auto request = abdl::ParseRequest(
+        text, [engine](std::string_view file, std::string_view attr) {
+          return AttributeKind(engine->FindDescriptor(file), attr);
+        });
     if (!request.ok()) {
       // The checksum matched, so the entry is as written: an unparseable
       // request means the log was not produced by the ABDL printer.

@@ -77,12 +77,12 @@ DaplexMachine::DaplexMachine(const daplex::FunctionalSchema* functional,
       schema_(schema),
       mapping_(mapping),
       executor_(executor),
-      inserts_(executor,
-               [this](abdl::Request r) { return Issue(std::move(r)); }) {}
+      inserts_([this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<kds::Response> DaplexMachine::Issue(abdl::Request request) {
-  trace_.push_back(abdl::ToString(request));
-  return executor_->Execute(request);
+  Result<kds::Response> response = executor_->Execute(request);
+  trace_.Add(std::move(request));
+  return response;
 }
 
 std::vector<std::string> DaplexMachine::AncestorChain(
@@ -425,7 +425,7 @@ Result<bool> DaplexMachine::EntityExists(std::string_view file,
 
 Result<Record> DaplexMachine::BuildCreateRecord(
     const daplex::CreateStatement& statement,
-    const std::vector<abdm::Value>& row, const std::string& dbkey) {
+    const std::vector<abdm::Value>& row) {
   const std::string& type = statement.type;
   if (!functional_->IsEntityOrSubtype(type)) {
     return Status::NotFound("'" + type + "' is not an entity type or subtype");
@@ -435,7 +435,7 @@ Result<Record> DaplexMachine::BuildCreateRecord(
 
   Record record;
   record.Set(std::string(abdm::kFileAttribute), Value::String(type));
-  record.Set(KeyAttribute(type), Value::String(dbkey));
+  record.Set(KeyAttribute(type), Value::Null());
 
   std::set<std::string> assigned_supers;
   size_t next_param = 0;
@@ -539,18 +539,6 @@ Result<Record> DaplexMachine::BuildCreateRecord(
       record.Set(SetAttribute(set->name), Value::Null());
     }
   }
-
-  // Uniqueness constraints carried into the transformed schema.
-  const network::RecordType* rt = schema_->FindRecord(type);
-  if (rt != nullptr) {
-    MLDS_ASSIGN_OR_RETURN(
-        bool duplicate,
-        inserts_.UniqueTaken(type, NetworkUniqueCombo(*rt, record)));
-    if (duplicate) {
-      return Status::ConstraintViolation("CREATE " + type +
-                                         " violates a UNIQUE constraint");
-    }
-  }
   return record;
 }
 
@@ -584,6 +572,12 @@ Result<DaplexMachine::Outcome> DaplexMachine::CreateRows(
     const daplex::CreateStatement& statement,
     const std::vector<std::vector<Value>>& rows,
     const std::optional<abdl::BatchLimits>& limits) {
+  // Uniqueness constraints carried into the transformed schema.
+  const network::RecordType* rt = schema_->FindRecord(statement.type);
+  const InsertPath::Unique unique =
+      rt != nullptr ? NetworkUnique(*rt, "CREATE " + statement.type +
+                                             " violates a UNIQUE constraint")
+                    : InsertPath::Unique{};
   Outcome outcome;
   MLDS_ASSIGN_OR_RETURN(
       outcome.affected,
@@ -593,10 +587,11 @@ Result<DaplexMachine::Outcome> DaplexMachine::CreateRows(
                         statement.param_mask.end(),
                         [](uint8_t m) { return m != 0; }),
           rows, limits,
-          [&](const std::vector<Value>& row, const std::string& dbkey) {
-            return BuildCreateRecord(statement, row, dbkey);
+          [&](const std::vector<Value>& row) {
+            return BuildCreateRecord(statement, row);
           },
-          [&](const Record& last) {
+          unique,
+          [&](const std::vector<std::string>&, const Record& last) {
             if (!limits.has_value()) outcome.records = {last};
           }));
   outcome.info =
@@ -699,12 +694,10 @@ Result<size_t> DaplexMachine::DestroyHierarchy(const std::string& type,
     level = std::move(next);
   }
   std::reverse(txn.begin(), txn.end());
-  for (const abdl::Request& request : txn) {
-    trace_.push_back(abdl::ToString(request));
-  }
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        executor_->ExecuteTransaction(txn));
-  return resp.affected;
+  Result<kds::Response> resp = executor_->ExecuteTransaction(txn);
+  for (abdl::Request& request : txn) trace_.Add(std::move(request));
+  MLDS_RETURN_IF_ERROR(resp.status());
+  return resp->affected;
 }
 
 Result<DaplexMachine::Outcome> DaplexMachine::Update(
@@ -782,9 +775,10 @@ Result<DaplexMachine::Outcome> DaplexMachine::Update(
     txn.push_back(abdl::UpdateRequest{
         Query::KeySet(type, KeyAttribute(type), keys),
         abdl::Modifier{attr, abdl::ModifierKind::kSet, value}});
-    trace_.push_back(abdl::ToString(txn.back()));
   }
-  MLDS_RETURN_IF_ERROR(executor_->ExecuteTransaction(txn).status());
+  Status updated = executor_->ExecuteTransaction(txn).status();
+  for (abdl::Request& request : txn) trace_.Add(std::move(request));
+  MLDS_RETURN_IF_ERROR(updated);
   return outcome;
 }
 

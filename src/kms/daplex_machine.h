@@ -16,6 +16,7 @@
 #include "daplex/schema.h"
 #include "kc/executor.h"
 #include "kms/insert_path.h"
+#include "kms/request_trace.h"
 #include "kms/translation_cache.h"
 #include "network/schema.h"
 #include "transform/fun_to_net.h"
@@ -97,7 +98,7 @@ class DaplexMachine {
   void set_translation_cache(TranslationCache* cache) { cache_ = cache; }
 
   /// ABDL requests issued by the most recent query, in issue order.
-  const std::vector<std::string>& trace() const { return trace_; }
+  const std::vector<std::string>& trace() const { return trace_.Render(); }
 
  private:
   /// Parses any Daplex statement through the translation cache.
@@ -152,12 +153,12 @@ class DaplexMachine {
 
   /// The record-construction half of CREATE: validates every assignment
   /// (supertype keys, referential integrity, function class), enforces
-  /// the overlap table and uniqueness constraints, and fills the
-  /// member-side set keywords. `row` supplies the values bound to the
-  /// statement's `?` markers, in assignment order.
+  /// the overlap table, and fills the member-side set keywords; the
+  /// kernel assigns the key and checks uniqueness. `row` supplies the
+  /// values bound to the statement's `?` markers, in assignment order.
   Result<abdm::Record> BuildCreateRecord(
       const daplex::CreateStatement& statement,
-      const std::vector<abdm::Value>& row, const std::string& dbkey);
+      const std::vector<abdm::Value>& row);
 
   /// True when a record of `file` with key `dbkey` exists.
   Result<bool> EntityExists(std::string_view file, std::string_view dbkey);
@@ -186,7 +187,7 @@ class DaplexMachine {
   const transform::FunNetMapping* mapping_;
   kc::KernelExecutor* executor_;
   TranslationCache* cache_ = nullptr;
-  std::vector<std::string> trace_;
+  RequestTrace trace_;
   InsertPath inserts_;
 };
 

@@ -96,12 +96,12 @@ DliMachine::DliMachine(const hierarchical::Schema* schema,
                        kc::KernelExecutor* executor)
     : schema_(schema),
       executor_(executor),
-      inserts_(executor,
-               [this](abdl::Request r) { return Issue(std::move(r)); }) {}
+      inserts_([this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<kds::Response> DliMachine::Issue(abdl::Request request) {
-  trace_.push_back(abdl::ToString(request));
-  return executor_->Execute(request);
+  Result<kds::Response> response = executor_->Execute(request);
+  trace_.Add(std::move(request));
+  return response;
 }
 
 Result<DliMachine::Outcome> DliMachine::Execute(const DliCall& call) {
@@ -314,8 +314,7 @@ Result<DliMachine::Outcome> DliMachine::Gnp(const DliCall& call) {
 
 Result<Record> DliMachine::BuildIsrtRecord(const Segment& segment,
                                            const Ssa& ssa,
-                                           const std::vector<Value>& row,
-                                           const std::string& key) {
+                                           const std::vector<Value>& row) {
   Record record;
   record.Set(std::string(abdm::kFileAttribute), Value::String(segment.name));
   size_t next_param = 0;
@@ -347,7 +346,7 @@ Result<Record> DliMachine::BuildIsrtRecord(const Segment& segment,
     }
     record.Set(segment.parent, Value::String(parent_key));
   }
-  record.Set(KeyAttribute(segment.name), Value::String(key));
+  record.Set(KeyAttribute(segment.name), Value::Null());
   return record;
 }
 
@@ -377,10 +376,11 @@ Result<DliMachine::Outcome> DliMachine::Isrt(
           std::count_if(ssa.param_mask.begin(), ssa.param_mask.end(),
                         [](uint8_t m) { return m != 0; }),
           rows, limits,
-          [&](const std::vector<Value>& row, const std::string& key) {
-            return BuildIsrtRecord(*segment, ssa, row, key);
+          [&](const std::vector<Value>& row) {
+            return BuildIsrtRecord(*segment, ssa, row);
           },
-          [&](const Record& last) {
+          InsertPath::Unique{},
+          [&](const std::vector<std::string>&, const Record& last) {
             position_ = Position{
                 segment->name,
                 last.GetOrNull(KeyAttribute(segment->name)).AsString(), last};
@@ -474,12 +474,10 @@ Result<size_t> DliMachine::DeleteSubtree(const Segment& root,
     level = std::move(next);
   }
   std::reverse(txn.begin(), txn.end());
-  for (const abdl::Request& request : txn) {
-    trace_.push_back(abdl::ToString(request));
-  }
-  MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        executor_->ExecuteTransaction(txn));
-  return resp.affected;
+  Result<kds::Response> resp = executor_->ExecuteTransaction(txn);
+  for (abdl::Request& request : txn) trace_.Add(std::move(request));
+  MLDS_RETURN_IF_ERROR(resp.status());
+  return resp->affected;
 }
 
 Result<DliMachine::Outcome> DliMachine::Dlet() {

@@ -14,6 +14,7 @@
 #include "hierarchical/schema.h"
 #include "kc/executor.h"
 #include "kms/insert_path.h"
+#include "kms/request_trace.h"
 #include "kms/translation_cache.h"
 
 namespace mlds::kms {
@@ -108,7 +109,7 @@ class DliMachine {
   void set_translation_cache(TranslationCache* cache) { cache_ = cache; }
 
   /// ABDL requests issued by the most recent call.
-  const std::vector<std::string>& trace() const { return trace_; }
+  const std::vector<std::string>& trace() const { return trace_.Render(); }
 
  private:
   struct Position {
@@ -150,17 +151,16 @@ class DliMachine {
                                const std::string& key);
 
   /// The record-construction half of ISRT: validates the field list,
-  /// resolves the parent key, and stamps `key`. `row` supplies the values
-  /// bound to `?` markers in qualification order.
+  /// resolves the parent key, and leaves the key for the kernel. `row`
+  /// supplies the values bound to `?` markers in qualification order.
   Result<abdm::Record> BuildIsrtRecord(const hierarchical::Segment& segment,
                                        const Ssa& ssa,
-                                       const std::vector<abdm::Value>& row,
-                                       const std::string& key);
+                                       const std::vector<abdm::Value>& row);
 
   const hierarchical::Schema* schema_;
   kc::KernelExecutor* executor_;
   TranslationCache* cache_ = nullptr;
-  std::vector<std::string> trace_;
+  RequestTrace trace_;
   InsertPath inserts_;
 
   std::optional<Position> position_;

@@ -111,11 +111,10 @@ DmlMachine::DmlMachine(const network::Schema* schema,
     : schema_(schema),
       mapping_(mapping),
       executor_(executor),
-      inserts_(executor,
-               [this](abdl::Request r) { return Issue(std::move(r)); }) {}
+      inserts_([this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<DmlResult> DmlMachine::Execute(const codasyl::Statement& statement) {
-  trace_.push_back(TraceEntry{
+  trace_.push_back(IssuedStatement{
       (explain_ ? "EXPLAIN " : "") + codasyl::ToString(statement), {}});
   struct Visitor {
     DmlMachine* self;
@@ -229,9 +228,9 @@ Result<DmlResult> DmlMachine::ExecuteBatch(
         "batch execution requires a parameterized STORE template "
         "(STORE rec (item = ?, ...))");
   }
-  trace_.push_back(TraceEntry{codasyl::ToString(stmt->statement) + " [" +
-                                  std::to_string(rows.size()) + " rows]",
-                              {}});
+  trace_.push_back(IssuedStatement{codasyl::ToString(stmt->statement) + " [" +
+                                       std::to_string(rows.size()) + " rows]",
+                                   {}});
   MLDS_ASSIGN_OR_RETURN(DmlResult result, StoreRows(*store, rows, limits));
   result.abdl_requests = trace_.back().abdl.size();
   stats_.statements["STORE"] += 1;
@@ -243,14 +242,29 @@ Result<DmlResult> DmlMachine::ExecuteBatch(
 
 Result<kds::Response> DmlMachine::Issue(abdl::Request request) {
   if (explain_) abdl::SetExplain(request, true);
-  trace_.back().abdl.push_back(abdl::ToString(request));
   stats_.abdl_requests[std::string(abdl::RequestOperation(request))] += 1;
   stats_.total_requests += 1;
   auto response = executor_->Execute(request);
+  trace_.back().abdl.Add(std::move(request));
   if (explain_ && response.ok() && response->plan != nullptr) {
     explain_plans_.push_back(response->plan);
   }
   return response;
+}
+
+const std::vector<TraceEntry>& DmlMachine::trace() const {
+  // Statements and requests are only appended, and every entry but the
+  // newest is final: only the newest rendered entry can be stale.
+  if (!rendered_trace_.empty() &&
+      (rendered_trace_.size() < trace_.size() ||
+       rendered_trace_.back().abdl.size() != trace_.back().abdl.size())) {
+    rendered_trace_.pop_back();
+  }
+  for (size_t i = rendered_trace_.size(); i < trace_.size(); ++i) {
+    rendered_trace_.push_back(
+        TraceEntry{trace_[i].dml, trace_[i].abdl.Render()});
+  }
+  return rendered_trace_;
 }
 
 Result<const SetType*> DmlMachine::RequireSet(std::string_view set) const {
@@ -675,27 +689,15 @@ Result<DmlResult> DmlMachine::Get(const codasyl::GetStatement& s) {
 }
 
 Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
-    const network::RecordType& rt, const std::string& dbkey) {
+    const network::RecordType& rt) {
   const std::string& name = rt.name;
 
   Record record;
   record.Set(std::string(abdm::kFileAttribute), Value::String(name));
-  record.Set(KeyAttribute(name), Value::String(dbkey));
+  record.Set(KeyAttribute(name), Value::Null());
   for (const auto& attr : rt.attributes) {
     auto value = uwa_.Get(name, attr.name);
     if (value.has_value()) record.Set(attr.name, *value);
-  }
-
-  // Duplicates condition (Ch. VI.G factor 3): the items under a
-  // DUPLICATES ARE NOT ALLOWED clause are unique in combination.
-  MLDS_ASSIGN_OR_RETURN(
-      bool duplicate,
-      inserts_.UniqueTaken(name, NetworkUniqueCombo(rt, record)));
-  if (duplicate) {
-    return Status::ConstraintViolation(
-        "STORE " + name +
-        " violates DUPLICATES ARE NOT ALLOWED: a record with the same "
-        "unique item values exists");
   }
 
   // Set membership. Automatic sets connect now; manual member-side sets
@@ -762,15 +764,16 @@ Result<DmlMachine::BuiltStore> DmlMachine::BuildStoreRecord(
       }
     }
   }
-  return BuiltStore{std::move(record), std::move(dbkey), std::move(connected)};
+  return BuiltStore{std::move(record), std::move(connected)};
 }
 
 void DmlMachine::CommitStoreCurrencies(std::string_view record_type,
-                                       const BuiltStore& built) {
+                                       BuiltStore& built,
+                                       const std::string& dbkey) {
+  built.record.Set(KeyAttribute(record_type), Value::String(dbkey));
   UpdateCurrencies(record_type, built.record);
   for (const auto& [set_name, owner_key] : built.connected) {
-    cit_.SetCurrentOfSet(set_name,
-                         codasyl::SetCurrency{owner_key, built.dbkey});
+    cit_.SetCurrentOfSet(set_name, codasyl::SetCurrency{owner_key, dbkey});
   }
 }
 
@@ -790,31 +793,37 @@ Result<DmlResult> DmlMachine::StoreRows(
   MLDS_ASSIGN_OR_RETURN(const network::RecordType* rt, RequireRecord(s.record));
   // The chunk's built records; their currencies commit once it inserts.
   std::vector<BuiltStore> built;
-  auto build = [&](const std::vector<Value>& row,
-                   const std::string& dbkey) -> Result<Record> {
+  auto build = [&](const std::vector<Value>& row) -> Result<Record> {
     // Inline assignments are per-item MOVEs folded into the STORE.
     size_t next_param = 0;
     for (const auto& a : s.assignments) {
       uwa_.Move(s.record, a.item, a.is_param ? row[next_param++] : a.value);
     }
-    MLDS_ASSIGN_OR_RETURN(BuiltStore one, BuildStoreRecord(*rt, dbkey));
+    MLDS_ASSIGN_OR_RETURN(BuiltStore one, BuildStoreRecord(*rt));
     built.push_back(std::move(one));
     return built.back().record;
   };
   DmlResult result;
-  auto commit = [&](const Record& last) {
-    for (const BuiltStore& one : built) {
-      CommitStoreCurrencies(s.record, one);
+  auto commit = [&](const std::vector<std::string>& keys, const Record& last) {
+    for (size_t i = 0; i < built.size() && i < keys.size(); ++i) {
+      CommitStoreCurrencies(s.record, built[i], keys[i]);
     }
     built.clear();
     if (!limits.has_value()) result.records = {last};
   };
+  // Duplicates condition (Ch. VI.G factor 3): the items under a
+  // DUPLICATES ARE NOT ALLOWED clause are unique in combination.
   MLDS_ASSIGN_OR_RETURN(
       size_t stored,
       inserts_.Insert("STORE", s.record,
                       std::count_if(s.assignments.begin(), s.assignments.end(),
                                     [](const auto& a) { return a.is_param; }),
-                      rows, limits, build, commit));
+                      rows, limits, build,
+                      NetworkUnique(*rt, "STORE " + s.record +
+                                             " violates DUPLICATES ARE NOT "
+                                             "ALLOWED: a record with the same "
+                                             "unique item values exists"),
+                      commit));
   result.info = limits.has_value()
                     ? "stored " + std::to_string(stored) + " record(s)"
                     : "stored " + KeyOf(s.record, result.records[0]);

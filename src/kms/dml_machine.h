@@ -17,6 +17,7 @@
 #include "common/result.h"
 #include "kc/executor.h"
 #include "kms/insert_path.h"
+#include "kms/request_trace.h"
 #include "kms/translation_cache.h"
 #include "network/schema.h"
 #include "transform/fun_to_net.h"
@@ -117,9 +118,13 @@ class DmlMachine {
   const codasyl::UserWorkArea& uwa() const { return uwa_; }
   const codasyl::CurrencyIndicatorTable& cit() const { return cit_; }
 
-  /// The cumulative DML -> ABDL translation trace.
-  const std::vector<TraceEntry>& trace() const { return trace_; }
-  void ClearTrace() { trace_.clear(); }
+  /// The cumulative DML -> ABDL translation trace, rendered when it
+  /// changed since the last call; valid until the machine runs again.
+  const std::vector<TraceEntry>& trace() const;
+  void ClearTrace() {
+    trace_.clear();
+    rendered_trace_.clear();
+  }
 
   /// Cumulative session statistics (not reset by ClearTrace).
   const SessionStats& statistics() const { return stats_; }
@@ -191,18 +196,17 @@ class DmlMachine {
   Result<std::string> RequireSetOwner(std::string_view set) const;
 
   /// One record built by the STORE translation, ready to insert: the AB
-  /// record, its database key, and the (set, owner) pairs it connects to.
+  /// record (its database key NULL until the kernel assigns it) and the
+  /// (set, owner) pairs it connects to.
   struct BuiltStore {
     abdm::Record record;
-    std::string dbkey;
     std::vector<std::pair<std::string, std::string>> connected;
   };
 
-  /// The record-construction half of STORE (Ch. VI.G): stamps `dbkey`,
-  /// fills items from the UWA, checks duplicates, and resolves set
-  /// membership. Shared by Store and ExecuteBatch.
-  Result<BuiltStore> BuildStoreRecord(const network::RecordType& rt,
-                                      const std::string& dbkey);
+  /// The record-construction half of STORE (Ch. VI.G): fills items from
+  /// the UWA and resolves set membership; the kernel assigns the key and
+  /// checks duplicates. Shared by Store and ExecuteBatch.
+  Result<BuiltStore> BuildStoreRecord(const network::RecordType& rt);
 
   /// STORE of one literal statement (no `limits`, one empty row) or of a
   /// parameter batch, through the insert path. Currencies update per
@@ -211,9 +215,10 @@ class DmlMachine {
                               const std::vector<std::vector<abdm::Value>>& rows,
                               const std::optional<abdl::BatchLimits>& limits);
 
-  /// Post-insert currency maintenance for one stored record.
-  void CommitStoreCurrencies(std::string_view record_type,
-                             const BuiltStore& built);
+  /// Post-insert currency maintenance for one stored record, which
+  /// the kernel gave `dbkey`.
+  void CommitStoreCurrencies(std::string_view record_type, BuiltStore& built,
+                             const std::string& dbkey);
 
   const network::Schema* schema_;
   const transform::FunNetMapping* mapping_;
@@ -223,7 +228,13 @@ class DmlMachine {
   codasyl::UserWorkArea uwa_;
   codasyl::CurrencyIndicatorTable cit_;
   codasyl::RequestBuffer rb_;
-  std::vector<TraceEntry> trace_;
+  /// The trace as issued: each statement's text and its requests.
+  struct IssuedStatement {
+    std::string dml;
+    RequestTrace abdl;
+  };
+  std::vector<IssuedStatement> trace_;
+  mutable std::vector<TraceEntry> rendered_trace_;
   SessionStats stats_;
   InsertPath inserts_;
 

@@ -49,12 +49,12 @@ SqlMachine::SqlMachine(const relational::Schema* schema,
                        kc::KernelExecutor* executor)
     : schema_(schema),
       executor_(executor),
-      inserts_(executor,
-               [this](abdl::Request r) { return Issue(std::move(r)); }) {}
+      inserts_([this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<kds::Response> SqlMachine::Issue(abdl::Request request) {
-  trace_.push_back(abdl::ToString(request));
-  return executor_->Execute(request);
+  Result<kds::Response> response = executor_->Execute(request);
+  trace_.Add(std::move(request));
+  return response;
 }
 
 Result<SqlMachine::Outcome> SqlMachine::Execute(
@@ -388,20 +388,6 @@ Status SqlMachine::CheckInsertRecord(const Table& table,
                                          "' is NOT NULL");
     }
   }
-  // UNIQUE enforcement: combination semantics, one probe.
-  std::vector<Predicate> combo;
-  for (const auto& unique : table.unique_columns) {
-    Value v = record.GetOrNull(unique);
-    if (v.is_null()) return Status::OK();
-    combo.push_back(Predicate{unique, RelOp::kEq, std::move(v)});
-  }
-  MLDS_ASSIGN_OR_RETURN(bool taken,
-                        inserts_.UniqueTaken(table.name, std::move(combo)));
-  if (taken) {
-    return Status::ConstraintViolation(
-        "INSERT violates UNIQUE(" + Join(table.unique_columns, ", ") +
-        ") on '" + table.name + "'");
-  }
   return Status::OK();
 }
 
@@ -425,22 +411,26 @@ Result<SqlMachine::Outcome> SqlMachine::RunInsert(
   if (table == nullptr) {
     return Status::NotFound("table '" + prepared.table + "' does not exist");
   }
-  auto build = [&](const std::vector<Value>& row,
-                   const std::string& key) -> Result<Record> {
+  auto build = [&](const std::vector<Value>& row) -> Result<Record> {
     MLDS_ASSIGN_OR_RETURN(abdl::InsertRequest one, prepared.request.Bind(row));
     MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, one.record));
-    one.record.Set(KeyAttribute(prepared.table), Value::String(key));
+    one.record.Set(KeyAttribute(prepared.table), Value::Null());
     return std::move(one.record);
   };
+  // UNIQUE: combination semantics; a row with a null there is unchecked.
+  const InsertPath::Unique unique{
+      table->unique_columns, abdl::NullRule::kSkipRecord,
+      "INSERT violates UNIQUE(" + Join(table->unique_columns, ", ") +
+          ") on '" + table->name + "'"};
   std::string last_key;
   Outcome outcome;
   MLDS_ASSIGN_OR_RETURN(
       outcome.affected,
       inserts_.Insert("prepared INSERT", prepared.table,
                       prepared.request.params_per_row(), rows, limits, build,
-                      [&](const Record& last) {
-                        last_key = last.GetOrNull(KeyAttribute(prepared.table))
-                                       .AsString();
+                      unique,
+                      [&](const std::vector<std::string>& keys, const Record&) {
+                        if (!keys.empty()) last_key = keys.back();
                       }));
   outcome.info = outcome.affected == 1 && !limits.has_value()
                      ? "inserted " + last_key

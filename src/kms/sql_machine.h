@@ -13,6 +13,7 @@
 #include "kc/executor.h"
 #include "kds/plan.h"
 #include "kms/insert_path.h"
+#include "kms/request_trace.h"
 #include "kms/translation_cache.h"
 #include "relational/schema.h"
 #include "sql/ast.h"
@@ -78,7 +79,7 @@ class SqlMachine {
   void set_translation_cache(TranslationCache* cache) { cache_ = cache; }
 
   /// ABDL requests issued by the most recent statement.
-  const std::vector<std::string>& trace() const { return trace_; }
+  const std::vector<std::string>& trace() const { return trace_.Render(); }
 
  private:
   /// A pure SQL statement compiled down to its ABDL requests. Replaying
@@ -133,11 +134,10 @@ class SqlMachine {
                             const std::vector<std::vector<abdm::Value>>& rows,
                             const std::optional<abdl::BatchLimits>& limits);
 
-  /// NOT NULL + UNIQUE enforcement for one record about to insert into
-  /// `table`; inside a batch the UNIQUE probe also sees the batch's
-  /// earlier rows. A null in any UNIQUE column exempts the row.
-  Status CheckInsertRecord(const relational::Table& table,
-                           const abdm::Record& record);
+  /// NOT NULL enforcement for one record about to insert into `table`
+  /// (UNIQUE rides the INSERT's kernel guard).
+  static Status CheckInsertRecord(const relational::Table& table,
+                                  const abdm::Record& record);
 
   Result<kds::Response> Issue(abdl::Request request);
 
@@ -154,7 +154,7 @@ class SqlMachine {
   const relational::Schema* schema_;
   kc::KernelExecutor* executor_;
   TranslationCache* cache_ = nullptr;
-  std::vector<std::string> trace_;
+  RequestTrace trace_;
   InsertPath inserts_;
 };
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -232,14 +233,20 @@ bool Controller::HasFile(std::string_view file) const {
   return backends_.front()->engine().HasFile(file);
 }
 
+FileTable::Entry& FileTable::For(std::string_view file) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(file);
+  if (it == entries_.end()) {
+    it = entries_.emplace(std::string(file), std::make_unique<Entry>()).first;
+  }
+  return *it->second;
+}
+
 Result<ExecutionReport> Controller::Execute(const abdl::Request& request) {
   MaybeReintegrate();
-  Result<ExecutionReport> result =
-      std::holds_alternative<abdl::InsertRequest>(request)
-          ? ExecuteInsert(std::get<abdl::InsertRequest>(request))
-      : std::holds_alternative<abdl::BatchInsertRequest>(request)
-          ? ExecuteBatchInsert(std::get<abdl::BatchInsertRequest>(request))
-          : ExecuteBroadcast(request);
+  Result<ExecutionReport> result = abdl::GuardOf(request) != nullptr
+                                       ? ExecuteInsertRequest(request)
+                                       : ExecuteBroadcast(request);
   if (result.ok()) {
     total_response_ms_.fetch_add(result->response_time_ms,
                                  std::memory_order_relaxed);
@@ -427,6 +434,109 @@ size_t Controller::PlaceRecord(const abdm::Record& record) {
            n;
   }
   return next % n;
+}
+
+Result<ExecutionReport> Controller::ExecuteInsertRequest(
+    const abdl::Request& request) {
+  auto place = [this](const abdl::Request& r) {
+    return std::holds_alternative<abdl::InsertRequest>(r)
+               ? ExecuteInsert(std::get<abdl::InsertRequest>(r))
+               : ExecuteBatchInsert(std::get<abdl::BatchInsertRequest>(r));
+  };
+  if (abdl::GuardOf(request)->empty()) {
+    for (const abdm::Record& record : abdl::InsertedRecords(request)) {
+      NextKey(record, {});
+    }
+    return place(request);
+  }
+  // The backends get the records as the guard leaves them, and no guard.
+  abdl::Request settled = request;
+  const abdl::InsertGuard guard = std::exchange(*abdl::GuardOf(settled), {});
+  std::span<abdm::Record> records = abdl::InsertedRecords(settled);
+  // A unique guard holds its files' locks, in name order, from the check
+  // through the write.
+  std::vector<std::unique_lock<std::shared_mutex>> held;
+  double guard_ms = 0.0;
+  if (!guard.unique.empty()) {
+    std::set<std::string> names;
+    for (const abdm::Record& record : records) {
+      const abdm::Value file = record.GetOrNull(abdm::kFileAttribute);
+      if (file.is_string()) names.insert(file.AsString());
+    }
+    for (const std::string& name : names) {
+      held.emplace_back(files_.For(name).lock);
+    }
+    MLDS_RETURN_IF_ERROR(CheckGuard(guard, records, &guard_ms));
+  }
+  std::vector<std::string> keys;
+  for (abdm::Record& record : records) {
+    std::string key = NextKey(record, guard.key_attribute);
+    if (key.empty()) continue;
+    record.Set(guard.key_attribute, abdm::Value::String(key));
+    keys.push_back(std::move(key));
+  }
+  Result<ExecutionReport> report = place(settled);
+  if (report.ok()) {
+    report->response.keys = std::move(keys);
+    report->response_time_ms += guard_ms;
+  }
+  return report;
+}
+
+Status Controller::CheckGuard(const abdl::InsertGuard& guard,
+                              std::span<const abdm::Record> records,
+                              double* sim_ms) {
+  kds::RepeatCheck earlier;
+  std::vector<abdm::Conjunction> probes;
+  for (const abdm::Record& record : records) {
+    const abdm::Value* file = record.Find(abdm::kFileAttribute);
+    if (file == nullptr || !file->is_string()) continue;
+    const kds::Combination combination =
+        kds::GuardCombination(guard, file->AsString(), record);
+    if (!combination.checked()) continue;
+    if (earlier.Repeats(combination)) {
+      return kds::UniqueViolation(file->AsString(), guard);
+    }
+    std::vector<abdm::Predicate> preds = {abdm::FilePred(file->AsString())};
+    for (abdm::Predicate& eq : kds::Equalities(guard, combination)) {
+      preds.push_back(std::move(eq));
+    }
+    probes.push_back(abdm::Conjunction{std::move(preds)});
+  }
+  if (probes.empty()) return Status::OK();
+  MLDS_ASSIGN_OR_RETURN(
+      ExecutionReport found,
+      ExecuteBroadcast(abdl::RetrieveAttribute(
+          abdm::Query(std::move(probes)), std::string(abdm::kFileAttribute))));
+  *sim_ms += found.response_time_ms;
+  if (found.response.records.empty()) return Status::OK();
+  return kds::UniqueViolation(
+      found.response.records.front()
+          .GetOrNull(abdm::kFileAttribute)
+          .ToDisplayString(),
+      guard);
+}
+
+std::string Controller::NextKey(const abdm::Record& record,
+                                std::string_view key_attribute) {
+  const abdm::Value* file = record.Find(abdm::kFileAttribute);
+  if (file == nullptr || !file->is_string()) return {};
+  const std::string& name = file->AsString();
+  FileTable::Entry& entry = files_.For(name);
+  std::lock_guard<std::mutex> lock(entry.counter_mutex);
+  if (!entry.counted) {
+    // Built once: past every backend's counter, and past the file's size,
+    // so keys continue from the records the backends restored.
+    size_t live = 0;
+    for (const auto& backend : backends_) {
+      std::shared_ptr<kds::Engine> engine = backend->SnapshotEngine();
+      live += engine->FileSize(name);
+      entry.counter.Raise(engine->NextKey(name));
+    }
+    entry.counter.Raise(live + 1);
+    entry.counted = true;
+  }
+  return entry.counter.Next(name, key_attribute, record);
 }
 
 Result<ExecutionReport> Controller::ExecuteInsert(

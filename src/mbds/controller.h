@@ -3,8 +3,11 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "common/fan_out.h"
 #include "common/result.h"
 #include "kds/engine.h"
+#include "kds/keys.h"
 #include "kds/wal.h"
 #include "mbds/fault_injector.h"
 #include "mbds/health.h"
@@ -215,6 +219,31 @@ struct ControllerHealth {
   std::vector<BackendStatus> backends;
 };
 
+/// The controller's per-file state, made on first use and kept for the
+/// controller's life (no request drops a file).
+class FileTable {
+ public:
+  struct Entry {
+    /// Held exclusively by a guarded INSERT from its check on every
+    /// backend through its write, so two guarded inserts into one file
+    /// never interleave. Taken in file-name order when a request spans
+    /// files; a transaction spanning backends can take it the same way.
+    std::shared_mutex lock;
+    /// Guards `counted` and `counter`.
+    std::mutex counter_mutex;
+    /// Whether `counter` has been built from the backends' files.
+    bool counted = false;
+    /// The file's key counter across every backend (kds::KeyCounter).
+    kds::KeyCounter counter;
+  };
+
+  Entry& For(std::string_view file);
+
+ private:
+  std::mutex mutex_;
+  std::map<std::string, std::unique_ptr<Entry>, std::less<>> entries_;
+};
+
 /// The MBDS backend controller (master): supervises execution of database
 /// transactions across the parallel backends (Ch. I.B.2).
 ///
@@ -413,6 +442,23 @@ class Controller {
   /// policy. Advances the round-robin cursor either way.
   size_t PlaceRecord(const abdm::Record& record);
 
+  /// An INSERT or batch INSERT: settles its guard (abdl::InsertGuard) and
+  /// runs its records through their files' key counters, then places it.
+  Result<ExecutionReport> ExecuteInsertRequest(const abdl::Request& request);
+
+  /// The guard's unique check across every backend: the request's earlier
+  /// records in memory, live records with one broadcast RETRIEVE of every
+  /// record's combination. Adds the broadcast's simulated time to
+  /// `*sim_ms`.
+  Status CheckGuard(const abdl::InsertGuard& guard,
+                    std::span<const abdm::Record> records, double* sim_ms);
+
+  /// Runs `record` through its file's key counter, built from the
+  /// backends' files on its first use: the key the record takes under
+  /// `key_attribute` (kds::KeyCounter::Next), or an empty string.
+  std::string NextKey(const abdm::Record& record,
+                      std::string_view key_attribute);
+
   Result<ExecutionReport> ExecuteInsert(const abdl::InsertRequest& request);
   /// Batch INSERT: partitions the records by the placement policy into one
   /// sub-batch per backend, fans the sub-batches out concurrently, and
@@ -435,6 +481,7 @@ class Controller {
   /// Immutable after the constructor; see the class comment.
   std::vector<std::unique_ptr<Backend>> backends_;
   std::atomic<uint64_t> insert_cursor_{0};
+  FileTable files_;
   std::atomic<uint64_t> request_seq_{0};
   std::atomic<double> total_response_ms_{0.0};
   /// Controller-side distributed-join strategy / re-plan counters.

@@ -20,10 +20,6 @@ abdm::ValueKind MapAttrType(network::AttrType type) {
 
 }  // namespace
 
-std::string MakeDbKey(std::string_view record_type, uint64_t ordinal) {
-  return std::string(record_type) + "_" + std::to_string(ordinal);
-}
-
 Result<abdm::DatabaseDescriptor> MapNetworkToAbdm(
     const network::Schema& schema, const FunNetMapping* mapping) {
   MLDS_RETURN_IF_ERROR(schema.Validate());

@@ -4,6 +4,7 @@
 #include <string>
 #include <string_view>
 
+#include "abdm/record.h"
 #include "abdm/schema.h"
 #include "common/result.h"
 #include "network/schema.h"
@@ -43,7 +44,7 @@ inline std::string SetAttribute(std::string_view set_name) {
 }
 
 /// Builds an artificial database key ("course_7").
-std::string MakeDbKey(std::string_view record_type, uint64_t ordinal);
+using abdm::MakeDbKey;
 
 /// Maps a network schema to its attribute-based database definition
 /// (AB(network)), one kernel file per record type. When `mapping` is

@@ -67,14 +67,14 @@ TEST_F(FailureInjectionTest, MachineRecoversAfterFaultClears) {
 
 TEST_F(FailureInjectionTest, StoreFailingMidTranslationInsertsNothing) {
   const size_t before = engine_.FileSize("course");
-  // STORE course issues: key probe, duplicates probe, INSERT. Failing on
-  // the third request kills the INSERT after the checks passed.
+  // STORE course issues one request: the INSERT, which carries its key
+  // and duplicates check to the kernel. Failing it inserts nothing.
   auto program =
       "MOVE 'Fault Course' TO title IN course\n"
       "MOVE 'FaultSem' TO semester IN course\n"
       "MOVE 1 TO credits IN course\n";
   ASSERT_TRUE(machine_->RunProgram(program).ok());
-  faulty_->set_fail_after(2);
+  faulty_->set_fail_after(0);
   auto store = machine_->ExecuteText("STORE course");
   ASSERT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kInternal);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "abdl/parser.h"
@@ -112,6 +113,43 @@ TEST(SnapshotTest, FloatsKeepEveryDigit) {
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->records.size(), 1u);
   EXPECT_EQ(rows->records[0].GetOrNull("x").AsFloat(), 1234567.25);
+}
+
+TEST(SnapshotTest, IntegralFloatsStayFloat) {
+  // 87.0 prints as "87" and -0.0 as "-0": the reader parses each by its
+  // attribute's FLOAT kind, not as the integer the text also spells.
+  Engine engine;
+  abdm::FileDescriptor f;
+  f.name = "t";
+  f.attributes = {{"FILE", abdm::ValueKind::kString, 0, true},
+                  {"k", abdm::ValueKind::kInteger, 0, true},
+                  {"x", abdm::ValueKind::kFloat, 0, false}};
+  ASSERT_TRUE(engine.DefineFile(f).ok());
+  const double values[] = {87.0, -0.0};
+  for (int k = 0; k < 2; ++k) {
+    abdm::Record record;
+    record.Set("FILE", abdm::Value::String("t"));
+    record.Set("k", abdm::Value::Integer(k));
+    record.Set("x", abdm::Value::Float(values[k]));
+    ASSERT_TRUE(engine.Execute(abdl::InsertRequest{record}).ok());
+  }
+
+  std::stringstream stream;
+  ASSERT_TRUE(SaveSnapshot(engine, stream).ok());
+  Engine restored;
+  ASSERT_TRUE(LoadSnapshot(stream, &restored).ok());
+  auto all = abdl::ParseRequest("RETRIEVE ((FILE = t)) (all attributes) BY k");
+  auto rows = restored.Execute(*all);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->records.size(), 2u);
+  for (int k = 0; k < 2; ++k) {
+    const abdm::Value x = rows->records[k].GetOrNull("x");
+    ASSERT_TRUE(x.is_float()) << k;
+    EXPECT_EQ(x.AsFloat(), values[k]);
+    EXPECT_EQ(std::signbit(x.AsFloat()), std::signbit(values[k])) << k;
+  }
+  // The integer attribute still reads back as INTEGER.
+  EXPECT_TRUE(rows->records[0].GetOrNull("k").is_integer());
 }
 
 TEST(SnapshotTest, RejectsBadHeader) {

@@ -147,20 +147,6 @@ class SqlMachineTest : public ::testing::Test {
                     .ok());
   }
 
-  /// Brute-force oracle: the first `count` keys of `table` counting up
-  /// from FileSize + 1 that no live record holds.
-  std::vector<std::string> FreeKeys(const std::string& table, size_t count) {
-    const std::vector<std::string> live_keys = Keys(table);
-    const std::set<std::string> live(live_keys.begin(), live_keys.end());
-    std::vector<std::string> free;
-    for (size_t n = system_.executor()->FileSize(table) + 1;
-         free.size() < count; ++n) {
-      std::string key = table + "_" + std::to_string(n);
-      if (live.count(key) == 0) free.push_back(std::move(key));
-    }
-    return free;
-  }
-
   static bool AllDistinct(std::vector<std::string> keys) {
     std::sort(keys.begin(), keys.end());
     return std::adjacent_find(keys.begin(), keys.end()) == keys.end();
@@ -420,14 +406,13 @@ TEST_F(SqlMachineTest, FreshSessionNeverReusesALiveKey) {
   EXPECT_TRUE(AllDistinct(keys));
 }
 
-TEST_F(SqlMachineTest, KeyRangeCrossingADigitBoundarySkipsTakenKeys) {
-  // Live: 3..8, 10, 11. The candidates 9, 10, 11 straddle the one- to
-  // two-digit boundary; only 9 is free.
+TEST_F(SqlMachineTest, KeysAfterDeletionsContinuePastEveryHeldKey) {
+  // The kernel's key counter only moves forward: after deletions, a fresh
+  // session's rows take the ordinals past the highest key the file has
+  // held (here the deleted enrollment_11), never a freed one.
   GrowEnrollment(11);
-  DeleteKeys("enrollment", {1, 2, 9});
+  DeleteKeys("enrollment", {1, 2, 9, 11});
   const std::vector<std::string> before = Keys("enrollment");
-  std::vector<std::string> expected = FreeKeys("enrollment", 3);
-  std::sort(expected.begin(), expected.end());
   auto fresh = system_.OpenSqlSession("registrar");
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   const std::vector<std::vector<abdm::Value>> rows = {
@@ -440,17 +425,41 @@ TEST_F(SqlMachineTest, KeyRangeCrossingADigitBoundarySkipsTakenKeys) {
   ASSERT_TRUE(batch.ok()) << batch.status();
   const std::vector<std::string> after = Keys("enrollment");
   EXPECT_TRUE(AllDistinct(after));
-  EXPECT_EQ(NewKeys(before, after), expected);
+  EXPECT_EQ(NewKeys(before, after),
+            (std::vector<std::string>{"enrollment_12", "enrollment_13",
+                                      "enrollment_14"}));
+}
+
+TEST_F(SqlMachineTest, KeyRangeCrossingADigitBoundarySkipsTakenKeys) {
+  // Live: 3..8, 10, 11. A fresh session's file holds 8 records, so a
+  // count-based start would land on 9, 10, 11 across the one- to two-digit
+  // boundary, two of them taken; the kernel counter skips past 11.
+  GrowEnrollment(11);
+  DeleteKeys("enrollment", {1, 2, 9});
+  const std::vector<std::string> before = Keys("enrollment");
+  auto fresh = system_.OpenSqlSession("registrar");
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  const std::vector<std::vector<abdm::Value>> rows = {
+      {abdm::Value::String("w1")},
+      {abdm::Value::String("w2")},
+      {abdm::Value::String("w3")}};
+  auto batch = (*fresh)->ExecuteBatch(
+      "INSERT INTO enrollment (sname, ctitle, grade) VALUES (?, 'Thermo', 3.0)",
+      rows);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  const std::vector<std::string> after = Keys("enrollment");
+  EXPECT_TRUE(AllDistinct(after));
+  EXPECT_EQ(NewKeys(before, after),
+            (std::vector<std::string>{"enrollment_12", "enrollment_13",
+                                      "enrollment_14"}));
 }
 
 TEST_F(SqlMachineTest, KeyRangeSkipsTakenKeysInsideIt) {
-  // Live: 4..9, 11, 13, 14. A fresh cursor starts at 10; the four
-  // candidates 10..13 hold two taken keys, and the refill meets 14.
+  // Live: 4..9, 11, 13, 14. A count-based start would be 10, and 10..13
+  // hold two taken keys; the kernel counter hands out 15..18 instead.
   GrowEnrollment(14);
   DeleteKeys("enrollment", {1, 2, 3, 10, 12});
   const std::vector<std::string> before = Keys("enrollment");
-  std::vector<std::string> expected = FreeKeys("enrollment", 4);
-  std::sort(expected.begin(), expected.end());
   auto fresh = system_.OpenSqlSession("registrar");
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   std::vector<std::vector<abdm::Value>> rows;
@@ -463,7 +472,9 @@ TEST_F(SqlMachineTest, KeyRangeSkipsTakenKeysInsideIt) {
   ASSERT_TRUE(batch.ok()) << batch.status();
   const std::vector<std::string> after = Keys("enrollment");
   EXPECT_TRUE(AllDistinct(after));
-  EXPECT_EQ(NewKeys(before, after), expected);
+  EXPECT_EQ(NewKeys(before, after),
+            (std::vector<std::string>{"enrollment_15", "enrollment_16",
+                                      "enrollment_17", "enrollment_18"}));
 }
 
 }  // namespace

@@ -80,23 +80,19 @@ TEST_F(TranslationTemplateTest, FindOwnerTemplate) {
 }
 
 TEST_F(TranslationTemplateTest, StoreTemplate) {
-  // Ch. VI.G: a RETRIEVE to determine the status of duplicates, then
-  //   INSERT (<FILE, record_type_x>, <record_type_x, key>, <items...>).
+  // Ch. VI.G: INSERT (<FILE, record_type_x>, <record_type_x, key>,
+  // <items...>). The kernel assigns the key and determines the status of
+  // duplicates under the file's lock, so the request leaves the key NULL
+  // and names its DUPLICATES ARE NOT ALLOWED items as its guard.
   Must("MOVE 'Template Course' TO title IN course");
   Must("MOVE 'Tmpl88' TO semester IN course");
   Must("MOVE 3 TO credits IN course");
   Must("STORE course");
-  // Requests: key-allocation probe, duplicates probe, INSERT.
-  ASSERT_EQ(LastAbdl().size(), 3u);
-  EXPECT_TRUE(LastAbdl()[0].starts_with(
-      "RETRIEVE ((FILE = 'course') and (course = 'course_"))
+  ASSERT_EQ(LastAbdl().size(), 1u);
+  EXPECT_TRUE(
+      LastAbdl()[0].starts_with("INSERT (<FILE, 'course'>, <course, NULL>"))
       << LastAbdl()[0];
-  EXPECT_EQ(LastAbdl()[1],
-            "RETRIEVE ((FILE = 'course') and (title = 'Template Course') "
-            "and (semester = 'Tmpl88')) (course)");
-  EXPECT_TRUE(LastAbdl()[2].starts_with("INSERT (<FILE, 'course'>, <course, "))
-      << LastAbdl()[2];
-  EXPECT_NE(LastAbdl()[2].find("<title, 'Template Course'>"),
+  EXPECT_NE(LastAbdl()[0].find("<title, 'Template Course'>"),
             std::string::npos);
 }
 
@@ -198,15 +194,14 @@ constexpr ProgramCount kProgramCounts[] = {
      "FIND ANY student USING student IN student\n"
      "GET major, advisor IN student\n",
      3, 1},
-    // STORE: key probe, duplicates probe, INSERT; ERASE: one membership
-    // probe, DELETE.
+    // STORE: one guarded INSERT; ERASE: one membership probe, DELETE.
     {"STORE + ERASE",
      "MOVE 'Bench Course' TO title IN course\n"
      "MOVE 'BenchSem' TO semester IN course\n"
      "MOVE 1 TO credits IN course\n"
      "STORE course\n"
      "ERASE course\n",
-     5, 5},
+     5, 3},
     {"MODIFY item",
      "MOVE 'course_2' TO course IN course\n"
      "FIND ANY course USING course IN course\n"
@@ -265,14 +260,14 @@ TEST_F(TranslationTemplateTest, CrossModelRequestCounts) {
        "MOVE 2 TO credits IN course\n"
        "STORE course\n"
        "ERASE course\n",
-       5, 5},
+       3, 3},
       {"STORE + ERASE subtype",
        "MOVE 'employee_16' TO employee IN employee\n"
        "FIND ANY employee USING employee IN employee\n"
        "MOVE 15 TO hours IN support_staff\n"
        "STORE support_staff\n"
        "ERASE support_staff\n",
-       5, 4},
+       4, 3},
   };
   auto count = [](DmlMachine& machine, const char* program) -> size_t {
     machine.ClearTrace();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 #include <sstream>
 #include <string>
@@ -355,6 +356,95 @@ TEST_F(WalRecoveryTest, FloatsKeepEveryDigitThroughReplay) {
   ASSERT_TRUE(resp.ok());
   ASSERT_EQ(resp->records.size(), 1u);
   EXPECT_EQ(resp->records[0].GetOrNull("x").AsFloat(), 1234567.25);
+}
+
+TEST_F(WalRecoveryTest, IntegralFloatsStayFloatThroughReplay) {
+  // The log prints 87.0 as "87" and -0.0 as "-0", in INSERT keywords and
+  // UPDATE modifiers alike; replay parses each by the attribute's kind.
+  FileDescriptor f;
+  f.name = "reading";
+  f.attributes = {{"FILE", ValueKind::kString, 0, true},
+                  {"n", ValueKind::kInteger, 0, true},
+                  {"x", ValueKind::kFloat, 0, false}};
+  WalWriter wal;
+  Engine engine;
+  engine.AttachWal(&wal);
+  ASSERT_TRUE(engine.DefineFile(f).ok());
+  const double values[] = {87.0, -0.0, 0.5};
+  for (int n = 0; n < 3; ++n) {
+    abdm::Record record;
+    record.Set("FILE", abdm::Value::String("reading"));
+    record.Set("n", abdm::Value::Integer(n));
+    record.Set("x", abdm::Value::Float(values[n]));
+    ASSERT_TRUE(engine.Execute(abdl::InsertRequest{record}).ok());
+  }
+  ASSERT_TRUE(engine
+                  .Execute(abdl::UpdateRequest{
+                      abdm::Query::ForFile(
+                          "reading", {abdm::Predicate{"n", abdm::RelOp::kEq,
+                                                      abdm::Value::Integer(2)}}),
+                      abdl::Modifier{"x", abdl::ModifierKind::kSet,
+                                     abdm::Value::Float(3.0)}})
+                  .ok());
+
+  Engine recovered;
+  std::istringstream no_checkpoint("");
+  ASSERT_TRUE(RecoverEngine(no_checkpoint, wal.contents(), &recovered).ok());
+  auto resp = recovered.Execute(
+      MustParse("RETRIEVE ((FILE = reading)) (all attributes) BY n"));
+  ASSERT_TRUE(resp.ok());
+  ASSERT_EQ(resp->records.size(), 3u);
+  const double expected[] = {87.0, -0.0, 3.0};
+  for (int n = 0; n < 3; ++n) {
+    const abdm::Value x = resp->records[n].GetOrNull("x");
+    ASSERT_TRUE(x.is_float()) << n;
+    EXPECT_EQ(x.AsFloat(), expected[n]);
+    EXPECT_EQ(std::signbit(x.AsFloat()), std::signbit(expected[n])) << n;
+  }
+  EXPECT_TRUE(resp->records[0].GetOrNull("n").is_integer());
+}
+
+TEST_F(WalRecoveryTest, KernelAssignedKeysReplayAsLogged) {
+  // The log holds each record with the key the kernel gave it, and no
+  // guard: replay writes the same keys and rebuilds the key counter.
+  FileDescriptor f;
+  f.name = "staff";
+  f.attributes = {{"FILE", ValueKind::kString, 0, true},
+                  {"staff", ValueKind::kString, 0, true},
+                  {"name", ValueKind::kString, 0, false, true}};
+  WalWriter wal;
+  Engine engine;
+  engine.AttachWal(&wal);
+  ASSERT_TRUE(engine.DefineFile(f).ok());
+  auto row = [](const std::string& name) {
+    abdm::Record record;
+    record.Set("FILE", abdm::Value::String("staff"));
+    record.Set("staff", abdm::Value::Null());
+    record.Set("name", abdm::Value::String(name));
+    return record;
+  };
+  const abdl::InsertGuard guard{"staff", {"name"}, abdl::NullRule::kSkipRecord};
+  auto batch = engine.Execute(
+      abdl::BatchInsertRequest{{row("ada"), row("grace")}, guard});
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(batch->keys, (std::vector<std::string>{"staff_1", "staff_2"}));
+  // A violation is refused before the log sees it.
+  EXPECT_TRUE(engine.Execute(abdl::InsertRequest{row("ada"), guard})
+                  .status()
+                  .IsConstraintViolation());
+  EXPECT_EQ(wal.contents().find("NULL"), std::string::npos);
+
+  Engine recovered;
+  std::istringstream no_checkpoint("");
+  ASSERT_TRUE(RecoverEngine(no_checkpoint, wal.contents(), &recovered).ok());
+  auto keys = recovered.Execute(MustParse("RETRIEVE ((FILE = staff)) (staff)"));
+  ASSERT_TRUE(keys.ok());
+  ASSERT_EQ(keys->records.size(), 2u);
+  EXPECT_EQ(keys->records[0].GetOrNull("staff").AsString(), "staff_1");
+  EXPECT_EQ(keys->records[1].GetOrNull("staff").AsString(), "staff_2");
+  auto next = recovered.Execute(abdl::InsertRequest{row("edsger"), guard});
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->keys, std::vector<std::string>{"staff_3"});
 }
 
 // ---------------------------------------------------------------------

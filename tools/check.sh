@@ -370,6 +370,53 @@ PY
   echo "corruption recovery smoke passed (port ${INTEGRITY_PORT})"
 }
 
+# Concurrent insert smoke against a given build tree: four wire clients
+# each INSERT 300 staff rows at once into a --workers 4 server. The kernel
+# assigns every key under the file's lock, so no two rows may share one,
+# and every row must land (1,200 plus the three demo rows).
+run_concurrent_insert_smoke() {
+  local build_dir="$1" log="$2"
+  rm -f "${log}" "${log}".client*
+  "${build_dir}/tools/mlds_server" --port 0 --workers 4 > "${log}" &
+  local pid=$!
+  local port=""
+  for _ in $(seq 1 50); do
+    port="$(sed -n 's/.*listening on [0-9.]*:\([0-9]*\).*/\1/p' "${log}")"
+    [[ -n "${port}" ]] && break
+    sleep 0.1
+  done
+  [[ -n "${port}" ]] \
+    || { kill "${pid}"; echo "concurrent insert smoke: no port"; exit 1; }
+  local clients=()
+  for c in 1 2 3 4; do
+    { echo ".use sql payroll"
+      for i in $(seq 1 300); do
+        echo "INSERT INTO staff (name, wage) VALUES ('c${c}_${i}', 1.0)"
+      done
+    } | "${build_dir}/tools/mlds_shell" 127.0.0.1 "${port}" --strict \
+        > "${log}.client${c}" &
+    clients+=($!)
+  done
+  for client in "${clients[@]}"; do
+    wait "${client}" \
+      || { kill "${pid}"; echo "concurrent insert smoke: a client failed"; exit 1; }
+  done
+  local keys
+  keys="$(printf '%s\n' ".use abdl payroll" "RETRIEVE ((FILE = staff)) (staff)" \
+            ".shutdown" \
+          | "${build_dir}/tools/mlds_shell" 127.0.0.1 "${port}" --strict \
+          | grep -o '^staff_[0-9]*')"
+  wait "${pid}"
+  local repeated
+  repeated="$(sort <<< "${keys}" | uniq -d)"
+  [[ -z "${repeated}" ]] \
+    || { echo "concurrent insert smoke: $(wc -l <<< "${repeated}") repeated" \
+              "keys, such as $(head -3 <<< "${repeated}" | tr '\n' ' ')"; exit 1; }
+  [[ "$(wc -l <<< "${keys}")" == "1203" ]] \
+    || { echo "concurrent insert smoke: $(wc -l <<< "${keys}") staff rows, want 1203"; exit 1; }
+  echo "concurrent insert smoke passed (port ${port})"
+}
+
 if [[ "${MLDS_SKIP_SERVER:-0}" == "1" ]]; then
   echo "== server smoke skipped (MLDS_SKIP_SERVER=1) =="
 else
@@ -424,6 +471,9 @@ else
 
   echo "== corruption recovery smoke =="
   run_integrity_smoke build build/mlds_integrity_smoke.log
+
+  echo "== concurrent insert smoke =="
+  run_concurrent_insert_smoke build build/mlds_concurrent_smoke.log
 fi
 
 if [[ "${MLDS_SKIP_TSAN:-0}" == "1" ]]; then
@@ -473,14 +523,19 @@ else
   # Key-probe suites: Daplex ISA levels fetched by key across four MBDS
   # backends (each backend's store plans and probes the key set under
   # its shared lock while the controller fans out), the fold oracles
-  # against the unfolded DNF, and the DLET/DESTROY cascades' key-set
-  # transactions faulted at every request over four backends; rerun
-  # them race-checked even when MLDS_TSAN_FILTER narrowed the run above.
+  # against the unfolded DNF, the DLET/DESTROY cascades' key-set
+  # transactions faulted at every request over four backends, and the
+  # kernel-owned keys and unique guards under concurrent sessions of
+  # every language (in-process and over the wire, 0 and 4 backends);
+  # rerun them race-checked even when MLDS_TSAN_FILTER narrowed the run
+  # above.
   echo "== TSan key-probe suites =="
   (cd build-tsan && \
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --output-on-failure -j "${JOBS}" \
-      -R 'DaplexIsaJoinTest|DaplexInheritanceTest|KeySetFold|FoldedKeySet|CascadeFaultTest')
+      -R 'DaplexIsaJoinTest|DaplexInheritanceTest|KeySetFold|FoldedKeySet|CascadeFaultTest|NestedInsertTest|InsertStressTest')
+  echo "== TSan concurrent insert smoke =="
+  run_concurrent_insert_smoke build-tsan build-tsan/mlds_concurrent_smoke.log
   # Fan-out and transaction suites: every backend share runs on a worker
   # of the controller's fan-out executor, which starts workers on demand
   # and hands idle ones to the next share, while transactions and
