@@ -7,7 +7,7 @@
 // commit so concurrent writers share flushes. Four questions:
 //
 //  - single_vs_batch: wall time of a bulk load record-by-record vs
-//    through BindBatch chunks, each with the log detached and attached.
+//    through Bind chunks, each with the log detached and attached.
 //    E-faults measured 36.4% WAL overhead on the single-insert path; the
 //    batch path amortises framing across the chunk and must stay under
 //    10%.
@@ -109,8 +109,8 @@ double MeasureSingleMs(const std::vector<std::vector<abdm::Value>>& rows,
     if (wal_on) engine.AttachWal(&wal);
     engine.DefineFile(AccountFile());
     const auto start = std::chrono::steady_clock::now();
-    for (const auto& row : rows) {
-      auto bound = prepared.Bind(row);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      auto bound = prepared.Bind(rows, i, i + 1);
       if (!bound.ok()) std::abort();
       (void)engine.Execute(abdl::Request(*std::move(bound)));
     }
@@ -119,7 +119,7 @@ double MeasureSingleMs(const std::vector<std::vector<abdm::Value>>& rows,
   return best;
 }
 
-/// Chunked ingest: BindBatch over [begin, end) windows of
+/// Chunked ingest: Bind over [begin, end) windows of
 /// EffectiveBatchSize rows, one kernel request and one WAL entry per
 /// chunk.
 double MeasureBatchMs(const std::vector<std::vector<abdm::Value>>& rows,
@@ -137,7 +137,7 @@ double MeasureBatchMs(const std::vector<std::vector<abdm::Value>>& rows,
     const auto start = std::chrono::steady_clock::now();
     for (size_t begin = 0; begin < rows.size(); begin += chunk) {
       const size_t end = std::min(rows.size(), begin + chunk);
-      auto batch = prepared.BindBatch(rows, begin, end);
+      auto batch = prepared.Bind(rows, begin, end);
       if (!batch.ok()) std::abort();
       (void)engine.Execute(abdl::Request(*std::move(batch)));
     }
@@ -237,7 +237,7 @@ struct EraseCase {
 };
 
 /// Best wall time of `c`'s statements over a fresh `records`-record
-/// ledger (acct unique, tier in 0..3), loading in BindBatch chunks
+/// ledger (acct unique, tier in 0..3), loading in Bind chunks
 /// untimed.
 double MeasureBulkEraseMs(size_t records, const EraseCase& c, int reps) {
   auto prepared = abdl::ParsePreparedInsert(
@@ -271,7 +271,7 @@ double MeasureBulkEraseMs(size_t records, const EraseCase& c, int reps) {
     engine.DefineFile(LedgerFile());
     for (size_t begin = 0; begin < records; begin += chunk) {
       auto batch =
-          prepared->BindBatch(rows, begin, std::min(records, begin + chunk));
+          prepared->Bind(rows, begin, std::min(records, begin + chunk));
       if (!batch.ok() ||
           !engine.Execute(abdl::Request(*std::move(batch))).ok()) {
         std::abort();
@@ -312,7 +312,7 @@ bool MeasureCrashRecovery(const std::vector<std::vector<abdm::Value>>& rows,
   size_t batches_applied = 0;
   for (size_t begin = 0; begin < records; begin += chunk) {
     const size_t end = std::min(records, begin + chunk);
-    auto batch = prepared.BindBatch(rows, begin, end);
+    auto batch = prepared.Bind(rows, begin, end);
     if (!batch.ok()) return false;
     if (!engine.Execute(abdl::Request(*std::move(batch))).ok()) break;
     ++batches_applied;
@@ -331,7 +331,7 @@ bool MeasureCrashRecovery(const std::vector<std::vector<abdm::Value>>& rows,
   for (size_t b = 0; b < batches_applied; ++b) {
     const size_t begin = b * chunk;
     const size_t end = std::min(records, begin + chunk);
-    auto batch = prepared.BindBatch(rows, begin, end);
+    auto batch = prepared.Bind(rows, begin, end);
     if (!batch.ok() ||
         !reference.Execute(abdl::Request(*std::move(batch))).ok()) {
       return false;

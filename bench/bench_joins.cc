@@ -131,7 +131,9 @@ ChainDatabase* LoadChain() {
   }
 
   auto insert = [&](Record r) {
-    auto resp = db->executor->Execute(abdl::InsertRequest{std::move(r)});
+    abdl::InsertRequest insert;
+    insert.records.push_back(std::move(r));
+    auto resp = db->executor->Execute(std::move(insert));
     if (!resp.ok()) {
       std::fprintf(stderr, "insert: %s\n", resp.status().ToString().c_str());
     }
@@ -247,7 +249,7 @@ void WriteJoinsJson(const char* path) {
   const size_t fused_visited = FusedWalk(db);
   const uint64_t fused_blocks =
       db.engine.cumulative_io().total_blocks() - blocks_before;
-  const size_t fused_requests = db.machine->trace().back().abdl.size();
+  const size_t fused_requests = db.machine->trace().size();
 
   constexpr int kRepetitions = 3;
   auto time_ns = [](auto&& fn) {

@@ -79,9 +79,9 @@ bool LoadBulkFile(MldsSystem* system, int rows) {
     std::snprintf(name, sizeof(name), "row-%09d", i);
     record.Set("name", abdm::Value::String(name));
     record.Set("note", abdm::Value::String("streamed result bench row"));
-    if (!system->executor()
-             ->Execute(abdl::InsertRequest{std::move(record)})
-             .ok()) {
+    abdl::InsertRequest insert;
+    insert.records.push_back(std::move(record));
+    if (!system->executor()->Execute(std::move(insert)).ok()) {
       return false;
     }
   }

@@ -109,11 +109,8 @@ int main() {
       if (trimmed == ".help") {
         PrintHelp();
       } else if (trimmed == ".trace") {
-        for (const auto& entry : dml.trace()) {
-          std::printf("  %s\n", entry.dml.c_str());
-          for (const auto& abdl : entry.abdl) {
-            std::printf("    => %s\n", abdl.c_str());
-          }
+        for (const std::string& abdl : dml.trace()) {
+          std::printf("    => %s\n", abdl.c_str());
         }
       } else if (trimmed == ".schema") {
         std::printf("%s", system.NetworkViewOf("university")->ToDdl().c_str());

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "kfs/formatter.h"
 #include "mlds/mlds.h"
@@ -46,27 +47,30 @@ int main() {
   }
   kms::DmlMachine* dml = *session;
 
-  // 5. The thesis's example transaction.
-  auto results = dml->RunProgram(
-      "MOVE 'Advanced Database' TO title IN course\n"
-      "FIND ANY course USING title IN course\n"
-      "GET title, semester, credits IN course\n");
-  if (!results.ok()) {
-    std::fprintf(stderr, "DML failed: %s\n",
-                 results.status().ToString().c_str());
-    return 1;
-  }
-
-  std::printf("GET result:\n%s\n",
-              kfs::FormatTable(results->back().records).c_str());
-
-  // 6. Show the DML -> ABDL translation KMS performed.
+  // 5. The thesis's example transaction, one statement at a time, each
+  //    shown with the ABDL requests KMS translated it into.
+  const char* const program[] = {
+      "MOVE 'Advanced Database' TO title IN course",
+      "FIND ANY course USING title IN course",
+      "GET title, semester, credits IN course",
+  };
+  std::vector<abdm::Record> records;
   std::printf("Translation trace:\n");
-  for (const auto& entry : dml->trace()) {
-    std::printf("  %s\n", entry.dml.c_str());
-    for (const auto& abdl : entry.abdl) {
+  for (const char* statement : program) {
+    auto result = dml->ExecuteText(statement);
+    if (!result.ok()) {
+      std::fprintf(stderr, "DML failed: %s\n",
+                   result.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("  %s\n", statement);
+    for (const std::string& abdl : dml->trace()) {
       std::printf("    => %s\n", abdl.c_str());
     }
+    records = std::move(result->records);
   }
+
+  // 6. The GET delivered the course into the user work area.
+  std::printf("\nGET result:\n%s\n", kfs::FormatTable(records).c_str());
   return 0;
 }

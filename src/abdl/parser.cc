@@ -209,18 +209,12 @@ class Parser {
   }
 
   Result<Request> ParseInsert() {
-    MLDS_ASSIGN_OR_RETURN(abdm::Record first, ParseInsertGroup(nullptr));
-    if (!in_.Peek().Is("(")) {
-      return Request(InsertRequest{std::move(first)});
-    }
-    // Further keyword groups: the multi-record batch form.
-    BatchInsertRequest batch;
-    batch.records.push_back(std::move(first));
-    while (in_.Peek().Is("(")) {
-      MLDS_ASSIGN_OR_RETURN(abdm::Record next, ParseInsertGroup(nullptr));
-      batch.records.push_back(std::move(next));
-    }
-    return Request(std::move(batch));
+    InsertRequest insert;
+    do {
+      MLDS_ASSIGN_OR_RETURN(abdm::Record record, ParseInsertGroup(nullptr));
+      insert.records.push_back(std::move(record));
+    } while (in_.Peek().Is("("));
+    return Request(std::move(insert));
   }
 
   Result<Request> ParseDelete() {

@@ -4,39 +4,34 @@
 
 namespace mlds::abdl {
 
-Result<InsertRequest> PreparedRequest::Bind(
+Result<abdm::Record> PreparedRequest::BindRow(
     const std::vector<abdm::Value>& row) const {
   if (row.size() != parameters.size()) {
     return Status::InvalidArgument(
         "prepared INSERT takes " + std::to_string(parameters.size()) +
         " parameters, got " + std::to_string(row.size()));
   }
-  InsertRequest request{constants};
+  abdm::Record record = constants;
   for (size_t i = 0; i < parameters.size(); ++i) {
-    request.record.Set(parameters[i], row[i]);
+    record.Set(parameters[i], row[i]);
   }
-  return request;
+  return record;
 }
 
-Result<BatchInsertRequest> PreparedRequest::BindBatch(
-    const std::vector<std::vector<abdm::Value>>& rows) const {
-  return BindBatch(rows, 0, rows.size());
-}
-
-Result<BatchInsertRequest> PreparedRequest::BindBatch(
+Result<InsertRequest> PreparedRequest::Bind(
     const std::vector<std::vector<abdm::Value>>& rows, size_t begin,
     size_t end) const {
   end = std::min(end, rows.size());
   if (begin >= end) {
     return Status::InvalidArgument("prepared INSERT batch carries no rows");
   }
-  BatchInsertRequest batch;
-  batch.records.reserve(end - begin);
+  InsertRequest insert;
+  insert.records.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
-    MLDS_ASSIGN_OR_RETURN(InsertRequest one, Bind(rows[i]));
-    batch.records.push_back(std::move(one.record));
+    MLDS_ASSIGN_OR_RETURN(abdm::Record record, BindRow(rows[i]));
+    insert.records.push_back(std::move(record));
   }
-  return batch;
+  return insert;
 }
 
 size_t EffectiveBatchSize(const BatchLimits& limits, size_t params_per_row) {

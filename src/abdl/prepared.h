@@ -17,8 +17,8 @@ namespace mlds::abdl {
 /// into constants (attributes whose values appear literally, always
 /// including the FILE keyword) and ordered parameter slots (attributes
 /// written as `<attr, ?>`). Binding a row of N values — one per slot, in
-/// slot order — yields an executable InsertRequest without re-parsing;
-/// binding many rows yields one BatchInsertRequest.
+/// slot order — yields one record without re-parsing; binding a range of
+/// rows yields one executable InsertRequest.
 ///
 ///   INSERT (<FILE, staff>, <dept, 'sales'>, <name, ?>, <salary, ?>)
 ///
@@ -30,21 +30,17 @@ struct PreparedRequest {
 
   size_t params_per_row() const { return parameters.size(); }
 
-  /// Binds one parameter row. The row must carry exactly
+  /// Binds one parameter row into a record. The row must carry exactly
   /// params_per_row() values.
-  Result<InsertRequest> Bind(const std::vector<abdm::Value>& row) const;
+  Result<abdm::Record> BindRow(const std::vector<abdm::Value>& row) const;
 
-  /// Binds N parameter rows into one batch request. Every row must carry
-  /// exactly params_per_row() values; an empty batch is rejected.
-  Result<BatchInsertRequest> BindBatch(
-      const std::vector<std::vector<abdm::Value>>& rows) const;
-
-  /// Binds rows [begin, end) — the chunked form, so a caller splitting a
-  /// bulk load at EffectiveBatchSize boundaries binds each chunk without
-  /// copying its rows into a fresh vector.
-  Result<BatchInsertRequest> BindBatch(
-      const std::vector<std::vector<abdm::Value>>& rows, size_t begin,
-      size_t end) const;
+  /// Binds rows [begin, end) into one INSERT — the chunked form, so a
+  /// caller splitting a bulk load at EffectiveBatchSize boundaries binds
+  /// each chunk without copying its rows into a fresh vector. Every row
+  /// must carry exactly params_per_row() values; an empty range is
+  /// rejected.
+  Result<InsertRequest> Bind(const std::vector<std::vector<abdm::Value>>& rows,
+                             size_t begin, size_t end) const;
 };
 
 /// Batch sizing knobs, after the bulk-copy idiom: the caller asks for

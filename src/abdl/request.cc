@@ -44,36 +44,15 @@ std::string TargetItem::ToString() const {
   return out;
 }
 
-const InsertGuard* GuardOf(const Request& request) {
-  return GuardOf(const_cast<Request&>(request));
-}
-
-InsertGuard* GuardOf(Request& request) {
-  if (auto* one = std::get_if<InsertRequest>(&request)) return &one->guard;
-  if (auto* batch = std::get_if<BatchInsertRequest>(&request)) {
-    return &batch->guard;
-  }
-  return nullptr;
-}
-
-std::span<const abdm::Record> InsertedRecords(const Request& request) {
-  return InsertedRecords(const_cast<Request&>(request));
-}
-
-std::span<abdm::Record> InsertedRecords(Request& request) {
-  if (auto* one = std::get_if<InsertRequest>(&request)) {
-    return {&one->record, 1};
-  }
-  if (auto* batch = std::get_if<BatchInsertRequest>(&request)) {
-    return batch->records;
-  }
-  return {};
+bool IsMutation(const Request& request) {
+  return std::holds_alternative<InsertRequest>(request) ||
+         std::holds_alternative<DeleteRequest>(request) ||
+         std::holds_alternative<UpdateRequest>(request);
 }
 
 std::string_view RequestOperation(const Request& request) {
   struct Visitor {
     std::string_view operator()(const InsertRequest&) { return "INSERT"; }
-    std::string_view operator()(const BatchInsertRequest&) { return "INSERT"; }
     std::string_view operator()(const DeleteRequest&) { return "DELETE"; }
     std::string_view operator()(const UpdateRequest&) { return "UPDATE"; }
     std::string_view operator()(const RetrieveRequest&) { return "RETRIEVE"; }
@@ -87,7 +66,6 @@ std::string_view RequestOperation(const Request& request) {
 bool IsExplain(const Request& request) {
   struct Visitor {
     bool operator()(const InsertRequest&) { return false; }
-    bool operator()(const BatchInsertRequest&) { return false; }
     bool operator()(const DeleteRequest& r) { return r.explain; }
     bool operator()(const UpdateRequest& r) { return r.explain; }
     bool operator()(const RetrieveRequest& r) { return r.explain; }
@@ -100,7 +78,6 @@ void SetExplain(Request& request, bool explain) {
   struct Visitor {
     bool explain;
     void operator()(InsertRequest&) {}
-    void operator()(BatchInsertRequest&) {}
     void operator()(DeleteRequest& r) { r.explain = explain; }
     void operator()(UpdateRequest& r) { r.explain = explain; }
     void operator()(RetrieveRequest& r) { r.explain = explain; }
@@ -120,23 +97,18 @@ void AppendToString(const Request& request, std::string& out) {
     std::string& out;
     void Done(std::string rendered) { out += rendered; }
     void operator()(const InsertRequest& r) {
-      out += "INSERT ";
-      r.record.AppendTo(out);
-    }
-    void operator()(const BatchInsertRequest& r) {
       out += "INSERT";
-      if (!r.records.empty()) {
-        // Size the buffer off the first record so a thousand-row batch
-        // renders without reallocation churn.
-        const size_t before = out.size();
+      if (r.records.empty()) return;
+      // Size the buffer off the first record so a thousand-row INSERT
+      // renders without reallocation churn.
+      const size_t before = out.size();
+      out.push_back(' ');
+      r.records[0].AppendTo(out);
+      const size_t per_record = out.size() - before;
+      out.reserve(out.size() + per_record * (r.records.size() - 1));
+      for (size_t i = 1; i < r.records.size(); ++i) {
         out.push_back(' ');
-        r.records[0].AppendTo(out);
-        const size_t per_record = out.size() - before;
-        out.reserve(out.size() + per_record * (r.records.size() - 1));
-        for (size_t i = 1; i < r.records.size(); ++i) {
-          out.push_back(' ');
-          r.records[i].AppendTo(out);
-        }
+        r.records[i].AppendTo(out);
       }
     }
     void operator()(const DeleteRequest& r) {

@@ -2,7 +2,6 @@
 #define MLDS_ABDL_REQUEST_H_
 
 #include <optional>
-#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -42,30 +41,19 @@ struct InsertGuard {
   friend bool operator==(const InsertGuard&, const InsertGuard&) = default;
 };
 
-/// INSERT places a new record into the database, qualified by a list of
-/// keywords (Ch. II.C.2). The record's FILE keyword names the target file.
-struct InsertRequest {
-  abdm::Record record;
-  InsertGuard guard;
-
-  friend bool operator==(const InsertRequest&, const InsertRequest&) = default;
-};
-
-/// INSERT of several records in one kernel round trip — the bulk-ingest
-/// fast path. Each record carries its own FILE keyword (records of one
-/// batch may target different files); the batch executes atomically per
-/// engine: all records are placed and the whole batch logs as one WAL
-/// entry, so recovery replays it all-or-nothing. Text form:
+/// INSERT places new records into the database, each qualified by a list
+/// of keywords (Ch. II.C.2); each record's FILE keyword names its target
+/// file, so the records of one request may target different files. The
+/// request executes atomically per engine: every record is placed and the
+/// whole request logs as one WAL entry, so recovery replays it
+/// all-or-nothing. Text form, one keyword group per record:
 ///
 ///   INSERT (<FILE, f>, <a, 1>) (<FILE, f>, <a, 2>) ...
-///
-/// A single record group parses as a plain InsertRequest.
-struct BatchInsertRequest {
+struct InsertRequest {
   std::vector<abdm::Record> records;
   InsertGuard guard;
 
-  friend bool operator==(const BatchInsertRequest&,
-                         const BatchInsertRequest&) = default;
+  friend bool operator==(const InsertRequest&, const InsertRequest&) = default;
 };
 
 /// DELETE removes the records identified by the query.
@@ -178,22 +166,17 @@ struct RetrieveCommonRequest {
                          const RetrieveCommonRequest&) = default;
 };
 
-/// A single ABDL request: one of the five basic operations, or the
-/// multi-record batch form of INSERT.
-using Request =
-    std::variant<InsertRequest, BatchInsertRequest, DeleteRequest,
-                 UpdateRequest, RetrieveRequest, RetrieveCommonRequest>;
+/// A single ABDL request: one of the five basic operations.
+using Request = std::variant<InsertRequest, DeleteRequest, UpdateRequest,
+                             RetrieveRequest, RetrieveCommonRequest>;
 
 /// A transaction groups two or more sequentially executed requests.
 using Transaction = std::vector<Request>;
 
-/// The guard of an INSERT or batch INSERT; nullptr for other requests.
-const InsertGuard* GuardOf(const Request& request);
-InsertGuard* GuardOf(Request& request);
-
-/// The records of an INSERT or batch INSERT; empty for other requests.
-std::span<const abdm::Record> InsertedRecords(const Request& request);
-std::span<abdm::Record> InsertedRecords(Request& request);
+/// True for the operations that change file contents (INSERT, DELETE,
+/// UPDATE): the kernel locks their files exclusively and the write-ahead
+/// logs record them.
+bool IsMutation(const Request& request);
 
 /// Returns the operation keyword of `request` ("INSERT", "RETRIEVE", ...).
 std::string_view RequestOperation(const Request& request);
@@ -209,7 +192,7 @@ void SetExplain(Request& request, bool explain);
 std::string ToString(const Request& request);
 
 /// ToString appended to `out` in place. The WAL logs every mutation in
-/// this notation; for batch INSERTs the entry runs to megabytes, so the
+/// this notation; for a bulk INSERT the entry runs to megabytes, so the
 /// logging path renders straight into the (prefixed) log string instead
 /// of concatenating temporaries.
 void AppendToString(const Request& request, std::string& out);

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
-#include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -82,26 +81,18 @@ class StoreLock {
   bool exclusive_;
 };
 
-/// True for the operations that mutate file contents and therefore need
-/// the file lock exclusive; retrievals share it.
-bool IsWriteRequest(const abdl::Request& request) {
-  return std::holds_alternative<abdl::InsertRequest>(request) ||
-         std::holds_alternative<abdl::BatchInsertRequest>(request) ||
-         std::holds_alternative<abdl::DeleteRequest>(request) ||
-         std::holds_alternative<abdl::UpdateRequest>(request);
-}
-
 /// Appends the log text of `request` to `entry`, with `keys[i]` (from
 /// Engine::SettleInsert) filled into record i: the log holds each record
 /// as it is written, so replay needs no guard.
 void AppendLogged(const abdl::Request& request,
                   const std::vector<std::string>& keys, std::string& entry) {
   if (keys.empty()) return abdl::AppendToString(request, entry);
-  abdl::Request logged = request;
-  const std::string& attribute = abdl::GuardOf(logged)->key_attribute;
-  std::span<Record> records = abdl::InsertedRecords(logged);
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (!keys[i].empty()) records[i].Set(attribute, Value::String(keys[i]));
+  abdl::InsertRequest logged = std::get<abdl::InsertRequest>(request);
+  for (size_t i = 0; i < logged.records.size(); ++i) {
+    if (!keys[i].empty()) {
+      logged.records[i].Set(logged.guard.key_attribute,
+                            Value::String(keys[i]));
+    }
   }
   abdl::AppendToString(logged, entry);
 }
@@ -751,13 +742,6 @@ std::vector<FileStore*> Engine::TouchedStores(const abdl::Request& request) {
   struct Visitor {
     Engine* engine;
     std::vector<FileStore*> operator()(const abdl::InsertRequest& r) {
-      Value file_value = r.record.GetOrNull(abdm::kFileAttribute);
-      if (!file_value.is_string()) return {};
-      FileStore* store = engine->FindFile(file_value.AsString());
-      if (store == nullptr) return {};
-      return {store};
-    }
-    std::vector<FileStore*> operator()(const abdl::BatchInsertRequest& r) {
       // Distinct target files in name order (the lock-acquisition order).
       std::map<std::string_view, FileStore*> by_name;
       for (const Record& record : r.records) {
@@ -804,11 +788,7 @@ Result<Response> Engine::ExecuteLocked(const abdl::Request& request,
     Engine* engine;
     const std::vector<std::string>& keys;
     Result<Response> operator()(const abdl::InsertRequest& r) {
-      return engine->ExecuteInsert({&r.record, 1}, r.guard.key_attribute,
-                                   keys);
-    }
-    Result<Response> operator()(const abdl::BatchInsertRequest& r) {
-      return engine->ExecuteInsert(r.records, r.guard.key_attribute, keys);
+      return engine->ExecuteInsert(r, keys);
     }
     Result<Response> operator()(const abdl::DeleteRequest& r) {
       return engine->ExecuteDelete(r);
@@ -839,7 +819,7 @@ Result<Response> Engine::Execute(const abdl::Request& request) {
   // while this request runs, so the routed FileStore pointers stay valid.
   std::shared_lock<std::shared_mutex> map_lock(map_mutex_);
   // Level 2: the touched files' locks, in name order; retrievals share.
-  const bool exclusive = IsWriteRequest(request);
+  const bool exclusive = abdl::IsMutation(request);
   std::vector<StoreLock> locks;
   for (FileStore* store : TouchedStores(request)) {
     locks.emplace_back(&store->mutex(), exclusive);
@@ -854,7 +834,7 @@ Result<Response> Engine::Execute(const abdl::Request& request) {
   // apply order, which replay depends on.
   if (exclusive) {
     if (WalWriter* wal = wal_.load(std::memory_order_acquire)) {
-      // Render in place: a batch entry can run to megabytes, so no
+      // Render in place: a bulk INSERT entry can run to megabytes, so no
       // temporary copy between the renderer and the log (but the one
       // that carries kernel-picked keys).
       std::string entry = "REQUEST ";
@@ -881,7 +861,7 @@ Result<std::vector<Response>> Engine::ExecuteTransaction(
   std::shared_lock<std::shared_mutex> map_lock(map_mutex_);
   std::map<std::string_view, std::pair<FileStore*, bool>> plan;
   for (const auto& request : txn) {
-    const bool write = IsWriteRequest(request);
+    const bool write = abdl::IsMutation(request);
     for (FileStore* store : TouchedStores(request)) {
       auto [it, inserted] = plan.try_emplace(store->name(), store, write);
       if (!inserted) it->second.second |= write;
@@ -906,7 +886,7 @@ Result<std::vector<Response>> Engine::ExecuteTransaction(
   const bool log_txn =
       wal != nullptr &&
       std::any_of(txn.begin(), txn.end(),
-                  [](const abdl::Request& r) { return IsWriteRequest(r); });
+                  [](const abdl::Request& r) { return abdl::IsMutation(r); });
   uint64_t txn_id = 0;
   std::vector<std::string> frames;
   if (log_txn) {
@@ -935,7 +915,7 @@ Result<std::vector<Response>> Engine::ExecuteTransaction(
       MLDS_RETURN_IF_ERROR(commit());
       return settled;
     }
-    if (log_txn && IsWriteRequest(request)) {
+    if (log_txn && abdl::IsMutation(request)) {
       std::string entry = "TREQUEST " + std::to_string(txn_id) + " ";
       AppendLogged(request, keys, entry);
       frames.push_back(std::move(entry));
@@ -957,32 +937,33 @@ Result<std::vector<Response>> Engine::ExecuteTransaction(
 
 Status Engine::SettleInsert(const abdl::Request& request,
                             std::vector<std::string>* keys, IoStats* io) {
-  const abdl::InsertGuard* guard = abdl::GuardOf(request);
-  if (guard == nullptr || guard->empty()) return Status::OK();
-  const std::span<const Record> records = abdl::InsertedRecords(request);
+  const auto* insert = std::get_if<abdl::InsertRequest>(&request);
+  if (insert == nullptr || insert->guard.empty()) return Status::OK();
+  const abdl::InsertGuard& guard = insert->guard;
+  const std::vector<Record>& records = insert->records;
   // A record naming no defined file is left for the insert to reject.
   auto store_of = [this](const Record& record) -> FileStore* {
     const Value* file = record.Find(abdm::kFileAttribute);
     return file != nullptr && file->is_string() ? FindFile(file->AsString())
                                                 : nullptr;
   };
-  if (!guard->unique.empty()) {
+  if (!guard.unique.empty()) {
     RepeatCheck earlier;
     for (const Record& record : records) {
       FileStore* store = store_of(record);
       if (store == nullptr) continue;
       const Combination combination =
-          GuardCombination(*guard, store->name(), record);
+          GuardCombination(guard, store->name(), record);
       if (!combination.checked()) continue;
       bool taken = earlier.Repeats(combination);
       if (!taken) {
         MLDS_ASSIGN_OR_RETURN(taken,
-                              store->Holds(guard->unique, combination, io));
+                              store->Holds(guard.unique, combination, io));
       }
-      if (taken) return UniqueViolation(store->name(), *guard);
+      if (taken) return UniqueViolation(store->name(), guard);
     }
   }
-  if (!guard->key_attribute.empty()) {
+  if (!guard.key_attribute.empty()) {
     // Each file's counter runs ahead over the request's records as the
     // inserts will advance it.
     std::map<FileStore*, KeyCounter> counters;
@@ -996,19 +977,19 @@ Status Engine::SettleInsert(const abdl::Request& request,
       KeyCounter& counter =
           counters.try_emplace(store, store->keys()).first->second;
       keys->push_back(
-          counter.Next(store->name(), guard->key_attribute, record));
+          counter.Next(store->name(), guard.key_attribute, record));
     }
   }
   return Status::OK();
 }
 
-Result<Response> Engine::ExecuteInsert(std::span<const Record> records,
-                                       const std::string& key_attribute,
+Result<Response> Engine::ExecuteInsert(const abdl::InsertRequest& req,
                                        const std::vector<std::string>& keys) {
+  const std::vector<Record>& records = req.records;
   if (records.empty()) {
-    return Status::InvalidArgument("batch INSERT carries no records");
+    return Status::InvalidArgument("INSERT carries no records");
   }
-  // Validate every record before placing any: a batch logged as one WAL
+  // Validate every record before placing any: a request logged as one WAL
   // entry replays all-or-nothing, so it must also apply that way.
   std::vector<FileStore*> stores;
   stores.reserve(records.size());
@@ -1029,7 +1010,7 @@ Result<Response> Engine::ExecuteInsert(std::span<const Record> records,
   for (size_t i = 0; i < records.size(); ++i) {
     Record record = records[i];
     if (i < keys.size() && !keys[i].empty()) {
-      record.Set(key_attribute, Value::String(keys[i]));
+      record.Set(req.guard.key_attribute, Value::String(keys[i]));
     }
     MLDS_RETURN_IF_ERROR(stores[i]->Insert(std::move(record), &resp.io).status());
   }

@@ -6,7 +6,6 @@
 #include <memory>
 #include <set>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -375,11 +374,10 @@ class Engine {
   Status SettleInsert(const abdl::Request& request,
                       std::vector<std::string>* keys, IoStats* io);
 
-  /// INSERT or batch INSERT of `records`, record i taking `keys[i]` under
-  /// `key_attribute` when it is non-empty. Every record is validated
+  /// INSERT of `req`'s records, record i taking `keys[i]` under the
+  /// guard's key keyword when it is non-empty. Every record is validated
   /// before any is placed.
-  Result<Response> ExecuteInsert(std::span<const abdm::Record> records,
-                                 const std::string& key_attribute,
+  Result<Response> ExecuteInsert(const abdl::InsertRequest& req,
                                  const std::vector<std::string>& keys);
   Result<Response> ExecuteDelete(const abdl::DeleteRequest& req);
   Result<Response> ExecuteUpdate(const abdl::UpdateRequest& req);

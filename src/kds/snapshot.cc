@@ -142,7 +142,9 @@ Status LoadSnapshotFiltered(
       if (!request.ok()) {
         return parse_error("bad INSERT: " + request.status().message());
       }
-      if (!std::holds_alternative<abdl::InsertRequest>(*request)) {
+      // One record per data line, as SaveSnapshot writes them.
+      const auto* insert = std::get_if<abdl::InsertRequest>(&*request);
+      if (insert == nullptr || insert->records.size() != 1) {
         return parse_error("data section must contain only INSERTs");
       }
       inserts.push_back(std::move(*request));
@@ -164,7 +166,7 @@ Status LoadSnapshotFiltered(
     }
   }
   for (const auto& request : inserts) {
-    const auto& record = std::get<abdl::InsertRequest>(request).record;
+    const auto& record = std::get<abdl::InsertRequest>(request).records[0];
     abdm::Value file_value = record.GetOrNull(abdm::kFileAttribute);
     const bool known =
         file_value.is_string() &&
@@ -205,7 +207,7 @@ Status LoadSnapshotFiltered(
     }
   }
   for (const auto& request : inserts) {
-    const auto& record = std::get<abdl::InsertRequest>(request).record;
+    const auto& record = std::get<abdl::InsertRequest>(request).records[0];
     if (!want(record.GetOrNull(abdm::kFileAttribute).AsString())) continue;
     auto response = engine->Execute(request);
     if (!response.ok()) {

@@ -84,7 +84,7 @@ class DaplexMachine {
   Result<Outcome> ExecuteStatement(std::string_view text);
 
   /// Executes a parameterized CREATE template — `CREATE type (fn = ?,
-  /// ...)` — once per parameter row, chunked into kernel batch INSERTs of
+  /// ...)` — once per parameter row, chunked into kernel INSERTs of
   /// at most EffectiveBatchSize(limits) records each. Literal assignments
   /// in the template apply to every row; each `?` binds one row value in
   /// assignment order.

@@ -95,7 +95,7 @@ class DliMachine {
   Result<std::vector<Outcome>> RunProgram(std::string_view text);
 
   /// Executes a parameterized ISRT template — `ISRT seg (field = ?, ...)`
-  /// — once per parameter row, chunked into kernel batch INSERTs of at
+  /// — once per parameter row, chunked into kernel INSERTs of at
   /// most EffectiveBatchSize(limits) records each. Every inserted segment
   /// shares the parent established before the batch; the last one becomes
   /// the current position.

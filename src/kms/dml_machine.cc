@@ -114,8 +114,7 @@ DmlMachine::DmlMachine(const network::Schema* schema,
       inserts_([this](abdl::Request r) { return Issue(std::move(r)); }) {}
 
 Result<DmlResult> DmlMachine::Execute(const codasyl::Statement& statement) {
-  trace_.push_back(IssuedStatement{
-      (explain_ ? "EXPLAIN " : "") + codasyl::ToString(statement), {}});
+  trace_.clear();
   struct Visitor {
     DmlMachine* self;
     Result<DmlResult> operator()(const codasyl::MoveStatement& s) {
@@ -167,7 +166,7 @@ Result<DmlResult> DmlMachine::Execute(const codasyl::Statement& statement) {
   };
   auto result = std::visit(Visitor{this}, statement);
   if (result.ok()) {
-    result->abdl_requests = trace_.back().abdl.size();
+    result->abdl_requests = trace_.size();
     stats_.statements[std::string(codasyl::StatementKind(statement))] += 1;
     stats_.total_statements += 1;
   }
@@ -228,11 +227,9 @@ Result<DmlResult> DmlMachine::ExecuteBatch(
         "batch execution requires a parameterized STORE template "
         "(STORE rec (item = ?, ...))");
   }
-  trace_.push_back(IssuedStatement{codasyl::ToString(stmt->statement) + " [" +
-                                       std::to_string(rows.size()) + " rows]",
-                                   {}});
+  trace_.clear();
   MLDS_ASSIGN_OR_RETURN(DmlResult result, StoreRows(*store, rows, limits));
-  result.abdl_requests = trace_.back().abdl.size();
+  result.abdl_requests = trace_.size();
   stats_.statements["STORE"] += 1;
   stats_.total_statements += 1;
   return result;
@@ -245,26 +242,11 @@ Result<kds::Response> DmlMachine::Issue(abdl::Request request) {
   stats_.abdl_requests[std::string(abdl::RequestOperation(request))] += 1;
   stats_.total_requests += 1;
   auto response = executor_->Execute(request);
-  trace_.back().abdl.Add(std::move(request));
+  trace_.Add(std::move(request));
   if (explain_ && response.ok() && response->plan != nullptr) {
     explain_plans_.push_back(response->plan);
   }
   return response;
-}
-
-const std::vector<TraceEntry>& DmlMachine::trace() const {
-  // Statements and requests are only appended, and every entry but the
-  // newest is final: only the newest rendered entry can be stale.
-  if (!rendered_trace_.empty() &&
-      (rendered_trace_.size() < trace_.size() ||
-       rendered_trace_.back().abdl.size() != trace_.back().abdl.size())) {
-    rendered_trace_.pop_back();
-  }
-  for (size_t i = rendered_trace_.size(); i < trace_.size(); ++i) {
-    rendered_trace_.push_back(
-        TraceEntry{trace_[i].dml, trace_[i].abdl.Render()});
-  }
-  return rendered_trace_;
 }
 
 Result<const SetType*> DmlMachine::RequireSet(std::string_view set) const {
@@ -884,7 +866,7 @@ Result<DmlResult> DmlMachine::Connect(const codasyl::ConnectStatement& s) {
           base.Set(SetAttribute(set_name), Value::String(run_key));
           const std::string signature = base.ToString();
           if (!seen.insert(signature).second) continue;
-          MLDS_ASSIGN_OR_RETURN(kds::Response ins, Issue(InsertRequest{base}));
+          MLDS_ASSIGN_OR_RETURN(kds::Response ins, Issue(InsertRequest{{base}}));
           (void)ins;
         }
       }
@@ -1069,7 +1051,7 @@ Result<DmlResult> DmlMachine::Reconnect(const codasyl::ReconnectStatement& s) {
           Record base = r;
           base.Set(SetAttribute(set_name), Value::String(run_key));
           if (!seen.insert(base.ToString()).second) continue;
-          MLDS_ASSIGN_OR_RETURN(kds::Response ins, Issue(InsertRequest{base}));
+          MLDS_ASSIGN_OR_RETURN(kds::Response ins, Issue(InsertRequest{{base}}));
           (void)ins;
         }
       }

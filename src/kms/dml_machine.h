@@ -40,13 +40,6 @@ struct DmlResult {
   std::shared_ptr<const kds::PlanNode> plan;
 };
 
-/// One entry of the translation trace: the DML statement and the ABDL
-/// requests KMS issued for it, in the thesis's notation.
-struct TraceEntry {
-  std::string dml;
-  std::vector<std::string> abdl;
-};
-
 /// Per-session translation statistics: how many statements of each kind
 /// ran and how many ABDL requests of each operation they generated — the
 /// session-level view of the one-to-many correspondence (Ch. III.A).
@@ -101,7 +94,7 @@ class DmlMachine {
   Result<std::vector<DmlResult>> RunProgram(std::string_view text);
 
   /// Executes a parameterized STORE template — `STORE rec (item = ?,
-  /// ...)` — once per parameter row, chunked into kernel batch INSERTs of
+  /// ...)` — once per parameter row, chunked into kernel INSERTs of
   /// at most EffectiveBatchSize(limits) records each. Literal assignments
   /// in the template apply to every row; each `?` binds one row value in
   /// assignment order. Currencies update per stored record, so the batch
@@ -118,15 +111,11 @@ class DmlMachine {
   const codasyl::UserWorkArea& uwa() const { return uwa_; }
   const codasyl::CurrencyIndicatorTable& cit() const { return cit_; }
 
-  /// The cumulative DML -> ABDL translation trace, rendered when it
-  /// changed since the last call; valid until the machine runs again.
-  const std::vector<TraceEntry>& trace() const;
-  void ClearTrace() {
-    trace_.clear();
-    rendered_trace_.clear();
-  }
+  /// ABDL requests issued by the most recent statement, in the thesis's
+  /// notation.
+  const std::vector<std::string>& trace() const { return trace_.Render(); }
 
-  /// Cumulative session statistics (not reset by ClearTrace).
+  /// Cumulative session statistics.
   const SessionStats& statistics() const { return stats_; }
 
   const network::Schema& schema() const { return *schema_; }
@@ -158,7 +147,7 @@ class DmlMachine {
   // --- Shared machinery ---
 
   /// Executes one ABDL request through the kernel, appending it to the
-  /// current trace entry.
+  /// statement's trace.
   Result<kds::Response> Issue(abdl::Request request);
 
   /// Looks up a set, a record type, and checks set membership.
@@ -228,13 +217,7 @@ class DmlMachine {
   codasyl::UserWorkArea uwa_;
   codasyl::CurrencyIndicatorTable cit_;
   codasyl::RequestBuffer rb_;
-  /// The trace as issued: each statement's text and its requests.
-  struct IssuedStatement {
-    std::string dml;
-    RequestTrace abdl;
-  };
-  std::vector<IssuedStatement> trace_;
-  mutable std::vector<TraceEntry> rendered_trace_;
+  RequestTrace trace_;
   SessionStats stats_;
   InsertPath inserts_;
 

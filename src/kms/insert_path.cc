@@ -35,7 +35,6 @@ Result<size_t> InsertPath::Insert(
   const size_t chunk = limits.has_value()
                            ? abdl::EffectiveBatchSize(*limits, params_per_row)
                            : rows.size();
-  const bool batch = limits.has_value() || rows.size() > 1;
   abdl::InsertGuard guard{KeyAttribute(file), unique.attributes,
                           unique.nulls};
   for (size_t begin = 0; begin < rows.size(); begin += chunk) {
@@ -48,8 +47,7 @@ Result<size_t> InsertPath::Insert(
     }
     Record last = records.back();
     Result<kds::Response> inserted =
-        batch ? issue_(abdl::BatchInsertRequest{std::move(records), guard})
-              : issue_(abdl::InsertRequest{last, guard});
+        issue_(abdl::InsertRequest{std::move(records), guard});
     if (!inserted.ok()) {
       // The kernel checked the guard; the language words the violation.
       if (inserted.status().IsConstraintViolation() &&

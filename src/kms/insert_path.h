@@ -18,14 +18,14 @@ namespace mlds::kms {
 
 /// The one insert path of KMS. SQL INSERT, CODASYL STORE, Daplex CREATE
 /// and DL/I ISRT all become ABDL INSERTs carrying an artificial database
-/// key ("course_7"); every machine sends its single and batch inserts
-/// through its session's InsertPath. The kernel owns what they share
+/// key ("course_7"); every machine sends its inserts through its
+/// session's InsertPath. The kernel owns what they share
 /// with other sessions: each request names its key keyword and its
 /// unique combination (abdl::InsertGuard), and the kernel assigns the
 /// keys and checks the guard under the file's lock. What is left here is
 /// the chunk loop: empty-batch and arity checks, chunks of
-/// EffectiveBatchSize rows, one kernel INSERT or batch INSERT per chunk,
-/// then a per-language hook.
+/// EffectiveBatchSize rows, one kernel INSERT per chunk, then a
+/// per-language hook.
 ///
 /// Requests go out through the machine's own issue function, so they land
 /// in its trace.
@@ -56,10 +56,10 @@ class InsertPath {
   /// Inserts one record of `file` per row of a statement with
   /// `params_per_row` markers; an empty batch or a row of another arity
   /// fails whole, the message naming `verb`. A single statement (no
-  /// `limits`) is one kernel request: an INSERT for one row, a batch
-  /// INSERT for several. A parameter batch issues one batch INSERT per
-  /// chunk of EffectiveBatchSize(*limits) rows; chunks inserted before a
-  /// failing one stay inserted, and a failing chunk writes nothing.
+  /// `limits`) is one kernel INSERT of all its rows. A parameter batch
+  /// issues one INSERT per chunk of EffectiveBatchSize(*limits) rows;
+  /// chunks inserted before a failing one stay inserted, and a failing
+  /// chunk writes nothing.
   /// Returns the number of rows inserted.
   Result<size_t> Insert(std::string_view verb, std::string_view file,
                         size_t params_per_row,

@@ -10,8 +10,10 @@
 namespace mlds::kms {
 
 /// The ABDL requests a machine issued for its current statement, kept as
-/// issued and rendered in the thesis's notation only when read: nothing
-/// but tests and the shells' `.trace` reads them.
+/// issued and rendered in the thesis's notation only when read: only
+/// tests, the examples and local_shell's `.trace` read them. Each machine
+/// clears its trace when a statement starts, so a session holds one
+/// statement's requests at most.
 class RequestTrace {
  public:
   void Add(abdl::Request request) {

@@ -412,10 +412,10 @@ Result<SqlMachine::Outcome> SqlMachine::RunInsert(
     return Status::NotFound("table '" + prepared.table + "' does not exist");
   }
   auto build = [&](const std::vector<Value>& row) -> Result<Record> {
-    MLDS_ASSIGN_OR_RETURN(abdl::InsertRequest one, prepared.request.Bind(row));
-    MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, one.record));
-    one.record.Set(KeyAttribute(prepared.table), Value::Null());
-    return std::move(one.record);
+    MLDS_ASSIGN_OR_RETURN(Record record, prepared.request.BindRow(row));
+    MLDS_RETURN_IF_ERROR(CheckInsertRecord(*table, record));
+    record.Set(KeyAttribute(prepared.table), Value::Null());
+    return record;
   };
   // UNIQUE: combination semantics; a row with a null there is unchecked.
   const InsertPath::Unique unique{

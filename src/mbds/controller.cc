@@ -23,15 +23,6 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Mutations are what the per-backend write-ahead logs record: a
-/// quarantined backend must replay them before it can rejoin.
-bool IsMutationRequest(const abdl::Request& request) {
-  return std::holds_alternative<abdl::InsertRequest>(request) ||
-         std::holds_alternative<abdl::BatchInsertRequest>(request) ||
-         std::holds_alternative<abdl::DeleteRequest>(request) ||
-         std::holds_alternative<abdl::UpdateRequest>(request);
-}
-
 /// Appends `warning` unless an identical one is already present (a
 /// transaction can hit the same quarantined backend once per statement).
 void AppendWarning(std::vector<kds::PartialResultWarning>* warnings,
@@ -244,8 +235,9 @@ FileTable::Entry& FileTable::For(std::string_view file) {
 
 Result<ExecutionReport> Controller::Execute(const abdl::Request& request) {
   MaybeReintegrate();
-  Result<ExecutionReport> result = abdl::GuardOf(request) != nullptr
-                                       ? ExecuteInsertRequest(request)
+  const auto* insert = std::get_if<abdl::InsertRequest>(&request);
+  Result<ExecutionReport> result = insert != nullptr
+                                       ? ExecuteInsertRequest(*insert)
                                        : ExecuteBroadcast(request);
   if (result.ok()) {
     total_response_ms_.fetch_add(result->response_time_ms,
@@ -422,37 +414,22 @@ void Controller::ApplySlotHealth(
   }
 }
 
-size_t Controller::PlaceRecord(const abdm::Record& record) {
+size_t Controller::PlaceRecord() {
   // Record distribution: round-robin spreads every file evenly over the
-  // disks; hash placement derives the backend from the record's database
-  // key so placement is order-independent.
-  const size_t n = backends_.size();
-  const size_t next = insert_cursor_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.placement == PlacementPolicy::kHashKey && record.size() >= 2) {
-    return std::hash<std::string>{}(record.attribute(1) + "=" +
-                                    record.value(1).ToString()) %
-           n;
-  }
-  return next % n;
+  // disks.
+  return insert_cursor_.fetch_add(1, std::memory_order_relaxed) %
+         backends_.size();
 }
 
 Result<ExecutionReport> Controller::ExecuteInsertRequest(
-    const abdl::Request& request) {
-  auto place = [this](const abdl::Request& r) {
-    return std::holds_alternative<abdl::InsertRequest>(r)
-               ? ExecuteInsert(std::get<abdl::InsertRequest>(r))
-               : ExecuteBatchInsert(std::get<abdl::BatchInsertRequest>(r));
-  };
-  if (abdl::GuardOf(request)->empty()) {
-    for (const abdm::Record& record : abdl::InsertedRecords(request)) {
-      NextKey(record, {});
-    }
-    return place(request);
+    const abdl::InsertRequest& request) {
+  if (request.guard.empty()) {
+    for (const abdm::Record& record : request.records) NextKey(record, {});
+    return ExecuteInsert(request.records);
   }
   // The backends get the records as the guard leaves them, and no guard.
-  abdl::Request settled = request;
-  const abdl::InsertGuard guard = std::exchange(*abdl::GuardOf(settled), {});
-  std::span<abdm::Record> records = abdl::InsertedRecords(settled);
+  const abdl::InsertGuard& guard = request.guard;
+  std::vector<abdm::Record> records = request.records;
   // A unique guard holds its files' locks, in name order, from the check
   // through the write.
   std::vector<std::unique_lock<std::shared_mutex>> held;
@@ -475,7 +452,7 @@ Result<ExecutionReport> Controller::ExecuteInsertRequest(
     record.Set(guard.key_attribute, abdm::Value::String(key));
     keys.push_back(std::move(key));
   }
-  Result<ExecutionReport> report = place(settled);
+  Result<ExecutionReport> report = ExecuteInsert(std::move(records));
   if (report.ok()) {
     report->response.keys = std::move(keys);
     report->response_time_ms += guard_ms;
@@ -540,79 +517,19 @@ std::string Controller::NextKey(const abdm::Record& record,
 }
 
 Result<ExecutionReport> Controller::ExecuteInsert(
-    const abdl::InsertRequest& request) {
+    std::vector<abdm::Record> records) {
   const size_t n = backends_.size();
-  const size_t target = PlaceRecord(request.record);
-
-  const auto start = std::chrono::steady_clock::now();
-  auto shared_req =
-      std::make_shared<const abdl::Request>(abdl::Request(request));
-  const std::string payload = "REQUEST " + abdl::ToString(*shared_req);
-
-  std::vector<kds::PartialResultWarning> warnings;
-  Status last_failure = Status::Unavailable("no available backends");
-  // Failover: if the placed backend faults, the record goes to the next
-  // available one (the broadcast read path finds it wherever it lives).
-  for (size_t tried = 0; tried < n; ++tried) {
-    const size_t i = (target + tried) % n;
-    Backend& backend = *backends_[i];
-    if (!backend.available()) {
-      backend.health().OnQuarantinedRequest();
-      continue;
-    }
-    std::vector<FanoutSlot> slots = FanOutWithFaults({{i, shared_req}});
-    FanoutSlot& slot = slots.front();
-    if (slot.fault == FaultKind::kNone && !slot.timed_out) {
-      if (!slot.status.ok()) return slot.status;  // genuine engine error
-      // Success: the record now belongs to backend i's partition, so its
-      // log — the partition's source of truth for rebuilds — records it.
-      // (Logging after the apply, unlike broadcasts, so a failed-over
-      // insert never lingers in a dead backend's log as a duplicate.)
-      (void)backend.wal().Append(payload);
-      backend.health().OnSuccess();
-      const double total_ms = slot.ms + slot.backoff_ms;
-      ExecutionReport report;
-      report.backend_times_ms.assign(n, 0.0);
-      report.backend_times_ms[i] = total_ms;
-      report.response.affected = slot.response.affected;
-      report.response.io = slot.response.io;
-      report.response.warnings = std::move(warnings);
-      report.response_time_ms = options_.bus.RoundTripMs() + total_ms;
-      report.wall_time_ms = ElapsedMs(start);
-      return report;
-    }
-    ApplySlotHealth(i, slot, /*mutation=*/true, &warnings);
-    last_failure = slot.status;
-    if (slot.timed_out && slot.fault == FaultKind::kNone) {
-      // A genuine timeout (not an injected stall) is ambiguous: the
-      // engine may have applied the record after we gave up. Re-placing
-      // it could duplicate, so report the unknown outcome instead. The
-      // backend is quarantined; its rebuild resolves the ambiguity
-      // toward "not inserted", matching this error.
-      return Status::Unavailable(
-          "insert outcome unknown: " + slot.status.message());
-    }
-    // Injected error/stall/crash all fire before the engine touches the
-    // record, so failing over cannot duplicate it.
+  if (records.empty()) {
+    return Status::InvalidArgument("INSERT carries no records");
   }
-  return last_failure;
-}
-
-Result<ExecutionReport> Controller::ExecuteBatchInsert(
-    const abdl::BatchInsertRequest& request) {
-  const size_t n = backends_.size();
-  if (request.records.empty()) {
-    return Status::InvalidArgument("batch INSERT carries no records");
-  }
-  // Partition by the placement policy, one sub-batch per backend:
-  // consecutive records still land on consecutive backends (round-robin)
-  // or wherever their database key hashes — exactly the partitions the
+  // Round-robin placement, one sub-request per backend: consecutive
+  // records land on consecutive backends — exactly the partitions the
   // records would form inserted one by one, so the broadcast read path is
   // oblivious to how they arrived. Each backend then pays one request and
-  // one WAL entry for its whole sub-batch instead of one per record.
-  std::vector<abdl::BatchInsertRequest> parts(n);
-  for (const abdm::Record& record : request.records) {
-    parts[PlaceRecord(record)].records.push_back(record);
+  // one WAL entry for its whole share instead of one per record.
+  std::vector<abdl::InsertRequest> parts(n);
+  for (abdm::Record& record : records) {
+    parts[PlaceRecord()].records.push_back(std::move(record));
   }
 
   struct PendingPart {
@@ -639,10 +556,11 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
   double max_ms = 0.0;
   Status last_failure = Status::Unavailable("no available backends");
 
-  // Sub-batches fan out to their backends concurrently. A sub-batch whose
+  // Sub-requests fan out to their backends concurrently. One whose
   // backend faults (injected faults fire before the engine touches any
-  // record) fails over whole to the next available backend in the next
-  // round, mirroring the single-record failover loop.
+  // record, so failing over cannot duplicate one) fails over whole to the
+  // next available backend in the next round; the broadcast read path
+  // finds the records wherever they live.
   while (!pending.empty()) {
     std::vector<FanoutJob> jobs;
     std::vector<size_t> job_part;
@@ -672,10 +590,11 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
       PendingPart& part = pending[job_part[k]];
       if (slot.fault == FaultKind::kNone && !slot.timed_out) {
         if (!slot.status.ok()) return slot.status;  // genuine engine error
-        // The sub-batch now belongs to backend i's partition; its log —
-        // the partition's source of truth for rebuilds — records it as
-        // one entry. (After the apply, like single-record inserts, so a
-        // failed-over sub-batch never lingers in a dead backend's log.)
+        // The records now belong to backend i's partition; its log — the
+        // partition's source of truth for rebuilds — records them as one
+        // entry. (Logging after the apply, unlike broadcasts, so a
+        // failed-over insert never lingers in a dead backend's log as a
+        // duplicate.)
         (void)backends_[i]->wal().Append(part.payload);
         backends_[i]->health().OnSuccess();
         const double total_ms = slot.ms + slot.backoff_ms;
@@ -688,8 +607,12 @@ Result<ExecutionReport> Controller::ExecuteBatchInsert(
       ApplySlotHealth(i, slot, /*mutation=*/true, &warnings);
       last_failure = slot.status;
       if (slot.timed_out && slot.fault == FaultKind::kNone) {
-        // Genuine timeout: the engine may have applied the sub-batch
-        // after we gave up; re-placing it could duplicate every record.
+        // A genuine timeout (not an injected stall) is ambiguous: the
+        // engine may have applied the records after we gave up, and
+        // re-placing them could duplicate every one, so report the
+        // unknown outcome instead. The backend is quarantined; its
+        // rebuild resolves the ambiguity toward "not inserted", matching
+        // this error.
         return Status::Unavailable("insert outcome unknown: " +
                                    slot.status.message());
       }
@@ -731,7 +654,7 @@ Result<ExecutionReport> Controller::ExecuteBroadcast(
     broadcast = raw;
   }
 
-  const bool mutation = IsMutationRequest(request);
+  const bool mutation = abdl::IsMutation(request);
   std::vector<std::string> payloads;
   if (mutation) payloads.push_back("REQUEST " + abdl::ToString(request));
 

@@ -161,16 +161,6 @@ struct ExecutionReport {
   std::vector<double> backend_times_ms;
 };
 
-/// How INSERTs choose a backend.
-enum class PlacementPolicy {
-  /// Consecutive inserts land on consecutive backends: perfectly even.
-  kRoundRobin,
-  /// Hash of the record's database-key keyword (second keyword); falls
-  /// back to round-robin for records without one. Deterministic placement
-  /// independent of arrival order, at the cost of mild skew.
-  kHashKey,
-};
-
 /// Availability knobs of the controller. All thresholds are counted in
 /// requests and all backoff delays are *simulated* (charged to the
 /// slot's simulated time, never slept), so fault-tolerance tests run
@@ -197,7 +187,6 @@ struct MbdsOptions {
   /// dedicated disk.
   kds::EngineOptions engine;
   BusModel bus;
-  PlacementPolicy placement = PlacementPolicy::kRoundRobin;
   FaultToleranceOptions fault_tolerance;
 };
 
@@ -438,13 +427,14 @@ class Controller {
                              const std::string& what,
                              const std::function<Status(kds::Engine&)>& define);
 
-  /// The backend an INSERT of `record` lands on under the placement
-  /// policy. Advances the round-robin cursor either way.
-  size_t PlaceRecord(const abdm::Record& record);
+  /// The backend the next INSERTed record lands on: round-robin, so
+  /// consecutive records land on consecutive backends.
+  size_t PlaceRecord();
 
-  /// An INSERT or batch INSERT: settles its guard (abdl::InsertGuard) and
-  /// runs its records through their files' key counters, then places it.
-  Result<ExecutionReport> ExecuteInsertRequest(const abdl::Request& request);
+  /// An INSERT: settles its guard (abdl::InsertGuard) and runs its
+  /// records through their files' key counters, then places them.
+  Result<ExecutionReport> ExecuteInsertRequest(
+      const abdl::InsertRequest& request);
 
   /// The guard's unique check across every backend: the request's earlier
   /// records in memory, live records with one broadcast RETRIEVE of every
@@ -459,12 +449,11 @@ class Controller {
   std::string NextKey(const abdm::Record& record,
                       std::string_view key_attribute);
 
-  Result<ExecutionReport> ExecuteInsert(const abdl::InsertRequest& request);
-  /// Batch INSERT: partitions the records by the placement policy into one
-  /// sub-batch per backend, fans the sub-batches out concurrently, and
-  /// logs each applied sub-batch as one WAL entry on its backend.
-  Result<ExecutionReport> ExecuteBatchInsert(
-      const abdl::BatchInsertRequest& request);
+  /// Places `records` (PlaceRecord) as one unguarded INSERT per backend,
+  /// fans those out concurrently, and logs each applied one as one WAL
+  /// entry on the backend that took it. A backend that faults passes its
+  /// share whole to the next available backend.
+  Result<ExecutionReport> ExecuteInsert(std::vector<abdm::Record> records);
   Result<ExecutionReport> ExecuteBroadcast(const abdl::Request& request);
   /// RETRIEVE-COMMON: both sides broadcast as plain retrieves, with the
   /// join performed at the controller so cross-partition pairs survive.

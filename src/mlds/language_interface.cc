@@ -194,16 +194,16 @@ Result<Rendered> AbdlInterface::ExecuteBatch(
   size_t affected = 0;
   for (size_t begin = 0; begin < rows.size(); begin += chunk) {
     const size_t end = std::min(begin + chunk, rows.size());
-    MLDS_ASSIGN_OR_RETURN(abdl::BatchInsertRequest batch,
-                          prepared.BindBatch(rows, begin, end));
+    MLDS_ASSIGN_OR_RETURN(abdl::InsertRequest insert,
+                          prepared.Bind(rows, begin, end));
     if (in_transaction_) {
-      affected += batch.records.size();
-      pending_.push_back(std::move(batch));
+      affected += insert.records.size();
+      pending_.push_back(std::move(insert));
       continue;
     }
     MLDS_ASSIGN_OR_RETURN(
         kds::Response response,
-        executor_->Execute(abdl::Request(std::move(batch))));
+        executor_->Execute(abdl::Request(std::move(insert))));
     affected += response.affected;
   }
   return Rendered{

@@ -66,7 +66,7 @@ class LanguageInterface {
   virtual Result<Rendered> Execute(std::string_view text, bool explain) = 0;
 
   /// Runs a parameterized template (`?` markers) once per row, chunked
-  /// into kernel batch INSERTs.
+  /// into kernel INSERTs.
   virtual Result<Rendered> ExecuteBatch(
       std::string_view template_text,
       const std::vector<std::vector<abdm::Value>>& rows) = 0;

@@ -73,7 +73,7 @@ class Session {
 
   /// Executes a BATCH request: the parameterized template runs through the
   /// bound language's batch interface once per parameter row, chunked into
-  /// kernel batch INSERTs. For ABDL the template is a parameterized INSERT
+  /// kernel INSERTs. For ABDL the template is a parameterized INSERT
   /// (`<attr, ?>`); inside a transaction the bound batches buffer like any
   /// other request and apply atomically at COMMIT.
   Result<wire::ExecuteResult> ExecuteBatch(const wire::BatchRequest& request);

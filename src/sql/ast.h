@@ -86,7 +86,7 @@ struct SelectStatement {
 ///
 /// Two extended forms feed the bulk-ingest fast path:
 ///  - multi-row VALUES: additional rows land in `more_rows`, and the
-///    whole statement executes as one kernel batch INSERT;
+///    whole statement executes as one kernel INSERT;
 ///  - parameter markers: `?` in the (single) VALUES row marks a slot of
 ///    a prepared template. `param_mask[i]` flags values[i] as a marker
 ///    (its Value is a null placeholder); the template is compiled once

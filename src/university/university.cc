@@ -83,8 +83,10 @@ Status InsertRecord(kc::KernelExecutor* executor, Record record,
                     LoadSummary* summary) {
   const std::string file =
       record.GetOrNull(abdm::kFileAttribute).AsString();
+  abdl::InsertRequest insert;
+  insert.records.push_back(std::move(record));
   MLDS_ASSIGN_OR_RETURN(kds::Response resp,
-                        executor->Execute(abdl::InsertRequest{std::move(record)}));
+                        executor->Execute(std::move(insert)));
   (void)resp;
   summary->records += 1;
   summary->per_file[file] += 1;

@@ -39,9 +39,10 @@ TEST(AbdlParserTest, ParseInsertKeywordList) {
   ASSERT_TRUE(result.ok()) << result.status();
   const auto* insert = std::get_if<InsertRequest>(&*result);
   ASSERT_NE(insert, nullptr);
-  EXPECT_EQ(insert->record.GetOrNull("FILE").AsString(), "course");
-  EXPECT_EQ(insert->record.GetOrNull("title").AsString(), "Database");
-  EXPECT_EQ(insert->record.GetOrNull("credits").AsInteger(), 4);
+  ASSERT_EQ(insert->records.size(), 1u);
+  EXPECT_EQ(insert->records[0].GetOrNull("FILE").AsString(), "course");
+  EXPECT_EQ(insert->records[0].GetOrNull("title").AsString(), "Database");
+  EXPECT_EQ(insert->records[0].GetOrNull("credits").AsInteger(), 4);
 }
 
 TEST(AbdlParserTest, ParseDelete) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -337,6 +338,116 @@ TEST(BackendFailoverTest, InsertFailsOverToNextAvailableBackend) {
   // dead backend's log, which would resurrect it as a duplicate.
   EXPECT_EQ(c.backend(1).engine().FileSize("item"), 1u);
   EXPECT_EQ(c.backend(1).wal().entry_count(), 2u);  // DEFINE + the insert.
+}
+
+/// An INSERT of items `first`..`first + n - 1` in one request.
+abdl::Request InsertItems(int first, int n) {
+  std::string text = "INSERT";
+  for (int key = first; key < first + n; ++key) {
+    text += " (<FILE, item>, <key, " + std::to_string(key) +
+            ">, <payload, 'x'>)";
+  }
+  return MustParse(text);
+}
+
+/// The keys `c` retrieves from `item`, in key order.
+std::vector<int64_t> ItemKeys(Controller& c) {
+  auto all = c.Execute(MustParse("RETRIEVE ((FILE = item)) (key) BY key"));
+  EXPECT_TRUE(all.ok()) << all.status();
+  std::vector<int64_t> keys;
+  if (!all.ok()) return keys;
+  for (const abdm::Record& record : all->response.records) {
+    keys.push_back(record.GetOrNull("key").AsInteger());
+  }
+  return keys;
+}
+
+/// The keys first..last, with `without` left out.
+std::vector<int64_t> KeyRange(int64_t first, int64_t last,
+                              const std::vector<int64_t>& without = {}) {
+  std::vector<int64_t> keys;
+  for (int64_t key = first; key <= last; ++key) {
+    if (std::find(without.begin(), without.end(), key) == without.end()) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
+TEST(BackendFailoverTest, MultiRecordInsertFailsOverWholeShare) {
+  Controller c = MakeFaultTolerant();
+  ASSERT_TRUE(c.DefineFile(ItemFile()).ok());
+  auto wal_entries = [&c](int i) { return c.Health().backends[i].wal_entries; };
+  auto occurrences = [](const std::string& text, const std::string& part) {
+    size_t n = 0;
+    for (size_t at = text.find(part); at != std::string::npos;
+         at = text.find(part, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+
+  // Reads until backend `i` has sat out reintegrate_after requests and
+  // rejoined, rebuilt from its own log.
+  auto reintegrate = [&c](int i) {
+    for (int n = 0; n < 4 && c.backend(i).health().state() !=
+                                 BackendHealth::kHealthy;
+         ++n) {
+      ASSERT_TRUE(c.Execute(MustParse("RETRIEVE ((FILE = item)) (key)")).ok());
+    }
+    EXPECT_EQ(c.backend(i).health().state(), BackendHealth::kHealthy);
+  };
+
+  // Round-robin from zero places items 1 and 5 on backend 1. An error
+  // outlasting the retry budget fails that share before it reaches the
+  // engine (a failed mutation quarantines its backend), so the whole
+  // share moves to backend 2 as one more request.
+  c.InjectFault(1, {.kind = FaultKind::kError, .at_attempt = 0, .count = 3});
+  const uint64_t wal1 = wal_entries(1);
+  const uint64_t wal2 = wal_entries(2);
+  auto errored = c.Execute(InsertItems(0, 8));
+  ASSERT_TRUE(errored.ok()) << errored.status();
+  EXPECT_EQ(errored->response.affected, 8u);
+  ASSERT_TRUE(HasWarningFor(errored->response.warnings, 1));
+  EXPECT_EQ(c.backend(1).health().state(), BackendHealth::kQuarantined);
+  EXPECT_EQ(c.backend(1).engine().FileSize("item"), 0u);
+  EXPECT_EQ(c.backend(2).engine().FileSize("item"), 4u);
+  EXPECT_EQ(wal_entries(1), wal1);
+  // Backend 2 logs its own share and, as one entry, the share it took.
+  EXPECT_EQ(wal_entries(2), wal2 + 2);
+  const std::string moved =
+      "REQUEST " + abdl::ToString(MustParse(
+                       "INSERT (<FILE, item>, <key, 1>, <payload, 'x'>) "
+                       "(<FILE, item>, <key, 5>, <payload, 'x'>)"));
+  EXPECT_EQ(occurrences(c.backend(2).wal().contents(), moved), 1u);
+  EXPECT_EQ(occurrences(c.backend(1).wal().contents(), moved), 0u);
+  EXPECT_EQ(ItemKeys(c), KeyRange(0, 7));
+  reintegrate(1);
+  EXPECT_EQ(c.backend(1).engine().FileSize("item"), 0u);
+  EXPECT_EQ(ItemKeys(c), KeyRange(0, 7));
+
+  // Items 11 and 15 land on backend 3. A crash there quarantines it, and
+  // its share wraps round to backend 0.
+  c.InjectFault(3, {.kind = FaultKind::kCrash, .at_attempt = 0, .count = 1});
+  const uint64_t wal0 = wal_entries(0);
+  const uint64_t wal3 = wal_entries(3);
+  auto crashed = c.Execute(InsertItems(8, 8));
+  ASSERT_TRUE(crashed.ok()) << crashed.status();
+  EXPECT_EQ(crashed->response.affected, 8u);
+  ASSERT_TRUE(HasWarningFor(crashed->response.warnings, 3));
+  EXPECT_EQ(c.backend(3).health().state(), BackendHealth::kQuarantined);
+  EXPECT_EQ(c.backend(0).engine().FileSize("item"), 6u);
+  EXPECT_EQ(wal_entries(0), wal0 + 2);
+  EXPECT_EQ(wal_entries(3), wal3);
+  // Backend 3's share of the first INSERT (items 3 and 7) is out with it.
+  EXPECT_EQ(ItemKeys(c), KeyRange(0, 15, {3, 7}));
+
+  // Backend 3's log never held the share it failed to take: once
+  // rebuilt, every item is back and none is there twice.
+  reintegrate(3);
+  EXPECT_EQ(c.backend(3).engine().FileSize("item"), 2u);
+  EXPECT_EQ(ItemKeys(c), KeyRange(0, 15));
+  EXPECT_EQ(c.FileSize("item"), 16u);
 }
 
 TEST(BackendFailoverTest, CheckpointBoundsReplayAndTruncatesLogs) {

@@ -1,10 +1,9 @@
-// Tests for storage compaction and MBDS placement policies.
+// Tests for storage compaction.
 
 #include <gtest/gtest.h>
 
 #include "abdl/parser.h"
 #include "kds/engine.h"
-#include "mbds/controller.h"
 
 namespace mlds {
 namespace {
@@ -85,49 +84,6 @@ TEST(CompactionTest, ScanCostDropsAfterCompaction) {
   ASSERT_TRUE(cheap.ok());
   EXPECT_LT(cheap->io.blocks_read, costly->io.blocks_read);
   EXPECT_EQ(cheap->records.size(), costly->records.size());
-}
-
-TEST(PlacementPolicyTest, HashPlacementIsOrderIndependent) {
-  mbds::MbdsOptions options;
-  options.num_backends = 4;
-  options.placement = mbds::PlacementPolicy::kHashKey;
-  mbds::Controller forward(options);
-  mbds::Controller backward(options);
-  ASSERT_TRUE(forward.DefineFile(ItemFile()).ok());
-  ASSERT_TRUE(backward.DefineFile(ItemFile()).ok());
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(forward
-                    .Execute(MustParse("INSERT (<FILE, item>, <key, " +
-                                       std::to_string(i) + ">)"))
-                    .ok());
-    ASSERT_TRUE(backward
-                    .Execute(MustParse("INSERT (<FILE, item>, <key, " +
-                                       std::to_string(63 - i) + ">)"))
-                    .ok());
-  }
-  for (int b = 0; b < 4; ++b) {
-    EXPECT_EQ(forward.backend(b).engine().FileSize("item"),
-              backward.backend(b).engine().FileSize("item"))
-        << "backend " << b;
-  }
-}
-
-TEST(PlacementPolicyTest, HashPlacementStillAnswersQueriesCorrectly) {
-  mbds::MbdsOptions options;
-  options.num_backends = 3;
-  options.placement = mbds::PlacementPolicy::kHashKey;
-  mbds::Controller controller(options);
-  ASSERT_TRUE(controller.DefineFile(ItemFile()).ok());
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(controller
-                    .Execute(MustParse("INSERT (<FILE, item>, <key, " +
-                                       std::to_string(i) + ">)"))
-                    .ok());
-  }
-  auto all = controller.Execute(
-      MustParse("RETRIEVE ((FILE = item)) (key) BY key"));
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->response.records.size(), 30u);
 }
 
 }  // namespace

@@ -72,11 +72,11 @@ TEST_F(DmlUniversityTest, MoveThenFindAnyLocatesCourse) {
 TEST_F(DmlUniversityTest, FindAnyTranslationMatchesThesisTemplate) {
   Must("MOVE 'Advanced Database' TO title IN course");
   Must("FIND ANY course USING title IN course");
-  const TraceEntry& entry = machine_->trace().back();
-  ASSERT_EQ(entry.abdl.size(), 1u);
+  const std::vector<std::string>& requests = machine_->trace();
+  ASSERT_EQ(requests.size(), 1u);
   // RETRIEVE ((FILE = course) AND (title = 'Advanced Database'))
   // (all attributes) BY course   (Ch. VI.B.1)
-  EXPECT_EQ(entry.abdl[0],
+  EXPECT_EQ(requests[0],
             "RETRIEVE ((FILE = 'course') and (title = 'Advanced Database')) "
             "(all attributes) BY course");
 }
@@ -405,9 +405,9 @@ TEST_F(DmlUniversityTest, ConnectTranslatesToMemberUpdate) {
   Must("CONNECT student TO advisor");
   // Thesis Ch. VI.D.2.b: UPDATE ((FILE = record) AND (record = run-unit
   // dbkey)) (set = owner dbkey).
-  const TraceEntry& entry = machine_->trace().back();
-  ASSERT_GE(entry.abdl.size(), 1u);
-  EXPECT_EQ(entry.abdl[0],
+  const std::vector<std::string>& requests = machine_->trace();
+  ASSERT_GE(requests.size(), 1u);
+  EXPECT_EQ(requests[0],
             "UPDATE ((FILE = 'student') and (student = 'student_5')) "
             "(advisor = '" + owner_key + "')");
 }
@@ -548,13 +548,14 @@ TEST_F(DmlUniversityTest, RunProgramExecutesThesisExample) {
 }
 
 TEST_F(DmlUniversityTest, TraceRecordsOneToManyCorrespondence) {
-  machine_->ClearTrace();
+  const SessionStats before = machine_->statistics();
   Must("MOVE 'Advanced Database' TO title IN course");
+  EXPECT_EQ(machine_->trace().size(), 0u);  // MOVE issues no ABDL.
   Must("FIND ANY course USING title IN course");
-  const auto& trace = machine_->trace();
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace[0].abdl.size(), 0u);  // MOVE issues no ABDL.
-  EXPECT_EQ(trace[1].abdl.size(), 1u);  // FIND ANY issues one RETRIEVE.
+  EXPECT_EQ(machine_->trace().size(), 1u);  // FIND ANY issues one RETRIEVE.
+  const SessionStats& after = machine_->statistics();
+  EXPECT_EQ(after.total_statements - before.total_statements, 2u);
+  EXPECT_EQ(after.total_requests - before.total_requests, 1u);
 }
 
 // --- batch STORE (bulk ingest) ---
@@ -683,9 +684,9 @@ TEST_F(DmlUniversityTest, WalkFusesSetChainIntoJoins) {
               record.GetOrNull("faculty").AsString());
     EXPECT_TRUE(record.Has("frank"));  // absorbed faculty attribute.
   }
-  const TraceEntry& entry = machine_->trace().back();
-  ASSERT_EQ(entry.abdl.size(), 2u);
-  for (const auto& abdl : entry.abdl) {
+  const std::vector<std::string>& requests = machine_->trace();
+  ASSERT_EQ(requests.size(), 2u);
+  for (const auto& abdl : requests) {
     EXPECT_EQ(abdl.rfind("RETRIEVE-COMMON", 0), 0u) << abdl;
   }
 }
@@ -767,7 +768,7 @@ TEST(DmlWalkValidationTest, WalkWideLevelPrunesUnreachableOwners) {
     r.Set(std::string(abdm::kFileAttribute), abdm::Value::String(file));
     r.Set(file, abdm::Value::String(dbkey));
     if (!set_attr.empty()) r.Set(set_attr, abdm::Value::String(owner));
-    auto resp = executor.Execute(abdl::InsertRequest{std::move(r)});
+    auto resp = executor.Execute(abdl::InsertRequest{{std::move(r)}});
     ASSERT_TRUE(resp.ok()) << resp.status();
   };
   // One a; 80 b records (2 with dangling owners, pruned at level 0);

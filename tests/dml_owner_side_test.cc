@@ -101,10 +101,10 @@ TEST_F(OwnerSideDmlTest, ConnectFirstChildUpdatesNullOwnerKeyword) {
   auto owners = Kernel("RETRIEVE ((FILE = parent)) (all attributes)");
   ASSERT_EQ(owners.records.size(), 1u);
   EXPECT_EQ(owners.records[0].GetOrNull("kids").AsString(), "child_1");
-  const TraceEntry& entry = machine_->trace().back();
+  const std::vector<std::string>& requests = machine_->trace();
   // ARR (retrieve owners) + UPDATE.
-  ASSERT_EQ(entry.abdl.size(), 3u);  // +1 for the run-unit refresh.
-  EXPECT_TRUE(entry.abdl[1].starts_with("UPDATE")) << entry.abdl[1];
+  ASSERT_EQ(requests.size(), 3u);  // +1 for the run-unit refresh.
+  EXPECT_TRUE(requests[1].starts_with("UPDATE")) << requests[1];
 }
 
 TEST_F(OwnerSideDmlTest, ConnectSecondChildInsertsDuplicatedOwnerRecord) {
@@ -142,7 +142,7 @@ TEST_F(OwnerSideDmlTest, FindMembersThroughOwnerSideRepresentation) {
   EXPECT_EQ(first.records[0].GetOrNull("child").AsString(), "child_1");
   // Two ABDL requests: owner fetch + member fetch (Ch. III.A's
   // one-to-many statement/request correspondence).
-  EXPECT_EQ(machine_->trace().back().abdl.size(), 2u);
+  EXPECT_EQ(machine_->trace().size(), 2u);
   DmlResult next = Must("FIND NEXT child WITHIN kids");
   EXPECT_EQ(next.records[0].GetOrNull("child").AsString(), "child_2");
   EXPECT_TRUE(

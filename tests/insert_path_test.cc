@@ -111,7 +111,7 @@ TEST_F(InsertPathTest, EveryLanguageSendsOneKernelRequestPerChunk) {
       "STORE course (title = ?, semester = 'Fall88', credits = ?)",
       Rows("Bulk Course ", abdm::Value::Integer(3)), kChunksOf8);
   ASSERT_TRUE(stored.ok()) << stored.status();
-  EXPECT_TRUE(OnlyInserts((*codasyl)->trace().back().abdl, 4));
+  EXPECT_TRUE(OnlyInserts((*codasyl)->trace(), 4));
 
   auto daplex = system_.OpenDaplexSession("university");
   ASSERT_TRUE(daplex.ok()) << daplex.status();

@@ -52,9 +52,7 @@ class InterleavingExecutor : public kc::KernelExecutor {
     return inner_->HasFile(file);
   }
   Result<kds::Response> Execute(const abdl::Request& request) override {
-    const bool insert =
-        std::holds_alternative<abdl::InsertRequest>(request) ||
-        std::holds_alternative<abdl::BatchInsertRequest>(request);
+    const bool insert = std::holds_alternative<abdl::InsertRequest>(request);
     if (insert && pending_) std::exchange(pending_, nullptr)();
     return inner_->Execute(request);
   }

@@ -731,23 +731,23 @@ TEST(ParserFuzzTest, PreparedBindRejectsMismatchedRows) {
   const std::vector<abdm::Value> wide = {abdm::Value::String("ada"),
                                          abdm::Value::Integer(90),
                                          abdm::Value::Integer(7)};
-  EXPECT_FALSE(prepared->Bind(narrow).ok());
-  EXPECT_TRUE(prepared->Bind(exact).ok());
-  EXPECT_FALSE(prepared->Bind(wide).ok());
+  EXPECT_FALSE(prepared->BindRow(narrow).ok());
+  EXPECT_TRUE(prepared->BindRow(exact).ok());
+  EXPECT_FALSE(prepared->BindRow(wide).ok());
 
   // Zero-row batches and any row/params mismatch inside a batch fail as
   // a whole — a batch never partially binds.
-  EXPECT_FALSE(prepared->BindBatch({}).ok());
-  EXPECT_FALSE(prepared->BindBatch({exact, narrow, exact}).ok());
-  EXPECT_FALSE(prepared->BindBatch({exact, wide}).ok());
-  auto bound = prepared->BindBatch({exact, exact, exact});
+  EXPECT_FALSE(prepared->Bind({}, 0, 0).ok());
+  EXPECT_FALSE(prepared->Bind({exact, narrow, exact}, 0, 3).ok());
+  EXPECT_FALSE(prepared->Bind({exact, wide}, 0, 2).ok());
+  auto bound = prepared->Bind({exact, exact, exact}, 0, 3);
   ASSERT_TRUE(bound.ok()) << bound.status();
   EXPECT_EQ(bound->records.size(), 3u);
 
   // Chunked binds clamp the end and reject empty ranges.
-  EXPECT_FALSE(prepared->BindBatch({exact, exact}, 2, 2).ok());
-  EXPECT_FALSE(prepared->BindBatch({exact, exact}, 5, 9).ok());
-  auto tail = prepared->BindBatch({exact, exact, exact}, 1, 99);
+  EXPECT_FALSE(prepared->Bind({exact, exact}, 2, 2).ok());
+  EXPECT_FALSE(prepared->Bind({exact, exact}, 5, 9).ok());
+  auto tail = prepared->Bind({exact, exact, exact}, 1, 99);
   ASSERT_TRUE(tail.ok()) << tail.status();
   EXPECT_EQ(tail->records.size(), 2u);
 }
@@ -778,7 +778,7 @@ TEST(ParserFuzzTest, HostileParameterCountsClampBatchSize) {
       abdl::ParsePreparedInsert("INSERT (<FILE, t>, <a, 1>)");
   ASSERT_TRUE(constant.ok()) << constant.status();
   EXPECT_EQ(constant->params_per_row(), 0u);
-  auto bound = constant->BindBatch({{}, {}});
+  auto bound = constant->Bind({{}, {}}, 0, 2);
   ASSERT_TRUE(bound.ok()) << bound.status();
   EXPECT_EQ(bound->records.size(), 2u);
 }

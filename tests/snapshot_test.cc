@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "abdl/parser.h"
 #include "kc/executor.h"
@@ -131,7 +132,7 @@ TEST(SnapshotTest, IntegralFloatsStayFloat) {
     record.Set("FILE", abdm::Value::String("t"));
     record.Set("k", abdm::Value::Integer(k));
     record.Set("x", abdm::Value::Float(values[k]));
-    ASSERT_TRUE(engine.Execute(abdl::InsertRequest{record}).ok());
+    ASSERT_TRUE(engine.Execute(abdl::InsertRequest{{record}}).ok());
   }
 
   std::stringstream stream;
@@ -170,6 +171,35 @@ TEST(SnapshotTest, RejectsGarbageLine) {
   std::stringstream stream("MLDS-SNAPSHOT 1\nFILE f\nWHAT is this\n");
   Engine engine;
   EXPECT_FALSE(LoadSnapshot(stream, &engine).ok());
+}
+
+TEST(SnapshotTest, RejectsDataLineWithSeveralRecords) {
+  Engine engine;
+  abdm::FileDescriptor f;
+  f.name = "t";
+  f.attributes = {{"FILE", abdm::ValueKind::kString, 0, true},
+                  {"k", abdm::ValueKind::kInteger, 0, false}};
+  ASSERT_TRUE(engine.DefineFile(f).ok());
+  auto insert = abdl::ParseRequest("INSERT (<FILE, t>, <k, 1>)");
+  ASSERT_TRUE(insert.ok());
+  ASSERT_TRUE(engine.Execute(*insert).ok());
+  std::stringstream saved;
+  ASSERT_TRUE(SaveSnapshot(engine, saved).ok());
+
+  // Snapshots hold one record per data line; a line carrying the
+  // multi-record INSERT form is rejected before anything is defined.
+  std::string text = saved.str();
+  const size_t line = text.find("INSERT (");
+  ASSERT_NE(line, std::string::npos);
+  const size_t end = text.find('\n', line);
+  const std::string group = text.substr(line + 7, end - line - 7);
+  text.insert(end, " " + group);
+  std::stringstream doubled(text);
+  Engine restored;
+  auto status = LoadSnapshot(doubled, &restored);
+  ASSERT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsParseError()) << status;
+  EXPECT_FALSE(restored.HasFile("t"));
 }
 
 TEST(SnapshotTest, LoadIntoNonEmptyEngineRejectsDuplicates) {

@@ -32,7 +32,7 @@ class TranslationTemplateTest : public ::testing::Test {
 
   /// The ABDL requests of the most recent statement.
   const std::vector<std::string>& LastAbdl() {
-    return machine_->trace().back().abdl;
+    return machine_->trace();
   }
 
   kds::Engine engine_;
@@ -219,13 +219,15 @@ constexpr ProgramCount kProgramCounts[] = {
 
 TEST_F(TranslationTemplateTest, AbdlRequestsPerDmlProgram) {
   for (const ProgramCount& row : kProgramCounts) {
-    machine_->ClearTrace();
+    const SessionStats before = machine_->statistics();
     auto results = machine_->RunProgram(row.program);
     ASSERT_TRUE(results.ok()) << row.name << ": " << results.status();
-    size_t abdl = 0;
-    for (const auto& entry : machine_->trace()) abdl += entry.abdl.size();
-    EXPECT_EQ(machine_->trace().size(), row.statements) << row.name;
-    EXPECT_EQ(abdl, row.abdl_requests) << row.name;
+    const SessionStats& after = machine_->statistics();
+    EXPECT_EQ(after.total_statements - before.total_statements,
+              row.statements)
+        << row.name;
+    EXPECT_EQ(after.total_requests - before.total_requests, row.abdl_requests)
+        << row.name;
   }
 }
 
@@ -270,12 +272,10 @@ TEST_F(TranslationTemplateTest, CrossModelRequestCounts) {
        4, 3},
   };
   auto count = [](DmlMachine& machine, const char* program) -> size_t {
-    machine.ClearTrace();
+    const size_t before = machine.statistics().total_requests;
     auto results = machine.RunProgram(program);
     EXPECT_TRUE(results.ok()) << program << results.status();
-    size_t abdl = 0;
-    for (const auto& entry : machine.trace()) abdl += entry.abdl.size();
-    return abdl;
+    return machine.statistics().total_requests - before;
   };
   for (const CrossModelCount& row : kPrograms) {
     EXPECT_EQ(count(*machine_, row.program), row.functional) << row.name;

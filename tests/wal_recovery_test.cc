@@ -376,7 +376,7 @@ TEST_F(WalRecoveryTest, IntegralFloatsStayFloatThroughReplay) {
     record.Set("FILE", abdm::Value::String("reading"));
     record.Set("n", abdm::Value::Integer(n));
     record.Set("x", abdm::Value::Float(values[n]));
-    ASSERT_TRUE(engine.Execute(abdl::InsertRequest{record}).ok());
+    ASSERT_TRUE(engine.Execute(abdl::InsertRequest{{record}}).ok());
   }
   ASSERT_TRUE(engine
                   .Execute(abdl::UpdateRequest{
@@ -425,11 +425,11 @@ TEST_F(WalRecoveryTest, KernelAssignedKeysReplayAsLogged) {
   };
   const abdl::InsertGuard guard{"staff", {"name"}, abdl::NullRule::kSkipRecord};
   auto batch = engine.Execute(
-      abdl::BatchInsertRequest{{row("ada"), row("grace")}, guard});
+      abdl::InsertRequest{{row("ada"), row("grace")}, guard});
   ASSERT_TRUE(batch.ok()) << batch.status();
   EXPECT_EQ(batch->keys, (std::vector<std::string>{"staff_1", "staff_2"}));
   // A violation is refused before the log sees it.
-  EXPECT_TRUE(engine.Execute(abdl::InsertRequest{row("ada"), guard})
+  EXPECT_TRUE(engine.Execute(abdl::InsertRequest{{row("ada")}, guard})
                   .status()
                   .IsConstraintViolation());
   EXPECT_EQ(wal.contents().find("NULL"), std::string::npos);
@@ -442,7 +442,7 @@ TEST_F(WalRecoveryTest, KernelAssignedKeysReplayAsLogged) {
   ASSERT_EQ(keys->records.size(), 2u);
   EXPECT_EQ(keys->records[0].GetOrNull("staff").AsString(), "staff_1");
   EXPECT_EQ(keys->records[1].GetOrNull("staff").AsString(), "staff_2");
-  auto next = recovered.Execute(abdl::InsertRequest{row("edsger"), guard});
+  auto next = recovered.Execute(abdl::InsertRequest{{row("edsger")}, guard});
   ASSERT_TRUE(next.ok()) << next.status();
   EXPECT_EQ(next->keys, std::vector<std::string>{"staff_3"});
 }
@@ -579,7 +579,7 @@ TEST_F(WalRecoveryTest, GroupCommittedLogRecoversExactlyAtEveryBoundary) {
   }
   auto apply = [&](Engine& engine, const Op& op, int* batch_key) {
     if (op.batch_rows > 0) {
-      abdl::BatchInsertRequest batch;
+      abdl::InsertRequest batch;
       for (int r = 0; r < op.batch_rows; ++r) {
         batch.records.push_back(batch_record((*batch_key)++));
       }

@@ -370,14 +370,16 @@ PY
   echo "corruption recovery smoke passed (port ${INTEGRITY_PORT})"
 }
 
-# Concurrent insert smoke against a given build tree: four wire clients
-# each INSERT 300 staff rows at once into a --workers 4 server. The kernel
-# assigns every key under the file's lock, so no two rows may share one,
-# and every row must land (1,200 plus the three demo rows).
+# Concurrent insert smoke against a given build tree and backend count
+# (0: one engine; N: the MBDS controller over N backends): four wire
+# clients each INSERT 300 staff rows at once into a --workers 4 server.
+# The kernel assigns every key under the file's lock, so no two rows may
+# share one, and every row must land (1,200 plus the three demo rows).
 run_concurrent_insert_smoke() {
-  local build_dir="$1" log="$2"
+  local build_dir="$1" log="$2" backends="$3"
   rm -f "${log}" "${log}".client*
-  "${build_dir}/tools/mlds_server" --port 0 --workers 4 > "${log}" &
+  "${build_dir}/tools/mlds_server" --port 0 --workers 4 \
+    --backends "${backends}" > "${log}" &
   local pid=$!
   local port=""
   for _ in $(seq 1 50); do
@@ -414,7 +416,7 @@ run_concurrent_insert_smoke() {
               "keys, such as $(head -3 <<< "${repeated}" | tr '\n' ' ')"; exit 1; }
   [[ "$(wc -l <<< "${keys}")" == "1203" ]] \
     || { echo "concurrent insert smoke: $(wc -l <<< "${keys}") staff rows, want 1203"; exit 1; }
-  echo "concurrent insert smoke passed (port ${port})"
+  echo "concurrent insert smoke passed (${backends} backends, port ${port})"
 }
 
 if [[ "${MLDS_SKIP_SERVER:-0}" == "1" ]]; then
@@ -473,7 +475,8 @@ else
   run_integrity_smoke build build/mlds_integrity_smoke.log
 
   echo "== concurrent insert smoke =="
-  run_concurrent_insert_smoke build build/mlds_concurrent_smoke.log
+  run_concurrent_insert_smoke build build/mlds_concurrent_smoke.log 0
+  run_concurrent_insert_smoke build build/mlds_concurrent_smoke_b4.log 4
 fi
 
 if [[ "${MLDS_SKIP_TSAN:-0}" == "1" ]]; then
@@ -535,7 +538,8 @@ else
     ctest --output-on-failure -j "${JOBS}" \
       -R 'DaplexIsaJoinTest|DaplexInheritanceTest|KeySetFold|FoldedKeySet|CascadeFaultTest|NestedInsertTest|InsertStressTest')
   echo "== TSan concurrent insert smoke =="
-  run_concurrent_insert_smoke build-tsan build-tsan/mlds_concurrent_smoke.log
+  run_concurrent_insert_smoke build-tsan build-tsan/mlds_concurrent_smoke.log 0
+  run_concurrent_insert_smoke build-tsan build-tsan/mlds_concurrent_smoke_b4.log 4
   # Fan-out and transaction suites: every backend share runs on a worker
   # of the controller's fan-out executor, which starts workers on demand
   # and hands idle ones to the next share, while transactions and
